@@ -125,6 +125,40 @@ fn bench_waiting_queue_scan(c: &mut Criterion) {
     g.finish();
 }
 
+/// The service-mode queue shape: thousands of jobs submitted over the
+/// run, a handful in flight. Each iteration pops the round-robin head
+/// and re-queues it behind its job — the price of one dispatch must not
+/// depend on the 4 092 jobs that hold nothing. The one-job row beside
+/// it is the batch shape, for the same traffic.
+fn bench_waiting_queue_sparse(c: &mut Criterion) {
+    use pax_core::descriptor::QueueClass;
+    use pax_core::ids::DescId;
+    use pax_core::queue::WaitingQueue;
+    const ROUNDS: u32 = 100_000;
+    let mut g = c.benchmark_group("waiting_queue_sparse");
+    for (label, jobs, active) in [
+        ("4096_jobs_4_active", 4096usize, [5u32, 1300, 2600, 4090]),
+        ("1_job", 1, [0; 4]),
+    ] {
+        g.bench_with_input(BenchmarkId::from_parameter(label), &jobs, |b, &jobs| {
+            let mut q = WaitingQueue::new(jobs);
+            for i in 0..8u32 {
+                q.push_back(DescId(i), QueueClass::Normal, JobId(active[i as usize % 4]));
+            }
+            b.iter(|| {
+                let mut sum = 0u64;
+                for i in 0..ROUNDS {
+                    let id = q.pop().expect("eight entries circulate");
+                    sum += u64::from(id.0);
+                    q.push_back(id, QueueClass::Normal, JobId(active[i as usize % 4]));
+                }
+                sum
+            })
+        });
+    }
+    g.finish();
+}
+
 fn bench_locality_remote_count(c: &mut Criterion) {
     use pax_sim::locality::{DataLayout, LocalityModel};
     use pax_sim::time::SimDuration;
@@ -455,6 +489,7 @@ criterion_group!(
     bench_conflict_queue,
     bench_classifier,
     bench_waiting_queue_scan,
+    bench_waiting_queue_sparse,
     bench_locality_remote_count,
     bench_enablement_completion,
     bench_rangeset_churn,

@@ -105,7 +105,17 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|a| !a.starts_with("--"))
         .map(|a| a.to_lowercase())
         .collect();
-    let want = |id: &str| selected.is_empty() || selected.iter().any(|s| s == id);
+    if let Some(unknown) = selected
+        .iter()
+        .find(|s| !EXPERIMENTS.iter().any(|(id, _)| id == s))
+    {
+        let valid: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        return Err(format!(
+            "unknown experiment id '{unknown}' (valid ids: {})",
+            valid.join(" ")
+        )
+        .into());
+    }
 
     println!(
         "PAX rundown reproduction — experiment harness ({} mode)\n",
@@ -113,48 +123,35 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     let t0 = Instant::now();
-    if want("e1") {
-        section("E1", || println!("{}", ex::e1::run(quick)));
-    }
-    if want("e2") {
-        section("E2", || println!("{}", ex::e2::run(quick)));
-    }
-    if want("e3") {
-        section("E3", || println!("{}", ex::e3::run(quick)));
-    }
-    if want("e4") {
-        section("E4", || println!("{}", ex::e4::run(quick)));
-    }
-    if want("e5") {
-        section("E5", || println!("{}", ex::e5::run(quick)));
-    }
-    if want("e6") {
-        section("E6", || println!("{}", ex::e6::run(quick)));
-    }
-    if want("e7") {
-        section("E7", || println!("{}", ex::e7::run(quick)));
-    }
-    if want("e8") {
-        section("E8", || println!("{}", ex::e8::run(quick)));
-    }
-    if want("e9") {
-        section("E9", || println!("{}", ex::e9::run(quick)));
-    }
-    if want("e10") {
-        section("E10", || println!("{}", ex::e10::run(quick)));
-    }
-    if want("e11") {
-        section("E11", || println!("{}", ex::e11::run(quick)));
-    }
-    if want("e12") {
-        section("E12", || println!("{}", ex::e12::run(quick)));
-    }
-    if want("e13") {
-        section("E13", || println!("{}", ex::e13::run(quick)));
+    for (id, run) in EXPERIMENTS {
+        if selected.is_empty() || selected.iter().any(|s| s == id) {
+            section(&id.to_uppercase(), || println!("{}", run(quick)));
+        }
     }
     println!("\nall requested experiments done in {:?}", t0.elapsed());
     Ok(())
 }
+
+/// Runs one experiment (`quick` sizes or full) and renders its table.
+type Experiment = fn(bool) -> String;
+
+/// Every claim experiment by id; ids on the command line are checked
+/// against this table, and it is the only place an experiment is named.
+const EXPERIMENTS: [(&str, Experiment); 13] = [
+    ("e1", |quick| ex::e1::run(quick).to_string()),
+    ("e2", |quick| ex::e2::run(quick).to_string()),
+    ("e3", |quick| ex::e3::run(quick).to_string()),
+    ("e4", |quick| ex::e4::run(quick).to_string()),
+    ("e5", |quick| ex::e5::run(quick).to_string()),
+    ("e6", |quick| ex::e6::run(quick).to_string()),
+    ("e7", |quick| ex::e7::run(quick).to_string()),
+    ("e8", |quick| ex::e8::run(quick).to_string()),
+    ("e9", |quick| ex::e9::run(quick).to_string()),
+    ("e10", |quick| ex::e10::run(quick).to_string()),
+    ("e11", |quick| ex::e11::run(quick).to_string()),
+    ("e12", |quick| ex::e12::run(quick).to_string()),
+    ("e13", |quick| ex::e13::run(quick).to_string()),
+];
 
 fn section(id: &str, run: impl FnOnce()) {
     let t = Instant::now();

@@ -10,15 +10,19 @@
 //! The parser is a deliberately small scanner for the format
 //! [`crate::rundown::to_json`] emits (the repo vendors no serde): it
 //! pairs each `"name"` with the following `"wall_ms"` inside the
-//! `scenarios` array and also captures the top-level `"host"` so the
-//! table can flag cross-host comparisons, which are informational only.
+//! `scenarios` array, reads the `service_scaling` sweep rows the same way
+//! (named `service_scaling/<scenario>/shards=<k>`: the open-system rows
+//! are where a per-event cost that grows with the stream shows first),
+//! and also captures the top-level `"host"` so the table can flag
+//! cross-host comparisons, which are informational only.
 
 /// One scenario measurement extracted from a rundown JSON file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ParsedRun {
     /// Host fingerprint recorded in the file (absent in pre-v2 files).
     pub host: Option<String>,
-    /// `(scenario name, wall_ms)` in file order.
+    /// `(scenario name, wall_ms)` in file order: the `service_scaling`
+    /// rows, then the headline scenarios.
     pub scenarios: Vec<(String, f64)>,
 }
 
@@ -40,23 +44,34 @@ fn number_value(line: &str) -> Option<f64> {
 
 /// Parse a rundown JSON document (format of [`crate::rundown::to_json`]).
 pub fn parse_rundown(json: &str) -> ParsedRun {
+    #[derive(PartialEq)]
+    enum Section {
+        Other,
+        Service,
+        Scenarios,
+    }
     let mut host = None;
     let mut scenarios = Vec::new();
-    let mut in_scenarios = false;
+    let mut section = Section::Other;
     let mut pending_name: Option<String> = None;
     for line in json.lines() {
         let t = line.trim_start();
-        if !in_scenarios {
+        if t.starts_with("\"service_scaling\":") {
+            section = Section::Service;
+        } else if t.starts_with("\"scenarios\"") {
+            section = Section::Scenarios;
+        } else if t.starts_with(']') {
+            section = Section::Other;
+        } else if section == Section::Other {
             if t.starts_with("\"host\"") {
                 host = string_value(t);
             }
-            if t.starts_with("\"scenarios\"") {
-                in_scenarios = true;
-            }
-            continue;
-        }
-        if t.starts_with("\"name\"") {
+        } else if t.starts_with("\"name\"") || t.starts_with("\"scenario\"") {
             pending_name = string_value(t);
+        } else if section == Section::Service && t.starts_with("\"shards\"") {
+            if let (Some(name), Some(k)) = (pending_name.as_mut(), number_value(t)) {
+                *name = format!("service_scaling/{name}/shards={k}");
+            }
         } else if t.starts_with("\"wall_ms\"") {
             if let (Some(name), Some(ms)) = (pending_name.take(), number_value(t)) {
                 scenarios.push((name, ms));
@@ -325,6 +340,21 @@ mod tests {
         s
     }
 
+    /// One headline scenario as the rundown harness measures it.
+    fn headline() -> crate::rundown::RundownMeasurement {
+        crate::rundown::RundownMeasurement {
+            name: "identity_1e4_t1".into(),
+            shape: "identity",
+            granules: 16,
+            task_size: 1,
+            events: 10,
+            tasks: 5,
+            makespan: 100,
+            wall_ms: 4.25,
+            events_per_sec: 1000.0,
+        }
+    }
+
     #[test]
     fn parses_names_hosts_and_wall_ms() {
         let p = parse_rundown(&sample("h1/2cpu/x", &[("a", 1.5), ("b", 2.0)]));
@@ -495,22 +525,66 @@ mod tests {
     #[test]
     fn real_emitter_output_round_trips() {
         // the gate must understand whatever rundown::to_json writes
-        let m = crate::rundown::RundownMeasurement {
-            name: "identity_1e4_t1".into(),
-            shape: "identity",
-            granules: 16,
-            task_size: 1,
-            events: 10,
-            tasks: 5,
-            makespan: 100,
-            wall_ms: 4.25,
-            events_per_sec: 1000.0,
-        };
+        let m = headline();
         let p = parse_rundown(&crate::rundown::to_json_for_host(
             &[m],
             "ci-runner/4cpu/x86_64",
         ));
         assert_eq!(p.host.as_deref(), Some("ci-runner/4cpu/x86_64"));
         assert_eq!(p.scenarios, vec![("identity_1e4_t1".to_string(), 4.25)]);
+    }
+
+    #[test]
+    fn service_scaling_rows_are_gated_by_scenario_and_shard_count() {
+        let headline = headline();
+        let service = |shards: usize, wall_ms: f64| crate::rundown::ServiceScalingMeasurement {
+            scenario: "service_hot_8g".into(),
+            mean_gap: 200,
+            shards,
+            groups: 8,
+            jobs: 100,
+            completed: 100,
+            rejected: 0,
+            latency_p50: 7,
+            latency_p99: 9,
+            jobs_per_ktick: 1.0,
+            instances_peak: 4,
+            events: 1000,
+            makespan: 500,
+            wall_ms,
+            events_per_sec: 1.0,
+        };
+        let emit = |rows: &[crate::rundown::ServiceScalingMeasurement]| {
+            let json = crate::rundown::to_json_full(
+                std::slice::from_ref(&headline),
+                &[],
+                &[],
+                &[],
+                &[],
+                &[],
+                rows,
+                &[],
+                "ci-runner/4cpu/x86_64",
+            );
+            parse_rundown(&json)
+        };
+        let base = emit(&[service(1, 40.0), service(2, 50.0)]);
+        assert_eq!(
+            base.scenarios,
+            vec![
+                ("service_scaling/service_hot_8g/shards=1".to_string(), 40.0),
+                ("service_scaling/service_hot_8g/shards=2".to_string(), 50.0),
+                ("identity_1e4_t1".to_string(), 4.25),
+            ]
+        );
+        // a service row that slows down fails the gate on its own
+        let slow = emit(&[service(1, 40.0), service(2, 70.0)]);
+        let (outcome, report) = gate(Some(&base), &slow, 1.25);
+        assert_eq!(outcome, GateOutcome::Regressed);
+        assert!(
+            report
+                .contains("| service_scaling/service_hot_8g/shards=2 | 50.000 | 70.000 | 1.400 |"),
+            "{report}"
+        );
     }
 }

@@ -47,7 +47,7 @@ use pax_sim::machine::{
     AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
     ProcessorClass, ResourcePool,
 };
-use pax_sim::metrics::{Activity, GanttTrace, Span, StepTrace};
+use pax_sim::metrics::{Activity, GanttTrace, LevelSweep, Span, StepTrace};
 use pax_sim::time::{SimDuration, SimTime};
 use pax_sim::trace::TraceLog;
 use rand::rngs::SmallRng;
@@ -219,15 +219,13 @@ struct Instance {
     stats: PhaseStats,
 }
 
-/// Per-job runtime state. The job's [`Program`] is decomposed at engine
-/// construction: phase definitions move here, and the step list is
-/// interned behind an `Arc<[Step]>` — a single copy that the interpreter
-/// can hold across `&mut self` calls without cloning `Vec`/`String`
-/// payloads per step executed.
+/// Per-job runtime state. The job's [`Program`] is shared, not owned:
+/// every job of an arrival stream points at the stream's one copy, and
+/// the interpreter can hold the handle across `&mut self` calls without
+/// cloning `Vec`/`String` payloads per step executed.
 #[derive(Debug)]
 struct JobRt {
-    phases: Vec<crate::phase::PhaseDef>,
-    steps: Arc<[Step]>,
+    program: Arc<Program>,
     pc: usize,
     counters: Vec<i64>,
     /// Successor instance initiated by overlap, keyed by the dispatch step
@@ -271,7 +269,7 @@ struct JobRt {
 pub struct Simulation {
     pub(crate) cfg: MachineConfig,
     pub(crate) policy: OverlapPolicy,
-    pub(crate) programs: Vec<Program>,
+    pub(crate) programs: Vec<Arc<Program>>,
     /// Machine group of each job in `programs` (parallel vector). Jobs in
     /// one group share one simulated machine; distinct groups are
     /// independent machines, coupled only through [`Simulation::link_groups`]
@@ -296,7 +294,7 @@ pub struct Simulation {
 /// A deferred arrival stream: `count` copies of one program admitted at
 /// instants drawn from an [`ArrivalProcess`], all in one machine group.
 pub(crate) struct StreamSpec {
-    program: Program,
+    program: Arc<Program>,
     process: ArrivalProcess,
     count: usize,
     group: usize,
@@ -337,6 +335,10 @@ impl Simulation {
     /// instant is local to the group's timeline: a gated group's jobs
     /// arrive `at` ticks after the group is admitted.
     pub fn add_job_at_in_group(&mut self, program: Program, at: SimTime, group: usize) -> JobId {
+        self.push_job(Arc::new(program), at, group)
+    }
+
+    fn push_job(&mut self, program: Arc<Program>, at: SimTime, group: usize) -> JobId {
         self.programs.push(program);
         self.groups.push(group);
         self.arrivals.push(at);
@@ -361,7 +363,7 @@ impl Simulation {
         group: usize,
     ) {
         self.streams.push(StreamSpec {
-            program,
+            program: Arc::new(program),
             process,
             count,
             group,
@@ -390,8 +392,9 @@ impl Simulation {
         let streams = take(&mut self.streams);
         for (i, s) in streams.into_iter().enumerate() {
             let mut rng = pax_sim::seeded_rng(arrival_seed(self.seed, i as u64));
+            // Every job of the stream shares the stream's one program.
             for at in s.process.instants(s.count, &mut rng) {
-                self.add_job_at_in_group(s.program.clone(), at, s.group);
+                self.push_job(Arc::clone(&s.program), at, s.group);
             }
         }
     }
@@ -489,6 +492,10 @@ impl Simulation {
 
     pub(crate) fn validate(&self) -> Result<(), EngineError> {
         for (i, p) in self.programs.iter().enumerate() {
+            // The jobs of a stream share one program: check it once.
+            if i > 0 && Arc::ptr_eq(p, &self.programs[i - 1]) {
+                continue;
+            }
             p.validate()
                 .map_err(|e| EngineError::InvalidProgram(format!("job {i}: {e}")))?;
             // `requires` lists resolve against the machine's pools here,
@@ -634,9 +641,9 @@ struct FaultRt {
     /// crash (cleared on completion so recycled descriptor ids start
     /// fresh).
     attempts: Vec<(DescId, u32)>,
-    /// `(time, ±delta)` availability spans: `+processors` at start, `-1`
-    /// per crash, `+1` per repair.
-    avail_deltas: Vec<(SimTime, i32)>,
+    /// Processors up: `+processors` at start, `-1` per crash, `+1` per
+    /// repair.
+    avail: LevelSweep,
     /// Compute ticks spent on ranges later lost to crashes.
     lost_work: SimDuration,
     /// Lost ranges reissued into the waiting queue.
@@ -661,7 +668,7 @@ impl FaultRt {
             running: vec![None; processors],
             scripted: vec![VecDeque::new(); processors],
             attempts: Vec::new(),
-            avail_deltas: Vec::new(),
+            avail: LevelSweep::new(),
             lost_work: SimDuration::ZERO,
             retries: 0,
             crashes: 0,
@@ -734,9 +741,11 @@ pub(crate) struct Engine {
     exec_backlog: VecDeque<ExecTask>,
     idle_workers: Vec<WorkerId>,
     rng: SmallRng,
-    // raw measurement spans; step traces are built after the run
-    compute_deltas: Vec<(SimTime, i32)>,
-    mgmt_deltas: Vec<(SimTime, i32)>,
+    /// Processors computing and executive lanes serving, traced as the
+    /// run goes: dispatch and service learn their spans ahead of `now`,
+    /// and each event round settles what `now` has passed.
+    computing: LevelSweep,
+    managing: LevelSweep,
     compute_total: SimDuration,
     mgmt_total: SimDuration,
     serial_total: SimDuration,
@@ -797,15 +806,9 @@ impl Engine {
             .into_iter()
             .zip(s.arrivals)
             .map(|(program, arrived_at)| {
-                let Program {
-                    phases,
-                    steps,
-                    counters,
-                } = program;
-                let counters = vec![0i64; counters];
+                let counters = vec![0i64; program.counters];
                 JobRt {
-                    phases,
-                    steps: steps.into(),
+                    program,
                     pc: 0,
                     counters,
                     pending_successor: None,
@@ -841,7 +844,8 @@ impl Engine {
             let phase_pools: Vec<Vec<Vec<u16>>> = jobs
                 .iter()
                 .map(|j| {
-                    j.phases
+                    j.program
+                        .phases
                         .iter()
                         .map(|ph| {
                             ph.requires
@@ -887,8 +891,8 @@ impl Engine {
             exec_backlog: VecDeque::new(),
             idle_workers: Vec::with_capacity(s.cfg.processors),
             rng: pax_sim::seeded_rng(s.seed),
-            compute_deltas: Vec::new(),
-            mgmt_deltas: Vec::new(),
+            computing: LevelSweep::new(),
+            managing: LevelSweep::new(),
             compute_total: SimDuration::ZERO,
             mgmt_total: SimDuration::ZERO,
             serial_total: SimDuration::ZERO,
@@ -945,8 +949,8 @@ impl Engine {
         let end = start + cost;
         self.exec_lanes[lane] = end;
         if !cost.is_zero() {
-            self.mgmt_deltas.push((start, 1));
-            self.mgmt_deltas.push((end, -1));
+            self.managing.add(start, 1);
+            self.managing.add(end, -1);
             self.mgmt_total += cost;
         }
         self.last_event_end = self.last_event_end.max(end);
@@ -1018,7 +1022,7 @@ impl Engine {
         predecessor: Option<InstanceId>,
         enabled_by: Option<MappingKind>,
     ) -> InstanceId {
-        let d = &self.jobs[job].phases[def.0 as usize];
+        let d = &self.jobs[job].program.phases[def.0 as usize];
         let granules = d.granules;
         let task_size = self
             .policy
@@ -1184,15 +1188,15 @@ impl Engine {
     /// dispatch takes effect, a serial region is scheduled, or the program
     /// ends.
     ///
-    /// The step list is interned behind an `Arc` at engine construction;
-    /// holding a reference-counted handle (one pointer bump per call, not
-    /// per step) lets the interpreter borrow each step across the `&mut
-    /// self` state changes it triggers, where indexing `self.jobs` afresh
-    /// used to force a deep `Step::clone` per step executed.
+    /// Holding a reference-counted handle on the program (one pointer
+    /// bump per call, not per step) lets the interpreter borrow each step
+    /// across the `&mut self` state changes it triggers, where indexing
+    /// `self.jobs` afresh used to force a deep `Step::clone` per step
+    /// executed.
     fn run_program(&mut self, job: usize, mut pc: usize) {
-        let steps = Arc::clone(&self.jobs[job].steps);
+        let program = Arc::clone(&self.jobs[job].program);
         loop {
-            match &steps[pc] {
+            match &program.steps[pc] {
                 Step::End => {
                     self.finish_job(job);
                     return;
@@ -1306,10 +1310,10 @@ impl Engine {
             let p = self.inst(pred_id);
             (p.job, p.dispatch_step)
         };
-        // Borrow the ENABLE clause from the interned step list instead of
+        // Borrow the ENABLE clause from the shared program instead of
         // cloning the spec vector (and its mapping payloads) per overlap.
-        let steps = Arc::clone(&self.jobs[job].steps);
-        let (enables, branch_independent) = match &steps[dispatch_step] {
+        let program = Arc::clone(&self.jobs[job].program);
+        let (enables, branch_independent) = match &program.steps[dispatch_step] {
             Step::Dispatch {
                 enables,
                 branch_independent,
@@ -1317,12 +1321,7 @@ impl Engine {
             } => (enables, *branch_independent),
             _ => return,
         };
-        let la = crate::program::lookahead_steps(
-            &steps,
-            dispatch_step,
-            &self.jobs[job].counters,
-            branch_independent,
-        );
+        let la = program.lookahead(dispatch_step, &self.jobs[job].counters, branch_independent);
         let (succ_phase, succ_step) = match la {
             Lookahead::Phase { phase, step } => (phase, step),
             _ => return, // serial gap, opaque branch, or program end
@@ -1331,12 +1330,16 @@ impl Engine {
             if !enables.is_empty() {
                 let names: Vec<&str> = enables
                     .iter()
-                    .map(|e| self.jobs[job].phases[e.successor.0 as usize].name.as_str())
+                    .map(|e| {
+                        self.jobs[job].program.phases[e.successor.0 as usize]
+                            .name
+                            .as_str()
+                    })
                     .collect();
                 self.warnings.push(format!(
                     "interlock: ENABLE clause of step {dispatch_step} names {names:?} but \
                      the following phase is '{}' — no overlap applied",
-                    self.jobs[job].phases[succ_phase.0 as usize].name
+                    self.jobs[job].program.phases[succ_phase.0 as usize].name
                 ));
             }
             return;
@@ -1347,7 +1350,7 @@ impl Engine {
         }
         if kind == MappingKind::Identity {
             let pg = self.inst(pred_id).granules;
-            let sg = self.jobs[job].phases[succ_phase.0 as usize].granules;
+            let sg = self.jobs[job].program.phases[succ_phase.0 as usize].granules;
             if pg != sg {
                 self.warnings.push(format!(
                     "identity mapping requires equal granule counts ({pg} vs {sg}); \
@@ -1602,12 +1605,13 @@ impl Engine {
                 let Some(ovl) = drange.intersect(ovl) else {
                     continue;
                 };
+                let job = self.arena.job(d);
+                let queued = self.waiting.remove(d, self.arena.class(d), job);
+                debug_assert!(queued, "a waiting descriptor sits in its arena segment");
                 if ovl == drange {
                     // Whole descriptor is enabling: move it to the
                     // elevated segment.
-                    self.waiting.remove(d);
                     let class = QueueClass::Elevated;
-                    let job = self.arena.job(d);
                     self.arena.set_class(d, class);
                     self.waiting.push_back(d, class, job);
                     continue;
@@ -1615,8 +1619,6 @@ impl Engine {
                 // Split out the overlapping middle. At most a leading and
                 // a trailing non-enabling piece exist; two slots replace
                 // the old per-candidate vector.
-                self.waiting.remove(d);
-                let job = self.arena.job(d);
                 let mut lead: Option<DescId> = None;
                 let mut tail: Option<DescId> = None;
                 let mut cur = d;
@@ -1811,8 +1813,8 @@ impl Engine {
         self.arena.set_overlap(d, overlapping);
         let start = svc_end;
         let end = start + exec;
-        self.compute_deltas.push((start, 1));
-        self.compute_deltas.push((end, -1));
+        self.computing.add(start, 1);
+        self.computing.add(end, -1);
         self.compute_total += exec;
         // The makespan frontier advances when the completion is *serviced*
         // (its `exec_service` ends at or after `end`), never at dispatch:
@@ -1911,7 +1913,7 @@ impl Engine {
         // Disjoint field borrows: the model stays borrowed from `jobs`
         // while the RNG advances, so nothing is cloned per dispatch
         // (bimodal models heap-allocate their arms on clone).
-        let model = &self.jobs[inst.job].phases[inst.def.0 as usize].cost;
+        let model = &self.jobs[inst.job].program.phases[inst.def.0 as usize].cost;
         // Fast path: constant cost, no conditional skip.
         if model.skip_probability == 0.0 {
             if let DurationDist::Constant(c) = model.dist {
@@ -2329,6 +2331,7 @@ impl Engine {
         self.jobs[job].done = true;
         self.jobs[job].finished_at = Some(self.now);
         self.in_flight -= 1;
+        self.waiting.release(JobId(job as u32));
         if self.evict {
             self.evict_job_instances(job);
         }
@@ -2405,7 +2408,7 @@ impl Engine {
         let Some(f) = self.faults.as_mut() else {
             return;
         };
-        f.avail_deltas.push((now, procs as i32));
+        f.avail.add(now, procs as i32);
         match &f.model {
             FaultModel::Random {
                 time_to_failure, ..
@@ -2460,7 +2463,7 @@ impl Engine {
         }
         f.down[wi] = true;
         f.crashes += 1;
-        f.avail_deltas.push((self.now, -1));
+        f.avail.add(self.now, -1);
         let down_span: Option<u64> = match scripted_span {
             Some(span) => span,
             None => {
@@ -2518,8 +2521,8 @@ impl Engine {
         // The crash can land before the task's compute even started (the
         // dispatch service was still queued): nothing was computed then.
         let cancel_from = start.max(self.now);
-        self.compute_deltas.push((cancel_from, -1));
-        self.compute_deltas.push((end, 1));
+        self.computing.add(cancel_from, -1);
+        self.computing.add(end, 1);
         self.compute_total -= exec;
         let f = self
             .faults
@@ -2584,7 +2587,7 @@ impl Engine {
             return;
         }
         f.down[wi] = false;
-        f.avail_deltas.push((self.now, 1));
+        f.avail.add(self.now, 1);
         if !all_done {
             if let FaultModel::Random {
                 time_to_failure, ..
@@ -2730,6 +2733,13 @@ impl Engine {
             let drained = self.events.pop_coincident_into(cap, &mut batch);
             debug_assert!(drained > 0, "peeked event must drain");
             let round_start = batch[0].0;
+            // Simulated time never runs backwards, so no level change can
+            // still arrive before this round.
+            self.computing.settle(round_start);
+            self.managing.settle(round_start);
+            if let Some(f) = self.faults.as_mut() {
+                f.avail.settle(round_start);
+            }
             self.process_batch(&batch, &mut dones);
             if let BatchPolicy::Lookahead { horizon } = self.cfg.batch {
                 // Top the round up with later coincident groups inside the
@@ -2807,15 +2817,10 @@ impl Engine {
 
     fn build_report(self) -> RunReport {
         let makespan = self.last_event_end.since(SimTime::ZERO);
-        let busy_trace = deltas_to_trace(self.compute_deltas);
-        let mgmt_trace = deltas_to_trace(self.mgmt_deltas);
+        let busy_trace = self.computing.finish();
+        let mgmt_trace = self.managing.finish();
         let (avail_trace, lost_work, retries, crashes) = match self.faults {
-            Some(f) => (
-                deltas_to_trace(f.avail_deltas),
-                f.lost_work,
-                f.retries,
-                f.crashes,
-            ),
+            Some(f) => (f.avail.finish(), f.lost_work, f.retries, f.crashes),
             None => (StepTrace::new(), SimDuration::ZERO, 0, 0),
         };
         let (class_reports, pool_reports) = match self.hetero {
@@ -2854,7 +2859,9 @@ impl Engine {
             .filter(|(_, inst)| inst.state != InstState::Evicted)
             .map(|(i, inst)| PhaseReport {
                 instance: InstanceId(i as u32),
-                name: self.jobs[inst.job].phases[inst.def.0 as usize].name.clone(),
+                name: self.jobs[inst.job].program.phases[inst.def.0 as usize]
+                    .name
+                    .clone(),
                 job: inst.job as u32,
                 granules: inst.granules,
                 enabled_by: inst.enabled_by,
@@ -2906,26 +2913,6 @@ impl Engine {
             pool_reports,
         }
     }
-}
-
-/// Convert `(time, ±1)` deltas into a step trace. Also used by the
-/// sharded merge, where the deltas of several re-based group traces are
-/// superimposed.
-pub(crate) fn deltas_to_trace(mut deltas: Vec<(SimTime, i32)>) -> StepTrace {
-    deltas.sort_by_key(|&(t, d)| (t, -d));
-    let mut trace = StepTrace::new();
-    let mut level: i32 = 0;
-    let mut i = 0;
-    while i < deltas.len() {
-        let t = deltas[i].0;
-        while i < deltas.len() && deltas[i].0 == t {
-            level += deltas[i].1;
-            i += 1;
-        }
-        debug_assert!(level >= 0);
-        trace.record(t, level.max(0) as u32);
-    }
-    trace
 }
 
 // An RNG sanity helper: keep the unused `Rng` import meaningful if the
@@ -2989,6 +2976,34 @@ mod tests {
         assert!((r.utilization() - 1.0).abs() < 1e-9);
         assert_eq!(r.phases.len(), 1);
         assert_eq!(r.phases[0].stats.executed_granules, 32);
+    }
+
+    #[test]
+    fn level_sweeps_hold_only_the_changes_in_flight() {
+        // Ten times the work must not deepen the pending buffers: what
+        // waits is what the processors and lanes have in flight, never
+        // the history of the run.
+        let worst_pending = |granules: u32| {
+            let program = linear_program(granules, 2, 100, |_| EnablementMapping::Identity);
+            let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
+            let mut sim = Simulation::new(MachineConfig::new(8), policy);
+            sim.add_job(program);
+            let mut eng = Engine::new(sim);
+            eng.start();
+            let mut worst = 0;
+            while let Some(t) = eng.next_event_time() {
+                eng.run_window(Some(t));
+                worst = worst.max(eng.computing.pending() + eng.managing.pending());
+            }
+            assert!(eng.finish().is_ok());
+            worst
+        };
+        let (small, large) = (worst_pending(500), worst_pending(5_000));
+        assert!(small > 0 && large <= small + 2, "{small} -> {large}");
+        assert!(
+            large <= 4 * (8 + 1),
+            "{large} changes pending on 8 processors"
+        );
     }
 
     #[test]

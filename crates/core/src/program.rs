@@ -283,57 +283,46 @@ impl Program {
     /// `branch_independent` controls whether branches may be preprocessed;
     /// it comes from the dispatch's `ENABLE` annotation.
     pub fn lookahead(&self, from: usize, counters: &[i64], branch_independent: bool) -> Lookahead {
-        lookahead_steps(&self.steps, from, counters, branch_independent)
-    }
-}
-
-/// [`Program::lookahead`] over a raw step list. The executive interns
-/// each program's steps behind an `Arc<[Step]>` and preprocesses against
-/// that single copy.
-pub fn lookahead_steps(
-    steps: &[Step],
-    from: usize,
-    counters: &[i64],
-    branch_independent: bool,
-) -> Lookahead {
-    let mut scratch: Vec<i64> = counters.to_vec();
-    let mut pc = from + 1;
-    let mut fuel = steps.len() * 2 + 8; // cycle guard
-    while fuel > 0 {
-        fuel -= 1;
-        match steps.get(pc) {
-            None => return Lookahead::ProgramEnd,
-            Some(Step::End) => return Lookahead::ProgramEnd,
-            Some(Step::Dispatch { phase, .. }) => {
-                return Lookahead::Phase {
-                    phase: *phase,
-                    step: pc,
+        let steps = &self.steps;
+        let mut scratch: Vec<i64> = counters.to_vec();
+        let mut pc = from + 1;
+        let mut fuel = steps.len() * 2 + 8; // cycle guard
+        while fuel > 0 {
+            fuel -= 1;
+            match steps.get(pc) {
+                None => return Lookahead::ProgramEnd,
+                Some(Step::End) => return Lookahead::ProgramEnd,
+                Some(Step::Dispatch { phase, .. }) => {
+                    return Lookahead::Phase {
+                        phase: *phase,
+                        step: pc,
+                    }
                 }
-            }
-            Some(Step::Serial { .. }) => return Lookahead::BlockedBySerial,
-            Some(Step::Incr { idx, delta }) => {
-                scratch[*idx] += delta;
-                pc += 1;
-            }
-            Some(Step::Goto(t)) => pc = *t,
-            Some(Step::Branch {
-                test,
-                on_true,
-                on_false,
-            }) => {
-                if !branch_independent {
-                    return Lookahead::BlockedByBranch;
+                Some(Step::Serial { .. }) => return Lookahead::BlockedBySerial,
+                Some(Step::Incr { idx, delta }) => {
+                    scratch[*idx] += delta;
+                    pc += 1;
                 }
-                pc = if test.eval(&scratch) {
-                    *on_true
-                } else {
-                    *on_false
-                };
+                Some(Step::Goto(t)) => pc = *t,
+                Some(Step::Branch {
+                    test,
+                    on_true,
+                    on_false,
+                }) => {
+                    if !branch_independent {
+                        return Lookahead::BlockedByBranch;
+                    }
+                    pc = if test.eval(&scratch) {
+                        *on_true
+                    } else {
+                        *on_false
+                    };
+                }
             }
         }
+        // Pathological counter-free loop with no dispatch: treat as end.
+        Lookahead::ProgramEnd
     }
-    // Pathological counter-free loop with no dispatch: treat as end.
-    Lookahead::ProgramEnd
 }
 
 /// Convenience builder for linear and looping programs.

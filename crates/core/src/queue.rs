@@ -8,16 +8,124 @@
 //! conflicting/enabled computations, FIFO) ahead of per-job *normal*
 //! segments (FIFO within a job, round-robin across jobs so that a
 //! multi-parallel-job-stream environment shares the machine).
+//!
+//! A seeking processor is handed the head in time independent of how
+//! many jobs were ever submitted: the jobs whose normal segment holds
+//! work form an active set (a two-level bitmap), and the round-robin
+//! successor is a find-next-set over it, not a walk over every job's
+//! segment.
 
 use crate::descriptor::QueueClass;
 use crate::ids::{DescId, JobId};
 use std::collections::VecDeque;
+use std::mem::take;
+
+/// The set of jobs whose normal segment is non-empty: one bit per job,
+/// and above those words one summary bit per word, so the next member
+/// at or after an index costs a few word reads up to 4 096 jobs and
+/// `jobs / 4 096` summary words beyond that.
+#[derive(Debug)]
+struct ActiveSet {
+    /// `words` job words, then their summary words (one allocation).
+    bits: Vec<u64>,
+    words: usize,
+    /// Words and segments read while locating heads (scaling tests).
+    #[cfg(test)]
+    probes: std::cell::Cell<usize>,
+}
+
+impl ActiveSet {
+    fn new(jobs: usize) -> ActiveSet {
+        let words = jobs.div_ceil(64);
+        ActiveSet {
+            bits: vec![0; words + words.div_ceil(64)],
+            words,
+            #[cfg(test)]
+            probes: std::cell::Cell::new(0),
+        }
+    }
+
+    #[inline]
+    fn probe(&self) {
+        #[cfg(test)]
+        self.probes.set(self.probes.get() + 1);
+    }
+
+    #[inline]
+    fn insert(&mut self, j: usize) {
+        let w = j >> 6;
+        self.bits[w] |= 1 << (j & 63);
+        self.bits[self.words + (w >> 6)] |= 1 << (w & 63);
+    }
+
+    #[inline]
+    fn remove(&mut self, j: usize) {
+        let w = j >> 6;
+        self.bits[w] &= !(1 << (j & 63));
+        if self.bits[w] == 0 {
+            self.bits[self.words + (w >> 6)] &= !(1 << (w & 63));
+        }
+    }
+
+    /// The smallest member `≥ from`.
+    #[inline]
+    fn next_from(&self, from: usize) -> Option<usize> {
+        let (words, summary) = self.bits.split_at(self.words);
+        let w = from >> 6;
+        self.probe();
+        let here = words.get(w)? & (!0 << (from & 63));
+        if here != 0 {
+            return Some(w << 6 | here.trailing_zeros() as usize);
+        }
+        // The first non-empty word after `w`, through the summary.
+        let w = w + 1;
+        let mut s = w >> 6;
+        self.probe();
+        let mut above = summary.get(s)? & (!0 << (w & 63));
+        while above == 0 {
+            s += 1;
+            self.probe();
+            above = *summary.get(s)?;
+        }
+        let w = s << 6 | above.trailing_zeros() as usize;
+        self.probe();
+        Some(w << 6 | words[w].trailing_zeros() as usize)
+    }
+
+    /// Members in round-robin order from `cursor`: ascending from the
+    /// cursor to the last job, then from job 0 up to the cursor.
+    fn cyclic_from(&self, cursor: usize) -> impl Iterator<Item = usize> + '_ {
+        let mut from = cursor;
+        let mut wrapped = false;
+        std::iter::from_fn(move || loop {
+            match self.next_from(from) {
+                Some(j) if wrapped && j >= cursor => return None,
+                Some(j) => {
+                    from = j + 1;
+                    return Some(j);
+                }
+                None if wrapped => return None,
+                None => {
+                    wrapped = true;
+                    from = 0;
+                }
+            }
+        })
+    }
+}
 
 /// The executive's waiting computation queue.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct WaitingQueue {
     elevated: VecDeque<DescId>,
-    normal: Vec<VecDeque<DescId>>, // indexed by job
+    /// Normal segments, indexed by job. A segment owns storage only
+    /// while its job runs: the first push takes a buffer from `spare`
+    /// and [`WaitingQueue::release`] hands it back, so storage follows
+    /// the jobs in flight, not the jobs submitted.
+    normal: Vec<VecDeque<DescId>>,
+    active: ActiveSet,
+    spare: Vec<VecDeque<DescId>>,
+    segment_capacity: usize,
     rr_cursor: usize,
     len: usize,
 }
@@ -28,19 +136,22 @@ pub struct WaitingQueue {
 const SEGMENT_CAPACITY: usize = 128;
 
 impl WaitingQueue {
-    /// Queue serving `jobs` job streams (≥ 1), with segment storage
-    /// pre-reserved so steady-state pushes stay allocation-free.
+    /// Queue serving `jobs` job streams (≥ 1).
     pub fn new(jobs: usize) -> WaitingQueue {
         Self::with_capacity(jobs, SEGMENT_CAPACITY)
     }
 
-    /// Queue serving `jobs` job streams with `cap` slots pre-reserved per
-    /// segment (sized from the expected task count per phase).
+    /// Queue serving `jobs` job streams whose segments reserve `cap`
+    /// slots when they first hold work (sized from the expected task
+    /// count per phase), so steady-state pushes stay allocation-free.
     pub fn with_capacity(jobs: usize, cap: usize) -> WaitingQueue {
         assert!(jobs > 0, "need at least one job stream");
         WaitingQueue {
             elevated: VecDeque::with_capacity(cap),
-            normal: (0..jobs).map(|_| VecDeque::with_capacity(cap)).collect(),
+            normal: (0..jobs).map(|_| VecDeque::new()).collect(),
+            active: ActiveSet::new(jobs),
+            spare: Vec::new(),
+            segment_capacity: cap,
             rr_cursor: 0,
             len: 0,
         }
@@ -58,46 +169,75 @@ impl WaitingQueue {
         self.len == 0
     }
 
+    /// The segment of `class` for `job`, ready to take a push: an idle
+    /// normal segment joins the active set and picks up a recycled
+    /// buffer first.
+    #[inline]
+    fn segment_for_push(&mut self, class: QueueClass, job: JobId) -> &mut VecDeque<DescId> {
+        self.len += 1;
+        match class {
+            QueueClass::Elevated => &mut self.elevated,
+            QueueClass::Normal => {
+                let j = job.0 as usize;
+                let seg = &mut self.normal[j];
+                if seg.is_empty() {
+                    self.active.insert(j);
+                    if seg.capacity() == 0 {
+                        *seg = self
+                            .spare
+                            .pop()
+                            .unwrap_or_else(|| VecDeque::with_capacity(self.segment_capacity));
+                    }
+                }
+                seg
+            }
+        }
+    }
+
+    /// `job` has finished and will queue nothing more: its drained
+    /// segment's buffer returns to the pool for the next arrival.
+    pub fn release(&mut self, job: JobId) {
+        let seg = &mut self.normal[job.0 as usize];
+        if seg.is_empty() && seg.capacity() != 0 {
+            self.spare.push(take(seg));
+        }
+    }
+
     /// Append to the back of the given class ("behind the current phase
     /// description" for universal successors is achieved by normal-class
     /// FIFO order).
     #[inline]
     pub fn push_back(&mut self, id: DescId, class: QueueClass, job: JobId) {
-        self.len += 1;
-        match class {
-            QueueClass::Elevated => self.elevated.push_back(id),
-            QueueClass::Normal => self.normal[job.0 as usize].push_back(id),
-        }
+        self.segment_for_push(class, job).push_back(id);
     }
 
     /// Push to the *front* of the given class. Used for split remainders so
     /// the current phase keeps its place ahead of anything queued behind it.
     #[inline]
     pub fn push_front(&mut self, id: DescId, class: QueueClass, job: JobId) {
-        self.len += 1;
-        match class {
-            QueueClass::Elevated => self.elevated.push_front(id),
-            QueueClass::Normal => self.normal[job.0 as usize].push_front(id),
+        self.segment_for_push(class, job).push_front(id);
+    }
+
+    /// The job whose normal segment is next in round-robin order: the
+    /// first active job at or cyclically after the cursor.
+    #[inline]
+    fn head_job(&self) -> Option<usize> {
+        // The cursor's own job is first in line; the set is asked only
+        // when that job has nothing queued.
+        self.active.probe();
+        if !self.normal[self.rr_cursor].is_empty() {
+            return Some(self.rr_cursor);
         }
+        self.active
+            .next_from(self.rr_cursor)
+            .or_else(|| self.active.next_from(0))
     }
 
     /// Pop the next description: elevated first, then round-robin over the
     /// jobs' normal segments.
+    #[inline]
     pub fn pop(&mut self) -> Option<DescId> {
-        if let Some(id) = self.elevated.pop_front() {
-            self.len -= 1;
-            return Some(id);
-        }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            if let Some(id) = self.normal[j].pop_front() {
-                self.rr_cursor = (j + 1) % jobs;
-                self.len -= 1;
-                return Some(id);
-            }
-        }
-        None
+        self.pop_class(true, true)
     }
 
     /// Pop the first description within the leading `window` entries (in
@@ -128,27 +268,32 @@ impl WaitingQueue {
             }
             scanned += 1;
         }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            for pos in 0..self.normal[j].len() {
+        let mut found = None;
+        'scan: for j in self.active.cyclic_from(self.rr_cursor) {
+            for (pos, &id) in self.normal[j].iter().enumerate() {
                 if scanned >= window {
-                    return self.pop();
+                    break 'scan;
                 }
-                let id = self.normal[j][pos];
                 if pred(id) {
-                    if self.elevated.is_empty() && k == 0 && pos == 0 {
-                        // exact head: keep pop()'s fairness bookkeeping
-                        return self.pop();
-                    }
-                    self.normal[j].remove(pos);
-                    self.len -= 1;
-                    return Some(id);
+                    found = Some((j, pos, id));
+                    break 'scan;
                 }
                 scanned += 1;
             }
         }
-        self.pop()
+        let Some((j, pos, id)) = found else {
+            return self.pop();
+        };
+        if self.elevated.is_empty() && j == self.rr_cursor && pos == 0 {
+            // exact head: keep pop()'s fairness bookkeeping
+            return self.pop();
+        }
+        self.normal[j].remove(pos);
+        self.len -= 1;
+        if self.normal[j].is_empty() {
+            self.active.remove(j);
+        }
+        Some(id)
     }
 
     /// Pop the next description from the *allowed* segments only — the
@@ -157,6 +302,7 @@ impl WaitingQueue {
     /// is exactly `pop` (same round-robin bookkeeping); with a segment
     /// disallowed its entries are invisible to this worker and wait for
     /// one whose class may serve them.
+    #[inline]
     pub fn pop_class(&mut self, allow_elevated: bool, allow_normal: bool) -> Option<DescId> {
         if allow_elevated {
             if let Some(id) = self.elevated.pop_front() {
@@ -164,33 +310,28 @@ impl WaitingQueue {
                 return Some(id);
             }
         }
-        if allow_normal {
-            let jobs = self.normal.len();
-            for k in 0..jobs {
-                let j = (self.rr_cursor + k) % jobs;
-                if let Some(id) = self.normal[j].pop_front() {
-                    self.rr_cursor = (j + 1) % jobs;
-                    self.len -= 1;
-                    return Some(id);
-                }
-            }
+        if !allow_normal {
+            return None;
         }
-        None
+        let j = self.head_job()?;
+        self.active.probe();
+        let id = self.normal[j]
+            .pop_front()
+            .expect("an active job's segment holds work");
+        if self.normal[j].is_empty() {
+            self.active.remove(j);
+        }
+        self.rr_cursor = if j + 1 == self.normal.len() { 0 } else { j + 1 };
+        self.len -= 1;
+        Some(id)
     }
 
     /// Peek without removing (same order as [`WaitingQueue::pop`]).
     pub fn peek(&self) -> Option<DescId> {
-        if let Some(&id) = self.elevated.front() {
-            return Some(id);
+        match self.elevated.front() {
+            Some(&id) => Some(id),
+            None => self.normal[self.head_job()?].front().copied(),
         }
-        let jobs = self.normal.len();
-        for k in 0..jobs {
-            let j = (self.rr_cursor + k) % jobs;
-            if let Some(&id) = self.normal[j].front() {
-                return Some(id);
-            }
-        }
-        None
     }
 
     /// Number of elevated entries (diagnostics).
@@ -198,23 +339,26 @@ impl WaitingQueue {
         self.elevated.len()
     }
 
-    /// Remove a specific description from wherever it is queued. Linear
-    /// scan — only used by the priority-elevation carve path, where queue
-    /// depth is a handful of descriptions. Returns true if found.
-    pub fn remove(&mut self, id: DescId) -> bool {
-        if let Some(pos) = self.elevated.iter().position(|&x| x == id) {
-            self.elevated.remove(pos);
-            self.len -= 1;
-            return true;
+    /// Remove a specific description from the segment it was queued in
+    /// (`class` and `job` as recorded in the arena when it was pushed).
+    /// Linear in that one segment — only used by the priority-elevation
+    /// carve path, where a segment holds a handful of descriptions.
+    /// Returns true if found.
+    pub fn remove(&mut self, id: DescId, class: QueueClass, job: JobId) -> bool {
+        let j = job.0 as usize;
+        let seg = match class {
+            QueueClass::Elevated => &mut self.elevated,
+            QueueClass::Normal => &mut self.normal[j],
+        };
+        let Some(pos) = seg.iter().position(|&x| x == id) else {
+            return false;
+        };
+        seg.remove(pos);
+        self.len -= 1;
+        if class == QueueClass::Normal && seg.is_empty() {
+            self.active.remove(j);
         }
-        for q in &mut self.normal {
-            if let Some(pos) = q.iter().position(|&x| x == id) {
-                q.remove(pos);
-                self.len -= 1;
-                return true;
-            }
-        }
-        false
+        true
     }
 }
 
@@ -389,5 +533,240 @@ mod tests {
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
+    }
+
+    /// The queue as it was before the active set: every job keeps a
+    /// deque for the whole run and each operation walks the segments
+    /// from the cursor. Shares no code with [`WaitingQueue`]; the
+    /// differential test below holds the two to the same answers.
+    struct LinearScanQueue {
+        elevated: VecDeque<DescId>,
+        normal: Vec<VecDeque<DescId>>,
+        rr_cursor: usize,
+        len: usize,
+    }
+
+    impl LinearScanQueue {
+        fn new(jobs: usize) -> LinearScanQueue {
+            LinearScanQueue {
+                elevated: VecDeque::new(),
+                normal: vec![VecDeque::new(); jobs],
+                rr_cursor: 0,
+                len: 0,
+            }
+        }
+
+        fn segment(&mut self, class: QueueClass, job: JobId) -> &mut VecDeque<DescId> {
+            match class {
+                QueueClass::Elevated => &mut self.elevated,
+                QueueClass::Normal => &mut self.normal[job.0 as usize],
+            }
+        }
+
+        fn push_back(&mut self, id: DescId, class: QueueClass, job: JobId) {
+            self.len += 1;
+            self.segment(class, job).push_back(id);
+        }
+
+        fn push_front(&mut self, id: DescId, class: QueueClass, job: JobId) {
+            self.len += 1;
+            self.segment(class, job).push_front(id);
+        }
+
+        fn pop(&mut self) -> Option<DescId> {
+            self.pop_class(true, true)
+        }
+
+        fn pop_class(&mut self, allow_elevated: bool, allow_normal: bool) -> Option<DescId> {
+            if allow_elevated {
+                if let Some(id) = self.elevated.pop_front() {
+                    self.len -= 1;
+                    return Some(id);
+                }
+            }
+            if allow_normal {
+                let jobs = self.normal.len();
+                for k in 0..jobs {
+                    let j = (self.rr_cursor + k) % jobs;
+                    if let Some(id) = self.normal[j].pop_front() {
+                        self.rr_cursor = (j + 1) % jobs;
+                        self.len -= 1;
+                        return Some(id);
+                    }
+                }
+            }
+            None
+        }
+
+        fn pop_matching(
+            &mut self,
+            window: usize,
+            mut pred: impl FnMut(DescId) -> bool,
+        ) -> Option<DescId> {
+            let mut scanned = 0usize;
+            for pos in 0..self.elevated.len() {
+                if scanned >= window {
+                    return self.pop();
+                }
+                let id = self.elevated[pos];
+                if pred(id) {
+                    self.elevated.remove(pos);
+                    self.len -= 1;
+                    return Some(id);
+                }
+                scanned += 1;
+            }
+            let jobs = self.normal.len();
+            for k in 0..jobs {
+                let j = (self.rr_cursor + k) % jobs;
+                for pos in 0..self.normal[j].len() {
+                    if scanned >= window {
+                        return self.pop();
+                    }
+                    let id = self.normal[j][pos];
+                    if pred(id) {
+                        if self.elevated.is_empty() && k == 0 && pos == 0 {
+                            return self.pop();
+                        }
+                        self.normal[j].remove(pos);
+                        self.len -= 1;
+                        return Some(id);
+                    }
+                    scanned += 1;
+                }
+            }
+            self.pop()
+        }
+
+        fn peek(&self) -> Option<DescId> {
+            if let Some(&id) = self.elevated.front() {
+                return Some(id);
+            }
+            let jobs = self.normal.len();
+            (0..jobs).find_map(|k| self.normal[(self.rr_cursor + k) % jobs].front().copied())
+        }
+
+        fn remove(&mut self, id: DescId) -> bool {
+            let segments = std::iter::once(&mut self.elevated).chain(self.normal.iter_mut());
+            for q in segments {
+                if let Some(pos) = q.iter().position(|&x| x == id) {
+                    q.remove(pos);
+                    self.len -= 1;
+                    return true;
+                }
+            }
+            false
+        }
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// Random traffic gives the same answers, length and cursor as
+        /// the linear-scan reference, step for step. Job picks cluster
+        /// on a few "hot" jobs spread over the index space so segments
+        /// fill, drain and refill across word and summary boundaries.
+        #[test]
+        fn matches_linear_scan_reference(
+            jobs in 1usize..300,
+            ops in proptest::collection::vec((0u8..11, 0usize..4096, 0u32..8), 1..400),
+        ) {
+            let mut q = WaitingQueue::with_capacity(jobs, 4);
+            let mut oracle = LinearScanQueue::new(jobs);
+            // where each queued id sits, as the arena records it
+            let mut queued: Vec<(DescId, QueueClass, JobId)> = Vec::new();
+            for (step, &(op, pick, arg)) in ops.iter().enumerate() {
+                let id = DescId(step as u32);
+                let job = JobId(((pick % 5) * jobs / 5 + pick % 3).min(jobs - 1) as u32);
+                let class = if arg == 0 { QueueClass::Elevated } else { QueueClass::Normal };
+                let popped = match op {
+                    0..=2 => {
+                        q.push_back(id, class, job);
+                        oracle.push_back(id, class, job);
+                        queued.push((id, class, job));
+                        None
+                    }
+                    3 => {
+                        q.push_front(id, class, job);
+                        oracle.push_front(id, class, job);
+                        queued.push((id, class, job));
+                        None
+                    }
+                    4 | 5 => Some((q.pop(), oracle.pop())),
+                    6 => {
+                        let (e, n) = (arg & 1 == 0, arg & 2 == 0);
+                        Some((q.pop_class(e, n), oracle.pop_class(e, n)))
+                    }
+                    7 | 8 => {
+                        let m = arg + 1;
+                        Some((
+                            q.pop_matching(pick % 12, |x| x.0 % m == 0),
+                            oracle.pop_matching(pick % 12, |x| x.0 % m == 0),
+                        ))
+                    }
+                    10 => {
+                        // a storage matter only: the oracle has no such step
+                        if !queued.iter().any(|&(_, c, j)| c == QueueClass::Normal && j == job) {
+                            q.release(job);
+                        }
+                        None
+                    }
+                    _ => {
+                        let target = if queued.is_empty() {
+                            (id, class, job) // not queued anywhere
+                        } else {
+                            queued[pick % queued.len()]
+                        };
+                        let found = q.remove(target.0, target.1, target.2);
+                        prop_assert_eq!(found, oracle.remove(target.0));
+                        found.then_some((Some(target.0), Some(target.0)))
+                    }
+                };
+                if let Some((got, want)) = popped {
+                    prop_assert_eq!(got, want, "step {}", step);
+                    queued.retain(|&(x, _, _)| Some(x) != got);
+                }
+                prop_assert_eq!(q.peek(), oracle.peek(), "step {}", step);
+                prop_assert_eq!(q.len(), oracle.len);
+                prop_assert_eq!(q.len(), queued.len());
+                prop_assert_eq!(q.rr_cursor, oracle.rr_cursor, "step {}", step);
+            }
+        }
+    }
+
+    /// Finding the head costs the same handful of reads whether four
+    /// jobs were submitted or four thousand: the work is counted, not
+    /// timed, so the test cannot flake on a loaded host.
+    #[test]
+    fn pop_cost_is_independent_of_jobs_submitted() {
+        const JOBS: usize = 4096;
+        let active = [3u32, 1000, 2047, 4095];
+        let mut q = WaitingQueue::new(JOBS);
+        for (i, &j) in active.iter().enumerate() {
+            q.push_back(d(i as u32), QueueClass::Normal, JobId(j));
+            q.push_back(d(100 + i as u32), QueueClass::Normal, JobId(j));
+        }
+        let mut worst = 0;
+        for round in 0..1000u32 {
+            q.active.probes.set(0);
+            let id = q.pop().expect("eight entries circulate");
+            worst = worst.max(q.active.probes.get());
+            q.push_back(id, QueueClass::Normal, JobId(active[round as usize % 4]));
+        }
+        assert!(worst <= 8, "a pop read {worst} words and segments");
+    }
+
+    #[test]
+    fn released_jobs_share_storage() {
+        let mut q = WaitingQueue::new(1000);
+        for j in 0..1000 {
+            q.push_back(d(j), QueueClass::Normal, JobId(j));
+            assert_eq!(q.pop(), Some(d(j)));
+            q.release(JobId(j));
+        }
+        assert_eq!(q.spare.len(), 1, "one buffer served every job in turn");
+        assert!(q.normal.iter().all(|seg| seg.capacity() == 0));
     }
 }

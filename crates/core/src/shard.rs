@@ -59,10 +59,13 @@
 //! traces are not merged (`gantt: None`) since worker ids would collide
 //! across replicas.
 
-use crate::engine::{deltas_to_trace, Engine, EngineError, Simulation};
+use crate::engine::{Engine, EngineError, Simulation};
 use crate::ids::InstanceId;
 use crate::report::{JobReport, RunReport};
+use pax_sim::metrics::StepTrace;
 use pax_sim::time::{SimDuration, SimTime};
+use std::mem::take;
+use std::sync::Arc;
 
 /// An admission edge between machine groups: `succ` starts `latency`
 /// ticks after the last job of `pred` finishes.
@@ -387,9 +390,11 @@ impl Coordinator {
             return cells.remove(0).engine.finish();
         }
         let mut merged: Option<RunReport> = None;
-        let mut busy_deltas: Vec<(SimTime, i32)> = Vec::new();
-        let mut mgmt_deltas: Vec<(SimTime, i32)> = Vec::new();
-        let mut avail_deltas: Vec<(SimTime, i32)> = Vec::new();
+        // Each group's traces with the group's admission instant, the
+        // offset of its local timeline on the fleet's.
+        let mut busy: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
+        let mut mgmt: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
+        let mut avail: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
         let mut jobs: Vec<Option<JobReport>> = (0..self.total_jobs).map(|_| None).collect();
         for cell in cells {
             let g = cell.group;
@@ -398,7 +403,7 @@ impl Coordinator {
                 .expect("finish called with an unadmitted group")
                 .0;
             let job_map = &self.group_jobs[g];
-            let report = cell.engine.finish().map_err(|e| match e {
+            let mut report = cell.engine.finish().map_err(|e| match e {
                 EngineError::Deadlock {
                     unfinished_jobs,
                     detail,
@@ -412,9 +417,9 @@ impl Coordinator {
                 },
                 other => other,
             })?;
-            trace_to_deltas(&report.busy_trace, admit, &mut busy_deltas);
-            trace_to_deltas(&report.mgmt_trace, admit, &mut mgmt_deltas);
-            trace_to_deltas(&report.avail_trace, admit, &mut avail_deltas);
+            busy.push((take(&mut report.busy_trace), SimDuration(admit)));
+            mgmt.push((take(&mut report.mgmt_trace), SimDuration(admit)));
+            avail.push((take(&mut report.avail_trace), SimDuration(admit)));
             for (j, jr) in report.jobs.iter().enumerate() {
                 jobs[job_map[j]] = Some(JobReport {
                     arrived_at: SimTime(admit + jr.arrived_at.0),
@@ -471,9 +476,9 @@ impl Coordinator {
             acc.warnings.append(&mut warnings);
         }
         let mut acc = merged.expect("at least one group");
-        acc.busy_trace = deltas_to_trace(busy_deltas);
-        acc.mgmt_trace = deltas_to_trace(mgmt_deltas);
-        acc.avail_trace = deltas_to_trace(avail_deltas);
+        acc.busy_trace = StepTrace::superimpose(&busy);
+        acc.mgmt_trace = StepTrace::superimpose(&mgmt);
+        acc.avail_trace = StepTrace::superimpose(&avail);
         acc.jobs = jobs
             .into_iter()
             .map(|j| j.expect("every job reported"))
@@ -500,23 +505,6 @@ fn rewrite_phases(
 fn prefix_warnings(warnings: &mut [String], group: usize) {
     for w in warnings.iter_mut() {
         *w = format!("group {group}: {w}");
-    }
-}
-
-/// Re-base a local-time step trace by `offset` ticks and append its
-/// changes as `(global_time, ±delta)` pairs.
-fn trace_to_deltas(
-    trace: &pax_sim::metrics::StepTrace,
-    offset: u64,
-    out: &mut Vec<(SimTime, i32)>,
-) {
-    let mut prev: i64 = 0;
-    for &(t, v) in trace.points() {
-        let d = v as i64 - prev;
-        prev = v as i64;
-        if d != 0 {
-            out.push((SimTime(offset + t.0), d as i32));
-        }
     }
 }
 
@@ -621,7 +609,7 @@ impl Simulation {
         // Per-group sub-simulations: same machine/policy, jobs in
         // submission order, deterministically split RNG streams.
         let mut group_jobs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        let mut programs: Vec<Vec<crate::program::Program>> =
+        let mut programs: Vec<Vec<Arc<crate::program::Program>>> =
             (0..n_groups).map(|_| Vec::new()).collect();
         // Arrival instants are local to each group's timeline (global
         // arrival = admission + local arrival), so they partition with

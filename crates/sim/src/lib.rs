@@ -60,7 +60,7 @@ pub use machine::{
     AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
     ManagementCosts, ProcessorClass, ResourcePool, RunStorageKind, ShardPolicy,
 };
-pub use metrics::{Activity, BusyCounter, GanttTrace, Span, StepTrace, Welford};
+pub use metrics::{Activity, GanttTrace, LevelSweep, Span, StepTrace, Welford};
 pub use time::{SimDuration, SimTime};
 pub use trace::TraceLog;
 

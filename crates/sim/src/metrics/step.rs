@@ -6,6 +6,8 @@
 //! rundown statistics.
 
 use crate::time::{SimDuration, SimTime};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// A piecewise-constant, integer-valued function of simulated time,
 /// recorded as `(time, new_value)` change points.
@@ -152,6 +154,52 @@ impl StepTrace {
         &self.points
     }
 
+    /// The sum of several step functions, each shifted later by its
+    /// offset: the result's value at `t` is the sum over the parts of
+    /// `trace.value_at(t - offset)`. A k-way merge of the parts' change
+    /// points, which are already in time order, so the cost is
+    /// `O(points · log parts)` and nothing is re-sorted.
+    pub fn superimpose(parts: &[(StepTrace, SimDuration)]) -> StepTrace {
+        // `next[i]` is part i's first unread point; the heap holds each
+        // part's next change instant on the shared time axis.
+        let mut next = vec![0usize; parts.len()];
+        let mut heads: BinaryHeap<Reverse<(SimTime, usize)>> = parts
+            .iter()
+            .enumerate()
+            .filter_map(|(i, (part, offset))| {
+                let &(t, _) = part.points.first()?;
+                Some(Reverse((t + *offset, i)))
+            })
+            .collect();
+        let mut sum = StepTrace::new();
+        let mut level: u32 = 0;
+        while let Some(&Reverse((t, _))) = heads.peek() {
+            let mut changed = false;
+            while let Some(&Reverse((head, i))) = heads.peek() {
+                if head != t {
+                    break;
+                }
+                heads.pop();
+                let (part, offset) = &parts[i];
+                let before = match next[i] {
+                    0 => 0,
+                    n => part.points[n - 1].1,
+                };
+                let after = part.points[next[i]].1;
+                changed |= after != before;
+                level = level - before + after;
+                next[i] += 1;
+                if let Some(&(t_next, _)) = part.points.get(next[i]) {
+                    heads.push(Reverse((t_next + *offset, i)));
+                }
+            }
+            if changed {
+                sum.record(t, level);
+            }
+        }
+        sum
+    }
+
     /// Resample the trace at `n` evenly spaced instants across `[from, to]`
     /// — convenient for printing figure-style series.
     pub fn resample(&self, from: SimTime, to: SimTime, n: usize) -> Vec<(SimTime, u32)> {
@@ -168,50 +216,91 @@ impl StepTrace {
     }
 }
 
-/// A counter that mirrors increments/decrements into a [`StepTrace`].
-/// Engine code calls [`BusyCounter::inc`]/[`BusyCounter::dec`] as workers
-/// start and stop; the trace is extracted at the end of the run.
+/// A level — busy processors, busy executive lanes, processors up —
+/// kept as a [`StepTrace`] while its `±delta` changes arrive slightly
+/// out of time order.
+///
+/// A discrete-event engine learns of a change before simulated time
+/// reaches it (a dispatch at `now` knows the task's start and end), but
+/// never of a change in its past. [`LevelSweep::add`] therefore accepts
+/// any instant at or after the last [`LevelSweep::settle`] horizon and
+/// holds it in a short time-ordered buffer; `settle(now)` moves
+/// everything before `now` into the trace. The buffer stays as small as
+/// the number of changes in flight (about two per processor and lane),
+/// and nothing is logged or sorted at the end of the run.
+///
+/// Changes at one instant are summed before the trace sees them, so a
+/// coincident `+1`/`−1` leaves no point.
 #[derive(Debug, Clone, Default)]
-pub struct BusyCounter {
-    value: u32,
+pub struct LevelSweep {
     trace: StepTrace,
+    level: i64,
+    /// Changes not yet in the trace: ascending, one net entry an instant.
+    pending: VecDeque<(SimTime, i32)>,
+    horizon: SimTime,
 }
 
-impl BusyCounter {
-    /// New counter at zero.
-    pub fn new() -> BusyCounter {
-        BusyCounter::default()
+impl LevelSweep {
+    /// New sweep at level zero.
+    pub fn new() -> LevelSweep {
+        LevelSweep::default()
     }
 
-    /// Current value.
+    /// Change the level by `delta` at time `at`, which must not precede
+    /// the horizon last given to [`LevelSweep::settle`].
     #[inline]
-    pub fn value(&self) -> u32 {
-        self.value
+    pub fn add(&mut self, at: SimTime, delta: i32) {
+        assert!(
+            at >= self.horizon,
+            "level change at {at} precedes the settled horizon {}",
+            self.horizon
+        );
+        // Changes arrive nearly in order: most belong at the back.
+        let i = match self.pending.back() {
+            Some(&(latest, _)) if latest > at => self.pending.partition_point(|&(t, _)| t <= at),
+            _ => self.pending.len(),
+        };
+        if i > 0 && self.pending[i - 1].0 == at {
+            self.pending[i - 1].1 += delta;
+        } else {
+            self.pending.insert(i, (at, delta));
+        }
     }
 
-    /// Increment at time `at`.
+    /// Promise that no later change precedes `horizon`; every pending
+    /// change before it moves into the trace.
     #[inline]
-    pub fn inc(&mut self, at: SimTime) {
-        self.value += 1;
-        self.trace.record(at, self.value);
+    pub fn settle(&mut self, horizon: SimTime) {
+        debug_assert!(horizon >= self.horizon, "horizon went backwards");
+        self.horizon = horizon;
+        while let Some(&(t, net)) = self.pending.front() {
+            if t >= horizon {
+                break;
+            }
+            self.pending.pop_front();
+            self.apply(t, net);
+        }
     }
 
-    /// Decrement at time `at`.
     #[inline]
-    pub fn dec(&mut self, at: SimTime) {
-        debug_assert!(self.value > 0, "BusyCounter underflow");
-        self.value -= 1;
-        self.trace.record(at, self.value);
+    fn apply(&mut self, t: SimTime, net: i32) {
+        self.level += i64::from(net);
+        debug_assert!(self.level >= 0, "level went negative at {t}");
+        self.trace.record(t, self.level.max(0) as u32);
     }
 
-    /// Consume the counter, yielding its trace.
-    pub fn into_trace(self) -> StepTrace {
+    /// Changes still waiting for the horizon to pass them.
+    pub fn pending(&self) -> usize {
+        self.pending.len()
+    }
+
+    /// Settle every pending change, whatever its instant, and yield the
+    /// finished trace.
+    pub fn finish(mut self) -> StepTrace {
+        while let Some((t, net)) = self.pending.pop_front() {
+            self.apply(t, net);
+        }
         self.trace
-    }
-
-    /// Borrow the trace so far.
-    pub fn trace(&self) -> &StepTrace {
-        &self.trace
     }
 }
 
@@ -323,15 +412,49 @@ mod tests {
     }
 
     #[test]
-    fn busy_counter_traces() {
-        let mut c = BusyCounter::new();
-        c.inc(t(0));
-        c.inc(t(5));
-        c.dec(t(10));
-        c.dec(t(20));
-        let tr = c.into_trace();
+    fn level_sweep_traces() {
+        let mut c = LevelSweep::new();
+        // two tasks dispatched at 0, known before their starts come due
+        c.add(t(5), 1);
+        c.add(t(20), -1);
+        c.add(t(0), 1);
+        c.add(t(10), -1);
+        c.settle(t(10));
+        assert_eq!(c.pending(), 2, "changes at or after the horizon wait");
+        let tr = c.finish();
         assert_eq!(tr.value_at(t(7)), 2);
         assert_eq!(tr.integral(t(0), t(20)), 5 + 2 * 5 + 10);
+    }
+
+    #[test]
+    fn level_sweep_sums_coincident_changes() {
+        let mut c = LevelSweep::new();
+        c.add(t(0), 1);
+        c.add(t(10), -1);
+        c.add(t(10), 1); // next task starts as the first ends
+        c.add(t(30), -1);
+        assert_eq!(c.finish().points(), &[(t(0), 1), (t(30), 0)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "precedes the settled horizon")]
+    fn level_sweep_rejects_changes_in_the_settled_past() {
+        let mut c = LevelSweep::new();
+        c.settle(t(10));
+        c.add(t(9), 1);
+    }
+
+    #[test]
+    fn superimpose_shifts_and_sums() {
+        let mut a = StepTrace::new();
+        a.record(t(0), 2);
+        a.record(t(10), 0);
+        let mut b = StepTrace::new();
+        b.record(t(0), 1);
+        b.record(t(5), 0);
+        let sum = StepTrace::superimpose(&[(a, SimDuration(0)), (b, SimDuration(5))]);
+        assert_eq!(sum.points(), &[(t(0), 2), (t(5), 3), (t(10), 0)]);
+        assert!(StepTrace::superimpose(&[]).points().is_empty());
     }
 
     #[test]

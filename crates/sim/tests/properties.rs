@@ -476,3 +476,119 @@ mod locality_props {
         }
     }
 }
+
+mod level_props {
+    use pax_sim::metrics::step::{LevelSweep, StepTrace};
+    use pax_sim::time::{SimDuration, SimTime};
+    use proptest::prelude::*;
+
+    /// How a level trace was built before [`LevelSweep`]: log every
+    /// change of the run, sort the log when the run ends, fold it.
+    fn sort_and_fold(mut deltas: Vec<(SimTime, i32)>) -> StepTrace {
+        deltas.sort_by_key(|&(t, d)| (t, -d));
+        let mut trace = StepTrace::new();
+        let mut level = 0i32;
+        let mut i = 0;
+        while i < deltas.len() {
+            let t = deltas[i].0;
+            while i < deltas.len() && deltas[i].0 == t {
+                level += deltas[i].1;
+                i += 1;
+            }
+            trace.record(t, level.max(0) as u32);
+        }
+        trace
+    }
+
+    /// How traces were summed before [`StepTrace::superimpose`]: un-build
+    /// each into shifted deltas, concatenate, sort, fold.
+    fn unbuild_concat_sort(parts: &[(StepTrace, SimDuration)]) -> StepTrace {
+        let mut deltas = Vec::new();
+        for (trace, offset) in parts {
+            let mut prev = 0i64;
+            for &(t, v) in trace.points() {
+                let d = i64::from(v) - prev;
+                prev = i64::from(v);
+                if d != 0 {
+                    deltas.push((t + *offset, d as i32));
+                }
+            }
+        }
+        sort_and_fold(deltas)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Changes fed the way the engine feeds them — task spans known
+        /// ahead of `now`, zero-length spans (a coincident +/−), crash
+        /// cancellations `(−1 at now, +1 at the old end)`, a span that
+        /// never ends, the horizon settled at random points — leave
+        /// exactly the points that logging and sorting everything leaves.
+        #[test]
+        fn level_sweep_matches_sort_and_fold(
+            ops in proptest::collection::vec(
+                (0u8..6, 0u64..30, 0u64..50, 0u64..80, proptest::bool::ANY),
+                1..200,
+            ),
+        ) {
+            let mut sweep = LevelSweep::new();
+            let mut log: Vec<(SimTime, i32)> = Vec::new();
+            let mut running: Vec<(SimTime, SimTime)> = Vec::new();
+            let mut now = SimTime::ZERO;
+            let mut change = |sweep: &mut LevelSweep, at: SimTime, delta: i32| {
+                sweep.add(at, delta);
+                log.push((at, delta));
+            };
+            for &(kind, advance, lead, len, settle) in &ops {
+                now += SimDuration(advance);
+                if settle {
+                    sweep.settle(now);
+                }
+                running.retain(|&(_, end)| end > now);
+                match kind {
+                    4 if !running.is_empty() => {
+                        let (start, end) = running.swap_remove(lead as usize % running.len());
+                        change(&mut sweep, start.max(now), -1);
+                        change(&mut sweep, end, 1);
+                    }
+                    _ => {
+                        let start = now + SimDuration(lead);
+                        let end = if kind == 5 { SimTime::MAX } else { start + SimDuration(len) };
+                        change(&mut sweep, start, 1);
+                        change(&mut sweep, end, -1);
+                        running.push((start, end));
+                    }
+                }
+            }
+            let (swept, sorted) = (sweep.finish(), sort_and_fold(log));
+            prop_assert_eq!(swept.points(), sorted.points());
+        }
+
+        /// The k-way merge of shifted traces equals un-building them into
+        /// deltas and sorting, including traces that open with a zero
+        /// point, several changes landing on one instant, and empty parts.
+        #[test]
+        fn superimpose_matches_unbuild_concat_sort(
+            parts in proptest::collection::vec(
+                (proptest::collection::vec((0u64..20, 0u32..6), 0..40), 0u64..100),
+                1..9,
+            ),
+        ) {
+            let parts: Vec<(StepTrace, SimDuration)> = parts
+                .iter()
+                .map(|(steps, offset)| {
+                    let mut trace = StepTrace::new();
+                    let mut t = SimTime::ZERO;
+                    for &(dt, v) in steps {
+                        t += SimDuration(dt);
+                        trace.record(t, v);
+                    }
+                    (trace, SimDuration(*offset))
+                })
+                .collect();
+            let (merged, sorted) = (StepTrace::superimpose(&parts), unbuild_concat_sort(&parts));
+            prop_assert_eq!(merged.points(), sorted.points());
+        }
+    }
+}
