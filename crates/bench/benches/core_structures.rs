@@ -31,6 +31,63 @@ fn bench_event_queue(c: &mut Criterion) {
             })
         });
     }
+    // Batch pop: `n` events in same-time cohorts of 64, drained through
+    // `pop_coincident_into` as the multi-lane executive does.
+    for &n in &[10_000usize, 100_000] {
+        g.bench_with_input(BenchmarkId::new("coincident_drain", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                for i in 0..n {
+                    q.schedule(SimTime((i / 64) as u64 * 10), i);
+                }
+                let mut out = Vec::with_capacity(64);
+                let mut popped = 0usize;
+                while !q.is_empty() {
+                    out.clear();
+                    popped += q.pop_coincident_into(usize::MAX, &mut out);
+                }
+                popped
+            })
+        });
+    }
+    // Steady-state hold model: a fixed pending population, each pop
+    // rescheduled at a recurring service spacing with one far-future
+    // outlier spacing.
+    g.bench_with_input(BenchmarkId::new("hold", 4_096u32), &4_096u32, |b, &n| {
+        const SPACINGS: [u64; 8] = [100, 100, 100, 150, 150, 250, 400, 1_000];
+        b.iter(|| {
+            let mut q = EventQueue::new();
+            let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+            let mut spacing = || {
+                lcg = lcg
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let draw = (lcg >> 33) as usize;
+                if draw.is_multiple_of(64) {
+                    100_000
+                } else {
+                    SPACINGS[draw % SPACINGS.len()]
+                }
+            };
+            for i in 0..n {
+                let d = spacing();
+                q.schedule(SimTime(d), i);
+            }
+            let mut pops = 0u64;
+            let mut batch = Vec::new();
+            while pops < u64::from(n) * 8 {
+                batch.clear();
+                let k = q.pop_coincident_into(usize::MAX, &mut batch);
+                let now = batch[0].0 .0;
+                for &(_, e) in &batch {
+                    let d = spacing();
+                    q.schedule(SimTime(now + d), e);
+                }
+                pops += k as u64;
+            }
+            pops
+        })
+    });
     g.finish();
 }
 
@@ -332,155 +389,6 @@ fn bench_rangeset_bridging(c: &mut Criterion) {
     g.finish();
 }
 
-/// The run-storage decision data at structure level: the identical
-/// stripe-churn insert sequence (even stripes, then odd stripes each
-/// paying a disjoint middle insert plus a bridging insert) driven
-/// through both backends. The contiguous Vec pays an O(runs) tail
-/// memmove per odd-stripe insert; the chunked layout pays an O(chunk)
-/// rewrite plus the hint-anchored summary skip. `random` adds the
-/// hint-hostile variant: inserts scattered by a multiplicative hash, so
-/// every insert is a cold lookup (the chunked backend's worst case —
-/// the O(chunks) summary walk with no hint to anchor it).
-fn bench_rangeset_storage(c: &mut Criterion) {
-    use pax_sim::machine::RunStorageKind;
-    let backends = [
-        ("vec", RunStorageKind::VecRuns),
-        ("chunked32", RunStorageKind::chunked()),
-    ];
-    let mut g = c.benchmark_group("rangeset_storage");
-    g.sample_size(5);
-    for &n in &[100_000u32, 1_000_000] {
-        // One canonical insert sequence for every churn measurement —
-        // the same driver the storage_scaling structure rows use.
-        let ranges = pax_workloads::stripe_churn_ranges(n, 8);
-        for (label, kind) in backends {
-            let ranges = &ranges;
-            g.bench_with_input(
-                BenchmarkId::new(format!("churn_{label}"), n),
-                &n,
-                move |b, _| {
-                    b.iter(|| {
-                        let mut s = RangeSet::with_storage(kind);
-                        for &r in ranges {
-                            s.insert(r);
-                        }
-                        (s.run_count() as u64, s.len())
-                    })
-                },
-            );
-        }
-    }
-    for &n in &[10_000u32, 100_000] {
-        for (label, kind) in backends {
-            g.bench_with_input(
-                BenchmarkId::new(format!("random_{label}"), n),
-                &n,
-                |b, &n| {
-                    b.iter(|| {
-                        let mut s = RangeSet::with_storage(kind);
-                        let mut x = 0x9E37u32;
-                        for _ in 0..n / 4 {
-                            x = x.wrapping_mul(2654435761).wrapping_add(1);
-                            let lo = x % (n * 2);
-                            s.insert(GranuleRange::new(lo, lo + 3));
-                        }
-                        (s.run_count() as u64, s.len())
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
-/// The calendar-backend decision data at structure level, and the pin
-/// for the time wheel's batch-pop straight drain: `coincident_drain`
-/// schedules `n` events in same-time cohorts of 64 and pops them
-/// through `pop_coincident_into`, the path where the wheel drains a
-/// whole sorted bucket run as one `drain(..k)` instead of `k` head
-/// removals (and the heap pays `k` sift-downs). `hold` is the
-/// steady-state service-stream hold model the `calendar_scaling`
-/// structure rows measure: a fixed pending population, each pop
-/// rescheduled at a recurring service spacing, with one far-future
-/// outlier spacing to force hierarchical cascades.
-fn bench_calendar_backends(c: &mut Criterion) {
-    use pax_sim::calendar::{Calendar, CalendarKind};
-    let backends = [
-        ("heap", CalendarKind::BinaryHeap),
-        ("wheel", CalendarKind::time_wheel()),
-        ("hier", CalendarKind::hier_wheel()),
-    ];
-    let mut g = c.benchmark_group("calendar_backends");
-    g.sample_size(10);
-    for &n in &[10_000usize, 100_000] {
-        for (label, kind) in backends {
-            g.bench_with_input(
-                BenchmarkId::new(format!("coincident_drain_{label}"), n),
-                &n,
-                move |b, &n| {
-                    b.iter(|| {
-                        let mut cal: Calendar<usize> = Calendar::from_kind(kind);
-                        for i in 0..n {
-                            cal.schedule(SimTime((i / 64) as u64 * 10), i);
-                        }
-                        let mut out = Vec::with_capacity(64);
-                        let mut popped = 0usize;
-                        while !cal.is_empty() {
-                            out.clear();
-                            popped += cal.pop_coincident_into(usize::MAX, &mut out);
-                        }
-                        popped
-                    })
-                },
-            );
-        }
-    }
-    for &n in &[4_096u32] {
-        for (label, kind) in backends {
-            g.bench_with_input(
-                BenchmarkId::new(format!("hold_{label}"), n),
-                &n,
-                move |b, &n| {
-                    const SPACINGS: [u64; 8] = [100, 100, 100, 150, 150, 250, 400, 1_000];
-                    b.iter(|| {
-                        let mut cal: Calendar<u32> = Calendar::from_kind(kind);
-                        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
-                        let mut spacing = || {
-                            lcg = lcg
-                                .wrapping_mul(6364136223846793005)
-                                .wrapping_add(1442695040888963407);
-                            let draw = (lcg >> 33) as usize;
-                            if draw.is_multiple_of(64) {
-                                100_000
-                            } else {
-                                SPACINGS[draw % SPACINGS.len()]
-                            }
-                        };
-                        for i in 0..n {
-                            let d = spacing();
-                            cal.schedule(SimTime(d), i);
-                        }
-                        let mut pops = 0u64;
-                        let mut batch = Vec::new();
-                        while pops < u64::from(n) * 8 {
-                            batch.clear();
-                            let k = cal.pop_coincident_into(usize::MAX, &mut batch);
-                            let now = batch[0].0 .0;
-                            for &(_, e) in &batch {
-                                let d = spacing();
-                                cal.schedule(SimTime(now + d), e);
-                            }
-                            pops += k as u64;
-                        }
-                        pops
-                    })
-                },
-            );
-        }
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_event_queue,
@@ -493,8 +401,6 @@ criterion_group!(
     bench_locality_remote_count,
     bench_enablement_completion,
     bench_rangeset_churn,
-    bench_rangeset_bridging,
-    bench_rangeset_storage,
-    bench_calendar_backends
+    bench_rangeset_bridging
 );
 criterion_main!(benches);

@@ -11,14 +11,11 @@
 //! `--bench-json PATH` runs the rundown performance harness instead of the
 //! claim experiments and writes machine-readable throughput numbers (plus
 //! the recorded pre-optimization baseline, the executive lane-scaling
-//! sweep with its wheel-coarseness rows, the run-storage scaling sweep,
-//! the calendar-backend calendar-scaling sweep, the sharded-engine
-//! shard-scaling sweep, the fault-injected degraded-fleet sweep, the
-//! open-system service-scaling sweep, and the heterogeneous-machine
-//! hetero-scaling sweep; `--no-lane-sweep` / `--no-storage-sweep` /
-//! `--no-calendar-sweep` / `--no-shard-sweep` / `--no-degraded-sweep` /
-//! `--no-service-sweep` / `--no-hetero-sweep` skip the respective
-//! sweep) to PATH.
+//! sweep, the sharded-engine shard-scaling sweep, the fault-injected
+//! degraded-fleet sweep, the open-system service-scaling sweep, and the
+//! heterogeneous-machine hetero-scaling sweep; `--no-lane-sweep` /
+//! `--no-shard-sweep` / `--no-degraded-sweep` / `--no-service-sweep` /
+//! `--no-hetero-sweep` skip the respective sweep) to PATH.
 
 use pax_bench::experiments as ex;
 use std::time::Instant;
@@ -44,25 +41,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
             .cloned()
             .unwrap_or_else(|| "BENCH_rundown.json".to_string());
         let measurements = pax_bench::rundown::run_all(quick);
-        // The lane/calendar sweep rides along unless suppressed (the CI
-        // smoke gate only diffs the headline scenarios either way); the
-        // wheel-coarseness rows join it, since they share the row shape.
+        // The sweeps ride along unless suppressed.
         let lanes = if args.iter().any(|a| a == "--no-lane-sweep") {
             Vec::new()
         } else {
-            let mut lanes = pax_bench::rundown::lane_scaling(quick);
-            lanes.extend(pax_bench::rundown::wheel_coarseness(quick));
-            lanes
-        };
-        let storage = if args.iter().any(|a| a == "--no-storage-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::storage_scaling(quick)
-        };
-        let calendar = if args.iter().any(|a| a == "--no-calendar-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::calendar_scaling(quick)
+            pax_bench::rundown::lane_scaling(quick)
         };
         let shards = if args.iter().any(|a| a == "--no-shard-sweep") {
             Vec::new()
@@ -87,8 +70,6 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         let json = pax_bench::rundown::to_json_full(
             &measurements,
             &lanes,
-            &storage,
-            &calendar,
             &shards,
             &degraded,
             &service,

@@ -560,8 +560,6 @@ mod tests {
                 &[],
                 &[],
                 &[],
-                &[],
-                &[],
                 rows,
                 &[],
                 "ci-runner/4cpu/x86_64",

@@ -15,10 +15,8 @@
 //! ```
 
 use pax_core::prelude::*;
-use pax_core::rangeset::RangeSet;
-use pax_sim::calendar::CalendarKind;
 use pax_sim::dist::CostModel;
-use pax_sim::machine::{MachineConfig, RunStorageKind};
+use pax_sim::machine::MachineConfig;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -70,8 +68,9 @@ pub struct RundownScenario {
     pub processors: usize,
     /// Enablement structure.
     pub shape: RundownShape,
-    /// Timed repetitions (the minimum wall time is reported — on shared
-    /// hosts the minimum needs several draws to find a quiet slot).
+    /// Timed repetitions after one discarded warm-up (the minimum wall
+    /// time is reported — on shared hosts the minimum needs several draws
+    /// to find a quiet slot).
     pub reps: u32,
 }
 
@@ -229,25 +228,37 @@ fn run_once_on(s: &RundownScenario, program: &Program, cfg: MachineConfig) -> (R
     }
     let mut sim = Simulation::new(cfg, policy).with_seed(7);
     sim.add_job(program.clone());
-    let t = Instant::now();
-    let report = sim.run().expect("rundown scenario run");
-    let wall = t.elapsed().as_secs_f64() * 1e3;
-    (report, wall)
+    timed(|| sim.run().expect("rundown scenario run"))
 }
 
-/// Measure one scenario: `reps` timed runs, minimum wall time reported.
+/// Run `f` once and return its result with its wall time in milliseconds.
+fn timed<R>(f: impl FnOnce() -> R) -> (R, f64) {
+    let t = Instant::now();
+    let r = f();
+    (r, t.elapsed().as_secs_f64() * 1e3)
+}
+
+/// The one way a sweep row is timed: a warm-up rep whose time is thrown
+/// away (caches fill, lazy set-up finishes, and a row measured first is
+/// no colder than one measured last), then `reps` timed reps of which the
+/// fastest is kept. `rep` does its own set-up and times only the run
+/// (see [`timed`]). Returns the last report and the best wall time.
+fn best_of<R>(reps: u32, mut rep: impl FnMut() -> (R, f64)) -> (R, f64) {
+    let (mut report, _) = rep();
+    let mut best_wall = f64::INFINITY;
+    for _ in 0..reps.max(1) {
+        let (r, wall) = rep();
+        best_wall = best_wall.min(wall);
+        report = r;
+    }
+    (report, best_wall)
+}
+
+/// Measure one scenario: `reps` timed runs after a discarded warm-up,
+/// minimum wall time reported.
 pub fn measure(s: &RundownScenario) -> RundownMeasurement {
     let program = build_program(s);
-    let mut best_wall = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..s.reps.max(1) {
-        let (r, wall) = run_once(s, &program);
-        if wall < best_wall {
-            best_wall = wall;
-        }
-        report = Some(r);
-    }
-    let r = report.expect("at least one rep");
+    let (r, best_wall) = best_of(s.reps, || run_once(s, &program));
     RundownMeasurement {
         name: s.name.to_string(),
         shape: s.shape.label(),
@@ -281,8 +292,7 @@ pub fn run_all(quick: bool) -> Vec<RundownMeasurement> {
 pub const LANE_SWEEP_LANES: &[usize] = &[1, 4, 16, 64];
 
 /// One lane-scaling data point: a rundown scenario re-run with a given
-/// executive lane count (which also bounds the batched drain) on a given
-/// calendar backend.
+/// executive lane count (which also bounds the batched drain).
 #[derive(Debug, Clone)]
 pub struct LaneScalingMeasurement {
     /// Scenario name (matches a headline scenario).
@@ -290,8 +300,6 @@ pub struct LaneScalingMeasurement {
     /// Executive lane count (= maximum completions drained per service
     /// round under the default `BatchPolicy::Coincident`).
     pub lanes: usize,
-    /// Calendar backend label: `"heap"` or `"wheel"`.
-    pub calendar: &'static str,
     /// Simulator events processed in one run.
     pub events: u64,
     /// Simulated makespan (ticks) — lanes > 1 legitimately shorten it on
@@ -304,11 +312,10 @@ pub struct LaneScalingMeasurement {
 }
 
 /// The lane-scaling sweep: every rundown scenario × lanes ∈
-/// [`LANE_SWEEP_LANES`] × both calendar backends, under the default
-/// batched drain. Two readings per row: `makespan` (simulated — how much
-/// a parallel executive helps the *machine being modelled*) and
-/// `wall_ms` (host — what the batched drain and each calendar cost the
-/// *simulator*, the data the time-wheel-by-default decision needs).
+/// [`LANE_SWEEP_LANES`], under the default batched drain. Two readings
+/// per row: `makespan` (simulated — how much a parallel executive helps
+/// the *machine being modelled*) and `wall_ms` (host — what the batched
+/// drain costs the *simulator*).
 pub fn lane_scaling(quick: bool) -> Vec<LaneScalingMeasurement> {
     lane_scaling_for(&scenarios(quick))
 }
@@ -321,591 +328,17 @@ pub fn lane_scaling_for(scenarios: &[RundownScenario]) -> Vec<LaneScalingMeasure
         let program = build_program(&s);
         let reps = s.reps.clamp(1, 3);
         for &lanes in LANE_SWEEP_LANES {
-            for (label, kind) in [
-                ("heap", CalendarKind::BinaryHeap),
-                ("wheel", CalendarKind::time_wheel()),
-            ] {
-                let cfg = MachineConfig::new(s.processors)
-                    .with_executive_lanes(lanes)
-                    .with_calendar(kind);
-                let mut best_wall = f64::INFINITY;
-                let mut report = None;
-                for _ in 0..reps {
-                    let (r, wall) = run_once_on(&s, &program, cfg.clone());
-                    best_wall = best_wall.min(wall);
-                    report = Some(r);
-                }
-                let r = report.expect("at least one rep");
-                eprintln!(
-                    "[lane_scaling] {} lanes={lanes:<2} {label:<5} {:>9.3} ms  mk={}",
-                    s.name,
-                    best_wall,
-                    r.makespan.ticks()
-                );
-                out.push(LaneScalingMeasurement {
-                    scenario: s.name.to_string(),
-                    lanes,
-                    calendar: label,
-                    events: r.events,
-                    makespan: r.makespan.ticks(),
-                    wall_ms: best_wall,
-                    events_per_sec: r.events as f64 / (best_wall / 1e3),
-                });
-            }
-        }
-    }
-    out
-}
-
-/// The calendar grid [`wheel_coarseness`] measures on the event-sparse
-/// shape: the heap reference, the one-tick wheel, and two coarsened
-/// wheels (the ROADMAP's "coarser buckets" follow-on). The reference
-/// entries carry their own labels (`heap_ref`, `wheel_bt1`) so the
-/// rows never collide with the plain `heap`/`wheel` rows the lane
-/// sweep emits for the same scenario into the same JSON array.
-pub const WHEEL_COARSENESS_GRID: &[(&str, CalendarKind)] = &[
-    ("heap_ref", CalendarKind::BinaryHeap),
-    (
-        "wheel_bt1",
-        CalendarKind::TimeWheel {
-            slots: 4096,
-            bucket_ticks: 1,
-        },
-    ),
-    (
-        "wheel_bt16",
-        CalendarKind::TimeWheel {
-            slots: 4096,
-            bucket_ticks: 16,
-        },
-    ),
-    (
-        "wheel_bt256",
-        CalendarKind::TimeWheel {
-            slots: 4096,
-            bucket_ticks: 256,
-        },
-    ),
-];
-
-/// The wheel-coarseness sweep: the event-sparse long-makespan shape
-/// (`universal_1e5_t16` — the wheel's recorded failure mode) re-measured
-/// across [`WHEEL_COARSENESS_GRID`], emitted as extra `lane_scaling`
-/// rows (lanes = 1) so the wheel-vs-heap ROADMAP note accumulates fresh
-/// data. Quick mode measures a scaled-down universal shape under the
-/// same labels.
-pub fn wheel_coarseness(quick: bool) -> Vec<LaneScalingMeasurement> {
-    let s = if quick {
-        RundownScenario {
-            name: "universal_1e4_t16",
-            granules: 10_000,
-            task_size: 16,
-            processors: 16,
-            shape: RundownShape::Universal,
-            reps: 3,
-        }
-    } else {
-        RundownScenario {
-            name: "universal_1e5_t16",
-            granules: 100_000,
-            task_size: 16,
-            processors: 16,
-            shape: RundownShape::Universal,
-            reps: 4,
-        }
-    };
-    let program = build_program(&s);
-    let mut out = Vec::new();
-    for &(label, kind) in WHEEL_COARSENESS_GRID {
-        let cfg = MachineConfig::new(s.processors).with_calendar(kind);
-        let mut best_wall = f64::INFINITY;
-        let mut report = None;
-        for _ in 0..s.reps.max(1) {
-            let (r, wall) = run_once_on(&s, &program, cfg.clone());
-            best_wall = best_wall.min(wall);
-            report = Some(r);
-        }
-        let r = report.expect("at least one rep");
-        eprintln!(
-            "[wheel_coarseness] {} {label:<12} {:>9.3} ms  mk={}",
-            s.name,
-            best_wall,
-            r.makespan.ticks()
-        );
-        out.push(LaneScalingMeasurement {
-            scenario: s.name.to_string(),
-            lanes: 1,
-            calendar: label,
-            events: r.events,
-            makespan: r.makespan.ticks(),
-            wall_ms: best_wall,
-            events_per_sec: r.events as f64 / (best_wall / 1e3),
-        });
-    }
-    out
-}
-
-/// Calendar backends measured by the [`calendar_scaling`] sweep: the
-/// heap reference, the best coarsened flat wheel from the
-/// [`WHEEL_COARSENESS_GRID`] verdict, the hierarchical wheel at default
-/// geometry, and the self-tuning `Auto` backend.
-pub const CALENDAR_SWEEP_BACKENDS: &[(&str, CalendarKind)] = &[
-    ("heap", CalendarKind::BinaryHeap),
-    (
-        "wheel_bt256",
-        CalendarKind::TimeWheel {
-            slots: 4096,
-            bucket_ticks: 256,
-        },
-    ),
-    ("hier", CalendarKind::hier_wheel()),
-    ("auto", CalendarKind::Auto),
-];
-
-/// One calendar-scaling data point: a workload re-run (or a bare
-/// calendar driven) on one backend of [`CALENDAR_SWEEP_BACKENDS`].
-#[derive(Debug, Clone)]
-pub struct CalendarScalingMeasurement {
-    /// Scenario name.
-    pub scenario: String,
-    /// Backend label from [`CALENDAR_SWEEP_BACKENDS`].
-    pub calendar: &'static str,
-    /// `"simulation"` (a closed rundown run), `"service"` (an open
-    /// Poisson stream held in service), or `"structure"` (the bare
-    /// calendar hold-model driver, no simulator around it).
-    pub kind: &'static str,
-    /// Simulator events; calendar operations for structure rows.
-    pub events: u64,
-    /// Simulated makespan in ticks (0 for structure rows).
-    pub makespan: u64,
-    /// Best wall-clock time, milliseconds.
-    pub wall_ms: f64,
-    /// `events` per wall-clock second.
-    pub events_per_sec: f64,
-    /// Wall-time ratio `heap_wall / wall` for the same scenario — above
-    /// 1.0 this backend beats the heap reference (NaN → JSON `null` on
-    /// the heap rows themselves).
-    pub speedup_vs_heap: f64,
-}
-
-/// Drive one bare calendar through a steady-state service-stream hold
-/// pattern: `population` pending events; each round pops the whole
-/// coincident batch at the head and schedules one replacement per
-/// popped event at a service-stream spacing — a small set of recurring
-/// service times (so completions coalesce, as granule batches do), with
-/// an occasional far-future outlier landing several wheel revolutions
-/// out. Runs until `target_pops` events have been serviced. Returns
-/// `(ops, best wall ms, checksum)`; the checksum folds every popped
-/// `(time, payload)` so backends can be asserted pop-for-pop identical.
-fn hold_structure(
-    kind: CalendarKind,
-    population: u32,
-    target_pops: u64,
-    reps: u32,
-) -> (u64, f64, u64) {
-    use pax_sim::time::SimTime;
-    use pax_sim::Calendar;
-    // Recurring service times dominate (completions coalesce at a few
-    // hot spacings, as granule batches do); 1 draw in 64 is a far-future
-    // timer landing several wheel revolutions out, the timeout-style
-    // tail that forces hierarchical cascades without letting the tail
-    // masquerade as the workload.
-    const SPACINGS: [u64; 8] = [100, 100, 100, 150, 150, 250, 400, 1_000];
-    fn next_spacing(lcg: &mut u64) -> u64 {
-        *lcg = lcg
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        let draw = (*lcg >> 33) as usize;
-        if draw.is_multiple_of(64) {
-            100_000
-        } else {
-            SPACINGS[draw % SPACINGS.len()]
-        }
-    }
-    let mut best = f64::INFINITY;
-    let mut sig: Option<(u64, u64)> = None;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let mut cal: Calendar<u32> = Calendar::from_kind(kind);
-        let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
-        for i in 0..population {
-            let d = next_spacing(&mut lcg);
-            cal.schedule(SimTime(d), i);
-        }
-        let mut ops = u64::from(population);
-        let mut pops = 0u64;
-        let mut since_rebalance = 0u64;
-        let mut checksum = 0u64;
-        let mut batch: Vec<(SimTime, u32)> = Vec::new();
-        while pops < target_pops {
-            batch.clear();
-            let n = cal.pop_coincident_into(usize::MAX, &mut batch);
-            assert!(n > 0, "hold population drained unexpectedly");
-            let now = batch[0].0 .0;
-            for &(at, e) in &batch {
-                checksum = checksum
-                    .wrapping_mul(0x0000_0100_0000_01B3)
-                    .wrapping_add(at.0 ^ u64::from(e));
-                let d = next_spacing(&mut lcg);
-                cal.schedule(SimTime(now + d), e);
-            }
-            pops += n as u64;
-            ops += 2 * n as u64;
-            // The engine rebalances Auto at run-loop checkpoints; the
-            // bare driver does the same (on an event cadence — the
-            // coincident batches here are large, so a round cadence
-            // would finish the run before the tuner ever woke).
-            since_rebalance += n as u64;
-            if since_rebalance >= 8_192 {
-                since_rebalance = 0;
-                cal.rebalance();
-            }
-        }
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-        let this = (checksum, ops);
-        match sig {
-            None => sig = Some(this),
-            Some(s) => assert_eq!(s, this, "hold driver must be deterministic across reps"),
-        }
-    }
-    let (checksum, ops) = sig.expect("at least one rep");
-    (ops, best, checksum)
-}
-
-/// The calendar-backend sweep: batch rundown shapes, the fragmentation
-/// shape, a hot open-system service stream, and bare hold-model
-/// structure rows, each re-run on every backend in
-/// [`CALENDAR_SWEEP_BACKENDS`]. Rows of one scenario are asserted
-/// result-identical across backends (pop-for-pop for structure rows,
-/// full service signature for streams) — the backend is a wall-clock
-/// knob only. The decision data for the ROADMAP's "a wheel that wins"
-/// item: to earn the default, hier/auto must win or tie every row and
-/// win the hot service-stream rows outright.
-pub fn calendar_scaling(quick: bool) -> Vec<CalendarScalingMeasurement> {
-    let sims: Vec<RundownScenario> = scenarios(quick)
-        .into_iter()
-        .filter(|s| {
-            matches!(
-                s.name,
-                "identity_1e4_t1" | "fragmented_1e4_t1" | "identity_1e5_t1" | "fragmented_1e5_t1"
-            )
-        })
-        .collect();
-    let mk = |name: &'static str, jobs: usize, mean_gap: u64| ServiceScenario {
-        name,
-        service: {
-            let mut s = pax_workloads::ServiceConfig::poisson(jobs, mean_gap);
-            s.granules_per_job = 32;
-            s.with_admission(pax_sim::machine::AdmissionPolicy::BoundedDefer { max_in_flight: 8 })
-        },
-        processors: 8,
-        reps: 2,
-    };
-    // A "hot" stream: the mean gap sits well under the per-job service
-    // time, so the executive services completions back to back while
-    // the whole remaining arrival stream sits pre-scheduled in the
-    // calendar — the steady-state shape the hierarchical wheel targets.
-    let service = if quick {
-        vec![mk("service_stream_hot_2e3", 2_000, 100)]
-    } else {
-        vec![mk("service_stream_hot_2e4", 20_000, 100)]
-    };
-    let holds: &[(u32, u64)] = if quick {
-        &[(8_192, 65_536)]
-    } else {
-        &[(8_192, 262_144), (65_536, 524_288)]
-    };
-    calendar_scaling_for(&sims, &service, holds)
-}
-
-/// [`calendar_scaling`] over explicit scenario and hold-population
-/// lists (testable at tiny sizes). `holds` entries are
-/// `(population, target_pops)` pairs.
-pub fn calendar_scaling_for(
-    sim_scenarios: &[RundownScenario],
-    service_scenarios: &[ServiceScenario],
-    holds: &[(u32, u64)],
-) -> Vec<CalendarScalingMeasurement> {
-    let mut out = Vec::new();
-    let mut push = |scenario: String,
-                    label: &'static str,
-                    kind: &'static str,
-                    events: u64,
-                    makespan: u64,
-                    wall: f64,
-                    heap_wall: &mut f64| {
-        let speedup = if label == "heap" {
-            *heap_wall = wall;
-            f64::NAN
-        } else {
-            *heap_wall / wall
-        };
-        out.push(CalendarScalingMeasurement {
-            scenario,
-            calendar: label,
-            kind,
-            events,
-            makespan,
-            wall_ms: wall,
-            events_per_sec: events as f64 / (wall / 1e3),
-            speedup_vs_heap: speedup,
-        });
-    };
-    for &(population, target_pops) in holds {
-        let name = format!("service_hold_{population}");
-        let mut reference: Option<(u64, u64)> = None;
-        let mut heap_wall = f64::NAN;
-        for &(label, kind) in CALENDAR_SWEEP_BACKENDS {
-            let (ops, wall, checksum) = hold_structure(kind, population, target_pops, 3);
-            // Pop-for-pop identity across backends, or the hold driver
-            // is measuring different schedules.
-            let sig = (ops, checksum);
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => {
-                    assert_eq!(sig, reference, "{name}: hold run diverged across calendars")
-                }
-            }
-            eprintln!("[calendar_scaling] {name} {label:<11} {wall:>9.3} ms ({ops} ops)");
-            push(
-                name.clone(),
-                label,
-                "structure",
-                ops,
-                0,
-                wall,
-                &mut heap_wall,
-            );
-        }
-    }
-    for s in sim_scenarios.iter().cloned() {
-        let program = build_program(&s);
-        let reps = s.reps.clamp(1, 3);
-        let mut reference: Option<(u64, u64)> = None;
-        let mut heap_wall = f64::NAN;
-        for &(label, kind) in CALENDAR_SWEEP_BACKENDS {
-            let cfg = MachineConfig::new(s.processors).with_calendar(kind);
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..reps {
-                let (r, wall) = run_once_on(&s, &program, cfg.clone());
-                best_wall = best_wall.min(wall);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
-            let sig = (r.events, r.makespan.ticks());
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => {
-                    assert_eq!(sig, reference, "{}: run diverged across calendars", s.name)
-                }
-            }
+            let cfg = MachineConfig::new(s.processors).with_executive_lanes(lanes);
+            let (r, best_wall) = best_of(reps, || run_once_on(&s, &program, cfg.clone()));
             eprintln!(
-                "[calendar_scaling] {} {label:<11} {best_wall:>9.3} ms  mk={}",
-                s.name,
-                r.makespan.ticks()
-            );
-            push(
-                s.name.to_string(),
-                label,
-                "simulation",
-                r.events,
-                r.makespan.ticks(),
-                best_wall,
-                &mut heap_wall,
-            );
-        }
-    }
-    for sc in service_scenarios {
-        let mut reference: Option<(u64, u64, usize, u64, u64, u64, usize)> = None;
-        let mut heap_wall = f64::NAN;
-        for &(label, kind) in CALENDAR_SWEEP_BACKENDS {
-            let cfg = MachineConfig::new(sc.processors).with_calendar(kind);
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..sc.reps.max(1) {
-                let sim = sc.service.simulation(cfg.clone(), 7);
-                let t = Instant::now();
-                let r = sim.run().expect("calendar service scenario run");
-                best_wall = best_wall.min(t.elapsed().as_secs_f64() * 1e3);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
-            let p50 = r.latency_p50().map(|d| d.ticks()).unwrap_or(0);
-            let p99 = r.latency_p99().map(|d| d.ticks()).unwrap_or(0);
-            // The whole service history must hold still across
-            // backends, percentiles included.
-            let sig = (
-                r.events,
-                r.makespan.ticks(),
-                r.jobs_completed(),
-                r.jobs_rejected,
-                p50,
-                p99,
-                r.instances_peak,
-            );
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => assert_eq!(
-                    sig, reference,
-                    "{}: service run diverged across calendars",
-                    sc.name
-                ),
-            }
-            eprintln!(
-                "[calendar_scaling] {} {label:<11} {best_wall:>9.3} ms  p50={p50} p99={p99}",
-                sc.name
-            );
-            push(
-                sc.name.to_string(),
-                label,
-                "service",
-                r.events,
-                r.makespan.ticks(),
-                best_wall,
-                &mut heap_wall,
-            );
-        }
-    }
-    out
-}
-
-/// The run-storage backends [`storage_scaling`] compares. Labels are the
-/// JSON `storage` values.
-pub const STORAGE_SWEEP_BACKENDS: &[(&str, RunStorageKind)] = &[
-    ("vec", RunStorageKind::VecRuns),
-    ("chunked32", RunStorageKind::ChunkedRuns { chunk_runs: 32 }),
-];
-
-/// One storage-scaling data point: a scenario measured on one run-storage
-/// backend.
-#[derive(Debug, Clone)]
-pub struct StorageScalingMeasurement {
-    /// Scenario name (a rundown scenario, or a `rangeset_churn_*`
-    /// structure row).
-    pub scenario: String,
-    /// Backend label from [`STORAGE_SWEEP_BACKENDS`].
-    pub storage: &'static str,
-    /// `"simulation"` (a full rundown run) or `"structure"` (the bare
-    /// `RangeSet` stripe-churn driver, no simulator around it).
-    pub kind: &'static str,
-    /// Simulator events for simulation rows; inserts performed for
-    /// structure rows.
-    pub events: u64,
-    /// Simulated makespan in ticks (0 for structure rows — there is no
-    /// simulated machine).
-    pub makespan: u64,
-    /// Best wall-clock time, milliseconds.
-    pub wall_ms: f64,
-    /// `events` per wall-clock second.
-    pub events_per_sec: f64,
-}
-
-/// Drive the `rangeset_churn` insert pattern (even stripes front to
-/// back, then odd stripes, each odd insert bridging two neighbours)
-/// against one backend. Returns `(inserts, best wall ms)`.
-fn churn_structure(n: u32, storage: RunStorageKind, reps: u32) -> (u64, f64) {
-    // One canonical insert sequence for every churn measurement: the
-    // workloads crate owns the pattern.
-    let ranges = pax_workloads::stripe_churn_ranges(n, 8);
-    let mut best = f64::INFINITY;
-    for _ in 0..reps.max(1) {
-        let t = Instant::now();
-        let mut s = RangeSet::with_storage(storage);
-        for &r in &ranges {
-            s.insert(r);
-        }
-        assert_eq!(s.len(), u64::from(n), "churn driver must cover everything");
-        best = best.min(t.elapsed().as_secs_f64() * 1e3);
-    }
-    (ranges.len() as u64, best)
-}
-
-/// The storage-scaling sweep: dense and fragmented rundown scenarios ×
-/// every backend in [`STORAGE_SWEEP_BACKENDS`], plus bare-structure
-/// `rangeset_churn` rows at 10⁵ (and, in full mode, 10⁶) granules. The
-/// decision data for the ROADMAP's chunked-`RangeSet` item: the chunked
-/// backend must win the fragmented shapes without regressing the dense
-/// ones. Simulation rows of the same scenario are asserted
-/// result-identical across backends (events and makespan).
-pub fn storage_scaling(quick: bool) -> Vec<StorageScalingMeasurement> {
-    let sim_rows: Vec<RundownScenario> = scenarios(quick)
-        .into_iter()
-        .filter(|s| {
-            matches!(
-                s.name,
-                "identity_1e4_t1" | "identity_1e5_t1" | "fragmented_1e4_t1" | "fragmented_1e5_t1"
-            )
-        })
-        .collect();
-    let churn_sizes: &[u32] = if quick {
-        &[100_000]
-    } else {
-        &[100_000, 1_000_000]
-    };
-    storage_scaling_for(&sim_rows, churn_sizes)
-}
-
-/// [`storage_scaling`] over explicit scenario and churn-size lists
-/// (testable at tiny sizes).
-pub fn storage_scaling_for(
-    scenarios: &[RundownScenario],
-    churn_sizes: &[u32],
-) -> Vec<StorageScalingMeasurement> {
-    let mut out = Vec::new();
-    for &n in churn_sizes {
-        for &(label, storage) in STORAGE_SWEEP_BACKENDS {
-            let (inserts, wall) = churn_structure(n, storage, 3);
-            eprintln!(
-                "[storage_scaling] rangeset_churn_{n} {label:<9} {wall:>9.3} ms ({inserts} inserts)"
-            );
-            out.push(StorageScalingMeasurement {
-                scenario: format!("rangeset_churn_{n}"),
-                storage: label,
-                kind: "structure",
-                events: inserts,
-                makespan: 0,
-                wall_ms: wall,
-                events_per_sec: inserts as f64 / (wall / 1e3),
-            });
-        }
-    }
-    for s in scenarios.iter().cloned() {
-        let program = build_program(&s);
-        let reps = s.reps.clamp(1, 3);
-        let mut reference: Option<(u64, u64)> = None;
-        for &(label, storage) in STORAGE_SWEEP_BACKENDS {
-            let cfg = MachineConfig::new(s.processors).with_run_storage(storage);
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..reps {
-                let (r, wall) = run_once_on(&s, &program, cfg.clone());
-                best_wall = best_wall.min(wall);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
-            // Backends are a host-performance knob: the simulated run
-            // must be identical, or the sweep is comparing different
-            // machines.
-            let sig = (r.events, r.makespan.ticks());
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => assert_eq!(
-                    sig, reference,
-                    "{}: run diverged across storage backends",
-                    s.name
-                ),
-            }
-            eprintln!(
-                "[storage_scaling] {} {label:<9} {:>9.3} ms  mk={}",
+                "[lane_scaling] {} lanes={lanes:<2} {:>9.3} ms  mk={}",
                 s.name,
                 best_wall,
                 r.makespan.ticks()
             );
-            out.push(StorageScalingMeasurement {
+            out.push(LaneScalingMeasurement {
                 scenario: s.name.to_string(),
-                storage: label,
-                kind: "simulation",
+                lanes,
                 events: r.events,
                 makespan: r.makespan.ticks(),
                 wall_ms: best_wall,
@@ -967,7 +400,8 @@ pub struct ShardScenario {
     pub fleet: pax_workloads::FleetConfig,
     /// Worker processors per machine group.
     pub processors: usize,
-    /// Timed repetitions (minimum wall time reported).
+    /// Timed repetitions after a discarded warm-up (minimum wall time
+    /// reported).
     pub reps: u32,
     /// Optional processor fault injection (the `degraded_fleet` rows);
     /// `None` runs the fleet on a fault-free machine.
@@ -1046,16 +480,10 @@ pub fn shard_scaling_for(
             if let Some(plan) = &sc.faults {
                 cfg = cfg.with_faults(plan.clone());
             }
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..sc.reps.max(1) {
+            let (r, best_wall) = best_of(sc.reps, || {
                 let sim = sc.fleet.simulation(cfg.clone(), 7);
-                let t = Instant::now();
-                let r = pax_runtime::run_simulation_sharded(sim).expect("fleet scenario run");
-                best_wall = best_wall.min(t.elapsed().as_secs_f64() * 1e3);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
+                timed(|| pax_runtime::run_simulation_sharded(sim).expect("fleet scenario run"))
+            });
             // Sharding is a host-performance knob: the simulated run must
             // be identical at every shard count, or the sweep is
             // comparing different machines. With faults injected the
@@ -1157,7 +585,8 @@ pub struct ServiceScenario {
     pub service: pax_workloads::ServiceConfig,
     /// Worker processors per machine group.
     pub processors: usize,
-    /// Timed repetitions (minimum wall time reported).
+    /// Timed repetitions after a discarded warm-up (minimum wall time
+    /// reported).
     pub reps: u32,
 }
 
@@ -1214,16 +643,10 @@ pub fn service_scaling_for(
         let mut reference: Option<(u64, u64, usize, u64, u64, u64, usize)> = None;
         for &shards in shard_counts {
             let cfg = MachineConfig::new(sc.processors).with_shards(ShardPolicy::new(shards));
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..sc.reps.max(1) {
+            let (r, best_wall) = best_of(sc.reps, || {
                 let sim = sc.service.simulation(cfg.clone(), 7);
-                let t = Instant::now();
-                let r = pax_runtime::run_simulation_sharded(sim).expect("service scenario run");
-                best_wall = best_wall.min(t.elapsed().as_secs_f64() * 1e3);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
+                timed(|| pax_runtime::run_simulation_sharded(sim).expect("service scenario run"))
+            });
             let p50 = r.latency_p50().map(|d| d.ticks()).unwrap_or(0);
             let p99 = r.latency_p99().map(|d| d.ticks()).unwrap_or(0);
             // The whole service history — counts, percentiles, the
@@ -1333,7 +756,8 @@ pub struct HeteroScenario {
     pub groups: usize,
     /// Granules of the compute phase.
     pub granules: u32,
-    /// Timed repetitions (minimum wall time reported).
+    /// Timed repetitions after a discarded warm-up (minimum wall time
+    /// reported).
     pub reps: u32,
 }
 
@@ -1433,9 +857,7 @@ pub fn hetero_scaling_for(
                 .with_classes(sc.classes.clone())
                 .with_resources(sc.resources.clone())
                 .with_shards(ShardPolicy::new(shards));
-            let mut best_wall = f64::INFINITY;
-            let mut report = None;
-            for _ in 0..sc.reps.max(1) {
+            let (r, best_wall) = best_of(sc.reps, || {
                 let mut sim = Simulation::new(
                     cfg.clone(),
                     OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(2)),
@@ -1444,12 +866,8 @@ pub fn hetero_scaling_for(
                 for g in 0..sc.groups {
                     sim.add_job_in_group(hetero_program(sc.granules, &sc.resources), g);
                 }
-                let t = Instant::now();
-                let r = pax_runtime::run_simulation_sharded(sim).expect("hetero scenario run");
-                best_wall = best_wall.min(t.elapsed().as_secs_f64() * 1e3);
-                report = Some(r);
-            }
-            let r = report.expect("at least one rep");
+                timed(|| pax_runtime::run_simulation_sharded(sim).expect("hetero scenario run"))
+            });
             // The heterogeneity accounting itself must hold still across
             // shard counts, or the merge is summing different machines.
             let sig: HeteroSig = (
@@ -1605,24 +1023,21 @@ pub fn to_json(measurements: &[RundownMeasurement]) -> String {
 /// [`BASELINE_HOST`]; the fingerprints of both hosts are recorded so a
 /// later reader can tell which comparison would be legitimate.
 pub fn to_json_for_host(measurements: &[RundownMeasurement], host: &str) -> String {
-    to_json_full(measurements, &[], &[], &[], &[], &[], &[], &[], host)
+    to_json_full(measurements, &[], &[], &[], &[], &[], host)
 }
 
 /// Full document: headline scenarios plus the lane-scaling,
-/// storage-scaling, shard-scaling, degraded-fleet, service-scaling, and
-/// hetero-scaling sweeps. One parameter per sweep family is the honest
+/// shard-scaling, degraded-fleet, service-scaling, and hetero-scaling
+/// sweeps. One parameter per sweep family is the honest
 /// shape here — callers either thread all sweeps through (experiments
 /// bin) or none (`to_json_for_host`). Every sweep array is
 /// emitted *before* `scenarios` on purpose: the perf-gate parser
 /// ([`crate::compare::parse_rundown`]) starts capturing at the
 /// `scenarios` key, so sweep rows can never be mistaken for headline
 /// measurements (they reuse scenario names).
-#[allow(clippy::too_many_arguments)]
 pub fn to_json_full(
     measurements: &[RundownMeasurement],
     lanes: &[LaneScalingMeasurement],
-    storage: &[StorageScalingMeasurement],
-    calendar: &[CalendarScalingMeasurement],
     shards: &[ShardScalingMeasurement],
     degraded: &[ShardScalingMeasurement],
     service: &[ServiceScalingMeasurement],
@@ -1634,7 +1049,8 @@ pub fn to_json_full(
     out.push_str("{\n");
     out.push_str("  \"schema\": \"pax-bench-rundown/v2\",\n");
     out.push_str(
-        "  \"note\": \"wall_ms is the best-of-reps wall time of one full simulation run; \
+        "  \"note\": \"wall_ms is the best-of-reps wall time of one full simulation run, \
+         after one discarded warm-up rep; \
          baseline_wall_ms is the same scenario measured at the pre-optimization seed commit\",\n",
     );
     out.push_str(
@@ -1649,15 +1065,14 @@ pub fn to_json_full(
         out.push_str(
             "  \"lane_scaling_note\": \"executive-lane sweep under the default batched \
              drain: makespan_ticks is simulated time (lanes model the paper's parallel \
-             executive), wall_ms is host time (what the batched drain and the calendar \
-             backend cost the simulator)\",\n",
+             executive), wall_ms is host time (what the batched drain costs the \
+             simulator)\",\n",
         );
         out.push_str("  \"lane_scaling\": [\n");
         for (i, m) in lanes.iter().enumerate() {
             out.push_str("    {\n");
             out.push_str(&format!("      \"scenario\": \"{}\",\n", m.scenario));
             out.push_str(&format!("      \"lanes\": {},\n", m.lanes));
-            out.push_str(&format!("      \"calendar\": \"{}\",\n", m.calendar));
             out.push_str(&format!("      \"events\": {},\n", m.events));
             out.push_str(&format!("      \"makespan_ticks\": {},\n", m.makespan));
             out.push_str(&format!("      \"wall_ms\": {},\n", json_f64(m.wall_ms)));
@@ -1666,72 +1081,6 @@ pub fn to_json_full(
                 json_f64(m.events_per_sec)
             ));
             out.push_str(if i + 1 == lanes.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-    }
-    if !storage.is_empty() {
-        out.push_str(
-            "  \"storage_scaling_note\": \"run-storage backend sweep: simulation rows \
-             re-run a rundown scenario per backend (events/makespan are backend-invariant; \
-             wall_ms is what the backend costs the simulator), structure rows drive the \
-             bare RangeSet stripe-churn pattern (events = inserts, makespan 0). The \
-             chunked backend must win the fragmented rows without regressing the dense \
-             ones to earn the default (see ROADMAP)\",\n",
-        );
-        out.push_str("  \"storage_scaling\": [\n");
-        for (i, m) in storage.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"scenario\": \"{}\",\n", m.scenario));
-            out.push_str(&format!("      \"storage\": \"{}\",\n", m.storage));
-            out.push_str(&format!("      \"kind\": \"{}\",\n", m.kind));
-            out.push_str(&format!("      \"events\": {},\n", m.events));
-            out.push_str(&format!("      \"makespan_ticks\": {},\n", m.makespan));
-            out.push_str(&format!("      \"wall_ms\": {},\n", json_f64(m.wall_ms)));
-            out.push_str(&format!(
-                "      \"events_per_sec\": {}\n",
-                json_f64(m.events_per_sec)
-            ));
-            out.push_str(if i + 1 == storage.len() {
-                "    }\n"
-            } else {
-                "    },\n"
-            });
-        }
-        out.push_str("  ],\n");
-    }
-    if !calendar.is_empty() {
-        out.push_str(
-            "  \"calendar_scaling_note\": \"calendar-backend sweep: simulation and \
-             service rows re-run a scenario per backend (events/makespan and the full \
-             service signature are backend-invariant; wall_ms is what the calendar \
-             costs the simulator), structure rows drive a bare calendar through the \
-             steady-state hold model (events = calendar ops, makespan 0, pop order \
-             checksummed identical). speedup_vs_heap is heap_wall/wall per scenario \
-             (null on the heap rows). To earn the default, hier/auto must win or tie \
-             every row and win the hot service-stream rows outright (see ROADMAP)\",\n",
-        );
-        out.push_str("  \"calendar_scaling\": [\n");
-        for (i, m) in calendar.iter().enumerate() {
-            out.push_str("    {\n");
-            out.push_str(&format!("      \"scenario\": \"{}\",\n", m.scenario));
-            out.push_str(&format!("      \"calendar\": \"{}\",\n", m.calendar));
-            out.push_str(&format!("      \"kind\": \"{}\",\n", m.kind));
-            out.push_str(&format!("      \"events\": {},\n", m.events));
-            out.push_str(&format!("      \"makespan_ticks\": {},\n", m.makespan));
-            out.push_str(&format!("      \"wall_ms\": {},\n", json_f64(m.wall_ms)));
-            out.push_str(&format!(
-                "      \"events_per_sec\": {},\n",
-                json_f64(m.events_per_sec)
-            ));
-            out.push_str(&format!(
-                "      \"speedup_vs_heap\": {}\n",
-                json_f64(m.speedup_vs_heap)
-            ));
-            out.push_str(if i + 1 == calendar.len() {
                 "    }\n"
             } else {
                 "    },\n"
@@ -2031,7 +1380,7 @@ mod tests {
     }
 
     #[test]
-    fn lane_sweep_covers_the_grid_and_agrees_across_calendars() {
+    fn lane_sweep_covers_the_grid() {
         let s = RundownScenario {
             name: "tiny_sweep",
             granules: 96,
@@ -2041,81 +1390,12 @@ mod tests {
             reps: 1,
         };
         let rows = lane_scaling_for(&[s]);
-        assert_eq!(rows.len(), LANE_SWEEP_LANES.len() * 2);
-        for &lanes in LANE_SWEEP_LANES {
-            let of_lanes: Vec<_> = rows.iter().filter(|r| r.lanes == lanes).collect();
-            assert_eq!(of_lanes.len(), 2);
-            // heap and wheel simulate the same machine: identical events
-            // and makespan, only wall time may differ
-            assert_eq!(of_lanes[0].events, of_lanes[1].events, "lanes {lanes}");
-            assert_eq!(of_lanes[0].makespan, of_lanes[1].makespan, "lanes {lanes}");
-        }
+        let lanes: Vec<usize> = rows.iter().map(|r| r.lanes).collect();
+        assert_eq!(lanes, LANE_SWEEP_LANES);
         // more lanes never lengthen the simulated run (management cost
         // spreads over lanes; this machine uses pax_default costs)
-        let mk = |lanes: usize| {
-            rows.iter()
-                .find(|r| r.lanes == lanes && r.calendar == "heap")
-                .unwrap()
-                .makespan
-        };
+        let mk = |lanes: usize| rows.iter().find(|r| r.lanes == lanes).unwrap().makespan;
         assert!(mk(64) <= mk(1), "64 lanes {} > 1 lane {}", mk(64), mk(1));
-    }
-
-    #[test]
-    fn calendar_sweep_covers_the_grid_and_agrees_across_backends() {
-        let sim = RundownScenario {
-            name: "tiny_calendar_sim",
-            granules: 96,
-            task_size: 1,
-            processors: 4,
-            shape: RundownShape::Identity,
-            reps: 1,
-        };
-        let service = ServiceScenario {
-            name: "tiny_calendar_service",
-            service: {
-                let mut s = pax_workloads::ServiceConfig::poisson(16, 80);
-                s.granules_per_job = 8;
-                s.with_admission(pax_sim::machine::AdmissionPolicy::BoundedDefer {
-                    max_in_flight: 4,
-                })
-            },
-            processors: 4,
-            reps: 1,
-        };
-        let rows = calendar_scaling_for(&[sim], &[service], &[(64, 2_048)]);
-        // every scenario × every backend, in backend order
-        assert_eq!(rows.len(), 3 * CALENDAR_SWEEP_BACKENDS.len());
-        for (name, kind) in [
-            ("service_hold_64", "structure"),
-            ("tiny_calendar_sim", "simulation"),
-            ("tiny_calendar_service", "service"),
-        ] {
-            let of: Vec<_> = rows.iter().filter(|r| r.scenario == name).collect();
-            assert_eq!(of.len(), CALENDAR_SWEEP_BACKENDS.len(), "{name}");
-            assert!(of.iter().all(|r| r.kind == kind), "{name}");
-            // backend identity (pop-for-pop for structure rows) is
-            // asserted inside the sweep; spot-check the emitted rows
-            assert!(
-                of.windows(2)
-                    .all(|w| w[0].events == w[1].events && w[0].makespan == w[1].makespan),
-                "{name}"
-            );
-            // heap is the reference row: NaN speedup there, finite
-            // positive ratios everywhere else
-            assert!(of[0].calendar == "heap" && of[0].speedup_vs_heap.is_nan());
-            assert!(of[1..]
-                .iter()
-                .all(|r| r.speedup_vs_heap.is_finite() && r.speedup_vs_heap > 0.0));
-        }
-        // the hold driver reports calendar ops: 64 seeded schedules plus
-        // pop+reschedule pairs for at least target_pops events
-        let hold = rows
-            .iter()
-            .find(|r| r.scenario == "service_hold_64")
-            .unwrap();
-        assert!(hold.events >= 64 + 2 * 2_048, "ops {}", hold.events);
-        assert_eq!(hold.makespan, 0);
     }
 
     #[test]
@@ -2134,30 +1414,10 @@ mod tests {
         let lanes = vec![LaneScalingMeasurement {
             scenario: "identity_1e4_t1".into(),
             lanes: 4,
-            calendar: "wheel",
             events: 10,
             makespan: 5,
             wall_ms: 123.456,
             events_per_sec: 10.0,
-        }];
-        let storage = vec![StorageScalingMeasurement {
-            scenario: "identity_1e4_t1".into(),
-            storage: "chunked32",
-            kind: "simulation",
-            events: 10,
-            makespan: 5,
-            wall_ms: 654.321,
-            events_per_sec: 10.0,
-        }];
-        let calendar = vec![CalendarScalingMeasurement {
-            scenario: "identity_1e4_t1".into(),
-            calendar: "hier",
-            kind: "simulation",
-            events: 10,
-            makespan: 5,
-            wall_ms: 444.444,
-            events_per_sec: 10.0,
-            speedup_vs_heap: f64::NAN,
         }];
         let shards = vec![ShardScalingMeasurement {
             scenario: "identity_1e4_t1".into(),
@@ -2225,8 +1485,6 @@ mod tests {
         let j = to_json_full(
             &[m],
             &lanes,
-            &storage,
-            &calendar,
             &shards,
             &degraded,
             &service,
@@ -2234,12 +1492,7 @@ mod tests {
             "h/1cpu/x",
         );
         assert!(j.contains("\"lane_scaling\""));
-        assert!(j.contains("\"calendar\": \"wheel\""));
-        assert!(j.contains("\"storage_scaling\""));
-        assert!(j.contains("\"storage\": \"chunked32\""));
-        assert!(j.contains("\"calendar_scaling\""));
-        assert!(j.contains("\"calendar\": \"hier\""));
-        assert!(j.contains("\"speedup_vs_heap\": null"));
+        assert!(j.contains("\"lanes\": 4"));
         assert!(j.contains("\"shard_scaling\""));
         assert!(j.contains("\"shards\": 4"));
         assert!(j.contains("\"alpha_eff\": null"));
@@ -2260,8 +1513,8 @@ mod tests {
         assert_eq!(
             p.scenarios.len(),
             2,
-            "gate parser must not ingest lane_scaling/storage_scaling/calendar_scaling/\
-             shard_scaling/degraded_fleet/hetero_scaling rows"
+            "gate parser must not ingest lane_scaling/shard_scaling/degraded_fleet/\
+             hetero_scaling rows"
         );
         assert_eq!(
             p.scenarios[0],
@@ -2274,8 +1527,6 @@ mod tests {
         assert_eq!(headline, "identity_1e4_t1");
         for (sweep, leaked) in [
             ("lane", 123.456),
-            ("storage", 654.321),
-            ("calendar", 444.444),
             ("shard", 987.654),
             ("degraded", 555.555),
             ("service", 333.333),
@@ -2452,53 +1703,6 @@ mod tests {
                 && w[0].lost_work_ticks == w[1].lost_work_ticks
         }));
         assert!(rows[0].crashes > 0, "fault plan never fired");
-    }
-
-    #[test]
-    fn storage_sweep_covers_backends_and_agrees_across_them() {
-        let s = RundownScenario {
-            name: "tiny_storage_sweep",
-            granules: 96,
-            task_size: 1,
-            processors: 4,
-            shape: RundownShape::Fragmented,
-            reps: 1,
-        };
-        let rows = storage_scaling_for(&[s], &[1_000]);
-        // one structure row + one simulation row per backend
-        assert_eq!(rows.len(), STORAGE_SWEEP_BACKENDS.len() * 2);
-        for &(label, _) in STORAGE_SWEEP_BACKENDS {
-            let of_backend: Vec<_> = rows.iter().filter(|r| r.storage == label).collect();
-            assert_eq!(of_backend.len(), 2, "{label}");
-        }
-        let structure: Vec<_> = rows.iter().filter(|r| r.kind == "structure").collect();
-        assert_eq!(structure.len(), STORAGE_SWEEP_BACKENDS.len());
-        assert!(structure.iter().all(|r| r.makespan == 0 && r.events > 0));
-        // both backends drove the identical insert sequence
-        assert!(structure.windows(2).all(|w| w[0].events == w[1].events));
-        // simulation rows: result-identity across backends is asserted
-        // inside the sweep itself; spot-check the rows agree here too
-        let sim: Vec<_> = rows.iter().filter(|r| r.kind == "simulation").collect();
-        assert_eq!(sim.len(), STORAGE_SWEEP_BACKENDS.len());
-        assert!(sim
-            .windows(2)
-            .all(|w| { w[0].events == w[1].events && w[0].makespan == w[1].makespan }));
-    }
-
-    #[test]
-    fn wheel_coarseness_rows_cover_the_grid_and_agree() {
-        let rows = wheel_coarseness(true);
-        assert_eq!(rows.len(), WHEEL_COARSENESS_GRID.len());
-        // every calendar simulates the same machine: identical events and
-        // makespan, only wall time may differ
-        assert!(rows
-            .windows(2)
-            .all(|w| { w[0].events == w[1].events && w[0].makespan == w[1].makespan }));
-        let labels: Vec<&str> = rows.iter().map(|r| r.calendar).collect();
-        assert!(labels.contains(&"heap_ref") && labels.contains(&"wheel_bt256"));
-        // the reference labels must never collide with the lane sweep's
-        // plain heap/wheel rows for the same (scenario, lanes) key
-        assert!(!labels.contains(&"heap") && !labels.contains(&"wheel"));
     }
 
     #[test]

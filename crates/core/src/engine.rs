@@ -40,8 +40,8 @@ use crate::program::{Lookahead, Program, Step};
 use crate::queue::WaitingQueue;
 use crate::rangeset::{coalesce_indices_into, RangeSet};
 use crate::report::{ClassReport, JobReport, PhaseReport, PoolReport, RunReport};
-use pax_sim::calendar::Calendar;
 use pax_sim::dist::{arrival_seed, ArrivalProcess, DurationDist};
+use pax_sim::event::EventQueue;
 use pax_sim::faults::{fault_seed, FaultModel, FaultPlan, RetryPolicy};
 use pax_sim::machine::{
     AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
@@ -58,16 +58,6 @@ use std::sync::Arc;
 
 /// Lane-time slice for chunked background composite-map construction.
 const BUILD_CHUNK_TICKS: u64 = 64;
-
-/// Event rounds between calendar rebalance checkpoints. Each checkpoint
-/// is a no-op unless the config asked for `CalendarKind::Auto`, in
-/// which case the calendar revisits its tuning decision against the
-/// spacing histogram gathered since the previous checkpoint. Counted in
-/// rounds (not wall time or windows), so the checkpoint instants — and
-/// therefore any retune — are identical across drivers and shard
-/// counts. Retunes preserve pop order bit-exactly regardless; this only
-/// keeps the *wall-time* profile reproducible too.
-const CALENDAR_REBALANCE_ROUNDS: u64 = 1024;
 
 /// Errors surfaced by a simulation run.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -144,8 +134,6 @@ enum Ev {
     Crash { worker: WorkerId },
     /// Fault injection: the worker's processor comes back up.
     Repair { worker: WorkerId },
-    /// Streaming admission: job `job` arrives at the executive's door.
-    Arrive { job: usize },
 }
 
 /// Background executive work items.
@@ -206,9 +194,7 @@ struct Instance {
     granules: u32,
     remaining: u32,
     task_size: u32,
-    /// Granules with an existing descriptor or already completed. Both
-    /// sets run on the storage backend `MachineConfig::run_storage`
-    /// selects (result-identical; a host-performance knob).
+    /// Granules with an existing descriptor or already completed.
     released: RangeSet,
     completed: RangeSet,
     live_descs: Vec<DescId>,
@@ -734,7 +720,14 @@ pub(crate) struct Engine {
     instances: Vec<Instance>,
     arena: DescArena,
     waiting: WaitingQueue,
-    events: Calendar<Ev>,
+    events: EventQueue<Ev>,
+    /// Arrivals not yet due, as `(arrived_at, job)` sorted by instant and
+    /// then job index, consumed from `feed_next`. They wait beside the
+    /// calendar rather than in it, so the calendar holds O(processors)
+    /// events however long the stream is. An arrival precedes every
+    /// calendar event of its tick.
+    feed: Vec<(SimTime, usize)>,
+    feed_next: usize,
     scratch: Scratch,
     now: SimTime,
     exec_lanes: Vec<SimTime>,
@@ -786,11 +779,6 @@ pub(crate) struct Engine {
     /// First structural abort (e.g. a retry policy giving up on lost
     /// work); set mid-run, surfaced by [`Engine::finish`].
     abort: Option<EngineError>,
-    /// Event rounds served, across all windows. Drives the calendar
-    /// rebalance checkpoints (`CalendarKind::Auto` retunes); purely a
-    /// count of deterministic simulation work, so checkpoints land at
-    /// the same instants on every driver and shard count.
-    rounds: u64,
 }
 
 impl Engine {
@@ -884,7 +872,9 @@ impl Engine {
             jobs,
             instances: Vec::new(),
             arena: DescArena::new(),
-            events: Calendar::from_kind(s.cfg.calendar),
+            events: EventQueue::new(),
+            feed: Vec::new(),
+            feed_next: 0,
             scratch: Scratch::default(),
             now: SimTime::ZERO,
             exec_lanes: vec![SimTime::ZERO; s.cfg.executive_lanes],
@@ -925,7 +915,6 @@ impl Engine {
             faults,
             hetero,
             abort: None,
-            rounds: 0,
             cfg: s.cfg,
             policy: s.policy,
         }
@@ -1062,8 +1051,8 @@ impl Engine {
                     granules,
                     remaining: granules,
                     task_size,
-                    released: RangeSet::with_storage(self.cfg.run_storage),
-                    completed: RangeSet::with_storage(self.cfg.run_storage),
+                    released: RangeSet::new(),
+                    completed: RangeSet::new(),
                     live_descs: Vec::new(),
                     predecessor,
                     successor: None,
@@ -2280,10 +2269,6 @@ impl Engine {
 
     /// Job `job` reached its arrival instant: apply the machine's
     /// admission policy.
-    fn on_arrive(&mut self, job: usize) {
-        self.admit_or_queue(job);
-    }
-
     fn admit_or_queue(&mut self, job: usize) {
         match self.cfg.admission {
             AdmissionPolicy::AcceptAll => self.admit_job(job),
@@ -2603,17 +2588,19 @@ impl Engine {
 
     pub(crate) fn start(&mut self) {
         for j in 0..self.jobs.len() {
-            // `t = 0` arrivals are admitted directly, with no `Arrive`
-            // event: under the default accept-all policy the event stream
-            // (and hence the whole run) is bit-identical to the closed
-            // batch engine. Later arrivals enter through the calendar.
+            // `t = 0` arrivals are admitted directly: under the default
+            // accept-all policy the event stream (and hence the whole
+            // run) is bit-identical to the closed batch engine. Later
+            // arrivals wait in the feed.
             let at = self.jobs[j].arrived_at;
             if at == SimTime::ZERO {
                 self.admit_or_queue(j);
             } else {
-                self.events.schedule(at, Ev::Arrive { job: j });
+                self.feed.push((at, j));
             }
         }
+        // Stable: coincident arrivals keep job-index order.
+        self.feed.sort_by_key(|&(at, _)| at);
         for w in 0..self.cfg.processors {
             self.events
                 .schedule(SimTime::ZERO, Ev::Seek(WorkerId(w as u32)));
@@ -2621,10 +2608,22 @@ impl Engine {
         self.start_faults();
     }
 
-    /// Due time of the next pending event, if any — the sharded
-    /// coordinator's per-group progress lower bound.
+    /// The arrival the next round admits, if one is due no later than
+    /// the calendar's head (the feed wins ties).
+    fn due_arrival(&self) -> Option<(SimTime, usize)> {
+        let next = self.feed.get(self.feed_next).copied()?;
+        self.events
+            .peek_time()
+            .is_none_or(|t| next.0 <= t)
+            .then_some(next)
+    }
+
+    /// Due time of the next pending arrival or event, if any — the
+    /// sharded coordinator's per-group progress lower bound.
     pub(crate) fn next_event_time(&self) -> Option<SimTime> {
-        self.events.peek_time()
+        self.due_arrival()
+            .map(|(at, _)| at)
+            .or(self.events.peek_time())
     }
 
     /// End time of the last event serviced so far (the local makespan
@@ -2639,9 +2638,7 @@ impl Engine {
     fn batch_capacity(&self) -> usize {
         match self.cfg.batch {
             BatchPolicy::Single => 1,
-            BatchPolicy::Coincident | BatchPolicy::Lookahead { .. } => {
-                self.cfg.executive_lanes.max(1)
-            }
+            BatchPolicy::Coincident => self.cfg.executive_lanes.max(1),
         }
     }
 
@@ -2692,17 +2689,14 @@ impl Engine {
                     self.events_processed += 1;
                     self.on_repair(worker);
                 }
-                Ev::Arrive { job } => {
-                    self.events_processed += 1;
-                    self.on_arrive(job);
-                }
             }
             i += 1;
         }
     }
 
-    /// Drain events due at or before `limit` (all remaining events when
-    /// `None`). Returns `true` when the calendar is empty afterwards.
+    /// Admit arrivals and drain events due at or before `limit` (all that
+    /// remain when `None`). Returns `true` when neither the feed nor the
+    /// calendar holds anything afterwards.
     ///
     /// Pausing between windows mutates no engine state, and every batch a
     /// windowed drain forms is a batch the unbounded loop would form (the
@@ -2721,18 +2715,13 @@ impl Engine {
                 // drained so the sharded epoch protocol can terminate.
                 break true;
             }
-            match self.events.peek_time() {
-                None => break true,
-                Some(t) => {
-                    if limit.is_some_and(|l| t > l) {
-                        break false;
-                    }
-                }
+            let arrival = self.due_arrival();
+            let Some(round_start) = arrival.map(|(at, _)| at).or(self.events.peek_time()) else {
+                break true;
+            };
+            if limit.is_some_and(|l| round_start > l) {
+                break false;
             }
-            batch.clear();
-            let drained = self.events.pop_coincident_into(cap, &mut batch);
-            debug_assert!(drained > 0, "peeked event must drain");
-            let round_start = batch[0].0;
             // Simulated time never runs backwards, so no level change can
             // still arrive before this round.
             self.computing.settle(round_start);
@@ -2740,40 +2729,17 @@ impl Engine {
             if let Some(f) = self.faults.as_mut() {
                 f.avail.settle(round_start);
             }
-            self.process_batch(&batch, &mut dones);
-            if let BatchPolicy::Lookahead { horizon } = self.cfg.batch {
-                // Top the round up with later coincident groups inside the
-                // horizon. Each group is drained from the live calendar
-                // only after the previous one was fully serviced, so
-                // events scheduled mid-round keep their deterministic
-                // (time, insertion) place. The window limit does not clip
-                // the horizon: a round the unbounded loop would form is
-                // serviced atomically here too (a round never spans a
-                // window boundary because conservative windows end at
-                // least one full latency past any event they admit).
-                let mut served = drained;
-                while served < cap {
-                    match self.events.peek_time() {
-                        Some(t) if t.0 <= round_start.0.saturating_add(horizon) => {
-                            batch.clear();
-                            let n = self.events.pop_coincident_into(cap - served, &mut batch);
-                            debug_assert!(n > 0, "peeked event must drain");
-                            served += n;
-                            self.process_batch(&batch, &mut dones);
-                            if self.abort.is_some() {
-                                break;
-                            }
-                        }
-                        _ => break,
-                    }
-                }
-            }
-            self.rounds += 1;
-            if self.rounds.is_multiple_of(CALENDAR_REBALANCE_ROUNDS) {
-                // Auto-calendar rebalance checkpoint (no-op otherwise).
-                // Between rounds the calendar holds only future events,
-                // so a retune rebuild is safe and order-preserving.
-                self.events.rebalance();
+            if let Some((at, job)) = arrival {
+                debug_assert!(at >= self.now, "time went backwards");
+                self.feed_next += 1;
+                self.now = at;
+                self.events_processed += 1;
+                self.admit_or_queue(job);
+            } else {
+                batch.clear();
+                let drained = self.events.pop_coincident_into(cap, &mut batch);
+                debug_assert!(drained > 0, "peeked event must drain");
+                self.process_batch(&batch, &mut dones);
             }
         };
         self.round_batch = batch;
@@ -3316,39 +3282,6 @@ mod tests {
     }
 
     #[test]
-    fn chunked_run_storage_is_run_identical() {
-        // The run-storage knob is a host-performance choice: the same
-        // program on the same machine must produce bit-identical runs on
-        // every backend, fragmentation-heavy chunk sizes included.
-        use pax_sim::machine::RunStorageKind;
-        let mk = |storage| {
-            let p = linear_program(64, 3, 10, |_| EnablementMapping::Identity);
-            let cfg = MachineConfig::ideal(4).with_run_storage(storage);
-            let policy = OverlapPolicy::overlap()
-                .with_sizing(crate::policy::TaskSizing::Fixed(1))
-                .with_split_strategy(SplitStrategy::DemandSplit);
-            let mut sim = Simulation::new(cfg, policy).with_seed(11);
-            sim.add_job(p);
-            sim.run().unwrap()
-        };
-        let vec = mk(RunStorageKind::VecRuns);
-        for storage in [
-            RunStorageKind::chunked(),
-            RunStorageKind::ChunkedRuns { chunk_runs: 2 },
-        ] {
-            let c = mk(storage);
-            assert_eq!(c.makespan, vec.makespan, "{storage:?}");
-            assert_eq!(c.events, vec.events, "{storage:?}");
-            assert_eq!(c.tasks_dispatched, vec.tasks_dispatched, "{storage:?}");
-            assert_eq!(c.splits, vec.splits, "{storage:?}");
-            assert_eq!(
-                c.descriptors_created, vec.descriptors_created,
-                "{storage:?}"
-            );
-        }
-    }
-
-    #[test]
     fn steals_worker_vs_dedicated_accounting() {
         let p = linear_program(64, 2, 100, |_| EnablementMapping::Universal);
         let mk = |placement| {
@@ -3384,6 +3317,34 @@ mod tests {
             assert!(j.makespan().unwrap().ticks() > 80);
         }
         assert_eq!(r.compute_time.ticks(), 640);
+    }
+
+    #[test]
+    fn pending_arrivals_wait_beside_the_calendar_not_in_it() {
+        // However long the stream, `start` parks nothing in the calendar
+        // for it: the population stays O(processors), and the run still
+        // admits every arrival.
+        let cfg = MachineConfig::new(4).with_executive_lanes(2);
+        let bound = cfg.processors + cfg.executive_lanes + 1;
+        let mut sim = Simulation::new(cfg, OverlapPolicy::overlap()).with_eviction();
+        sim.add_job_stream(
+            linear_program(8, 2, 10, |_| EnablementMapping::Identity),
+            ArrivalProcess::poisson(200),
+            10_000,
+        );
+        sim.expand_streams();
+        let mut eng = Engine::new(sim);
+        eng.start();
+        assert_eq!(eng.feed.len(), 10_000);
+        assert!(
+            eng.events.len() <= bound,
+            "{} events parked at start, bound {bound}",
+            eng.events.len()
+        );
+        assert_eq!(eng.next_event_time(), Some(SimTime::ZERO));
+        assert!(eng.run_window(None));
+        let report = eng.finish().unwrap();
+        assert_eq!(report.jobs_completed(), 10_000);
     }
 
     #[test]

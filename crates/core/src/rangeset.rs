@@ -1,5 +1,4 @@
-//! A set of granule indices kept as sorted, disjoint, coalesced ranges,
-//! over pluggable run storage.
+//! A set of granule indices kept as sorted, disjoint, coalesced ranges.
 //!
 //! The executive uses range sets to track which granules of a phase have
 //! completed — the paper's descriptions are "large, contiguous collections
@@ -7,32 +6,12 @@
 //! single descriptions when the work was completed". `RangeSet::insert` is
 //! that merge.
 //!
-//! # Run storage backends
-//!
-//! How the sorted run list is *laid out* is a [`RunStorageKind`] knob
-//! (selected per machine through `MachineConfig::with_run_storage`), not a
-//! property of the set:
-//!
-//! * [`RunStorageKind::VecRuns`] — one contiguous sorted `Vec<(u32, u32)>`.
-//!   In-order completion extends a run in place via the completed-run
-//!   hint; a bridging or disjoint insert into a *fragmented* set shifts
-//!   the whole tail: O(runs) memmove per event.
-//! * [`RunStorageKind::ChunkedRuns`] — fixed-capacity chunks on a singly
-//!   linked list, each carrying a run-count (its `Vec` length) and a
-//!   max-end summary. Lookups skip whole chunks on the summaries
-//!   (O(chunks)); a bridging insert rewrites only the chunks it touches
-//!   (O(chunk) memmove, absorbed chunks are unlinked wholesale) — the
-//!   layout fragmented rundown phases want.
-//!
-//! Every operation — `insert_run`, `subtract_into`, `covered_in_iter`,
-//! the completed-run hint, and equality — is **layout-blind**: the two
-//! backends are result-identical (pinned by an oracle property test), and
-//! `==` compares the *logical* run sequence, ignoring both the hint and
-//! chunk boundaries. A `VecRuns` set equals a `ChunkedRuns` set covering
-//! the same indices.
+//! Runs live in one contiguous sorted `Vec<(u32, u32)>`. In-order
+//! completion extends a run in place via the completed-run hint; a
+//! bridging or disjoint insert into a *fragmented* set shifts the tail
+//! with one memmove.
 
 use crate::ids::GranuleRange;
-pub use pax_sim::machine::RunStorageKind;
 
 /// Sorted, disjoint, coalesced set of `u32` indices.
 ///
@@ -41,24 +20,20 @@ pub use pax_sim::machine::RunStorageKind;
 /// complete granules almost in order, so the overwhelmingly common insert
 /// extends that same run — the hint turns the run search into an O(1)
 /// bounds check plus an in-place extend. The hint is pure acceleration
-/// state: it never changes results, and equality ignores it (along with
-/// every other layout detail — see the module docs).
-#[derive(Debug, Clone)]
+/// state: it never changes results, and equality ignores it.
+#[derive(Debug, Clone, Default)]
 pub struct RangeSet {
-    store: Store,
-}
-
-impl Default for RangeSet {
-    fn default() -> RangeSet {
-        RangeSet::new()
-    }
+    /// Half-open `[lo, hi)` pairs, sorted, non-overlapping, non-adjacent.
+    runs: Vec<(u32, u32)>,
+    /// Completed-run hint: index into `runs` of the last merged run
+    /// (stale values are safe: the fast path re-validates before use).
+    hint: usize,
 }
 
 impl PartialEq for RangeSet {
     fn eq(&self, other: &RangeSet) -> bool {
-        // Neither the hint nor the storage layout (chunk boundaries) is
-        // part of the value: compare the logical run sequences.
-        self.iter_runs().eq(other.iter_runs())
+        // The hint is not part of the value.
+        self.runs == other.runs
     }
 }
 
@@ -81,52 +56,25 @@ pub struct RunInsert {
 }
 
 impl RangeSet {
-    /// Empty set on the default contiguous-Vec backend.
+    /// Empty set.
     #[inline]
     pub fn new() -> RangeSet {
-        RangeSet {
-            store: Store::Vec(VecRuns::new()),
-        }
+        RangeSet::default()
     }
 
-    /// Empty set on the backend `kind` selects.
-    pub fn with_storage(kind: RunStorageKind) -> RangeSet {
-        RangeSet {
-            store: match kind {
-                RunStorageKind::VecRuns => Store::Vec(VecRuns::new()),
-                RunStorageKind::ChunkedRuns { chunk_runs } => {
-                    Store::Chunked(ChunkedRuns::new(chunk_runs))
-                }
-            },
-        }
-    }
-
-    /// Empty Vec-backed set with room for `cap` runs before reallocating.
+    /// Empty set with room for `cap` runs before reallocating.
     #[inline]
     pub fn with_capacity(cap: usize) -> RangeSet {
         RangeSet {
-            store: Store::Vec(VecRuns {
-                runs: Vec::with_capacity(cap),
-                hint: 0,
-            }),
-        }
-    }
-
-    /// The storage backend this set runs on.
-    pub fn storage_kind(&self) -> RunStorageKind {
-        match &self.store {
-            Store::Vec(_) => RunStorageKind::VecRuns,
-            Store::Chunked(c) => RunStorageKind::ChunkedRuns { chunk_runs: c.cap },
+            runs: Vec::with_capacity(cap),
+            hint: 0,
         }
     }
 
     /// Number of stored runs (for diagnostics; merging keeps this small).
     #[inline]
     pub fn run_count(&self) -> usize {
-        match &self.store {
-            Store::Vec(v) => v.runs.len(),
-            Store::Chunked(c) => c.runs_total,
-        }
+        self.runs.len()
     }
 
     /// Total number of indices covered.
@@ -138,7 +86,18 @@ impl RangeSet {
     /// True when the set is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.run_count() == 0
+        self.runs.is_empty()
+    }
+
+    /// Cursor over the stored runs starting at the first run with
+    /// `hi > after` (runs have strictly increasing ends, so everything
+    /// skipped can neither contain, merge with, nor intersect anything
+    /// at or beyond `after`).
+    fn runs_from(&self, after: u32) -> impl Iterator<Item = GranuleRange> + '_ {
+        let start = self.runs.partition_point(|&(_, rhi)| rhi <= after);
+        self.runs[start..]
+            .iter()
+            .map(|&(lo, hi)| GranuleRange::new(lo, hi))
     }
 
     /// True when `g` is in the set.
@@ -146,7 +105,7 @@ impl RangeSet {
     pub fn contains(&self, g: u32) -> bool {
         // First run ending after g contains it iff it starts at or
         // before g (earlier runs all end at or before g).
-        self.store.runs_from(g).next().is_some_and(|r| r.lo <= g)
+        self.runs_from(g).next().is_some_and(|r| r.lo <= g)
     }
 
     /// True when the whole range `[lo, hi)` is covered.
@@ -155,8 +114,7 @@ impl RangeSet {
         if r.is_empty() {
             return true;
         }
-        self.store
-            .runs_from(r.lo)
+        self.runs_from(r.lo)
             .next()
             .is_some_and(|run| run.lo <= r.lo && run.hi >= r.hi)
     }
@@ -177,189 +135,6 @@ impl RangeSet {
     /// empty range may flow through).
     pub fn insert_run(&mut self, r: GranuleRange) -> RunInsert {
         debug_assert!(!r.is_empty(), "insert_run of empty range");
-        match &mut self.store {
-            Store::Vec(v) => v.insert_run(r),
-            Store::Chunked(c) => c.insert_run(r),
-        }
-    }
-
-    /// Iterate the stored runs as `GranuleRange`s.
-    #[inline]
-    pub fn iter_runs(&self) -> impl Iterator<Item = GranuleRange> + '_ {
-        // Every run ends above 0, so this cursor starts at the first run.
-        self.store.runs_from(0)
-    }
-
-    /// Append the *gaps* (uncovered sub-ranges) inside the window
-    /// `[win.lo, win.hi)` to `out` — the set-subtraction `win − self`,
-    /// written into a caller-reused buffer so the steady-state release
-    /// path never allocates. `out` is *not* cleared first.
-    pub fn subtract_into(&self, win: GranuleRange, out: &mut Vec<GranuleRange>) {
-        if win.is_empty() {
-            return;
-        }
-        if self.is_empty() {
-            // Empty-subtrahend fast path: nothing to subtract, the whole
-            // window is one gap — skip the run positioning entirely.
-            out.push(win);
-            return;
-        }
-        let mut cursor = win.lo;
-        for run in self.store.runs_from(win.lo) {
-            if run.lo >= win.hi {
-                break;
-            }
-            if run.lo > cursor {
-                out.push(GranuleRange::new(cursor, run.lo.min(win.hi)));
-            }
-            cursor = cursor.max(run.hi);
-            if cursor >= win.hi {
-                break;
-            }
-        }
-        if cursor < win.hi {
-            out.push(GranuleRange::new(cursor, win.hi));
-        }
-    }
-
-    /// Remove every stored run while keeping the backend's allocations
-    /// for reuse — the eviction path resets a completed instance's sets
-    /// without returning their buffers to the allocator, so a recycled
-    /// instance starts warm.
-    pub fn clear(&mut self) {
-        match &mut self.store {
-            Store::Vec(v) => {
-                v.runs.clear();
-                v.hint = 0;
-            }
-            Store::Chunked(c) => {
-                // Unlink every live chunk into the free list; each keeps
-                // its `Vec` capacity for the next occupant.
-                let mut cur = c.head;
-                while cur != NIL {
-                    let next = c.chunks[cur as usize].next;
-                    c.free_chunk(cur);
-                    cur = next;
-                }
-                c.head = NIL;
-                c.runs_total = 0;
-                c.hint_chunk = NIL;
-                c.hint_slot = 0;
-            }
-        }
-    }
-
-    /// The gaps inside the window, as a fresh vector. Convenience wrapper
-    /// over [`RangeSet::subtract_into`] for tests and cold paths.
-    pub fn gaps_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
-        let mut gaps = Vec::new();
-        self.subtract_into(win, &mut gaps);
-        gaps
-    }
-
-    /// Iterate the covered sub-ranges intersecting the window, without
-    /// materializing them.
-    pub fn covered_in_iter(&self, win: GranuleRange) -> impl Iterator<Item = GranuleRange> + '_ {
-        self.store
-            .runs_from(win.lo)
-            .take_while(move |r| r.lo < win.hi)
-            .filter_map(move |r| {
-                let l = r.lo.max(win.lo);
-                let h = r.hi.min(win.hi);
-                (l < h).then(|| GranuleRange::new(l, h))
-            })
-    }
-
-    /// The covered sub-ranges intersecting the window, as a fresh vector.
-    /// Convenience wrapper over [`RangeSet::covered_in_iter`].
-    pub fn covered_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
-        self.covered_in_iter(win).collect()
-    }
-}
-
-// ----------------------------------------------------------------------
-// storage backends
-// ----------------------------------------------------------------------
-
-/// The layout firewall: everything above speaks runs; everything below
-/// owns bytes. Each backend implements exactly two primitives — the
-/// merging insert and a sorted run cursor starting at the first run
-/// ending after a given index — plus its own completed-run hint.
-#[derive(Debug, Clone)]
-enum Store {
-    Vec(VecRuns),
-    Chunked(ChunkedRuns),
-}
-
-impl Store {
-    /// Cursor over the stored runs starting at the first run with
-    /// `hi > after` (runs have strictly increasing ends, so everything
-    /// skipped can neither contain, merge with, nor intersect anything
-    /// at or beyond `after`).
-    fn runs_from(&self, after: u32) -> RunCursor<'_> {
-        match self {
-            Store::Vec(v) => {
-                let start = v.runs.partition_point(|&(_, rhi)| rhi <= after);
-                RunCursor::Vec(v.runs[start..].iter())
-            }
-            Store::Chunked(c) => c.runs_from(after),
-        }
-    }
-}
-
-/// Sorted run cursor over either backend (see [`Store::runs_from`]).
-enum RunCursor<'a> {
-    Vec(std::slice::Iter<'a, (u32, u32)>),
-    Chunked {
-        chunks: &'a [Chunk],
-        cur: u32,
-        slot: usize,
-    },
-}
-
-impl Iterator for RunCursor<'_> {
-    type Item = GranuleRange;
-
-    #[inline]
-    fn next(&mut self) -> Option<GranuleRange> {
-        match self {
-            RunCursor::Vec(it) => it.next().map(|&(lo, hi)| GranuleRange::new(lo, hi)),
-            RunCursor::Chunked { chunks, cur, slot } => loop {
-                if *cur == NIL {
-                    return None;
-                }
-                let ch = &chunks[*cur as usize];
-                if let Some(&(lo, hi)) = ch.runs.get(*slot) {
-                    *slot += 1;
-                    return Some(GranuleRange::new(lo, hi));
-                }
-                *cur = ch.next;
-                *slot = 0;
-            },
-        }
-    }
-}
-
-// ----------------------------------------------------------------------
-// VecRuns: the contiguous layout
-// ----------------------------------------------------------------------
-
-/// Contiguous sorted run storage: half-open `[lo, hi)` pairs, sorted,
-/// non-overlapping, non-adjacent.
-#[derive(Debug, Clone, Default)]
-struct VecRuns {
-    runs: Vec<(u32, u32)>,
-    /// Completed-run hint: index into `runs` of the last merged run
-    /// (stale values are safe: the fast path re-validates before use).
-    hint: usize,
-}
-
-impl VecRuns {
-    fn new() -> VecRuns {
-        VecRuns::default()
-    }
-
-    fn insert_run(&mut self, r: GranuleRange) -> RunInsert {
         // Completed-run hint fast path: the common in-order insert touches
         // only the run merged into last time. Handled here when the insert
         // lands wholly inside it, or extends its tail without reaching the
@@ -413,8 +188,6 @@ impl VecRuns {
             // shape): write the coalesced run in place and batch-shift
             // the tail left with one `copy_within` (a single memmove),
             // instead of `splice`'s per-element drain/relocate machinery.
-            // The shift is still O(runs); the chunked backend exists for
-            // phases where that dominates.
             self.runs[start] = (lo, hi);
             self.runs.copy_within(end.., start + 1);
             self.runs.truncate(self.runs.len() - (absorbed - 1));
@@ -426,311 +199,79 @@ impl VecRuns {
             added: (hi - lo) as u64 - covered,
         }
     }
-}
 
-// ----------------------------------------------------------------------
-// ChunkedRuns: fixed-capacity chunks on a linked list
-// ----------------------------------------------------------------------
-
-/// Nil chunk-link sentinel.
-const NIL: u32 = u32::MAX;
-
-/// One storage chunk: up to `cap` sorted runs, a link to the next chunk
-/// in index order, and the max-end summary (`runs.last().1`) that lets
-/// lookups skip the chunk without touching its run payload. Live chunks
-/// are never empty; freed chunks keep their `Vec` capacity for reuse.
-#[derive(Debug, Clone)]
-struct Chunk {
-    runs: Vec<(u32, u32)>,
-    next: u32,
-    max_end: u32,
-}
-
-/// Chunked run storage: a slab of [`Chunk`]s threaded into a singly
-/// linked list in ascending run order. Runs keep the same global
-/// invariants as [`VecRuns`] (sorted, disjoint, non-adjacent — across
-/// chunk boundaries too), so chunk boundaries are invisible to every
-/// consumer. A full chunk splits in half B-tree-style; chunks drained by
-/// a wide bridging insert are unlinked wholesale and recycled.
-#[derive(Debug, Clone)]
-struct ChunkedRuns {
-    chunks: Vec<Chunk>,
-    head: u32,
-    free: Vec<u32>,
-    /// Fixed run capacity per chunk (≥ 2).
-    cap: usize,
-    runs_total: usize,
-    /// Completed-run hint: (chunk, slot) of the last merged run. Stale
-    /// values are safe — a freed chunk is empty (guard fails) and a
-    /// recycled one holds some other valid run, for which the fast-path
-    /// bounds checks are equally sound.
-    hint_chunk: u32,
-    hint_slot: usize,
-}
-
-impl ChunkedRuns {
-    fn new(chunk_runs: usize) -> ChunkedRuns {
-        ChunkedRuns {
-            chunks: Vec::new(),
-            head: NIL,
-            free: Vec::new(),
-            cap: chunk_runs.max(2),
-            runs_total: 0,
-            hint_chunk: NIL,
-            hint_slot: 0,
-        }
+    /// Iterate the stored runs as `GranuleRange`s.
+    #[inline]
+    pub fn iter_runs(&self) -> impl Iterator<Item = GranuleRange> + '_ {
+        // Every run ends above 0, so this cursor starts at the first run.
+        self.runs_from(0)
     }
 
-    fn alloc_chunk(&mut self) -> u32 {
-        if let Some(i) = self.free.pop() {
-            i
-        } else {
-            self.chunks.push(Chunk {
-                runs: Vec::with_capacity(self.cap),
-                next: NIL,
-                max_end: 0,
-            });
-            (self.chunks.len() - 1) as u32
+    /// Append the *gaps* (uncovered sub-ranges) inside the window
+    /// `[win.lo, win.hi)` to `out` — the set-subtraction `win − self`,
+    /// written into a caller-reused buffer so the steady-state release
+    /// path never allocates. `out` is *not* cleared first.
+    pub fn subtract_into(&self, win: GranuleRange, out: &mut Vec<GranuleRange>) {
+        if win.is_empty() {
+            return;
         }
-    }
-
-    fn free_chunk(&mut self, i: u32) {
-        let ch = &mut self.chunks[i as usize];
-        ch.runs.clear();
-        ch.next = NIL;
-        self.free.push(i);
-    }
-
-    /// Start of the run immediately after slot `s` of chunk `c`, if any.
-    fn next_run_lo(&self, c: u32, s: usize) -> Option<u32> {
-        let ch = &self.chunks[c as usize];
-        if let Some(&(nlo, _)) = ch.runs.get(s + 1) {
-            return Some(nlo);
+        if self.is_empty() {
+            // Empty-subtrahend fast path: nothing to subtract, the whole
+            // window is one gap — skip the run positioning entirely.
+            out.push(win);
+            return;
         }
-        // Live chunks are never empty, so the next chunk's first run is
-        // the successor.
-        (ch.next != NIL).then(|| self.chunks[ch.next as usize].runs[0].0)
-    }
-
-    fn runs_from(&self, after: u32) -> RunCursor<'_> {
-        let mut cur = self.head;
-        // Chunk summaries: max_end < after means every run in the chunk
-        // ends at or before `after` (ends increase run to run).
-        while cur != NIL && self.chunks[cur as usize].max_end <= after {
-            cur = self.chunks[cur as usize].next;
-        }
-        let slot = if cur == NIL {
-            0
-        } else {
-            self.chunks[cur as usize]
-                .runs
-                .partition_point(|&(_, rhi)| rhi <= after)
-        };
-        RunCursor::Chunked {
-            chunks: &self.chunks,
-            cur,
-            slot,
-        }
-    }
-
-    /// Insert `run` at slot `slot` of chunk `c`, splitting the chunk in
-    /// half first when full. Returns the final (chunk, slot) of the run.
-    fn insert_at(&mut self, c: u32, slot: usize, run: (u32, u32)) -> (u32, usize) {
-        let (c, slot) = if self.chunks[c as usize].runs.len() < self.cap {
-            (c, slot)
-        } else {
-            // B-tree-style split: keep the lower half here, move the
-            // upper half into a fresh chunk linked right after.
-            let half = self.cap / 2;
-            let newc = self.alloc_chunk();
-            let mut moved = std::mem::take(&mut self.chunks[newc as usize].runs);
-            let ch = &mut self.chunks[c as usize];
-            moved.extend(ch.runs.drain(half..));
-            ch.max_end = ch.runs.last().expect("half >= 1").1;
-            let next = ch.next;
-            ch.next = newc;
-            let upper = &mut self.chunks[newc as usize];
-            upper.runs = moved;
-            upper.next = next;
-            upper.max_end = upper.runs.last().expect("cap - half >= 1").1;
-            if slot <= half {
-                (c, slot)
-            } else {
-                (newc, slot - half)
-            }
-        };
-        let ch = &mut self.chunks[c as usize];
-        ch.runs.insert(slot, run);
-        ch.max_end = ch.runs.last().expect("just inserted").1;
-        self.runs_total += 1;
-        (c, slot)
-    }
-
-    fn insert_run(&mut self, r: GranuleRange) -> RunInsert {
-        let (lo, hi) = (r.lo, r.hi);
-        if self.head == NIL {
-            let c = self.alloc_chunk();
-            let ch = &mut self.chunks[c as usize];
-            ch.runs.push((lo, hi));
-            ch.max_end = hi;
-            self.head = c;
-            self.runs_total = 1;
-            self.hint_chunk = c;
-            self.hint_slot = 0;
-            return RunInsert {
-                merged: r,
-                absorbed: 0,
-                added: (hi - lo) as u64,
-            };
-        }
-        // Completed-run hint fast path — same semantics as the Vec
-        // backend: the insert lands inside the hinted run, or extends its
-        // tail without reaching the run after it.
-        if let Some(&(hlo, hhi)) = self
-            .chunks
-            .get(self.hint_chunk as usize)
-            .and_then(|ch| ch.runs.get(self.hint_slot))
-        {
-            if lo >= hlo && lo <= hhi {
-                if hi <= hhi {
-                    return RunInsert {
-                        merged: GranuleRange::new(hlo, hhi),
-                        absorbed: 1,
-                        added: 0,
-                    };
-                }
-                let clear_of_next = match self.next_run_lo(self.hint_chunk, self.hint_slot) {
-                    Some(nlo) => hi < nlo, // `==` would coalesce: slow path
-                    None => true,
-                };
-                if clear_of_next {
-                    let (hc, hs) = (self.hint_chunk, self.hint_slot);
-                    let ch = &mut self.chunks[hc as usize];
-                    ch.runs[hs].1 = hi;
-                    if hs + 1 == ch.runs.len() {
-                        ch.max_end = hi;
-                    }
-                    return RunInsert {
-                        merged: GranuleRange::new(hlo, hi),
-                        absorbed: 1,
-                        added: (hi - hhi) as u64,
-                    };
-                }
-            }
-        }
-        // Slow path. The scan may start at the hinted chunk instead of
-        // the head when that is sound: if the hinted chunk's first run
-        // starts at or before `lo`, every run in earlier chunks ends
-        // strictly before that first run starts (non-adjacency), hence
-        // strictly before `lo` — none of them can merge. Front-to-back
-        // churn (the stripe/bridge pattern) then skips the whole prefix.
-        let mut c = self.head;
-        if let Some(ch) = self.chunks.get(self.hint_chunk as usize) {
-            if ch.runs.first().is_some_and(|&(flo, _)| flo <= lo) {
-                c = self.hint_chunk;
-            }
-        }
-        // Skip chunks that end strictly before `lo` (cannot merge, not
-        // even by adjacency), remembering the last one for appends.
-        let mut last = NIL;
-        while c != NIL && self.chunks[c as usize].max_end < lo {
-            last = c;
-            c = self.chunks[c as usize].next;
-        }
-        if c == NIL {
-            // Past every stored run: append to the tail chunk.
-            debug_assert!(last != NIL, "non-empty store has a tail chunk");
-            let slot = self.chunks[last as usize].runs.len();
-            let (hc, hs) = self.insert_at(last, slot, (lo, hi));
-            self.hint_chunk = hc;
-            self.hint_slot = hs;
-            return RunInsert {
-                merged: r,
-                absorbed: 0,
-                added: (hi - lo) as u64,
-            };
-        }
-        let start = self.chunks[c as usize]
-            .runs
-            .partition_point(|&(_, rhi)| rhi < lo);
-        debug_assert!(start < self.chunks[c as usize].runs.len());
-        // Absorption scan: walk forward (across chunk boundaries) while
-        // runs overlap or abut the growing merged span.
-        let (mut new_lo, mut new_hi) = (lo, hi);
-        let mut covered: u64 = 0;
-        let mut absorbed = 0usize;
-        let (mut ac, mut aslot) = (c, start);
-        loop {
-            if ac == NIL {
+        let mut cursor = win.lo;
+        for run in self.runs_from(win.lo) {
+            if run.lo >= win.hi {
                 break;
             }
-            let ch = &self.chunks[ac as usize];
-            let Some(&(rlo, rhi)) = ch.runs.get(aslot) else {
-                ac = ch.next;
-                aslot = 0;
-                continue;
-            };
-            if rlo > new_hi {
+            if run.lo > cursor {
+                out.push(GranuleRange::new(cursor, run.lo.min(win.hi)));
+            }
+            cursor = cursor.max(run.hi);
+            if cursor >= win.hi {
                 break;
             }
-            new_lo = new_lo.min(rlo);
-            new_hi = new_hi.max(rhi);
-            covered += (rhi - rlo) as u64;
-            absorbed += 1;
-            aslot += 1;
         }
-        if absorbed == 0 {
-            // Disjoint insert before the run at (c, start).
-            let (hc, hs) = self.insert_at(c, start, (lo, hi));
-            self.hint_chunk = hc;
-            self.hint_slot = hs;
-            return RunInsert {
-                merged: r,
-                absorbed: 0,
-                added: (hi - lo) as u64,
-            };
+        if cursor < win.hi {
+            out.push(GranuleRange::new(cursor, win.hi));
         }
-        // The first absorbed run is at (c, start): it becomes the merged
-        // run; every other absorbed run is removed. Only the boundary
-        // chunks are rewritten — fully absorbed chunks between them are
-        // unlinked and recycled whole.
-        if ac == c {
-            let ch = &mut self.chunks[c as usize];
-            ch.runs[start] = (new_lo, new_hi);
-            ch.runs.drain(start + 1..aslot);
-            ch.max_end = ch.runs.last().expect("merged run remains").1;
-        } else {
-            let after_c = {
-                let ch = &mut self.chunks[c as usize];
-                ch.runs[start] = (new_lo, new_hi);
-                ch.runs.truncate(start + 1);
-                // The merged run is now this chunk's last (it absorbed
-                // everything after it here).
-                ch.max_end = new_hi;
-                ch.next
-            };
-            let mut n = after_c;
-            while n != ac {
-                let nn = self.chunks[n as usize].next;
-                self.free_chunk(n);
-                n = nn;
-            }
-            if ac != NIL {
-                // Partially absorbed boundary chunk: shed the absorbed
-                // prefix. It stays non-empty (the scan stopped at a
-                // surviving run inside it).
-                self.chunks[ac as usize].runs.drain(..aslot);
-            }
-            self.chunks[c as usize].next = ac;
-        }
-        self.runs_total = self.runs_total - absorbed + 1;
-        self.hint_chunk = c;
-        self.hint_slot = start;
-        RunInsert {
-            merged: GranuleRange::new(new_lo, new_hi),
-            absorbed,
-            added: (new_hi - new_lo) as u64 - covered,
-        }
+    }
+
+    /// Remove every stored run while keeping the allocation for reuse —
+    /// the eviction path resets a completed instance's sets without
+    /// returning their buffers to the allocator, so a recycled instance
+    /// starts warm.
+    pub fn clear(&mut self) {
+        self.runs.clear();
+        self.hint = 0;
+    }
+
+    /// The gaps inside the window, as a fresh vector. Convenience wrapper
+    /// over [`RangeSet::subtract_into`] for tests and cold paths.
+    pub fn gaps_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
+        let mut gaps = Vec::new();
+        self.subtract_into(win, &mut gaps);
+        gaps
+    }
+
+    /// Iterate the covered sub-ranges intersecting the window, without
+    /// materializing them.
+    pub fn covered_in_iter(&self, win: GranuleRange) -> impl Iterator<Item = GranuleRange> + '_ {
+        self.runs_from(win.lo)
+            .take_while(move |r| r.lo < win.hi)
+            .filter_map(move |r| {
+                let l = r.lo.max(win.lo);
+                let h = r.hi.min(win.hi);
+                (l < h).then(|| GranuleRange::new(l, h))
+            })
+    }
+
+    /// The covered sub-ranges intersecting the window, as a fresh vector.
+    /// Convenience wrapper over [`RangeSet::covered_in_iter`].
+    pub fn covered_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
+        self.covered_in_iter(win).collect()
     }
 }
 
@@ -776,107 +317,82 @@ mod tests {
         GranuleRange::new(lo, hi)
     }
 
-    /// Every backend worth exercising: the Vec layout, a pathologically
-    /// tiny chunk (every insert splits), and realistic chunk sizes.
-    fn all_kinds() -> [RunStorageKind; 4] {
-        [
-            RunStorageKind::VecRuns,
-            RunStorageKind::ChunkedRuns { chunk_runs: 2 },
-            RunStorageKind::ChunkedRuns { chunk_runs: 4 },
-            RunStorageKind::chunked(),
-        ]
-    }
-
     #[test]
     fn insert_and_contains() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(5, 10));
-            assert!(s.contains(5), "{kind:?}");
-            assert!(s.contains(9));
-            assert!(!s.contains(10));
-            assert!(!s.contains(4));
-            assert_eq!(s.len(), 5);
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(5, 10));
+        assert!(s.contains(5));
+        assert!(s.contains(9));
+        assert!(!s.contains(10));
+        assert!(!s.contains(4));
+        assert_eq!(s.len(), 5);
     }
 
     #[test]
     fn merges_adjacent() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(0, 5));
-            s.insert(r(5, 10));
-            assert_eq!(s.run_count(), 1, "{kind:?}");
-            assert!(s.contains_range(r(0, 10)));
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(0, 5));
+        s.insert(r(5, 10));
+        assert_eq!(s.run_count(), 1);
+        assert!(s.contains_range(r(0, 10)));
     }
 
     #[test]
     fn merges_overlapping_and_bridging() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(0, 3));
-            s.insert(r(6, 9));
-            s.insert(r(12, 15));
-            assert_eq!(s.run_count(), 3, "{kind:?}");
-            s.insert(r(2, 13)); // bridges all three
-            assert_eq!(s.run_count(), 1);
-            assert_eq!(s.len(), 15);
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(0, 3));
+        s.insert(r(6, 9));
+        s.insert(r(12, 15));
+        assert_eq!(s.run_count(), 3);
+        s.insert(r(2, 13)); // bridges all three
+        assert_eq!(s.run_count(), 1);
+        assert_eq!(s.len(), 15);
     }
 
     #[test]
     fn out_of_order_inserts() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(20, 30));
-            s.insert(r(0, 5));
-            s.insert(r(10, 12));
-            assert_eq!(s.run_count(), 3, "{kind:?}");
-            assert!(s.contains(25));
-            assert!(s.contains(0));
-            assert!(!s.contains(7));
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(20, 30));
+        s.insert(r(0, 5));
+        s.insert(r(10, 12));
+        assert_eq!(s.run_count(), 3);
+        assert!(s.contains(25));
+        assert!(s.contains(0));
+        assert!(!s.contains(7));
     }
 
     #[test]
     fn contains_range_checks_full_coverage() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(0, 5));
-            s.insert(r(7, 10));
-            assert!(s.contains_range(r(1, 4)), "{kind:?}");
-            assert!(!s.contains_range(r(3, 8)));
-            assert!(s.contains_range(r(7, 10)));
-            assert!(s.contains_range(r(2, 2))); // empty range trivially covered
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(0, 5));
+        s.insert(r(7, 10));
+        assert!(s.contains_range(r(1, 4)));
+        assert!(!s.contains_range(r(3, 8)));
+        assert!(s.contains_range(r(7, 10)));
+        assert!(s.contains_range(r(2, 2))); // empty range trivially covered
     }
 
     #[test]
     fn gaps_in_window() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(2, 4));
-            s.insert(r(6, 8));
-            let gaps = s.gaps_in(r(0, 10));
-            assert_eq!(gaps, vec![r(0, 2), r(4, 6), r(8, 10)], "{kind:?}");
-            let gaps2 = s.gaps_in(r(3, 7));
-            assert_eq!(gaps2, vec![r(4, 6)]);
-            let mut full = RangeSet::with_storage(kind);
-            full.insert(r(0, 10));
-            assert!(full.gaps_in(r(0, 10)).is_empty());
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(2, 4));
+        s.insert(r(6, 8));
+        let gaps = s.gaps_in(r(0, 10));
+        assert_eq!(gaps, vec![r(0, 2), r(4, 6), r(8, 10)]);
+        let gaps2 = s.gaps_in(r(3, 7));
+        assert_eq!(gaps2, vec![r(4, 6)]);
+        let mut full = RangeSet::new();
+        full.insert(r(0, 10));
+        assert!(full.gaps_in(r(0, 10)).is_empty());
     }
 
     #[test]
     fn covered_in_window() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(2, 4));
-            s.insert(r(6, 8));
-            assert_eq!(s.covered_in(r(3, 7)), vec![r(3, 4), r(6, 7)], "{kind:?}");
-            assert_eq!(s.covered_in(r(0, 2)), vec![]);
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(2, 4));
+        s.insert(r(6, 8));
+        assert_eq!(s.covered_in(r(3, 7)), vec![r(3, 4), r(6, 7)]);
+        assert_eq!(s.covered_in(r(0, 2)), vec![]);
     }
 
     #[test]
@@ -896,72 +412,65 @@ mod tests {
 
     #[test]
     fn insert_run_reports_merge_shape() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            let i = s.insert_run(r(5, 10));
-            assert_eq!(i.merged, r(5, 10), "{kind:?}");
-            assert_eq!(i.absorbed, 0);
-            assert_eq!(i.added, 5);
+        let mut s = RangeSet::new();
+        let i = s.insert_run(r(5, 10));
+        assert_eq!(i.merged, r(5, 10));
+        assert_eq!(i.absorbed, 0);
+        assert_eq!(i.added, 5);
 
-            // extend one run in place
-            let i = s.insert_run(r(10, 12));
-            assert_eq!(i.merged, r(5, 12));
-            assert_eq!(i.absorbed, 1);
-            assert_eq!(i.added, 2);
+        // extend one run in place
+        let i = s.insert_run(r(10, 12));
+        assert_eq!(i.merged, r(5, 12));
+        assert_eq!(i.absorbed, 1);
+        assert_eq!(i.added, 2);
 
-            // bridge two runs
-            s.insert(r(20, 25));
-            let i = s.insert_run(r(12, 20));
-            assert_eq!(i.merged, r(5, 25));
-            assert_eq!(i.absorbed, 2);
-            assert_eq!(i.added, 8);
-            assert_eq!(s.run_count(), 1);
+        // bridge two runs
+        s.insert(r(20, 25));
+        let i = s.insert_run(r(12, 20));
+        assert_eq!(i.merged, r(5, 25));
+        assert_eq!(i.absorbed, 2);
+        assert_eq!(i.added, 8);
+        assert_eq!(s.run_count(), 1);
 
-            // already covered: nothing added
-            let i = s.insert_run(r(6, 7));
-            assert_eq!(i.merged, r(5, 25));
-            assert_eq!(i.absorbed, 1);
-            assert_eq!(i.added, 0);
-        }
+        // already covered: nothing added
+        let i = s.insert_run(r(6, 7));
+        assert_eq!(i.merged, r(5, 25));
+        assert_eq!(i.absorbed, 1);
+        assert_eq!(i.added, 0);
     }
 
     #[test]
     fn wide_bridging_insert_batch_shifts_the_tail() {
         // Exercise the wide-absorption path: one insert absorbing many
-        // runs with a long surviving tail behind them (whole-chunk
-        // unlinking on the chunked backend, copy_within on the Vec one).
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            for k in 0..100u32 {
-                s.insert(r(k * 10, k * 10 + 4));
-            }
-            assert_eq!(s.run_count(), 100, "{kind:?}");
-            let i = s.insert_run(r(100, 196));
-            assert_eq!(i.absorbed, 10);
-            assert_eq!(i.merged, r(100, 196));
-            assert_eq!(i.added, 96 - 40);
-            assert_eq!(s.run_count(), 91);
-            // head, merged middle, and shifted tail all intact
-            assert!(s.contains_range(r(90, 94)));
-            assert!(s.contains_range(r(100, 196)));
-            assert!(!s.contains(196));
-            for k in 20..100u32 {
-                assert!(s.contains_range(r(k * 10, k * 10 + 4)), "tail run {k}");
-                assert!(!s.contains(k * 10 + 4));
-            }
-            assert_eq!(s.len(), 400 + 56);
+        // runs with a long surviving tail behind them (`copy_within`).
+        let mut s = RangeSet::new();
+        for k in 0..100u32 {
+            s.insert(r(k * 10, k * 10 + 4));
         }
+        assert_eq!(s.run_count(), 100);
+        let i = s.insert_run(r(100, 196));
+        assert_eq!(i.absorbed, 10);
+        assert_eq!(i.merged, r(100, 196));
+        assert_eq!(i.added, 96 - 40);
+        assert_eq!(s.run_count(), 91);
+        // head, merged middle, and shifted tail all intact
+        assert!(s.contains_range(r(90, 94)));
+        assert!(s.contains_range(r(100, 196)));
+        assert!(!s.contains(196));
+        for k in 20..100u32 {
+            assert!(s.contains_range(r(k * 10, k * 10 + 4)), "tail run {k}");
+            assert!(!s.contains(k * 10 + 4));
+        }
+        assert_eq!(s.len(), 400 + 56);
     }
 
     #[test]
     fn subtract_into_appends_without_clearing() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(2, 4));
-            let mut out = vec![r(0, 1)];
-            s.subtract_into(r(0, 6), &mut out);
-            assert_eq!(out, vec![r(0, 1), r(0, 2), r(4, 6)], "{kind:?}");
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(2, 4));
+        let mut out = vec![r(0, 1)];
+        s.subtract_into(r(0, 6), &mut out);
+        assert_eq!(out, vec![r(0, 1), r(0, 2), r(4, 6)]);
     }
 
     #[test]
@@ -969,34 +478,30 @@ mod tests {
         // Empty subtrahend: the whole window is one gap, appended without
         // disturbing what the caller already accumulated in the scratch
         // buffer...
-        for kind in all_kinds() {
-            let s = RangeSet::with_storage(kind);
-            let mut out = vec![r(90, 95)];
-            s.subtract_into(r(10, 20), &mut out);
-            assert_eq!(out, vec![r(90, 95), r(10, 20)], "{kind:?}");
-            // ...and an empty window leaves the buffer untouched entirely,
-            // for empty and non-empty sets alike.
-            let mut untouched = vec![r(1, 2)];
-            s.subtract_into(r(5, 5), &mut untouched);
-            assert_eq!(untouched, vec![r(1, 2)]);
-            let mut s2 = RangeSet::with_storage(kind);
-            s2.insert(r(0, 4));
-            s2.subtract_into(r(7, 7), &mut untouched);
-            assert_eq!(untouched, vec![r(1, 2)]);
-        }
+        let s = RangeSet::new();
+        let mut out = vec![r(90, 95)];
+        s.subtract_into(r(10, 20), &mut out);
+        assert_eq!(out, vec![r(90, 95), r(10, 20)]);
+        // ...and an empty window leaves the buffer untouched entirely,
+        // for empty and non-empty sets alike.
+        let mut untouched = vec![r(1, 2)];
+        s.subtract_into(r(5, 5), &mut untouched);
+        assert_eq!(untouched, vec![r(1, 2)]);
+        let mut s2 = RangeSet::new();
+        s2.insert(r(0, 4));
+        s2.subtract_into(r(7, 7), &mut untouched);
+        assert_eq!(untouched, vec![r(1, 2)]);
     }
 
     #[test]
     fn covered_in_iter_matches_covered_in() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(2, 4));
-            s.insert(r(6, 8));
-            s.insert(r(10, 20));
-            for win in [r(0, 25), r(3, 7), r(4, 6), r(8, 10), r(5, 5)] {
-                let a: Vec<GranuleRange> = s.covered_in_iter(win).collect();
-                assert_eq!(a, s.covered_in(win), "window {win} {kind:?}");
-            }
+        let mut s = RangeSet::new();
+        s.insert(r(2, 4));
+        s.insert(r(6, 8));
+        s.insert(r(10, 20));
+        for win in [r(0, 25), r(3, 7), r(4, 6), r(8, 10), r(5, 5)] {
+            let a: Vec<GranuleRange> = s.covered_in_iter(win).collect();
+            assert_eq!(a, s.covered_in(win), "window {win}");
         }
     }
 
@@ -1005,72 +510,44 @@ mod tests {
         let s = RangeSet::with_capacity(16);
         assert!(s.is_empty());
         assert_eq!(s.run_count(), 0);
-        assert_eq!(s.storage_kind(), RunStorageKind::VecRuns);
-    }
-
-    #[test]
-    fn storage_kind_round_trips() {
-        assert_eq!(RangeSet::new().storage_kind(), RunStorageKind::VecRuns);
-        for kind in all_kinds() {
-            let reported = RangeSet::with_storage(kind).storage_kind();
-            match kind {
-                RunStorageKind::VecRuns => assert_eq!(reported, kind),
-                // sub-minimum chunk capacities clamp to 2
-                RunStorageKind::ChunkedRuns { chunk_runs } => assert_eq!(
-                    reported,
-                    RunStorageKind::ChunkedRuns {
-                        chunk_runs: chunk_runs.max(2)
-                    }
-                ),
-            }
-        }
-        let tiny = RangeSet::with_storage(RunStorageKind::ChunkedRuns { chunk_runs: 0 });
-        assert_eq!(
-            tiny.storage_kind(),
-            RunStorageKind::ChunkedRuns { chunk_runs: 2 }
-        );
     }
 
     #[test]
     fn hint_fast_path_in_order_extends() {
         // The identity-rundown pattern: strictly in-order single-granule
         // completions. Every insert after the first must hit the hint.
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            for g in 0..1000u32 {
-                let i = s.insert_run(r(g, g + 1));
-                assert_eq!(i.merged, r(0, g + 1), "{kind:?}");
-                assert_eq!(i.added, 1);
-                assert_eq!(i.absorbed, usize::from(g > 0));
-            }
-            assert_eq!(s.run_count(), 1);
-            assert_eq!(s.len(), 1000);
+        let mut s = RangeSet::new();
+        for g in 0..1000u32 {
+            let i = s.insert_run(r(g, g + 1));
+            assert_eq!(i.merged, r(0, g + 1));
+            assert_eq!(i.added, 1);
+            assert_eq!(i.absorbed, usize::from(g > 0));
         }
+        assert_eq!(s.run_count(), 1);
+        assert_eq!(s.len(), 1000);
     }
 
     #[test]
     fn hint_does_not_break_bridging_insert() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(0, 5)); // hint -> run 0
-            s.insert(r(10, 15)); // hint -> run 1
-            s.insert(r(4, 6)); // behind the hinted run: slow path
-            assert_eq!(s.run_count(), 2, "{kind:?}");
-            assert!(s.contains_range(r(0, 6)));
-            // adjacent-to-next must coalesce, not stop at the hint run
-            let mut t = RangeSet::with_storage(kind);
-            t.insert(r(0, 5));
-            t.insert(r(5, 10)); // hint on the merged run
-            t.insert(r(12, 20));
-            let i = t.insert_run(r(10, 12)); // extends hint run right up to next
-            assert_eq!(i.merged, r(0, 20));
-            assert_eq!(i.absorbed, 2);
-            assert_eq!(t.run_count(), 1);
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(0, 5)); // hint -> run 0
+        s.insert(r(10, 15)); // hint -> run 1
+        s.insert(r(4, 6)); // behind the hinted run: slow path
+        assert_eq!(s.run_count(), 2);
+        assert!(s.contains_range(r(0, 6)));
+        // adjacent-to-next must coalesce, not stop at the hint run
+        let mut t = RangeSet::new();
+        t.insert(r(0, 5));
+        t.insert(r(5, 10)); // hint on the merged run
+        t.insert(r(12, 20));
+        let i = t.insert_run(r(10, 12)); // extends hint run right up to next
+        assert_eq!(i.merged, r(0, 20));
+        assert_eq!(i.absorbed, 2);
+        assert_eq!(t.run_count(), 1);
     }
 
     #[test]
-    fn neither_hint_nor_layout_is_part_of_equality() {
+    fn hint_is_not_part_of_equality() {
         let mut a = RangeSet::new();
         a.insert(r(0, 5));
         a.insert(r(10, 15));
@@ -1078,111 +555,43 @@ mod tests {
         b.insert(r(10, 15));
         b.insert(r(0, 5));
         assert_eq!(a, b, "same runs, different hint history");
-        // chunk boundaries are invisible too: a chunked set with the same
-        // logical runs equals the Vec-backed one, whatever the chunk size
-        // and however the inserts were ordered.
-        for chunk_runs in [2usize, 3, 32] {
-            let mut c = RangeSet::with_storage(RunStorageKind::ChunkedRuns { chunk_runs });
-            c.insert(r(12, 15));
-            c.insert(r(0, 3));
-            c.insert(r(10, 12));
-            c.insert(r(3, 5));
-            assert_eq!(a, c, "chunk_runs={chunk_runs}");
-            assert_eq!(c, b);
-            c.insert(r(20, 21));
-            assert_ne!(a, c, "different coverage must not compare equal");
-        }
+        b.insert(r(20, 21));
+        assert_ne!(a, b, "different coverage must not compare equal");
     }
 
     #[test]
     fn hint_survives_interleaved_queries() {
         // Mixed access: inserts out of order, with covered/stale hints.
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            s.insert(r(50, 60));
-            s.insert(r(0, 10));
-            let i = s.insert_run(r(55, 58)); // inside the now-shifted run
-            assert_eq!(i.merged, r(50, 60), "{kind:?}");
-            assert_eq!(i.added, 0);
-            s.insert(r(20, 30));
-            let i = s.insert_run(r(25, 35)); // extend middle run
-            assert_eq!(i.merged, r(20, 35));
-            assert_eq!(i.added, 5);
-            assert_eq!(s.run_count(), 3);
-        }
+        let mut s = RangeSet::new();
+        s.insert(r(50, 60));
+        s.insert(r(0, 10));
+        let i = s.insert_run(r(55, 58)); // inside the now-shifted run
+        assert_eq!(i.merged, r(50, 60));
+        assert_eq!(i.added, 0);
+        s.insert(r(20, 30));
+        let i = s.insert_run(r(25, 35)); // extend middle run
+        assert_eq!(i.merged, r(20, 35));
+        assert_eq!(i.added, 5);
+        assert_eq!(s.run_count(), 3);
     }
 
     #[test]
-    fn clear_empties_and_reuses_both_backends() {
-        for kind in all_kinds() {
-            let mut s = RangeSet::with_storage(kind);
-            for k in 0..40u32 {
-                s.insert(r(k * 10, k * 10 + 4));
-            }
-            assert_eq!(s.run_count(), 40, "{kind:?}");
-            s.clear();
-            assert!(s.is_empty());
-            assert_eq!(s.run_count(), 0);
-            assert_eq!(s.len(), 0);
-            assert!(s.gaps_in(r(0, 50)) == vec![r(0, 50)]);
-            assert_eq!(
-                s.storage_kind(),
-                RangeSet::with_storage(kind).storage_kind()
-            );
-            // a cleared set behaves like a fresh one
-            s.insert(r(5, 9));
-            s.insert(r(9, 12));
-            assert_eq!(s.run_count(), 1);
-            assert!(s.contains_range(r(5, 12)));
-            assert!(!s.contains(12));
-        }
-    }
-
-    #[test]
-    fn chunk_splits_keep_runs_sorted_and_disjoint() {
-        // Disjoint inserts in an order that forces repeated chunk splits
-        // at several capacities; the logical view must match a Vec set.
-        for chunk_runs in [2usize, 3, 4, 5] {
-            let kind = RunStorageKind::ChunkedRuns { chunk_runs };
-            let mut chunked = RangeSet::with_storage(kind);
-            let mut vec = RangeSet::new();
-            // interleaved front/back/middle insertions, all disjoint
-            for k in 0..64u32 {
-                let lo = (k % 2) * 500 + (k / 2) * 7;
-                chunked.insert(r(lo, lo + 3));
-                vec.insert(r(lo, lo + 3));
-            }
-            assert_eq!(chunked, vec, "chunk_runs={chunk_runs}");
-            assert_eq!(chunked.run_count(), vec.run_count());
-            assert_eq!(chunked.len(), vec.len());
-            let runs: Vec<GranuleRange> = chunked.iter_runs().collect();
-            for w in runs.windows(2) {
-                assert!(w[0].hi < w[1].lo, "sorted, disjoint, non-adjacent");
-            }
-        }
-    }
-
-    #[test]
-    fn chunked_wide_bridge_unlinks_whole_chunks_and_recycles() {
-        // A bridge spanning many chunks must leave a single coalesced run
-        // and keep working afterwards (recycled chunks get reused).
-        let kind = RunStorageKind::ChunkedRuns { chunk_runs: 4 };
-        let mut s = RangeSet::with_storage(kind);
-        for k in 0..200u32 {
+    fn clear_empties_and_reuses() {
+        let mut s = RangeSet::new();
+        for k in 0..40u32 {
             s.insert(r(k * 10, k * 10 + 4));
         }
-        assert_eq!(s.run_count(), 200);
-        let i = s.insert_run(r(0, 1996));
-        assert_eq!(i.absorbed, 200);
+        assert_eq!(s.run_count(), 40);
+        s.clear();
+        assert!(s.is_empty());
+        assert_eq!(s.run_count(), 0);
+        assert_eq!(s.len(), 0);
+        assert!(s.gaps_in(r(0, 50)) == vec![r(0, 50)]);
+        // a cleared set behaves like a fresh one
+        s.insert(r(5, 9));
+        s.insert(r(9, 12));
         assert_eq!(s.run_count(), 1);
-        assert_eq!(s.len(), 1996);
-        // refragment: recycled chunks must behave like fresh ones
-        for k in 0..50u32 {
-            s.insert(r(3000 + k * 10, 3000 + k * 10 + 4));
-        }
-        assert_eq!(s.run_count(), 51);
-        assert!(s.contains_range(r(0, 1996)));
-        assert!(s.contains_range(r(3240, 3244)));
-        assert!(!s.contains(2000));
+        assert!(s.contains_range(r(5, 12)));
+        assert!(!s.contains(12));
     }
 }

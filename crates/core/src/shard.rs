@@ -190,7 +190,7 @@ impl ShardEngine {
                 let next = cell
                     .engine
                     .next_event_time()
-                    .expect("an undrained calendar has a next event");
+                    .expect("an undrained engine has a next arrival or event");
                 GroupNote {
                     group: cell.group,
                     finished: None,

@@ -44,6 +44,27 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static COUNTER: CountingAlloc = CountingAlloc;
 
+/// Grow a scenario 4× and demand the *extra* allocations per *extra*
+/// event stay (far) below one — the per-event term is zero, only the
+/// `O(log n)` structure-doubling term remains. Each side is a run's
+/// report and the allocations it performed.
+fn assert_no_per_event_allocations(what: &str, small: (&RunReport, u64), large: (&RunReport, u64)) {
+    let ((r1, a1), (r2, a2)) = (small, large);
+    let extra_events = r2.events - r1.events;
+    assert!(
+        extra_events > 10_000,
+        "scenario too small to measure ({extra_events} extra events)"
+    );
+    let extra_allocs = a2.saturating_sub(a1);
+    let per_event = extra_allocs as f64 / extra_events as f64;
+    assert!(
+        per_event < 0.01,
+        "{what} allocates: {per_event:.4} allocations/event \
+         ({extra_allocs} extra allocations over {extra_events} extra events; \
+         run sizes {a1} vs {a2})"
+    );
+}
+
 /// Run a two-phase identity-overlap program (single-granule tasks — the
 /// configuration with the most completion events per granule) under the
 /// given split strategy and executive lane count (lanes > 1 exercises
@@ -74,65 +95,50 @@ fn identity_run(granules: u32, strategy: SplitStrategy, lanes: usize) -> (RunRep
     (report, after - before)
 }
 
-/// Like [`identity_run`], but on a deliberately cramped hierarchical
-/// calendar: a 4-slot, 4-level wheel covers only 4 ticks at level 0, so
-/// every `+100`-tick completion lands three rings up and cascades down
-/// through every level before service. Warm buckets circulate through
-/// the cascade scratch buffer instead of being reallocated, so even this
-/// worst-case geometry must add zero allocations per event.
-fn hier_calendar_run(granules: u32) -> (RunReport, u64) {
-    use pax_sim::CalendarKind;
+/// A trace-driven stream of one-task jobs: an arrival is every fourth
+/// event or so, so anything the feed path allocated per arrival would
+/// show as a per-event term. The feed is one `Vec` built at `start`
+/// (inside `into_session`) and consumed by a cursor; the drain after a
+/// warm-up window must not touch the allocator on its account.
+fn feed_run(jobs: usize) -> (RunReport, u64) {
+    use pax_sim::dist::ArrivalProcess;
     let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", granules, CostModel::constant(100)));
-    let pb = b.phase(PhaseDef::new("b", granules, CostModel::constant(100)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
+    let p = b.phase(PhaseDef::new("only", 4, CostModel::constant(100)));
+    b.dispatch(p);
     let program = b.build().unwrap();
-    let policy = OverlapPolicy::overlap()
-        .with_sizing(TaskSizing::Fixed(1))
-        .with_split_strategy(SplitStrategy::DemandSplit);
-    let cfg = MachineConfig::new(8).with_calendar(CalendarKind::HierWheel {
-        slots: 4,
-        bucket_ticks: 1,
-        levels: 4,
-    });
-    let mut sim = Simulation::new(cfg, policy).with_seed(1);
-    sim.add_job(program);
+    let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+    let mut sim = Simulation::new(MachineConfig::new(8), policy)
+        .with_seed(1)
+        .with_eviction();
+    // One arrival every 500 ticks against 400 ticks of work a job: the
+    // machine stays under-loaded and the in-flight population O(1).
+    let instants = (1..=jobs as u64)
+        .map(|k| pax_sim::SimTime(k * 500))
+        .collect();
+    sim.add_job_stream(program, ArrivalProcess::trace(instants), jobs);
+    let mut session = sim.into_session().unwrap();
+    session.step_until(pax_sim::SimTime(40_000)).unwrap();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let report = sim.run().unwrap();
+    session.drain().unwrap();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = session.report().unwrap();
     (report, after - before)
 }
 
-/// Hierarchical-wheel steady state: once every ring's buckets have been
-/// touched, scheduling, cascading, and popping all reuse existing
-/// storage — the growth bound matches the heap-calendar legs even though
-/// each event here migrates through four rings.
-fn assert_hier_calendar_steady_state_alloc_free() {
-    let (r1, a1) = hier_calendar_run(2_048);
-    let (r2, a2) = hier_calendar_run(8_192);
-    assert_eq!(r1.phases[0].stats.executed_granules, 2_048);
-    assert_eq!(r2.phases[0].stats.executed_granules, 8_192);
-    let extra_events = r2.events - r1.events;
+/// Feed-path steady state: 4× the arrivals, same allocations. Every
+/// arrival past the warm-up window is admitted from the feed, and the
+/// jobs are small enough that one allocation an arrival would read as
+/// more than 0.1 an event.
+fn assert_feed_path_alloc_free() {
+    let (r1, a1) = feed_run(4_000);
+    let (r2, a2) = feed_run(16_000);
+    assert_eq!(r1.jobs_completed(), 4_000);
+    assert_eq!(r2.jobs_completed(), 16_000);
     assert!(
-        extra_events > 10_000,
-        "scenario too small to measure ({extra_events} extra events)"
+        r2.events - r1.events < 10 * 12_000,
+        "the 12 000 extra arrivals must be a large share of the extra events"
     );
-    let extra_allocs = a2.saturating_sub(a1);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    assert!(
-        per_event < 0.01,
-        "hierarchical-calendar completion processing allocates: \
-         {per_event:.4} allocations/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events; \
-         run sizes {a1} vs {a2})"
-    );
+    assert_no_per_event_allocations("admitting from the arrival feed", (&r1, a1), (&r2, a2));
 }
 
 /// Like [`identity_run`], but with the fault layer *enabled* and armed
@@ -179,43 +185,19 @@ fn assert_faults_enabled_steady_state_alloc_free() {
     let (r2, a2) = faults_enabled_run(8_192);
     assert_eq!(r1.crashes, 0, "the scripted crash must lie beyond the run");
     assert_eq!(r2.crashes, 0);
-    let extra_events = r2.events - r1.events;
-    assert!(
-        extra_events > 10_000,
-        "scenario too small to measure ({extra_events} extra events)"
-    );
-    let extra_allocs = a2.saturating_sub(a1);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    assert!(
-        per_event < 0.01,
-        "faults-enabled completion processing allocates: \
-         {per_event:.4} allocations/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events; \
-         run sizes {a1} vs {a2})"
-    );
+    assert_no_per_event_allocations("faults-enabled completion processing", (&r1, a1), (&r2, a2));
 }
 
-/// Grow a scenario 4× and demand the *extra* allocations per *extra*
-/// event stay (far) below one — the per-event term is zero, only the
-/// `O(log n)` structure-doubling term remains.
+/// The identity-overlap legs: one strategy and lane count at 4× growth.
 fn assert_steady_state_alloc_free(strategy: SplitStrategy, lanes: usize) {
     let (r1, a1) = identity_run(2_048, strategy, lanes);
     let (r2, a2) = identity_run(8_192, strategy, lanes);
     assert_eq!(r1.phases[0].stats.executed_granules, 2_048);
     assert_eq!(r2.phases[0].stats.executed_granules, 8_192);
-    let extra_events = r2.events - r1.events;
-    assert!(
-        extra_events > 10_000,
-        "scenario too small to measure ({extra_events} extra events)"
-    );
-    let extra_allocs = a2.saturating_sub(a1);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    assert!(
-        per_event < 0.01,
-        "{strategy:?} (lanes {lanes}) completion processing allocates: \
-         {per_event:.4} allocations/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events; \
-         run sizes {a1} vs {a2})"
+    assert_no_per_event_allocations(
+        &format!("{strategy:?} (lanes {lanes}) completion processing"),
+        (&r1, a1),
+        (&r2, a2),
     );
 }
 
@@ -323,20 +305,7 @@ fn assert_service_steady_state_alloc_free() {
         r1.instances_peak,
         r2.instances_peak
     );
-    let extra_events = r2.events - r1.events;
-    assert!(
-        extra_events > 10_000,
-        "scenario too small to measure ({extra_events} extra events)"
-    );
-    let extra_allocs = a2.saturating_sub(a1);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    assert!(
-        per_event < 0.01,
-        "service-stream completion processing allocates: \
-         {per_event:.4} allocations/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events; \
-         run sizes {a1} vs {a2})"
-    );
+    assert_no_per_event_allocations("service-stream completion processing", (&r1, a1), (&r2, a2));
 }
 
 /// The sharded engine's steady state: epochs reuse the outbox, note, and
@@ -348,20 +317,7 @@ fn assert_sharded_steady_state_alloc_free() {
     let (r2, a2) = sharded_fleet_run(4_096);
     assert_eq!(r1.jobs.len(), 4);
     assert_eq!(r2.jobs.len(), 4);
-    let extra_events = r2.events - r1.events;
-    assert!(
-        extra_events > 10_000,
-        "scenario too small to measure ({extra_events} extra events)"
-    );
-    let extra_allocs = a2.saturating_sub(a1);
-    let per_event = extra_allocs as f64 / extra_events as f64;
-    assert!(
-        per_event < 0.01,
-        "sharded fleet completion processing allocates: \
-         {per_event:.4} allocations/event \
-         ({extra_allocs} extra allocations over {extra_events} extra events; \
-         run sizes {a1} vs {a2})"
-    );
+    assert_no_per_event_allocations("sharded fleet completion processing", (&r1, a1), (&r2, a2));
 }
 
 #[test]
@@ -382,11 +338,6 @@ fn steady_state_completion_processing_is_allocation_free() {
     // once at run start).
     assert_steady_state_alloc_free(SplitStrategy::DemandSplit, 8);
     assert_steady_state_alloc_free(SplitStrategy::PreSplit, 64);
-    // Hierarchical calendar at its worst-case geometry: every completion
-    // cascades through four rings, yet warm buckets and the cascade
-    // scratch buffer are recycled — zero allocations per event.
-    let _ = hier_calendar_run(256);
-    assert_hier_calendar_steady_state_alloc_free();
     // Sharded fleet: the epoch loop's outbox/note/admission buffers are
     // reused across epochs, so windowed draining adds no per-event term.
     let _ = sharded_fleet_run(256);
@@ -400,4 +351,8 @@ fn steady_state_completion_processing_is_allocation_free() {
     // still zero allocations per event once the pool is warm.
     let _ = service_stream_run(16);
     assert_service_steady_state_alloc_free();
+    // The arrival feed: tiny jobs, so arrivals are a large share of the
+    // events, admitted from a sorted `Vec` by a cursor.
+    let _ = feed_run(256);
+    assert_feed_path_alloc_free();
 }

@@ -95,8 +95,8 @@ proptest! {
         prop_assert!(r.jobs[0].finished_at.is_some());
     }
 
-    /// The multi-lane executive's batched drain (`BatchPolicy::Coincident`
-    /// and `::Lookahead`) is run-identical to the pinned single-event
+    /// The multi-lane executive's batched drain (`BatchPolicy::Coincident`)
+    /// is run-identical to the pinned single-event
     /// reference (`BatchPolicy::Single`) on randomized programs: same
     /// makespan, same task/split/descriptor counts, same per-phase
     /// executed/overlap granule totals, same management time — at every
@@ -114,7 +114,6 @@ proptest! {
         strategy in 0usize..3,
         costs_on in proptest::bool::ANY,
         stochastic in proptest::bool::ANY,
-        horizon in 0u64..50,
     ) {
         use pax_sim::machine::{BatchPolicy, ManagementCosts};
         let maps: Vec<EnablementMapping> = (0..nphases - 1).map(|i| {
@@ -159,96 +158,17 @@ proptest! {
             sim.run().expect("deadlock")
         };
         let single = run(BatchPolicy::Single);
-        for batch in [BatchPolicy::Coincident, BatchPolicy::Lookahead { horizon }] {
-            let b = run(batch);
-            prop_assert_eq!(b.makespan, single.makespan, "{:?}", batch);
-            prop_assert_eq!(b.events, single.events, "{:?}", batch);
-            prop_assert_eq!(b.tasks_dispatched, single.tasks_dispatched, "{:?}", batch);
-            prop_assert_eq!(b.splits, single.splits, "{:?}", batch);
-            prop_assert_eq!(b.descriptors_created, single.descriptors_created, "{:?}", batch);
-            prop_assert_eq!(b.mgmt_time, single.mgmt_time, "{:?}", batch);
-            prop_assert_eq!(b.compute_time, single.compute_time, "{:?}", batch);
-            for (bp, sp) in b.phases.iter().zip(single.phases.iter()) {
-                prop_assert_eq!(bp.stats.executed_granules, sp.stats.executed_granules);
-                prop_assert_eq!(bp.stats.overlap_granules, sp.stats.overlap_granules);
-            }
-        }
-    }
-
-    /// PR 4's docs claim `BatchPolicy::Lookahead { horizon: 0 }` only
-    /// ever tops a round up with *further coincident groups at the
-    /// round's own timestamp* — i.e. that a zero horizon degenerates to
-    /// `Coincident` plus same-tick continuation, run-identically. That
-    /// equivalence was documented but never pinned on its own: diff the
-    /// two policies directly across randomized programs, lane counts,
-    /// split strategies, and cost models.
-    #[test]
-    fn lookahead_zero_horizon_matches_coincident(
-        granules in 2u32..28,
-        procs in 1usize..9,
-        lanes in 1usize..64,
-        nphases in 2usize..5,
-        seed in 0u64..1000,
-        map_seed in 0usize..5,
-        strategy in 0usize..3,
-        costs_on in proptest::bool::ANY,
-        stochastic in proptest::bool::ANY,
-    ) {
-        use pax_sim::machine::{BatchPolicy, ManagementCosts};
-        let maps: Vec<EnablementMapping> = (0..nphases - 1).map(|i| {
-            match (i + map_seed) % 5 {
-                0 => EnablementMapping::Universal,
-                1 => EnablementMapping::Identity,
-                2 => EnablementMapping::Null,
-                3 => {
-                    let t: Vec<u32> = (0..granules).map(|g| (g * 7 + 3) % granules).collect();
-                    EnablementMapping::ForwardIndirect(Arc::new(ForwardMap::new(t, granules)))
-                }
-                _ => {
-                    let req: Vec<Vec<u32>> =
-                        (0..granules).map(|r| vec![r % granules, (r + 1) % granules]).collect();
-                    EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, granules)))
-                }
-            }
-        }).collect();
-        let dist = if stochastic {
-            DurationDist::uniform(1, 25)
-        } else {
-            DurationDist::constant(10)
-        };
-        let program = linear(granules, vec![dist; nphases], maps);
-        let split = match strategy {
-            0 => SplitStrategy::DemandSplit,
-            1 => SplitStrategy::PreSplit,
-            _ => SplitStrategy::SuccessorSplitTask,
-        };
-        let run = |batch: BatchPolicy| {
-            let mut cfg = MachineConfig::new(procs)
-                .with_executive_lanes(lanes)
-                .with_batch_policy(batch);
-            cfg = cfg.with_costs(if costs_on {
-                ManagementCosts::pax_default()
-            } else {
-                ManagementCosts::free()
-            });
-            let policy = OverlapPolicy::overlap().with_split_strategy(split);
-            let mut sim = Simulation::new(cfg, policy).with_seed(seed);
-            sim.add_job(program.clone());
-            sim.run().expect("deadlock")
-        };
-        let coincident = run(BatchPolicy::Coincident);
-        let zero = run(BatchPolicy::Lookahead { horizon: 0 });
-        prop_assert_eq!(zero.makespan, coincident.makespan);
-        prop_assert_eq!(zero.events, coincident.events);
-        prop_assert_eq!(zero.tasks_dispatched, coincident.tasks_dispatched);
-        prop_assert_eq!(zero.splits, coincident.splits);
-        prop_assert_eq!(zero.descriptors_created, coincident.descriptors_created);
-        prop_assert_eq!(zero.descriptors_peak, coincident.descriptors_peak);
-        prop_assert_eq!(zero.mgmt_time, coincident.mgmt_time);
-        prop_assert_eq!(zero.compute_time, coincident.compute_time);
-        for (zp, cp) in zero.phases.iter().zip(coincident.phases.iter()) {
-            prop_assert_eq!(zp.stats.executed_granules, cp.stats.executed_granules);
-            prop_assert_eq!(zp.stats.overlap_granules, cp.stats.overlap_granules);
+        let b = run(BatchPolicy::Coincident);
+        prop_assert_eq!(b.makespan, single.makespan);
+        prop_assert_eq!(b.events, single.events);
+        prop_assert_eq!(b.tasks_dispatched, single.tasks_dispatched);
+        prop_assert_eq!(b.splits, single.splits);
+        prop_assert_eq!(b.descriptors_created, single.descriptors_created);
+        prop_assert_eq!(b.mgmt_time, single.mgmt_time);
+        prop_assert_eq!(b.compute_time, single.compute_time);
+        for (bp, sp) in b.phases.iter().zip(single.phases.iter()) {
+            prop_assert_eq!(bp.stats.executed_granules, sp.stats.executed_granules);
+            prop_assert_eq!(bp.stats.overlap_granules, sp.stats.overlap_granules);
         }
     }
 
@@ -412,82 +332,11 @@ proptest! {
         prop_assert!(cheap.makespan <= costly.makespan);
         prop_assert!(costly.makespan <= stolen.makespan);
     }
-
-    /// Every event-calendar backend is an observably identical drop-in
-    /// for the binary heap: whole simulations produce the same report,
-    /// event for event, across mappings, seeds, wheel sizes (small
-    /// wheels force heavy overflow-rail traffic), bucket coarsenesses
-    /// (coarse buckets force the sorted-bucket path), hierarchical
-    /// geometries (cascade traffic), and the self-tuning calendar
-    /// (mid-run retunes).
-    #[test]
-    fn calendar_backend_runs_match_heap_runs(
-        granules in 2u32..24,
-        procs in 1usize..9,
-        cost in 1u64..60,
-        seed in 0u64..1000,
-        map_seed in 0usize..5,
-        slots in 1usize..600,
-        bucket_ticks in 1u64..80,
-    ) {
-        let maps: Vec<EnablementMapping> = (0..2).map(|i| {
-            match (i + map_seed) % 5 {
-                0 => EnablementMapping::Universal,
-                1 => EnablementMapping::Identity,
-                2 => EnablementMapping::Null,
-                3 => {
-                    let t: Vec<u32> = (0..granules).map(|g| (g * 7 + 3) % granules).collect();
-                    EnablementMapping::ForwardIndirect(Arc::new(ForwardMap::new(t, granules)))
-                }
-                _ => {
-                    let req: Vec<Vec<u32>> =
-                        (0..granules).map(|r| vec![r % granules, (r + 1) % granules]).collect();
-                    EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, granules)))
-                }
-            }
-        }).collect();
-        let program = linear(
-            granules,
-            vec![DurationDist::uniform(1, 1 + cost); 3],
-            maps,
-        );
-        let run = |calendar: pax_sim::calendar::CalendarKind| {
-            let cfg = MachineConfig::new(procs).with_calendar(calendar);
-            let mut s = Simulation::new(cfg, OverlapPolicy::overlap()).with_seed(seed);
-            s.add_job(program.clone());
-            s.run().unwrap()
-        };
-        let heap = run(pax_sim::calendar::CalendarKind::BinaryHeap);
-        // Every other backend — single-level wheel, hierarchical wheel
-        // (a geometry small enough that real runs cascade constantly),
-        // and the self-tuning calendar (retuned at the engine's
-        // rebalance checkpoints) — must reproduce the heap run
-        // event-for-event.
-        for backend in [
-            pax_sim::calendar::CalendarKind::TimeWheel { slots, bucket_ticks },
-            pax_sim::calendar::CalendarKind::HierWheel {
-                slots: slots.min(32),
-                bucket_ticks,
-                levels: 3,
-            },
-            pax_sim::calendar::CalendarKind::hier_wheel(),
-            pax_sim::calendar::CalendarKind::Auto,
-        ] {
-            let other = run(backend);
-            prop_assert_eq!(heap.makespan, other.makespan, "backend {:?}", backend);
-            prop_assert_eq!(heap.events, other.events, "backend {:?}", backend);
-            prop_assert_eq!(heap.tasks_dispatched, other.tasks_dispatched, "backend {:?}", backend);
-            prop_assert_eq!(heap.splits, other.splits, "backend {:?}", backend);
-            prop_assert_eq!(heap.compute_time, other.compute_time, "backend {:?}", backend);
-            prop_assert_eq!(heap.mgmt_time, other.mgmt_time, "backend {:?}", backend);
-            prop_assert_eq!(heap.descriptors_created, other.descriptors_created, "backend {:?}", backend);
-        }
-    }
 }
 
 mod rangeset_props {
     use pax_core::ids::GranuleRange;
-    use pax_core::rangeset::{coalesce_indices, RangeSet, RunStorageKind};
+    use pax_core::rangeset::RangeSet;
     use proptest::prelude::*;
 
     fn build(ranges: &[(u32, u32)]) -> RangeSet {
@@ -571,67 +420,6 @@ mod rangeset_props {
             // coverage arithmetic: added indices are exactly the growth
             prop_assert_eq!(s.len(), before_len + info.added);
             prop_assert!(info.added <= r.len() as u64);
-        }
-
-        /// The chunked run storage is result-identical to the Vec layout
-        /// under random mixed op sequences — direct inserts, inserts of
-        /// coalesced index bursts, and windowed subtract/covered/contains
-        /// queries — with equality (which ignores the hint *and* chunk
-        /// boundaries) holding across the backends at every step, for
-        /// chunk capacities from the pathological minimum up.
-        #[test]
-        fn chunked_storage_matches_vec_oracle(
-            ops in proptest::collection::vec((0u32..3, 0u32..400, 1u32..24), 1..50),
-            chunk_sel in 0usize..4,
-        ) {
-            let chunk_runs = [2usize, 3, 7, 32][chunk_sel];
-            let mut vec_set = RangeSet::new();
-            let mut chunked =
-                RangeSet::with_storage(RunStorageKind::ChunkedRuns { chunk_runs });
-            for (i, &(op, lo, len)) in ops.iter().enumerate() {
-                match op {
-                    // the common case: a straight range insert
-                    0 | 1 => {
-                        let r = GranuleRange::new(lo, lo + len);
-                        let a = vec_set.insert_run(r);
-                        let b = chunked.insert_run(r);
-                        prop_assert_eq!(a, b, "insert {} diverged (cap {})", i, chunk_runs);
-                    }
-                    // the enablement-release case: coalesce a strided
-                    // index burst, insert each resulting run
-                    _ => {
-                        let mut idx: Vec<u32> =
-                            (0..len).map(|k| lo + (k * 13) % (3 * len)).collect();
-                        for run in coalesce_indices(&mut idx) {
-                            let a = vec_set.insert_run(run);
-                            let b = chunked.insert_run(run);
-                            prop_assert_eq!(a, b, "coalesced insert {} diverged", i);
-                        }
-                    }
-                }
-                prop_assert_eq!(&vec_set, &chunked, "equality diverged at op {}", i);
-                prop_assert_eq!(vec_set.run_count(), chunked.run_count());
-                prop_assert_eq!(vec_set.len(), chunked.len());
-                // windowed queries around the touched region
-                let win = GranuleRange::new(lo.saturating_sub(10), lo + len + 10);
-                let mut ga = vec![GranuleRange::new(0, 1)]; // append-only contract
-                let mut gb = vec![GranuleRange::new(0, 1)];
-                vec_set.subtract_into(win, &mut ga);
-                chunked.subtract_into(win, &mut gb);
-                prop_assert_eq!(ga, gb, "gaps diverged at op {}", i);
-                prop_assert_eq!(vec_set.covered_in(win), chunked.covered_in(win));
-                prop_assert_eq!(
-                    vec_set.contains_range(win),
-                    chunked.contains_range(win)
-                );
-                for g in (win.lo..win.hi).step_by(3) {
-                    prop_assert_eq!(vec_set.contains(g), chunked.contains(g), "g={}", g);
-                }
-            }
-            // full-sequence comparison at the end
-            let all: Vec<GranuleRange> = vec_set.iter_runs().collect();
-            let all_chunked: Vec<GranuleRange> = chunked.iter_runs().collect();
-            prop_assert_eq!(all, all_chunked);
         }
 
         /// The completed-run hint is pure acceleration: every insert's

@@ -1,1284 +1,31 @@
-//! Indexed event calendar: a bucketed time wheel with a binary-heap
-//! overflow rail.
+//! Spellings kept for the frozen `benchmark/` crate.
 //!
-//! The future-event list is the other per-event cost center of the
-//! simulation (after completion processing itself): every dispatch and
-//! completion pays an `O(log n)` heap reshuffle in
-//! [`EventQueue`](crate::event::EventQueue). A discrete-event executive,
-//! however, schedules almost everything a short, bounded distance into
-//! the future (task end times, service completions), which is exactly the
-//! access pattern a *calendar queue* serves in `O(1)`: a ring of buckets
-//! indexed by `(time / bucket_ticks) % size`. Events beyond the wheel's
-//! horizon wait on a conventional binary-heap *overflow rail* and migrate
-//! into the wheel as the cursor approaches them.
-//!
-//! Buckets default to **one tick** of granularity; the `bucket_ticks`
-//! knob coarsens them so the same number of slots covers a
-//! `slots × bucket_ticks` horizon — the lever for event-sparse
-//! long-makespan runs, where a fine-grained cursor scans thousands of
-//! empty buckets between events (the failure mode the nightly sweep
-//! measured against the heap).
-//!
-//! # Determinism contract
-//!
-//! [`TimeWheel`] pops events in exactly the same order as
-//! [`EventQueue`](crate::event::EventQueue): ascending time, insertion
-//! order within a tick. Every bucket entry carries its global sequence
-//! number and each bucket is kept sorted by `(time, seq)`:
-//!
-//! * with one-tick buckets an insertion lands at the back (earlier
-//!   entries of the same tick always carry smaller sequence numbers), so
-//!   the sort degenerates to the FIFO push of the classic design;
-//! * with coarse buckets the sorted insert is what keeps the several due
-//!   times sharing a bucket in calendar order; and
-//! * the overflow rail (a `(time, seq)` min-heap) is drained into the
-//!   wheel **eagerly on every bucket advance**, and its entries keep
-//!   their original sequence numbers, so migrated events order correctly
-//!   against directly inserted ones of the same tick.
-//!
-//! The one contract difference from the heap: events must not be
-//! scheduled before the most recently popped time (the executive never
-//! does — it schedules at `now` or later). Debug builds assert this;
-//! release builds clamp to the cursor.
+//! The executive's future-event list is the `(time, seq)` binary heap in
+//! [`crate::event`], and nothing in this workspace selects a calendar any
+//! more: the time wheels and the self-tuning backend were removed once
+//! arrivals stopped being parked in the calendar and its population fell
+//! to O(processors). `benchmark/` still names `Calendar`, `CalendarKind`
+//! and `Calendar::from_kind`; they exist only for that crate and go in
+//! the next benchmark PR.
 
-use crate::event::Scheduled;
-use crate::time::SimTime;
-use std::collections::{BinaryHeap, VecDeque};
+use crate::event::EventQueue;
 
-/// Default number of wheel buckets. Past `slots × bucket_ticks` ticks of
-/// horizon, events ride the overflow rail until the cursor closes in.
-pub const DEFAULT_WHEEL_SLOTS: usize = 4096;
-
-/// A bucketed time wheel, deterministic drop-in for
-/// [`EventQueue`](crate::event::EventQueue).
-///
-/// ```
-/// use pax_sim::calendar::TimeWheel;
-/// use pax_sim::time::SimTime;
-///
-/// let mut w = TimeWheel::new(16);
-/// w.schedule(SimTime(5), "b");
-/// w.schedule(SimTime(3), "a");
-/// w.schedule(SimTime(5), "c");
-/// w.schedule(SimTime(5_000), "overflow");
-/// assert_eq!(w.pop(), Some((SimTime(3), "a")));
-/// assert_eq!(w.pop(), Some((SimTime(5), "b"))); // insertion order at t=5
-/// assert_eq!(w.pop(), Some((SimTime(5), "c")));
-/// assert_eq!(w.pop(), Some((SimTime(5_000), "overflow")));
-/// assert_eq!(w.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct TimeWheel<E> {
-    /// Ring of buckets; bucket `(t / bucket_ticks) & mask` holds events
-    /// due in the `bucket_ticks`-wide window containing `t`, for `t`
-    /// within the horizon. Entries are `(time, seq, payload)`, ordered
-    /// lazily: inserts append, and a bucket whose append broke the
-    /// `(time, seq)` order is sorted once when it is next read.
-    buckets: Vec<VecDeque<(SimTime, u64, E)>>,
-    /// `dirty[i]` marks bucket `i` as needing that deferred sort.
-    dirty: Vec<bool>,
-    /// `buckets.len() - 1`; the length is a power of two.
-    mask: u64,
-    /// Ticks covered by one bucket (≥ 1).
-    bucket_ticks: u64,
-    /// Tick the wheel is currently serving. Only advances.
-    cursor: u64,
-    /// Events stored in the wheel.
-    wheel_len: usize,
-    /// Events beyond the horizon, keyed `(time, seq)`.
-    overflow: BinaryHeap<Scheduled<E>>,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> TimeWheel<E> {
-    /// A wheel with at least `slots` buckets (rounded up to a power of
-    /// two) of one-tick granularity.
-    pub fn new(slots: usize) -> TimeWheel<E> {
-        Self::with_bucket_ticks(slots, 1)
-    }
-
-    /// A wheel with at least `slots` buckets of `bucket_ticks` ticks
-    /// each (`bucket_ticks` < 1 is clamped to 1), covering a
-    /// `slots × bucket_ticks` horizon.
-    pub fn with_bucket_ticks(slots: usize, bucket_ticks: u64) -> TimeWheel<E> {
-        let n = slots.max(2).next_power_of_two();
-        TimeWheel {
-            buckets: (0..n).map(|_| VecDeque::new()).collect(),
-            dirty: vec![false; n],
-            mask: (n - 1) as u64,
-            bucket_ticks: bucket_ticks.max(1),
-            cursor: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// A wheel with the default horizon and one-tick buckets.
-    pub fn with_default_slots() -> TimeWheel<E> {
-        Self::new(DEFAULT_WHEEL_SLOTS)
-    }
-
-    /// Number of buckets.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// Ticks covered by one bucket.
-    #[inline]
-    pub fn bucket_ticks(&self) -> u64 {
-        self.bucket_ticks
-    }
-
-    /// Ring index of the bucket holding tick `t`.
-    #[inline]
-    fn bucket_of(&self, t: u64) -> usize {
-        ((t / self.bucket_ticks) & self.mask) as usize
-    }
-
-    /// True when tick `t` (≥ cursor) falls inside the wheel's horizon.
-    #[inline]
-    fn in_window(&self, t: u64) -> bool {
-        t / self.bucket_ticks - self.cursor / self.bucket_ticks < self.buckets.len() as u64
-    }
-
-    /// Insert into the bucket for `at`. Always an `O(1)` append:
-    /// in-order traffic (and every one-tick-bucket insert) extends the
-    /// bucket's sorted run, and an out-of-order arrival just flags the
-    /// bucket for one deferred sort when the cursor reaches it — dense
-    /// coarse buckets never pay a per-insert back-scan.
-    fn bucket_insert(&mut self, at: SimTime, seq: u64, payload: E) {
-        let idx = self.bucket_of(at.0);
-        let bucket = &mut self.buckets[idx];
-        if let Some(&(t, s, _)) = bucket.back() {
-            if (t, s) > (at, seq) {
-                self.dirty[idx] = true;
-            }
-        }
-        bucket.push_back((at, seq, payload));
-        self.wheel_len += 1;
-    }
-
-    /// Pay bucket `idx`'s deferred sort, if flagged. `(time, seq)` is a
-    /// total order (seq is unique), so unstable sorting cannot reorder
-    /// equal keys.
-    #[inline]
-    fn ensure_sorted(&mut self, idx: usize) {
-        if self.dirty[idx] {
-            self.buckets[idx]
-                .make_contiguous()
-                .sort_unstable_by_key(|&(t, s, _)| (t, s));
-            self.dirty[idx] = false;
-        }
-    }
-
-    /// Schedule `payload` to fire at `at`. Must not precede the most
-    /// recently popped time while events are pending (debug-asserted;
-    /// clamped in release). With nothing pending the wheel rewinds freely.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        if at.0 < self.cursor && self.is_empty() {
-            self.cursor = at.0;
-        }
-        debug_assert!(
-            at.0 >= self.cursor,
-            "time wheel cannot schedule into the past ({} < cursor {})",
-            at,
-            self.cursor
-        );
-        let at = SimTime(at.0.max(self.cursor));
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        if self.in_window(at.0) {
-            self.bucket_insert(at, seq, payload);
-        } else {
-            self.overflow.push(Scheduled { at, seq, payload });
-        }
-    }
-
-    /// The cursor's bucket is empty: hop straight to the start of the
-    /// next non-empty bucket (every wheel event lies within the
-    /// horizon, so the ring scan finds one while `wheel_len > 0`), then
-    /// adopt overflow events the moved horizon now covers. One hop
-    /// replaces a bucket-by-bucket walk that paid a division and an
-    /// overflow peek per empty bucket — the dominant cost of fine
-    /// `bucket_ticks` on sparse stretches.
-    fn hop_to_next_bucket(&mut self) {
-        let b0 = self.cursor / self.bucket_ticks;
-        let slots = self.buckets.len() as u64;
-        let mut d = 1;
-        while d < slots && self.buckets[((b0 + d) & self.mask) as usize].is_empty() {
-            d += 1;
-        }
-        self.cursor = (b0 + d) * self.bucket_ticks;
-        // Migrating once per hop (not per bucket) is safe: overflow
-        // events lie past the *old* horizon, hence past every bucket
-        // the hop could land on.
-        self.migrate();
-    }
-
-    /// Jump the cursor straight to the earliest overflow event and pull
-    /// its cohort in (used when nothing is left inside the horizon).
-    fn jump_to_overflow(&mut self) {
-        let t = self.overflow.peek().expect("overflow non-empty").at;
-        self.cursor = t.0;
-        self.migrate();
-        debug_assert!(self.wheel_len > 0);
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        if self.wheel_len == 0 {
-            if self.overflow.is_empty() {
-                return None;
-            }
-            self.jump_to_overflow();
-        }
-        // Scan forward bucket by bucket; bounded by the wheel size
-        // because every wheel event lies within the horizon, and
-        // amortized O(1) because the cursor never retreats.
-        loop {
-            let idx = self.bucket_of(self.cursor);
-            self.ensure_sorted(idx);
-            if let Some((t, _, payload)) = self.buckets[idx].pop_front() {
-                debug_assert!(t.0 >= self.cursor, "bucket front behind cursor");
-                self.wheel_len -= 1;
-                self.cursor = t.0;
-                return Some((t, payload));
-            }
-            // The horizon moved: adopt overflow events that now fit.
-            // Doing this on every hop (before any schedule() can run)
-            // keeps migrated events ordered ahead of later same-tick
-            // insertions via their smaller sequence numbers.
-            self.hop_to_next_bucket();
-        }
-    }
-
-    /// Remove up to `max` events sharing the earliest pending due time
-    /// (the *coincident group*) and append them to `out`, in exactly the
-    /// order repeated [`TimeWheel::pop`] calls would return them. `out`
-    /// is not cleared. Returns the number of events moved — 0 when the
-    /// wheel is empty or `max` is 0.
-    ///
-    /// A coincident group is contiguous at the front of one sorted
-    /// bucket (buckets settle their deferred sort the moment the cursor
-    /// reaches them), so the batch is one run-length scan followed by a
-    /// straight `drain` — no per-event front/pop pair, no cursor scan,
-    /// no heap reshuffle. This is the wheel's natural batch operation.
-    pub fn pop_coincident_into(&mut self, max: usize, out: &mut Vec<(SimTime, E)>) -> usize {
-        if max == 0 || self.is_empty() {
-            return 0;
-        }
-        if self.wheel_len == 0 {
-            self.jump_to_overflow();
-        }
-        loop {
-            let idx = self.bucket_of(self.cursor);
-            self.ensure_sorted(idx);
-            let bucket = &mut self.buckets[idx];
-            if let Some(&(t0, _, _)) = bucket.front() {
-                let mut n = 1;
-                while n < max && bucket.get(n).is_some_and(|&(t, _, _)| t == t0) {
-                    n += 1;
-                }
-                out.extend(bucket.drain(..n).map(|(t, _, payload)| (t, payload)));
-                self.wheel_len -= n;
-                self.cursor = t0.0;
-                return n;
-            }
-            self.hop_to_next_bucket();
-        }
-    }
-
-    /// Due time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.wheel_len > 0 {
-            // The bucket scan pop() would perform, without the mutation.
-            // Bucket windows are increasing in time, so the first
-            // non-empty bucket holds the minimum: its front when the
-            // bucket is clean, a one-pass min when its sort is still
-            // deferred (peek takes `&self`, so it cannot settle it).
-            let start = self.cursor / self.bucket_ticks;
-            (start..start + self.buckets.len() as u64).find_map(|b| {
-                let i = (b & self.mask) as usize;
-                let bucket = &self.buckets[i];
-                if self.dirty[i] {
-                    bucket.iter().map(|&(at, _, _)| at).min()
-                } else {
-                    bucket.front().map(|&(at, _, _)| at)
-                }
-            })
-        } else {
-            self.overflow.peek().map(|o| o.at)
-        }
-    }
-
-    /// Move overflow events that now fit inside the horizon into their
-    /// buckets, in `(time, seq)` order.
-    fn migrate(&mut self) {
-        while let Some(o) = self.overflow.peek() {
-            if !self.in_window(o.at.0) {
-                break;
-            }
-            let o = self.overflow.pop().expect("peeked");
-            self.bucket_insert(o.at, o.seq, o.payload);
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (for run statistics).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Start the (empty) wheel's cursor at `t` instead of 0, so the
-    /// first events scheduled near `t` land in buckets rather than all
-    /// riding the overflow rail. Retune plumbing for
-    /// [`CalendarKind::Auto`].
-    pub(crate) fn set_origin(&mut self, t: u64) {
-        debug_assert!(self.is_empty(), "origin moves only while empty");
-        self.cursor = t;
-    }
-}
-
-/// Default slots per level of the hierarchical wheel. 256 slots × 4
-/// levels cover a `256⁴ × bucket_ticks` horizon — deep enough that the
-/// overflow rail is idle for every workload in the repo.
-pub const DEFAULT_HIER_SLOTS: usize = 256;
-
-/// Default number of hierarchical-wheel levels.
-pub const DEFAULT_HIER_LEVELS: usize = 4;
-
-/// One level of the hierarchical wheel: a ring of buckets, each
-/// covering `width` ticks, plus the number of events currently stored
-/// in the level.
-#[derive(Debug, Clone)]
-struct HierLevel<E> {
-    buckets: Vec<VecDeque<(SimTime, u64, E)>>,
-    /// `dirty[i]`: bucket `i` took an out-of-order append and owes one
-    /// deferred `(time, seq)` sort before it is read.
-    dirty: Vec<bool>,
-    len: usize,
-    /// Ticks covered by one bucket at this level:
-    /// `bucket_ticks × slots^level`.
-    width: u64,
-}
-
-impl<E> HierLevel<E> {
-    /// Pay bucket `idx`'s deferred sort, if flagged. `(time, seq)` is a
-    /// total order (seq is unique), so unstable sorting cannot reorder
-    /// equal keys.
-    #[inline]
-    fn ensure_sorted(&mut self, idx: usize) {
-        if self.dirty[idx] {
-            self.buckets[idx]
-                .make_contiguous()
-                .sort_unstable_by_key(|&(t, s, _)| (t, s));
-            self.dirty[idx] = false;
-        }
-    }
-
-    /// Earliest due time in bucket `idx`: its front when clean, a
-    /// one-pass min while its sort is still deferred (for `&self`
-    /// readers that cannot settle it). `None` when empty.
-    #[inline]
-    fn bucket_min(&self, idx: usize) -> Option<SimTime> {
-        let bucket = &self.buckets[idx];
-        if self.dirty[idx] {
-            bucket.iter().map(|&(t, _, _)| t).min()
-        } else {
-            bucket.front().map(|&(t, _, _)| t)
-        }
-    }
-}
-
-/// A hierarchical timer wheel: geometrically coarser levels of buckets
-/// with events cascading down a level as the cursor reaches their slot,
-/// deterministic drop-in for [`EventQueue`](crate::event::EventQueue).
-///
-/// Level `k` buckets span `bucket_ticks × slots^k` ticks, so a handful
-/// of levels cover any horizon the simulation can express while the
-/// hot near-future traffic stays in level 0's one-bucket-per-tick ring.
-/// Events land in the *smallest* level whose window holds their due
-/// time; when the cursor crosses into a new level-`k` slot, that slot's
-/// cohort cascades into the levels below (reusing a scratch buffer, so
-/// warm steady-state operation allocates nothing). Events beyond the
-/// top level's horizon wait on a binary-heap overflow rail exactly like
-/// [`TimeWheel`]'s.
-///
-/// # Determinism contract
-///
-/// Identical to [`TimeWheel`]'s: pops come out in ascending
-/// `(time, seq)` order, bit-exactly matching the binary heap. Buckets
-/// order lazily: inserts append, a bucket whose append broke
-/// `(time, seq)` order is flagged, and the flag is paid with one sort
-/// when the cursor (or a cascade) reaches the bucket — `(time, seq)`
-/// is a total order, so *when* events are sorted can never affect pop
-/// order; cascades and overflow migration preserve original sequence
-/// numbers. The smallest-fitting-level rule
-/// guarantees an insert never lands in the slot the cursor currently
-/// occupies at levels ≥ 1 (it would have fitted the level below), so a
-/// cascaded slot is never repopulated behind the cursor's back.
-///
-/// ```
-/// use pax_sim::calendar::HierWheel;
-/// use pax_sim::time::SimTime;
-///
-/// let mut w = HierWheel::new(4, 1, 3); // 4 slots × 3 levels
-/// w.schedule(SimTime(2), "soon");
-/// w.schedule(SimTime(9), "level-1");
-/// w.schedule(SimTime(40), "level-2");
-/// w.schedule(SimTime(1_000_000), "overflow");
-/// assert_eq!(w.pop(), Some((SimTime(2), "soon")));
-/// assert_eq!(w.pop(), Some((SimTime(9), "level-1")));
-/// assert_eq!(w.pop(), Some((SimTime(40), "level-2")));
-/// assert_eq!(w.pop(), Some((SimTime(1_000_000), "overflow")));
-/// assert_eq!(w.pop(), None);
-/// ```
-#[derive(Debug, Clone)]
-pub struct HierWheel<E> {
-    levels: Vec<HierLevel<E>>,
-    /// `slots - 1`; slots is a power of two shared by every level.
-    mask: u64,
-    /// Tick the wheel is currently serving. Only advances (rewinds only
-    /// while empty).
-    cursor: u64,
-    /// Events stored across all levels.
-    wheel_len: usize,
-    /// Events beyond the top level's horizon, keyed `(time, seq)`.
-    overflow: BinaryHeap<Scheduled<E>>,
-    /// Reusable cascade buffer; swaps with the cascaded bucket so the
-    /// capacities circulate and warm cascades allocate nothing.
-    scratch: VecDeque<(SimTime, u64, E)>,
-    next_seq: u64,
-    scheduled_total: u64,
-}
-
-impl<E> HierWheel<E> {
-    /// A hierarchical wheel with `slots` buckets per level (rounded up
-    /// to a power of two, minimum 2), level-0 buckets of `bucket_ticks`
-    /// ticks (< 1 clamps to 1), and up to `levels` levels (< 1 clamps
-    /// to 1; levels whose bucket width would overflow `u64` are
-    /// dropped, since no event time can reach them).
-    pub fn new(slots: usize, bucket_ticks: u64, levels: usize) -> HierWheel<E> {
-        let n = slots.max(2).next_power_of_two();
-        let shift = n.trailing_zeros();
-        let bt = bucket_ticks.max(1);
-        let mut lv = Vec::new();
-        for k in 0..levels.max(1) as u32 {
-            let Some(width) = k
-                .checked_mul(shift)
-                .filter(|&s| s < 64)
-                .and_then(|s| bt.checked_mul(1u64 << s))
-            else {
-                break;
-            };
-            lv.push(HierLevel {
-                buckets: (0..n).map(|_| VecDeque::new()).collect(),
-                dirty: vec![false; n],
-                len: 0,
-                width,
-            });
-        }
-        HierWheel {
-            levels: lv,
-            mask: (n - 1) as u64,
-            cursor: 0,
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            scratch: VecDeque::new(),
-            next_seq: 0,
-            scheduled_total: 0,
-        }
-    }
-
-    /// The default geometry: 256 slots × 4 levels, one-tick level-0
-    /// buckets.
-    pub fn with_default_geometry() -> HierWheel<E> {
-        Self::new(DEFAULT_HIER_SLOTS, 1, DEFAULT_HIER_LEVELS)
-    }
-
-    /// Slots per level.
-    #[inline]
-    pub fn slots(&self) -> usize {
-        self.mask as usize + 1
-    }
-
-    /// Number of levels actually built (may be fewer than requested if
-    /// wider levels would overflow the tick type).
-    #[inline]
-    pub fn levels(&self) -> usize {
-        self.levels.len()
-    }
-
-    /// Ticks covered by one level-0 bucket.
-    #[inline]
-    pub fn bucket_ticks(&self) -> u64 {
-        self.levels[0].width
-    }
-
-    /// Insert `(at, seq, payload)` into the smallest level whose window
-    /// holds `at`; spills to the overflow rail past the top level's
-    /// horizon. Every insert is an `O(1)` append — an out-of-order
-    /// arrival (e.g. a cascade delivering older sequence numbers into a
-    /// bucket that already took direct inserts) just flags the bucket
-    /// for one deferred sort, so dense buckets never pay a per-insert
-    /// back-scan. Used by `schedule`, cascades, and overflow migration
-    /// alike — the smallest-fit rule is what keeps cascaded slots from
-    /// being repopulated.
-    fn place(&mut self, at: SimTime, seq: u64, payload: E) {
-        let slots = self.slots() as u64;
-        for k in 0..self.levels.len() {
-            let w = self.levels[k].width;
-            if at.0 / w - self.cursor / w < slots {
-                let idx = ((at.0 / w) & self.mask) as usize;
-                let lv = &mut self.levels[k];
-                let bucket = &mut lv.buckets[idx];
-                if let Some(&(t, s, _)) = bucket.back() {
-                    if (t, s) > (at, seq) {
-                        lv.dirty[idx] = true;
-                    }
-                }
-                bucket.push_back((at, seq, payload));
-                lv.len += 1;
-                self.wheel_len += 1;
-                return;
-            }
-        }
-        self.overflow.push(Scheduled { at, seq, payload });
-    }
-
-    /// Schedule `payload` to fire at `at`. Same contract as
-    /// [`TimeWheel::schedule`]: must not precede the most recently
-    /// popped time while events are pending (debug-asserted; clamped in
-    /// release); rewinds freely while empty.
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        if at.0 < self.cursor && self.is_empty() {
-            self.cursor = at.0;
-        }
-        debug_assert!(
-            at.0 >= self.cursor,
-            "hierarchical wheel cannot schedule into the past ({} < cursor {})",
-            at,
-            self.cursor
-        );
-        let at = SimTime(at.0.max(self.cursor));
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        self.scheduled_total += 1;
-        self.place(at, seq, payload);
-    }
-
-    /// Cascade the level-`k` bucket `idx` into the levels below. The
-    /// bucket is swapped with the scratch buffer (capacities circulate:
-    /// zero allocations once warm), sorted if it still owed its
-    /// deferred ordering — once per cohort instead of per insert — and
-    /// re-placed in ascending `(time, seq)` order, so same-destination
-    /// events arrive mutually in order.
-    fn cascade_slot(&mut self, k: usize, idx: usize) {
-        if self.levels[k].buckets[idx].is_empty() {
-            return;
-        }
-        let mut cohort = std::mem::take(&mut self.scratch);
-        std::mem::swap(&mut cohort, &mut self.levels[k].buckets[idx]);
-        self.levels[k].len -= cohort.len();
-        self.wheel_len -= cohort.len();
-        if std::mem::replace(&mut self.levels[k].dirty[idx], false) {
-            // `(time, seq)` is a total order (seq is unique), so
-            // unstable sorting cannot reorder equal keys.
-            cohort
-                .make_contiguous()
-                .sort_unstable_by_key(|&(t, s, _)| (t, s));
-        }
-        for (t, s, p) in cohort.drain(..) {
-            // Smallest-fit placement always lands strictly below level
-            // `k` here (the cursor sits inside this slot's window), so
-            // the drained bucket is never re-entered.
-            self.place(t, s, p);
-        }
-        self.scratch = cohort;
-    }
-
-    /// Move the cursor forward to `new_cursor`, cascading the newly
-    /// entered slot at every level whose boundary was crossed and
-    /// migrating overflow events when the top level's horizon moved.
-    /// Callers guarantee no pending event lies in `(old, new_cursor)`.
-    fn advance_cursor(&mut self, new_cursor: u64) {
-        let old = self.cursor;
-        debug_assert!(new_cursor >= old);
-        self.cursor = new_cursor;
-        for k in 1..self.levels.len() {
-            let w = self.levels[k].width;
-            if old / w == new_cursor / w {
-                // Level-k boundaries are a superset of every coarser
-                // level's boundaries: nothing above moved either.
-                return;
-            }
-            let idx = ((new_cursor / w) & self.mask) as usize;
-            self.cascade_slot(k, idx);
-        }
-        // The top level's slot advanced: adopt overflow events the
-        // moved horizon now covers. (Eagerly, before any schedule() can
-        // run, so migrated events order ahead of later same-tick
-        // insertions via their smaller sequence numbers.)
-        self.migrate();
-    }
-
-    /// Move overflow events that now fit the top level's horizon into
-    /// the wheel, in `(time, seq)` order.
-    fn migrate(&mut self) {
-        let slots = self.slots() as u64;
-        let w = self.levels[self.levels.len() - 1].width;
-        while let Some(o) = self.overflow.peek() {
-            if o.at.0 / w - self.cursor / w >= slots {
-                break;
-            }
-            let o = self.overflow.pop().expect("peeked");
-            self.place(o.at, o.seq, o.payload);
-        }
-    }
-
-    /// The earliest tick the cursor can jump to without passing an
-    /// event, when level 0 is empty: the minimum over each level's
-    /// first non-empty slot *start* and the earliest overflow time.
-    /// Jumping to a slot start (never into a slot) keeps the cascade
-    /// math aligned. Requires at least one pending event.
-    fn jump_target(&self) -> u64 {
-        let slots = self.slots() as u64;
-        let mut best = self.overflow.peek().map_or(u64::MAX, |o| o.at.0);
-        for lv in &self.levels[1..] {
-            if lv.len == 0 {
-                continue;
-            }
-            let cur = self.cursor / lv.width;
-            // The cursor's own slot is empty by the smallest-fit
-            // invariant; scan the remainder of the window.
-            for d in 1..slots {
-                if !lv.buckets[((cur + d) & self.mask) as usize].is_empty() {
-                    // A non-empty slot holds an event `t ≥ start`, so
-                    // the start cannot overflow u64.
-                    best = best.min((cur + d) * lv.width);
-                    break;
-                }
-            }
-        }
-        debug_assert_ne!(best, u64::MAX, "jump_target needs a pending event");
-        best
-    }
-
-    /// The cursor's level-0 bucket (`b0 = cursor / width₀`) is empty:
-    /// hop to the start of the next non-empty level-0 bucket inside the
-    /// current level-1 slot, or cross into the next level-1 slot via
-    /// the cascade machinery. Level-k boundaries are multiples of
-    /// `slots^k` level-0 buckets, so an intra-slot hop cannot cross a
-    /// boundary of *any* level and moves the cursor directly — no
-    /// per-tick division, no cascade check. This is what lets one-tick
-    /// level-0 buckets traverse sparse stretches at ring-scan speed.
-    fn hop_l0(&mut self, b0: u64) {
-        let slots = self.slots() as u64;
-        let w0 = self.levels[0].width;
-        let boundary = (b0 / slots + 1) * slots;
-        let mut b = b0 + 1;
-        while b < boundary && self.levels[0].buckets[(b & self.mask) as usize].is_empty() {
-            b += 1;
-        }
-        if b == boundary {
-            self.advance_cursor(b * w0);
-        } else {
-            self.cursor = b * w0;
-        }
-    }
-
-    /// Remove and return the earliest event, if any.
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        loop {
-            if self.wheel_len == 0 {
-                let t = self.overflow.peek()?.at.0;
-                // An overflow event is always ≥ a whole top-level
-                // window ahead of the last migration point, so this
-                // crossing triggers `migrate` inside `advance_cursor`.
-                self.advance_cursor(t);
-                debug_assert!(self.wheel_len > 0);
-                continue;
-            }
-            if self.levels[0].len == 0 {
-                let target = self.jump_target();
-                self.advance_cursor(target);
-                continue;
-            }
-            // Level 0 holds the next event within `slots` buckets of
-            // the cursor; hop to it, cascading at crossed boundaries.
-            let b0 = self.cursor / self.levels[0].width;
-            let idx = (b0 & self.mask) as usize;
-            self.levels[0].ensure_sorted(idx);
-            if let Some((t, _, payload)) = self.levels[0].buckets[idx].pop_front() {
-                debug_assert!(t.0 >= self.cursor, "bucket front behind cursor");
-                self.levels[0].len -= 1;
-                self.wheel_len -= 1;
-                self.cursor = t.0;
-                return Some((t, payload));
-            }
-            self.hop_l0(b0);
-        }
-    }
-
-    /// Remove up to `max` events sharing the earliest pending due time
-    /// and append them to `out`, in exactly the order repeated
-    /// [`HierWheel::pop`] calls would return them. Returns the number
-    /// of events moved.
-    ///
-    /// Same-time events always share one level-0 bucket by the time the
-    /// cursor reaches them (their coarser slots have already cascaded,
-    /// and the bucket settles its deferred sort on arrival), so the
-    /// batch is a run-length scan plus a straight `drain`, exactly like
-    /// [`TimeWheel::pop_coincident_into`].
-    pub fn pop_coincident_into(&mut self, max: usize, out: &mut Vec<(SimTime, E)>) -> usize {
-        if max == 0 || self.is_empty() {
-            return 0;
-        }
-        loop {
-            if self.wheel_len == 0 {
-                let t = self.overflow.peek().expect("non-empty").at.0;
-                self.advance_cursor(t);
-                continue;
-            }
-            if self.levels[0].len == 0 {
-                let target = self.jump_target();
-                self.advance_cursor(target);
-                continue;
-            }
-            let b0 = self.cursor / self.levels[0].width;
-            let idx = (b0 & self.mask) as usize;
-            self.levels[0].ensure_sorted(idx);
-            let bucket = &mut self.levels[0].buckets[idx];
-            if let Some(&(t0, _, _)) = bucket.front() {
-                let mut n = 1;
-                while n < max && bucket.get(n).is_some_and(|&(t, _, _)| t == t0) {
-                    n += 1;
-                }
-                out.extend(bucket.drain(..n).map(|(t, _, payload)| (t, payload)));
-                self.levels[0].len -= n;
-                self.wheel_len -= n;
-                self.cursor = t0.0;
-                return n;
-            }
-            self.hop_l0(b0);
-        }
-    }
-
-    /// Due time of the earliest pending event.
-    pub fn peek_time(&self) -> Option<SimTime> {
-        if self.is_empty() {
-            return None;
-        }
-        let slots = self.slots() as u64;
-        let mut best: Option<SimTime> = None;
-        if self.levels[0].len > 0 {
-            let w0 = self.levels[0].width;
-            let start = self.cursor / w0;
-            let front = (start..start + slots)
-                .find_map(|b| self.levels[0].bucket_min((b & self.mask) as usize));
-            if let Some(t) = front {
-                // Events at levels ≥ 1 and on the overflow rail all lie
-                // at or past the next level-1 slot boundary, so a
-                // level-0 minimum before that boundary is the global
-                // minimum.
-                if self.levels.len() > 1 {
-                    let w1 = self.levels[1].width;
-                    let boundary = (self.cursor / w1).saturating_add(1).saturating_mul(w1);
-                    if t.0 < boundary {
-                        return Some(t);
-                    }
-                } else {
-                    return Some(t);
-                }
-                best = Some(t);
-            }
-        }
-        for lv in &self.levels[1..] {
-            if lv.len == 0 {
-                continue;
-            }
-            let cur = self.cursor / lv.width;
-            // Slot windows are disjoint and ascending in ring-time
-            // order, so every event in the first non-empty slot precedes
-            // all later slots; `bucket_min` handles buckets whose
-            // deferred sort has not settled yet.
-            let front = (1..slots).find_map(|d| lv.bucket_min(((cur + d) & self.mask) as usize));
-            if let Some(t) = front {
-                best = Some(best.map_or(t, |b| b.min(t)));
-            }
-        }
-        if let Some(o) = self.overflow.peek() {
-            best = Some(best.map_or(o.at, |b| b.min(o.at)));
-        }
-        best
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow.len()
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled (for run statistics).
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        self.scheduled_total
-    }
-
-    /// Start the (empty) wheel's cursor at `t`; see
-    /// [`TimeWheel::set_origin`].
-    pub(crate) fn set_origin(&mut self, t: u64) {
-        debug_assert!(self.is_empty(), "origin moves only while empty");
-        self.cursor = t;
-    }
-}
-
-/// A cheap online histogram of event scheduling distances (`due − now`
-/// at `schedule` time), bucketed by bit length. This is the signal
-/// [`CalendarKind::Auto`] tunes from: the median distance says how
-/// coarse level-0 buckets can be, the tail says how much horizon the
-/// wheel must cover before events start riding the overflow rail.
-#[derive(Debug, Clone)]
-pub struct SpacingStats {
-    /// `log2[b]` counts deltas of bit length `b` (delta 0 → bucket 0,
-    /// delta in `[2^(b-1), 2^b)` → bucket `b`).
-    log2: [u64; 65],
-    count: u64,
-}
-
-impl Default for SpacingStats {
-    fn default() -> Self {
-        SpacingStats {
-            log2: [0; 65],
-            count: 0,
-        }
-    }
-}
-
-impl SpacingStats {
-    /// Record one scheduling distance.
-    #[inline]
-    pub fn record(&mut self, delta: u64) {
-        self.log2[(64 - delta.leading_zeros()) as usize] += 1;
-        self.count += 1;
-    }
-
-    /// Number of samples recorded since the last [`SpacingStats::clear`].
-    #[inline]
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Lower bound of the histogram bucket holding the
-    /// `num/den`-quantile sample (0 when empty). Integer-only, so the
-    /// tuning decision is bit-for-bit reproducible.
-    pub fn quantile(&self, num: u64, den: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Rank of the quantile sample, 1-based, rounding up.
-        let rank = (self.count * num).div_ceil(den).max(1);
-        let mut seen = 0u64;
-        for (b, &c) in self.log2.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return if b == 0 { 0 } else { 1u64 << (b - 1) };
-            }
-        }
-        1u64 << 63
-    }
-
-    /// Forget all samples (start a fresh observation window).
-    pub fn clear(&mut self) {
-        *self = SpacingStats::default();
-    }
-}
-
-/// Samples required in the observation window before [`AutoState`]
-/// makes (or revisits) a tuning decision.
-const AUTO_WARMUP_SAMPLES: u64 = 1024;
-
-/// Below this many pending events the heap's `O(log n)` is cheaper
-/// than any bucket scan, so `Auto` stays on (or returns to) the heap.
-const AUTO_HEAP_PENDING_MAX: usize = 32;
-
-/// The self-tuning calendar's state: a concrete backend plus the
-/// spacing histogram the next retune decision reads.
-#[derive(Debug, Clone)]
-pub struct AutoState<E> {
-    /// The live backend. Never `Calendar::Auto` (no recursion).
-    inner: Calendar<E>,
-    /// What `inner` currently is, for hysteresis: retunes only fire
-    /// when the decision differs.
-    kind: CalendarKind,
-    stats: SpacingStats,
-    /// Most recently popped time — the "now" that scheduling distances
-    /// are measured against.
-    now: u64,
-    /// Events ever scheduled through this calendar. Carried here
-    /// because retunes rebuild `inner` from scratch.
-    scheduled_total: u64,
-    /// Retunes performed (observability for tests and reports).
-    retunes: u64,
-}
-
-impl<E> AutoState<E> {
-    fn new() -> AutoState<E> {
-        AutoState {
-            inner: Calendar::Heap(crate::event::EventQueue::new()),
-            kind: CalendarKind::BinaryHeap,
-            stats: SpacingStats::default(),
-            now: 0,
-            scheduled_total: 0,
-            retunes: 0,
-        }
-    }
-
-    /// Pick a backend for the observed spacing distribution. Pure and
-    /// integer-only: the same window always yields the same choice.
-    fn decide(&self) -> CalendarKind {
-        if self.inner.len() <= AUTO_HEAP_PENDING_MAX {
-            // Tiny pending sets: comparison cost is trivial and bucket
-            // scans would dominate.
-            return CalendarKind::BinaryHeap;
-        }
-        // Geometry follows the *dominant* spacing mass, not the extreme
-        // tail: a minority of far-future timers is exactly what the
-        // wheel's overflow rail (and the hierarchy's upper levels) are
-        // for, while coarsening every bucket to reach them would force
-        // the dense near-future traffic into sorted-insert back-scans.
-        let p90 = self.stats.quantile(9, 10);
-        if p90 < DEFAULT_WHEEL_SLOTS as u64 {
-            // ≥ 90% of traffic fits a one-tick-bucket wheel horizon;
-            // the rest rides the rail at `O(log tail)`.
-            return CalendarKind::time_wheel();
-        }
-        let coarse = (p90 / DEFAULT_WHEEL_SLOTS as u64).next_power_of_two();
-        if coarse <= 256 {
-            // A coarsened single-level wheel still covers the bulk.
-            return CalendarKind::time_wheel_coarse(coarse);
-        }
-        // Long-tailed spacing: hierarchical levels, with level-0
-        // granularity matched to the median so dense near-future
-        // traffic stays one-bucket-per-event.
-        let bt = (self.stats.quantile(1, 2) / DEFAULT_HIER_SLOTS as u64).max(1);
-        CalendarKind::HierWheel {
-            slots: DEFAULT_HIER_SLOTS,
-            bucket_ticks: bt.next_power_of_two(),
-            levels: DEFAULT_HIER_LEVELS,
-        }
-    }
-
-    /// Revisit the tuning decision; called from the engine's rebalance
-    /// checkpoints. Rebuilding drains the pending events *in pop order*
-    /// into the fresh backend, so they take sequence numbers `0..n` in
-    /// that same order and every later schedule sorts after them —
-    /// retune timing can never change simulation results, only wall
-    /// time.
-    fn rebalance(&mut self) {
-        if self.stats.count() < AUTO_WARMUP_SAMPLES {
-            return;
-        }
-        let decision = self.decide();
-        if decision != self.kind {
-            let mut fresh = Calendar::from_kind_at(decision, self.now);
-            while let Some((t, payload)) = self.inner.pop() {
-                fresh.schedule(t, payload);
-            }
-            self.inner = fresh;
-            self.kind = decision;
-            self.retunes += 1;
-        }
-        self.stats.clear();
-    }
-}
-///
-/// Part of [`MachineConfig`](crate::machine::MachineConfig); all choices
-/// produce bit-identical schedules, so this is purely a host-performance
-/// knob.
+/// The one future-event list there is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalendarKind {
-    /// The `(time, seq)` binary min-heap — `O(log n)` per operation,
-    /// no tuning. The default.
+    /// The `(time, seq)` binary min-heap, [`EventQueue`].
     #[default]
     BinaryHeap,
-    /// The bucketed time wheel: `slots` buckets (rounded up to a power
-    /// of two) of `bucket_ticks` ticks each, with a heap overflow rail —
-    /// amortized `O(1)` for the near-future traffic that dominates
-    /// executive scheduling. Coarser buckets stretch the horizon and cut
-    /// empty-bucket scanning on event-sparse runs at the price of a
-    /// sorted insert within each bucket.
-    TimeWheel {
-        /// Bucket count; [`DEFAULT_WHEEL_SLOTS`] is a good default (use
-        /// `CalendarKind::time_wheel()`).
-        slots: usize,
-        /// Ticks per bucket (< 1 clamps to 1). `time_wheel()` uses 1;
-        /// `time_wheel_coarse(n)` selects a coarsened wheel.
-        bucket_ticks: u64,
-    },
-    /// The hierarchical timer wheel: `levels` rings of `slots` buckets,
-    /// the level-`k` bucket spanning `bucket_ticks × slots^k` ticks,
-    /// with cohorts cascading down a level as the cursor reaches their
-    /// slot and a heap overflow rail past the top level. Covers any
-    /// horizon in `O(1)` amortized per event while keeping the hot
-    /// near-future ring fine-grained.
-    HierWheel {
-        /// Slots per level (rounded up to a power of two, minimum 2);
-        /// [`DEFAULT_HIER_SLOTS`] is a good default.
-        slots: usize,
-        /// Ticks per level-0 bucket (< 1 clamps to 1).
-        bucket_ticks: u64,
-        /// Level count (< 1 is rejected by
-        /// [`MachineConfig::validate`](crate::machine::MachineConfig::validate);
-        /// levels whose width would overflow `u64` are dropped).
-        levels: usize,
-    },
-    /// The self-tuning calendar: starts on the binary heap, samples the
-    /// scheduling-distance distribution, and at the engine's rebalance
-    /// checkpoints re-picks heap vs wheel vs hierarchical geometry —
-    /// rebuilding the pending set in pop order, so results stay
-    /// bit-identical to every other backend and only wall time changes.
-    Auto,
 }
 
-impl CalendarKind {
-    /// The time wheel with the default horizon and one-tick buckets.
-    pub const fn time_wheel() -> CalendarKind {
-        CalendarKind::TimeWheel {
-            slots: DEFAULT_WHEEL_SLOTS,
-            bucket_ticks: 1,
-        }
-    }
+/// [`EventQueue`] under the name `benchmark/` uses.
+pub type Calendar<E> = EventQueue<E>;
 
-    /// The time wheel with the default slot count and `bucket_ticks`-tick
-    /// buckets (a `DEFAULT_WHEEL_SLOTS × bucket_ticks` horizon).
-    pub const fn time_wheel_coarse(bucket_ticks: u64) -> CalendarKind {
-        CalendarKind::TimeWheel {
-            slots: DEFAULT_WHEEL_SLOTS,
-            bucket_ticks,
-        }
-    }
-
-    /// The hierarchical wheel with the default geometry (256 slots ×
-    /// 4 levels, one-tick level-0 buckets).
-    pub const fn hier_wheel() -> CalendarKind {
-        CalendarKind::HierWheel {
-            slots: DEFAULT_HIER_SLOTS,
-            bucket_ticks: 1,
-            levels: DEFAULT_HIER_LEVELS,
-        }
-    }
-
-    /// The hierarchical wheel with default slots/levels and
-    /// `bucket_ticks`-tick level-0 buckets.
-    pub const fn hier_wheel_coarse(bucket_ticks: u64) -> CalendarKind {
-        CalendarKind::HierWheel {
-            slots: DEFAULT_HIER_SLOTS,
-            bucket_ticks,
-            levels: DEFAULT_HIER_LEVELS,
-        }
-    }
-}
-
-/// A future-event list of either implementation, chosen at runtime from
-/// [`CalendarKind`]. This is what the executive actually holds; the
-/// indirection is one predictable branch per operation.
-#[derive(Debug, Clone)]
-pub enum Calendar<E> {
-    /// Binary-heap backend.
-    Heap(crate::event::EventQueue<E>),
-    /// Time-wheel backend.
-    Wheel(TimeWheel<E>),
-    /// Hierarchical-wheel backend.
-    Hier(HierWheel<E>),
-    /// Self-tuning backend (a concrete backend plus spacing stats).
-    Auto(Box<AutoState<E>>),
-}
-
-impl<E> Calendar<E> {
-    /// Construct the backend `kind` asks for.
-    pub fn from_kind(kind: CalendarKind) -> Calendar<E> {
+impl<E> EventQueue<E> {
+    /// [`EventQueue::new`]; `kind` has one value.
+    pub fn from_kind(kind: CalendarKind) -> EventQueue<E> {
         match kind {
-            CalendarKind::BinaryHeap => Calendar::Heap(crate::event::EventQueue::new()),
-            CalendarKind::TimeWheel {
-                slots,
-                bucket_ticks,
-            } => Calendar::Wheel(TimeWheel::with_bucket_ticks(slots, bucket_ticks)),
-            CalendarKind::HierWheel {
-                slots,
-                bucket_ticks,
-                levels,
-            } => Calendar::Hier(HierWheel::new(slots, bucket_ticks, levels)),
-            CalendarKind::Auto => Calendar::Auto(Box::new(AutoState::new())),
-        }
-    }
-
-    /// `from_kind`, with wheel cursors starting at `origin` so the
-    /// first events scheduled near `origin` land in buckets. Used by
-    /// `Auto` retunes, which rebuild mid-run.
-    fn from_kind_at(kind: CalendarKind, origin: u64) -> Calendar<E> {
-        let mut c = Calendar::from_kind(kind);
-        match &mut c {
-            Calendar::Wheel(w) => w.set_origin(origin),
-            Calendar::Hier(w) => w.set_origin(origin),
-            Calendar::Heap(_) | Calendar::Auto(_) => {}
-        }
-        c
-    }
-
-    /// Schedule `payload` at `at`.
-    #[inline]
-    pub fn schedule(&mut self, at: SimTime, payload: E) {
-        match self {
-            Calendar::Heap(q) => q.schedule(at, payload),
-            Calendar::Wheel(w) => w.schedule(at, payload),
-            Calendar::Hier(w) => w.schedule(at, payload),
-            Calendar::Auto(a) => {
-                a.stats.record(at.0.saturating_sub(a.now));
-                a.scheduled_total += 1;
-                a.inner.schedule(at, payload);
-            }
-        }
-    }
-
-    /// Remove and return the earliest event, if any.
-    #[inline]
-    pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        match self {
-            Calendar::Heap(q) => q.pop(),
-            Calendar::Wheel(w) => w.pop(),
-            Calendar::Hier(w) => w.pop(),
-            Calendar::Auto(a) => {
-                let popped = a.inner.pop();
-                if let Some((t, _)) = popped {
-                    a.now = t.0;
-                }
-                popped
-            }
-        }
-    }
-
-    /// Due time of the earliest pending event.
-    #[inline]
-    pub fn peek_time(&self) -> Option<SimTime> {
-        match self {
-            Calendar::Heap(q) => q.peek_time(),
-            Calendar::Wheel(w) => w.peek_time(),
-            Calendar::Hier(w) => w.peek_time(),
-            Calendar::Auto(a) => a.inner.peek_time(),
-        }
-    }
-
-    /// Remove up to `max` events sharing the earliest pending due time
-    /// and append them to `out`, preserving the deterministic `(time,
-    /// insertion)` pop order. Returns the number of events moved. All
-    /// backends produce identical batches; the wheels drain their
-    /// bucket front in one pass while the heap pays a reshuffle per
-    /// event.
-    #[inline]
-    pub fn pop_coincident_into(&mut self, max: usize, out: &mut Vec<(SimTime, E)>) -> usize {
-        match self {
-            Calendar::Heap(q) => q.pop_coincident_into(max, out),
-            Calendar::Wheel(w) => w.pop_coincident_into(max, out),
-            Calendar::Hier(w) => w.pop_coincident_into(max, out),
-            Calendar::Auto(a) => {
-                let n = a.inner.pop_coincident_into(max, out);
-                if let Some(&(t, _)) = out.last() {
-                    if n > 0 {
-                        a.now = t.0;
-                    }
-                }
-                n
-            }
-        }
-    }
-
-    /// Number of pending events.
-    #[inline]
-    pub fn len(&self) -> usize {
-        match self {
-            Calendar::Heap(q) => q.len(),
-            Calendar::Wheel(w) => w.len(),
-            Calendar::Hier(w) => w.len(),
-            Calendar::Auto(a) => a.inner.len(),
-        }
-    }
-
-    /// True when no events are pending.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total number of events ever scheduled.
-    #[inline]
-    pub fn scheduled_total(&self) -> u64 {
-        match self {
-            Calendar::Heap(q) => q.scheduled_total(),
-            Calendar::Wheel(w) => w.scheduled_total(),
-            Calendar::Hier(w) => w.scheduled_total(),
-            Calendar::Auto(a) => a.scheduled_total,
-        }
-    }
-
-    /// Rebalance checkpoint: a no-op on concrete backends; on `Auto`,
-    /// revisits the tuning decision once the observation window has
-    /// warmed up. Safe to call at any point — retunes preserve the pop
-    /// order bit-exactly.
-    #[inline]
-    pub fn rebalance(&mut self) {
-        if let Calendar::Auto(a) = self {
-            a.rebalance();
-        }
-    }
-
-    /// The concrete backend currently in use (`Auto` reports what it
-    /// has tuned to, which starts as `BinaryHeap`).
-    pub fn backend_kind(&self) -> CalendarKind {
-        match self {
-            Calendar::Heap(_) => CalendarKind::BinaryHeap,
-            Calendar::Wheel(w) => CalendarKind::TimeWheel {
-                slots: w.slots(),
-                bucket_ticks: w.bucket_ticks(),
-            },
-            Calendar::Hier(w) => CalendarKind::HierWheel {
-                slots: w.slots(),
-                bucket_ticks: w.bucket_ticks(),
-                levels: w.levels(),
-            },
-            Calendar::Auto(a) => a.inner.backend_kind(),
-        }
-    }
-
-    /// How many times an `Auto` calendar has swapped backends (0 for
-    /// concrete backends).
-    pub fn auto_retunes(&self) -> u64 {
-        match self {
-            Calendar::Auto(a) => a.retunes,
-            _ => 0,
+            CalendarKind::BinaryHeap => EventQueue::new(),
         }
     }
 }
@@ -1286,555 +33,17 @@ impl<E> Calendar<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventQueue;
-
-    #[test]
-    fn pops_in_time_order_across_horizon() {
-        let mut w = TimeWheel::new(8);
-        w.schedule(SimTime(300), 3); // overflow (≥ 8)
-        w.schedule(SimTime(1), 1);
-        w.schedule(SimTime(5), 2);
-        w.schedule(SimTime(1_000_000), 4); // deep overflow
-        let order: Vec<i32> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec![1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn ties_break_by_insertion_order_including_migration() {
-        // Events at the same tick, some via overflow, some direct: the
-        // overflow ones carry earlier sequence numbers and must pop first.
-        let mut w = TimeWheel::new(8);
-        w.schedule(SimTime(100), "early-overflow"); // overflow at cursor 0
-        w.schedule(SimTime(0), "starter");
-        assert_eq!(w.pop(), Some((SimTime(0), "starter")));
-        // popping advanced the cursor only to 0; now walk time forward
-        w.schedule(SimTime(96), "stepper"); // still overflow (96 >= 0+8)... keep walking
-        let (t, e) = w.pop().unwrap();
-        assert_eq!((t, e), (SimTime(96), "stepper"));
-        // cursor now 96; 100 is in-window and already migrated. A direct
-        // insertion at 100 must land *behind* it.
-        w.schedule(SimTime(100), "late-direct");
-        assert_eq!(w.pop(), Some((SimTime(100), "early-overflow")));
-        assert_eq!(w.pop(), Some((SimTime(100), "late-direct")));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn wraps_around_the_ring_many_times() {
-        let mut w = TimeWheel::new(4);
-        let mut expected = Vec::new();
-        let mut now = 0u64;
-        for i in 0..100u64 {
-            now += i % 7;
-            w.schedule(SimTime(now), i);
-            expected.push((now, i));
-        }
-        expected.sort_by_key(|&(t, i)| (t, i)); // seq == i here
-        let got: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop().map(|(t, e)| (t.0, e))).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn interleaved_schedule_and_pop_matches_heap() {
-        // A deterministic but irregular schedule/pop interleaving, for
-        // one-tick buckets and several coarsenesses (the contract is the
-        // same: bit-identical to the heap).
-        for bucket_ticks in [1u64, 4, 16, 64] {
-            let mut w = TimeWheel::with_bucket_ticks(16, bucket_ticks);
-            let mut q = EventQueue::new();
-            let mut now = 0u64;
-            for step in 0..500u64 {
-                let burst = (step * 7 + 3) % 5;
-                for k in 0..burst {
-                    let dt = (step * 13 + k * 29) % 200; // crosses the horizon
-                    w.schedule(SimTime(now + dt), (step, k));
-                    q.schedule(SimTime(now + dt), (step, k));
-                }
-                if step % 3 != 0 {
-                    let a = w.pop();
-                    let b = q.pop();
-                    assert_eq!(a, b, "divergence at step {step} (bt={bucket_ticks})");
-                    if let Some((t, _)) = a {
-                        now = t.0;
-                    }
-                }
-            }
-            loop {
-                let a = w.pop();
-                let b = q.pop();
-                assert_eq!(a, b, "drain divergence (bt={bucket_ticks})");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn coarse_buckets_keep_calendar_order_within_a_bucket() {
-        // Several due times share one 16-tick bucket; pops must come out
-        // in (time, seq) order, not bucket-FIFO order.
-        let mut w = TimeWheel::with_bucket_ticks(4, 16);
-        w.schedule(SimTime(9), "c");
-        w.schedule(SimTime(2), "a");
-        w.schedule(SimTime(9), "d");
-        w.schedule(SimTime(5), "b");
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["a", "b", "c", "d"]);
-    }
-
-    #[test]
-    fn coarse_migration_orders_against_direct_inserts() {
-        // An overflow event and direct inserts landing at the same tick
-        // inside one coarse bucket: older sequence numbers pop first.
-        let mut w = TimeWheel::with_bucket_ticks(2, 8); // horizon 16 ticks
-        w.schedule(SimTime(20), "overflow-first"); // beyond 16: overflow
-        w.schedule(SimTime(0), "starter");
-        assert_eq!(w.pop(), Some((SimTime(0), "starter")));
-        w.schedule(SimTime(7), "walk");
-        assert_eq!(w.pop(), Some((SimTime(7), "walk")));
-        // cursor 7: bucket advance to 8 migrates 20 into the window
-        w.schedule(SimTime(20), "direct-later");
-        w.schedule(SimTime(17), "earlier-time");
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(
-            order,
-            vec!["earlier-time", "overflow-first", "direct-later"]
-        );
-    }
-
-    #[test]
-    fn pop_coincident_matches_repeated_pops_across_backends() {
-        // Same schedule into wheels (fine and coarse), and a reference
-        // heap popped one at a time: batch pops must reproduce the
-        // reference order, batch boundaries included (ties via seq,
-        // overflow migration, partial bucket drains).
-        let sched: Vec<(u64, u32)> = vec![
-            (5, 0),
-            (5, 1),
-            (5, 2),
-            (9, 3),
-            (200, 4), // overflow
-            (200, 5),
-            (9, 6),
-        ];
-        for bucket_ticks in [1u64, 4, 32] {
-            for max in [1usize, 2, 3, 16] {
-                let mut wheel: Calendar<u32> = Calendar::from_kind(CalendarKind::TimeWheel {
-                    slots: 8,
-                    bucket_ticks,
-                });
-                let mut heap: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
-                let mut reference: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
-                for &(t, e) in &sched {
-                    wheel.schedule(SimTime(t), e);
-                    heap.schedule(SimTime(t), e);
-                    reference.schedule(SimTime(t), e);
-                }
-                let (mut wo, mut ho) = (Vec::new(), Vec::new());
-                loop {
-                    let nw = wheel.pop_coincident_into(max, &mut wo);
-                    let nh = heap.pop_coincident_into(max, &mut ho);
-                    assert_eq!(nw, nh, "batch size divergence at max={max}");
-                    if nw == 0 {
-                        break;
-                    }
-                    let batch = &wo[wo.len() - nw..];
-                    assert!(batch.iter().all(|&(t, _)| t == batch[0].0));
-                    for got in batch {
-                        assert_eq!(
-                            Some(*got),
-                            reference.pop(),
-                            "order divergence at max={max} bt={bucket_ticks}"
-                        );
-                    }
-                }
-                assert_eq!(wo, ho);
-                assert_eq!(reference.pop(), None, "batch pops must drain everything");
-            }
-        }
-    }
-
-    #[test]
-    fn pop_coincident_partial_bucket_then_schedule() {
-        // Draining part of a coincident group leaves the rest poppable,
-        // and a same-tick schedule after the partial drain lands behind
-        // the leftovers (insertion order within the tick). A coarse
-        // bucket must additionally stop the batch at the group boundary
-        // even though later-time events share the bucket.
-        for bucket_ticks in [1u64, 8] {
-            let mut w = TimeWheel::with_bucket_ticks(4, bucket_ticks);
-            for i in 0..4u32 {
-                w.schedule(SimTime(2), i);
-            }
-            w.schedule(SimTime(3), 77); // same bucket when coarse
-            let mut out = Vec::new();
-            assert_eq!(w.pop_coincident_into(2, &mut out), 2);
-            w.schedule(SimTime(2), 99);
-            assert_eq!(w.pop_coincident_into(8, &mut out), 3);
-            assert_eq!(w.pop_coincident_into(8, &mut out), 1); // the t=3 group
-            let got: Vec<u32> = out.iter().map(|&(_, e)| e).collect();
-            assert_eq!(got, vec![0, 1, 2, 3, 99, 77], "bt={bucket_ticks}");
-            assert!(w.is_empty());
-        }
-    }
-
-    #[test]
-    fn len_and_scheduled_total() {
-        let mut w: TimeWheel<()> = TimeWheel::new(8);
-        assert!(w.is_empty());
-        w.schedule(SimTime(1), ());
-        w.schedule(SimTime(1_000), ());
-        assert_eq!(w.len(), 2);
-        assert_eq!(w.scheduled_total(), 2);
-        w.pop();
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.scheduled_total(), 2);
-    }
-
-    #[test]
-    fn peek_time_matches_pop_without_mutating() {
-        for bucket_ticks in [1u64, 16] {
-            let mut w = TimeWheel::with_bucket_ticks(8, bucket_ticks);
-            assert_eq!(w.peek_time(), None);
-            w.schedule(SimTime(9 * bucket_ticks), 1); // overflow
-            assert_eq!(w.peek_time(), Some(SimTime(9 * bucket_ticks)));
-            w.schedule(SimTime(4), 2);
-            assert_eq!(w.peek_time(), Some(SimTime(4)));
-            assert_eq!(w.pop(), Some((SimTime(4), 2)));
-            assert_eq!(w.peek_time(), Some(SimTime(9 * bucket_ticks)));
-        }
-    }
+    use crate::time::SimTime;
 
     #[test]
     fn calendar_kind_round_trip() {
-        let mut heap: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
-        let mut wheel: Calendar<u32> = Calendar::from_kind(CalendarKind::time_wheel());
-        let mut coarse: Calendar<u32> = Calendar::from_kind(CalendarKind::time_wheel_coarse(64));
+        assert_eq!(CalendarKind::default(), CalendarKind::BinaryHeap);
+        let mut cal: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
         for (t, e) in [(5u64, 1u32), (2, 2), (5, 3), (9_999_999, 4)] {
-            heap.schedule(SimTime(t), e);
-            wheel.schedule(SimTime(t), e);
-            coarse.schedule(SimTime(t), e);
+            cal.schedule(SimTime(t), e);
         }
-        assert_eq!(heap.len(), wheel.len());
-        assert_eq!(heap.len(), coarse.len());
-        assert_eq!(heap.peek_time(), wheel.peek_time());
-        assert_eq!(heap.peek_time(), coarse.peek_time());
-        loop {
-            let a = heap.pop();
-            let b = wheel.pop();
-            let c = coarse.pop();
-            assert_eq!(a, b);
-            assert_eq!(a, c);
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(heap.scheduled_total(), 4);
-        assert_eq!(wheel.scheduled_total(), 4);
-        assert_eq!(coarse.scheduled_total(), 4);
-    }
-
-    #[test]
-    fn tiny_slot_count_rounds_up() {
-        let w: TimeWheel<()> = TimeWheel::new(1);
-        assert_eq!(w.slots(), 2);
-        let w: TimeWheel<()> = TimeWheel::new(100);
-        assert_eq!(w.slots(), 128);
-        assert_eq!(w.bucket_ticks(), 1);
-        let w: TimeWheel<()> = TimeWheel::with_bucket_ticks(8, 0);
-        assert_eq!(w.bucket_ticks(), 1, "bucket_ticks clamps to 1");
-        let w: TimeWheel<()> = TimeWheel::with_bucket_ticks(8, 32);
-        assert_eq!(w.bucket_ticks(), 32);
-    }
-
-    #[test]
-    fn hier_geometry_clamps_and_overflow_levels_drop() {
-        let w: HierWheel<()> = HierWheel::new(1, 0, 0);
-        assert_eq!(w.slots(), 2);
-        assert_eq!(w.bucket_ticks(), 1);
-        assert_eq!(w.levels(), 1, "levels clamp to at least 1");
-        let w: HierWheel<()> = HierWheel::new(100, 8, 3);
-        assert_eq!(w.slots(), 128);
-        assert_eq!(w.bucket_ticks(), 8);
-        assert_eq!(w.levels(), 3);
-        // 256 slots = 8 bits/level: widths 2^56·bt overflow past level 8
-        // for bt=1; requesting 64 levels must quietly cap.
-        let w: HierWheel<()> = HierWheel::new(256, 1, 64);
-        assert!(w.levels() <= 8, "u64-overflowing levels are dropped");
-        assert!(w.levels() >= 7);
-    }
-
-    #[test]
-    fn hier_pops_in_order_across_levels_and_overflow() {
-        // 4 slots × 3 levels, bt=1: level widths 1, 4, 16; horizon 64.
-        let mut w = HierWheel::new(4, 1, 3);
-        w.schedule(SimTime(40), "l2");
-        w.schedule(SimTime(2), "l0");
-        w.schedule(SimTime(9), "l1");
-        w.schedule(SimTime(1_000_000), "overflow");
-        w.schedule(SimTime(9), "l1-tie");
-        let order: Vec<&str> = std::iter::from_fn(|| w.pop().map(|(_, e)| e)).collect();
-        assert_eq!(order, vec!["l0", "l1", "l1-tie", "l2", "overflow"]);
-    }
-
-    #[test]
-    fn hier_cascade_at_cursor_keeps_tie_order() {
-        // Two same-tick events, one routed high (scheduled while far),
-        // one inserted directly after the cursor moved close: the
-        // cascaded (older-seq) one must pop first.
-        let mut w = HierWheel::new(4, 1, 3);
-        w.schedule(SimTime(9), "far-first"); // level 1 from cursor 0
-        w.schedule(SimTime(0), "starter");
-        assert_eq!(w.pop(), Some((SimTime(0), "starter")));
-        w.schedule(SimTime(7), "walk");
-        assert_eq!(w.pop(), Some((SimTime(7), "walk")));
-        // cursor 7; popping past 8 crosses the level-1 slot boundary
-        // and cascades t=9 into level 0 before this direct insert:
-        w.schedule(SimTime(9), "near-later");
-        assert_eq!(w.pop(), Some((SimTime(9), "far-first")));
-        assert_eq!(w.pop(), Some((SimTime(9), "near-later")));
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn hier_far_future_events_cross_level_boundaries() {
-        // Events placed at every level, then popped with large jumps:
-        // each jump must cascade entered slots and never lose or
-        // reorder anything. Exercises multi-boundary crossings.
-        let mut w = HierWheel::new(4, 2, 3); // widths 2, 8, 32; horizon 128
-        let mut expected = Vec::new();
-        for i in 0..40u64 {
-            let t = i * i * 3 % 500; // scattered, far jumps, duplicates
-            w.schedule(SimTime(t), i);
-            expected.push((t, i));
-        }
-        expected.sort_by_key(|&(t, i)| (t, i)); // seq == i
-        let got: Vec<(u64, u64)> = std::iter::from_fn(|| w.pop().map(|(t, e)| (t.0, e))).collect();
-        assert_eq!(got, expected);
-    }
-
-    #[test]
-    fn hier_interleaved_schedule_and_pop_matches_heap() {
-        // The TimeWheel interleaving test, over hierarchical geometries
-        // (tiny slots force constant cascading; coarse bt forces the
-        // sorted-bucket path; single level degenerates to a TimeWheel).
-        for (slots, bt, levels) in [(4usize, 1u64, 3usize), (8, 4, 2), (16, 1, 1), (2, 7, 4)] {
-            let mut w = HierWheel::new(slots, bt, levels);
-            let mut q = EventQueue::new();
-            let mut now = 0u64;
-            for step in 0..500u64 {
-                let burst = (step * 7 + 3) % 5;
-                for k in 0..burst {
-                    let dt = (step * 13 + k * 29) % 200;
-                    w.schedule(SimTime(now + dt), (step, k));
-                    q.schedule(SimTime(now + dt), (step, k));
-                }
-                if step % 3 != 0 {
-                    let a = w.pop();
-                    let b = q.pop();
-                    assert_eq!(a, b, "divergence at step {step} ({slots}/{bt}/{levels})");
-                    if let Some((t, _)) = a {
-                        now = t.0;
-                    }
-                }
-            }
-            loop {
-                let a = w.pop();
-                let b = q.pop();
-                assert_eq!(a, b, "drain divergence ({slots}/{bt}/{levels})");
-                if a.is_none() {
-                    break;
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn hier_batch_pops_match_repeated_pops() {
-        let sched: Vec<(u64, u32)> = vec![
-            (5, 0),
-            (5, 1),
-            (5, 2),
-            (9, 3),
-            (2_000, 4), // upper level
-            (2_000, 5),
-            (9, 6),
-            (100_000, 7), // overflow for the tiny geometry
-        ];
-        for (slots, bt, levels) in [(4usize, 1u64, 2usize), (8, 16, 3)] {
-            for max in [1usize, 2, 3, 16] {
-                let mut hier: Calendar<u32> = Calendar::from_kind(CalendarKind::HierWheel {
-                    slots,
-                    bucket_ticks: bt,
-                    levels,
-                });
-                let mut reference: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
-                for &(t, e) in &sched {
-                    hier.schedule(SimTime(t), e);
-                    reference.schedule(SimTime(t), e);
-                }
-                let mut out = Vec::new();
-                loop {
-                    let n = hier.pop_coincident_into(max, &mut out);
-                    if n == 0 {
-                        break;
-                    }
-                    let batch = &out[out.len() - n..];
-                    assert!(batch.iter().all(|&(t, _)| t == batch[0].0));
-                    for got in batch {
-                        assert_eq!(Some(*got), reference.pop(), "max={max}");
-                    }
-                }
-                assert_eq!(reference.pop(), None, "batch pops must drain everything");
-            }
-        }
-    }
-
-    #[test]
-    fn hier_peek_matches_pop_without_mutating() {
-        let mut w = HierWheel::new(4, 2, 3);
-        assert_eq!(w.peek_time(), None);
-        for t in [700u64, 3, 12, 3, 90, 12_000] {
-            w.schedule(SimTime(t), t);
-        }
-        while !w.is_empty() {
-            let peeked = w.peek_time();
-            let popped = w.pop();
-            assert_eq!(peeked, popped.map(|(t, _)| t));
-        }
-        assert_eq!(w.peek_time(), None);
-    }
-
-    #[test]
-    fn hier_len_scheduled_total_and_rewind() {
-        let mut w: HierWheel<u32> = HierWheel::new(8, 1, 2);
-        w.schedule(SimTime(50), 1);
-        assert_eq!(w.pop(), Some((SimTime(50), 1)));
-        // empty wheel rewinds freely
-        w.schedule(SimTime(3), 2);
-        assert_eq!(w.len(), 1);
-        assert_eq!(w.pop(), Some((SimTime(3), 2)));
-        assert_eq!(w.scheduled_total(), 2);
-        assert!(w.is_empty());
-    }
-
-    #[test]
-    fn spacing_stats_quantiles() {
-        let mut s = SpacingStats::default();
-        assert_eq!(s.quantile(1, 2), 0, "empty stats read as 0");
-        for _ in 0..90 {
-            s.record(3); // bucket 2, lower bound 2
-        }
-        for _ in 0..10 {
-            s.record(5_000); // bucket 13, lower bound 4096
-        }
-        assert_eq!(s.count(), 100);
-        assert_eq!(s.quantile(1, 2), 2);
-        assert_eq!(s.quantile(99, 100), 4096);
-        s.clear();
-        assert_eq!(s.count(), 0);
-    }
-
-    #[test]
-    fn auto_matches_heap_through_forced_retunes() {
-        // Interleave schedules and pops on an Auto calendar, calling
-        // rebalance() often enough to force retunes mid-stream; the pop
-        // stream must stay identical to the heap's, and at least one
-        // retune must actually fire (the spacing here warrants a wheel).
-        let mut auto: Calendar<(u64, u64)> = Calendar::from_kind(CalendarKind::Auto);
-        let mut heap: Calendar<(u64, u64)> = Calendar::from_kind(CalendarKind::BinaryHeap);
-        assert_eq!(auto.backend_kind(), CalendarKind::BinaryHeap);
-        let mut now = 0u64;
-        for step in 0..4_000u64 {
-            for k in 0..3 {
-                let dt = (step * 13 + k * 29) % 97;
-                auto.schedule(SimTime(now + dt), (step, k));
-                heap.schedule(SimTime(now + dt), (step, k));
-            }
-            let a = auto.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "divergence at step {step}");
-            if let Some((t, _)) = a {
-                now = t.0;
-            }
-            if step % 250 == 249 {
-                auto.rebalance();
-                heap.rebalance(); // no-op on concrete backends
-            }
-        }
-        assert!(auto.auto_retunes() >= 1, "expected at least one retune");
-        assert_ne!(auto.backend_kind(), CalendarKind::BinaryHeap);
-        loop {
-            let a = auto.pop();
-            let b = heap.pop();
-            assert_eq!(a, b, "drain divergence");
-            if a.is_none() {
-                break;
-            }
-        }
-        assert_eq!(auto.scheduled_total(), heap.scheduled_total());
-    }
-
-    #[test]
-    fn auto_retune_preserves_batch_grouping() {
-        // Force a retune with a large pending set, then drain in
-        // batches: groups and order must match an untouched heap.
-        let mut auto: Calendar<u32> = Calendar::from_kind(CalendarKind::Auto);
-        let mut heap: Calendar<u32> = Calendar::from_kind(CalendarKind::BinaryHeap);
-        for i in 0..2_000u32 {
-            let t = u64::from(i / 3) * 7 % 1_500; // heavy coincidence
-            auto.schedule(SimTime(t), i);
-            heap.schedule(SimTime(t), i);
-        }
-        // Note: schedules above violate no invariant; nothing popped yet
-        // so the wheel target may rewind freely during the rebuild.
-        auto.rebalance();
-        let (mut ao, mut ho) = (Vec::new(), Vec::new());
-        loop {
-            let na = auto.pop_coincident_into(8, &mut ao);
-            let nh = heap.pop_coincident_into(8, &mut ho);
-            assert_eq!(na, nh);
-            if na == 0 {
-                break;
-            }
-        }
-        assert_eq!(ao, ho);
-    }
-
-    #[test]
-    fn auto_prefers_heap_for_tiny_pending_sets() {
-        let mut auto: Calendar<u32> = Calendar::from_kind(CalendarKind::Auto);
-        for i in 0..2_000u32 {
-            auto.schedule(SimTime(u64::from(i)), i);
-            auto.pop();
-        }
-        auto.rebalance();
-        assert_eq!(auto.backend_kind(), CalendarKind::BinaryHeap);
-        assert_eq!(auto.auto_retunes(), 0);
-    }
-
-    #[test]
-    fn hier_calendar_kind_constructors() {
-        let k = CalendarKind::hier_wheel();
-        assert_eq!(
-            k,
-            CalendarKind::HierWheel {
-                slots: DEFAULT_HIER_SLOTS,
-                bucket_ticks: 1,
-                levels: DEFAULT_HIER_LEVELS
-            }
-        );
-        let k = CalendarKind::hier_wheel_coarse(32);
-        assert_eq!(
-            k,
-            CalendarKind::HierWheel {
-                slots: DEFAULT_HIER_SLOTS,
-                bucket_ticks: 32,
-                levels: DEFAULT_HIER_LEVELS
-            }
-        );
-        let c: Calendar<u32> = Calendar::from_kind(k);
-        assert_eq!(c.backend_kind(), k);
+        let order: Vec<u32> = std::iter::from_fn(|| cal.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec![2, 1, 3, 4]);
+        assert_eq!(cal.scheduled_total(), 4);
     }
 }

@@ -11,13 +11,12 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A scheduled event: payload `E` plus its due time and tie-break
-/// sequence. Shared with the calendar module's overflow rail so the
-/// `(time, seq)` ordering has exactly one definition.
+/// sequence.
 #[derive(Debug, Clone)]
-pub(crate) struct Scheduled<E> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) payload: E,
+struct Scheduled<E> {
+    at: SimTime,
+    seq: u64,
+    payload: E,
 }
 
 impl<E> PartialEq for Scheduled<E> {

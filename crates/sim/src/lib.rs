@@ -14,11 +14,6 @@
 //! * [`event`] — a deterministic future-event list ([`event::EventQueue`])
 //!   with insertion-order tie-breaking, so runs are bit-for-bit
 //!   reproducible.
-//! * [`calendar`] — an indexed event calendar ([`calendar::TimeWheel`]):
-//!   a bucketed time wheel with a binary-heap overflow rail, pop-for-pop
-//!   identical to [`event::EventQueue`] but amortized `O(1)` for the
-//!   near-future scheduling that dominates executive traffic. Selected
-//!   per machine via [`machine::MachineConfig`].
 //! * [`dist`] — granule execution-time distributions, including the
 //!   conditional-skip behaviour the paper reports from CASPER.
 //! * [`faults`] — processor crash/repair plans ([`faults::FaultPlan`])
@@ -51,14 +46,14 @@ pub mod metrics;
 pub mod time;
 pub mod trace;
 
-pub use calendar::{Calendar, CalendarKind, HierWheel, SpacingStats, TimeWheel};
+pub use calendar::{Calendar, CalendarKind};
 pub use dist::{ArrivalProcess, CostModel, DurationDist};
 pub use event::EventQueue;
 pub use faults::{FaultModel, FaultPlan, RetryPolicy, ScriptedFault};
 pub use locality::{DataLayout, LocalityModel};
 pub use machine::{
     AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
-    ManagementCosts, ProcessorClass, ResourcePool, RunStorageKind, ShardPolicy,
+    ManagementCosts, ProcessorClass, ResourcePool, ShardPolicy,
 };
 pub use metrics::{Activity, GanttTrace, LevelSweep, Span, StepTrace, Welford};
 pub use time::{SimDuration, SimTime};

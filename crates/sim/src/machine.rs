@@ -112,78 +112,21 @@ impl Default for ManagementCosts {
 /// wait on a serial executive, and batching the drain is how the engine
 /// models (and measures) that amortization.
 ///
-/// Every mode produces **bit-identical runs**: a batch is always a
+/// Both modes produce **bit-identical runs**: a batch is always a
 /// prefix of the deterministic `(time, insertion)` event order, and each
 /// event in it is serviced exactly as [`BatchPolicy::Single`] would
-/// service it. The policy is therefore a host-performance knob (how the
-/// run loop talks to the calendar), pinned by equivalence tests — not a
-/// scheduling-semantics knob. Scheduling semantics live in
-/// [`MachineConfig::executive_lanes`], which also bounds the batch size.
+/// service it, which the equivalence tests pin. Scheduling semantics
+/// live in [`MachineConfig::executive_lanes`], which also bounds the
+/// batch size.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum BatchPolicy {
     /// One event per service round — the pinned deterministic reference
-    /// mode equivalence tests diff the batched modes against.
+    /// mode equivalence tests diff the batched mode against.
     Single,
     /// Drain up to `executive_lanes` same-timestamp events per round
     /// (one coincident group). The default.
     #[default]
     Coincident,
-    /// [`BatchPolicy::Coincident`], and while the round still has idle
-    /// lanes keep draining successive coincident groups whose due time
-    /// is within `horizon` ticks of the round's first event. Each group
-    /// is fully serviced before the next is pulled, so later-scheduled
-    /// events keep their place in the deterministic order.
-    Lookahead {
-        /// Bounded lookahead past the round's first event, in ticks.
-        horizon: u64,
-    },
-}
-
-/// Default run capacity of one [`RunStorageKind::ChunkedRuns`] chunk.
-///
-/// 32 eight-byte runs keep a chunk's payload at 256 B (four cache lines):
-/// big enough that the chunk-summary walk is short, small enough that the
-/// in-chunk memmove a bridging insert pays stays trivial.
-pub const DEFAULT_CHUNK_RUNS: usize = 32;
-
-/// Which backing layout the executive's granule-run sets (`RangeSet` in
-/// `pax-core`) use for their run storage.
-///
-/// Both backends are **result-identical** — equality between sets ignores
-/// layout (and the completed-run hint), and an oracle property test pins
-/// every operation — so this is purely a host-performance knob, like
-/// [`CalendarKind`]:
-///
-/// * [`RunStorageKind::VecRuns`] stores runs in one contiguous sorted
-///   vector. In-order completion is O(1) through the completed-run hint,
-///   but a bridging or disjoint insert in the middle of a fragmented set
-///   shifts the whole tail (O(runs) memmove per event).
-/// * [`RunStorageKind::ChunkedRuns`] stores runs in fixed-capacity chunks
-///   on a linked list with per-chunk run-count + max-end summaries:
-///   lookups skip whole chunks (O(chunks)), and a bridging insert only
-///   shifts within the chunks it touches (O(chunk) per event) — the shape
-///   fragmented rundown phases produce.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RunStorageKind {
-    /// One contiguous sorted `Vec` of runs — the default.
-    #[default]
-    VecRuns,
-    /// Fixed-capacity chunks in a linked list with per-chunk summaries.
-    ChunkedRuns {
-        /// Run capacity of one chunk (values < 2 are clamped to 2);
-        /// [`DEFAULT_CHUNK_RUNS`] is a good default (use
-        /// `RunStorageKind::chunked()`).
-        chunk_runs: usize,
-    },
-}
-
-impl RunStorageKind {
-    /// The chunked backend with the default chunk capacity.
-    pub fn chunked() -> RunStorageKind {
-        RunStorageKind::ChunkedRuns {
-            chunk_runs: DEFAULT_CHUNK_RUNS,
-        }
-    }
 }
 
 /// How many shards the sharded engine partitions a simulation's *machine
@@ -198,12 +141,12 @@ impl RunStorageKind {
 /// calendars up to a conservative epoch boundary, and cross-group
 /// effects (job-admission edges) are exchanged at a two-phase barrier.
 ///
-/// Like [`BatchPolicy`], [`CalendarKind`], and [`RunStorageKind`], this
-/// is a **host-performance knob, not a semantics knob**: every shard
-/// count (including pathological ones such as 3) produces bit-identical
-/// reports, pinned by the equivalence suite. Per-group RNG streams are
-/// split deterministically from the scenario seed, so results do not
-/// depend on which shard — or which OS thread — a group lands on.
+/// Like [`BatchPolicy`], this is a **host-performance knob, not a
+/// semantics knob**: every shard count (including pathological ones
+/// such as 3) produces bit-identical reports, pinned by the equivalence
+/// suite. Per-group RNG streams are split deterministically from the
+/// scenario seed, so results do not depend on which shard — or which OS
+/// thread — a group lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
     /// Number of shards (≥ 1). Clamped to the number of groups at run
@@ -472,10 +415,6 @@ pub enum ConfigError {
         /// Index of the *second* occurrence in `resources`.
         pool: usize,
     },
-    /// A `CalendarKind::HierWheel` with `levels == 0` has no rings at
-    /// all. (Slot and tick counts clamp; a zero level count is always a
-    /// config mistake.)
-    ZeroCalendarLevels,
 }
 
 impl std::fmt::Display for ConfigError {
@@ -512,9 +451,6 @@ impl std::fmt::Display for ConfigError {
             }
             ConfigError::DuplicatePoolName { pool } => {
                 write!(f, "resource pool {pool} repeats an earlier pool name")
-            }
-            ConfigError::ZeroCalendarLevels => {
-                write!(f, "hierarchical calendar needs at least one level")
             }
         }
     }
@@ -563,18 +499,9 @@ pub struct MachineConfig {
     /// data-proximity assignment policy something to optimize (the third
     /// strategy the paper names as under development).
     pub locality: Option<LocalityModel>,
-    /// Future-event list implementation. Both choices pop bit-identically;
-    /// [`CalendarKind::TimeWheel`] trades a fixed bucket ring for
-    /// amortized `O(1)` scheduling on event-dense runs.
-    pub calendar: CalendarKind,
     /// Event-drain batching per executive service round (bounded by
-    /// [`MachineConfig::executive_lanes`]); every mode is run-identical.
+    /// [`MachineConfig::executive_lanes`]); both modes are run-identical.
     pub batch: BatchPolicy,
-    /// Run-storage layout for the executive's granule-run sets. Both
-    /// choices are result-identical; [`RunStorageKind::ChunkedRuns`]
-    /// trades per-chunk summaries for O(chunk) bridging inserts on
-    /// fragmented phases.
-    pub run_storage: RunStorageKind,
     /// Sharding policy for multi-group simulations. Every shard count is
     /// result-identical; counts > 1 let the threaded driver in
     /// `pax-runtime` drain independent machine groups in parallel.
@@ -620,9 +547,7 @@ impl MachineConfig {
             costs: ManagementCosts::pax_default(),
             executive_lanes: 1,
             locality: None,
-            calendar: CalendarKind::BinaryHeap,
             batch: BatchPolicy::default(),
-            run_storage: RunStorageKind::default(),
             shards: ShardPolicy::default(),
             admission: AdmissionPolicy::default(),
             faults: None,
@@ -640,9 +565,7 @@ impl MachineConfig {
             costs: ManagementCosts::free(),
             executive_lanes: 1,
             locality: None,
-            calendar: CalendarKind::BinaryHeap,
             batch: BatchPolicy::default(),
-            run_storage: RunStorageKind::default(),
             shards: ShardPolicy::default(),
             admission: AdmissionPolicy::default(),
             faults: None,
@@ -709,9 +632,6 @@ impl MachineConfig {
                 return Err(ConfigError::DuplicatePoolName { pool: i });
             }
         }
-        if let CalendarKind::HierWheel { levels: 0, .. } = self.calendar {
-            return Err(ConfigError::ZeroCalendarLevels);
-        }
         Ok(())
     }
 
@@ -741,21 +661,16 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style: choose the future-event list implementation.
-    pub fn with_calendar(mut self, calendar: CalendarKind) -> MachineConfig {
-        self.calendar = calendar;
+    /// Does nothing: the executive has one future-event list. Kept only
+    /// because the frozen `benchmark/` crate calls it; goes in the next
+    /// benchmark PR.
+    pub fn with_calendar(self, _calendar: CalendarKind) -> MachineConfig {
         self
     }
 
     /// Builder-style: set the executive's event-drain batching policy.
     pub fn with_batch_policy(mut self, batch: BatchPolicy) -> MachineConfig {
         self.batch = batch;
-        self
-    }
-
-    /// Builder-style: choose the run-storage layout for granule-run sets.
-    pub fn with_run_storage(mut self, storage: RunStorageKind) -> MachineConfig {
-        self.run_storage = storage;
         self
     }
 
@@ -818,11 +733,9 @@ mod tests {
         let m = MachineConfig::new(4)
             .with_executive(ExecutivePlacement::StealsWorker)
             .with_costs(ManagementCosts::free())
-            .with_calendar(CalendarKind::time_wheel());
+            .with_calendar(CalendarKind::BinaryHeap);
         assert_eq!(m.executive, ExecutivePlacement::StealsWorker);
         assert_eq!(m.costs.dispatch, SimDuration::ZERO);
-        assert!(matches!(m.calendar, CalendarKind::TimeWheel { .. }));
-        assert_eq!(MachineConfig::new(4).calendar, CalendarKind::BinaryHeap);
     }
 
     #[test]
@@ -831,13 +744,11 @@ mod tests {
         // reference mode the equivalence tests diff against.
         assert_eq!(MachineConfig::new(4).batch, BatchPolicy::Coincident);
         assert_eq!(MachineConfig::ideal(4).batch, BatchPolicy::Coincident);
-        let m = MachineConfig::new(4)
+        let s = MachineConfig::new(4)
             .with_executive_lanes(16)
-            .with_batch_policy(BatchPolicy::Lookahead { horizon: 8 });
-        assert_eq!(m.batch, BatchPolicy::Lookahead { horizon: 8 });
-        assert_eq!(m.executive_lanes, 16);
-        let s = MachineConfig::new(4).with_batch_policy(BatchPolicy::Single);
+            .with_batch_policy(BatchPolicy::Single);
         assert_eq!(s.batch, BatchPolicy::Single);
+        assert_eq!(s.executive_lanes, 16);
     }
 
     #[test]
@@ -853,44 +764,6 @@ mod tests {
             Err(ConfigError::ZeroExecutiveLanes)
         );
         assert_eq!(MachineConfig::new(4).validate(), Ok(()));
-    }
-
-    #[test]
-    fn zero_calendar_levels_rejected_at_validation() {
-        let bad = MachineConfig::new(4).with_calendar(CalendarKind::HierWheel {
-            slots: 256,
-            bucket_ticks: 1,
-            levels: 0,
-        });
-        assert_eq!(bad.validate(), Err(ConfigError::ZeroCalendarLevels));
-        assert!(ConfigError::ZeroCalendarLevels
-            .to_string()
-            .contains("at least one level"));
-        for ok in [
-            CalendarKind::hier_wheel(),
-            CalendarKind::hier_wheel_coarse(16),
-            CalendarKind::Auto,
-        ] {
-            assert_eq!(MachineConfig::new(4).with_calendar(ok).validate(), Ok(()));
-        }
-    }
-
-    #[test]
-    fn run_storage_defaults_and_builder() {
-        // The contiguous Vec layout stays the default until the chunked
-        // backend earns it on the storage_scaling data (see ROADMAP).
-        assert_eq!(MachineConfig::new(4).run_storage, RunStorageKind::VecRuns);
-        assert_eq!(MachineConfig::ideal(4).run_storage, RunStorageKind::VecRuns);
-        let m = MachineConfig::new(4).with_run_storage(RunStorageKind::chunked());
-        assert_eq!(
-            m.run_storage,
-            RunStorageKind::ChunkedRuns {
-                chunk_runs: DEFAULT_CHUNK_RUNS
-            }
-        );
-        let m =
-            MachineConfig::new(4).with_run_storage(RunStorageKind::ChunkedRuns { chunk_runs: 8 });
-        assert_eq!(m.run_storage, RunStorageKind::ChunkedRuns { chunk_runs: 8 });
     }
 
     #[test]

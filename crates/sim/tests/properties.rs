@@ -1,217 +1,39 @@
 //! Property-based tests for the simulation substrate.
 
-use pax_sim::calendar::{Calendar, CalendarKind, TimeWheel};
 use pax_sim::event::EventQueue;
 use pax_sim::metrics::step::StepTrace;
 use pax_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
-/// Every calendar backend: single-level wheels across the slot/tick
-/// grid, hierarchical wheels with geometries small enough that random
-/// schedules constantly cross level boundaries (cascades, jumps,
-/// overflow), and the self-tuning backend (exercised with periodic
-/// rebalance checkpoints by the tests below).
-fn arb_backend() -> impl Strategy<Value = CalendarKind> {
-    prop_oneof![
-        (1usize..700, 1u64..60).prop_map(|(slots, bucket_ticks)| CalendarKind::TimeWheel {
-            slots,
-            bucket_ticks
-        }),
-        (1usize..40, 1u64..30, 1usize..5).prop_map(|(slots, bucket_ticks, levels)| {
-            CalendarKind::HierWheel {
-                slots,
-                bucket_ticks,
-                levels,
-            }
-        }),
-        Just(CalendarKind::Auto),
-    ]
-}
-
 proptest! {
-    /// The bucketed time wheel pops bit-identically to the binary-heap
-    /// event queue on randomized schedules: same times, same payloads,
-    /// same tie-break order — including events past the wheel horizon
-    /// (overflow rail), schedules interleaved with pops, and coarse
-    /// buckets holding several due times each.
-    #[test]
-    fn time_wheel_matches_heap_on_random_schedules(
-        slots in 1usize..700,
-        bucket_ticks in 1u64..60,
-        ops in proptest::collection::vec((0u64..3000, 1usize..6, proptest::bool::ANY), 1..120),
-    ) {
-        let mut wheel = TimeWheel::with_bucket_ticks(slots, bucket_ticks);
-        let mut heap = EventQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
-        for &(dt, burst, do_pop) in &ops {
-            // Schedule a burst at or after `now` (the executive's
-            // contract: never into the past).
-            for k in 0..burst {
-                let at = SimTime(now + (dt + k as u64 * 37) % 3000);
-                wheel.schedule(at, id);
-                heap.schedule(at, id);
-                id += 1;
-            }
-            if do_pop {
-                let a = wheel.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b, "pop divergence");
-                if let Some((t, _)) = a {
-                    now = t.0;
-                }
-            }
-        }
-        // Drain both completely.
-        loop {
-            let a = wheel.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b, "drain divergence");
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(wheel.scheduled_total(), heap.scheduled_total());
-    }
-
-    /// Every calendar backend — wheels of any geometry, hierarchical
-    /// wheels (cascades, level-boundary crossings, jumps), and the
-    /// self-tuning backend under periodic rebalance checkpoints — pops
-    /// bit-identically to the binary heap on randomized schedules,
-    /// including far-future events that overshoot every level.
-    #[test]
-    fn calendar_backends_match_heap_on_random_schedules(
-        backend in arb_backend(),
-        ops in proptest::collection::vec(
-            (0u64..3000, 1usize..6, proptest::bool::ANY, proptest::bool::ANY),
-            1..120,
-        ),
-    ) {
-        let mut cal: Calendar<u64> = Calendar::from_kind(backend);
-        let mut heap = EventQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
-        for (step, &(dt, burst, do_pop, far)) in ops.iter().enumerate() {
-            for k in 0..burst {
-                // `far` bursts leap orders of magnitude ahead, crossing
-                // hierarchical level boundaries (and usually the top
-                // horizon) in one hop.
-                let stretch = if far { 977 } else { 1 };
-                let at = SimTime(now + ((dt + k as u64 * 37) % 3000) * stretch);
-                cal.schedule(at, id);
-                heap.schedule(at, id);
-                id += 1;
-            }
-            if do_pop {
-                let a = cal.pop();
-                let b = heap.pop();
-                prop_assert_eq!(a, b, "pop divergence");
-                if let Some((t, _)) = a {
-                    now = t.0;
-                }
-            }
-            if step % 16 == 15 {
-                // Rebalance checkpoint: a no-op on concrete backends, a
-                // possible retune on Auto — either way order-preserving.
-                cal.rebalance();
-            }
-        }
-        loop {
-            let a = cal.pop();
-            let b = heap.pop();
-            prop_assert_eq!(a, b, "drain divergence");
-            if a.is_none() {
-                break;
-            }
-        }
-        prop_assert_eq!(cal.scheduled_total(), heap.scheduled_total());
-    }
-
     /// Batch pops are a pure regrouping of single pops: on any schedule
-    /// (including overflow-rail traffic and interleaved scheduling), both
-    /// calendar backends drain identical coincident groups, and the
-    /// concatenation of those groups equals the single-pop event order.
+    /// (including interleaved scheduling), `peek_time` names the batch's
+    /// time, every drained group is coincident, and the concatenation of
+    /// the groups equals the single-pop event order.
     #[test]
     fn pop_coincident_is_a_regrouped_pop_order(
-        slots in 1usize..300,
-        bucket_ticks in 1u64..40,
-        max in 1usize..9,
-        ops in proptest::collection::vec((0u64..2000, 1usize..6, proptest::bool::ANY), 1..100),
-    ) {
-        use pax_sim::calendar::TimeWheel;
-        let mut wheel = TimeWheel::with_bucket_ticks(slots, bucket_ticks);
-        let mut heap = EventQueue::new();
-        let mut reference = EventQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
-        let (mut wo, mut ho) = (Vec::new(), Vec::new());
-        for &(dt, burst, do_pop) in &ops {
-            for k in 0..burst {
-                let at = SimTime(now + (dt + k as u64 * 41) % 2000);
-                wheel.schedule(at, id);
-                heap.schedule(at, id);
-                reference.schedule(at, id);
-                id += 1;
-            }
-            if do_pop {
-                let nw = wheel.pop_coincident_into(max, &mut wo);
-                let nh = heap.pop_coincident_into(max, &mut ho);
-                prop_assert_eq!(nw, nh, "batch size divergence");
-                let batch = &wo[wo.len() - nw..];
-                // all coincident, and exactly the next nw single pops
-                prop_assert!(batch.iter().all(|&(t, _)| Some(t) == batch.first().map(|b| b.0)));
-                for got in batch {
-                    prop_assert_eq!(Some(*got), reference.pop(), "regrouping divergence");
-                }
-                if let Some(&(t, _)) = batch.last() {
-                    now = t.0;
-                }
-            }
-        }
-        loop {
-            let nw = wheel.pop_coincident_into(max, &mut wo);
-            let nh = heap.pop_coincident_into(max, &mut ho);
-            prop_assert_eq!(nw, nh);
-            for got in &wo[wo.len() - nw..] {
-                prop_assert_eq!(Some(*got), reference.pop());
-            }
-            if nw == 0 {
-                break;
-            }
-        }
-        prop_assert_eq!(wo, ho, "backends must drain identical batches");
-        prop_assert_eq!(reference.pop(), None);
-    }
-
-    /// The batch-regrouping property holds on every backend: coincident
-    /// groups drained from any calendar equal the next single pops of a
-    /// reference heap, through cascades, retunes, and overflow traffic.
-    #[test]
-    fn pop_coincident_regroups_on_every_backend(
-        backend in arb_backend(),
         max in 1usize..9,
         ops in proptest::collection::vec(
             (0u64..2000, 1usize..6, proptest::bool::ANY, proptest::bool::ANY),
             1..100,
         ),
     ) {
-        let mut cal: Calendar<u64> = Calendar::from_kind(backend);
+        let mut heap = EventQueue::new();
         let mut reference = EventQueue::new();
         let mut now = 0u64;
         let mut id = 0u64;
         let mut out = Vec::new();
-        for (step, &(dt, burst, do_pop, far)) in ops.iter().enumerate() {
+        for &(dt, burst, do_pop, far) in &ops {
             for k in 0..burst {
                 let stretch = if far { 977 } else { 1 };
                 let at = SimTime(now + ((dt + k as u64 * 41) % 2000) * stretch);
-                cal.schedule(at, id);
+                heap.schedule(at, id);
                 reference.schedule(at, id);
                 id += 1;
             }
             if do_pop {
-                // peek must name the batch's time before the drain
-                let peeked = cal.peek_time();
-                let n = cal.pop_coincident_into(max, &mut out);
+                let peeked = heap.peek_time();
+                let n = heap.pop_coincident_into(max, &mut out);
                 let batch = &out[out.len() - n..];
                 prop_assert_eq!(peeked, batch.first().map(|b| b.0), "peek divergence");
                 prop_assert!(batch.iter().all(|&(t, _)| Some(t) == batch.first().map(|b| b.0)));
@@ -222,12 +44,9 @@ proptest! {
                     now = t.0;
                 }
             }
-            if step % 16 == 15 {
-                cal.rebalance();
-            }
         }
         loop {
-            let n = cal.pop_coincident_into(max, &mut out);
+            let n = heap.pop_coincident_into(max, &mut out);
             for got in &out[out.len() - n..] {
                 prop_assert_eq!(Some(*got), reference.pop());
             }
@@ -236,46 +55,6 @@ proptest! {
             }
         }
         prop_assert_eq!(reference.pop(), None);
-    }
-
-    /// `peek_time` never lies: it always names the time of the next pop.
-    #[test]
-    fn time_wheel_peek_matches_pop(
-        slots in 1usize..100,
-        times in proptest::collection::vec(0u64..5000, 1..80),
-    ) {
-        // All schedules happen before the first pop, so the cursor is
-        // still at zero and any future time is legal.
-        let mut wheel = TimeWheel::new(slots);
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime(t), i);
-        }
-        while let Some(peeked) = wheel.peek_time() {
-            let (t, _) = wheel.pop().expect("peek implies pending");
-            prop_assert_eq!(peeked, t);
-        }
-        prop_assert!(wheel.is_empty());
-    }
-
-    /// Hierarchical `peek_time` never lies either — including fronts
-    /// past the next level-1 boundary, where a coarser level or the
-    /// overflow rail may hold the true minimum.
-    #[test]
-    fn hier_peek_matches_pop(
-        slots in 1usize..20,
-        bucket_ticks in 1u64..20,
-        levels in 1usize..5,
-        times in proptest::collection::vec(0u64..200_000, 1..80),
-    ) {
-        let mut wheel = pax_sim::calendar::HierWheel::new(slots, bucket_ticks, levels);
-        for (i, &t) in times.iter().enumerate() {
-            wheel.schedule(SimTime(t), i);
-        }
-        while let Some(peeked) = wheel.peek_time() {
-            let (t, _) = wheel.pop().expect("peek implies pending");
-            prop_assert_eq!(peeked, t);
-        }
-        prop_assert!(wheel.is_empty());
     }
 
     /// Events always pop in non-decreasing time order, and equal-time

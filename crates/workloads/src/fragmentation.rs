@@ -9,7 +9,7 @@
 //! into thousands of short runs and every merge becomes a *bridging or
 //! disjoint insert into the middle of a fragmented run list* — the shape
 //! the contiguous-Vec run storage is worst at (each such insert shifts
-//! the whole tail) and the chunked backend exists for.
+//! the whole tail).
 //!
 //! The workload here manufactures that shape deterministically. Phase
 //! `frag-a` completes its granules in index order (constant costs); its
@@ -71,10 +71,8 @@ pub fn interleaved_stripes(granules: u32, stripe: u32) -> Vec<u32> {
 /// be short). Feeding these ranges to `RangeSet::insert` makes each
 /// odd-stripe insert bridge its two even neighbours after the set
 /// peaked at ⌈stripes/2⌉ runs — the canonical adversarial pattern for
-/// contiguous run storage. This is the single definition the
-/// `storage_scaling` structure rows and the `rangeset_storage`
-/// microbench both drive, so every churn measurement uses the
-/// identical insert sequence.
+/// contiguous run storage. This is the single definition every churn
+/// measurement drives, so they all use the identical insert sequence.
 pub fn stripe_churn_ranges(granules: u32, stripe: u32) -> Vec<pax_core::ids::GranuleRange> {
     let stripe = stripe.max(1);
     let mut out = Vec::with_capacity(granules.div_ceil(stripe) as usize);
@@ -156,7 +154,7 @@ pub fn fragmented_rundown(granules: u32) -> Program {
 mod tests {
     use super::*;
     use pax_core::prelude::*;
-    use pax_sim::machine::{MachineConfig, RunStorageKind};
+    use pax_sim::machine::MachineConfig;
 
     #[test]
     fn interleaved_stripes_is_a_permutation() {
@@ -226,7 +224,7 @@ mod tests {
     }
 
     #[test]
-    fn workload_runs_and_overlaps_on_both_storage_backends() {
+    fn workload_runs_and_overlaps() {
         // 500 granules on 8 processors leaves a 4-task final wave — the
         // rundown the strided releases overlap into.
         let program = FragmentationConfig {
@@ -235,30 +233,19 @@ mod tests {
             cost: 20,
         }
         .build();
-        let run = |storage| {
-            let cfg = MachineConfig::new(8).with_run_storage(storage);
-            let policy = OverlapPolicy::overlap()
-                .with_sizing(TaskSizing::Fixed(1))
-                .with_composite_build(CompositeBuild::Immediate);
-            let mut sim = Simulation::new(cfg, policy).with_seed(7);
-            sim.add_job(program.clone());
-            sim.run().expect("fragmentation workload deadlocked")
-        };
-        let vec = run(RunStorageKind::VecRuns);
-        assert_eq!(vec.phases.len(), 2);
-        for p in &vec.phases {
+        let policy = OverlapPolicy::overlap()
+            .with_sizing(TaskSizing::Fixed(1))
+            .with_composite_build(CompositeBuild::Immediate);
+        let mut sim = Simulation::new(MachineConfig::new(8), policy).with_seed(7);
+        sim.add_job(program);
+        let report = sim.run().expect("fragmentation workload deadlocked");
+        assert_eq!(report.phases.len(), 2);
+        for p in &report.phases {
             assert_eq!(p.stats.executed_granules, 500);
         }
         assert!(
-            vec.phases[1].stats.overlap_granules > 0,
+            report.phases[1].stats.overlap_granules > 0,
             "strided release must still overlap the rundown"
         );
-        // result-identical on the chunked backend (the storage this
-        // workload exists to stress)
-        let chunked = run(RunStorageKind::chunked());
-        assert_eq!(chunked.makespan, vec.makespan);
-        assert_eq!(chunked.events, vec.events);
-        assert_eq!(chunked.tasks_dispatched, vec.tasks_dispatched);
-        assert_eq!(chunked.splits, vec.splits);
     }
 }

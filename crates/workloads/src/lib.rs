@@ -11,7 +11,7 @@
 //!   admission edges) for the sharded engine's scaling sweeps.
 //! * [`fragmentation`] — a strided-release workload that keeps the
 //!   executive's granule-run sets maximally fragmented (the run-storage
-//!   backend stress shape).
+//!   stress shape).
 //! * [`fragments`] — the paper's four Fortran fragments as analyzable
 //!   array programs and runnable simulations.
 //! * [`generators`] — parameterized synthetic workloads for the rundown

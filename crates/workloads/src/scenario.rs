@@ -34,7 +34,6 @@
 //! ```
 
 use pax_core::prelude::*;
-use pax_sim::calendar::CalendarKind;
 use pax_sim::faults::ScriptedFault;
 use std::fmt;
 
@@ -511,8 +510,6 @@ pub struct MachineDoc {
     pub ideal: bool,
     /// Executive service lanes (`None` keeps the config default).
     pub lanes: Option<usize>,
-    /// Future-event calendar implementation.
-    pub calendar: CalendarDoc,
     /// Machine-group shard count (`None` keeps single).
     pub shards: Option<usize>,
     /// Heterogeneous speed classes (empty = homogeneous machine).
@@ -523,34 +520,6 @@ pub struct MachineDoc {
     pub admission: AdmissionDoc,
     /// Optional fault-injection plan.
     pub faults: Option<FaultDoc>,
-}
-
-/// Calendar selection (`machine.calendar`): a bare string (`"heap"`,
-/// `"wheel"`, `"hier"`, `"auto"`) for the default geometries, or an
-/// object `{ "kind": "hier", "slots": …, "bucket_ticks": …, "levels": … }`
-/// to tune the hierarchical wheel's rings.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CalendarDoc {
-    /// The binary-heap event list (default).
-    #[default]
-    Heap,
-    /// The bucketed time wheel with default geometry.
-    Wheel,
-    /// The hierarchical timer wheel; `None` fields keep the crate
-    /// defaults (`DEFAULT_HIER_SLOTS` slots, 1-tick level-0 buckets,
-    /// `DEFAULT_HIER_LEVELS` rings).
-    Hier {
-        /// Slots per ring (`None` keeps the default).
-        slots: Option<usize>,
-        /// Ticks per level-0 bucket (`None` keeps the default).
-        bucket_ticks: Option<u64>,
-        /// Ring count (`None` keeps the default; 0 is rejected at
-        /// config validation).
-        levels: Option<usize>,
-    },
-    /// The self-tuning calendar: starts on the heap and re-picks the
-    /// backend from the observed event-spacing distribution.
-    Auto,
 }
 
 /// One `machine.classes[i]` entry.
@@ -934,10 +903,9 @@ fn parse_machine(node: &Node) -> Result<MachineDoc, ScenarioError> {
         Some(n) => Some(n.usize_("machine.lanes")?),
         None => None,
     };
-    let calendar = match m.get("calendar") {
-        Some(n) => parse_calendar(n)?,
-        None => CalendarDoc::Heap,
-    };
+    if let Some(n) = m.get("calendar") {
+        check_calendar(n)?;
+    }
     let shards = match m.get("shards") {
         Some(n) => Some(n.usize_("machine.shards")?),
         None => None,
@@ -966,7 +934,6 @@ fn parse_machine(node: &Node) -> Result<MachineDoc, ScenarioError> {
         processors,
         ideal,
         lanes,
-        calendar,
         shards,
         classes,
         resources,
@@ -1022,59 +989,43 @@ fn parse_pool(node: &Node, path: &str) -> Result<PoolDoc, ScenarioError> {
     })
 }
 
-fn parse_calendar(node: &Node) -> Result<CalendarDoc, ScenarioError> {
+/// `machine.calendar` names the future-event list. There is one, the
+/// binary heap, so the key is optional and accepts `"heap"` or
+/// `{ "kind": "heap" }` only; the removed backends and their geometry
+/// keys are rejected by name so an old file fails loudly instead of
+/// running on a calendar it did not ask for.
+fn check_calendar(node: &Node) -> Result<(), ScenarioError> {
     let path = "machine.calendar";
-    let named = |name: &str, line: usize| match name {
-        "heap" => Ok(CalendarDoc::Heap),
-        "wheel" => Ok(CalendarDoc::Wheel),
-        "hier" => Ok(CalendarDoc::Hier {
-            slots: None,
-            bucket_ticks: None,
-            levels: None,
-        }),
-        "auto" => Ok(CalendarDoc::Auto),
-        other => Err(err(
+    let removed = |what: String, line: usize| {
+        err(
             line,
             path,
             ScenarioErrorKind::Invalid(format!(
-                "unknown calendar '{other}' (expected 'heap', 'wheel', 'hier', or 'auto')"
+                "{what} was removed in favour of the binary heap; use \"heap\" or drop the key"
             )),
+        )
+    };
+    let named = |name: &str, line: usize| match name {
+        "heap" => Ok(()),
+        "wheel" | "hier" | "auto" => Err(removed(format!("calendar backend '{name}'"), line)),
+        other => Err(err(
+            line,
+            path,
+            ScenarioErrorKind::Invalid(format!("unknown calendar '{other}' (expected 'heap')")),
         )),
     };
     if matches!(node.v, Json::Str(_)) {
         return named(node.str_(path)?, node.line);
     }
     let c = Obj::of(node, path)?;
-    c.check_keys(&["kind", "slots", "bucket_ticks", "levels"], path)?;
-    let kind_node = c.req("kind", path)?;
-    let kind = named(kind_node.str_(&format!("{path}.kind"))?, kind_node.line)?;
-    let geometry = ["slots", "bucket_ticks", "levels"]
-        .iter()
-        .find_map(|k| c.get(k).map(|n| (*k, n.line)));
-    match kind {
-        CalendarDoc::Hier { .. } => Ok(CalendarDoc::Hier {
-            slots: match c.get("slots") {
-                Some(n) => Some(n.usize_(&format!("{path}.slots"))?),
-                None => None,
-            },
-            bucket_ticks: match c.get("bucket_ticks") {
-                Some(n) => Some(n.u64_(&format!("{path}.bucket_ticks"))?),
-                None => None,
-            },
-            levels: match c.get("levels") {
-                Some(n) => Some(n.usize_(&format!("{path}.levels"))?),
-                None => None,
-            },
-        }),
-        flat => match geometry {
-            Some((key, line)) => Err(err(
-                line,
-                format!("{path}.{key}"),
-                ScenarioErrorKind::Invalid(format!("'{key}' applies only to calendar kind 'hier'")),
-            )),
-            None => Ok(flat),
-        },
+    for key in ["slots", "bucket_ticks", "levels"] {
+        if let Some(n) = c.get(key) {
+            return Err(removed(format!("calendar geometry key '{key}'"), n.line));
+        }
     }
+    c.check_keys(&["kind"], path)?;
+    let kind = c.req("kind", path)?;
+    named(kind.str_(&format!("{path}.kind"))?, kind.line)
 }
 
 fn parse_admission(node: &Node) -> Result<AdmissionDoc, ScenarioError> {
@@ -1406,20 +1357,6 @@ impl MachineDoc {
         if let Some(lanes) = self.lanes {
             cfg = cfg.with_executive_lanes(lanes);
         }
-        cfg = match self.calendar {
-            CalendarDoc::Heap => cfg,
-            CalendarDoc::Wheel => cfg.with_calendar(CalendarKind::time_wheel()),
-            CalendarDoc::Hier {
-                slots,
-                bucket_ticks,
-                levels,
-            } => cfg.with_calendar(CalendarKind::HierWheel {
-                slots: slots.unwrap_or(pax_sim::calendar::DEFAULT_HIER_SLOTS),
-                bucket_ticks: bucket_ticks.unwrap_or(1),
-                levels: levels.unwrap_or(pax_sim::calendar::DEFAULT_HIER_LEVELS),
-            }),
-            CalendarDoc::Auto => cfg.with_calendar(CalendarKind::Auto),
-        };
         if let Some(shards) = self.shards {
             cfg = cfg.with_shards(ShardPolicy::new(shards));
         }
@@ -1639,33 +1576,6 @@ impl Scenario {
         o.push_str(&format!("    \"ideal\": {},\n", m.ideal));
         if let Some(lanes) = m.lanes {
             o.push_str(&format!("    \"lanes\": {lanes},\n"));
-        }
-        match m.calendar {
-            CalendarDoc::Heap => o.push_str("    \"calendar\": \"heap\",\n"),
-            CalendarDoc::Wheel => o.push_str("    \"calendar\": \"wheel\",\n"),
-            CalendarDoc::Auto => o.push_str("    \"calendar\": \"auto\",\n"),
-            CalendarDoc::Hier {
-                slots: None,
-                bucket_ticks: None,
-                levels: None,
-            } => o.push_str("    \"calendar\": \"hier\",\n"),
-            CalendarDoc::Hier {
-                slots,
-                bucket_ticks,
-                levels,
-            } => {
-                o.push_str("    \"calendar\": { \"kind\": \"hier\"");
-                if let Some(s) = slots {
-                    o.push_str(&format!(", \"slots\": {s}"));
-                }
-                if let Some(b) = bucket_ticks {
-                    o.push_str(&format!(", \"bucket_ticks\": {b}"));
-                }
-                if let Some(l) = levels {
-                    o.push_str(&format!(", \"levels\": {l}"));
-                }
-                o.push_str(" },\n");
-            }
         }
         if let Some(shards) = m.shards {
             o.push_str(&format!("    \"shards\": {shards},\n"));
@@ -1985,7 +1895,6 @@ mod tests {
                 processors: 8,
                 ideal: true,
                 lanes: Some(2),
-                calendar: CalendarDoc::Wheel,
                 shards: Some(4),
                 classes: vec![
                     ClassDoc {
@@ -2066,55 +1975,14 @@ mod tests {
         }}"#
             )
         };
-        let parse = |cal: &str| Scenario::parse(&base(cal)).unwrap();
-        assert_eq!(
-            parse(r#""hier""#).machine.calendar,
-            CalendarDoc::Hier {
-                slots: None,
-                bucket_ticks: None,
-                levels: None
-            }
-        );
-        assert_eq!(parse(r#""auto""#).machine.calendar, CalendarDoc::Auto);
-        // The object spelling works for the flat kinds too.
-        assert_eq!(
-            parse(r#"{ "kind": "wheel" }"#).machine.calendar,
-            CalendarDoc::Wheel
-        );
-        // Partial hier geometry: absent keys keep the crate defaults.
-        let tuned = parse(r#"{ "kind": "hier", "slots": 64, "levels": 3 }"#);
-        assert_eq!(
-            tuned.machine.calendar,
-            CalendarDoc::Hier {
-                slots: Some(64),
-                bucket_ticks: None,
-                levels: Some(3)
-            }
-        );
-        assert_eq!(
-            tuned.machine.to_config().calendar,
-            CalendarKind::HierWheel {
-                slots: 64,
-                bucket_ticks: 1,
-                levels: 3
-            }
-        );
-        assert_eq!(
-            parse(r#""hier""#).machine.to_config().calendar,
-            CalendarKind::hier_wheel()
-        );
-        assert_eq!(
-            parse(r#""auto""#).machine.to_config().calendar,
-            CalendarKind::Auto
-        );
-        // Every spelling survives a to_json → parse round trip.
-        for cal in [
-            r#""hier""#,
-            r#""auto""#,
-            r#"{ "kind": "hier", "slots": 64, "levels": 3 }"#,
-            r#"{ "kind": "hier", "bucket_ticks": 8 }"#,
-        ] {
-            let s = parse(cal);
+        // The key is optional; both spellings of the one backend parse
+        // to the document an absent key gives, build, and round-trip.
+        let absent =
+            Scenario::parse(&base(r#""heap""#).replace(r#", "calendar": "heap""#, "")).unwrap();
+        for cal in [r#""heap""#, r#"{ "kind": "heap" }"#] {
+            let s = Scenario::parse(&base(cal)).unwrap();
+            assert_eq!(s, absent, "{cal}");
+            assert_eq!(s.machine.to_config().validate(), Ok(()));
             assert_eq!(Scenario::parse(&s.to_json()).unwrap(), s);
         }
     }
@@ -2135,21 +2003,29 @@ mod tests {
         let e = Scenario::parse(&base("{ \"kind\": \"tree\" }")).unwrap_err();
         assert_eq!(e.path, "machine.calendar");
         assert!(matches!(e.kind, ScenarioErrorKind::Invalid(ref m) if m.contains("'tree'")));
-        // Geometry keys are hier-only.
-        let e = Scenario::parse(&base("{ \"kind\": \"wheel\", \"slots\": 4 }")).unwrap_err();
-        assert_eq!(e.path, "machine.calendar.slots");
-        assert_eq!(e.line, 3);
-        assert!(matches!(e.kind, ScenarioErrorKind::Invalid(ref m) if m.contains("hier")));
-        // Unknown geometry keys are caught by the object key check.
-        let e = Scenario::parse(&base("{ \"kind\": \"hier\", \"rings\": 4 }")).unwrap_err();
+        // The removed backends and their geometry keys are named, never
+        // silently ignored.
+        for cal in [
+            "\"wheel\"",
+            "\"hier\"",
+            "\"auto\"",
+            "{ \"kind\": \"hier\" }",
+            "{ \"kind\": \"heap\", \"slots\": 4 }",
+            "{ \"kind\": \"hier\", \"bucket_ticks\": 8 }",
+            "{ \"kind\": \"heap\", \"levels\": 0 }",
+        ] {
+            let e = Scenario::parse(&base(cal)).unwrap_err();
+            assert_eq!(e.path, "machine.calendar", "{cal}");
+            assert_eq!(e.line, 3, "{cal}");
+            assert!(
+                matches!(e.kind, ScenarioErrorKind::Invalid(ref m) if m.contains("removed in favour of the binary heap")),
+                "{cal}: {e}"
+            );
+        }
+        // Any other key is caught by the object key check.
+        let e = Scenario::parse(&base("{ \"kind\": \"heap\", \"rings\": 4 }")).unwrap_err();
         assert_eq!(e.path, "machine.calendar.rings");
         assert!(matches!(e.kind, ScenarioErrorKind::UnknownField(_)));
-        // levels: 0 is caught by the config validation run at parse
-        // time, attributed to the machine block.
-        let e = Scenario::parse(&base("{ \"kind\": \"hier\", \"levels\": 0 }")).unwrap_err();
-        assert_eq!(e.path, "machine");
-        assert_eq!(e.line, 2);
-        assert!(matches!(e.kind, ScenarioErrorKind::Invalid(ref m) if m.contains("level")));
     }
 
     #[test]

@@ -146,49 +146,6 @@ fn fault_injected_runs_are_identical_across_shards_and_drivers() {
     }
 }
 
-/// Fault injection is calendar-agnostic: scripted and random plans
-/// reproduce the heap calendar's full faulty fingerprint — crash for
-/// crash, retry for retry, availability point for availability point —
-/// under the hierarchical wheel and the self-tuning `Auto` backend, on
-/// both drivers.
-#[test]
-fn fault_injected_runs_are_identical_across_calendar_backends() {
-    use pax_sim::CalendarKind;
-    let fleet = FleetConfig::staged(4, 48, SimDuration(350));
-    let plans = [("scripted", scripted_plan()), ("random", random_plan())];
-    for (pname, plan) in &plans {
-        let reference = fleet
-            .simulation(MachineConfig::new(4).with_faults(plan.clone()), 7)
-            .run()
-            .map(|r| fault_fingerprint(pname, &r))
-            .unwrap();
-        for backend in [CalendarKind::hier_wheel(), CalendarKind::Auto] {
-            for shards in [1usize, 8] {
-                let cfg = MachineConfig::new(4)
-                    .with_faults(plan.clone())
-                    .with_calendar(backend)
-                    .with_shards(ShardPolicy::new(shards));
-                let inline = fleet
-                    .simulation(cfg.clone(), 7)
-                    .run()
-                    .map(|r| fault_fingerprint(pname, &r))
-                    .unwrap();
-                assert_eq!(
-                    inline, reference,
-                    "inline driver diverged: {pname} {backend:?} shards={shards}"
-                );
-                let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7))
-                    .map(|r| fault_fingerprint(pname, &r))
-                    .unwrap();
-                assert_eq!(
-                    threaded, reference,
-                    "threaded driver diverged: {pname} {backend:?} shards={shards}"
-                );
-            }
-        }
-    }
-}
-
 /// The degraded-capacity report fields actually account for the faults:
 /// crashes happened, preempted ranges were reissued, worker time was
 /// lost, the availability timeline is populated, and utilization against

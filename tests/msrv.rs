@@ -96,7 +96,7 @@ fn ci_lints_the_msrv_toolchain() {
 fn ci_has_the_tiered_matrix() {
     // The tiered layout: a fast `check` job gates the build-test matrix
     // and the bench smoke, and a scheduled bench-sweep job owns the full
-    // lane/calendar sweep with an artifact retention policy.
+    // lane sweep with an artifact retention policy.
     let ci = read(".github/workflows/ci.yml");
     for needle in [
         "check:",

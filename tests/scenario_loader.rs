@@ -13,7 +13,7 @@
 //!    builds a runnable simulation.
 
 use pax_workloads::scenario::{
-    AdmissionDoc, AffinityDoc, ArrivalDoc, CalendarDoc, ClassDoc, DistDoc, FaultDoc, FaultEventDoc,
+    AdmissionDoc, AffinityDoc, ArrivalDoc, ClassDoc, DistDoc, FaultDoc, FaultEventDoc,
     FaultModelDoc, MachineDoc, MappingDoc, PhaseDoc, PolicyDoc, PoolDoc, ProgramDoc, RetryDoc,
     Scenario, ScenarioErrorKind, SizingDoc, StreamDoc,
 };
@@ -96,37 +96,32 @@ fn service_stream_cookbook_completes_all_jobs() {
     assert!(r.jobs.iter().all(|j| j.finished_at.is_some()));
 }
 
-/// The hierarchical-calendar cookbook parses its tuned geometry, runs,
-/// and — because the calendar backend is a host-performance knob, not a
-/// scheduling knob — swapping it for the heap or the self-tuning Auto
-/// backend changes nothing observable through the scenario loader.
+/// A cookbook file written before the calendar backends were removed —
+/// `hetero_service_stream.json` asked for `"wheel"`, the deleted
+/// `hier_calendar_stream.json` for tuned rings — is rejected at the
+/// line that names the backend, never run on the heap behind the
+/// author's back.
 #[test]
-fn hier_cookbook_is_backend_invariant() {
-    let s = Scenario::load_path(scenarios_dir().join("hier_calendar_stream.json")).unwrap();
-    assert_eq!(
-        s.machine.calendar,
-        CalendarDoc::Hier {
-            slots: Some(64),
-            bucket_ticks: Some(1),
-            levels: Some(3)
-        }
-    );
-    let fingerprint = |s: &Scenario| {
-        let r = s.build().unwrap().run().unwrap();
-        format!(
-            "ev={} mk={} tasks={} done={} peak={}",
-            r.events,
-            r.makespan.ticks(),
-            r.tasks_dispatched,
-            r.jobs_completed(),
-            r.instances_peak
-        )
-    };
-    let reference = fingerprint(&s);
-    for cal in [CalendarDoc::Heap, CalendarDoc::Wheel, CalendarDoc::Auto] {
-        let mut alt = s.clone();
-        alt.machine.calendar = cal;
-        assert_eq!(fingerprint(&alt), reference, "{cal:?} diverged");
+fn removed_calendar_backends_fail_loudly() {
+    let current = std::fs::read_to_string(scenarios_dir().join("hetero_service_stream.json"))
+        .expect("cookbook file");
+    for old in [
+        r#""calendar": "wheel","#,
+        r#""calendar": { "kind": "hier", "slots": 64, "bucket_ticks": 1, "levels": 3 },"#,
+    ] {
+        let text = current.replacen(
+            "\"ideal\": true,",
+            &format!("\"ideal\": true,\n    {old}"),
+            1,
+        );
+        assert_ne!(text, current, "the splice point moved");
+        let e = Scenario::parse(&text).unwrap_err();
+        assert_eq!(e.path, "machine.calendar", "{old}");
+        assert_eq!(e.line, 7, "{old}");
+        assert!(
+            matches!(e.kind, ScenarioErrorKind::Invalid(ref m) if m.contains("removed")),
+            "{old}: {e}"
+        );
     }
 }
 
@@ -222,7 +217,6 @@ mod round_trip {
         overlap: bool,
         sizing_kind: u8,
         quoted_name: bool,
-        calendar_kind: u8,
     ) -> Scenario {
         let classes = match split {
             0 => Vec::new(),
@@ -289,26 +283,6 @@ mod round_trip {
                     Some(2)
                 } else {
                     None
-                },
-                calendar: match calendar_kind % 6 {
-                    0 => CalendarDoc::Heap,
-                    1 => CalendarDoc::Wheel,
-                    2 => CalendarDoc::Hier {
-                        slots: None,
-                        bucket_ticks: None,
-                        levels: None,
-                    },
-                    3 => CalendarDoc::Hier {
-                        slots: Some(16),
-                        bucket_ticks: Some(4),
-                        levels: Some(2),
-                    },
-                    4 => CalendarDoc::Hier {
-                        slots: None,
-                        bucket_ticks: Some(8),
-                        levels: None,
-                    },
-                    _ => CalendarDoc::Auto,
                 },
                 shards: if seed.is_multiple_of(5) {
                     Some(2)
@@ -403,13 +377,12 @@ mod round_trip {
             overlap in proptest::bool::ANY,
             sizing_kind in 0u8..3,
             quoted_name in proptest::bool::ANY,
-            calendar_kind in 0u8..6,
         ) {
             let doc = scenario_from(
                 seed, processors, split, speed, affinity, pools, tokens,
                 phases, granules, cost_kind, mapping_kind, admission,
                 fault_kind, retry_kind, stream_kind, overlap, sizing_kind,
-                quoted_name, calendar_kind,
+                quoted_name,
             );
             let text = doc.to_json();
             let back = Scenario::parse(&text)

@@ -108,57 +108,6 @@ fn faulty_service_stream_is_identical_across_shard_counts() {
     }
 }
 
-/// The calendar backends compose with service mode and faults: the same
-/// crashing Poisson stream is crash-for-crash identical — same crashes,
-/// retries, lost work, and latency percentiles — under the time wheel,
-/// the hierarchical wheel, and the self-tuning `Auto` calendar, sharded
-/// and unsharded, on both the inline and the threaded driver.
-#[test]
-fn faulty_service_stream_is_identical_across_calendar_backends() {
-    use pax_sim::CalendarKind;
-    let svc = ServiceConfig::poisson(600, 250).with_groups(4);
-    let machine = MachineConfig::new(3).with_faults(pax_workloads::degraded_fault_plan());
-    let reference = fault_signature(
-        &svc.simulation(machine.clone(), 23)
-            .run()
-            .expect("heap-calendar faulty service run"),
-    );
-    assert!(
-        !reference.contains("crashes=0 "),
-        "fault plan never fired — signature {reference}"
-    );
-    let backends = [
-        CalendarKind::time_wheel(),
-        CalendarKind::hier_wheel(),
-        CalendarKind::HierWheel {
-            slots: 16,
-            bucket_ticks: 8,
-            levels: 2,
-        },
-        CalendarKind::Auto,
-    ];
-    for backend in backends {
-        for shards in [1usize, 4] {
-            let cfg = machine
-                .clone()
-                .with_calendar(backend)
-                .with_shards(ShardPolicy::new(shards));
-            let inline = fault_signature(&svc.simulation(cfg.clone(), 23).run().unwrap());
-            assert_eq!(
-                inline, reference,
-                "inline driver diverged: {backend:?} shards={shards}"
-            );
-            let threaded = pax_runtime::run_simulation_sharded(svc.simulation(cfg, 23))
-                .map(|r| fault_signature(&r))
-                .unwrap();
-            assert_eq!(
-                threaded, reference,
-                "threaded driver diverged: {backend:?} shards={shards}"
-            );
-        }
-    }
-}
-
 /// Service mode through the explicit session: pausing a live stream at
 /// arbitrary global times and resuming reaches the same final report as
 /// the one-shot drive.
@@ -174,4 +123,122 @@ fn paused_and_resumed_service_stream_matches_one_shot() {
     }
     let windowed = fault_signature(&session.report().unwrap());
     assert_eq!(windowed, reference);
+}
+
+/// One job of the service program arriving at each of `instants` on
+/// `machine`, accept-all unless the machine says otherwise, evicting.
+fn trace_sim(machine: MachineConfig, streams: &[(usize, &[u64])]) -> Simulation {
+    let svc = ServiceConfig::poisson(1, 1);
+    let mut sim = Simulation::new(machine, svc.policy())
+        .with_seed(3)
+        .with_eviction();
+    for &(group, instants) in streams {
+        let trace = ArrivalProcess::trace(instants.iter().map(|&t| SimTime(t)).collect());
+        sim.add_job_stream_in_group(svc.program(), trace, instants.len(), group);
+    }
+    sim
+}
+
+/// Arrivals wait in a feed beside the calendar and the feed wins ties:
+/// an arrival is admitted before any calendar event of its tick. Under
+/// `Shed { max_in_flight: 1 }` a job arriving on the exact tick the
+/// in-flight job finishes therefore still finds the slot taken and is
+/// shed; one tick later it is admitted. Two streams sharing an instant
+/// admit in job-index order.
+#[test]
+fn arrivals_precede_the_events_of_their_tick_and_tie_in_job_order() {
+    let shed = MachineConfig::ideal(4).with_admission(AdmissionPolicy::Shed { max_in_flight: 1 });
+    let alone = trace_sim(shed.clone(), &[(0, &[100])]).run().unwrap();
+    let finish = alone.jobs[0]
+        .finished_at
+        .expect("the lone job completes")
+        .ticks();
+    assert!(finish > 100);
+
+    let on_the_tick = trace_sim(shed.clone(), &[(0, &[100, finish])])
+        .run()
+        .unwrap();
+    assert_eq!(on_the_tick.jobs[0].finished_at, Some(SimTime(finish)));
+    assert!(
+        on_the_tick.jobs[1].rejected,
+        "an arrival on the completion tick must see the job still in flight"
+    );
+    let a_tick_later = trace_sim(shed.clone(), &[(0, &[100, finish + 1])])
+        .run()
+        .unwrap();
+    assert!(!a_tick_later.jobs[1].rejected);
+    assert_eq!(a_tick_later.jobs_rejected, 0);
+
+    // Stream 0's job has the lower index and takes the one slot, in
+    // whichever order the streams list the shared instant.
+    let tied = trace_sim(shed, &[(0, &[700, 50]), (0, &[50])])
+        .run()
+        .unwrap();
+    let at_50: Vec<(usize, bool)> = tied
+        .jobs
+        .iter()
+        .enumerate()
+        .filter(|(_, j)| j.arrived_at == SimTime(50))
+        .map(|(i, j)| (i, j.rejected))
+        .collect();
+    assert_eq!(at_50, vec![(0, false), (2, true)]);
+}
+
+fn job_signature(r: &RunReport) -> String {
+    let jobs: Vec<_> = r
+        .jobs
+        .iter()
+        .map(|j| (j.arrived_at, j.started_at, j.finished_at, j.rejected))
+        .collect();
+    format!("{} jobs={jobs:?}", fault_signature(r))
+}
+
+/// A pause placed exactly on, one tick before and one tick after an
+/// arrival instant — while every processor is idle and the calendar is
+/// empty, so the pending arrival is the only thing keeping the run
+/// alive — neither ends the run nor moves a tick of it, on the inline
+/// engine, the sharded coordinator and the threaded session. A driver
+/// that looked only at the calendar would report the run drained.
+#[test]
+fn pausing_around_an_arrival_on_an_idle_machine_matches_drain_on_every_driver() {
+    // A job takes a few hundred ticks; the arrivals are thousands apart.
+    const ARRIVALS: &[u64] = &[1_000, 5_000, 9_000];
+    let one_group = |shards: usize| {
+        trace_sim(
+            MachineConfig::new(4).with_shards(ShardPolicy::new(shards)),
+            &[(0, ARRIVALS)],
+        )
+    };
+    let two_groups = || {
+        trace_sim(
+            MachineConfig::new(4).with_shards(ShardPolicy::new(2)),
+            &[(0, ARRIVALS), (1, ARRIVALS)],
+        )
+    };
+    let one_ref = job_signature(&one_group(1).run().unwrap());
+    let two_ref = job_signature(&two_groups().run().unwrap());
+    assert!(one_ref.contains("done=3 ") && two_ref.contains("done=6 "));
+    for limit in [4_999u64, 5_000, 5_001] {
+        let through_session = |sim: Simulation| {
+            let mut session = sim.into_session().unwrap();
+            let drained = session.step_until(SimTime(limit)).unwrap();
+            assert!(!drained, "arrivals remain past t={limit}");
+            job_signature(&session.report().unwrap())
+        };
+        assert_eq!(through_session(one_group(1)), one_ref, "inline, t={limit}");
+        assert_eq!(
+            through_session(one_group(2)),
+            one_ref,
+            "coordinator over one group, t={limit}"
+        );
+        assert_eq!(through_session(two_groups()), two_ref, "sharded, t={limit}");
+        let mut threaded = pax_runtime::ThreadedSession::new(two_groups().into_sharded().unwrap());
+        let drained = threaded.step_until(Some(SimTime(limit))).unwrap();
+        assert!(!drained, "arrivals remain past t={limit}");
+        assert_eq!(
+            job_signature(&threaded.finish().unwrap()),
+            two_ref,
+            "threaded, t={limit}"
+        );
+    }
 }
