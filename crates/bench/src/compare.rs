@@ -526,8 +526,13 @@ mod tests {
     fn real_emitter_output_round_trips() {
         // the gate must understand whatever rundown::to_json writes
         let m = headline();
-        let p = parse_rundown(&crate::rundown::to_json_for_host(
+        let p = parse_rundown(&crate::rundown::to_json_full(
             &[m],
+            &[],
+            &[],
+            &[],
+            &[],
+            &[],
             "ci-runner/4cpu/x86_64",
         ));
         assert_eq!(p.host.as_deref(), Some("ci-runner/4cpu/x86_64"));

@@ -473,7 +473,7 @@ pub fn shard_scaling_for(
     use pax_sim::ShardPolicy;
     let mut out = Vec::new();
     for sc in fleets {
-        let mut reference: Option<(u64, u64, u64, u64)> = None;
+        let mut reference: Option<RunReport> = None;
         let mut base_wall = f64::NAN;
         for &shards in shard_counts {
             let mut cfg = MachineConfig::new(sc.processors).with_shards(ShardPolicy::new(shards));
@@ -488,14 +488,12 @@ pub fn shard_scaling_for(
             // be identical at every shard count, or the sweep is
             // comparing different machines. With faults injected the
             // crash/retry history must hold still too.
-            let sig = (r.events, r.makespan.ticks(), r.crashes, r.retries);
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => assert_eq!(
-                    sig, reference,
+            if let Some(reference) = &reference {
+                assert_eq!(
+                    &r, reference,
                     "{}: run diverged across shard counts",
                     sc.name
-                ),
+                );
             }
             if shards == 1 {
                 base_wall = best_wall;
@@ -526,6 +524,7 @@ pub fn shard_scaling_for(
                 retries: r.retries,
                 lost_work_ticks: r.lost_work.ticks(),
             });
+            reference.get_or_insert(r);
         }
     }
     out
@@ -640,7 +639,7 @@ pub fn service_scaling_for(
     use pax_sim::ShardPolicy;
     let mut out = Vec::new();
     for sc in scenarios {
-        let mut reference: Option<(u64, u64, usize, u64, u64, u64, usize)> = None;
+        let mut reference: Option<RunReport> = None;
         for &shards in shard_counts {
             let cfg = MachineConfig::new(sc.processors).with_shards(ShardPolicy::new(shards));
             let (r, best_wall) = best_of(sc.reps, || {
@@ -652,22 +651,8 @@ pub fn service_scaling_for(
             // The whole service history — counts, percentiles, the
             // eviction bound — must hold still across shard counts, or
             // the sweep is comparing different machines.
-            let sig = (
-                r.events,
-                r.makespan.ticks(),
-                r.jobs_completed(),
-                r.jobs_rejected,
-                p50,
-                p99,
-                r.instances_peak,
-            );
-            match reference {
-                None => reference = Some(sig),
-                Some(reference) => assert_eq!(
-                    sig, reference,
-                    "{}: service run diverged across shard counts",
-                    sc.name
-                ),
+            if let Some(reference) = &reference {
+                assert_eq!(&r, reference, "{}: diverged across shard counts", sc.name);
             }
             eprintln!(
                 "[service_scaling] {} shards={shards:<2} {best_wall:>9.3} ms  p50={p50} p99={p99} peak={}",
@@ -690,6 +675,7 @@ pub fn service_scaling_for(
                 wall_ms: best_wall,
                 events_per_sec: r.events as f64 / (best_wall / 1e3),
             });
+            reference.get_or_insert(r);
         }
     }
     out
@@ -848,10 +834,9 @@ pub fn hetero_scaling_for(
     shard_counts: &[usize],
 ) -> Vec<HeteroScalingMeasurement> {
     use pax_sim::ShardPolicy;
-    type HeteroSig = (u64, u64, u64, Vec<(String, u64)>, Vec<(String, u64, u64)>);
     let mut out = Vec::new();
     for sc in scenarios {
-        let mut reference: Option<HeteroSig> = None;
+        let mut reference: Option<RunReport> = None;
         for &shards in shard_counts {
             let cfg = MachineConfig::new(sc.processors)
                 .with_classes(sc.classes.clone())
@@ -870,26 +855,8 @@ pub fn hetero_scaling_for(
             });
             // The heterogeneity accounting itself must hold still across
             // shard counts, or the merge is summing different machines.
-            let sig: HeteroSig = (
-                r.events,
-                r.makespan.ticks(),
-                r.tasks_dispatched,
-                r.class_reports
-                    .iter()
-                    .map(|c| (c.name.clone(), c.tasks))
-                    .collect(),
-                r.pool_reports
-                    .iter()
-                    .map(|p| (p.name.clone(), p.waits, p.wait_ticks.ticks()))
-                    .collect(),
-            );
-            match &reference {
-                None => reference = Some(sig),
-                Some(reference) => assert_eq!(
-                    &sig, reference,
-                    "{}: hetero run diverged across shard counts",
-                    sc.name
-                ),
+            if let Some(reference) = &reference {
+                assert_eq!(&r, reference, "{}: diverged across shard counts", sc.name);
             }
             let fast_share = if r.class_reports.is_empty() || r.tasks_dispatched == 0 {
                 f64::NAN
@@ -919,6 +886,7 @@ pub fn hetero_scaling_for(
                 wall_ms: best_wall,
                 events_per_sec: r.events as f64 / (best_wall / 1e3),
             });
+            reference.get_or_insert(r);
         }
     }
     out
@@ -964,26 +932,6 @@ pub fn degraded_scaling(quick: bool) -> Vec<ShardScalingMeasurement> {
     shard_scaling_for(&fleets, DEGRADED_SWEEP_SHARDS)
 }
 
-/// Wall-clock milliseconds per scenario measured at the pre-PR seed
-/// (commit 37ecaec, per-event `clone()`/`collect()` completion path,
-/// O(live) descriptor removal), on the same machine class that generates
-/// `BENCH_rundown.json`. Kept here so every regeneration of the JSON
-/// records the trajectory the allocation-free rework started from.
-pub const PRE_PR_BASELINE_WALL_MS: &[(&str, f64)] = &[
-    ("identity_1e4_t1", 16.881),
-    ("reverse_1e4_t1", 137.993),
-    ("identity_1e5_t1", 872.493),
-    ("universal_1e5_t16", 3.403),
-    ("identity_1e6_t64", 30.649),
-];
-
-/// Fingerprint of the host that recorded [`PRE_PR_BASELINE_WALL_MS`] (and
-/// the checked-in `BENCH_rundown.json`). `speedup_vs_baseline` is emitted
-/// as JSON `null` whenever the measuring host's [`host_fingerprint`]
-/// differs — cross-host wall-time ratios are noise, not trajectory (the
-/// JSON's own `baseline_caveat` said so; now the field enforces it).
-pub const BASELINE_HOST: &str = "Intel(R) Xeon(R) Processor @ 2.10GHz/1cpu/x86_64";
-
 /// Coarse host-class fingerprint: CPU model name (Linux; OS name
 /// elsewhere) × logical CPU count × architecture. Deliberately ignores
 /// boot-to-boot noise (frequency governor, load) — it distinguishes
@@ -1013,24 +961,16 @@ fn json_f64(x: f64) -> String {
     }
 }
 
-/// Render measurements (plus the recorded pre-PR baseline) as JSON.
+/// Render the headline measurements as JSON, stamped with this host.
 pub fn to_json(measurements: &[RundownMeasurement]) -> String {
-    to_json_for_host(measurements, &host_fingerprint())
-}
-
-/// [`to_json`] with an explicit measuring-host fingerprint (testable).
-/// `speedup_vs_baseline` is `null` unless `host` matches
-/// [`BASELINE_HOST`]; the fingerprints of both hosts are recorded so a
-/// later reader can tell which comparison would be legitimate.
-pub fn to_json_for_host(measurements: &[RundownMeasurement], host: &str) -> String {
-    to_json_full(measurements, &[], &[], &[], &[], &[], host)
+    to_json_full(measurements, &[], &[], &[], &[], &[], &host_fingerprint())
 }
 
 /// Full document: headline scenarios plus the lane-scaling,
 /// shard-scaling, degraded-fleet, service-scaling, and hetero-scaling
 /// sweeps. One parameter per sweep family is the honest
 /// shape here — callers either thread all sweeps through (experiments
-/// bin) or none (`to_json_for_host`). Every sweep array is
+/// bin) or none ([`to_json`]). Every sweep array is
 /// emitted *before* `scenarios` on purpose: the perf-gate parser
 /// ([`crate::compare::parse_rundown`]) starts capturing at the
 /// `scenarios` key, so sweep rows can never be mistaken for headline
@@ -1044,23 +984,15 @@ pub fn to_json_full(
     hetero: &[HeteroScalingMeasurement],
     host: &str,
 ) -> String {
-    let same_host = host == BASELINE_HOST;
     let mut out = String::new();
     out.push_str("{\n");
     out.push_str("  \"schema\": \"pax-bench-rundown/v2\",\n");
     out.push_str(
         "  \"note\": \"wall_ms is the best-of-reps wall time of one full simulation run, \
-         after one discarded warm-up rep; \
-         baseline_wall_ms is the same scenario measured at the pre-optimization seed commit\",\n",
-    );
-    out.push_str(
-        "  \"baseline_caveat\": \"baselines were recorded on the host identified by \
-         baseline_host; speedup_vs_baseline is null when the measuring host differs — \
-         cross-host wall-time ratios are not comparable. Compare wall_ms across commits \
-         from the same runner instead (the CI perf gate does exactly that)\",\n",
+         after one discarded warm-up rep, on the host named by host; wall times from \
+         different hosts are not comparable\",\n",
     );
     out.push_str(&format!("  \"host\": \"{host}\",\n"));
-    out.push_str(&format!("  \"baseline_host\": \"{BASELINE_HOST}\",\n"));
     if !lanes.is_empty() {
         out.push_str(
             "  \"lane_scaling_note\": \"executive-lane sweep under the default batched \
@@ -1254,16 +1186,6 @@ pub fn to_json_full(
     }
     out.push_str("  \"scenarios\": [\n");
     for (i, m) in measurements.iter().enumerate() {
-        let baseline = PRE_PR_BASELINE_WALL_MS
-            .iter()
-            .find(|(n, _)| *n == m.name)
-            .map(|&(_, ms)| ms)
-            .unwrap_or(f64::NAN);
-        let speedup = if same_host {
-            baseline / m.wall_ms
-        } else {
-            f64::NAN // json_f64 renders NaN as null
-        };
         out.push_str("    {\n");
         out.push_str(&format!("      \"name\": \"{}\",\n", m.name));
         out.push_str(&format!("      \"shape\": \"{}\",\n", m.shape));
@@ -1274,16 +1196,8 @@ pub fn to_json_full(
         out.push_str(&format!("      \"makespan_ticks\": {},\n", m.makespan));
         out.push_str(&format!("      \"wall_ms\": {},\n", json_f64(m.wall_ms)));
         out.push_str(&format!(
-            "      \"events_per_sec\": {},\n",
+            "      \"events_per_sec\": {}\n",
             json_f64(m.events_per_sec)
-        ));
-        out.push_str(&format!(
-            "      \"baseline_wall_ms\": {},\n",
-            json_f64(baseline)
-        ));
-        out.push_str(&format!(
-            "      \"speedup_vs_baseline\": {}\n",
-            json_f64(speedup)
         ));
         out.push_str(if i + 1 == measurements.len() {
             "    }\n"
@@ -1329,27 +1243,9 @@ mod tests {
         let j = to_json(&[measure(&s)]);
         assert!(j.starts_with('{') && j.ends_with("}\n"));
         assert!(j.contains("\"identity_1e4_t1\""));
-        assert!(j.contains("\"baseline_wall_ms\""));
+        assert!(j.contains("\"wall_ms\""));
         // balanced braces (cheap sanity; no serde in the vendored tree)
         assert_eq!(j.matches('{').count(), j.matches('}').count());
-    }
-
-    #[test]
-    fn baseline_table_covers_all_seed_era_scenarios() {
-        // Scenarios that existed at the pre-optimization seed commit must
-        // keep their recorded baseline; later-added arena-stress and
-        // fragmentation shapes legitimately have none (their speedup
-        // field renders null).
-        for s in scenarios(false) {
-            if s.name == "identity_presplit_1e5_t8" || s.name.starts_with("fragmented") {
-                continue;
-            }
-            assert!(
-                PRE_PR_BASELINE_WALL_MS.iter().any(|(n, _)| *n == s.name),
-                "no baseline entry for {}",
-                s.name
-            );
-        }
     }
 
     #[test]
@@ -1357,26 +1253,6 @@ mod tests {
         let a = host_fingerprint();
         assert_eq!(a, host_fingerprint(), "fingerprint must be deterministic");
         assert!(a.contains("cpu/"), "fingerprint shape: {a}");
-    }
-
-    #[test]
-    fn speedup_is_null_on_foreign_host() {
-        let s = RundownScenario {
-            name: "identity_1e4_t1",
-            granules: 32,
-            task_size: 1,
-            processors: 2,
-            shape: RundownShape::Identity,
-            reps: 1,
-        };
-        let m = [measure(&s)];
-        let foreign = to_json_for_host(&m, "some-other-box/64cpu/riscv");
-        assert!(foreign.contains("\"speedup_vs_baseline\": null"));
-        assert!(foreign.contains("\"host\": \"some-other-box/64cpu/riscv\""));
-        let native = to_json_for_host(&m, BASELINE_HOST);
-        assert!(!native.contains("\"speedup_vs_baseline\": null"));
-        // both record which host the baselines came from
-        assert!(foreign.contains("\"baseline_host\""));
     }
 
     #[test]

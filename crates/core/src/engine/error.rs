@@ -1,0 +1,63 @@
+//! The errors a simulation run surfaces.
+
+use pax_sim::machine::ConfigError;
+
+/// Errors surfaced by a simulation run.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EngineError {
+    /// The event queue drained while jobs were still incomplete: some
+    /// gated work was never released (a scheduling bug or an impossible
+    /// program).
+    Deadlock {
+        /// Indices of unfinished jobs.
+        unfinished_jobs: Vec<usize>,
+        /// Diagnostic text.
+        detail: String,
+    },
+    /// A program failed validation before the run started.
+    InvalidProgram(String),
+    /// The machine configuration failed
+    /// [`pax_sim::machine::MachineConfig::validate`] at session build.
+    InvalidConfig(ConfigError),
+    /// A processor crash lost a granule range that the machine's
+    /// [`pax_sim::faults::RetryPolicy`] refused to reissue — the job can
+    /// never complete, so the run fails structurally instead of
+    /// deadlocking.
+    JobAborted {
+        /// Index of the aborted job.
+        job: usize,
+        /// Diagnostic text.
+        detail: String,
+    },
+    /// A shard worker thread of the threaded driver panicked or missed
+    /// the watchdog deadline, so the epoch protocol cannot complete.
+    /// Raised by `pax-runtime`'s `ThreadedSession` in place of the
+    /// process hang a naked barrier would produce.
+    ShardFailed {
+        /// Index of the failed shard.
+        shard: usize,
+        /// Panic payload or watchdog diagnostic.
+        cause: String,
+    },
+}
+
+impl std::fmt::Display for EngineError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EngineError::Deadlock {
+                unfinished_jobs,
+                detail,
+            } => write!(f, "deadlock: jobs {unfinished_jobs:?} unfinished; {detail}"),
+            EngineError::InvalidProgram(s) => write!(f, "invalid program: {s}"),
+            EngineError::InvalidConfig(e) => write!(f, "invalid machine config: {e}"),
+            EngineError::JobAborted { job, detail } => {
+                write!(f, "job {job} aborted: {detail}")
+            }
+            EngineError::ShardFailed { shard, cause } => {
+                write!(f, "shard {shard} failed: {cause}")
+            }
+        }
+    }
+}
+
+impl std::error::Error for EngineError {}

@@ -1,0 +1,549 @@
+//! Overlap initiation — identity conflict queues, composite maps and
+//! enablement counters, priority elevation — and the executive's
+//! background backlog that builds maps and splits successors off the
+//! dispatch path.
+
+use super::{CounterState, Engine, Ev, ExecTask, InstState};
+use crate::descriptor::{DescState, QueueClass};
+use crate::ids::{DescId, GranuleRange, InstanceId, JobId};
+use crate::mapping::{CompositeMap, EnablementMapping, MappingKind};
+use crate::policy::CompositeBuild;
+use crate::program::{Lookahead, Step};
+use crate::rangeset::coalesce_indices_into;
+use pax_sim::time::SimDuration;
+use std::mem::take;
+use std::sync::Arc;
+
+/// Lane-time slice for chunked background composite-map construction.
+const BUILD_CHUNK_TICKS: u64 = 64;
+
+impl Engine {
+    /// Apply the overlap policy at the moment `pred` becomes current:
+    /// look ahead for the next dispatch and initiate it under the declared
+    /// enablement mapping.
+    pub(super) fn initiate_successor(&mut self, pred_id: InstanceId) {
+        if !self.policy.enabled {
+            return;
+        }
+        let (job, dispatch_step) = {
+            let p = self.inst(pred_id);
+            (p.job, p.dispatch_step)
+        };
+        // Borrow the ENABLE clause from the shared program instead of
+        // cloning the spec vector (and its mapping payloads) per overlap.
+        let program = Arc::clone(&self.jobs[job].program);
+        let (enables, branch_independent) = match &program.steps[dispatch_step] {
+            Step::Dispatch {
+                enables,
+                branch_independent,
+                ..
+            } => (enables, *branch_independent),
+            _ => return,
+        };
+        let la = program.lookahead(dispatch_step, &self.jobs[job].counters, branch_independent);
+        let (succ_phase, succ_step) = match la {
+            Lookahead::Phase { phase, step } => (phase, step),
+            _ => return, // serial gap, opaque branch, or program end
+        };
+        let Some(spec) = enables.iter().find(|e| e.successor == succ_phase) else {
+            if !enables.is_empty() {
+                let names: Vec<&str> = enables
+                    .iter()
+                    .map(|e| {
+                        self.jobs[job].program.phases[e.successor.0 as usize]
+                            .name
+                            .as_str()
+                    })
+                    .collect();
+                self.warnings.push(format!(
+                    "interlock: ENABLE clause of step {dispatch_step} names {names:?} but \
+                     the following phase is '{}' — no overlap applied",
+                    self.jobs[job].program.phases[succ_phase.0 as usize].name
+                ));
+            }
+            return;
+        };
+        let kind = spec.mapping.kind();
+        if kind == MappingKind::Null {
+            return;
+        }
+        if kind == MappingKind::Identity {
+            let pg = self.inst(pred_id).granules;
+            let sg = self.jobs[job].program.phases[succ_phase.0 as usize].granules;
+            if pg != sg {
+                self.warnings.push(format!(
+                    "identity mapping requires equal granule counts ({pg} vs {sg}); \
+                     overlap skipped at step {dispatch_step}"
+                ));
+                return;
+            }
+        }
+        let succ_id = self.new_instance(
+            job,
+            succ_phase,
+            succ_step,
+            InstState::Initiated,
+            Some(pred_id),
+            Some(kind),
+        );
+        self.inst_mut(pred_id).successor = Some(succ_id);
+        self.jobs[job].pending_successor = Some((succ_step, succ_id));
+        let mut cost = self.cfg.costs.phase_init;
+        match &spec.mapping {
+            EnablementMapping::Universal => {
+                // "the successor phase is also initiated and the resulting
+                // computation description placed in the waiting computation
+                // queue behind the current phase description."
+                let full = GranuleRange::new(0, self.inst(succ_id).granules);
+                self.release_range(succ_id, full, QueueClass::Normal, &mut cost);
+            }
+            EnablementMapping::Identity => {
+                self.init_identity(pred_id, succ_id, &mut cost);
+            }
+            m @ (EnablementMapping::ForwardIndirect(_)
+            | EnablementMapping::ReverseIndirect(_)
+            | EnablementMapping::Seam(_)) => {
+                self.init_counted(pred_id, succ_id, m.clone(), &mut cost);
+            }
+            EnablementMapping::Null => unreachable!(),
+        }
+        self.exec_service(self.now, cost);
+        self.tlog.log(self.now, || {
+            format!(
+                "{pred_id} initiated successor {succ_id} via {}",
+                kind.label()
+            )
+        });
+    }
+
+    /// Identity overlap: queue a matching successor description on every
+    /// live current-phase description's conflict queue; ranges already
+    /// completed release immediately.
+    fn init_identity(&mut self, pred_id: InstanceId, succ_id: InstanceId, cost: &mut SimDuration) {
+        let job = JobId(self.inst(succ_id).job as u32);
+        let mut pred_live = take(&mut self.scratch.desc_ranges);
+        pred_live.extend(
+            self.inst(pred_id)
+                .live_descs
+                .iter()
+                .map(|&d| (d, self.arena.range(d))),
+        );
+        for &(pd, range) in &pred_live {
+            let sd = self.arena.alloc(succ_id, job, range);
+            self.live_push(succ_id, sd);
+            self.inst_mut(succ_id).released.insert(range);
+            self.arena.cq_push(pd, sd);
+        }
+        pred_live.clear();
+        self.scratch.desc_ranges = pred_live;
+        let mut done_runs = take(&mut self.scratch.runs);
+        done_runs.extend(self.inst(pred_id).completed.iter_runs());
+        let rclass = self.released_class();
+        for &r in &done_runs {
+            *cost += self.cfg.costs.release;
+            self.release_range(succ_id, r, rclass, cost);
+        }
+        done_runs.clear();
+        self.scratch.runs = done_runs;
+    }
+
+    /// Indirect (forward/reverse/seam) overlap: set status bits on the
+    /// current phase, arrange composite-map construction, and gate the
+    /// successor behind enablement counters.
+    fn init_counted(
+        &mut self,
+        pred_id: InstanceId,
+        succ_id: InstanceId,
+        mapping: EnablementMapping,
+        cost: &mut SimDuration,
+    ) {
+        let early_limit = self.policy.indirect_subset.min(self.inst(succ_id).granules);
+        self.inst_mut(succ_id).counter_state = Some(CounterState {
+            mapping,
+            composite: None,
+            prebuilt: None,
+            counters: Vec::new(),
+            early_limit,
+        });
+        // Status bit on every live description of the current phase.
+        let mut live = take(&mut self.scratch.members);
+        live.extend_from_slice(&self.inst(pred_id).live_descs);
+        for &d in &live {
+            self.arena.set_enabling(d, true);
+        }
+        live.clear();
+        self.scratch.members = live;
+        match self.policy.composite_build {
+            CompositeBuild::Immediate => self.build_composite(succ_id, cost),
+            CompositeBuild::Background => {
+                self.exec_backlog.push_back(ExecTask::BuildComposite {
+                    inst: succ_id,
+                    prepaid: SimDuration::ZERO,
+                });
+                self.kick_exec();
+            }
+        }
+    }
+
+    /// Construct the composite granule map for `succ_id`, apply decrements
+    /// for already-completed predecessor granules, release whatever that
+    /// enables, and optionally elevate the enabling current-phase granules.
+    fn build_composite(&mut self, succ_id: InstanceId, cost: &mut SimDuration) {
+        let full = GranuleRange::new(0, self.inst(succ_id).granules);
+        if self.inst(succ_id).state != InstState::Initiated
+            || self.inst(succ_id).released.contains_range(full)
+        {
+            return; // barrier already lifted; the map would be useless
+        }
+        let Some(pred_id) = self.inst(succ_id).predecessor else {
+            return;
+        };
+        let pred_granules = self.inst(pred_id).granules;
+        let (comp, early_limit) = {
+            let cs = self
+                .inst_mut(succ_id)
+                .counter_state
+                .as_mut()
+                .expect("counted gate");
+            if cs.composite.is_some() {
+                return;
+            }
+            // The background cost probe may have constructed the map
+            // already; share that one instead of building twice.
+            let comp = cs
+                .prebuilt
+                .take()
+                .unwrap_or_else(|| Arc::new(CompositeMap::build(&cs.mapping, pred_granules)));
+            (comp, cs.early_limit)
+        };
+        // Only entries that feed the chosen early subset are constructed
+        // (the paper's subset advice caps the enablement problem's size).
+        let useful_entries = comp.targets.iter().filter(|&&r| r < early_limit).count() as u64;
+        *cost += self.cfg.costs.composite_map_per_entry * useful_entries;
+
+        let mut counters: Vec<u32> = comp.requires[..early_limit as usize].to_vec();
+        // Null-set-enabled granules in the early window behave like a
+        // universal successor: queue them behind the current phase.
+        let mut zero_now = take(&mut self.scratch.zero_now);
+        zero_now.extend((0..early_limit).filter(|&r| counters[r as usize] == 0));
+        // Decrements for predecessor granules that completed before the
+        // map was built (background construction). `comp` is an owned
+        // handle, so the completed runs iterate without materializing.
+        let mut freed = take(&mut self.scratch.freed);
+        let decrement_cost = self.cfg.costs.counter_decrement;
+        for run in self.inst(pred_id).completed.iter_runs() {
+            for g in run.iter() {
+                for &r in comp.dependents_of(g) {
+                    if r < early_limit {
+                        let c = &mut counters[r as usize];
+                        debug_assert!(*c > 0);
+                        *c -= 1;
+                        *cost += decrement_cost;
+                        if *c == 0 {
+                            freed.push(r);
+                        }
+                    }
+                }
+            }
+        }
+        let mut runs = take(&mut self.scratch.runs);
+        coalesce_indices_into(&mut zero_now, &mut runs);
+        for &run in &runs {
+            *cost += self.cfg.costs.release;
+            self.release_range(succ_id, run, QueueClass::Normal, cost);
+        }
+        runs.clear();
+        let rclass = self.released_class();
+        coalesce_indices_into(&mut freed, &mut runs);
+        for &run in &runs {
+            *cost += self.cfg.costs.release;
+            self.release_range(succ_id, run, rclass, cost);
+        }
+        runs.clear();
+        self.scratch.runs = runs;
+        zero_now.clear();
+        self.scratch.zero_now = zero_now;
+        freed.clear();
+        self.scratch.freed = freed;
+        if self.policy.elevate_enabling {
+            // Only granules that enable the chosen early subset are worth
+            // elevating ("identify a subset group of successor-phase
+            // granules ... so as to avoid solving an unnecessarily large
+            // enablement problem"); and if most of the current phase is
+            // enabling, elevation is a no-op by definition — skip it
+            // rather than shatter the master description.
+            let mut enabling = take(&mut self.scratch.indices);
+            enabling.extend(
+                (0..pred_granules)
+                    .filter(|&i| comp.dependents_of(i).iter().any(|&r| r < early_limit)),
+            );
+            if enabling.len() * 2 <= pred_granules as usize {
+                self.elevate_enabling_granules(pred_id, &mut enabling, cost);
+            }
+            enabling.clear();
+            self.scratch.indices = enabling;
+        }
+        let cs = self
+            .inst_mut(succ_id)
+            .counter_state
+            .as_mut()
+            .expect("counted gate");
+        cs.composite = Some(comp);
+        cs.counters = counters;
+    }
+
+    /// Carve the enabling current-phase granules into elevated individual
+    /// descriptions, "placed in the waiting computation queue in such a
+    /// manner as to elevate their computational priority".
+    fn elevate_enabling_granules(
+        &mut self,
+        pred_id: InstanceId,
+        enabling: &mut Vec<u32>,
+        cost: &mut SimDuration,
+    ) {
+        let mut runs = take(&mut self.scratch.runs);
+        coalesce_indices_into(enabling, &mut runs);
+        let mut candidates = take(&mut self.scratch.desc_ranges);
+        for &run in &runs {
+            // Find waiting descriptors of the predecessor intersecting run.
+            candidates.clear();
+            candidates.extend(
+                self.inst(pred_id)
+                    .live_descs
+                    .iter()
+                    .filter(|&&d| matches!(self.arena.state(d), DescState::Waiting))
+                    .filter_map(|&d| self.arena.range(d).intersect(run).map(|ovl| (d, ovl))),
+            );
+            for &(d, ovl) in &candidates {
+                // The descriptor may have been replaced by an earlier carve
+                // in this same loop; re-check.
+                if !matches!(self.arena.state(d), DescState::Waiting) {
+                    continue;
+                }
+                let drange = self.arena.range(d);
+                let Some(ovl) = drange.intersect(ovl) else {
+                    continue;
+                };
+                let job = self.arena.job(d);
+                let queued = self.waiting.remove(d, self.arena.class(d), job);
+                debug_assert!(queued, "a waiting descriptor sits in its arena segment");
+                if ovl == drange {
+                    // Whole descriptor is enabling: move it to the
+                    // elevated segment.
+                    let class = QueueClass::Elevated;
+                    self.arena.set_class(d, class);
+                    self.waiting.push_back(d, class, job);
+                    continue;
+                }
+                // Split out the overlapping middle. At most a leading and
+                // a trailing non-enabling piece exist; two slots replace
+                // the old per-candidate vector.
+                let mut lead: Option<DescId> = None;
+                let mut tail: Option<DescId> = None;
+                let mut cur = d;
+                if ovl.lo > drange.lo {
+                    let rem = self.arena.split(cur, ovl.lo - drange.lo);
+                    self.splits += 1;
+                    *cost += self.cfg.costs.split;
+                    self.live_push(pred_id, rem);
+                    lead = Some(cur); // leading non-enabling part
+                    cur = rem;
+                }
+                if ovl.hi < self.arena.range(cur).hi {
+                    let tail_at = ovl.hi - self.arena.range(cur).lo;
+                    let rem = self.arena.split(cur, tail_at);
+                    self.splits += 1;
+                    *cost += self.cfg.costs.split;
+                    self.live_push(pred_id, rem);
+                    tail = Some(rem); // trailing non-enabling part
+                }
+                // `cur` is now exactly the enabling overlap.
+                self.arena.set_class(cur, QueueClass::Elevated);
+                self.waiting.push_back(cur, QueueClass::Elevated, job);
+                self.arena.set_state(cur, DescState::Waiting);
+                for p in [lead, tail].into_iter().flatten() {
+                    self.arena.set_class(p, QueueClass::Normal);
+                    self.waiting.push_front(p, QueueClass::Normal, job);
+                    self.arena.set_state(p, DescState::Waiting);
+                }
+                self.wake_workers(2);
+            }
+        }
+        candidates.clear();
+        self.scratch.desc_ranges = candidates;
+        runs.clear();
+        self.scratch.runs = runs;
+    }
+
+    pub(super) fn on_exec_kick(&mut self) {
+        let Some(task) = self.exec_backlog.front().copied() else {
+            return;
+        };
+        let free = self.earliest_exec_free();
+        if free > self.now {
+            self.events.schedule(free, Ev::ExecKick);
+            return;
+        }
+        self.exec_backlog.pop_front();
+        let mut cost = SimDuration::ZERO;
+        match task {
+            ExecTask::BuildComposite { inst, prepaid } => {
+                let total = self.composite_build_cost(inst);
+                match total {
+                    None => {
+                        // Stale: barrier already lifted, drop the task —
+                        // and any map the cost probe cached for it, which
+                        // would otherwise be retained until run end.
+                        if let Some(cs) = self.inst_mut(inst).counter_state.as_mut() {
+                            cs.prebuilt = None;
+                        }
+                    }
+                    Some(total) => {
+                        let chunk = SimDuration(BUILD_CHUNK_TICKS);
+                        if prepaid + chunk < total {
+                            // pay one slice and yield the lane so worker
+                            // dispatch/completion services interleave
+                            cost += chunk;
+                            self.exec_backlog.push_back(ExecTask::BuildComposite {
+                                inst,
+                                prepaid: prepaid + chunk,
+                            });
+                        } else {
+                            cost += total.saturating_sub(prepaid);
+                            let mut state_cost = SimDuration::ZERO;
+                            self.build_composite(inst, &mut state_cost);
+                            // state_cost re-counts the build; the chunks
+                            // already paid for it, so only charge the
+                            // decrement/release/carve portion on top
+                            cost += state_cost.saturating_sub(total);
+                        }
+                    }
+                }
+            }
+            ExecTask::SplitSuccessor { succ_desc, pred } => {
+                self.exec_split_successor(succ_desc, pred, &mut cost)
+            }
+        }
+        self.exec_service(self.now, cost);
+        if !self.exec_backlog.is_empty() {
+            self.kick_exec();
+        }
+    }
+
+    /// Lane time required to construct the composite map for `succ`
+    /// (subset-limited), or `None` when the build is stale (the successor
+    /// already became current or fully released). The map constructed for
+    /// the estimate is cached on the counter state ([`CounterState::prebuilt`])
+    /// and handed to [`Engine::build_composite`], which used to build the
+    /// whole CSR structure a second time.
+    fn composite_build_cost(&mut self, succ_id: InstanceId) -> Option<SimDuration> {
+        let full = GranuleRange::new(0, self.inst(succ_id).granules);
+        if self.inst(succ_id).state != InstState::Initiated
+            || self.inst(succ_id).released.contains_range(full)
+        {
+            return None;
+        }
+        let pred_id = self.inst(succ_id).predecessor?;
+        let pred_granules = self.inst(pred_id).granules;
+        let per_entry = self.cfg.costs.composite_map_per_entry;
+        let cs = self.inst_mut(succ_id).counter_state.as_mut()?;
+        if cs.composite.is_some() {
+            return None;
+        }
+        if cs.prebuilt.is_none() {
+            cs.prebuilt = Some(Arc::new(CompositeMap::build(&cs.mapping, pred_granules)));
+        }
+        let comp = cs.prebuilt.as_ref().expect("just built");
+        let useful = comp.targets.iter().filter(|&&r| r < cs.early_limit).count() as u64;
+        Some(per_entry * useful)
+    }
+
+    /// Execute a successor-splitting task: distribute the detached
+    /// successor description across the predecessor's current pieces,
+    /// releasing parts whose enablers already completed.
+    fn exec_split_successor(
+        &mut self,
+        succ_desc: DescId,
+        pred: InstanceId,
+        cost: &mut SimDuration,
+    ) {
+        if !matches!(self.arena.state(succ_desc), DescState::Detached) {
+            return; // already handled elsewhere
+        }
+        let range = self.arena.range(succ_desc);
+        let succ_inst = self.arena.instance(succ_desc);
+        let job = self.arena.job(succ_desc);
+
+        // Pieces: completed predecessor sub-ranges release immediately;
+        // live predecessor descriptors get matching conflicted pieces.
+        let mut pieces = take(&mut self.scratch.pieces);
+        pieces.extend(
+            self.inst(pred)
+                .completed
+                .covered_in_iter(range)
+                .map(|r| (r, None)),
+        );
+        pieces.extend(self.inst(pred).live_descs.iter().filter_map(|&pd| {
+            self.arena
+                .range(pd)
+                .intersect(range)
+                .map(|ovl| (ovl, Some(pd)))
+        }));
+        // Piece lo values are distinct (they tile the range), so the
+        // unstable sort is behavior-identical and allocation-free.
+        pieces.sort_unstable_by_key(|(r, _)| r.lo);
+        debug_assert_eq!(
+            pieces.iter().map(|(r, _)| r.len() as u64).sum::<u64>(),
+            range.len() as u64,
+            "predecessor pieces must tile the successor range"
+        );
+
+        if pieces.len() == 1 {
+            let (_, target) = pieces[0];
+            match target {
+                Some(pd) => {
+                    self.arena.set_state(succ_desc, DescState::Fresh);
+                    self.arena.cq_push(pd, succ_desc);
+                }
+                None => {
+                    *cost += self.cfg.costs.release;
+                    let rc = self.released_class();
+                    self.enqueue(succ_desc, rc, false);
+                }
+            }
+            pieces.clear();
+            self.scratch.pieces = pieces;
+            return;
+        }
+
+        // Slice the detached descriptor front-to-back.
+        let mut cur = succ_desc;
+        self.arena.set_state(cur, DescState::Fresh);
+        for (i, &(r, target)) in pieces.iter().enumerate() {
+            let piece = if i + 1 == pieces.len() {
+                cur
+            } else {
+                let at = r.hi - self.arena.range(cur).lo;
+                let rem = self.arena.split(cur, at);
+                self.splits += 1;
+                *cost += self.cfg.costs.split;
+                self.live_push(succ_inst, rem);
+                let piece = cur;
+                cur = rem;
+                piece
+            };
+            debug_assert_eq!(self.arena.range(piece), r);
+            match target {
+                Some(pd) => self.arena.cq_push(pd, piece),
+                None => {
+                    *cost += self.cfg.costs.release;
+                    let _ = job;
+                    let rc = self.released_class();
+                    self.enqueue(piece, rc, false);
+                }
+            }
+        }
+        pieces.clear();
+        self.scratch.pieces = pieces;
+    }
+}

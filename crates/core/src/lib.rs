@@ -88,9 +88,7 @@ pub mod prelude {
     pub use crate::report::{
         ClassReport, JobReport, PhaseReport, PoolReport, RunReport, RundownWindow,
     };
-    pub use crate::shard::{
-        run_sharded, Coordinator, EpochPlan, GroupLink, ShardEngine, ShardedRun,
-    };
+    pub use crate::shard::{Coordinator, EpochPlan, GroupLink, ShardEngine, ShardedRun};
     pub use pax_sim::dist::{ArrivalProcess, CostModel, DurationDist};
     pub use pax_sim::faults::{FaultModel, FaultPlan, RetryPolicy, ScriptedFault};
     pub use pax_sim::locality::{DataLayout, LocalityModel};

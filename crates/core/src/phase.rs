@@ -52,7 +52,7 @@ impl PhaseDef {
 }
 
 /// Timing and overlap statistics for one phase instance (one dispatch).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseStats {
     /// When the instance was initiated (descriptors created / gates set).
     /// Under overlap this precedes `current_at`.

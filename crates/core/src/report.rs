@@ -9,7 +9,7 @@ use pax_sim::time::{SimDuration, SimTime};
 use std::fmt;
 
 /// Per-phase-instance report entry.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PhaseReport {
     /// Instance id, in initiation order.
     pub instance: InstanceId,
@@ -39,7 +39,7 @@ impl PhaseReport {
 }
 
 /// Per-job summary.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobReport {
     /// When the job entered the system (its arrival instant — `t = 0`
     /// for batch jobs added directly).
@@ -113,8 +113,10 @@ pub struct PoolReport {
     pub wait_ticks: SimDuration,
 }
 
-/// Full result of one simulation run.
-#[derive(Debug)]
+/// Full result of one simulation run. Every field is an integer count,
+/// tick or name, so two reports compare with `==` — the form the
+/// determinism contract of [`crate::shard`] is tested in.
+#[derive(Debug, PartialEq, Eq)]
 pub struct RunReport {
     /// Worker processor count.
     pub processors: usize,

@@ -24,11 +24,20 @@
 //! window never extends past the earliest instant any unadmitted group
 //! could possibly be admitted (every pred's progress lower bound plus its
 //! edge latency, relaxed transitively), so no shard can observe an
-//! admission "from the past". Each shard drains events up to the window,
-//! deposits progress/finish notes in its **outbox**, and the coordinator
-//! exchanges them at the two-phase barrier (the threaded barrier itself
-//! lives in `pax-runtime`; this module also provides the single-threaded
-//! [`run_sharded`] driver the equivalence suite pins against).
+//! admission "from the past". Each shard drains events up to the window
+//! and deposits progress/finish notes in its **outbox**; the coordinator
+//! absorbs them, decides admissions, and plans the next window.
+//!
+//! ## One loop, two executors
+//!
+//! That sequence — plan, pause at the caller's limit or clip the window
+//! to it, run the epoch, absorb the notes, route admissions — is written
+//! once, in [`ShardedRun`]; [`Simulation::run`], a stepped
+//! [`crate::engine::Session`] and `pax-runtime`'s `ThreadedSession` all
+//! go through it, a single-group simulation as its 1-group case. It is
+//! parameterised only by its [`Executor`]: this module owns the loop and
+//! the calling-thread executor, `pax-runtime` the one that runs shards on
+//! worker threads behind an epoch gate, and nothing else of the protocol.
 //!
 //! ## Determinism contract
 //!
@@ -46,6 +55,9 @@
 //!   seed (`group_seed`: group 0 keeps the seed unchanged, so
 //!   single-group runs reproduce the classic engine bit-for-bit; group
 //!   `g > 0` gets a splitmix64-derived stream).
+//!
+//! The contract covers the whole report: [`RunReport`] is `Eq`, and the
+//! suites compare reports with `==`, no field excepted.
 //!
 //! ## Merged report conventions
 //!
@@ -123,7 +135,6 @@ struct GroupCell {
 /// `Send` by construction (engines are plain owned state), so the
 /// threaded driver in `pax-runtime` can move one per worker thread.
 pub struct ShardEngine {
-    shard: usize,
     cells: Vec<GroupCell>,
     /// Reused across epochs — cleared at the top of [`ShardEngine::run_window`],
     /// never shrunk, so steady-state epochs allocate nothing.
@@ -131,11 +142,6 @@ pub struct ShardEngine {
 }
 
 impl ShardEngine {
-    /// This shard's index.
-    pub fn shard(&self) -> usize {
-        self.shard
-    }
-
     /// Deliver an admission decided by the coordinator: group `group`
     /// (owned by this shard) starts at global time `admit`.
     pub fn deliver(&mut self, group: usize, admit: SimTime) {
@@ -236,10 +242,10 @@ pub enum EpochPlan {
 #[derive(Debug)]
 pub struct Coordinator {
     links: Vec<GroupLink>,
-    /// Original submission index of every job, per group (restores global
-    /// job numbering in the merged report).
-    group_jobs: Vec<Vec<usize>>,
-    total_jobs: usize,
+    /// Machine group of every job, by submission index (restores global
+    /// job numbering in the merged report; empty for a lone group, whose
+    /// report passes through unmerged).
+    job_groups: Vec<usize>,
     processors_per_group: usize,
     admitted: Vec<Option<SimTime>>,
     finished: Vec<Option<SimTime>>,
@@ -253,7 +259,23 @@ pub struct Coordinator {
 
 impl Coordinator {
     fn n_groups(&self) -> usize {
-        self.group_jobs.len()
+        self.finished.len()
+    }
+
+    /// Submission indices of the jobs in `group`, in submission order.
+    fn jobs_of(&self, group: usize) -> impl Iterator<Item = usize> + '_ {
+        let of_group = move |(job, &g): (usize, &usize)| (g == group).then_some(job);
+        self.job_groups.iter().enumerate().filter_map(of_group)
+    }
+
+    /// When `g` starts if each of its preds finishes at `finish(pred)`:
+    /// the latest finish + edge latency (`t = 0` for a group no edge
+    /// points at), or `None` while some pred's finish is unknown.
+    fn start_after(&self, g: usize, finish: impl Fn(usize) -> Option<SimTime>) -> Option<SimTime> {
+        let mut preds = self.links.iter().filter(|l| l.succ == g);
+        preds.try_fold(SimTime::ZERO, |at, l| {
+            Some(at.max(finish(l.pred)? + l.latency))
+        })
     }
 
     /// Absorb one shard's epoch notes.
@@ -273,18 +295,7 @@ impl Coordinator {
             if self.admitted[g].is_some() {
                 continue;
             }
-            let mut at = SimTime::ZERO;
-            let mut all_preds_done = true;
-            for l in self.links.iter().filter(|l| l.succ == g) {
-                match self.finished[l.pred] {
-                    Some(fin) => at = at.max(fin + l.latency),
-                    None => {
-                        all_preds_done = false;
-                        break;
-                    }
-                }
-            }
-            if all_preds_done {
+            if let Some(at) = self.start_after(g, |pred| self.finished[pred]) {
                 self.admitted[g] = Some(at);
                 self.pending.push((g, at));
             }
@@ -348,18 +359,7 @@ impl Coordinator {
                 if self.admitted[g].is_some() || self.est[g].is_some() {
                     continue;
                 }
-                let mut at = SimTime::ZERO;
-                let mut computable = true;
-                for l in self.links.iter().filter(|l| l.succ == g) {
-                    match self.est[l.pred] {
-                        Some(e) => at = at.max(e + l.latency),
-                        None => {
-                            computable = false;
-                            break;
-                        }
-                    }
-                }
-                if computable {
+                if let Some(at) = self.start_after(g, |pred| self.est[pred]) {
                     self.est[g] = Some(at);
                     changed = true;
                 }
@@ -395,14 +395,14 @@ impl Coordinator {
         let mut busy: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
         let mut mgmt: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
         let mut avail: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
-        let mut jobs: Vec<Option<JobReport>> = (0..self.total_jobs).map(|_| None).collect();
+        let mut jobs: Vec<Option<JobReport>> = self.job_groups.iter().map(|_| None).collect();
         for cell in cells {
             let g = cell.group;
             let admit = cell
                 .admit
                 .expect("finish called with an unadmitted group")
                 .0;
-            let job_map = &self.group_jobs[g];
+            let job_map: Vec<usize> = self.jobs_of(g).collect();
             let mut report = cell.engine.finish().map_err(|e| match e {
                 EngineError::Deadlock {
                     unfinished_jobs,
@@ -434,7 +434,7 @@ impl Coordinator {
                     first.processors = self.processors_per_group * n;
                     first.makespan = SimDuration(admit + first.makespan.0);
                     first.gantt = None;
-                    rewrite_group_phases(&mut first, 0, job_map);
+                    rewrite_phases(&mut first.phases, 0, &job_map);
                     prefix_warnings(&mut first.warnings, g);
                     merged = Some(first);
                     continue;
@@ -469,7 +469,7 @@ impl Coordinator {
             }
             let instance_base = acc.phases.len() as u32;
             let mut phases = report.phases;
-            rewrite_phases(&mut phases, instance_base, job_map);
+            rewrite_phases(&mut phases, instance_base, &job_map);
             acc.phases.append(&mut phases);
             let mut warnings = report.warnings;
             prefix_warnings(&mut warnings, g);
@@ -485,10 +485,6 @@ impl Coordinator {
             .collect();
         Ok(acc)
     }
-}
-
-fn rewrite_group_phases(report: &mut RunReport, instance_base: u32, job_map: &[usize]) {
-    rewrite_phases(&mut report.phases, instance_base, job_map);
 }
 
 fn rewrite_phases(
@@ -508,66 +504,143 @@ fn prefix_warnings(warnings: &mut [String], group: usize) {
     }
 }
 
-/// A decomposed multi-group simulation, ready for a driver: the
-/// coordinator plus one [`ShardEngine`] per shard.
-pub struct ShardedRun {
+/// How a [`ShardedRun`] executes one epoch's shards and gets the shard
+/// engines back for the merge — the only thing its drivers differ in.
+pub trait Executor {
+    /// Drain every shard up to `window` ([`ShardEngine::run_window`]) and
+    /// have `coordinator` absorb the notes each one deposited.
+    fn run_epoch(
+        &mut self,
+        window: Option<SimTime>,
+        coordinator: &mut Coordinator,
+    ) -> Result<(), EngineError>;
+
+    /// Route an admission to the shard that owns `group` (shard
+    /// `group % shard count`), to take effect before its next window.
+    fn deliver(&mut self, group: usize, admit: SimTime);
+
+    /// Stop executing and hand the shard engines back, in shard order.
+    fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError>;
+}
+
+/// The calling-thread executor: every epoch's shards run in shard order
+/// on the thread that drives the run.
+impl Executor for Vec<ShardEngine> {
+    fn run_epoch(
+        &mut self,
+        window: Option<SimTime>,
+        coordinator: &mut Coordinator,
+    ) -> Result<(), EngineError> {
+        for s in self.iter_mut() {
+            s.run_window(window);
+            coordinator.absorb(s.notes());
+        }
+        Ok(())
+    }
+
+    fn deliver(&mut self, group: usize, admit: SimTime) {
+        let shard_count = self.len();
+        self[group % shard_count].deliver(group, admit);
+    }
+
+    fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
+        Ok(take(self))
+    }
+}
+
+impl<X: Executor + ?Sized> Executor for Box<X> {
+    fn run_epoch(
+        &mut self,
+        window: Option<SimTime>,
+        coordinator: &mut Coordinator,
+    ) -> Result<(), EngineError> {
+        (**self).run_epoch(window, coordinator)
+    }
+
+    fn deliver(&mut self, group: usize, admit: SimTime) {
+        (**self).deliver(group, admit)
+    }
+
+    fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
+        (**self).take_shards()
+    }
+}
+
+/// A decomposed simulation and the one implementation of its drive: the
+/// epoch [`Coordinator`] plus the [`Executor`] holding the shard engines.
+pub struct ShardedRun<X = Vec<ShardEngine>> {
     coordinator: Coordinator,
-    shards: Vec<ShardEngine>,
+    executor: X,
 }
 
 impl ShardedRun {
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// Split into the coordinator and the shard engines (the threaded
-    /// driver moves each engine onto its own worker thread).
+    /// Split into the coordinator and the shard engines, for a caller
+    /// that drives the epochs itself.
     pub fn into_parts(self) -> (Coordinator, Vec<ShardEngine>) {
-        (self.coordinator, self.shards)
+        (self.coordinator, self.executor)
     }
 
-    /// Drive the fleet up to global time `limit` (to completion when
-    /// `None`), running every epoch's shards in shard order on the
-    /// calling thread. Returns `Ok(true)` once every group finished,
-    /// `Ok(false)` when the fleet paused at the limit with work left.
+    /// The same run, its shard engines handed to the executor `make`
+    /// builds from them.
+    pub fn with_executor<X: Executor>(
+        self,
+        make: impl FnOnce(Vec<ShardEngine>) -> X,
+    ) -> ShardedRun<X> {
+        ShardedRun {
+            coordinator: self.coordinator,
+            executor: make(self.executor),
+        }
+    }
+}
+
+impl<X: Executor> ShardedRun<X> {
+    /// Drain every event due at or before global time `limit`. Returns
+    /// `Ok(true)` once the simulation has fully run down — no pending
+    /// events and no pending admissions remain at any time — `Ok(false)`
+    /// when it paused at the limit with work left.
     ///
     /// The epoch schedule a limited drive produces differs from the
     /// unbounded one, but window boundaries are result-invariant (see
     /// `Engine::run_window`) and admission times are exact, so the final
     /// report is bit-identical no matter how the drive was chopped.
-    pub fn step_until(&mut self, limit: Option<SimTime>) -> Result<bool, EngineError> {
-        let mut admissions: Vec<(usize, SimTime)> = Vec::new();
+    pub fn step_until(&mut self, limit: SimTime) -> Result<bool, EngineError> {
+        self.drive(Some(limit))
+    }
+
+    /// Run to completion (equivalent to `step_until(∞)`).
+    pub fn drain(&mut self) -> Result<(), EngineError> {
+        self.drive(None).map(|_| ())
+    }
+
+    /// Finish: drain any remaining work, take the shard engines back
+    /// from the executor, run the deadlock checks, and merge the final
+    /// [`RunReport`].
+    pub fn report(mut self) -> Result<RunReport, EngineError> {
+        self.drain()?;
+        let shards = self.executor.take_shards()?;
+        self.coordinator.finish(shards)
+    }
+
+    /// The epoch loop. `limit` bounds the drive (`None`: to completion).
+    fn drive(&mut self, limit: Option<SimTime>) -> Result<bool, EngineError> {
         loop {
-            match self.coordinator.plan() {
+            let window = match self.coordinator.plan() {
                 EpochPlan::Done => return Ok(true),
                 EpochPlan::Stuck { unadmitted } => {
                     return Err(stuck_error(&self.coordinator, &unadmitted));
                 }
-                EpochPlan::Run { window } => {
-                    let eff = match (window, limit) {
-                        (Some(w), Some(l)) => Some(w.min(l)),
-                        (Some(w), None) => Some(w),
-                        (None, l) => l,
-                    };
-                    for s in &mut self.shards {
-                        s.run_window(eff);
-                    }
-                    for s in &self.shards {
-                        self.coordinator.absorb(s.notes());
-                    }
-                    admissions.clear();
-                    self.coordinator.drain_admissions(&mut admissions);
-                    let shard_count = self.shards.len();
-                    for &(g, at) in &admissions {
-                        self.shards[g % shard_count].deliver(g, at);
-                    }
-                    if let Some(l) = limit {
-                        if self.coordinator.paused_past(l) {
-                            return Ok(false);
-                        }
-                    }
-                }
+                EpochPlan::Run { window } => window,
+            };
+            if limit.is_some_and(|l| self.coordinator.paused_past(l)) {
+                return Ok(false);
+            }
+            let window = match (window, limit) {
+                (Some(w), Some(l)) => Some(w.min(l)),
+                (w, l) => w.or(l),
+            };
+            self.executor.run_epoch(window, &mut self.coordinator)?;
+            for (group, admit) in self.coordinator.pending.drain(..) {
+                self.executor.deliver(group, admit);
             }
         }
     }
@@ -576,20 +649,14 @@ impl ShardedRun {
 impl Simulation {
     /// Decompose into per-group engines distributed over
     /// `cfg.shards.shards` shards (clamped to the group count) plus the
-    /// epoch [`Coordinator`]. Validates programs, group density, and
-    /// admission edges.
+    /// epoch [`Coordinator`]: expands arrival streams, then validates the
+    /// machine configuration, the programs, group density, and admission
+    /// edges — once each; every session is built through here.
     pub fn into_sharded(mut self) -> Result<ShardedRun, EngineError> {
         self.expand_streams();
         self.cfg.validate().map_err(EngineError::InvalidConfig)?;
         self.validate()?;
         let n_groups = self.groups.iter().copied().max().unwrap_or(0) + 1;
-        for (i, &g) in self.groups.iter().enumerate() {
-            if g >= n_groups {
-                return Err(EngineError::InvalidProgram(format!(
-                    "job {i}: group {g} out of range"
-                )));
-            }
-        }
         for g in 0..n_groups {
             if !self.groups.contains(&g) {
                 return Err(EngineError::InvalidProgram(format!(
@@ -606,101 +673,94 @@ impl Simulation {
             }
         }
         let shard_count = self.cfg.shards.shards.max(1).min(n_groups);
-        // Per-group sub-simulations: same machine/policy, jobs in
-        // submission order, deterministically split RNG streams.
-        let mut group_jobs: Vec<Vec<usize>> = vec![Vec::new(); n_groups];
-        let mut programs: Vec<Vec<Arc<crate::program::Program>>> =
-            (0..n_groups).map(|_| Vec::new()).collect();
-        // Arrival instants are local to each group's timeline (global
-        // arrival = admission + local arrival), so they partition with
-        // the jobs unchanged — shard-count invariant by construction.
-        let mut arrivals: Vec<Vec<SimTime>> = (0..n_groups).map(|_| Vec::new()).collect();
-        for (job, (program, &g)) in self
-            .programs
-            .into_iter()
-            .zip(self.groups.iter())
-            .enumerate()
-        {
-            group_jobs[g].push(job);
-            arrivals[g].push(self.arrivals[job]);
-            programs[g].push(program);
-        }
-        let total_jobs = group_jobs.iter().map(|j| j.len()).sum();
-        let has_pred: Vec<bool> = (0..n_groups)
-            .map(|g| self.links.iter().any(|l| l.succ == g))
+        let processors_per_group = self.cfg.processors;
+        let links = take(&mut self.links);
+        // A group no edge points at starts at t = 0; the rest wait.
+        let admitted: Vec<Option<SimTime>> = (0..n_groups)
+            .map(|g| (!links.iter().any(|l| l.succ == g)).then_some(SimTime::ZERO))
             .collect();
         let mut shards: Vec<ShardEngine> = (0..shard_count)
-            .map(|s| ShardEngine {
-                shard: s,
+            .map(|_| ShardEngine {
                 cells: Vec::new(),
                 outbox: Vec::new(),
             })
             .collect();
-        let per_group_cfg = self.cfg.clone().with_shards(pax_sim::ShardPolicy::single());
-        for (g, (group_programs, group_arrivals)) in programs.into_iter().zip(arrivals).enumerate()
-        {
-            let sub = Simulation {
-                cfg: per_group_cfg.clone(),
-                policy: self.policy.clone(),
-                groups: vec![0; group_programs.len()],
-                programs: group_programs,
-                arrivals: group_arrivals,
-                streams: Vec::new(),
-                evict: self.evict,
-                links: Vec::new(),
-                seed: group_seed(self.seed, g),
-                gantt: self.gantt,
-                trace: self.trace,
-            };
+        let mut place = |g: usize, engine: Engine| {
             shards[g % shard_count].cells.push(GroupCell {
                 group: g,
-                engine: Engine::new(sub),
-                admit: if has_pred[g] {
-                    None
-                } else {
-                    Some(SimTime::ZERO)
-                },
+                engine,
+                admit: admitted[g],
                 started: false,
                 finished: None,
             });
+        };
+        // Only a merge renumbers jobs: a lone group keeps no job → group
+        // map (32 KB a 4 000-job session, 8 page faults a set-up).
+        let mut job_groups = Vec::new();
+        if n_groups == 1 {
+            // A lone group is the simulation itself (group 0 keeps the
+            // seed): its engine takes the job vectors whole.
+            place(0, Engine::new(self));
+        } else {
+            job_groups = take(&mut self.groups);
+            // Per-group sub-simulations: same machine/policy, jobs in
+            // submission order, deterministically split RNG streams.
+            let mut programs: Vec<Vec<Arc<crate::program::Program>>> =
+                (0..n_groups).map(|_| Vec::new()).collect();
+            // Arrival instants are local to each group's timeline (global
+            // arrival = admission + local arrival), so they partition with
+            // the jobs unchanged — shard-count invariant by construction.
+            let mut arrivals: Vec<Vec<SimTime>> = (0..n_groups).map(|_| Vec::new()).collect();
+            for ((program, at), &g) in self
+                .programs
+                .into_iter()
+                .zip(self.arrivals)
+                .zip(&job_groups)
+            {
+                arrivals[g].push(at);
+                programs[g].push(program);
+            }
+            for (g, (group_programs, group_arrivals)) in
+                programs.into_iter().zip(arrivals).enumerate()
+            {
+                let sub = Simulation {
+                    cfg: self.cfg.clone(),
+                    policy: self.policy.clone(),
+                    groups: Vec::new(),
+                    programs: group_programs,
+                    arrivals: group_arrivals,
+                    streams: Vec::new(),
+                    evict: self.evict,
+                    links: Vec::new(),
+                    seed: group_seed(self.seed, g),
+                    gantt: self.gantt,
+                    trace: self.trace,
+                };
+                place(g, Engine::new(sub));
+            }
         }
-        let admitted: Vec<Option<SimTime>> = has_pred
-            .iter()
-            .map(|&p| if p { None } else { Some(SimTime::ZERO) })
-            .collect();
         let coordinator = Coordinator {
-            links: self.links,
-            group_jobs,
-            total_jobs,
-            processors_per_group: per_group_cfg.processors,
-            admitted,
+            links,
+            job_groups,
+            processors_per_group,
             finished: vec![None; n_groups],
             lower_bound: vec![SimTime::ZERO; n_groups],
             pending: Vec::new(),
             est: Vec::with_capacity(n_groups),
+            admitted,
         };
         Ok(ShardedRun {
             coordinator,
-            shards,
+            executor: shards,
         })
     }
-}
-
-/// Single-threaded reference driver: runs every epoch's shards in shard
-/// order on the calling thread. The pinned baseline the threaded driver
-/// (`pax-runtime`) is diffed against — and the path `Simulation::run`
-/// takes for multi-group or multi-shard configurations.
-pub fn run_sharded(mut run: ShardedRun) -> Result<RunReport, EngineError> {
-    run.step_until(None)?;
-    let (coordinator, shards) = run.into_parts();
-    coordinator.finish(shards)
 }
 
 /// Build the fleet-level deadlock error for an admission cycle.
 pub fn stuck_error(coordinator: &Coordinator, unadmitted: &[usize]) -> EngineError {
     let unfinished_jobs: Vec<usize> = unadmitted
         .iter()
-        .flat_map(|&g| coordinator.group_jobs[g].iter().copied())
+        .flat_map(|&g| coordinator.jobs_of(g))
         .collect();
     EngineError::Deadlock {
         unfinished_jobs,
@@ -730,17 +790,6 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64, u64, usize) {
-        (
-            r.events,
-            r.makespan.ticks(),
-            r.tasks_dispatched,
-            r.splits,
-            r.descriptors_created,
-            r.descriptors_peak,
-        )
-    }
-
     #[test]
     fn group_seed_splits_deterministically() {
         assert_eq!(group_seed(7, 0), 7);
@@ -763,13 +812,7 @@ mod tests {
         };
         let base = make(1);
         for shards in [2, 3, 8] {
-            let sharded = make(shards);
-            assert_eq!(fingerprint(&base), fingerprint(&sharded));
-            assert_eq!(
-                base.busy_trace.points(),
-                sharded.busy_trace.points(),
-                "shards={shards}"
-            );
+            assert_eq!(base, make(shards), "shards={shards}");
         }
     }
 
@@ -791,7 +834,7 @@ mod tests {
         assert_eq!(base.processors, 20);
         assert_eq!(base.jobs.len(), 5);
         for shards in [2, 3, 4, 8] {
-            assert_eq!(fingerprint(&base), fingerprint(&make(shards)));
+            assert_eq!(base, make(shards), "shards={shards}");
         }
     }
 
@@ -841,9 +884,7 @@ mod tests {
         };
         let base = make(1);
         for shards in [2, 3] {
-            let r = make(shards);
-            assert_eq!(fingerprint(&base), fingerprint(&r));
-            assert_eq!(base.jobs[2].started_at, r.jobs[2].started_at);
+            assert_eq!(base, make(shards), "shards={shards}");
         }
     }
 

@@ -38,5 +38,5 @@ pub mod work;
 
 pub use executor::{run_chain, RtMapping, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
 pub use lateral::run_chain_lateral;
-pub use shard_exec::{run_sharded_threaded, run_simulation_sharded, ThreadedSession};
+pub use shard_exec::{run_simulation_sharded, ThreadedSession};
 pub use work::{spin_for, SharedCounters, SharedF64};

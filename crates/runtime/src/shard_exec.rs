@@ -1,60 +1,60 @@
-//! Threaded epoch-barrier driver for the sharded simulation core.
+//! The threaded executor of the sharded simulation core: one worker
+//! thread per shard behind a cancellable epoch gate.
 //!
-//! `pax-core`'s [`pax_core::shard`] module decomposes a multi-group
-//! [`Simulation`] into per-shard [`ShardEngine`]s plus an epoch
-//! [`pax_core::shard::Coordinator`], and ships a single-threaded
-//! reference driver ([`pax_core::shard::run_sharded`]). This module runs
-//! the same decomposition on real worker threads: one persistent thread
-//! per shard, synchronized with the coordinator through a **cancellable
-//! epoch gate** — a mutex-and-condvar rendezvous that replaces the naked
-//! `std::sync::Barrier` an earlier revision used, because a barrier has
-//! no failure mode: one panicking or wedged shard thread left every
-//! other participant (the coordinator included) blocked in
-//! `Barrier::wait` forever.
+//! `pax-core`'s [`pax_core::shard`] module decomposes a [`Simulation`]
+//! into per-shard [`ShardEngine`]s plus an epoch [`Coordinator`], and
+//! owns the one epoch loop that drives them ([`ShardedRun`]), which is
+//! parameterised by an [`Executor`]. This module owns the threaded
+//! executor and nothing else of the protocol: [`ThreadedSession`] is a
+//! [`ShardedRun`] whose executor is the **gate** — a mutex-and-condvar
+//! rendezvous that replaces the naked `std::sync::Barrier` an earlier
+//! revision used, because a barrier has no failure mode: one panicking or
+//! wedged shard thread left every other participant (the coordinator
+//! included) blocked in `Barrier::wait` forever.
 //!
-//! Each epoch runs the same two-phase protocol as before:
+//! One epoch through the gate is two phases:
 //!
-//! 1. **release** — the coordinator publishes the epoch command (a
-//!    conservative global window, or stop) and bumps the gate's epoch
-//!    counter; each worker wakes, applies its pending admissions, and
-//!    drains its shard's calendars up to the window;
+//! 1. **release** — the driving thread publishes the epoch command (the
+//!    window the loop computed, or stop) and bumps the gate's epoch
+//!    counter; each worker wakes, applies the admissions routed to its
+//!    inbox, and drains its shard's calendars up to the window;
 //! 2. **join** — workers deposit their outbox notes into the shared
-//!    exchange and check in; once every shard checked in, the
-//!    coordinator absorbs the notes, decides admissions (exact
-//!    timestamps, never quantized to the gate), routes them to the
-//!    owning shards' inboxes, and plans the next epoch.
+//!    exchange and check in; once every shard checked in, the coordinator
+//!    absorbs the notes and the loop goes on.
 //!
 //! Unlike a barrier, the gate is **failure-aware**:
 //!
 //! * every epoch body runs under [`std::panic::catch_unwind`]; a panic
 //!   poisons the gate (records the shard and the panic message) instead
 //!   of unwinding through the rendezvous, and every other participant —
-//!   workers waiting for the next epoch and the coordinator waiting for
-//!   check-ins — observes the poisoned flag and cancels;
-//! * the coordinator's wait is guarded by a coarse **watchdog deadline**
-//!   (wall-clock, default two minutes per epoch — epochs of the pinned
-//!   suites complete in milliseconds, so only a genuinely wedged thread
-//!   can trip it); on expiry the gate is poisoned naming the first shard
-//!   that failed to check in, and the wedged thread is abandoned
-//!   (workers are spawned detached precisely so an unkillable thread
-//!   cannot block the driver's return);
+//!   workers waiting for the next epoch and the driving thread waiting
+//!   for check-ins — observes the poisoned flag and cancels;
+//! * the driving thread's wait is guarded by a coarse **watchdog
+//!   deadline** (wall-clock, default two minutes per epoch — epochs of
+//!   the pinned suites complete in milliseconds, so only a genuinely
+//!   wedged thread can trip it); on expiry the gate is poisoned naming
+//!   the first shard that failed to check in, and the wedged thread is
+//!   abandoned (workers are spawned detached precisely so an unkillable
+//!   thread cannot block the driver's return);
+//! * dropping the executor — an abandoned session, or an error already
+//!   returned — poisons the gate too, so parked workers exit;
 //! * either way the caller gets a structured
 //!   [`EngineError::ShardFailed`] `{ shard, cause }` instead of a
 //!   process hang.
 //!
 //! Determinism is inherited, not re-proven: workers only ever run whole
 //! windows of their own engines, and window boundaries are
-//! result-invariant, so this driver is bit-identical to the
-//! single-threaded one (and to the classic engine) by construction —
-//! the equivalence suite pins it anyway. Note order in the exchange
-//! varies with thread completion order, but `Coordinator::absorb` is
-//! order-insensitive within an epoch (each note targets its own group;
-//! admissions are exact maxes over finish times), so the nondeterministic
-//! arrival order never reaches the results.
+//! result-invariant, so a threaded run is bit-identical to the
+//! calling-thread one by construction — the equivalence suite pins it
+//! anyway. Note order in the exchange varies with thread completion
+//! order, but `Coordinator::absorb` is order-insensitive within an epoch
+//! (each note targets its own group; admissions are exact maxes over
+//! finish times), so the nondeterministic arrival order never reaches
+//! the results.
 
 use pax_core::engine::{EngineError, Simulation};
 use pax_core::report::RunReport;
-use pax_core::shard::{stuck_error, Coordinator, EpochPlan, GroupNote, ShardEngine, ShardedRun};
+use pax_core::shard::{Coordinator, Executor, GroupNote, ShardEngine, ShardedRun};
 use pax_sim::time::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
@@ -155,193 +155,125 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// (`sim`'s `MachineConfig::shards`, clamped to the group count).
 ///
 /// Falls back to the calling thread when the decomposition yields a
-/// single shard. Results are bit-identical to [`Simulation::run`].
-pub fn run_simulation_sharded(sim: Simulation) -> Result<RunReport, EngineError> {
-    run_sharded_threaded(sim.into_sharded()?)
-}
-
-/// Drive an already-decomposed [`ShardedRun`] on real threads.
-///
-/// A shard thread that panics or wedges past the per-epoch watchdog
+/// single shard. Results are bit-identical to [`Simulation::run`]. A
+/// shard thread that panics or wedges past the per-epoch watchdog
 /// surfaces as [`EngineError::ShardFailed`]; the driver never hangs on
 /// a failed worker.
-pub fn run_sharded_threaded(run: ShardedRun) -> Result<RunReport, EngineError> {
-    ThreadedSession::new(run).finish()
+pub fn run_simulation_sharded(sim: Simulation) -> Result<RunReport, EngineError> {
+    ThreadedSession::new(sim.into_sharded()?).finish()
 }
 
-/// [`run_sharded_threaded`] with an explicit watchdog and a per-epoch
-/// test hook `(shard, epoch)`, invoked inside the `catch_unwind`
-/// envelope before the window is drained — the chaos tests inject
-/// panicking and sleeping hooks here to simulate shard failures.
-#[cfg(test)]
-fn run_sharded_threaded_with<F>(
-    run: ShardedRun,
-    watchdog: Duration,
-    hook: F,
-) -> Result<RunReport, EngineError>
-where
-    F: Fn(usize, u64) + Send + Sync + 'static,
-{
-    ThreadedSession::spawn(run, watchdog, hook).finish()
-}
-
-/// A long-lived threaded sharded run: the service-mode counterpart of
-/// [`pax_core::engine::Session`], driving one persistent worker thread
-/// per shard through the cancellable epoch gate.
+/// A long-lived threaded sharded run: the counterpart of
+/// [`pax_core::engine::Session`] with one persistent worker thread per
+/// shard behind the cancellable epoch gate.
 ///
 /// `step_until` pauses the whole fleet at a global time bound (arrival
 /// streams keep the calendars populated between calls), `drain` runs to
-/// completion, and `finish` stops the workers and merges the report.
-/// [`run_sharded_threaded`] is the one-shot wrapper over this type, so
-/// batch and service drives share one protocol implementation.
+/// completion, and `finish` stops the workers and merges the report —
+/// all three are [`ShardedRun`]'s, the loop every driver shares.
 pub struct ThreadedSession {
-    inner: Option<SessionInner>,
-    watchdog: Duration,
-}
-
-enum SessionInner {
-    /// ≤ 1 shard: a thread plus a gate rendezvous per epoch would buy
-    /// nothing; drive the reference decomposition on the calling thread.
-    Inline(ShardedRun),
-    Threaded {
-        coordinator: Coordinator,
-        gate: Arc<Gate>,
-        n: usize,
-        /// Reused admission scratch, kept across epochs.
-        admissions: Vec<(usize, SimTime)>,
-    },
+    run: ShardedRun<Box<dyn Executor + Send>>,
 }
 
 impl ThreadedSession {
-    /// Decompose-and-spawn with the default watchdog.
+    /// Spawn the shard workers with the default watchdog.
     pub fn new(run: ShardedRun) -> ThreadedSession {
         Self::spawn(run, DEFAULT_WATCHDOG, |_, _| {})
     }
 
-    /// Spawn the shard worker threads (detached — the watchdog abandons
-    /// a wedged thread rather than joining on it) and park them at the
-    /// gate awaiting the first epoch.
+    /// Hand the run's shard engines to worker threads (detached — the
+    /// watchdog abandons a wedged thread rather than joining on it),
+    /// parked at the gate awaiting the first epoch. `hook(shard, epoch)`
+    /// is invoked inside the `catch_unwind` envelope before each window
+    /// is drained — the chaos tests inject panicking and sleeping hooks
+    /// there to simulate shard failures.
     fn spawn<F>(run: ShardedRun, watchdog: Duration, hook: F) -> ThreadedSession
     where
         F: Fn(usize, u64) + Send + Sync + 'static,
     {
-        if run.shard_count() <= 1 {
-            return ThreadedSession {
-                inner: Some(SessionInner::Inline(run)),
-                watchdog,
-            };
-        }
-        let (coordinator, shards) = run.into_parts();
-        let n = shards.len();
-        let gate = Arc::new(Gate::new(n));
-        let hook = Arc::new(hook);
-        for (i, shard) in shards.into_iter().enumerate() {
-            let gate = Arc::clone(&gate);
-            let hook = Arc::clone(&hook);
-            std::thread::Builder::new()
-                .name(format!("pax-shard-{i}"))
-                .spawn(move || worker_loop(i, shard, &gate, &*hook))
-                .expect("spawn shard worker thread");
-        }
-        ThreadedSession {
-            inner: Some(SessionInner::Threaded {
-                coordinator,
-                gate,
-                n,
-                admissions: Vec::new(),
-            }),
-            watchdog,
-        }
+        let run = run.with_executor(|shards| -> Box<dyn Executor + Send> {
+            if shards.len() <= 1 {
+                // A thread plus a gate rendezvous per epoch would buy
+                // nothing: keep the calling-thread executor.
+                return Box::new(shards);
+            }
+            let gate = Arc::new(Gate::new(shards.len()));
+            let hook = Arc::new(hook);
+            for (i, shard) in shards.into_iter().enumerate() {
+                let gate = Arc::clone(&gate);
+                let hook = Arc::clone(&hook);
+                std::thread::Builder::new()
+                    .name(format!("pax-shard-{i}"))
+                    .spawn(move || worker_loop(i, shard, &gate, &*hook))
+                    .expect("spawn shard worker thread");
+            }
+            Box::new(GateExecutor { gate, watchdog })
+        });
+        ThreadedSession { run }
     }
 
-    /// Drive the fleet up to global time `limit` (to completion when
-    /// `None`). Returns `Ok(true)` once every group finished, `Ok(false)`
-    /// when the fleet paused at the limit with work left.
-    pub fn step_until(&mut self, limit: Option<SimTime>) -> Result<bool, EngineError> {
-        let watchdog = self.watchdog;
-        match self.inner.as_mut().expect("session already finished") {
-            SessionInner::Inline(run) => run.step_until(limit),
-            SessionInner::Threaded {
-                coordinator,
-                gate,
-                n,
-                admissions,
-            } => loop {
-                match coordinator.plan() {
-                    EpochPlan::Done => return Ok(true),
-                    EpochPlan::Stuck { unadmitted } => {
-                        let err = stuck_error(coordinator, &unadmitted);
-                        // Workers are healthy and waiting; release them
-                        // before reporting the fleet-level deadlock.
-                        let _ = publish_and_wait(gate, Command::Stop, watchdog);
-                        return Err(err);
-                    }
-                    EpochPlan::Run { window } => {
-                        let eff = match (window, limit) {
-                            (Some(w), Some(l)) => Some(w.min(l)),
-                            (Some(w), None) => Some(w),
-                            (None, l) => l,
-                        };
-                        publish_and_wait(gate, Command::Run(eff), watchdog)?;
-                        let mut st = gate.lock();
-                        coordinator.absorb(&st.exchange);
-                        st.exchange.clear();
-                        admissions.clear();
-                        coordinator.drain_admissions(admissions);
-                        for &(g, at) in admissions.iter() {
-                            st.inboxes[g % *n].push((g, at));
-                        }
-                        drop(st);
-                        if let Some(l) = limit {
-                            if coordinator.paused_past(l) {
-                                return Ok(false);
-                            }
-                        }
-                    }
-                }
-            },
-        }
+    /// Drive the fleet up to global time `limit`. Returns `Ok(true)` once
+    /// every group finished, `Ok(false)` when the fleet paused at the
+    /// limit with work left.
+    pub fn step_until(&mut self, limit: SimTime) -> Result<bool, EngineError> {
+        self.run.step_until(limit)
     }
 
     /// Run the fleet to completion (every calendar drained).
     pub fn drain(&mut self) -> Result<(), EngineError> {
-        self.step_until(None).map(|_| ())
+        self.run.drain()
     }
 
     /// Drain any remaining work, stop the workers, and merge the final
     /// [`RunReport`].
-    pub fn finish(mut self) -> Result<RunReport, EngineError> {
-        self.step_until(None)?;
-        let watchdog = self.watchdog;
-        match self.inner.take().expect("session already finished") {
-            SessionInner::Inline(run) => {
-                let (coordinator, shards) = run.into_parts();
-                coordinator.finish(shards)
-            }
-            SessionInner::Threaded {
-                coordinator, gate, ..
-            } => {
-                publish_and_wait(&gate, Command::Stop, watchdog)?;
-                let mut cells: Vec<(usize, ShardEngine)> = {
-                    let mut st = gate.lock();
-                    st.returned.drain(..).collect()
-                };
-                cells.sort_by_key(|&(i, _)| i);
-                coordinator.finish(cells.into_iter().map(|(_, s)| s).collect())
-            }
-        }
+    pub fn finish(self) -> Result<RunReport, EngineError> {
+        self.run.report()
     }
 }
 
-impl Drop for ThreadedSession {
+/// The gate side of the epoch protocol: each epoch is one
+/// [`publish_and_wait`] rendezvous with the worker threads.
+struct GateExecutor {
+    gate: Arc<Gate>,
+    watchdog: Duration,
+}
+
+impl Executor for GateExecutor {
+    fn run_epoch(
+        &mut self,
+        window: Option<SimTime>,
+        coordinator: &mut Coordinator,
+    ) -> Result<(), EngineError> {
+        publish_and_wait(&self.gate, Command::Run(window), self.watchdog)?;
+        let mut st = self.gate.lock();
+        coordinator.absorb(&st.exchange);
+        st.exchange.clear();
+        Ok(())
+    }
+
+    fn deliver(&mut self, group: usize, admit: SimTime) {
+        let mut st = self.gate.lock();
+        let n = st.inboxes.len();
+        st.inboxes[group % n].push((group, admit));
+    }
+
+    fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
+        publish_and_wait(&self.gate, Command::Stop, self.watchdog)?;
+        let mut returned = std::mem::take(&mut self.gate.lock().returned);
+        returned.sort_by_key(|&(i, _)| i);
+        Ok(returned.into_iter().map(|(_, s)| s).collect())
+    }
+}
+
+impl Drop for GateExecutor {
     fn drop(&mut self) {
-        if let Some(SessionInner::Threaded { gate, .. }) = &self.inner {
-            // Abandoned mid-run (or an error path already returned):
-            // cancel any workers parked at the gate so the detached
-            // threads exit instead of waiting forever. First-writer-wins
-            // makes this a no-op after a real failure already poisoned.
-            gate.poison(0, "session dropped before finish".to_string());
-        }
+        // Abandoned mid-run (or an error path already returned): cancel
+        // any workers parked at the gate so the detached threads exit
+        // instead of waiting forever. First-writer-wins makes this a
+        // no-op after a real failure already poisoned, and after a clean
+        // stop there is nobody left to wake.
+        self.gate
+            .poison(0, "session dropped before finish".to_string());
     }
 }
 
@@ -484,37 +416,13 @@ mod tests {
         sim
     }
 
-    fn fingerprint(r: &RunReport) -> (u64, u64, u64, u64, u64, usize) {
-        (
-            r.events,
-            r.makespan.ticks(),
-            r.tasks_dispatched,
-            r.splits,
-            r.descriptors_created,
-            r.descriptors_peak,
-        )
-    }
-
     #[test]
     fn threaded_driver_matches_reference_driver() {
         for linked in [false, true] {
             let base = fleet(1, 6, linked).run().unwrap();
             for shards in [2, 3, 4] {
                 let threaded = run_simulation_sharded(fleet(shards, 6, linked)).unwrap();
-                assert_eq!(
-                    fingerprint(&base),
-                    fingerprint(&threaded),
-                    "shards={shards} linked={linked}"
-                );
-                assert_eq!(base.busy_trace.points(), threaded.busy_trace.points());
-                assert_eq!(
-                    base.jobs.iter().map(|j| j.finished_at).collect::<Vec<_>>(),
-                    threaded
-                        .jobs
-                        .iter()
-                        .map(|j| j.finished_at)
-                        .collect::<Vec<_>>()
-                );
+                assert_eq!(base, threaded, "shards={shards} linked={linked}");
             }
         }
     }
@@ -546,11 +454,12 @@ mod tests {
     fn panicking_shard_surfaces_shard_failed() {
         let run = fleet(3, 6, false).into_sharded().unwrap();
         let started = Instant::now();
-        let result = run_sharded_threaded_with(run, DEFAULT_WATCHDOG, |shard, epoch| {
+        let result = ThreadedSession::spawn(run, DEFAULT_WATCHDOG, |shard, epoch| {
             if shard == 1 && epoch == 1 {
                 panic!("chaos: injected shard panic");
             }
-        });
+        })
+        .finish();
         let elapsed = started.elapsed();
         match result {
             Err(EngineError::ShardFailed { shard, cause }) => {
@@ -572,11 +481,12 @@ mod tests {
         let run = fleet(3, 6, false).into_sharded().unwrap();
         let watchdog = Duration::from_millis(250);
         let started = Instant::now();
-        let result = run_sharded_threaded_with(run, watchdog, |shard, epoch| {
+        let result = ThreadedSession::spawn(run, watchdog, |shard, epoch| {
             if shard == 2 && epoch == 1 {
                 std::thread::sleep(Duration::from_secs(2));
             }
-        });
+        })
+        .finish();
         let elapsed = started.elapsed();
         match result {
             Err(EngineError::ShardFailed { shard, cause }) => {
@@ -601,11 +511,12 @@ mod tests {
     #[test]
     fn driver_recovers_after_a_failed_run() {
         let run = fleet(2, 4, false).into_sharded().unwrap();
-        let result = run_sharded_threaded_with(run, DEFAULT_WATCHDOG, |shard, _| {
+        let result = ThreadedSession::spawn(run, DEFAULT_WATCHDOG, |shard, _| {
             if shard == 0 {
                 panic!("chaos: first run dies");
             }
-        });
+        })
+        .finish();
         assert!(matches!(result, Err(EngineError::ShardFailed { .. })));
         let clean = run_simulation_sharded(fleet(2, 4, false)).unwrap();
         assert_eq!(clean.jobs.len(), 4);

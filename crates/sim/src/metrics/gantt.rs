@@ -50,7 +50,7 @@ impl Span {
 }
 
 /// Collected spans for a whole run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GanttTrace {
     spans: Vec<Span>,
     enabled: bool,

@@ -15,7 +15,7 @@ use std::collections::{BinaryHeap, VecDeque};
 /// Values are recorded with [`StepTrace::record`]; repeated values at the
 /// same instant collapse to the latest one, keeping traces compact even
 /// when thousands of events land on one tick.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StepTrace {
     points: Vec<(SimTime, u32)>,
 }

@@ -147,8 +147,7 @@ mod tests {
             .simulation(MachineConfig::new(4).with_shards(ShardPolicy::new(2)), 7)
             .run()
             .unwrap();
-        assert_eq!(base.events, sharded.events);
-        assert_eq!(base.makespan, sharded.makespan);
+        assert_eq!(base, sharded);
     }
 
     #[test]

@@ -104,6 +104,31 @@ fn err(line: usize, path: impl Into<String>, kind: ScenarioErrorKind) -> Scenari
 }
 
 // ---------------------------------------------------------------------------
+// Limits (documented in docs/SCENARIO_FORMAT.md, "Limits")
+// ---------------------------------------------------------------------------
+
+/// Deepest nesting the reader follows before it gives up with a syntax
+/// error. The deepest value the format defines
+/// (`workload[i].phases[j].cost`) sits six levels down; the reader
+/// recurses once a level, so an unbounded depth is an unbounded stack.
+const MAX_DEPTH: usize = 32;
+
+/// Ceilings on the sizes the engine allocates for before it simulates a
+/// tick: per-processor and per-lane state, and one record a job.
+const MAX_PROCESSORS: usize = 1 << 16;
+const MAX_LANES: usize = 1 << 16;
+const MAX_JOBS: usize = 1 << 20;
+
+/// Executive ticks charged to one granule at most (a dispatch, two
+/// splits, a completion and two releases at the costed machine's rates
+/// come to eight), and to one phase dispatch.
+const MANAGEMENT_TICKS_PER_GRANULE: u128 = 16;
+const MANAGEMENT_TICKS_PER_PHASE: u128 = 16;
+
+/// An exponential sample is at most `-mean × ln(1e-12)` = 27.7 means.
+const EXPONENTIAL_MEANS_AT_MOST: u64 = 28;
+
+// ---------------------------------------------------------------------------
 // Minimal line-tracking JSON reader
 // ---------------------------------------------------------------------------
 
@@ -255,6 +280,8 @@ struct Reader<'a> {
     bytes: &'a [u8],
     pos: usize,
     line: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -263,6 +290,7 @@ impl<'a> Reader<'a> {
             bytes: text.as_bytes(),
             pos: 0,
             line: 1,
+            depth: 0,
         }
     }
 
@@ -312,8 +340,8 @@ impl<'a> Reader<'a> {
         self.skip_ws();
         let line = self.line;
         match self.peek() {
-            Some(b'{') => self.parse_obj(line),
-            Some(b'[') => self.parse_arr(line),
+            Some(b'{') => self.nested(Self::parse_obj, line),
+            Some(b'[') => self.nested(Self::parse_arr, line),
             Some(b'"') => {
                 let s = self.parse_string()?;
                 Ok(Node {
@@ -328,6 +356,22 @@ impl<'a> Reader<'a> {
             Some(c) => Err(self.syntax(format!("unexpected character '{}'", c as char))),
             None => Err(self.syntax("unexpected end of input")),
         }
+    }
+
+    /// Parse an array or object one level further down, unless that is
+    /// deeper than any scenario goes.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self, usize) -> Result<Node, ScenarioError>,
+        line: usize,
+    ) -> Result<Node, ScenarioError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.syntax(format!("nesting deeper than {MAX_DEPTH} levels")));
+        }
+        self.depth += 1;
+        let node = parse(self, line);
+        self.depth -= 1;
+        node
     }
 
     fn parse_word(&mut self, word: &str, line: usize, v: Json) -> Result<Node, ScenarioError> {
@@ -771,6 +815,7 @@ impl Scenario {
             stream,
             policy,
         };
+        scenario.check_limits(machine_node, items, doc.get("stream"))?;
         scenario.validate_semantics(&root, machine_node)?;
         Ok(scenario)
     }
@@ -786,6 +831,110 @@ impl Scenario {
             )
         })?;
         Scenario::parse(&text)
+    }
+
+    /// Reject a document that asks for more than the loader's limits,
+    /// before anything is built from it: a size above its ceiling, or
+    /// tick values whose sums over the run can leave `u64`.
+    ///
+    /// The tick bound is the run's worst case on one processor — every
+    /// job's granules at their costliest, on the slowest class, with the
+    /// executive's charges, after the last arrival — and no machine takes
+    /// longer than one processor does. Processor-time integrals multiply
+    /// it by the processor count, and a dispatched task's scheduled end
+    /// may lie a task past it; both must still fit. Scripted faults add
+    /// their down-spans and one re-executed task each. A random fault
+    /// model can lose and redo work without limit, so under one the bound
+    /// is necessary, not sufficient.
+    fn check_limits(
+        &self,
+        machine: &Node,
+        programs: &[Node],
+        stream: Option<&Node>,
+    ) -> Result<(), ScenarioError> {
+        let line_of = |node: &Node, key: &str| {
+            let value = Obj::of(node, "").ok().and_then(|o| o.get(key));
+            value.map_or(node.line, |v| v.line)
+        };
+        // `path` names a field of `node`, whose value `size` is.
+        let over = |size: usize, max: usize, node: &Node, path: &str| {
+            if size <= max {
+                return Ok(());
+            }
+            let line = line_of(node, path.rsplit('.').next().unwrap_or(path));
+            let msg = format!("above the loader's ceiling of {max}");
+            Err(err(line, path, ScenarioErrorKind::Invalid(msg)))
+        };
+        let m = &self.machine;
+        over(m.processors, MAX_PROCESSORS, machine, "machine.processors")?;
+        over(m.lanes.unwrap_or(0), MAX_LANES, machine, "machine.lanes")?;
+        let mut jobs = 0usize;
+        for (i, (p, node)) in self.workload.iter().zip(programs).enumerate() {
+            jobs = jobs.saturating_add(p.count);
+            over(jobs, MAX_JOBS, node, &format!("workload[{i}].count"))?;
+        }
+        if let (Some(st), Some(node)) = (&self.stream, stream) {
+            let jobs = jobs.saturating_add(st.count);
+            over(jobs, MAX_JOBS, node, "stream.count")?;
+        }
+
+        // Worst-case ticks, term by term; u128 with saturation, so the
+        // bound itself cannot wrap.
+        let slowest = m.classes.iter().map(|c| c.speed_percent).min();
+        let slowdown = u128::from(100u32.div_ceil(slowest.unwrap_or(100).clamp(1, 100)));
+        let task = |ph: &PhaseDoc| {
+            u128::from(ph.granules)
+                * (u128::from(ph.cost.max_ticks()) * slowdown + MANAGEMENT_TICKS_PER_GRANULE)
+        };
+        let mut terms: Vec<(u128, usize, String)> = Vec::new();
+        for (i, (p, node)) in self.workload.iter().zip(programs).enumerate() {
+            let streamed = self.stream.as_ref().filter(|st| st.program == p.name);
+            let copies = p.count + streamed.map_or(0, |st| st.count);
+            let job: u128 = p
+                .phases
+                .iter()
+                .map(|ph| task(ph) + MANAGEMENT_TICKS_PER_PHASE)
+                .fold(0, u128::saturating_add);
+            let work = job.saturating_mul(copies as u128);
+            terms.push((work, node.line, format!("workload[{i}]")));
+        }
+        if let (Some(st), Some(node)) = (&self.stream, stream) {
+            let last = match &st.arrivals {
+                ArrivalDoc::Poisson { mean_gap } => {
+                    u128::from(*mean_gap) * u128::from(EXPONENTIAL_MEANS_AT_MOST) * st.count as u128
+                }
+                ArrivalDoc::Trace(instants) => instants.iter().copied().max().unwrap_or(0).into(),
+            };
+            terms.push((last, line_of(node, "arrivals"), "stream.arrivals".into()));
+        }
+        if let Some(FaultDoc {
+            model: FaultModelDoc::Scripted(events),
+            ..
+        }) = &m.faults
+        {
+            let phases = self.workload.iter().flat_map(|p| &p.phases);
+            let longest_task = phases.map(task).max().unwrap_or(0);
+            let lost = events
+                .iter()
+                .map(|e| u128::from(e.repair_after.unwrap_or(0)) + longest_task)
+                .fold(0, u128::saturating_add);
+            terms.push((lost, line_of(machine, "faults"), "machine.faults".into()));
+        }
+        let horizon = terms.iter().map(|t| t.0).fold(0, u128::saturating_add);
+        let needed = horizon.saturating_mul(2 * m.processors.max(1) as u128);
+        if needed > u128::from(u64::MAX) {
+            let (_, line, path) = terms
+                .into_iter()
+                .max_by_key(|t| t.0)
+                .expect("a workload has at least one program");
+            let msg = format!(
+                "the run can last {horizon} ticks in the worst case, and {} processors' \
+                 worth of twice that does not fit the engine's 64-bit tick arithmetic",
+                m.processors
+            );
+            return Err(err(line, path, ScenarioErrorKind::Invalid(msg)));
+        }
+        Ok(())
     }
 
     /// Cross-reference checks that need the whole document, with line
@@ -1152,10 +1301,21 @@ fn parse_dist(node: &Node, path: &str) -> Result<DistDoc, ScenarioError> {
         "constant" => Ok(DistDoc::Constant(
             d.req("ticks", path)?.u64_(&format!("{path}.ticks"))?,
         )),
-        "uniform" => Ok(DistDoc::Uniform {
-            lo: d.req("lo", path)?.u64_(&format!("{path}.lo"))?,
-            hi: d.req("hi", path)?.u64_(&format!("{path}.hi"))?,
-        }),
+        "uniform" => {
+            let lo = d.req("lo", path)?.u64_(&format!("{path}.lo"))?;
+            let hi_node = d.req("hi", path)?;
+            let hi = hi_node.u64_(&format!("{path}.hi"))?;
+            if hi < lo {
+                return Err(err(
+                    hi_node.line,
+                    format!("{path}.hi"),
+                    ScenarioErrorKind::Invalid(format!(
+                        "a uniform distribution needs lo <= hi, found lo {lo} and hi {hi}"
+                    )),
+                ));
+            }
+            Ok(DistDoc::Uniform { lo, hi })
+        }
         "exponential" => Ok(DistDoc::Exponential(
             d.req("mean", path)?.u64_(&format!("{path}.mean"))?,
         )),
@@ -1205,7 +1365,15 @@ fn parse_phase(node: &Node, path: &str) -> Result<PhaseDoc, ScenarioError> {
         path,
     )?;
     let name = p.req("name", path)?.str_(&format!("{path}.name"))?.into();
-    let granules = p.req("granules", path)?.u32_(&format!("{path}.granules"))?;
+    let granules_node = p.req("granules", path)?;
+    let granules = granules_node.u32_(&format!("{path}.granules"))?;
+    if granules == 0 {
+        return Err(err(
+            granules_node.line,
+            format!("{path}.granules"),
+            ScenarioErrorKind::Invalid("a phase needs at least one granule".into()),
+        ));
+    }
     let cost = parse_dist(p.req("cost", path)?, &format!("{path}.cost"))?;
     let lines = match p.get("lines") {
         Some(n) => n.u32_(&format!("{path}.lines"))?,
@@ -1332,6 +1500,16 @@ fn parse_policy(node: &Node) -> Result<PolicyDoc, ScenarioError> {
 // ---------------------------------------------------------------------------
 
 impl DistDoc {
+    /// The most ticks one sample can take.
+    fn max_ticks(self) -> u64 {
+        match self {
+            DistDoc::Zero => 0,
+            DistDoc::Constant(t) => t,
+            DistDoc::Uniform { hi, .. } => hi,
+            DistDoc::Exponential(mean) => mean.saturating_mul(EXPONENTIAL_MEANS_AT_MOST),
+        }
+    }
+
     fn to_dist(self) -> DurationDist {
         match self {
             DistDoc::Zero => DurationDist::Zero,

@@ -211,15 +211,6 @@ mod tests {
             .simulation(MachineConfig::new(4).with_shards(ShardPolicy::new(3)), 7)
             .run()
             .unwrap();
-        assert_eq!(base.events, sharded.events);
-        assert_eq!(base.makespan, sharded.makespan);
-        assert_eq!(
-            base.jobs.iter().map(|j| j.finished_at).collect::<Vec<_>>(),
-            sharded
-                .jobs
-                .iter()
-                .map(|j| j.finished_at)
-                .collect::<Vec<_>>()
-        );
+        assert_eq!(base, sharded);
     }
 }

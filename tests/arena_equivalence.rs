@@ -391,47 +391,6 @@ fn session_windowed_drive_matches_goldens_on_all_shapes() {
     );
 }
 
-/// The full observable surface of a [`RunReport`], for comparing whole
-/// multi-group runs across shard counts and drivers (a superset of the
-/// golden fingerprint: adds per-job admission/finish times).
-fn report_fingerprint(name: &str, r: &pax_core::report::RunReport) -> String {
-    let phase_sig: String = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{}:{}+{}",
-                p.job, p.stats.executed_granules, p.stats.overlap_granules
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let job_sig: String = r
-        .jobs
-        .iter()
-        .map(|j| {
-            format!(
-                "{}..{}",
-                j.started_at.ticks(),
-                j.finished_at.map(|t| t.ticks() as i64).unwrap_or(-1)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{name} ev={} mk={} tasks={} splits={} descs={} peak={} mgmt={} remote={} \
-         phases=[{phase_sig}] jobs=[{job_sig}]",
-        r.events,
-        r.makespan.ticks(),
-        r.tasks_dispatched,
-        r.splits,
-        r.descriptors_created,
-        r.descriptors_peak,
-        r.mgmt_time.ticks(),
-        r.remote_granules,
-    )
-}
-
 /// The sharded engine is a host-performance knob, not a semantics knob
 /// (the `ShardPolicy` contract): every experiment shape must reproduce
 /// the recorded goldens bit for bit at shard counts 2, 4, and 8 — plus
@@ -482,28 +441,18 @@ fn fleet_reports_are_identical_across_shard_counts_and_drivers() {
         ),
     ];
     for (name, fleet) in &fleets {
-        let reference = fleet
-            .simulation(MachineConfig::new(4), 7)
-            .run()
-            .map(|r| report_fingerprint(name, &r))
-            .unwrap();
+        let reference = fleet.simulation(MachineConfig::new(4), 7).run().unwrap();
         for shards in [1usize, 2, 3, 4, 8] {
             let cfg = MachineConfig::new(4).with_shards(ShardPolicy::new(shards));
-            let inline = fleet
-                .simulation(cfg.clone(), 7)
-                .run()
-                .map(|r| report_fingerprint(name, &r))
-                .unwrap();
+            let inline = fleet.simulation(cfg.clone(), 7).run().unwrap();
             assert_eq!(
                 inline, reference,
-                "reference driver diverged at shards={shards}"
+                "{name}: reference driver diverged at shards={shards}"
             );
-            let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7))
-                .map(|r| report_fingerprint(name, &r))
-                .unwrap();
+            let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7)).unwrap();
             assert_eq!(
                 threaded, reference,
-                "threaded driver diverged at shards={shards}"
+                "{name}: threaded driver diverged at shards={shards}"
             );
         }
     }
@@ -540,21 +489,12 @@ mod sharded_properties {
                 l => FleetConfig::staged(groups, granules, SimDuration(l)),
             };
             fleet.task_size = task_size;
-            let reference = fleet
-                .simulation(MachineConfig::new(3), seed)
-                .run()
-                .map(|r| report_fingerprint("fleet", &r))
-                .unwrap();
+            let reference = fleet.simulation(MachineConfig::new(3), seed).run().unwrap();
             let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
-            let inline = fleet
-                .simulation(cfg.clone(), seed)
-                .run()
-                .map(|r| report_fingerprint("fleet", &r))
-                .unwrap();
+            let inline = fleet.simulation(cfg.clone(), seed).run().unwrap();
             prop_assert_eq!(&inline, &reference, "inline sharded driver diverged");
-            let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, seed))
-                .map(|r| report_fingerprint("fleet", &r))
-                .unwrap();
+            let threaded =
+                pax_runtime::run_simulation_sharded(fleet.simulation(cfg, seed)).unwrap();
             prop_assert_eq!(&threaded, &reference, "threaded sharded driver diverged");
         }
 
@@ -577,27 +517,51 @@ mod sharded_properties {
                 l => FleetConfig::staged(groups, granules, SimDuration(l)),
             };
             let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
-            let reference = fleet
-                .simulation(cfg.clone(), seed)
-                .run()
-                .map(|r| report_fingerprint("fleet", &r))
-                .unwrap();
+            let reference = fleet.simulation(cfg.clone(), seed).run().unwrap();
             let mut session = fleet.simulation(cfg.clone(), seed).into_session().unwrap();
             let mut t = window;
             while !session.step_until(SimTime(t)).unwrap() {
                 t += window;
             }
-            let windowed = report_fingerprint("fleet", &session.report().unwrap());
+            let windowed = session.report().unwrap();
             prop_assert_eq!(&windowed, &reference, "windowed session diverged");
             let mut ts = pax_runtime::ThreadedSession::new(
                 fleet.simulation(cfg, seed).into_sharded().unwrap(),
             );
             let mut t = window;
-            while !ts.step_until(Some(SimTime(t))).unwrap() {
+            while !ts.step_until(SimTime(t)).unwrap() {
                 t += window;
             }
-            let threaded = report_fingerprint("fleet", &ts.finish().unwrap());
+            let threaded = ts.finish().unwrap();
             prop_assert_eq!(&threaded, &reference, "windowed threaded session diverged");
+        }
+
+        /// One epoch loop drives both executors, so a calling-thread
+        /// session and a `ThreadedSession` over the same staged fleet,
+        /// stepped through the same random cuts, agree after *every* cut
+        /// on what `step_until` returned, and at the end on the report.
+        #[test]
+        fn random_cuts_agree_call_by_call_across_executors(
+            groups in 2usize..6,
+            granules in 4u32..40,
+            latency in 1u64..300,
+            seed in 0u64..1000,
+            shards in 2usize..5,
+            cuts in proptest::collection::vec(1u64..1500, 1..16),
+        ) {
+            let fleet = FleetConfig::staged(groups, granules, SimDuration(latency));
+            let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
+            let mut calling = fleet.simulation(cfg.clone(), seed).into_session().unwrap();
+            let mut threaded = pax_runtime::ThreadedSession::new(
+                fleet.simulation(cfg, seed).into_sharded().unwrap(),
+            );
+            let mut t = 0;
+            for cut in cuts {
+                t += cut;
+                let done = calling.step_until(SimTime(t)).unwrap();
+                prop_assert_eq!(threaded.step_until(SimTime(t)).unwrap(), done, "cut at {}", t);
+            }
+            prop_assert_eq!(calling.report().unwrap(), threaded.finish().unwrap());
         }
     }
 }

@@ -14,64 +14,12 @@ use pax_core::engine::EngineError;
 use pax_core::phase::PhaseDef;
 use pax_core::policy::OverlapPolicy;
 use pax_core::program::{Program, ProgramBuilder};
-use pax_core::report::RunReport;
 use pax_core::Simulation;
 use pax_sim::dist::{CostModel, DurationDist};
 use pax_sim::machine::{MachineConfig, ShardPolicy};
 use pax_sim::time::SimDuration;
 use pax_sim::{FaultPlan, RetryPolicy, ScriptedFault};
 use pax_workloads::FleetConfig;
-
-/// The full observable surface of a faulty run: the equivalence suite's
-/// report fingerprint plus every degraded-capacity field, including the
-/// raw availability timeline.
-fn fault_fingerprint(name: &str, r: &RunReport) -> String {
-    let phase_sig: String = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{}:{}+{}",
-                p.job, p.stats.executed_granules, p.stats.overlap_granules
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let job_sig: String = r
-        .jobs
-        .iter()
-        .map(|j| {
-            format!(
-                "{}..{}",
-                j.started_at.ticks(),
-                j.finished_at.map(|t| t.ticks() as i64).unwrap_or(-1)
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let avail_sig: String = r
-        .avail_trace
-        .points()
-        .iter()
-        .map(|(t, v)| format!("{}@{v}", t.ticks()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{name} ev={} mk={} tasks={} splits={} descs={} peak={} mgmt={} compute={} \
-         crashes={} retries={} lost={} avail=[{avail_sig}] phases=[{phase_sig}] jobs=[{job_sig}]",
-        r.events,
-        r.makespan.ticks(),
-        r.tasks_dispatched,
-        r.splits,
-        r.descriptors_created,
-        r.descriptors_peak,
-        r.mgmt_time.ticks(),
-        r.compute_time.ticks(),
-        r.crashes,
-        r.retries,
-        r.lost_work.ticks(),
-    )
-}
 
 /// A scripted plan that hits the fleet's machines mid-phase: processor 1
 /// dies early and recovers, processor 3 dies later and never comes back.
@@ -118,25 +66,16 @@ fn fault_injected_runs_are_identical_across_shards_and_drivers() {
         for (pname, plan) in &plans {
             let name = format!("{fname}+{pname}");
             let machine = || MachineConfig::new(4).with_faults(plan.clone());
-            let reference = fleet
-                .simulation(machine(), 7)
-                .run()
-                .map(|r| fault_fingerprint(&name, &r))
-                .unwrap();
+            let reference = fleet.simulation(machine(), 7).run().unwrap();
             for shards in [1usize, 2, 4, 8] {
                 let cfg = machine().with_shards(ShardPolicy::new(shards));
-                let inline = fleet
-                    .simulation(cfg.clone(), 7)
-                    .run()
-                    .map(|r| fault_fingerprint(&name, &r))
-                    .unwrap();
+                let inline = fleet.simulation(cfg.clone(), 7).run().unwrap();
                 assert_eq!(
                     inline, reference,
                     "reference driver diverged: {name} shards={shards}"
                 );
-                let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7))
-                    .map(|r| fault_fingerprint(&name, &r))
-                    .unwrap();
+                let threaded =
+                    pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7)).unwrap();
                 assert_eq!(
                     threaded, reference,
                     "threaded driver diverged: {name} shards={shards}"
@@ -334,22 +273,13 @@ mod fault_properties {
                 DurationDist::uniform(1, ttr.max(2)),
             );
             let machine = || MachineConfig::new(3).with_faults(plan.clone());
-            let reference = fleet
-                .simulation(machine(), seed)
-                .run()
-                .map(|r| fault_fingerprint("fleet", &r))
-                .unwrap();
+            let reference = fleet.simulation(machine(), seed).run().unwrap();
             for shards in [2usize, 4, 8] {
                 let cfg = machine().with_shards(ShardPolicy::new(shards));
-                let inline = fleet
-                    .simulation(cfg.clone(), seed)
-                    .run()
-                    .map(|r| fault_fingerprint("fleet", &r))
-                    .unwrap();
+                let inline = fleet.simulation(cfg.clone(), seed).run().unwrap();
                 prop_assert_eq!(&inline, &reference, "inline driver diverged at shards={}", shards);
-                let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, seed))
-                    .map(|r| fault_fingerprint("fleet", &r))
-                    .unwrap();
+                let threaded =
+                    pax_runtime::run_simulation_sharded(fleet.simulation(cfg, seed)).unwrap();
                 prop_assert_eq!(&threaded, &reference, "threaded driver diverged at shards={}", shards);
             }
         }

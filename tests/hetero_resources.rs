@@ -4,64 +4,16 @@
 //! The `ShardPolicy` contract says sharding is a host-performance knob,
 //! never a semantics knob. This suite extends that contract to the
 //! heterogeneity layer: a fleet whose machines declare speed classes,
-//! affinities, and resource-token pools must produce fingerprint-identical
+//! affinities, and resource-token pools must produce identical
 //! reports — including the per-class and per-pool accounting — at shard
 //! counts {1, 2, 4, 8} on the inline driver, the inline sharded driver,
 //! and the threaded sharded driver. A fault-injected leg crashes
 //! processors mid-task to prove held tokens are returned on the crash
 //! path deterministically (a leaked token would change every downstream
-//! dispatch and split the fingerprints).
+//! dispatch and split the reports).
 
 use pax_core::prelude::*;
 use pax_sim::faults::ScriptedFault;
-
-/// A full-report fingerprint that also folds in the heterogeneity
-/// accounting, so a class/pool merge bug cannot hide behind a matching
-/// makespan.
-fn fingerprint(r: &RunReport) -> String {
-    let phase_sig: String = r
-        .phases
-        .iter()
-        .map(|p| {
-            format!(
-                "{}:{}+{}",
-                p.job, p.stats.executed_granules, p.stats.overlap_granules
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let class_sig: String = r
-        .class_reports
-        .iter()
-        .map(|c| {
-            format!(
-                "{}:{}w:{}t:{}b",
-                c.name,
-                c.processors,
-                c.tasks,
-                c.busy.ticks()
-            )
-        })
-        .collect::<Vec<_>>()
-        .join(",");
-    let pool_sig: String = r
-        .pool_reports
-        .iter()
-        .map(|p| format!("{}:{}w:{}wt", p.name, p.waits, p.wait_ticks.ticks()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "ev={} mk={} tasks={} splits={} lost={} crashes={} retries={} \
-         classes=[{class_sig}] pools=[{pool_sig}] phases=[{phase_sig}]",
-        r.events,
-        r.makespan.ticks(),
-        r.tasks_dispatched,
-        r.splits,
-        r.lost_work.ticks(),
-        r.crashes,
-        r.retries,
-    )
-}
 
 /// A six-processor two-class machine with two token pools.
 fn hetero_machine() -> MachineConfig {
@@ -157,18 +109,18 @@ fn fleet_with(cfg: MachineConfig, faulted: bool, gated: bool) -> Simulation {
     sim
 }
 
-fn run_fingerprint(sim: Simulation) -> String {
-    fingerprint(&sim.run().expect("run failed"))
+fn run(sim: Simulation) -> RunReport {
+    sim.run().expect("run failed")
 }
 
 /// Heterogeneous + resource-constrained fleets are shard-count-invariant
 /// on the inline and inline-sharded drivers.
 #[test]
 fn hetero_fleet_is_shard_invariant_inline() {
-    let reference = run_fingerprint(fleet(hetero_machine(), false));
+    let reference = run(fleet(hetero_machine(), false));
     for shards in [1usize, 2, 4, 8] {
         let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let actual = run_fingerprint(fleet(cfg, false));
+        let actual = run(fleet(cfg, false));
         assert_eq!(
             actual, reference,
             "inline sharded diverged at shards={shards}"
@@ -176,15 +128,14 @@ fn hetero_fleet_is_shard_invariant_inline() {
     }
 }
 
-/// The threaded sharded driver reproduces the same fingerprints.
+/// The threaded sharded driver reproduces the same reports.
 #[test]
 fn hetero_fleet_is_shard_invariant_threaded() {
-    let reference = run_fingerprint(fleet(hetero_machine(), false));
+    let reference = run(fleet(hetero_machine(), false));
     for shards in [1usize, 2, 4, 8] {
         let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let actual = pax_runtime::run_simulation_sharded(fleet(cfg, false))
-            .map(|r| fingerprint(&r))
-            .expect("threaded run failed");
+        let actual =
+            pax_runtime::run_simulation_sharded(fleet(cfg, false)).expect("threaded run failed");
         assert_eq!(actual, reference, "threaded diverged at shards={shards}");
     }
 }
@@ -194,21 +145,20 @@ fn hetero_fleet_is_shard_invariant_threaded() {
 /// crash path identically everywhere.
 #[test]
 fn faulted_hetero_fleet_is_shard_invariant_on_all_drivers() {
-    let reference = run_fingerprint(fleet(hetero_machine(), true));
-    assert!(
-        reference.contains("crashes=16"),
-        "every group should see its two scripted crashes: {reference}"
+    let reference = run(fleet(hetero_machine(), true));
+    assert_eq!(
+        reference.crashes, 16,
+        "every group should see its two scripted crashes"
     );
     for shards in [1usize, 2, 4, 8] {
         let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let inline = run_fingerprint(fleet(cfg.clone(), true));
+        let inline = run(fleet(cfg.clone(), true));
         assert_eq!(
             inline, reference,
             "inline sharded diverged at shards={shards}"
         );
-        let threaded = pax_runtime::run_simulation_sharded(fleet(cfg, true))
-            .map(|r| fingerprint(&r))
-            .expect("threaded run failed");
+        let threaded =
+            pax_runtime::run_simulation_sharded(fleet(cfg, true)).expect("threaded run failed");
         assert_eq!(threaded, reference, "threaded diverged at shards={shards}");
     }
 }
@@ -241,17 +191,12 @@ fn accounting_is_conserved_under_faults() {
 /// the plain homogeneous machine — heterogeneity off is really off.
 #[test]
 fn trivial_hetero_config_matches_homogeneous_fingerprint() {
-    let homogeneous = run_fingerprint(fleet_with(MachineConfig::new(6), false, false));
+    let homogeneous = run(fleet_with(MachineConfig::new(6), false, false));
     let trivial = MachineConfig::new(6).with_classes(vec![ProcessorClass::new("all", 6, 100)]);
-    let r = fleet_with(trivial, false, false).run().unwrap();
+    let mut r = fleet_with(trivial, false, false).run().unwrap();
     // The class section differs (it now reports), so compare everything
-    // except the class signature.
-    let fp = fingerprint(&r);
-    let strip = |s: &str| {
-        let (head, tail) = s.split_once(" classes=[").unwrap();
-        let (_, tail) = tail.split_once(']').unwrap();
-        format!("{head}{tail}")
-    };
-    assert_eq!(strip(&fp), strip(&homogeneous));
+    // else.
     assert_eq!(r.class_reports.len(), 1);
+    r.class_reports.clear();
+    assert_eq!(r, homogeneous);
 }

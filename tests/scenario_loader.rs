@@ -11,6 +11,11 @@
 //! 3. **Round-trip property** — for randomized valid scenarios,
 //!    `Scenario::parse(s.to_json()) == s`, and the parsed document
 //!    builds a runnable simulation.
+//! 4. **Hostile input** — a scenario file comes from outside the
+//!    program: documents that used to panic, overflow the stack, exhaust
+//!    memory or wrap tick arithmetic are named regressions, and a
+//!    byte-level property leg checks that no input makes the loader (or
+//!    the builders behind it) panic.
 
 use pax_workloads::scenario::{
     AdmissionDoc, AffinityDoc, ArrivalDoc, ClassDoc, DistDoc, FaultDoc, FaultEventDoc,
@@ -25,11 +30,9 @@ fn scenarios_dir() -> PathBuf {
         .join("scenarios")
 }
 
-/// Every checked-in cookbook scenario loads and runs.
-#[test]
-fn every_cookbook_scenario_loads_and_runs() {
-    let dir = scenarios_dir();
-    let mut files: Vec<PathBuf> = std::fs::read_dir(&dir)
+/// The checked-in cookbook scenarios, in name order.
+fn cookbook_files() -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(scenarios_dir())
         .expect("examples/scenarios exists")
         .map(|e| e.expect("readable dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "json"))
@@ -39,7 +42,13 @@ fn every_cookbook_scenario_loads_and_runs() {
         files.len() >= 4,
         "expected the four documented cookbook scenarios, found {files:?}"
     );
-    for file in files {
+    files
+}
+
+/// Every checked-in cookbook scenario loads and runs.
+#[test]
+fn every_cookbook_scenario_loads_and_runs() {
+    for file in cookbook_files() {
         let scenario =
             Scenario::load_path(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
         let report = scenario
@@ -178,6 +187,178 @@ fn bad_enum_tag_lists_alternatives() {
             );
         }
         other => panic!("expected Invalid, got {other:?}"),
+    }
+}
+
+/// A two-processor, one-program document with `machine`, `program` and
+/// `tail` fields spliced in: the hostile-input regressions each bend one.
+fn doc_with(machine: &str, program: &str, tail: &str) -> String {
+    format!(
+        r#"{{
+  "machine": {{ "processors": 2{machine} }},
+  "workload": [ {{
+    "name": "w"{program},
+    "phases": [ {{ "name": "p", "granules": 4,
+                   "cost": {{ "dist": "constant", "ticks": 5 }} }} ]
+  }} ]{tail}
+}}"#
+    )
+}
+
+fn assert_invalid_at(text: &str, line: usize, path: &str) {
+    let e = Scenario::parse(text).unwrap_err();
+    assert!(matches!(e.kind, ScenarioErrorKind::Invalid(_)), "{e}");
+    assert_eq!((e.line, e.path.as_str()), (line, path), "{e}\n{text}");
+}
+
+/// `lo > hi` used to parse, build, and panic in `gen_range` at the first
+/// sample. `parse_dist` serves phase costs and fault spans alike.
+#[test]
+fn uniform_with_lo_above_hi_is_rejected_at_load() {
+    let bad = r#"{ "dist": "uniform", "lo": 10, "hi": 5 }"#;
+    let cost = doc_with("", "", "").replace(r#"{ "dist": "constant", "ticks": 5 }"#, bad);
+    assert_invalid_at(&cost, 6, "workload[0].phases[0].cost.hi");
+    let span = format!(
+        r#",
+    "faults": {{ "model": "random",
+      "time_to_failure": {{ "dist": "constant", "ticks": 50 }},
+      "time_to_repair": {bad} }}"#
+    );
+    assert_invalid_at(
+        &doc_with(&span, "", ""),
+        5,
+        "machine.faults.time_to_repair.hi",
+    );
+}
+
+/// `"granules": 0` used to panic inside `Scenario::parse`, in
+/// `PhaseDef::new`.
+#[test]
+fn zero_granule_phase_is_rejected_at_load() {
+    let text = doc_with("", "", "").replace(r#""granules": 4"#, r#""granules": 0"#);
+    assert_invalid_at(&text, 5, "workload[0].phases[0].granules");
+}
+
+/// 200 000 nested `[` used to overflow the stack of the recursive
+/// reader and abort the process.
+#[test]
+fn deep_nesting_is_a_syntax_error_not_a_stack_overflow() {
+    for open in ["[", "{\"k\":"] {
+        let e = Scenario::parse(&open.repeat(200_000)).unwrap_err();
+        assert!(matches!(e.kind, ScenarioErrorKind::Syntax(_)), "{e}");
+        assert_eq!((e.line, e.path.as_str()), (1, "$"));
+    }
+    // The deepest value the format defines is well inside the cap.
+    Scenario::parse(&doc_with("", "", "")).unwrap();
+}
+
+/// `"processors": 4000000000` used to allocate until the OOM killer took
+/// the process; so did the lane and job counts. Each is now refused
+/// before anything is sized from it. (`machine.shards` is clamped to the
+/// group count and never allocated for.)
+#[test]
+fn sizes_above_the_ceilings_are_rejected_before_allocation() {
+    let stream = |count: u64| {
+        format!(
+            r#",
+  "stream": {{ "program": "w",
+    "count": {count},
+    "arrivals": {{ "process": "poisson", "mean_gap": 10 }} }}"#
+        )
+    };
+    let huge_processors =
+        doc_with("", "", "").replace(r#""processors": 2"#, r#""processors": 4000000000"#);
+    assert_invalid_at(&huge_processors, 2, "machine.processors");
+    let huge_lanes = doc_with(",\n \"lanes\": 4000000000", "", "");
+    assert_invalid_at(&huge_lanes, 3, "machine.lanes");
+    let huge_count = doc_with("", ",\n \"count\": 4000000000", "");
+    assert_invalid_at(&huge_count, 5, "workload[0].count");
+    let huge_stream = doc_with("", "", &stream(4_000_000_000));
+    assert_invalid_at(&huge_stream, 9, "stream.count");
+    // The ceiling is on the jobs of the whole document.
+    let together = doc_with("", ",\n \"count\": 600000", &stream(600_000));
+    assert_invalid_at(&together, 10, "stream.count");
+    let shards = doc_with(",\n \"shards\": 4000000000", "", "");
+    Scenario::parse(&shards)
+        .unwrap()
+        .build()
+        .unwrap()
+        .into_session()
+        .unwrap();
+}
+
+/// 3 000 jobs of one 2^53-tick granule on one processor used to panic
+/// `attempt to add with overflow` in a debug build and wrap silently in
+/// a release one. The loader bounds the run's tick sums with checked
+/// arithmetic and refuses a document that can exceed `u64`, naming the
+/// largest term; one that fits still loads.
+#[test]
+fn tick_sums_that_can_leave_u64_are_rejected_at_load() {
+    let huge = |count: u32| {
+        doc_with("", &format!(",\n \"count\": {count}"), "")
+            .replace(r#""processors": 2"#, r#""processors": 1"#)
+            .replace(r#""granules": 4"#, r#""granules": 1"#)
+            .replace(r#""ticks": 5"#, r#""ticks": 9007199254740992"#)
+    };
+    assert_invalid_at(&huge(3_000), 3, "workload[0]");
+    Scenario::parse(&huge(300)).unwrap();
+    // Arrival instants are sums too: a million 2^53-tick gaps.
+    let gaps = r#",
+  "stream": { "program": "w", "count": 1000000,
+    "arrivals": { "process": "poisson", "mean_gap": 9007199254740992 } }"#;
+    assert_invalid_at(&doc_with("", "", gaps), 9, "stream.arrivals");
+}
+
+mod hostile_bytes {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Whatever the bytes hold, the loader returns; and what it accepts,
+    /// the simulation builder and the session builder take without
+    /// panicking (either may refuse it with an error).
+    fn load(bytes: &[u8]) {
+        if let Ok(scenario) = Scenario::parse(&String::from_utf8_lossy(bytes)) {
+            if let Ok(sim) = scenario.build() {
+                let _ = sim.into_session();
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn arbitrary_bytes_never_panic_the_loader(
+            bytes in proptest::collection::vec(0u8..=255, 0..512),
+        ) {
+            load(&bytes);
+        }
+
+        /// A cookbook file under a random truncation, byte flip or
+        /// duplicated span: mostly still JSON, often still a scenario,
+        /// with a field missing, a number or a name changed, or a value
+        /// given twice.
+        #[test]
+        fn damaged_cookbook_files_never_panic_the_loader(
+            file in 0usize..1_000,
+            damage in 0u8..3,
+            at in 0usize..1_000_000,
+            len in 1usize..64,
+            byte in 0u8..=255,
+        ) {
+            let files = cookbook_files();
+            let mut bytes = std::fs::read(&files[file % files.len()]).expect("cookbook file");
+            let at = at % bytes.len();
+            match damage {
+                0 => bytes.truncate(at),
+                1 => bytes[at] = byte,
+                _ => {
+                    let span = bytes[at..(at + len).min(bytes.len())].to_vec();
+                    bytes.splice(at..at, span);
+                }
+            }
+            load(&bytes);
+        }
     }
 }
 

@@ -58,22 +58,6 @@ fn shed_admission_accounts_rejections_without_unbounded_growth() {
     }
 }
 
-fn fault_signature(r: &RunReport) -> String {
-    format!(
-        "ev={} mk={} done={} rej={} crashes={} retries={} lost={} p50={:?} p99={:?} peak={}",
-        r.events,
-        r.makespan.ticks(),
-        r.jobs_completed(),
-        r.jobs_rejected,
-        r.crashes,
-        r.retries,
-        r.lost_work.ticks(),
-        r.latency_p50(),
-        r.latency_p99(),
-        r.instances_peak
-    )
-}
-
 /// The PR 7 fault layer composes with service mode: a Poisson stream on
 /// a crashing fleet is crash-for-crash deterministic — the same seeds
 /// produce the same crashes, retries, lost work, and latencies at shard
@@ -82,25 +66,19 @@ fn fault_signature(r: &RunReport) -> String {
 fn faulty_service_stream_is_identical_across_shard_counts() {
     let svc = ServiceConfig::poisson(600, 250).with_groups(4);
     let machine = MachineConfig::new(3).with_faults(pax_workloads::degraded_fault_plan());
-    let reference = fault_signature(
-        &svc.simulation(machine.clone(), 23)
-            .run()
-            .expect("unsharded faulty service run"),
-    );
-    assert!(
-        reference.contains("crashes=") && !reference.contains("crashes=0 "),
-        "fault plan never fired — signature {reference}"
-    );
+    let reference = svc
+        .simulation(machine.clone(), 23)
+        .run()
+        .expect("unsharded faulty service run");
+    assert!(reference.crashes > 0, "fault plan never fired");
     for shards in [2usize, 4] {
         let cfg = machine.clone().with_shards(ShardPolicy::new(shards));
-        let inline = fault_signature(&svc.simulation(cfg.clone(), 23).run().unwrap());
+        let inline = svc.simulation(cfg.clone(), 23).run().unwrap();
         assert_eq!(
             inline, reference,
             "inline driver diverged at {shards} shards"
         );
-        let threaded = pax_runtime::run_simulation_sharded(svc.simulation(cfg, 23))
-            .map(|r| fault_signature(&r))
-            .unwrap();
+        let threaded = pax_runtime::run_simulation_sharded(svc.simulation(cfg, 23)).unwrap();
         assert_eq!(
             threaded, reference,
             "threaded driver diverged at {shards} shards"
@@ -115,14 +93,13 @@ fn faulty_service_stream_is_identical_across_shard_counts() {
 fn paused_and_resumed_service_stream_matches_one_shot() {
     let svc = ServiceConfig::poisson(400, 300).with_groups(3);
     let machine = MachineConfig::new(3).with_shards(ShardPolicy::new(2));
-    let reference = fault_signature(&svc.simulation(machine.clone(), 9).run().unwrap());
+    let reference = svc.simulation(machine.clone(), 9).run().unwrap();
     let mut session = svc.simulation(machine, 9).into_session().unwrap();
     let mut t = 777u64;
     while !session.step_until(SimTime(t)).unwrap() {
         t += 777;
     }
-    let windowed = fault_signature(&session.report().unwrap());
-    assert_eq!(windowed, reference);
+    assert_eq!(session.report().unwrap(), reference);
 }
 
 /// One job of the service program arriving at each of `instants` on
@@ -184,15 +161,6 @@ fn arrivals_precede_the_events_of_their_tick_and_tie_in_job_order() {
     assert_eq!(at_50, vec![(0, false), (2, true)]);
 }
 
-fn job_signature(r: &RunReport) -> String {
-    let jobs: Vec<_> = r
-        .jobs
-        .iter()
-        .map(|j| (j.arrived_at, j.started_at, j.finished_at, j.rejected))
-        .collect();
-    format!("{} jobs={jobs:?}", fault_signature(r))
-}
-
 /// A pause placed exactly on, one tick before and one tick after an
 /// arrival instant — while every processor is idle and the calendar is
 /// empty, so the pending arrival is the only thing keeping the run
@@ -215,15 +183,15 @@ fn pausing_around_an_arrival_on_an_idle_machine_matches_drain_on_every_driver() 
             &[(0, ARRIVALS), (1, ARRIVALS)],
         )
     };
-    let one_ref = job_signature(&one_group(1).run().unwrap());
-    let two_ref = job_signature(&two_groups().run().unwrap());
-    assert!(one_ref.contains("done=3 ") && two_ref.contains("done=6 "));
+    let one_ref = one_group(1).run().unwrap();
+    let two_ref = two_groups().run().unwrap();
+    assert_eq!((one_ref.jobs_completed(), two_ref.jobs_completed()), (3, 6));
     for limit in [4_999u64, 5_000, 5_001] {
         let through_session = |sim: Simulation| {
             let mut session = sim.into_session().unwrap();
             let drained = session.step_until(SimTime(limit)).unwrap();
             assert!(!drained, "arrivals remain past t={limit}");
-            job_signature(&session.report().unwrap())
+            session.report().unwrap()
         };
         assert_eq!(through_session(one_group(1)), one_ref, "inline, t={limit}");
         assert_eq!(
@@ -233,12 +201,8 @@ fn pausing_around_an_arrival_on_an_idle_machine_matches_drain_on_every_driver() 
         );
         assert_eq!(through_session(two_groups()), two_ref, "sharded, t={limit}");
         let mut threaded = pax_runtime::ThreadedSession::new(two_groups().into_sharded().unwrap());
-        let drained = threaded.step_until(Some(SimTime(limit))).unwrap();
+        let drained = threaded.step_until(SimTime(limit)).unwrap();
         assert!(!drained, "arrivals remain past t={limit}");
-        assert_eq!(
-            job_signature(&threaded.finish().unwrap()),
-            two_ref,
-            "threaded, t={limit}"
-        );
+        assert_eq!(threaded.finish().unwrap(), two_ref, "threaded, t={limit}");
     }
 }
