@@ -33,7 +33,7 @@
 
 use crate::descriptor::{DescArena, DescState, QueueClass};
 use crate::ids::{DescId, GranuleRange, InstanceId, JobId, PhaseId, WorkerId};
-use crate::mapping::{CompositeMap, EnablementMapping, MappingKind};
+use crate::mapping::{CompositeMap, MappingKind};
 use crate::phase::PhaseStats;
 use crate::policy::{AssignmentPolicy, OverlapPolicy, SplitStrategy};
 use crate::program::Program;
@@ -62,6 +62,7 @@ mod session;
 
 pub use error::EngineError;
 use faults::FaultRt;
+use overlap::MemoizedComposite;
 pub use session::{Session, Simulation};
 
 /// Simulator events.
@@ -113,20 +114,25 @@ enum InstState {
 }
 
 /// Enablement-counter state held by an initiated successor instance.
+///
+/// Two clocks meet here. The *simulated* executive constructs a composite
+/// map for every initiated successor and pays `useful` entries of lane
+/// time for it, immediately or in background chunks; until that is paid
+/// `counters` is `None` and completions decrement nothing. The *host*
+/// resolves the map once, at initiation, from the engine's memo
+/// ([`Engine::composite_for`]): every instance initiated under one
+/// mapping payload shares one constructed map.
 #[derive(Debug)]
 struct CounterState {
-    mapping: EnablementMapping,
-    /// The active composite granule map (decrements flow through it).
-    /// `Arc`-shared so the cost probe, the builder, and completion
-    /// processing all reference one constructed map instead of cloning
-    /// counter vectors.
-    composite: Option<Arc<CompositeMap>>,
-    /// A map constructed by the background cost probe but not yet applied;
-    /// [`Engine::build_composite`] takes it instead of rebuilding.
-    prebuilt: Option<Arc<CompositeMap>>,
-    /// Remaining requirement per successor granule, only the first
-    /// `early_limit` entries are active.
-    counters: Vec<u32>,
+    /// The successor's composite granule map (decrements flow through
+    /// it), shared with the memo and with sibling instances.
+    composite: Arc<CompositeMap>,
+    /// Entries of `composite` that feed the early subset, counted once:
+    /// what the executive is charged to build the map.
+    useful: u64,
+    /// Remaining requirement per successor granule of the early subset;
+    /// `None` until the simulated build is done.
+    counters: Option<Vec<u32>>,
     early_limit: u32,
 }
 
@@ -277,6 +283,9 @@ pub(crate) struct Engine {
     now: SimTime,
     exec_lanes: Vec<SimTime>,
     exec_backlog: VecDeque<ExecTask>,
+    /// Built composite maps, most recently used first (see
+    /// [`Engine::composite_for`]).
+    composite_memo: Vec<MemoizedComposite>,
     idle_workers: Vec<WorkerId>,
     rng: SmallRng,
     /// Processors computing and executive lanes serving, traced as the
@@ -424,6 +433,7 @@ impl Engine {
             now: SimTime::ZERO,
             exec_lanes: vec![SimTime::ZERO; s.cfg.executive_lanes],
             exec_backlog: VecDeque::new(),
+            composite_memo: Vec::new(),
             idle_workers: Vec::with_capacity(s.cfg.processors),
             rng: pax_sim::seeded_rng(s.seed),
             computing: LevelSweep::new(),
@@ -804,8 +814,9 @@ impl Engine {
         self.arena.set_overlap(d, overlapping);
         let start = svc_end;
         let end = start + exec;
+        // The matching `-1` is added when the completion is serviced (or
+        // a crash preempts the task): the sweep is fed in time order.
         self.computing.add(start, 1);
-        self.computing.add(end, -1);
         self.compute_total += exec;
         // The makespan frontier advances when the completion is *serviced*
         // (its `exec_service` ends at or after `end`), never at dispatch:
@@ -977,6 +988,8 @@ impl Engine {
                     f.attempts.swap_remove(pos);
                 }
             }
+            // A non-stale completion is serviced at the task's end.
+            self.computing.add(self.now, -1);
             // The finished task's secondary-resource tokens return to
             // their pools before anything else is serviced, so released
             // conflict-queue work and parked workers see them.
@@ -1051,15 +1064,15 @@ impl Engine {
                 self.scratch.freed = freed;
                 return;
             };
-            let Some(comp) = cs.composite.as_ref() else {
+            let Some(counters) = cs.counters.as_mut() else {
                 self.scratch.freed = freed;
                 return; // map not built yet; build applies these later
             };
             let early = cs.early_limit;
             for g in range.iter() {
-                for &r in comp.dependents_of(g) {
+                for &r in cs.composite.dependents_of(g) {
                     if r < early {
-                        let c = &mut cs.counters[r as usize];
+                        let c = &mut counters[r as usize];
                         debug_assert!(*c > 0, "enablement counter underflow");
                         *c -= 1;
                         *cost += decrement_cost;

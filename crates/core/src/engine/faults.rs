@@ -216,9 +216,10 @@ impl Engine {
         }
         // The crash can land before the task's compute even started (the
         // dispatch service was still queued): nothing was computed then.
+        // This `-1` stands in for the one the completion, now stale,
+        // will never add.
         let cancel_from = start.max(self.now);
         self.computing.add(cancel_from, -1);
-        self.computing.add(end, 1);
         self.compute_total -= exec;
         let f = self
             .faults

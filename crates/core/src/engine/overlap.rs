@@ -17,6 +17,33 @@ use std::sync::Arc;
 /// Lane-time slice for chunked background composite-map construction.
 const BUILD_CHUNK_TICKS: u64 = 64;
 
+/// Composite maps the engine keeps ready for reuse. A constant, not an
+/// option: a loop or a stream re-initiating the same few mappings builds
+/// each once, while a long-lived session whose jobs each bring their own
+/// maps holds at most this many.
+pub(super) const COMPOSITE_MEMO_SLOTS: usize = 8;
+
+/// One memoised composite map. The key is the *identity* of the mapping's
+/// shared payload plus the current phase's granule count; holding the
+/// mapping keeps the payload alive, so its address cannot be recycled by
+/// a different map while the entry exists.
+pub(super) struct MemoizedComposite {
+    mapping: EnablementMapping,
+    pred_granules: u32,
+    composite: Arc<CompositeMap>,
+}
+
+/// Whether two indirect mappings share one payload allocation.
+fn same_payload(a: &EnablementMapping, b: &EnablementMapping) -> bool {
+    use EnablementMapping::{ForwardIndirect, ReverseIndirect, Seam};
+    match (a, b) {
+        (ForwardIndirect(x), ForwardIndirect(y)) => Arc::ptr_eq(x, y),
+        (ReverseIndirect(x), ReverseIndirect(y)) => Arc::ptr_eq(x, y),
+        (Seam(x), Seam(y)) => Arc::ptr_eq(x, y),
+        _ => false,
+    }
+}
+
 impl Engine {
     /// Apply the overlap policy at the moment `pred` becomes current:
     /// look ahead for the next dispatch and initiate it under the declared
@@ -103,7 +130,7 @@ impl Engine {
             m @ (EnablementMapping::ForwardIndirect(_)
             | EnablementMapping::ReverseIndirect(_)
             | EnablementMapping::Seam(_)) => {
-                self.init_counted(pred_id, succ_id, m.clone(), &mut cost);
+                self.init_counted(pred_id, succ_id, m, &mut cost);
             }
             EnablementMapping::Null => unreachable!(),
         }
@@ -154,15 +181,26 @@ impl Engine {
         &mut self,
         pred_id: InstanceId,
         succ_id: InstanceId,
-        mapping: EnablementMapping,
+        mapping: &EnablementMapping,
         cost: &mut SimDuration,
     ) {
         let early_limit = self.policy.indirect_subset.min(self.inst(succ_id).granules);
+        let composite = self.composite_for(mapping, self.inst(pred_id).granules);
+        // Only entries that feed the chosen early subset are constructed
+        // (the paper's subset advice caps the enablement problem's size).
+        let useful = if early_limit as usize >= composite.requires.len() {
+            composite.entries()
+        } else {
+            composite
+                .targets
+                .iter()
+                .filter(|&&r| r < early_limit)
+                .count() as u64
+        };
         self.inst_mut(succ_id).counter_state = Some(CounterState {
-            mapping,
-            composite: None,
-            prebuilt: None,
-            counters: Vec::new(),
+            composite,
+            useful,
+            counters: None,
             early_limit,
         });
         // Status bit on every live description of the current phase.
@@ -185,9 +223,43 @@ impl Engine {
         }
     }
 
-    /// Construct the composite granule map for `succ_id`, apply decrements
-    /// for already-completed predecessor granules, release whatever that
-    /// enables, and optionally elevate the enabling current-phase granules.
+    /// The composite map of `mapping` over a current phase of
+    /// `pred_granules` granules: the memoised one while it is among the
+    /// [`COMPOSITE_MEMO_SLOTS`] most recently used, else built here (the
+    /// only place one is) and remembered in place of the least recently
+    /// used. Host work only — the simulated executive is charged for a
+    /// construction per initiated successor regardless.
+    fn composite_for(
+        &mut self,
+        mapping: &EnablementMapping,
+        pred_granules: u32,
+    ) -> Arc<CompositeMap> {
+        let memo = &mut self.composite_memo;
+        let hit = memo
+            .iter()
+            .position(|e| e.pred_granules == pred_granules && same_payload(&e.mapping, mapping));
+        match hit {
+            Some(i) => memo[..=i].rotate_right(1),
+            None => {
+                memo.truncate(COMPOSITE_MEMO_SLOTS - 1);
+                memo.insert(
+                    0,
+                    MemoizedComposite {
+                        mapping: mapping.clone(),
+                        pred_granules,
+                        composite: Arc::new(CompositeMap::build(mapping, pred_granules)),
+                    },
+                );
+            }
+        }
+        Arc::clone(&memo[0].composite)
+    }
+
+    /// The simulated executive finishes constructing the composite map for
+    /// `succ_id`: charge the construction, arm the enablement counters,
+    /// apply decrements for already-completed predecessor granules, release
+    /// whatever that enables, and optionally elevate the enabling
+    /// current-phase granules.
     fn build_composite(&mut self, succ_id: InstanceId, cost: &mut SimDuration) {
         let full = GranuleRange::new(0, self.inst(succ_id).granules);
         if self.inst(succ_id).state != InstState::Initiated
@@ -201,25 +273,16 @@ impl Engine {
         let pred_granules = self.inst(pred_id).granules;
         let (comp, early_limit) = {
             let cs = self
-                .inst_mut(succ_id)
+                .inst(succ_id)
                 .counter_state
-                .as_mut()
+                .as_ref()
                 .expect("counted gate");
-            if cs.composite.is_some() {
+            if cs.counters.is_some() {
                 return;
             }
-            // The background cost probe may have constructed the map
-            // already; share that one instead of building twice.
-            let comp = cs
-                .prebuilt
-                .take()
-                .unwrap_or_else(|| Arc::new(CompositeMap::build(&cs.mapping, pred_granules)));
-            (comp, cs.early_limit)
+            *cost += self.cfg.costs.composite_map_per_entry * cs.useful;
+            (Arc::clone(&cs.composite), cs.early_limit)
         };
-        // Only entries that feed the chosen early subset are constructed
-        // (the paper's subset advice caps the enablement problem's size).
-        let useful_entries = comp.targets.iter().filter(|&&r| r < early_limit).count() as u64;
-        *cost += self.cfg.costs.composite_map_per_entry * useful_entries;
 
         let mut counters: Vec<u32> = comp.requires[..early_limit as usize].to_vec();
         // Null-set-enabled granules in the early window behave like a
@@ -283,13 +346,11 @@ impl Engine {
             enabling.clear();
             self.scratch.indices = enabling;
         }
-        let cs = self
-            .inst_mut(succ_id)
+        self.inst_mut(succ_id)
             .counter_state
             .as_mut()
-            .expect("counted gate");
-        cs.composite = Some(comp);
-        cs.counters = counters;
+            .expect("counted gate")
+            .counters = Some(counters);
     }
 
     /// Carve the enabling current-phase granules into elevated individual
@@ -388,35 +449,25 @@ impl Engine {
         let mut cost = SimDuration::ZERO;
         match task {
             ExecTask::BuildComposite { inst, prepaid } => {
-                let total = self.composite_build_cost(inst);
-                match total {
-                    None => {
-                        // Stale: barrier already lifted, drop the task —
-                        // and any map the cost probe cached for it, which
-                        // would otherwise be retained until run end.
-                        if let Some(cs) = self.inst_mut(inst).counter_state.as_mut() {
-                            cs.prebuilt = None;
-                        }
-                    }
-                    Some(total) => {
-                        let chunk = SimDuration(BUILD_CHUNK_TICKS);
-                        if prepaid + chunk < total {
-                            // pay one slice and yield the lane so worker
-                            // dispatch/completion services interleave
-                            cost += chunk;
-                            self.exec_backlog.push_back(ExecTask::BuildComposite {
-                                inst,
-                                prepaid: prepaid + chunk,
-                            });
-                        } else {
-                            cost += total.saturating_sub(prepaid);
-                            let mut state_cost = SimDuration::ZERO;
-                            self.build_composite(inst, &mut state_cost);
-                            // state_cost re-counts the build; the chunks
-                            // already paid for it, so only charge the
-                            // decrement/release/carve portion on top
-                            cost += state_cost.saturating_sub(total);
-                        }
+                // `None` is a stale task (barrier already lifted): dropped.
+                if let Some(total) = self.composite_build_cost(inst) {
+                    let chunk = SimDuration(BUILD_CHUNK_TICKS);
+                    if prepaid + chunk < total {
+                        // pay one slice and yield the lane so worker
+                        // dispatch/completion services interleave
+                        cost += chunk;
+                        self.exec_backlog.push_back(ExecTask::BuildComposite {
+                            inst,
+                            prepaid: prepaid + chunk,
+                        });
+                    } else {
+                        cost += total.saturating_sub(prepaid);
+                        let mut state_cost = SimDuration::ZERO;
+                        self.build_composite(inst, &mut state_cost);
+                        // state_cost re-counts the build; the chunks
+                        // already paid for it, so only charge the
+                        // decrement/release/carve portion on top
+                        cost += state_cost.saturating_sub(total);
                     }
                 }
             }
@@ -430,32 +481,22 @@ impl Engine {
         }
     }
 
-    /// Lane time required to construct the composite map for `succ`
-    /// (subset-limited), or `None` when the build is stale (the successor
-    /// already became current or fully released). The map constructed for
-    /// the estimate is cached on the counter state ([`CounterState::prebuilt`])
-    /// and handed to [`Engine::build_composite`], which used to build the
-    /// whole CSR structure a second time.
-    fn composite_build_cost(&mut self, succ_id: InstanceId) -> Option<SimDuration> {
-        let full = GranuleRange::new(0, self.inst(succ_id).granules);
-        if self.inst(succ_id).state != InstState::Initiated
-            || self.inst(succ_id).released.contains_range(full)
-        {
+    /// Lane time the simulated executive needs to construct the composite
+    /// map for `succ` (subset-limited), or `None` when the build is stale
+    /// (the successor already became current or fully released) or done.
+    /// Asked once per background chunk, so it is O(1): the entry count was
+    /// taken when the successor was initiated ([`CounterState::useful`]).
+    fn composite_build_cost(&self, succ_id: InstanceId) -> Option<SimDuration> {
+        let succ = self.inst(succ_id);
+        let full = GranuleRange::new(0, succ.granules);
+        if succ.state != InstState::Initiated || succ.released.contains_range(full) {
             return None;
         }
-        let pred_id = self.inst(succ_id).predecessor?;
-        let pred_granules = self.inst(pred_id).granules;
-        let per_entry = self.cfg.costs.composite_map_per_entry;
-        let cs = self.inst_mut(succ_id).counter_state.as_mut()?;
-        if cs.composite.is_some() {
+        let cs = succ.counter_state.as_ref()?;
+        if cs.counters.is_some() {
             return None;
         }
-        if cs.prebuilt.is_none() {
-            cs.prebuilt = Some(Arc::new(CompositeMap::build(&cs.mapping, pred_granules)));
-        }
-        let comp = cs.prebuilt.as_ref().expect("just built");
-        let useful = comp.targets.iter().filter(|&&r| r < cs.early_limit).count() as u64;
-        Some(per_entry * useful)
+        Some(self.cfg.costs.composite_map_per_entry * cs.useful)
     }
 
     /// Execute a successor-splitting task: distribute the detached

@@ -272,33 +272,36 @@ impl CompositeMap {
     /// CSR current→successors index.
     pub fn from_requirement_lists(lists: &[Vec<u32>], current_granules: u32) -> CompositeMap {
         let n_cur = current_granules as usize;
-        let mut requires = vec![0u32; lists.len()];
-        let mut counts = vec![0u32; n_cur];
-        // First pass: dedup counts.
+        // First pass: every list sorted and deduplicated, end to end in
+        // one buffer; `requires[r]` is the extent of list `r` in it.
+        let mut flat: Vec<u32> = Vec::with_capacity(lists.iter().map(Vec::len).sum());
+        let mut requires = Vec::with_capacity(lists.len());
+        let mut offsets = vec![0u32; n_cur + 1];
         let mut scratch: Vec<u32> = Vec::new();
-        let mut dedup_lists: Vec<Vec<u32>> = Vec::with_capacity(lists.len());
-        for (r, deps) in lists.iter().enumerate() {
+        for deps in lists {
             scratch.clear();
             scratch.extend_from_slice(deps);
             scratch.sort_unstable();
             scratch.dedup();
-            requires[r] = scratch.len() as u32;
+            requires.push(scratch.len() as u32);
             for &d in &scratch {
-                counts[d as usize] += 1;
+                offsets[d as usize + 1] += 1;
             }
-            dedup_lists.push(scratch.clone());
+            flat.extend_from_slice(&scratch);
         }
-        let mut offsets = vec![0u32; n_cur + 1];
         for i in 0..n_cur {
-            offsets[i + 1] = offsets[i] + counts[i];
+            offsets[i + 1] += offsets[i];
         }
-        let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; offsets[n_cur] as usize];
-        for (r, deps) in dedup_lists.iter().enumerate() {
+        let mut cursor = offsets[..n_cur].to_vec();
+        let mut targets = vec![0u32; flat.len()];
+        let mut rest = flat.as_slice();
+        for (r, &extent) in requires.iter().enumerate() {
+            let (deps, tail) = rest.split_at(extent as usize);
             for &d in deps {
                 targets[cursor[d as usize] as usize] = r as u32;
                 cursor[d as usize] += 1;
             }
+            rest = tail;
         }
         CompositeMap {
             requires,

@@ -320,6 +320,83 @@ fn assert_sharded_steady_state_alloc_free() {
     assert_no_per_event_allocations("sharded fleet completion processing", (&r1, a1), (&r2, a2));
 }
 
+/// `iterations` passes over three 480-granule phases: `a` enables `b`
+/// through a reverse-indirect map (fan 10), `b` enables `c` through a
+/// forward-indirect one, both generated once and held by the program —
+/// CASPER's indirect transitions without the other nineteen phases.
+fn indirect_loop_run(iterations: i64) -> (RunReport, u64) {
+    use std::sync::Arc;
+    const GRANULES: u32 = 480;
+    // Any fixed scramble will do for `IRAND`.
+    let mut state = 0x9E37_79B9_u32;
+    let mut irand = move || {
+        state = state.wrapping_mul(1_664_525).wrapping_add(1_013_904_223);
+        (state >> 8) % GRANULES
+    };
+    let reverse = ReverseMap::new(
+        (0..GRANULES)
+            .map(|_| (0..10).map(|_| irand()).collect())
+            .collect(),
+        GRANULES,
+    );
+    let forward = ForwardMap::new((0..GRANULES).map(|_| irand()).collect(), GRANULES);
+    let mut b = ProgramBuilder::new();
+    let [pa, pb, pc] = ["a", "b", "c"]
+        .map(|name| b.phase(PhaseDef::new(name, GRANULES, CostModel::constant(100))));
+    let k = b.counter();
+    let loop_top = b.next_index();
+    b.dispatch_enable(
+        pa,
+        vec![EnableSpec {
+            successor: pb,
+            mapping: EnablementMapping::ReverseIndirect(Arc::new(reverse)),
+        }],
+    );
+    b.dispatch_enable(
+        pb,
+        vec![EnableSpec {
+            successor: pc,
+            mapping: EnablementMapping::ForwardIndirect(Arc::new(forward)),
+        }],
+    );
+    b.dispatch(pc);
+    b.incr(k, 1);
+    let after = b.next_index() + 1;
+    b.step(Step::Branch {
+        test: BranchTest::CounterLt(k, iterations),
+        on_true: loop_top,
+        on_false: after,
+    });
+    let program = b.build().unwrap();
+    let mut sim = Simulation::new(MachineConfig::new(16), OverlapPolicy::overlap()).with_seed(1);
+    sim.add_job(program);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let report = sim.run().unwrap();
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    (report, after - before)
+}
+
+/// A composite map is built once for the run, not once an iteration:
+/// building the reverse one costs an allocation per successor granule
+/// (480), so four times the iterations may add, per extra iteration,
+/// only the phase instances' own buffers — far below half of that.
+fn assert_composite_maps_built_once() {
+    let (r1, a1) = indirect_loop_run(6);
+    let (r2, a2) = indirect_loop_run(24);
+    assert_eq!(r1.phases.len(), 3 * 6);
+    assert_eq!(r2.phases.len(), 3 * 24);
+    assert!(
+        r2.total_overlap_granules() > r1.total_overlap_granules(),
+        "the indirect transitions must overlap for the maps to matter"
+    );
+    let per_iteration = a2.saturating_sub(a1) as f64 / 18.0;
+    assert!(
+        per_iteration < 240.0,
+        "{per_iteration:.0} extra allocations per extra iteration \
+         (run sizes {a1} vs {a2}): a composite map is rebuilt per iteration"
+    );
+}
+
 #[test]
 fn steady_state_completion_processing_is_allocation_free() {
     // Warm-up absorbs lazy one-time initialization.
@@ -355,4 +432,8 @@ fn steady_state_completion_processing_is_allocation_free() {
     // events, admitted from a sorted `Vec` by a cursor.
     let _ = feed_run(256);
     assert_feed_path_alloc_free();
+    // Looped indirect mappings: each composite map is built once, however
+    // many iterations initiate a successor under it.
+    let _ = indirect_loop_run(2);
+    assert_composite_maps_built_once();
 }

@@ -699,3 +699,67 @@ mod enablement_safety {
         }
     }
 }
+
+mod composite_props {
+    use pax_core::mapping::CompositeMap;
+    use proptest::prelude::*;
+
+    /// The constructor as first written: one deduplicated `Vec` per
+    /// successor granule, counted, then scattered through a cursor.
+    fn per_list_reference(lists: &[Vec<u32>], current_granules: u32) -> CompositeMap {
+        let n_cur = current_granules as usize;
+        let dedup_lists: Vec<Vec<u32>> = lists
+            .iter()
+            .map(|deps| {
+                let mut d = deps.clone();
+                d.sort_unstable();
+                d.dedup();
+                d
+            })
+            .collect();
+        let mut offsets = vec![0u32; n_cur + 1];
+        for &d in dedup_lists.iter().flatten() {
+            offsets[d as usize + 1] += 1;
+        }
+        for i in 0..n_cur {
+            offsets[i + 1] += offsets[i];
+        }
+        let mut cursor = offsets.clone();
+        let mut targets = vec![0u32; offsets[n_cur] as usize];
+        for (r, deps) in dedup_lists.iter().enumerate() {
+            for &d in deps {
+                targets[cursor[d as usize] as usize] = r as u32;
+                cursor[d as usize] += 1;
+            }
+        }
+        CompositeMap {
+            requires: dedup_lists.iter().map(|d| d.len() as u32).collect(),
+            offsets,
+            targets,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The flat-buffer constructor gives the per-list one's map, entry
+        /// for entry, over lists with duplicates, empties and entries in
+        /// any order — and current granules nothing depends on.
+        #[test]
+        fn flat_buffer_build_matches_per_list_reference(
+            current in 1u32..40,
+            lists in proptest::collection::vec(
+                proptest::collection::vec(0u32..1_000, 0..14),
+                0..40,
+            ),
+        ) {
+            let lists: Vec<Vec<u32>> = lists
+                .into_iter()
+                .map(|deps| deps.into_iter().map(|d| d % current).collect())
+                .collect();
+            let built = CompositeMap::from_requirement_lists(&lists, current);
+            prop_assert_eq!(&built, &per_list_reference(&lists, current));
+            prop_assert_eq!(built.entries(), built.requires.iter().map(|&n| u64::from(n)).sum::<u64>());
+        }
+    }
+}

@@ -7,6 +7,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use std::cmp::Reverse;
+use std::collections::binary_heap::PeekMut;
 use std::collections::{BinaryHeap, VecDeque};
 
 /// A piecewise-constant, integer-valued function of simulated time,
@@ -175,11 +176,11 @@ impl StepTrace {
         let mut level: u32 = 0;
         while let Some(&Reverse((t, _))) = heads.peek() {
             let mut changed = false;
-            while let Some(&Reverse((head, i))) = heads.peek() {
-                if head != t {
+            while let Some(mut head) = heads.peek_mut() {
+                let Reverse((at, i)) = *head;
+                if at != t {
                     break;
                 }
-                heads.pop();
                 let (part, offset) = &parts[i];
                 let before = match next[i] {
                     0 => 0,
@@ -189,8 +190,13 @@ impl StepTrace {
                 changed |= after != before;
                 level = level - before + after;
                 next[i] += 1;
-                if let Some(&(t_next, _)) = part.points.get(next[i]) {
-                    heads.push(Reverse((t_next + *offset, i)));
+                // Overwrite the head with the part's next point (one sift
+                // when the guard drops) rather than pop and push.
+                match part.points.get(next[i]) {
+                    Some(&(t_next, _)) => *head = Reverse((t_next + *offset, i)),
+                    None => {
+                        PeekMut::pop(head);
+                    }
                 }
             }
             if changed {
@@ -225,9 +231,19 @@ impl StepTrace {
 /// never of a change in its past. [`LevelSweep::add`] therefore accepts
 /// any instant at or after the last [`LevelSweep::settle`] horizon and
 /// holds it in a short time-ordered buffer; `settle(now)` moves
-/// everything before `now` into the trace. The buffer stays as small as
-/// the number of changes in flight (about two per processor and lane),
-/// and nothing is logged or sorted at the end of the run.
+/// everything before `now` into the trace, and nothing is logged or
+/// sorted at the end of the run.
+///
+/// The engine feeds a sweep as nearly in time order as it can, so that
+/// an `add` is a push or a merge into the back: a task's `+1` when it is
+/// dispatched (its start lies ahead of `now` by the dispatch service),
+/// its `−1` only when its completion is serviced, at `now`. What waits
+/// is then the starts and services still ahead of `now` — at most one
+/// start a processor and the executive lanes' queued services — not two
+/// changes for every task in flight. Out of order are only a completion
+/// (or a crash's cancelling `−1`) at `now` behind starts still waiting
+/// for their dispatch service to end, and the services of several lanes
+/// running side by side; those take the sorted insert, among that few.
 ///
 /// Changes at one instant are summed before the trace sees them, so a
 /// coincident `+1`/`−1` leaves no point.
@@ -256,14 +272,17 @@ impl LevelSweep {
             self.horizon
         );
         // Changes arrive nearly in order: most belong at the back.
-        let i = match self.pending.back() {
-            Some(&(latest, _)) if latest > at => self.pending.partition_point(|&(t, _)| t <= at),
-            _ => self.pending.len(),
-        };
-        if i > 0 && self.pending[i - 1].0 == at {
-            self.pending[i - 1].1 += delta;
-        } else {
-            self.pending.insert(i, (at, delta));
+        match self.pending.back_mut() {
+            Some((latest, net)) if *latest == at => *net += delta,
+            Some(&mut (latest, _)) if latest > at => {
+                let i = self.pending.partition_point(|&(t, _)| t <= at);
+                if i > 0 && self.pending[i - 1].0 == at {
+                    self.pending[i - 1].1 += delta;
+                } else {
+                    self.pending.insert(i, (at, delta));
+                }
+            }
+            _ => self.pending.push_back((at, delta)),
         }
     }
 
@@ -434,6 +453,41 @@ mod tests {
         c.add(t(10), 1); // next task starts as the first ends
         c.add(t(30), -1);
         assert_eq!(c.finish().points(), &[(t(0), 1), (t(30), 0)]);
+    }
+
+    #[test]
+    fn level_sweep_feed_order_does_not_show() {
+        // 120 task spans, some of zero length, many sharing instants.
+        let mut changes: Vec<(SimTime, i32)> = (0..120u64)
+            .flat_map(|k| {
+                let start = 5 * k;
+                [(t(start), 1), (t(start + k * 7 % 23), -1)]
+            })
+            .collect();
+        changes.sort_by_key(|&(at, _)| at);
+        // In time order, the horizon on the heels of every change: each
+        // add is a push or a merge into the back.
+        let mut ordered = LevelSweep::new();
+        for &(at, delta) in &changes {
+            ordered.settle(at);
+            ordered.add(at, delta);
+        }
+        // The same changes sixteen at a time, each batch latest first,
+        // the horizon moved up only between batches.
+        let mut shuffled = LevelSweep::new();
+        for batch in changes.chunks(16) {
+            shuffled.settle(batch[0].0);
+            for &(at, delta) in batch.iter().rev() {
+                shuffled.add(at, delta);
+            }
+        }
+        let trace = ordered.finish();
+        assert_eq!(trace, shuffled.finish());
+        assert_eq!(trace.points().last().map(|&(_, level)| level), Some(0));
+        assert_eq!(
+            trace.integral(t(0), t(1_000)),
+            (0..120).map(|k| k * 7 % 23).sum()
+        );
     }
 
     #[test]
