@@ -12,6 +12,14 @@ use pax_sim::event::EventQueue;
 use pax_sim::SimTime;
 use rand::Rng;
 
+/// One draw of the hold models' fixed LCG stream.
+fn lcg_draw(state: &mut u64) -> usize {
+    *state = state
+        .wrapping_mul(6364136223846793005)
+        .wrapping_add(1442695040888963407);
+    (*state >> 33) as usize
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     let mut g = c.benchmark_group("event_queue");
     for &n in &[1_000usize, 10_000] {
@@ -59,10 +67,7 @@ fn bench_event_queue(c: &mut Criterion) {
             let mut q = EventQueue::new();
             let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
             let mut spacing = || {
-                lcg = lcg
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                let draw = (lcg >> 33) as usize;
+                let draw = lcg_draw(&mut lcg);
                 if draw.is_multiple_of(64) {
                     100_000
                 } else {
@@ -88,6 +93,31 @@ fn bench_event_queue(c: &mut Criterion) {
             pops
         })
     });
+    // The engine's own mix at a fixed population: every pop is
+    // re-scheduled, alternately 3 ticks ahead (a `Seek`) and 100 ± 8
+    // ticks ahead (a `TaskDone`). 32 and 33 straddle the queue's sorted
+    // tier; 1 024 is the large-machine side, where the heap tier carries
+    // the load.
+    for &n in &[8u32, 16, 32, 33, 64, 1_024] {
+        g.bench_with_input(BenchmarkId::new("hold_mix", n), &n, |b, &n| {
+            b.iter(|| {
+                let mut q = EventQueue::new();
+                let mut lcg: u64 = 0x9E37_79B9_7F4A_7C15;
+                let mut jitter = || lcg_draw(&mut lcg) as u64 % 17;
+                for i in 0..n {
+                    q.schedule(SimTime(92 + jitter()), i);
+                }
+                let mut sum = 0u64;
+                for k in 0..200_000u64 {
+                    let (at, e) = q.pop().expect("the population is constant");
+                    sum = sum.wrapping_add(at.0 ^ u64::from(e));
+                    let ahead = if k % 2 == 0 { 3 } else { 92 + jitter() };
+                    q.schedule(SimTime(at.0 + ahead), e);
+                }
+                sum
+            })
+        });
+    }
     g.finish();
 }
 

@@ -66,11 +66,17 @@ fn assert_no_per_event_allocations(what: &str, small: (&RunReport, u64), large: 
 }
 
 /// Run a two-phase identity-overlap program (single-granule tasks — the
-/// configuration with the most completion events per granule) under the
-/// given split strategy and executive lane count (lanes > 1 exercises
-/// the batched drain: whole coincident completion groups per service
-/// round) and report the run plus the allocations it performed.
-fn identity_run(granules: u32, strategy: SplitStrategy, lanes: usize) -> (RunReport, u64) {
+/// configuration with the most completion events per granule) on
+/// `processors` processors under the given split strategy and executive
+/// lane count (lanes > 1 exercises the batched drain: whole coincident
+/// completion groups per service round) and report the run plus the
+/// allocations it performed.
+fn identity_run(
+    processors: usize,
+    granules: u32,
+    strategy: SplitStrategy,
+    lanes: usize,
+) -> (RunReport, u64) {
     let mut b = ProgramBuilder::new();
     let pa = b.phase(PhaseDef::new("a", granules, CostModel::constant(100)));
     let pb = b.phase(PhaseDef::new("b", granules, CostModel::constant(100)));
@@ -86,8 +92,8 @@ fn identity_run(granules: u32, strategy: SplitStrategy, lanes: usize) -> (RunRep
     let policy = OverlapPolicy::overlap()
         .with_sizing(TaskSizing::Fixed(1))
         .with_split_strategy(strategy);
-    let mut sim =
-        Simulation::new(MachineConfig::new(8).with_executive_lanes(lanes), policy).with_seed(1);
+    let machine = MachineConfig::new(processors).with_executive_lanes(lanes);
+    let mut sim = Simulation::new(machine, policy).with_seed(1);
     sim.add_job(program);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = sim.run().unwrap();
@@ -188,14 +194,15 @@ fn assert_faults_enabled_steady_state_alloc_free() {
     assert_no_per_event_allocations("faults-enabled completion processing", (&r1, a1), (&r2, a2));
 }
 
-/// The identity-overlap legs: one strategy and lane count at 4× growth.
-fn assert_steady_state_alloc_free(strategy: SplitStrategy, lanes: usize) {
-    let (r1, a1) = identity_run(2_048, strategy, lanes);
-    let (r2, a2) = identity_run(8_192, strategy, lanes);
+/// The identity-overlap legs: one machine size, strategy and lane count
+/// at 4× growth.
+fn assert_steady_state_alloc_free(processors: usize, strategy: SplitStrategy, lanes: usize) {
+    let (r1, a1) = identity_run(processors, 2_048, strategy, lanes);
+    let (r2, a2) = identity_run(processors, 8_192, strategy, lanes);
     assert_eq!(r1.phases[0].stats.executed_granules, 2_048);
     assert_eq!(r2.phases[0].stats.executed_granules, 8_192);
     assert_no_per_event_allocations(
-        &format!("{strategy:?} (lanes {lanes}) completion processing"),
+        &format!("{strategy:?} ({processors} processors, lanes {lanes}) completion processing"),
         (&r1, a1),
         (&r2, a2),
     );
@@ -400,21 +407,25 @@ fn assert_composite_maps_built_once() {
 #[test]
 fn steady_state_completion_processing_is_allocation_free() {
     // Warm-up absorbs lazy one-time initialization.
-    let _ = identity_run(256, SplitStrategy::DemandSplit, 1);
-    let _ = identity_run(256, SplitStrategy::DemandSplit, 8);
+    let _ = identity_run(8, 256, SplitStrategy::DemandSplit, 1);
+    let _ = identity_run(8, 256, SplitStrategy::DemandSplit, 8);
     // Demand splitting: every dispatch splits and mirrors the split onto
     // the queued successor — the paths the SoA arena serves per event.
-    assert_steady_state_alloc_free(SplitStrategy::DemandSplit, 1);
+    assert_steady_state_alloc_free(8, SplitStrategy::DemandSplit, 1);
     // Presplitting: the whole descriptor population is carved at release
     // time, so the arena's lane growth (amortized, O(log n) doublings)
     // is the only allocation source left.
-    assert_steady_state_alloc_free(SplitStrategy::PreSplit, 1);
+    assert_steady_state_alloc_free(8, SplitStrategy::PreSplit, 1);
     // Multi-lane batched drains: whole coincident completion groups are
     // serviced per round through the shared wakeup buffer — still zero
     // allocations per event (the round's drain/done buffers are sized
     // once at run start).
-    assert_steady_state_alloc_free(SplitStrategy::DemandSplit, 8);
-    assert_steady_state_alloc_free(SplitStrategy::PreSplit, 64);
+    assert_steady_state_alloc_free(8, SplitStrategy::DemandSplit, 8);
+    assert_steady_state_alloc_free(8, SplitStrategy::PreSplit, 64);
+    // 48 processors: a calendar population above the event queue's
+    // sorted tier, so both tiers are live and every wave of completions
+    // spills to the heap and refills from it — into buffers sized once.
+    assert_steady_state_alloc_free(48, SplitStrategy::DemandSplit, 1);
     // Sharded fleet: the epoch loop's outbox/note/admission buffers are
     // reused across epochs, so windowed draining adds no per-event term.
     let _ = sharded_fleet_run(256);

@@ -1,19 +1,22 @@
 //! Spellings kept for the frozen `benchmark/` crate.
 //!
-//! The executive's future-event list is the `(time, seq)` binary heap in
-//! [`crate::event`], and nothing in this workspace selects a calendar any
-//! more: the time wheels and the self-tuning backend were removed once
-//! arrivals stopped being parked in the calendar and its population fell
-//! to O(processors). `benchmark/` still names `Calendar`, `CalendarKind`
-//! and `Calendar::from_kind`; they exist only for that crate and go in
-//! the next benchmark PR.
+//! The executive's future-event list is [`crate::event::EventQueue`] — a
+//! sorted tier of the earliest events with a `(time, seq)` binary heap
+//! behind it — and nothing in this workspace selects a calendar: the
+//! time wheels and the self-tuning backend were removed once arrivals
+//! stopped being parked in the calendar and its population fell to
+//! O(processors), and the sorted tier is what that population then asked
+//! for. `benchmark/` still names `Calendar`, `CalendarKind::BinaryHeap`
+//! and `Calendar::from_kind`; they are frozen spellings for the one
+//! calendar, whatever it is made of, and go in the next benchmark PR.
 
 use crate::event::EventQueue;
 
 /// The one future-event list there is.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CalendarKind {
-    /// The `(time, seq)` binary min-heap, [`EventQueue`].
+    /// [`EventQueue`]. The name is from when that was a bare binary
+    /// heap; it selects nothing.
     #[default]
     BinaryHeap,
 }

@@ -57,6 +57,67 @@ proptest! {
         prop_assert_eq!(reference.pop(), None);
     }
 
+    /// The queue against a model that shares no code with it: a `Vec`
+    /// kept stably sorted by `(time, insertion index)`. Every operation
+    /// is interleaved with every other; times are 0..4 ticks from the
+    /// last pop, so they tie constantly (also with the sorted tier's
+    /// latest entry and with the heap's head); and the population is
+    /// steered 0 → 4 × the sorted tier's size → 0 and round again, so
+    /// entries cross the tier boundary in both directions, the tier runs
+    /// dry in front of a full heap, and coincident groups outgrow it.
+    #[test]
+    fn event_queue_matches_a_sorted_vec_model(
+        ops in proptest::collection::vec((0u8..16, 0u64..4, 0usize..8), 1200..2000),
+    ) {
+        // `EventQueue`'s private `NEAR`; a different value there changes
+        // what this test covers, not whether it holds.
+        const TIER: usize = 32;
+        let maxes = [1, 2, 3, 5, TIER / 2, TIER + 7, 3 * TIER, usize::MAX];
+        let mut q = EventQueue::new();
+        let mut model: Vec<(u64, u64)> = Vec::new();
+        let (mut now, mut next_id) = (0u64, 0u64);
+        let (mut growing, mut rounds) = (true, 0);
+        let mut out = Vec::new();
+        for &(kind, dt, m) in &ops {
+            let schedule = kind < if growing { 15 } else { 8 };
+            if schedule {
+                let at = now + dt;
+                q.schedule(SimTime(at), next_id);
+                let behind = model.partition_point(|&(t, _)| t <= at);
+                model.insert(behind, (at, next_id));
+                next_id += 1;
+            } else if kind % 2 == 0 {
+                let want = (!model.is_empty()).then(|| model.remove(0));
+                prop_assert_eq!(q.pop(), want.map(|(t, id)| (SimTime(t), id)), "pop order");
+                now = want.map_or(now, |(t, _)| t);
+            } else {
+                let group = model.iter().take_while(|e| e.0 == model[0].0).count();
+                let want: Vec<_> = model.drain(..group.min(maxes[m])).collect();
+                out.clear();
+                prop_assert_eq!(q.pop_coincident_into(maxes[m], &mut out), want.len());
+                for (got, &(t, id)) in out.iter().zip(&want) {
+                    prop_assert_eq!(*got, (SimTime(t), id), "batch order");
+                    now = t;
+                }
+            }
+            prop_assert_eq!(q.len(), model.len());
+            prop_assert_eq!(q.is_empty(), model.is_empty());
+            prop_assert_eq!(q.peek_time(), model.first().map(|&(t, _)| SimTime(t)));
+            if growing && model.len() >= 4 * TIER {
+                growing = false;
+            } else if !growing && model.is_empty() {
+                growing = true;
+                rounds += 1;
+            }
+        }
+        prop_assert!(rounds >= 1, "the population never made the round trip");
+        for &(t, id) in &model {
+            prop_assert_eq!(q.pop(), Some((SimTime(t), id)), "final drain");
+        }
+        prop_assert_eq!(q.pop(), None);
+        prop_assert_eq!(q.scheduled_total(), next_id);
+    }
+
     /// Events always pop in non-decreasing time order, and equal-time
     /// events pop in insertion order.
     #[test]

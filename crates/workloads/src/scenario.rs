@@ -1138,11 +1138,11 @@ fn parse_pool(node: &Node, path: &str) -> Result<PoolDoc, ScenarioError> {
     })
 }
 
-/// `machine.calendar` names the future-event list. There is one, the
-/// binary heap, so the key is optional and accepts `"heap"` or
-/// `{ "kind": "heap" }` only; the removed backends and their geometry
-/// keys are rejected by name so an old file fails loudly instead of
-/// running on a calendar it did not ask for.
+/// `machine.calendar` names the future-event list. There is one
+/// (`"heap"` is its frozen spelling), so the key is optional and accepts
+/// `"heap"` or `{ "kind": "heap" }` only; the removed backends and their
+/// geometry keys are rejected by name so an old file fails loudly
+/// instead of running on a calendar it did not ask for.
 fn check_calendar(node: &Node) -> Result<(), ScenarioError> {
     let path = "machine.calendar";
     let removed = |what: String, line: usize| {
