@@ -270,8 +270,8 @@ fn bench_locality_remote_count(c: &mut Criterion) {
 /// splitting, so every dispatch mirrors a successor split and every
 /// completion releases a conflict-queued piece. This is the scenario the
 /// allocation-free completion path (scratch buffers, interned steps, O(1)
-/// live-list removal) is measured by; `BENCH_rundown.json` tracks the same
-/// shape against the recorded pre-optimization baseline.
+/// live-list removal) is measured by; the `batch_identity` workload of
+/// `benchmark/` runs the same shape against a reference kernel.
 fn bench_enablement_completion(c: &mut Criterion) {
     use pax_core::prelude::*;
     use pax_sim::machine::MachineConfig;

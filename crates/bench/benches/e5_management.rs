@@ -1,5 +1,6 @@
 //! Criterion bench for E5–E8 families: management overhead, split
-//! strategies, and indirect-map machinery on the CASPER pipeline.
+//! strategies, and indirect-map machinery on the CASPER pipeline, plus
+//! what a wide executive costs the host.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pax_core::prelude::*;
@@ -87,5 +88,47 @@ fn bench_split_strategies(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_casper_pipeline, bench_split_strategies);
+/// What the executive's width costs the *simulator*: the two-phase
+/// identity program at 10⁵ single-granule tasks (demand split, 16
+/// processors, seed 7) with 1 and with 64 executive lanes. The simulated
+/// run gets a little shorter with lanes; the host pays for the wider
+/// coincident drain, and the gap between the two rows is that price.
+fn bench_executive_lanes(c: &mut Criterion) {
+    use pax_sim::CostModel;
+    let mut g = c.benchmark_group("e5_executive_lanes");
+    g.sample_size(10);
+    let mut pb = ProgramBuilder::new();
+    let a = pb.phase(PhaseDef::new("a", 100_000, CostModel::constant(100)));
+    let s = pb.phase(PhaseDef::new("b", 100_000, CostModel::constant(100)));
+    pb.dispatch_enable(
+        a,
+        vec![EnableSpec {
+            successor: s,
+            mapping: EnablementMapping::Identity,
+        }],
+    );
+    pb.dispatch(s);
+    let program = pb.build().unwrap();
+    for lanes in [1usize, 64] {
+        g.bench_with_input(BenchmarkId::new("lanes", lanes), &lanes, |b, &lanes| {
+            b.iter(|| {
+                let machine = MachineConfig::new(16).with_executive_lanes(lanes);
+                let policy = OverlapPolicy::overlap()
+                    .with_sizing(TaskSizing::Fixed(1))
+                    .with_split_strategy(SplitStrategy::DemandSplit);
+                let mut sim = Simulation::new(machine, policy).with_seed(7);
+                sim.add_job(program.clone());
+                sim.run().unwrap().events
+            })
+        });
+    }
+    g.finish();
+}
+
+criterion_group!(
+    benches,
+    bench_casper_pipeline,
+    bench_split_strategies,
+    bench_executive_lanes
+);
 criterion_main!(benches);

@@ -1,21 +1,14 @@
 //! Experiment harness: regenerates every quantitative claim of NASA
-//! TM-87349 (see DESIGN.md §3 for the claim → experiment mapping).
+//! TM-87349 (the `pax_bench` crate docs have the claim → experiment index).
 //!
 //! ```text
 //! cargo run --release -p pax-bench --bin experiments            # all
 //! cargo run --release -p pax-bench --bin experiments -- e1 e5   # subset
 //! cargo run --release -p pax-bench --bin experiments -- --quick # small sizes
-//! cargo run --release -p pax-bench --bin experiments -- --bench-json BENCH_rundown.json
 //! ```
 //!
-//! `--bench-json PATH` runs the rundown performance harness instead of the
-//! claim experiments and writes machine-readable throughput numbers (plus
-//! the recorded pre-optimization baseline, the executive lane-scaling
-//! sweep, the sharded-engine shard-scaling sweep, the fault-injected
-//! degraded-fleet sweep, the open-system service-scaling sweep, and the
-//! heterogeneous-machine hetero-scaling sweep; `--no-lane-sweep` /
-//! `--no-shard-sweep` / `--no-degraded-sweep` / `--no-service-sweep` /
-//! `--no-hetero-sweep` skip the respective sweep) to PATH.
+//! `--quick` is the only flag; any other `--flag`, like any unknown
+//! experiment id, is an error before anything runs.
 
 use pax_bench::experiments as ex;
 use std::time::Instant;
@@ -32,55 +25,10 @@ fn main() -> std::process::ExitCode {
 
 fn run() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    if let Some(pos) = args.iter().position(|a| a == "--bench-json") {
-        // The value is optional; a following flag is not a path.
-        let path = args
-            .get(pos + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_rundown.json".to_string());
-        let measurements = pax_bench::rundown::run_all(quick);
-        // The sweeps ride along unless suppressed.
-        let lanes = if args.iter().any(|a| a == "--no-lane-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::lane_scaling(quick)
-        };
-        let shards = if args.iter().any(|a| a == "--no-shard-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::shard_scaling(quick)
-        };
-        let degraded = if args.iter().any(|a| a == "--no-degraded-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::degraded_scaling(quick)
-        };
-        let service = if args.iter().any(|a| a == "--no-service-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::service_scaling(quick)
-        };
-        let hetero = if args.iter().any(|a| a == "--no-hetero-sweep") {
-            Vec::new()
-        } else {
-            pax_bench::rundown::hetero_scaling(quick)
-        };
-        let json = pax_bench::rundown::to_json_full(
-            &measurements,
-            &lanes,
-            &shards,
-            &degraded,
-            &service,
-            &hetero,
-            &pax_bench::rundown::host_fingerprint(),
-        );
-        std::fs::write(&path, &json).map_err(|e| format!("writing {path}: {e}"))?;
-        println!("{json}");
-        println!("rundown bench written to {path}");
-        return Ok(());
+    if let Some(unknown) = args.iter().find(|a| a.starts_with("--") && *a != "--quick") {
+        return Err(format!("unknown flag '{unknown}' (valid flags: --quick)").into());
     }
+    let quick = args.iter().any(|a| a == "--quick");
     let selected: Vec<String> = args
         .iter()
         .filter(|a| !a.starts_with("--"))

@@ -1,5 +1,5 @@
 //! The experiment suite: one module per quantitative claim or construct
-//! in the paper (see DESIGN.md §3 for the index).
+//! in the paper (the table in the [crate docs](crate) is the index).
 
 pub mod e1;
 pub mod e10;

@@ -2,26 +2,31 @@
 //!
 //! Every quantitative claim and illustrative construct in the paper has a
 //! numbered experiment here (the TM has no numbered tables or figures;
-//! DESIGN.md §3 maps each claim to its experiment id):
+//! this table is the index from claim to experiment id, one module each
+//! under [`experiments`]):
 //!
 //! | id  | claim |
 //! |-----|-------|
-//! | E1  | 1024²/1000-processor checkerboard arithmetic: 524 waves, 288 leftover, 712 idle |
-//! | E2  | CASPER census: 27/41/18/9/5% of phases, 68% easily overlapped |
+//! | E1  | the checkerboard rundown arithmetic: 1024²/1000 processors, 524 waves, 288 leftover, 712 idle |
+//! | E2  | the PAX/CASPER enablement-mapping census: 27/41/18/9/5% of phases, 68% easily overlapped |
 //! | E3  | rundown utilization profiles, barrier vs overlap, per mapping |
-//! | E4  | "at least two tasks per processor" |
-//! | E5  | computation-to-management ratio ≈ 200; executive placement |
-//! | E6  | multi-job batch fill raises utilization but stretches jobs |
-//! | E7  | demand split vs presplit vs successor-splitting task |
-//! | E8  | reverse-indirect composite-map engineering judgment |
-//! | E9  | real-thread validation |
-//! | E10 | the four language forms round-trip |
+//! | E4  | the two-tasks-per-processor rule |
+//! | E5  | the computation-to-management ratio ≈ 200; executive placement |
+//! | E6  | the multi-job-stream alternative: fill raises utilization but stretches jobs |
+//! | E7  | successor-splitting strategies: demand split vs presplit vs successor-splitting task |
+//! | E8  | the reverse-indirect engineering judgment: composite-map cost vs rundown cost |
+//! | E9  | phase overlap on real threads |
+//! | E10 | the language construct round-trip: all four forms |
+//! | E11 | (extension) lateral worker-to-worker communication |
+//! | E12 | (extension) the data-proximity work assignment algorithm |
+//! | E13 | (extension) serial-executive saturation at scale |
 //!
 //! Run them all with `cargo run --release -p pax-bench --bin experiments`.
+//! Host-time measurement lives elsewhere: the criterion files under
+//! `benches/` for single structures, and the `benchmark/` workspace at the
+//! root of the repo for end-to-end and per-layer numbers.
 
 #![warn(missing_docs)]
 
-pub mod compare;
 pub mod experiments;
-pub mod rundown;
 pub mod table;

@@ -200,3 +200,18 @@ fn trivial_hetero_config_matches_homogeneous_fingerprint() {
     r.class_reports.clear();
     assert_eq!(r, homogeneous);
 }
+
+/// Speed classes shorten the simulated run and a token gate can only
+/// lengthen it: the two-class fleet finishes before the uniform one, and
+/// the gated fleet no earlier than the two-class one.
+#[test]
+fn classes_shorten_the_run_and_gates_never_do() {
+    let mut two_class = hetero_machine();
+    two_class.resources.clear();
+    let uniform = run(fleet_with(MachineConfig::new(6), false, false));
+    let classed = run(fleet_with(two_class, false, false));
+    let gated = run(fleet_with(hetero_machine(), false, true));
+    assert!(classed.makespan < uniform.makespan);
+    assert!(gated.makespan >= classed.makespan);
+    assert!(gated.pool_reports.iter().any(|p| p.waits > 0));
+}

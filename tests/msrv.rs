@@ -95,13 +95,14 @@ fn ci_lints_the_msrv_toolchain() {
 #[test]
 fn ci_has_the_tiered_matrix() {
     // The tiered layout: a fast `check` job gates the build-test matrix
-    // and the bench smoke, and a scheduled bench-sweep job owns the full
-    // lane sweep with an artifact retention policy.
+    // and the perf gate, and a scheduled nightly job owns the full-size
+    // benchmark A/A run with an artifact retention policy.
     let ci = read(".github/workflows/ci.yml");
     for needle in [
         "check:",
         "needs: check",
-        "bench-sweep:",
+        "perf-gate:",
+        "nightly:",
         "schedule:",
         "workflow_dispatch:",
         "retention-days:",
@@ -110,7 +111,7 @@ fn ci_has_the_tiered_matrix() {
     }
     assert!(
         ci.matches("needs: check").count() >= 2,
-        "both build-test and bench-smoke must be gated on the fast check job"
+        "both build-test and perf-gate must be gated on the fast check job"
     );
 }
 
@@ -123,7 +124,7 @@ fn ci_caches_builds_keyed_on_lockfile_and_toolchain() {
     let ci = read(".github/workflows/ci.yml");
     assert!(
         ci.matches("uses: actions/cache@v4").count() >= 4,
-        "check, build-test, bench-smoke, and bench-sweep must all carry a cache step"
+        "check, build-test, perf-gate, and nightly must all carry a cache step"
     );
     assert!(
         ci.matches("hashFiles('Cargo.lock')").count() >= 4,
