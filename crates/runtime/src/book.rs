@@ -1,0 +1,457 @@
+//! The enablement book — what a completion releases, and when.
+//!
+//! Both real-thread executors apply the paper's rundown remedy: a
+//! completed task *releases* successor granules through the phase's
+//! enablement mapping (identity ranges, composite-map counters, nothing
+//! before a barrier), with one phase of lookahead. That decision lives
+//! here once. [`crate::executor`] and [`crate::lateral`] own their queues
+//! and hand the book a sink; the sink is all the book knows about them.
+//!
+//! The book takes no lock of its own: each executor keeps it behind the
+//! mutex it already has.
+
+use crate::executor::{RtMapping, RtPhase, RtPhaseReport, RuntimeConfig};
+use std::time::Instant;
+
+/// A contiguous granule range of one phase, at most one task size long.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Task {
+    pub(crate) phase: usize,
+    pub(crate) lo: u32,
+    pub(crate) hi: u32,
+}
+
+struct Phase {
+    granules: u32,
+    /// How the predecessor enables this phase (`Barrier` for phase 0).
+    enabled_by: RtMapping,
+    remaining: u32,
+    /// Enablement counters of a counted mapping into this phase.
+    counters: Vec<u32>,
+    /// Identity releases that fired while this phase was still outside
+    /// the lookahead window; flushed at window entry. Without this buffer
+    /// a ≥3-phase identity chain loses releases and deadlocks.
+    deferred: Vec<(u32, u32)>,
+    first_start: Option<Instant>,
+    last_end: Option<Instant>,
+    overlap_granules: u64,
+}
+
+/// Release state of a phase chain.
+pub(crate) struct PhaseBook {
+    phases: Vec<Phase>,
+    /// Lowest incomplete phase.
+    current: usize,
+    overlap: bool,
+    task_granules: u32,
+}
+
+/// Refuse a chain the book cannot run to completion, before any thread
+/// starts: an identity edge between unequal phases, or a composite map
+/// that is not the shape of its edge (a short `requires` would leave
+/// granules unreleased for ever, a wrong count would release one twice).
+fn validate(specs: &[RtPhase]) {
+    assert!(!specs.is_empty(), "need at least one phase");
+    for (i, edge) in specs.windows(2).enumerate() {
+        let (pred, succ) = (&edge[0], &edge[1]);
+        match &pred.mapping_to_next {
+            RtMapping::Identity => assert_eq!(
+                pred.granules, succ.granules,
+                "identity mapping requires equal granule counts (phase {i} `{}` into `{}`)",
+                pred.name, succ.name
+            ),
+            RtMapping::Counted(comp) => {
+                let edge = format!("counted mapping of phase {i} `{}`", pred.name);
+                assert_eq!(
+                    comp.requires.len(),
+                    succ.granules as usize,
+                    "{edge}: `requires` needs one count per granule of `{}`",
+                    succ.name
+                );
+                assert_eq!(
+                    comp.offsets.len(),
+                    pred.granules as usize + 1,
+                    "{edge}: `offsets` needs one slot per granule of the phase, plus one"
+                );
+                assert!(
+                    comp.offsets[0] == 0
+                        && comp.offsets.windows(2).all(|w| w[0] <= w[1])
+                        && comp.offsets[pred.granules as usize] as usize == comp.targets.len(),
+                    "{edge}: `offsets` must rise from 0 to `targets.len()`"
+                );
+                let mut counts = vec![0u32; comp.requires.len()];
+                for &r in &comp.targets {
+                    assert!(
+                        (r as usize) < counts.len(),
+                        "{edge}: target {r} is not a granule of `{}`",
+                        succ.name
+                    );
+                    counts[r as usize] += 1;
+                }
+                assert!(
+                    counts == comp.requires,
+                    "{edge}: `requires` disagrees with the entries of `targets`"
+                );
+            }
+            RtMapping::Universal | RtMapping::Barrier => {}
+        }
+    }
+}
+
+impl PhaseBook {
+    /// The book of a validated chain, nothing released yet.
+    pub(crate) fn new(specs: &[RtPhase], cfg: &RuntimeConfig) -> PhaseBook {
+        validate(specs);
+        let phases = specs
+            .iter()
+            .enumerate()
+            .map(|(i, spec)| {
+                let enabled_by = match i {
+                    0 => RtMapping::Barrier,
+                    _ => specs[i - 1].mapping_to_next.clone(),
+                };
+                Phase {
+                    granules: spec.granules,
+                    remaining: spec.granules,
+                    counters: match &enabled_by {
+                        RtMapping::Counted(comp) => comp.requires.clone(),
+                        _ => Vec::new(),
+                    },
+                    enabled_by,
+                    deferred: Vec::new(),
+                    first_start: None,
+                    last_end: None,
+                    overlap_granules: 0,
+                }
+            })
+            .collect();
+        PhaseBook {
+            phases,
+            current: 0,
+            overlap: cfg.overlap,
+            task_granules: cfg.task_granules,
+        }
+    }
+
+    /// Every phase has completed.
+    pub(crate) fn done(&self) -> bool {
+        self.current >= self.phases.len()
+    }
+
+    /// Release the first phase and open the window on the second.
+    pub(crate) fn start(&mut self, release: &mut impl FnMut(Task)) {
+        self.release_all(0, release);
+        self.on_window_entry(1, release);
+    }
+
+    /// A worker is about to run `t`.
+    pub(crate) fn on_task_start(&mut self, t: Task, now: Instant) {
+        let overlapped = t.phase > self.current;
+        let ph = &mut self.phases[t.phase];
+        ph.first_start.get_or_insert(now);
+        if overlapped {
+            ph.overlap_granules += (t.hi - t.lo) as u64;
+        }
+    }
+
+    /// Completion processing for one task: release what it enables and,
+    /// if it ends the current phase, advance. True once the chain is done.
+    pub(crate) fn complete(
+        &mut self,
+        t: Task,
+        now: Instant,
+        release: &mut impl FnMut(Task),
+    ) -> bool {
+        let step = self.task_granules;
+        let ph = &mut self.phases[t.phase];
+        ph.remaining -= t.hi - t.lo;
+        ph.last_end = Some(now);
+        let phase_done = ph.remaining == 0;
+
+        // Enablement into the successor. A task of the *overlapped*
+        // successor (t.phase == current + 1) enables granules of phase
+        // current + 2, which is still outside the lookahead window: those
+        // releases are deferred (identity) or left as zeroed counters
+        // (counted) and flushed at window entry — dropping them would
+        // deadlock chains of three or more overlappable phases.
+        let succ = t.phase + 1;
+        if self.overlap && succ < self.phases.len() {
+            let in_window = succ == self.current + 1;
+            let Phase {
+                enabled_by,
+                counters,
+                deferred,
+                ..
+            } = &mut self.phases[succ];
+            match enabled_by {
+                RtMapping::Identity if in_window => chunk(step, succ, t.lo, t.hi, release),
+                RtMapping::Identity => deferred.push((t.lo, t.hi)),
+                RtMapping::Counted(comp) => {
+                    let mut freed: Vec<u32> = Vec::new();
+                    for g in t.lo..t.hi {
+                        for &r in comp.dependents_of(g) {
+                            let c = &mut counters[r as usize];
+                            *c -= 1;
+                            if *c == 0 {
+                                freed.push(r);
+                            }
+                        }
+                    }
+                    if in_window {
+                        freed.sort_unstable();
+                        for (a, b) in index_runs(&freed) {
+                            chunk(step, succ, a, b, release);
+                        }
+                    }
+                }
+                RtMapping::Universal | RtMapping::Barrier => {}
+            }
+        }
+
+        if phase_done && t.phase == self.current {
+            // advance over any already-finished phases
+            while !self.done() && self.phases[self.current].remaining == 0 {
+                self.current += 1;
+                let cur = self.current;
+                let Some(ph) = self.phases.get(cur) else {
+                    break;
+                };
+                // Residual release of the new current phase: everything,
+                // if nothing could be released before this barrier. In
+                // overlap mode a universal phase was released whole at
+                // window entry, and an identity or counted one granule by
+                // granule — its predecessor is complete, so every release
+                // has fired, in the window or flushed on entering it.
+                if !self.overlap || matches!(ph.enabled_by, RtMapping::Barrier) {
+                    self.release_all(cur, release);
+                }
+                // the next phase enters the lookahead window
+                self.on_window_entry(cur + 1, release);
+            }
+        }
+        self.done()
+    }
+
+    /// Per-phase timings relative to `t0`, named after `specs`.
+    pub(crate) fn phase_reports(&self, specs: &[RtPhase], t0: Instant) -> Vec<RtPhaseReport> {
+        specs
+            .iter()
+            .zip(&self.phases)
+            .map(|(spec, ph)| RtPhaseReport {
+                name: spec.name.clone(),
+                first_start: ph.first_start.map(|t| t.duration_since(t0)),
+                last_end: ph.last_end.map(|t| t.duration_since(t0)),
+                overlap_granules: ph.overlap_granules,
+            })
+            .collect()
+    }
+
+    /// Release all granules of `phase`. Each phase gets here at most
+    /// once: at `start`, at window entry (universal, overlap mode) or on
+    /// becoming current (barrier, strict mode).
+    fn release_all(&mut self, phase: usize, release: &mut impl FnMut(Task)) {
+        let granules = self.phases[phase].granules;
+        chunk(self.task_granules, phase, 0, granules, release);
+    }
+
+    /// `phase` enters the lookahead window (its predecessor became
+    /// current): release what was enabled while it was outside.
+    fn on_window_entry(&mut self, phase: usize, release: &mut impl FnMut(Task)) {
+        if phase >= self.phases.len() || !self.overlap {
+            return;
+        }
+        let ph = &mut self.phases[phase];
+        let runs = match ph.enabled_by {
+            RtMapping::Universal => return self.release_all(phase, release),
+            RtMapping::Identity => std::mem::take(&mut ph.deferred),
+            // null-set-enabled granules, and those whose counters reached
+            // zero while the phase was outside the window
+            RtMapping::Counted(_) => {
+                let zeroed: Vec<u32> = (0..ph.granules)
+                    .filter(|&g| ph.counters[g as usize] == 0)
+                    .collect();
+                index_runs(&zeroed)
+            }
+            RtMapping::Barrier => return,
+        };
+        for (a, b) in runs {
+            chunk(self.task_granules, phase, a, b, release);
+        }
+    }
+}
+
+/// Hand `lo..hi` of `phase` to the caller's queue as task-sized chunks.
+fn chunk(step: u32, phase: usize, lo: u32, hi: u32, release: &mut impl FnMut(Task)) {
+    let mut a = lo;
+    while a < hi {
+        let b = a.saturating_add(step).min(hi);
+        release(Task {
+            phase,
+            lo: a,
+            hi: b,
+        });
+        a = b;
+    }
+}
+
+/// Maximal runs `[start, end)` of consecutive values in a sorted list.
+fn index_runs(sorted: &[u32]) -> Vec<(u32, u32)> {
+    let mut out: Vec<(u32, u32)> = Vec::new();
+    for &i in sorted {
+        match out.last_mut() {
+            Some((_, end)) if *end == i => *end += 1,
+            _ => out.push((i, i + 1)),
+        }
+    }
+    out
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pax_core::mapping::CompositeMap;
+    use proptest::prelude::*;
+    use std::sync::Arc;
+
+    fn splitmix(state: &mut u64) -> u64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^ (z >> 31)
+    }
+
+    /// The sink of a thread-free run: queues what the book releases and
+    /// checks each granule against what has finished so far.
+    struct Recorder {
+        edges: Vec<RtMapping>,
+        /// Requirement lists of each counted edge (empty for the others).
+        requires: Vec<Vec<Vec<u32>>>,
+        overlap: bool,
+        task_granules: u32,
+        finished: Vec<Vec<bool>>,
+        releases: Vec<Vec<u32>>,
+        ready: Vec<Task>,
+        fault: Option<String>,
+    }
+
+    impl Recorder {
+        fn release(&mut self, t: Task) {
+            let complete = |q: usize| self.finished[q].iter().all(|&f| f);
+            let fits = t.lo < t.hi && t.hi - t.lo <= self.task_granules;
+            // one phase of lookahead, whatever the mapping
+            let in_window = (0..t.phase.saturating_sub(1)).all(complete);
+            let enabled = |g: usize| match (t.phase, self.overlap) {
+                (0, _) => true,
+                (p, false) => complete(p - 1),
+                (p, true) => match &self.edges[p - 1] {
+                    RtMapping::Barrier => complete(p - 1),
+                    RtMapping::Universal => true,
+                    RtMapping::Identity => self.finished[p - 1][g],
+                    RtMapping::Counted(_) => self.requires[p - 1][g]
+                        .iter()
+                        .all(|&d| self.finished[p - 1][d as usize]),
+                },
+            };
+            if !(fits && in_window && (t.lo..t.hi).all(|g| enabled(g as usize))) {
+                self.fault
+                    .get_or_insert(format!("{t:?} released early or mis-sized"));
+            }
+            for g in t.lo..t.hi {
+                self.releases[t.phase][g as usize] += 1;
+            }
+            self.ready.push(t);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The book alone, no threads: under any chain and any completion
+        /// order every granule is released exactly once and never before
+        /// the completions its mapping requires.
+        #[test]
+        fn every_granule_is_released_once_and_never_early(
+            granules in 8u32..61,
+            nphases in 2usize..6,
+            mappings in proptest::collection::vec(0u8..4, 4),
+            task_granules in 1u32..9,
+            overlap in proptest::bool::ANY,
+            seed in 0u64..u64::MAX,
+        ) {
+            let mut rng = seed;
+            let mut requires = vec![Vec::new(); nphases - 1];
+            let edges: Vec<RtMapping> = (0..nphases - 1)
+                .map(|i| match mappings[i] {
+                    0 => RtMapping::Barrier,
+                    1 => RtMapping::Universal,
+                    2 => RtMapping::Identity,
+                    _ => {
+                        // fan-in 0 (enabled by the null set) to 3
+                        requires[i] = (0..granules)
+                            .map(|_| {
+                                (0..splitmix(&mut rng) % 4)
+                                    .map(|_| (splitmix(&mut rng) % granules as u64) as u32)
+                                    .collect()
+                            })
+                            .collect();
+                        let comp = CompositeMap::from_requirement_lists(&requires[i], granules);
+                        RtMapping::Counted(Arc::new(comp))
+                    }
+                })
+                .collect();
+            let specs: Vec<RtPhase> = (0..nphases)
+                .map(|i| {
+                    let p = RtPhase::new(format!("p{i}"), granules, Arc::new(|_| {}));
+                    match edges.get(i) {
+                        Some(m) => p.with_mapping(m.clone()),
+                        None => p,
+                    }
+                })
+                .collect();
+            let mut cfg = RuntimeConfig::new(1, task_granules);
+            cfg.overlap = overlap;
+            let mut book = PhaseBook::new(&specs, &cfg);
+            let mut rec = Recorder {
+                edges,
+                requires,
+                overlap,
+                task_granules,
+                finished: vec![vec![false; granules as usize]; nphases],
+                releases: vec![vec![0; granules as usize]; nphases],
+                ready: Vec::new(),
+                fault: None,
+            };
+
+            let now = Instant::now();
+            let total = granules * nphases as u32;
+            let (mut run, mut done) = (0, false);
+            book.start(&mut |t| rec.release(t));
+            while !rec.ready.is_empty() {
+                let pick = (splitmix(&mut rng) % rec.ready.len() as u64) as usize;
+                let t = rec.ready.swap_remove(pick);
+                book.on_task_start(t, now);
+                for g in t.lo..t.hi {
+                    rec.finished[t.phase][g as usize] = true;
+                }
+                run += t.hi - t.lo;
+                let current = book.current;
+                done = book.complete(t, now, &mut |t| rec.release(t));
+                prop_assert!(book.current >= current, "`current` went backwards");
+                prop_assert_eq!(done, run == total, "`complete` after {} of {}", run, total);
+                prop_assert_eq!(done, book.done());
+            }
+            prop_assert!(rec.fault.is_none(), "{}", rec.fault.unwrap());
+            prop_assert!(done, "stalled with {} of {} granules run", run, total);
+            for (p, phase) in rec.releases.iter().enumerate() {
+                for (g, &n) in phase.iter().enumerate() {
+                    prop_assert_eq!(n, 1, "phase {} granule {}", p, g);
+                }
+            }
+            if !overlap {
+                let reports = book.phase_reports(&specs, now);
+                prop_assert!(reports.iter().all(|r| r.overlap_granules == 0));
+            }
+        }
+    }
+}

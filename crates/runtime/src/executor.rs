@@ -7,13 +7,17 @@
 //! releases matching successor ranges as current tasks complete, counted
 //! (indirect/seam) mappings decrement per-granule enablement counters, and
 //! universal successors release wholesale when they enter the one-phase
-//! lookahead window.
+//! lookahead window. That machinery is `crate::book`, shared with
+//! [`crate::lateral`]; this module owns the chain's public types and the
+//! central queue discipline.
 //!
 //! The executive is deliberately a single mutex-protected queue — PAX's
 //! management was serial, and the lock hold times here are exactly the
 //! "completion processing and task scheduling time" the paper budgets at
-//! one cycle per processor per task time.
+//! one cycle per processor per task time. The book is a field of the
+//! state that one mutex guards.
 
+use crate::book::{PhaseBook, Task};
 use crate::work::spin_for;
 use parking_lot::{Condvar, Mutex};
 use pax_core::mapping::CompositeMap;
@@ -101,7 +105,8 @@ pub struct RuntimeConfig {
     /// executor (the paper's "data-proximity work assignment algorithm"
     /// on real threads): workers are block-partitioned into clusters and
     /// an idle worker raids same-cluster peers before crossing clusters.
-    /// Ignored by the central executor. `None` = flat steal order.
+    /// Ignored by the central executor: the steal order belongs to
+    /// [`crate::lateral`]. `None` = flat steal order.
     pub clusters: Option<usize>,
     /// Completion-service lanes. `1` (the default) is PAX's serial
     /// executive: every worker processes its own completion while holding
@@ -111,7 +116,8 @@ pub struct RuntimeConfig {
     /// yielding the lock between batches — the paper's "middle
     /// management" answer to rundown: idle processors help service the
     /// completion queue instead of waiting on it. Ignored by the lateral
-    /// executor, whose completion processing is already per-worker.
+    /// executor, whose completion processing is already per-worker: the
+    /// combiner belongs to [`crate::executor`].
     pub exec_lanes: usize,
 }
 
@@ -215,33 +221,9 @@ impl RtReport {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    phase: usize,
-    lo: u32,
-    hi: u32,
-}
-
-struct PhaseState {
-    remaining: u32,
-    /// Enablement counters for a counted mapping *into* this phase.
-    counters: Option<Vec<u32>>,
-    released: bool,
-    /// Identity releases that fired while this phase was still outside
-    /// the lookahead window; flushed at window entry. Without this buffer
-    /// a ≥3-phase identity chain loses releases and deadlocks.
-    deferred: Vec<(u32, u32)>,
-    first_start: Option<Instant>,
-    last_end: Option<Instant>,
-    overlap_granules: u64,
-}
-
 struct State {
     queue: VecDeque<Task>,
-    phases: Vec<PhaseState>,
-    /// Lowest incomplete phase.
-    current: usize,
-    done: bool,
+    book: PhaseBook,
     tasks_executed: u64,
     /// Completions posted but not yet serviced (`exec_lanes > 1` only).
     pending: VecDeque<(Task, Instant)>,
@@ -254,277 +236,31 @@ struct Shared {
     cond: Condvar,
     specs: Vec<RtPhase>,
     cfg: RuntimeConfig,
-    t0: Instant,
 }
 
 impl Shared {
-    /// Push a range of `phase` as task-sized chunks; caller holds the lock.
-    fn push_range(&self, st: &mut State, phase: usize, lo: u32, hi: u32) {
-        let step = self.cfg.task_granules;
-        let mut a = lo;
-        while a < hi {
-            let b = (a + step).min(hi);
-            st.queue.push_back(Task {
-                phase,
-                lo: a,
-                hi: b,
-            });
-            a = b;
-        }
-        self.cond.notify_all();
-    }
-
-    /// Release all granules of `phase`; caller holds the lock.
-    fn release_all(&self, st: &mut State, phase: usize) {
-        if st.phases[phase].released {
-            return;
-        }
-        st.phases[phase].released = true;
-        let n = self.specs[phase].granules;
-        self.push_range(st, phase, 0, n);
-    }
-
-    /// Called when `phase` enters the lookahead window (its predecessor
-    /// became current); caller holds the lock.
-    fn on_window_entry(&self, st: &mut State, phase: usize) {
-        if phase >= self.specs.len() || !self.cfg.overlap {
-            return;
-        }
-        // flush identity releases deferred while out of window
-        let deferred = std::mem::take(&mut st.phases[phase].deferred);
-        for (a, b) in deferred {
-            self.push_range(st, phase, a, b);
-        }
-        match &self.specs[phase - 1].mapping_to_next {
-            RtMapping::Universal => self.release_all(st, phase),
-            RtMapping::Counted(comp) => {
-                // null-set-enabled successor granules release immediately
-                let mut runs: Vec<(u32, u32)> = Vec::new();
-                {
-                    let counters = st.phases[phase]
-                        .counters
-                        .get_or_insert_with(|| comp.requires.clone());
-                    let mut i = 0u32;
-                    let n = counters.len() as u32;
-                    while i < n {
-                        if counters[i as usize] == 0 {
-                            let start = i;
-                            while i < n && counters[i as usize] == 0 {
-                                i += 1;
-                            }
-                            runs.push((start, i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                }
-                st.phases[phase].released =
-                    runs.len() == 1 && runs[0] == (0, self.specs[phase].granules);
-                for (a, b) in runs {
-                    self.push_range(st, phase, a, b);
-                }
-            }
-            RtMapping::Identity | RtMapping::Barrier => {}
-        }
-    }
-
-    /// Completion processing for one task; caller holds the lock.
-    fn complete(&self, st: &mut State, t: Task, now: Instant) {
-        let len = t.hi - t.lo;
-        let ps = &mut st.phases[t.phase];
-        ps.remaining -= len;
-        ps.last_end = Some(now);
-        let phase_done = ps.remaining == 0;
-
-        // Enablement into the successor. A task of the *overlapped*
-        // successor (t.phase == current + 1) enables granules of phase
-        // current + 2, which is still outside the lookahead window: those
-        // releases are deferred (identity) or left as zeroed counters
-        // (counted) and flushed at window entry — dropping them would
-        // deadlock chains of three or more overlappable phases.
-        let succ = t.phase + 1;
-        if self.cfg.overlap && succ < self.specs.len() {
-            let in_window = succ == st.current + 1;
-            match &self.specs[t.phase].mapping_to_next {
-                RtMapping::Identity => {
-                    if in_window {
-                        self.push_range(st, succ, t.lo, t.hi);
-                    } else {
-                        st.phases[succ].deferred.push((t.lo, t.hi));
-                    }
-                }
-                RtMapping::Counted(comp) => {
-                    let mut freed: Vec<u32> = Vec::new();
-                    {
-                        let counters = st.phases[succ]
-                            .counters
-                            .get_or_insert_with(|| comp.requires.clone());
-                        for g in t.lo..t.hi {
-                            for &r in comp.dependents_of(g) {
-                                let c = &mut counters[r as usize];
-                                debug_assert!(*c > 0);
-                                *c -= 1;
-                                if *c == 0 {
-                                    freed.push(r);
-                                }
-                            }
-                        }
-                    }
-                    if in_window {
-                        freed.sort_unstable();
-                        let mut i = 0;
-                        while i < freed.len() {
-                            let start = freed[i];
-                            let mut end = start + 1;
-                            i += 1;
-                            while i < freed.len() && freed[i] == end {
-                                end += 1;
-                                i += 1;
-                            }
-                            self.push_range(st, succ, start, end);
-                        }
-                    }
-                    // out of window: zeroed counters are picked up by the
-                    // window-entry scan
-                }
-                RtMapping::Universal | RtMapping::Barrier => {}
-            }
-        }
-
-        if phase_done && t.phase == st.current {
-            // advance over any already-finished phases
-            while st.current < self.specs.len() && st.phases[st.current].remaining == 0 {
-                st.current += 1;
-                if st.current < self.specs.len() {
-                    let cur = st.current;
-                    // barrier release of the new current phase (covers
-                    // barrier mode and identity/counted leftovers)
-                    if !st.phases[cur].released {
-                        let released_so_far = self.released_len(st, cur);
-                        let n = self.specs[cur].granules;
-                        if released_so_far < n {
-                            // release whatever the mapping never released;
-                            // for barrier mode this is everything
-                            self.release_barrier_residual(st, cur);
-                        }
-                        st.phases[cur].released = true;
-                    }
-                    // the next phase enters the lookahead window
-                    if cur + 1 < self.specs.len() {
-                        self.on_window_entry(st, cur + 1);
-                    }
-                }
-            }
-            if st.current >= self.specs.len() {
-                st.done = true;
-                self.cond.notify_all();
-            }
-        }
-    }
-
-    /// Granules of `phase` already released (executed + queued + running
-    /// are not separable here, so we track via counters/released flags):
-    /// barrier-residual release pushes only granules whose enablement
-    /// never fired.
-    fn released_len(&self, st: &State, phase: usize) -> u32 {
-        let n = self.specs[phase].granules;
-        if st.phases[phase].released {
-            return n;
-        }
-        // with identity, released == completed granules of predecessor;
-        // the exact number is n - remaining + queued; rather than track
-        // precisely we conservatively return 0 so the residual path runs
-        // and deduplicates via per-granule released bits below.
-        0
-    }
-
-    fn release_barrier_residual(&self, st: &mut State, phase: usize) {
-        // Residual release at the barrier: for identity/counted mappings,
-        // everything the enablement machinery didn't release must be
-        // released now. We must avoid double-pushing granules. For
-        // identity: the predecessor is complete, so every granule was
-        // released by task completions — nothing to do. For counted: any
-        // counter still > 0 was never released (possible only if the
-        // predecessor never ran in overlap mode, i.e. barrier mode).
-        let overlap = self.cfg.overlap;
-        if !overlap {
-            self.release_all(st, phase);
-            return;
-        }
-        match if phase == 0 {
-            &RtMapping::Barrier
-        } else {
-            &self.specs[phase - 1].mapping_to_next
-        } {
-            RtMapping::Barrier => self.release_all(st, phase),
-            RtMapping::Identity => { /* fully released by completions */ }
-            RtMapping::Universal => self.release_all(st, phase),
-            RtMapping::Counted(comp) => {
-                let runs: Vec<(u32, u32)> = {
-                    let counters = st.phases[phase]
-                        .counters
-                        .get_or_insert_with(|| comp.requires.clone());
-                    // counters should all be zero here (predecessor is
-                    // complete); release anything nonzero defensively —
-                    // it can only be nonzero if enablement was skipped
-                    // because the phase was outside the window.
-                    let mut runs = Vec::new();
-                    let mut i = 0u32;
-                    let n = counters.len() as u32;
-                    while i < n {
-                        if counters[i as usize] > 0 {
-                            let start = i;
-                            while i < n && counters[i as usize] > 0 {
-                                counters[i as usize] = 0;
-                                i += 1;
-                            }
-                            runs.push((start, i));
-                        } else {
-                            i += 1;
-                        }
-                    }
-                    runs
-                };
-                for (a, b) in runs {
-                    self.push_range(st, phase, a, b);
-                }
-            }
+    /// Service one completion: what the book releases goes on the queue,
+    /// and waiters hear of it; caller holds the lock.
+    fn service(&self, st: &mut State, t: Task, now: Instant) {
+        let queued = st.queue.len();
+        let queue = &mut st.queue;
+        let done = st.book.complete(t, now, &mut |task| queue.push_back(task));
+        if done || st.queue.len() > queued {
+            self.cond.notify_all();
         }
     }
 }
 
 /// Run a phase chain to completion; returns measured timings.
 pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
-    assert!(!specs.is_empty(), "need at least one phase");
-    for (i, s) in specs.iter().enumerate() {
-        if let RtMapping::Identity = s.mapping_to_next {
-            if i + 1 < specs.len() {
-                assert_eq!(
-                    s.granules,
-                    specs[i + 1].granules,
-                    "identity mapping requires equal granule counts"
-                );
-            }
-        }
-    }
-    let nphases = specs.len();
+    let mut book = PhaseBook::new(&specs, &cfg);
+    let mut queue = VecDeque::new();
     let t0 = Instant::now();
+    book.start(&mut |task| queue.push_back(task));
     let shared = Arc::new(Shared {
         state: Mutex::new(State {
-            queue: VecDeque::new(),
-            phases: (0..nphases)
-                .map(|i| PhaseState {
-                    remaining: specs[i].granules,
-                    counters: None,
-                    released: false,
-                    deferred: Vec::new(),
-                    first_start: None,
-                    last_end: None,
-                    overlap_granules: 0,
-                })
-                .collect(),
-            current: 0,
-            done: false,
+            queue,
+            book,
             tasks_executed: 0,
             pending: VecDeque::new(),
             combining: false,
@@ -532,16 +268,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         cond: Condvar::new(),
         specs,
         cfg: cfg.clone(),
-        t0,
     });
-
-    {
-        let mut st = shared.state.lock();
-        shared.release_all(&mut st, 0);
-        if nphases > 1 {
-            shared.on_window_entry(&mut st, 1);
-        }
-    }
 
     let mut handles = Vec::with_capacity(cfg.workers);
     for _ in 0..cfg.workers {
@@ -553,18 +280,10 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                     let mut st = sh.state.lock();
                     loop {
                         if let Some(t) = st.queue.pop_front() {
-                            let now = Instant::now();
-                            let current = st.current;
-                            let ps = &mut st.phases[t.phase];
-                            if ps.first_start.is_none() {
-                                ps.first_start = Some(now);
-                            }
-                            if t.phase > current {
-                                ps.overlap_granules += (t.hi - t.lo) as u64;
-                            }
+                            st.book.on_task_start(t, Instant::now());
                             break Some(t);
                         }
-                        if st.done {
+                        if st.book.done() {
                             break None;
                         }
                         sh.cond.wait(&mut st);
@@ -581,7 +300,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                 if sh.cfg.exec_lanes <= 1 {
                     // Serial executive: service your own completion while
                     // holding the lock (the PAX arrangement).
-                    sh.complete(&mut st, t, Instant::now());
+                    sh.service(&mut st, t, Instant::now());
                 } else {
                     // Multi-lane service: post the completion; if a
                     // combiner is already draining, it will pick this
@@ -598,7 +317,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                                 let Some((pt, pnow)) = st.pending.pop_front() else {
                                     break;
                                 };
-                                sh.complete(&mut st, pt, pnow);
+                                sh.service(&mut st, pt, pnow);
                             }
                             if st.pending.is_empty() {
                                 break;
@@ -620,17 +339,6 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
     }
     let wall = t0.elapsed();
     let st = shared.state.lock();
-    let phases = shared
-        .specs
-        .iter()
-        .zip(st.phases.iter())
-        .map(|(spec, ps)| RtPhaseReport {
-            name: spec.name.clone(),
-            first_start: ps.first_start.map(|t| t.duration_since(shared.t0)),
-            last_end: ps.last_end.map(|t| t.duration_since(shared.t0)),
-            overlap_granules: ps.overlap_granules,
-        })
-        .collect();
     RtReport {
         wall,
         busy: busy_total,
@@ -638,7 +346,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         tasks: st.tasks_executed,
         steals_same_cluster: 0,
         steals_cross_cluster: 0,
-        phases,
+        phases: st.book.phase_reports(&shared.specs, t0),
     }
 }
 
@@ -906,11 +614,96 @@ mod tests {
         let _ = RuntimeConfig::new(2, 2).with_exec_lanes(0);
     }
 
+    /// Both executors must refuse `chain` before a thread starts, with
+    /// the same message; the central executor's panic is re-raised for the
+    /// caller's `#[should_panic(expected = ..)]` to read.
+    fn both_executors_reject(chain: impl Fn() -> Vec<RtPhase>) {
+        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+        let message = |run: fn(Vec<RtPhase>, RuntimeConfig) -> RtReport| {
+            let refused = catch_unwind(AssertUnwindSafe(|| run(chain(), RuntimeConfig::new(2, 2))));
+            let payload = refused.expect_err("the executor ran a mis-shaped chain");
+            let text = payload.downcast_ref::<String>().cloned();
+            (text.expect("a formatted panic message"), payload)
+        };
+        let (lateral, _) = message(crate::lateral::run_chain_lateral);
+        let (central, payload) = message(run_chain);
+        assert_eq!(central, lateral, "the executors share one validation");
+        resume_unwind(payload);
+    }
+
+    fn counted_edge(comp: CompositeMap) -> Vec<RtPhase> {
+        let p1 = RtPhase::synthetic("a", 10, Duration::ZERO)
+            .with_mapping(RtMapping::Counted(Arc::new(comp)));
+        vec![p1, RtPhase::synthetic("b", 10, Duration::ZERO)]
+    }
+
+    /// Successor granule `r` of a 10 → 10 edge requires granule `r`.
+    fn diagonal() -> CompositeMap {
+        let req: Vec<Vec<u32>> = (0..10).map(|r| vec![r]).collect();
+        CompositeMap::from_requirement_lists(&req, 10)
+    }
+
     #[test]
-    #[should_panic(expected = "equal granule counts")]
+    #[should_panic(expected = "equal granule counts (phase 0 `a` into `b`)")]
     fn identity_requires_equal_counts() {
-        let p1 = RtPhase::synthetic("a", 10, Duration::ZERO).with_mapping(RtMapping::Identity);
-        let p2 = RtPhase::synthetic("b", 20, Duration::ZERO);
-        let _ = run_chain(vec![p1, p2], RuntimeConfig::new(2, 2));
+        both_executors_reject(|| {
+            let p1 = RtPhase::synthetic("a", 10, Duration::ZERO).with_mapping(RtMapping::Identity);
+            vec![p1, RtPhase::synthetic("b", 20, Duration::ZERO)]
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `a`: `requires` needs one count per granule of `b`")]
+    fn counted_requires_covers_the_successor() {
+        // Nothing targets the two tail granules, so the short `requires`
+        // is the only thing wrong: unchecked, they are never released —
+        // the central executor parks on its condvar, the lateral one
+        // spins.
+        both_executors_reject(|| {
+            let req: Vec<Vec<u32>> = (0..10).map(|r| vec![r; (r < 8) as usize]).collect();
+            let mut comp = CompositeMap::from_requirement_lists(&req, 10);
+            comp.requires.truncate(8);
+            counted_edge(comp)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `a`: `offsets` needs one slot per granule")]
+    fn counted_offsets_cover_the_predecessor() {
+        both_executors_reject(|| {
+            let mut comp = diagonal();
+            comp.offsets.pop();
+            counted_edge(comp)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `a`: `offsets` must rise from 0 to `targets.len()`")]
+    fn counted_offsets_index_the_targets() {
+        both_executors_reject(|| {
+            let mut comp = diagonal();
+            comp.offsets[4] = 99;
+            counted_edge(comp)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `a`: target 10 is not a granule of `b`")]
+    fn counted_targets_are_successor_granules() {
+        both_executors_reject(|| {
+            let mut comp = diagonal();
+            comp.targets[3] = 10;
+            counted_edge(comp)
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `a`: `requires` disagrees with the entries of `targets`")]
+    fn counted_requires_matches_its_entries() {
+        both_executors_reject(|| {
+            let mut comp = diagonal();
+            comp.requires[3] = 2;
+            counted_edge(comp)
+        });
     }
 }

@@ -8,43 +8,23 @@
 //! with crossbeam deques so the repository can measure what the strategy
 //! buys over the central-executive executor in [`crate::executor`].
 //!
-//! The overlap machinery is the same — identity releases, composite-map
-//! enablement counters, a one-phase lookahead window — but releases go to
-//! the *releasing worker's own deque* (lateral hand-off); idle workers
-//! steal from peers, and only phase-level bookkeeping takes a lock.
+//! The overlap machinery is the same code — `crate::book`: identity
+//! releases, composite-map enablement counters, a one-phase lookahead
+//! window — but releases go to the *releasing worker's own deque*
+//! (lateral hand-off); idle workers steal from peers, and only the book
+//! takes a lock. This module owns the deques, the injector, the steal
+//! order and the steal counters.
 
-use crate::executor::{RtMapping, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
+use crate::book::{PhaseBook, Task};
+use crate::executor::{RtPhase, RtReport, RuntimeConfig};
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::Mutex;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-#[derive(Debug, Clone, Copy)]
-struct Task {
-    phase: usize,
-    lo: u32,
-    hi: u32,
-}
-
-/// Phase bookkeeping shared under one small mutex (completion counts and
-/// counter state only — the hot dispatch path never takes it).
-struct PhaseBook {
-    remaining: Vec<u32>,
-    counters: Vec<Option<Vec<u32>>>,
-    released: Vec<bool>,
-    /// Identity releases deferred while the phase was outside the
-    /// lookahead window (flushed at window entry).
-    deferred: Vec<Vec<(u32, u32)>>,
-    current: usize,
-    first_start: Vec<Option<Instant>>,
-    last_end: Vec<Option<Instant>>,
-    overlap_granules: Vec<u64>,
-}
-
 struct Shared {
     specs: Vec<RtPhase>,
-    cfg: RuntimeConfig,
     injector: Injector<Task>,
     stealers: Vec<Stealer<Task>>,
     /// Per-worker victim order: same-cluster peers first when the config
@@ -53,165 +33,12 @@ struct Shared {
     steal_order: Vec<Vec<(usize, bool)>>,
     book: Mutex<PhaseBook>,
     done: AtomicBool,
-    live_tasks: AtomicUsize,
     tasks_executed: AtomicU64,
     steals_same_cluster: AtomicU64,
     steals_cross_cluster: AtomicU64,
-    t0: Instant,
 }
 
 impl Shared {
-    /// Push a range as task-sized chunks. `local` is the releasing
-    /// worker's own deque (lateral hand-off) when available, otherwise
-    /// the global injector.
-    fn push_range(&self, local: Option<&Deque<Task>>, phase: usize, lo: u32, hi: u32) {
-        let step = self.cfg.task_granules;
-        let mut a = lo;
-        while a < hi {
-            let b = (a + step).min(hi);
-            self.live_tasks.fetch_add(1, Ordering::AcqRel);
-            let t = Task {
-                phase,
-                lo: a,
-                hi: b,
-            };
-            match local {
-                Some(d) => d.push(t),
-                None => self.injector.push(t),
-            }
-            a = b;
-        }
-    }
-
-    fn release_all(&self, book: &mut PhaseBook, local: Option<&Deque<Task>>, phase: usize) {
-        if book.released[phase] {
-            return;
-        }
-        book.released[phase] = true;
-        self.push_range(local, phase, 0, self.specs[phase].granules);
-    }
-
-    fn on_window_entry(&self, book: &mut PhaseBook, local: Option<&Deque<Task>>, phase: usize) {
-        if phase >= self.specs.len() || !self.cfg.overlap {
-            return;
-        }
-        let deferred = std::mem::take(&mut book.deferred[phase]);
-        for (a, b) in deferred {
-            self.push_range(local, phase, a, b);
-        }
-        match &self.specs[phase - 1].mapping_to_next {
-            RtMapping::Universal => self.release_all(book, local, phase),
-            RtMapping::Counted(comp) => {
-                if book.counters[phase].is_none() {
-                    book.counters[phase] = Some(comp.requires.clone());
-                }
-                let runs = {
-                    let counters = book.counters[phase].as_ref().unwrap();
-                    zero_runs(counters)
-                };
-                for (a, b) in runs {
-                    self.push_range(local, phase, a, b);
-                }
-            }
-            RtMapping::Identity | RtMapping::Barrier => {}
-        }
-    }
-
-    /// Completion processing. Returns true when everything is done.
-    fn complete(&self, local: &Deque<Task>, t: Task, now: Instant) -> bool {
-        let mut book = self.book.lock();
-        let len = t.hi - t.lo;
-        book.remaining[t.phase] -= len;
-        book.last_end[t.phase] = Some(now);
-        let phase_done = book.remaining[t.phase] == 0;
-
-        let succ = t.phase + 1;
-        if self.cfg.overlap && succ < self.specs.len() {
-            let in_window = succ == book.current + 1;
-            match &self.specs[t.phase].mapping_to_next {
-                RtMapping::Identity => {
-                    if in_window {
-                        // lateral hand-off: the enabled successor range
-                        // goes to this worker's own deque, warm in cache
-                        self.push_range(Some(local), succ, t.lo, t.hi);
-                    } else {
-                        // outside the lookahead window: defer, don't drop
-                        book.deferred[succ].push((t.lo, t.hi));
-                    }
-                }
-                RtMapping::Counted(comp) => {
-                    let mut freed: Vec<u32> = Vec::new();
-                    {
-                        let counters =
-                            book.counters[succ].get_or_insert_with(|| comp.requires.clone());
-                        for g in t.lo..t.hi {
-                            for &r in comp.dependents_of(g) {
-                                let c = &mut counters[r as usize];
-                                debug_assert!(*c > 0);
-                                *c -= 1;
-                                if *c == 0 {
-                                    freed.push(r);
-                                }
-                            }
-                        }
-                    }
-                    if in_window {
-                        freed.sort_unstable();
-                        for (a, b) in index_runs(&freed) {
-                            self.push_range(Some(local), succ, a, b);
-                        }
-                    }
-                }
-                RtMapping::Universal | RtMapping::Barrier => {}
-            }
-        }
-
-        if phase_done && t.phase == book.current {
-            while book.current < self.specs.len() && book.remaining[book.current] == 0 {
-                book.current += 1;
-                if book.current < self.specs.len() {
-                    let cur = book.current;
-                    if !book.released[cur] {
-                        let needs_all = !self.cfg.overlap
-                            || matches!(
-                                self.specs[cur - 1].mapping_to_next,
-                                RtMapping::Barrier | RtMapping::Universal
-                            );
-                        if needs_all {
-                            self.release_all(&mut book, Some(local), cur);
-                        } else if let RtMapping::Counted(comp) =
-                            &self.specs[cur - 1].mapping_to_next
-                        {
-                            // defensively zero any counters the window
-                            // gating kept from firing
-                            let runs = {
-                                let counters =
-                                    book.counters[cur].get_or_insert_with(|| comp.requires.clone());
-                                let runs: Vec<(u32, u32)> = nonzero_runs(counters);
-                                for c in counters.iter_mut() {
-                                    *c = 0;
-                                }
-                                runs
-                            };
-                            for (a, b) in runs {
-                                self.push_range(Some(local), cur, a, b);
-                            }
-                        }
-                        book.released[cur] = true;
-                    }
-                    if cur + 1 < self.specs.len() {
-                        self.on_window_entry(&mut book, Some(local), cur + 1);
-                    }
-                }
-            }
-            if book.current >= self.specs.len() {
-                self.done.store(true, Ordering::Release);
-                return true;
-            }
-        }
-        false
-    }
-
     fn find_task(&self, local: &Deque<Task>, id: usize) -> Option<Task> {
         // own deque first (lateral locality), then the injector, then
         // steal from peers — same-cluster victims before remote ones when
@@ -264,98 +91,27 @@ fn build_steal_order(cfg: &RuntimeConfig) -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-fn index_runs(sorted: &[u32]) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0;
-    while i < sorted.len() {
-        let start = sorted[i];
-        let mut end = start + 1;
-        i += 1;
-        while i < sorted.len() && sorted[i] == end {
-            end += 1;
-            i += 1;
-        }
-        out.push((start, end));
-    }
-    out
-}
-
-fn zero_runs(counters: &[u32]) -> Vec<(u32, u32)> {
-    runs_where(counters, |c| c == 0)
-}
-
-fn nonzero_runs(counters: &[u32]) -> Vec<(u32, u32)> {
-    runs_where(counters, |c| c > 0)
-}
-
-fn runs_where(counters: &[u32], pred: impl Fn(u32) -> bool) -> Vec<(u32, u32)> {
-    let mut out = Vec::new();
-    let mut i = 0u32;
-    let n = counters.len() as u32;
-    while i < n {
-        if pred(counters[i as usize]) {
-            let start = i;
-            while i < n && pred(counters[i as usize]) {
-                i += 1;
-            }
-            out.push((start, i));
-        } else {
-            i += 1;
-        }
-    }
-    out
-}
-
 /// Run a phase chain on the lateral (work-stealing) executor.
 pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
-    assert!(!specs.is_empty(), "need at least one phase");
-    for (i, s) in specs.iter().enumerate() {
-        if let RtMapping::Identity = s.mapping_to_next {
-            if i + 1 < specs.len() {
-                assert_eq!(
-                    s.granules,
-                    specs[i + 1].granules,
-                    "identity mapping requires equal granule counts"
-                );
-            }
-        }
-    }
-    let nphases = specs.len();
+    let mut book = PhaseBook::new(&specs, &cfg);
     let workers = cfg.workers;
     let deques: Vec<Deque<Task>> = (0..workers).map(|_| Deque::new_fifo()).collect();
     let stealers: Vec<Stealer<Task>> = deques.iter().map(|d| d.stealer()).collect();
+    let injector = Injector::new();
     let t0 = Instant::now();
+    // nobody owns the first releases: they go to the global injector
+    book.start(&mut |task| injector.push(task));
     let shared = Arc::new(Shared {
-        book: Mutex::new(PhaseBook {
-            remaining: specs.iter().map(|s| s.granules).collect(),
-            counters: vec![None; nphases],
-            released: vec![false; nphases],
-            deferred: vec![Vec::new(); nphases],
-            current: 0,
-            first_start: vec![None; nphases],
-            last_end: vec![None; nphases],
-            overlap_granules: vec![0; nphases],
-        }),
+        book: Mutex::new(book),
         specs,
         steal_order: build_steal_order(&cfg),
-        cfg: cfg.clone(),
-        injector: Injector::new(),
+        injector,
         stealers,
         done: AtomicBool::new(false),
-        live_tasks: AtomicUsize::new(0),
         tasks_executed: AtomicU64::new(0),
         steals_same_cluster: AtomicU64::new(0),
         steals_cross_cluster: AtomicU64::new(0),
-        t0,
     });
-
-    {
-        let mut book = shared.book.lock();
-        shared.release_all(&mut book, None, 0);
-        if nphases > 1 {
-            shared.on_window_entry(&mut book, None, 1);
-        }
-    }
 
     let mut handles = Vec::with_capacity(workers);
     for (id, deque) in deques.into_iter().enumerate() {
@@ -371,24 +127,23 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                     std::thread::yield_now();
                     continue;
                 };
-                {
-                    let mut book = sh.book.lock();
-                    let now = Instant::now();
-                    if book.first_start[t.phase].is_none() {
-                        book.first_start[t.phase] = Some(now);
-                    }
-                    if t.phase > book.current {
-                        book.overlap_granules[t.phase] += (t.hi - t.lo) as u64;
-                    }
-                }
+                sh.book.lock().on_task_start(t, Instant::now());
                 let start = Instant::now();
                 for g in t.lo..t.hi {
                     (sh.specs[t.phase].work)(g);
                 }
                 busy += start.elapsed();
                 sh.tasks_executed.fetch_add(1, Ordering::AcqRel);
-                sh.live_tasks.fetch_sub(1, Ordering::AcqRel);
-                sh.complete(&deque, t, Instant::now());
+                // lateral hand-off: whatever `t` enables goes to this
+                // worker's own deque, warm in cache
+                let now = Instant::now();
+                let done = sh
+                    .book
+                    .lock()
+                    .complete(t, now, &mut |task| deque.push(task));
+                if done {
+                    sh.done.store(true, Ordering::Release);
+                }
             }
             busy
         }));
@@ -399,18 +154,7 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         busy_total += h.join().expect("worker panicked");
     }
     let wall = t0.elapsed();
-    let book = shared.book.lock();
-    let phases = shared
-        .specs
-        .iter()
-        .enumerate()
-        .map(|(i, spec)| RtPhaseReport {
-            name: spec.name.clone(),
-            first_start: book.first_start[i].map(|t| t.duration_since(shared.t0)),
-            last_end: book.last_end[i].map(|t| t.duration_since(shared.t0)),
-            overlap_granules: book.overlap_granules[i],
-        })
-        .collect();
+    let phases = shared.book.lock().phase_reports(&shared.specs, t0);
     RtReport {
         wall,
         busy: busy_total,
@@ -425,6 +169,7 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::executor::RtMapping;
     use crate::work::{SharedCounters, SharedF64};
     use pax_core::mapping::CompositeMap;
 

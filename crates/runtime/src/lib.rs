@@ -7,13 +7,20 @@
 //! composite-map enablement counters, universal window releases), and the
 //! report measures real utilization and rundown fill.
 //!
-//! Two executors share that machinery: [`run_chain`] routes every dispatch
-//! through a central serial executive (PAX's arrangement), while
-//! [`run_chain_lateral`] implements the paper's "direct worker-to-worker
-//! lateral communication scheme" as work stealing — optionally
-//! cluster-aware ([`RuntimeConfig::with_clusters`]), so an idle worker
-//! raids same-cluster peers before crossing clusters (the thread-level
-//! analogue of the data-proximity assignment measured in E12).
+//! Two executors share that machinery, written once in the crate-private
+//! `book` module (what a completion releases, and when: the mapping's
+//! release, the one-phase lookahead window, deferral, the residual
+//! release, `done`), and differ only in the queue discipline each owns.
+//! [`run_chain`] ([`executor`]) routes every dispatch through a central
+//! serial executive — one mutex-guarded queue, a condvar, and the
+//! `exec_lanes` completion combiner (PAX's arrangement) — while
+//! [`run_chain_lateral`] ([`lateral`]) implements the paper's "direct
+//! worker-to-worker lateral communication scheme" as work stealing —
+//! per-worker deques, an injector, the steal order and its counters —
+//! optionally cluster-aware ([`RuntimeConfig::with_clusters`]), so an
+//! idle worker raids same-cluster peers before crossing clusters (the
+//! thread-level analogue of the data-proximity assignment measured in
+//! E12).
 //!
 //! ```
 //! use pax_runtime::{run_chain, RtMapping, RtPhase, RuntimeConfig};
@@ -31,6 +38,7 @@
 
 #![warn(missing_docs)]
 
+pub(crate) mod book;
 pub mod executor;
 pub mod lateral;
 pub mod shard_exec;

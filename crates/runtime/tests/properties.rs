@@ -55,7 +55,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Central executor: exactly-once execution for every granule of
-    /// every phase under any mapping mix, worker count, and task size.
+    /// every phase under any mapping mix, worker count, task size, and
+    /// completion service (serial, or combiner batches of 2 or 3).
     #[test]
     fn central_executor_runs_every_granule_once(
         granules in 8u32..60,
@@ -64,13 +65,11 @@ proptest! {
         workers in 1usize..5,
         task in 1u32..9,
         overlap in proptest::bool::ANY,
+        exec_lanes in 1usize..4,
     ) {
         let (phases, counters) = chain(granules, nphases, &mappings);
-        let cfg = if overlap {
-            RuntimeConfig::new(workers, task)
-        } else {
-            RuntimeConfig::new(workers, task).barrier()
-        };
+        let cfg = RuntimeConfig::new(workers, task).with_exec_lanes(exec_lanes);
+        let cfg = if overlap { cfg } else { cfg.barrier() };
         let r = run_chain(phases, cfg);
         for (i, c) in counters.iter().enumerate() {
             for g in 0..granules as usize {

@@ -22,14 +22,17 @@
 //! hinted extends, and a bridging insert closing the gap — sustained,
 //! front-to-back fragmentation churn for the whole second half of the
 //! phase, on both the `released` and (as those granules execute in
-//! release order) the `completed` set. This is the access pattern of the
-//! `rangeset_churn` microbench embedded in a full simulation.
+//! release order) the `completed` set.
 //!
-//! Run it under `CompositeBuild::Immediate` (as the `pax-bench`
-//! `fragmented_*` scenarios do): with the default background build the
-//! decrements all defer until the composite map is ready, and any
-//! releases before that point arrive as one coalesced batch instead of
-//! the per-completion strided singletons this workload exists to
+//! Two things use the pattern today. [`stripe_churn_ranges`] is the
+//! whole-stripe insert sequence the repo benchmark's `rangeset_churn`
+//! layer kernel (`benchmark/src/layers.rs`) feeds straight to a
+//! `RangeSet`. [`FragmentationConfig`] embeds the same order in a
+//! two-phase program; the module's own test is its one runner, and it
+//! sets `CompositeBuild::Immediate` because under the default background
+//! build the decrements all defer until the composite map is ready, and
+//! any releases before that point arrive as one coalesced batch instead
+//! of the per-completion strided singletons this workload exists to
 //! produce.
 
 use pax_core::mapping::EnablementMapping;
@@ -138,16 +141,6 @@ impl FragmentationConfig {
         b.dispatch(pb);
         b.build().expect("fragmentation program is valid")
     }
-}
-
-/// Convenience constructor: the fragmentation program at the given size
-/// with the default stripe width and cost.
-pub fn fragmented_rundown(granules: u32) -> Program {
-    FragmentationConfig {
-        granules,
-        ..FragmentationConfig::default()
-    }
-    .build()
 }
 
 #[cfg(test)]

@@ -40,9 +40,7 @@ pub mod service;
 pub use casper::{casper_declared_census, CasperConfig, CASPER_PHASES};
 pub use checkerboard::{checkerboard_program, Checkerboard, Color, RedBlackGrid};
 pub use fleet::{degraded_fault_plan, FleetConfig};
-pub use fragmentation::{
-    fragmented_rundown, interleaved_stripes, stripe_churn_ranges, FragmentationConfig,
-};
+pub use fragmentation::{interleaved_stripes, stripe_churn_ranges, FragmentationConfig};
 pub use fragments::{
     fragment_forward, fragment_identity, fragment_reverse, fragment_simulation, fragment_universal,
 };
