@@ -184,13 +184,10 @@ impl Simulation {
     /// admitted (its jobs start) `latency` ticks after the last job of
     /// `pred` finishes. `latency` must be ≥ 1 tick — it is the minimum
     /// cross-group event latency the sharded drivers derive their
-    /// conservative epoch windows from.
+    /// conservative epoch windows from — and `pred != succ`; session
+    /// build rejects an edge that breaks either rule with
+    /// [`EngineError::InvalidProgram`].
     pub fn link_groups(&mut self, pred: usize, succ: usize, latency: SimDuration) {
-        assert!(pred != succ, "a group cannot gate itself");
-        assert!(
-            latency >= SimDuration(1),
-            "cross-group admission latency must be at least one tick"
-        );
         self.links.push(crate::shard::GroupLink {
             pred,
             succ,

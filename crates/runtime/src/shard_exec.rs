@@ -381,7 +381,6 @@ mod tests {
     use pax_core::program::{EnableSpec, Program, ProgramBuilder};
     use pax_sim::dist::CostModel;
     use pax_sim::machine::MachineConfig;
-    use pax_sim::time::SimDuration;
     use pax_sim::ShardPolicy;
 
     fn overlap_program(granules: u32, cost: u64) -> Program {
@@ -399,7 +398,7 @@ mod tests {
         b.build().unwrap()
     }
 
-    fn fleet(shards: usize, groups: usize, linked: bool) -> Simulation {
+    fn fleet(shards: usize, groups: usize) -> Simulation {
         let mut sim = Simulation::new(
             MachineConfig::new(4).with_shards(ShardPolicy::new(shards)),
             OverlapPolicy::overlap(),
@@ -408,51 +407,14 @@ mod tests {
         for g in 0..groups {
             sim.add_job_in_group(overlap_program(48, 5), g);
         }
-        if linked {
-            for g in 1..groups {
-                sim.link_groups(g - 1, g, SimDuration(11));
-            }
-        }
         sim
-    }
-
-    #[test]
-    fn threaded_driver_matches_reference_driver() {
-        for linked in [false, true] {
-            let base = fleet(1, 6, linked).run().unwrap();
-            for shards in [2, 3, 4] {
-                let threaded = run_simulation_sharded(fleet(shards, 6, linked)).unwrap();
-                assert_eq!(base, threaded, "shards={shards} linked={linked}");
-            }
-        }
-    }
-
-    #[test]
-    fn single_shard_falls_back_inline() {
-        let r = run_simulation_sharded(fleet(1, 2, true)).unwrap();
-        assert_eq!(r.jobs.len(), 2);
-    }
-
-    #[test]
-    fn threaded_driver_surfaces_admission_cycles() {
-        let mut sim = fleet(2, 3, false);
-        sim.link_groups(1, 2, SimDuration(3));
-        sim.link_groups(2, 1, SimDuration(3));
-        match run_simulation_sharded(sim) {
-            Err(EngineError::Deadlock {
-                unfinished_jobs, ..
-            }) => {
-                assert_eq!(unfinished_jobs, vec![1, 2]);
-            }
-            other => panic!("expected deadlock, got {other:?}"),
-        }
     }
 
     /// A shard thread that panics mid-epoch must surface as a structured
     /// `ShardFailed` — fast, via the poison path, not the watchdog.
     #[test]
     fn panicking_shard_surfaces_shard_failed() {
-        let run = fleet(3, 6, false).into_sharded().unwrap();
+        let run = fleet(3, 6).into_sharded().unwrap();
         let started = Instant::now();
         let result = ThreadedSession::spawn(run, DEFAULT_WATCHDOG, |shard, epoch| {
             if shard == 1 && epoch == 1 {
@@ -478,7 +440,7 @@ mod tests {
     /// within its budget instead of hanging the driver forever.
     #[test]
     fn wedged_shard_trips_the_watchdog() {
-        let run = fleet(3, 6, false).into_sharded().unwrap();
+        let run = fleet(3, 6).into_sharded().unwrap();
         let watchdog = Duration::from_millis(250);
         let started = Instant::now();
         let result = ThreadedSession::spawn(run, watchdog, |shard, epoch| {
@@ -510,7 +472,7 @@ mod tests {
     /// state was corrupted).
     #[test]
     fn driver_recovers_after_a_failed_run() {
-        let run = fleet(2, 4, false).into_sharded().unwrap();
+        let run = fleet(2, 4).into_sharded().unwrap();
         let result = ThreadedSession::spawn(run, DEFAULT_WATCHDOG, |shard, _| {
             if shard == 0 {
                 panic!("chaos: first run dies");
@@ -518,7 +480,7 @@ mod tests {
         })
         .finish();
         assert!(matches!(result, Err(EngineError::ShardFailed { .. })));
-        let clean = run_simulation_sharded(fleet(2, 4, false)).unwrap();
+        let clean = run_simulation_sharded(fleet(2, 4)).unwrap();
         assert_eq!(clean.jobs.len(), 4);
     }
 }

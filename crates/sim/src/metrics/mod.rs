@@ -13,4 +13,4 @@ pub mod step;
 pub use export::{gantt_csv, step_trace_csv, step_traces_csv};
 pub use gantt::{Activity, GanttTrace, Span};
 pub use stats::{percentile, Histogram, Welford};
-pub use step::{BusyAccumulator, LevelSweep, StepTrace};
+pub use step::{LevelSweep, StepTrace};

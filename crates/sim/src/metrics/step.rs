@@ -85,14 +85,6 @@ impl StepTrace {
         acc
     }
 
-    /// Mean value over `[from, to)`.
-    pub fn mean_over(&self, from: SimTime, to: SimTime) -> f64 {
-        if to <= from {
-            return 0.0;
-        }
-        self.integral(from, to) as f64 / (to - from).ticks() as f64
-    }
-
     /// Utilization over `[from, to)` relative to a capacity of `capacity`
     /// processors: integral / (capacity × window).
     pub fn utilization(&self, capacity: usize, from: SimTime, to: SimTime) -> f64 {
@@ -132,22 +124,6 @@ impl StepTrace {
             prev_v = v;
         }
         onset
-    }
-
-    /// Maximum value attained in `[from, to)`.
-    pub fn max_over(&self, from: SimTime, to: SimTime) -> u32 {
-        let mut m = self.value_at(from);
-        let start = match self.points.binary_search_by(|&(t, _)| t.cmp(&from)) {
-            Ok(i) => i + 1,
-            Err(i) => i,
-        };
-        for &(t, v) in &self.points[start..] {
-            if t >= to {
-                break;
-            }
-            m = m.max(v);
-        }
-        m
     }
 
     /// Raw change points, for plotting/export.
@@ -204,21 +180,6 @@ impl StepTrace {
             }
         }
         sum
-    }
-
-    /// Resample the trace at `n` evenly spaced instants across `[from, to]`
-    /// — convenient for printing figure-style series.
-    pub fn resample(&self, from: SimTime, to: SimTime, n: usize) -> Vec<(SimTime, u32)> {
-        if n == 0 || to < from {
-            return Vec::new();
-        }
-        let span = (to - from).ticks();
-        (0..n)
-            .map(|i| {
-                let t = SimTime(from.ticks() + span * i as u64 / (n.max(2) - 1).max(1) as u64);
-                (t, self.value_at(t))
-            })
-            .collect()
     }
 }
 
@@ -320,32 +281,6 @@ impl LevelSweep {
             self.apply(t, net);
         }
         self.trace
-    }
-}
-
-/// Busy time integrated per processor from explicit intervals; cheap
-/// alternative when only totals are needed.
-#[derive(Debug, Clone, Default)]
-pub struct BusyAccumulator {
-    total: SimDuration,
-}
-
-impl BusyAccumulator {
-    /// New, empty accumulator.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Add a busy interval.
-    #[inline]
-    pub fn add(&mut self, d: SimDuration) {
-        self.total += d;
-    }
-
-    /// Total accumulated busy time.
-    #[inline]
-    pub fn total(&self) -> SimDuration {
-        self.total
     }
 }
 
@@ -509,27 +444,5 @@ mod tests {
         let sum = StepTrace::superimpose(&[(a, SimDuration(0)), (b, SimDuration(5))]);
         assert_eq!(sum.points(), &[(t(0), 2), (t(5), 3), (t(10), 0)]);
         assert!(StepTrace::superimpose(&[]).points().is_empty());
-    }
-
-    #[test]
-    fn max_over_window() {
-        let mut s = StepTrace::new();
-        s.record(t(0), 1);
-        s.record(t(10), 7);
-        s.record(t(20), 2);
-        assert_eq!(s.max_over(t(0), t(30)), 7);
-        assert_eq!(s.max_over(t(20), t(30)), 2);
-        assert_eq!(s.max_over(t(11), t(19)), 7);
-    }
-
-    #[test]
-    fn resample_endpoints() {
-        let mut s = StepTrace::new();
-        s.record(t(0), 5);
-        s.record(t(100), 0);
-        let pts = s.resample(t(0), t(100), 5);
-        assert_eq!(pts.len(), 5);
-        assert_eq!(pts[0], (t(0), 5));
-        assert_eq!(pts[4], (t(100), 0));
     }
 }

@@ -134,7 +134,6 @@ pub fn degraded_fault_plan() -> pax_sim::FaultPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_sim::ShardPolicy;
 
     #[test]
     fn independent_fleet_runs_and_scales_shard_free() {
@@ -143,11 +142,6 @@ mod tests {
         let base = cfg.simulation(MachineConfig::new(4), 7).run().unwrap();
         assert_eq!(base.jobs.len(), 3);
         assert_eq!(base.processors, 12);
-        let sharded = cfg
-            .simulation(MachineConfig::new(4).with_shards(ShardPolicy::new(2)), 7)
-            .run()
-            .unwrap();
-        assert_eq!(base, sharded);
     }
 
     #[test]

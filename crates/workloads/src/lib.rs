@@ -9,9 +9,9 @@
 //!   dynamically generated information-selection maps.
 //! * [`fleet`] — multi-machine-group fleets (independent or staged by
 //!   admission edges) for the sharded engine's scaling sweeps.
-//! * [`fragmentation`] — a strided-release workload that keeps the
-//!   executive's granule-run sets maximally fragmented (the run-storage
-//!   stress shape).
+//! * [`fragmentation`] — the stripe-churn insert sequence that keeps a
+//!   granule-run set maximally fragmented (the run-storage stress shape
+//!   the benchmark's `rangeset_churn` kernel drives).
 //! * [`fragments`] — the paper's four Fortran fragments as analyzable
 //!   array programs and runnable simulations.
 //! * [`generators`] — parameterized synthetic workloads for the rundown
@@ -40,7 +40,7 @@ pub mod service;
 pub use casper::{casper_declared_census, CasperConfig, CASPER_PHASES};
 pub use checkerboard::{checkerboard_program, Checkerboard, Color, RedBlackGrid};
 pub use fleet::{degraded_fault_plan, FleetConfig};
-pub use fragmentation::{interleaved_stripes, stripe_churn_ranges, FragmentationConfig};
+pub use fragmentation::stripe_churn_ranges;
 pub use fragments::{
     fragment_forward, fragment_identity, fragment_reverse, fragment_simulation, fragment_universal,
 };

@@ -141,7 +141,6 @@ impl ServiceConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_sim::ShardPolicy;
 
     #[test]
     fn poisson_service_reports_latency_and_bounded_instances() {
@@ -203,14 +202,11 @@ mod tests {
     }
 
     #[test]
-    fn grouped_service_splits_the_stream_and_shards_identically() {
+    fn grouped_service_splits_the_stream() {
         let cfg = ServiceConfig::poisson(30, 300).with_groups(3);
         assert_eq!((0..3).map(|g| cfg.jobs_in_group(g)).sum::<usize>(), 30);
-        let base = cfg.simulation(MachineConfig::new(4), 7).run().unwrap();
-        let sharded = cfg
-            .simulation(MachineConfig::new(4).with_shards(ShardPolicy::new(3)), 7)
-            .run()
-            .unwrap();
-        assert_eq!(base, sharded);
+        let r = cfg.simulation(MachineConfig::new(4), 7).run().unwrap();
+        assert_eq!(r.jobs_completed(), 30);
+        assert_eq!(r.processors, 12);
     }
 }

@@ -1,6 +1,7 @@
-//! Layout-equivalence pin for the descriptor store, and batching-
-//! equivalence pin for the multi-lane executive's drained service rounds
-//! (`batched_drain_matches_single_service_on_all_shapes`).
+//! The equivalence suite's own cases, each run through the determinism
+//! oracle (`tests/common/mod.rs`): the thirteen experiment shapes against
+//! their goldens, the fleets, the multi-group admission cases, and one
+//! proptest over random fleets.
 //!
 //! The SoA descriptor arena must be *observably identical* to the
 //! array-of-structs layout it replaced: same completion order, same
@@ -12,7 +13,9 @@
 //! charges) — in quick mode and compares a behavior fingerprint against
 //! goldens recorded with the pre-SoA array-of-structs arena (commit
 //! bf7c64c). Any layout-induced reordering, miscount, or dropped release
-//! changes at least one field of at least one fingerprint.
+//! changes at least one field of at least one fingerprint. The golden is
+//! checked on the oracle's reference, so it is what every driver, shard
+//! count, batch policy and cut set returned.
 //!
 //! If an *intentional* behavior change ever lands, regenerate with:
 //!
@@ -20,11 +23,10 @@
 //! cargo test --test arena_equivalence -- --nocapture print_fingerprints
 //! ```
 
+mod common;
+
+use common::oracle;
 use pax_core::prelude::*;
-use pax_sim::dist::{CostModel, DurationDist};
-use pax_sim::locality::{DataLayout, LocalityModel};
-use pax_sim::machine::{ExecutivePlacement, MachineConfig, ManagementCosts, ShardPolicy};
-use pax_sim::time::SimDuration;
 use std::sync::Arc;
 
 /// A scenario: a program, a machine, and a policy, all deterministic.
@@ -209,27 +211,30 @@ fn shapes() -> Vec<Shape> {
     v
 }
 
-/// Everything about a run that a descriptor-layout change could disturb:
-/// event count, makespan, dispatch/split/descriptor counts, per-phase
-/// granule and overlap totals, and the locality traffic split.
-fn fingerprint(shape: &Shape) -> String {
-    fingerprint_on(shape, shape.cfg.clone())
-}
-
-/// [`fingerprint`] under an overridden machine (lane-count / batch-policy
-/// sweeps over the same scenario).
-fn fingerprint_on(shape: &Shape, cfg: MachineConfig) -> String {
+/// A shape's simulation on `cfg` (its own machine, or a lane-count
+/// variant of it).
+fn simulation(shape: &Shape, cfg: MachineConfig) -> Simulation {
     let mut sim = Simulation::new(cfg, shape.policy.clone()).with_seed(7);
     for _ in 0..shape.jobs {
         sim.add_job(shape.program.clone());
     }
-    let r = sim.run().unwrap_or_else(|e| panic!("{}: {e}", shape.name));
-    golden_fingerprint(shape.name, &r)
+    sim
+}
+
+/// Where the oracle pauses the shapes: the first ticks, instants inside
+/// every run (makespans are 200–3 331 ticks), and one past them all.
+const SHAPE_CUTS: &[u64] = &[0, 1, 13, 26, 160, 401, 802, 4_000];
+
+/// The shape's report on `cfg`, once every driver returned it.
+fn agreed(shape: &Shape, cfg: MachineConfig) -> RunReport {
+    oracle(shape.name, |cfg| simulation(shape, cfg), cfg, SHAPE_CUTS)
+        .reference
+        .unwrap_or_else(|e| panic!("{}: {e}", shape.name))
 }
 
 /// The golden-line format shared by every driver: the observable surface
 /// a calendar/layout/driver change is *not* allowed to perturb.
-fn golden_fingerprint(name: &str, r: &pax_core::report::RunReport) -> String {
+fn golden_fingerprint(name: &str, r: &RunReport) -> String {
     let phase_sig: String = r
         .phases
         .iter()
@@ -272,16 +277,19 @@ const GOLDEN: &[&str] = &[
     "e12_proximity ev=80 mk=512 tasks=32 splits=30 descs=32 peak=18 mgmt=0 remote=112 phases=[0:128+0,0:128+112]",
 ];
 
+/// Every shape on its own (one-lane) machine reproduces its golden, on
+/// every driver, at every shard count (a single-group shape collapses to
+/// one shard but still takes the coordinator path), under both batch
+/// policies and paused at [`SHAPE_CUTS`].
 #[test]
 fn soa_arena_matches_aos_goldens() {
     let shapes = shapes();
     assert_eq!(shapes.len(), 13, "one scenario per experiment family");
-    let actual: Vec<String> = shapes.iter().map(fingerprint).collect();
     let mut mismatches = Vec::new();
-    for (i, a) in actual.iter().enumerate() {
-        match GOLDEN.get(i) {
-            Some(&g) if g == a => {}
-            got => mismatches.push(format!("  expected: {:?}\n  actual:   {a}", got)),
+    for (shape, &golden) in shapes.iter().zip(GOLDEN) {
+        let actual = golden_fingerprint(shape.name, &agreed(shape, shape.cfg.clone()));
+        if actual != golden {
+            mismatches.push(format!("  expected: {golden}\n  actual:   {actual}"));
         }
     }
     assert!(
@@ -294,142 +302,38 @@ fn soa_arena_matches_aos_goldens() {
 /// The multi-lane executive's batched drain must be *observably
 /// identical* to single-event service: a batch is a prefix of the
 /// deterministic event order and each event in it is serviced exactly as
-/// `BatchPolicy::Single` services it. Diff the full fingerprint (events,
-/// makespan, tasks, splits, descriptors, management time, overlap
-/// totals) across the two batch policies on every experiment shape, at several
-/// lane counts — any drift in merge order, wakeup order, or cost
-/// charging changes at least one field.
+/// `BatchPolicy::Single` services it. The oracle diffs the two batch
+/// policies (among everything else) on every shape at 2, 7 and 64 lanes;
+/// one lane is the goldens above.
 #[test]
 fn batched_drain_matches_single_service_on_all_shapes() {
-    use pax_sim::machine::BatchPolicy;
     let shapes = shapes();
-    assert_eq!(shapes.len(), 13, "one scenario per experiment family");
-    let mut mismatches = Vec::new();
-    for lanes in [1usize, 2, 7, 64] {
+    for lanes in [2usize, 7, 64] {
         for shape in &shapes {
-            let with = |batch: BatchPolicy| {
-                fingerprint_on(
-                    shape,
-                    shape
-                        .cfg
-                        .clone()
-                        .with_executive_lanes(lanes)
-                        .with_batch_policy(batch),
-                )
-            };
-            let single = with(BatchPolicy::Single);
-            let batched = with(BatchPolicy::Coincident);
-            if batched != single {
-                mismatches.push(format!(
-                    "  lanes={lanes}\n  single:  {single}\n  batched: {batched}"
-                ));
-            }
+            agreed(shape, shape.cfg.clone().with_executive_lanes(lanes));
         }
     }
-    assert!(
-        mismatches.is_empty(),
-        "batched executive service drifted from the Single reference:\n{}",
-        mismatches.join("\n")
-    );
 }
 
-/// Drive a simulation through the non-consuming session API in fixed
-/// `window`-tick increments instead of one `run()` call.
-fn fingerprint_windowed(shape: &Shape, cfg: MachineConfig, window: u64) -> String {
-    let mut sim = Simulation::new(cfg, shape.policy.clone()).with_seed(7);
-    for _ in 0..shape.jobs {
-        sim.add_job(shape.program.clone());
+/// Strict two-phase jobs of `(group, granules)` at five ticks a granule
+/// on `cfg`, gated by admission edges `(pred, succ, latency)`.
+fn grouped(cfg: MachineConfig, jobs: &[(usize, u32)], links: &[(usize, usize, u64)]) -> Simulation {
+    let mut sim = Simulation::new(cfg, OverlapPolicy::strict()).with_seed(7);
+    for &(group, granules) in jobs {
+        let program = two_phase(granules, CostModel::constant(5), EnablementMapping::Null);
+        sim.add_job_in_group(program, group);
     }
-    let mut session = sim
-        .into_session()
-        .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
-    let mut t = window;
-    while !session
-        .step_until(SimTime(t))
-        .unwrap_or_else(|e| panic!("{}: {e}", shape.name))
-    {
-        t += window;
+    for &(pred, succ, latency) in links {
+        sim.link_groups(pred, succ, SimDuration(latency));
     }
-    let r = session
-        .report()
-        .unwrap_or_else(|e| panic!("{}: {e}", shape.name));
-    golden_fingerprint(shape.name, &r)
+    sim
 }
 
-/// The session API is a drive-loop refactor, not a semantics change:
-/// every experiment shape stepped through `Session::step_until` in
-/// arbitrary fixed windows — unsharded and at shard counts 2/4/8 (which
-/// collapse to one shard on these single-group shapes but still take the
-/// coordinator path) — must reproduce the recorded goldens bit for bit.
-#[test]
-fn session_windowed_drive_matches_goldens_on_all_shapes() {
-    let shapes = shapes();
-    assert_eq!(shapes.len(), 13, "one scenario per experiment family");
-    let mut mismatches = Vec::new();
-    for window in [13u64, 401] {
-        for shards in [1usize, 4] {
-            for (i, shape) in shapes.iter().enumerate() {
-                let cfg = if shards <= 1 {
-                    shape.cfg.clone()
-                } else {
-                    shape.cfg.clone().with_shards(ShardPolicy::new(shards))
-                };
-                let actual = fingerprint_windowed(shape, cfg, window);
-                match GOLDEN.get(i) {
-                    Some(&g) if g == actual => {}
-                    got => mismatches.push(format!(
-                        "  window={window} shards={shards}\n  expected: {got:?}\n  actual:   {actual}"
-                    )),
-                }
-            }
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "session windowed drive drifted from the batch goldens:\n{}",
-        mismatches.join("\n")
-    );
-}
-
-/// The sharded engine is a host-performance knob, not a semantics knob
-/// (the `ShardPolicy` contract): every experiment shape must reproduce
-/// the recorded goldens bit for bit at shard counts 2, 4, and 8 — plus
-/// the pathological count 3, which divides nothing evenly. Each shape is
-/// a single machine group, so every shard count collapses to one shard
-/// carrying the whole run; any drift means windowed draining perturbed
-/// the schedule.
-#[test]
-fn sharded_engine_matches_goldens_on_all_shapes() {
-    let shapes = shapes();
-    assert_eq!(shapes.len(), 13, "one scenario per experiment family");
-    let mut mismatches = Vec::new();
-    for shards in [2usize, 3, 4, 8] {
-        for (i, shape) in shapes.iter().enumerate() {
-            let actual = fingerprint_on(
-                shape,
-                shape.cfg.clone().with_shards(ShardPolicy::new(shards)),
-            );
-            match GOLDEN.get(i) {
-                Some(&g) if g == actual => {}
-                got => mismatches.push(format!(
-                    "  shards={shards}\n  expected: {got:?}\n  actual:   {actual}"
-                )),
-            }
-        }
-    }
-    assert!(
-        mismatches.is_empty(),
-        "sharded-engine behavior drift:\n{}",
-        mismatches.join("\n")
-    );
-}
-
-/// Multi-group fleets — where sharding actually distributes work — must
-/// produce identical reports at every shard count, on both the in-process
-/// reference driver (`Simulation::run`) and the threaded epoch-barrier
-/// driver (`pax_runtime::run_simulation_sharded`). Covers an independent
-/// fleet and a staged fleet whose admission edges exercise the epoch
-/// coordinator's conservative windows.
+/// Multi-group simulations, where sharding actually distributes work: an
+/// independent fleet, a staged one whose admission edges exercise the
+/// coordinator's conservative windows, one group of two jobs, and a
+/// chain A → B → C whose last admission estimate must flow through the
+/// unadmitted B without stalling the planner.
 #[test]
 fn fleet_reports_are_identical_across_shard_counts_and_drivers() {
     use pax_workloads::FleetConfig;
@@ -441,19 +345,98 @@ fn fleet_reports_are_identical_across_shard_counts_and_drivers() {
         ),
     ];
     for (name, fleet) in &fleets {
-        let reference = fleet.simulation(MachineConfig::new(4), 7).run().unwrap();
-        for shards in [1usize, 2, 3, 4, 8] {
-            let cfg = MachineConfig::new(4).with_shards(ShardPolicy::new(shards));
-            let inline = fleet.simulation(cfg.clone(), 7).run().unwrap();
-            assert_eq!(
-                inline, reference,
-                "{name}: reference driver diverged at shards={shards}"
-            );
-            let threaded = pax_runtime::run_simulation_sharded(fleet.simulation(cfg, 7)).unwrap();
-            assert_eq!(
-                threaded, reference,
-                "{name}: threaded driver diverged at shards={shards}"
-            );
+        let build = |cfg| fleet.simulation(cfg, 7);
+        let cuts = &[0, 350, 1_200, 3_000, 9_000];
+        oracle(name, build, MachineConfig::new(4), cuts)
+            .reference
+            .unwrap();
+    }
+    let one_group = |cfg| grouped(cfg, &[(0, 64), (0, 64)], &[]);
+    oracle("one_group", one_group, MachineConfig::new(4), &[40, 80])
+        .reference
+        .unwrap();
+    let chain = |cfg| grouped(cfg, &[(0, 16), (1, 16), (2, 16)], &[(0, 1, 5), (1, 2, 9)]);
+    oracle("chain", chain, MachineConfig::ideal(2), &[10, 45, 90])
+        .reference
+        .unwrap();
+}
+
+/// Five replicas of the 4-processor machine merge into one report of 20
+/// processors and five jobs.
+#[test]
+fn independent_groups_merge_and_shard_identically() {
+    let jobs: Vec<(usize, u32)> = (0..5).map(|g| (g, 32)).collect();
+    let five = |cfg| grouped(cfg, &jobs, &[]);
+    let r = oracle("five_groups", five, MachineConfig::new(4), &[20, 40])
+        .reference
+        .unwrap();
+    assert_eq!(r.processors, 20);
+    assert_eq!(r.jobs.len(), 5);
+}
+
+/// Group 1 starts exactly at group 0's finish plus the edge latency,
+/// independent of the epoch schedule.
+#[test]
+fn admission_edges_offset_successor_groups_exactly() {
+    let solo = grouped(MachineConfig::ideal(4), &[(0, 32)], &[])
+        .run()
+        .unwrap();
+    let m = solo.makespan.ticks();
+    let pair = |cfg| grouped(cfg, &[(0, 32), (1, 32)], &[(0, 1, 17)]);
+    let cuts = &[m - 1, m, m + 16, m + 17, m + 18];
+    let r = oracle("linked_pair", pair, MachineConfig::ideal(4), cuts)
+        .reference
+        .unwrap();
+    assert_eq!(r.jobs[1].started_at.ticks(), m + 17);
+    assert_eq!(r.makespan.ticks(), m + 17 + m);
+    assert_eq!(r.events, solo.events * 2);
+}
+
+/// An admission cycle is a fleet-level deadlock naming the cycle's jobs;
+/// a session stepped past the last runnable group's finish reports it
+/// there.
+#[test]
+fn admission_cycle_is_a_deadlock() {
+    let cycle = |cfg| grouped(cfg, &[(0, 8), (1, 8), (2, 8)], &[(1, 2, 3), (2, 1, 3)]);
+    let v = oracle("admission_cycle", cycle, MachineConfig::ideal(2), &[5, 100]);
+    match &v.reference {
+        Err(EngineError::Deadlock {
+            unfinished_jobs, ..
+        }) => assert_eq!(unfinished_jobs, &[1, 2]),
+        other => panic!("expected deadlock, got {other:?}"),
+    }
+    assert_eq!(v.cuts[0], Ok(false));
+    assert_eq!(v.cuts[1], v.reference.map(|_| true));
+}
+
+/// Jobs submitted alternating between groups keep their global indices
+/// in the merged report.
+#[test]
+fn interleaved_submission_order_is_restored_in_the_report() {
+    let interleaved = |cfg| grouped(cfg, &[(0, 8), (1, 24), (0, 8)], &[]);
+    let r = oracle("interleaved", interleaved, MachineConfig::new(2), &[30])
+        .reference
+        .unwrap();
+    assert_eq!(r.jobs.len(), 3);
+    // Group 1's lone job (global index 1) is the long one.
+    assert!(r.jobs[1].makespan().unwrap() > r.jobs[0].makespan().unwrap());
+    // Phases point back at global job indices.
+    assert!(r.phases.iter().any(|p| p.job == 1));
+    assert!(r.phases.iter().all(|p| p.job <= 2));
+}
+
+/// A self-edge and a zero-latency edge are `InvalidProgram` errors that
+/// name the edge, from every driver.
+#[test]
+fn malformed_admission_edges_are_errors_on_every_driver() {
+    for (link, says) in [
+        ((1, 1, 5), "admission edge 1 -> 1 gates a group on itself"),
+        ((0, 1, 0), "admission edge 0 -> 1 has zero latency"),
+    ] {
+        let malformed = |cfg| grouped(cfg, &[(0, 8), (1, 8)], &[link]);
+        match oracle(says, malformed, MachineConfig::ideal(2), &[10]).reference {
+            Err(EngineError::InvalidProgram(msg)) => assert!(msg.contains(says), "{msg}"),
+            other => panic!("expected invalid program, got {other:?}"),
         }
     }
 }
@@ -464,15 +447,15 @@ mod sharded_properties {
     use proptest::prelude::*;
 
     proptest! {
-        // Each case runs 2 × (shard counts + 1) full simulations; a few
-        // dozen random fleets cover the group/shard remainder lattice.
+        // Each case is 41 runs and 20 paused sessions; a few dozen random
+        // fleets cover the group/shard remainder lattice.
         #![proptest_config(ProptestConfig::with_cases(32))]
 
-        /// Randomized multi-group programs: the sharded engine (inline
-        /// and threaded) reproduces the single-thread engine's full
-        /// report fingerprint for any group count, granule count, task
-        /// size, stage latency, seed, and shard count — including shard
-        /// counts exceeding the group count.
+        /// Random multi-group fleets through the oracle: any group count,
+        /// granule count, task size, stage latency (0 means an
+        /// independent fleet: admission edges need a positive one), seed
+        /// and lane count, fault-free or under a random fault plan, paused
+        /// at 1–16 random cuts.
         #[test]
         fn random_fleets_shard_identically(
             groups in 1usize..6,
@@ -480,88 +463,35 @@ mod sharded_properties {
             task_size in 1u32..9,
             latency in 0u64..400,
             seed in 0u64..1000,
-            shards in 2usize..9,
+            lanes in prop_oneof![Just(1usize), Just(2), Just(7)],
+            faults in proptest::bool::ANY,
+            ttf in 300u64..4_000,
+            ttr in 2u64..800,
+            steps in proptest::collection::vec(1u64..1500, 1..17),
         ) {
-            // latency 0 means an independent fleet (admission edges
-            // require a positive latency).
             let mut fleet = match latency {
                 0 => FleetConfig::independent(groups, granules),
                 l => FleetConfig::staged(groups, granules, SimDuration(l)),
             };
             fleet.task_size = task_size;
-            let reference = fleet.simulation(MachineConfig::new(3), seed).run().unwrap();
-            let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
-            let inline = fleet.simulation(cfg.clone(), seed).run().unwrap();
-            prop_assert_eq!(&inline, &reference, "inline sharded driver diverged");
-            let threaded =
-                pax_runtime::run_simulation_sharded(fleet.simulation(cfg, seed)).unwrap();
-            prop_assert_eq!(&threaded, &reference, "threaded sharded driver diverged");
-        }
-
-        /// The session API with arbitrary window sizes is a pure
-        /// re-chunking of the drive loop: stepping a random fleet in
-        /// random `step_until` increments — through the core [`Session`]
-        /// and through the runtime `ThreadedSession` — yields the exact
-        /// report `run()` produces in one shot.
-        #[test]
-        fn random_windows_match_one_shot_run(
-            groups in 1usize..5,
-            granules in 4u32..40,
-            latency in 0u64..300,
-            seed in 0u64..1000,
-            shards in 1usize..5,
-            window in 1u64..2000,
-        ) {
-            let fleet = match latency {
-                0 => FleetConfig::independent(groups, granules),
-                l => FleetConfig::staged(groups, granules, SimDuration(l)),
-            };
-            let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
-            let reference = fleet.simulation(cfg.clone(), seed).run().unwrap();
-            let mut session = fleet.simulation(cfg.clone(), seed).into_session().unwrap();
-            let mut t = window;
-            while !session.step_until(SimTime(t)).unwrap() {
-                t += window;
+            let mut machine = MachineConfig::new(3).with_executive_lanes(lanes);
+            if faults {
+                let plan = FaultPlan::random(
+                    DurationDist::exponential(ttf),
+                    DurationDist::uniform(1, ttr),
+                );
+                machine = machine.with_faults(plan);
             }
-            let windowed = session.report().unwrap();
-            prop_assert_eq!(&windowed, &reference, "windowed session diverged");
-            let mut ts = pax_runtime::ThreadedSession::new(
-                fleet.simulation(cfg, seed).into_sharded().unwrap(),
-            );
-            let mut t = window;
-            while !ts.step_until(SimTime(t)).unwrap() {
-                t += window;
-            }
-            let threaded = ts.finish().unwrap();
-            prop_assert_eq!(&threaded, &reference, "windowed threaded session diverged");
-        }
-
-        /// One epoch loop drives both executors, so a calling-thread
-        /// session and a `ThreadedSession` over the same staged fleet,
-        /// stepped through the same random cuts, agree after *every* cut
-        /// on what `step_until` returned, and at the end on the report.
-        #[test]
-        fn random_cuts_agree_call_by_call_across_executors(
-            groups in 2usize..6,
-            granules in 4u32..40,
-            latency in 1u64..300,
-            seed in 0u64..1000,
-            shards in 2usize..5,
-            cuts in proptest::collection::vec(1u64..1500, 1..16),
-        ) {
-            let fleet = FleetConfig::staged(groups, granules, SimDuration(latency));
-            let cfg = MachineConfig::new(3).with_shards(ShardPolicy::new(shards));
-            let mut calling = fleet.simulation(cfg.clone(), seed).into_session().unwrap();
-            let mut threaded = pax_runtime::ThreadedSession::new(
-                fleet.simulation(cfg, seed).into_sharded().unwrap(),
-            );
-            let mut t = 0;
-            for cut in cuts {
-                t += cut;
-                let done = calling.step_until(SimTime(t)).unwrap();
-                prop_assert_eq!(threaded.step_until(SimTime(t)).unwrap(), done, "cut at {}", t);
-            }
-            prop_assert_eq!(calling.report().unwrap(), threaded.finish().unwrap());
+            let cuts: Vec<u64> = steps
+                .iter()
+                .scan(0, |t, step| {
+                    *t += step;
+                    Some(*t)
+                })
+                .collect();
+            let name = format!("{fleet:?} seed={seed} machine={machine:?} cuts={cuts:?}");
+            let v = oracle(&name, |cfg| fleet.simulation(cfg, seed), machine, &cuts);
+            prop_assert!(v.reference.is_ok(), "{}: {:?}", name, v.reference);
         }
     }
 }
@@ -569,7 +499,8 @@ mod sharded_properties {
 /// Regeneration helper: `cargo test --test arena_equivalence -- --nocapture print_fingerprints`
 #[test]
 fn print_fingerprints() {
-    for line in shapes().iter().map(fingerprint) {
-        println!("    \"{line}\",");
+    for shape in &shapes() {
+        let r = simulation(shape, shape.cfg.clone()).run().unwrap();
+        println!("    \"{}\",", golden_fingerprint(shape.name, &r));
     }
 }

@@ -1,0 +1,107 @@
+//! The determinism oracle every equivalence suite calls.
+//!
+//! The contract (`pax_core::shard`, "Determinism contract"): one
+//! simulation gives one result — the same `RunReport`, or the same
+//! `EngineError` — on every driver, shard count, batch policy and pause
+//! schedule. [`oracle`] checks all of it for one case, so a suite brings
+//! only its builders and the semantics it pins on the result.
+
+use pax_core::prelude::*;
+use pax_runtime::{run_simulation_sharded, ThreadedSession};
+
+/// What every driver agreed on for one case.
+#[derive(Debug)]
+pub struct Verdict {
+    /// `build(machine).run()`, which every driver returned.
+    pub reference: Result<RunReport, EngineError>,
+    /// What `step_until` returned at each cut: the same on both sessions
+    /// under every batch policy and shard count.
+    #[allow(dead_code)] // not every suite pins its cuts
+    pub cuts: Vec<Result<bool, EngineError>>,
+}
+
+/// Check the determinism contract for one case and return what the
+/// drivers agreed on.
+///
+/// The reference is `build(machine).run()`, an `Err` included. Under
+/// both batch policies and shard counts 1, 2, 3, 4 and 8 (overriding
+/// `machine`'s), four drivers must return exactly the reference:
+/// `Simulation::run`, `run_simulation_sharded`, a `Session` stepped
+/// through `cuts` (absolute instants) then `report()`, and a
+/// `ThreadedSession` stepped through the same cuts then `finish()`. The
+/// two sessions must return the same from `step_until` at every cut. An
+/// `Ok` reference must conserve work: busy processor-time over the
+/// makespan is useful compute plus the work crashes threw away (the
+/// idle / overhead accounting of Acar, Charguéraud & Rainey,
+/// arXiv 1709.03767).
+pub fn oracle(
+    name: &str,
+    build: impl Fn(MachineConfig) -> Simulation,
+    machine: MachineConfig,
+    cuts: &[u64],
+) -> Verdict {
+    let reference = build(machine.clone()).run();
+    if let Ok(r) = &reference {
+        let end = SimTime(r.makespan.ticks());
+        let busy = r.busy_trace.integral(SimTime::ZERO, end);
+        assert_eq!(
+            busy,
+            (r.compute_time + r.lost_work).ticks(),
+            "{name}: busy processor-time is not compute time plus lost work"
+        );
+    }
+    let mut stepped: Option<Vec<Result<bool, EngineError>>> = None;
+    for batch in [BatchPolicy::Coincident, BatchPolicy::Single] {
+        for shards in [1, 2, 3, 4, 8] {
+            let at = format!("{name} [{batch:?}, {shards} shards]");
+            let sim = || {
+                build(
+                    machine
+                        .clone()
+                        .with_batch_policy(batch)
+                        .with_shards(ShardPolicy::new(shards)),
+                )
+            };
+            assert_eq!(sim().run(), reference, "{at}: Simulation::run");
+            assert_eq!(
+                run_simulation_sharded(sim()),
+                reference,
+                "{at}: run_simulation_sharded"
+            );
+            let mut calling = sim().into_session();
+            let mut threaded = sim().into_sharded().map(ThreadedSession::new);
+            let mut results = Vec::with_capacity(cuts.len());
+            for &cut in cuts {
+                let limit = SimTime(cut);
+                let done = calling
+                    .as_mut()
+                    .map_err(|e| e.clone())
+                    .and_then(|s| s.step_until(limit));
+                let threaded_done = threaded
+                    .as_mut()
+                    .map_err(|e| e.clone())
+                    .and_then(|s| s.step_until(limit));
+                assert_eq!(threaded_done, done, "{at}: step_until({cut})");
+                results.push(done);
+            }
+            assert_eq!(
+                calling.and_then(Session::report),
+                reference,
+                "{at}: Session cut at {cuts:?}"
+            );
+            assert_eq!(
+                threaded.and_then(ThreadedSession::finish),
+                reference,
+                "{at}: ThreadedSession cut at {cuts:?}"
+            );
+            match &stepped {
+                None => stepped = Some(results),
+                Some(first) => assert_eq!(&results, first, "{at}: step_until results"),
+            }
+        }
+    }
+    Verdict {
+        reference,
+        cuts: stepped.expect("at least one configuration"),
+    }
+}

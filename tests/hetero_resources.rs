@@ -4,14 +4,17 @@
 //! The `ShardPolicy` contract says sharding is a host-performance knob,
 //! never a semantics knob. This suite extends that contract to the
 //! heterogeneity layer: a fleet whose machines declare speed classes,
-//! affinities, and resource-token pools must produce identical
-//! reports — including the per-class and per-pool accounting — at shard
-//! counts {1, 2, 4, 8} on the inline driver, the inline sharded driver,
-//! and the threaded sharded driver. A fault-injected leg crashes
+//! affinities, and resource-token pools goes through the determinism
+//! oracle (`tests/common/mod.rs`), so its report — including the
+//! per-class and per-pool accounting — is the same on every driver,
+//! shard count, batch policy and cut set. A fault-injected leg crashes
 //! processors mid-task to prove held tokens are returned on the crash
 //! path deterministically (a leaked token would change every downstream
 //! dispatch and split the reports).
 
+mod common;
+
+use common::oracle;
 use pax_core::prelude::*;
 use pax_sim::faults::ScriptedFault;
 
@@ -113,31 +116,16 @@ fn run(sim: Simulation) -> RunReport {
     sim.run().expect("run failed")
 }
 
-/// Heterogeneous + resource-constrained fleets are shard-count-invariant
-/// on the inline and inline-sharded drivers.
-#[test]
-fn hetero_fleet_is_shard_invariant_inline() {
-    let reference = run(fleet(hetero_machine(), false));
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let actual = run(fleet(cfg, false));
-        assert_eq!(
-            actual, reference,
-            "inline sharded diverged at shards={shards}"
-        );
-    }
-}
+/// Where the oracle pauses the hetero fleets: at the scripted crash and
+/// repair instants, at the late arrivals, and inside the streams.
+const CUTS: &[u64] = &[20, 30, 45, 80, 400, 1_000];
 
-/// The threaded sharded driver reproduces the same reports.
+/// Heterogeneous + resource-constrained fleets give one report on every
+/// driver, shard count, batch policy and cut set.
 #[test]
-fn hetero_fleet_is_shard_invariant_threaded() {
-    let reference = run(fleet(hetero_machine(), false));
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let actual =
-            pax_runtime::run_simulation_sharded(fleet(cfg, false)).expect("threaded run failed");
-        assert_eq!(actual, reference, "threaded diverged at shards={shards}");
-    }
+fn hetero_fleet_is_shard_invariant_on_all_drivers() {
+    let v = oracle("hetero", |cfg| fleet(cfg, false), hetero_machine(), CUTS);
+    v.reference.unwrap();
 }
 
 /// The fault-injected leg: crashes that preempt token-holding tasks stay
@@ -145,22 +133,17 @@ fn hetero_fleet_is_shard_invariant_threaded() {
 /// crash path identically everywhere.
 #[test]
 fn faulted_hetero_fleet_is_shard_invariant_on_all_drivers() {
-    let reference = run(fleet(hetero_machine(), true));
+    let v = oracle(
+        "faulted_hetero",
+        |cfg| fleet(cfg, true),
+        hetero_machine(),
+        CUTS,
+    );
     assert_eq!(
-        reference.crashes, 16,
+        v.reference.unwrap().crashes,
+        16,
         "every group should see its two scripted crashes"
     );
-    for shards in [1usize, 2, 4, 8] {
-        let cfg = hetero_machine().with_shards(ShardPolicy::new(shards));
-        let inline = run(fleet(cfg.clone(), true));
-        assert_eq!(
-            inline, reference,
-            "inline sharded diverged at shards={shards}"
-        );
-        let threaded =
-            pax_runtime::run_simulation_sharded(fleet(cfg, true)).expect("threaded run failed");
-        assert_eq!(threaded, reference, "threaded diverged at shards={shards}");
-    }
 }
 
 /// Tokens always come home: after a faulted run completes, the pools'

@@ -1,9 +1,13 @@
 //! Open-system service mode, end to end: a long Poisson arrival stream
 //! driven through the session-backed engine with completed instances
 //! evicted, latency percentiles and throughput reported, and — with the
-//! fault layer composed on top — crash-for-crash identical results at
-//! every shard count.
+//! fault layer composed on top — crash-for-crash identical results on
+//! every driver, shard count and pause schedule (the determinism oracle,
+//! `tests/common/mod.rs`).
 
+mod common;
+
+use common::oracle;
 use pax_core::prelude::*;
 use pax_workloads::ServiceConfig;
 
@@ -59,47 +63,43 @@ fn shed_admission_accounts_rejections_without_unbounded_growth() {
 }
 
 /// The PR 7 fault layer composes with service mode: a Poisson stream on
-/// a crashing fleet is crash-for-crash deterministic — the same seeds
-/// produce the same crashes, retries, lost work, and latencies at shard
-/// counts 1, 2, and 4, on both the inline and the threaded driver.
+/// a crashing four-group fleet is crash-for-crash deterministic — the
+/// same seeds produce the same crashes, retries, lost work, and latencies
+/// on every driver and shard count, paused or not.
 #[test]
 fn faulty_service_stream_is_identical_across_shard_counts() {
     let svc = ServiceConfig::poisson(600, 250).with_groups(4);
     let machine = MachineConfig::new(3).with_faults(pax_workloads::degraded_fault_plan());
-    let reference = svc
-        .simulation(machine.clone(), 23)
-        .run()
-        .expect("unsharded faulty service run");
-    assert!(reference.crashes > 0, "fault plan never fired");
-    for shards in [2usize, 4] {
-        let cfg = machine.clone().with_shards(ShardPolicy::new(shards));
-        let inline = svc.simulation(cfg.clone(), 23).run().unwrap();
-        assert_eq!(
-            inline, reference,
-            "inline driver diverged at {shards} shards"
-        );
-        let threaded = pax_runtime::run_simulation_sharded(svc.simulation(cfg, 23)).unwrap();
-        assert_eq!(
-            threaded, reference,
-            "threaded driver diverged at {shards} shards"
-        );
-    }
+    let cuts = &[250, 10_000, 20_000];
+    let v = oracle(
+        "faulty_service",
+        |cfg| svc.simulation(cfg, 23),
+        machine,
+        cuts,
+    );
+    assert!(v.reference.unwrap().crashes > 0, "fault plan never fired");
 }
 
-/// Service mode through the explicit session: pausing a live stream at
-/// arbitrary global times and resuming reaches the same final report as
-/// the one-shot drive.
+/// Service mode through the explicit sessions: pausing a live stream
+/// every 777 ticks and resuming reaches the same final report as the
+/// one-shot drive, and the pauses report the stream drained only once,
+/// at the end.
 #[test]
 fn paused_and_resumed_service_stream_matches_one_shot() {
     let svc = ServiceConfig::poisson(400, 300).with_groups(3);
-    let machine = MachineConfig::new(3).with_shards(ShardPolicy::new(2));
-    let reference = svc.simulation(machine.clone(), 9).run().unwrap();
-    let mut session = svc.simulation(machine, 9).into_session().unwrap();
-    let mut t = 777u64;
-    while !session.step_until(SimTime(t)).unwrap() {
-        t += 777;
-    }
-    assert_eq!(session.report().unwrap(), reference);
+    // The stream saturates three processors a group: it drains at
+    // t = 288 381.
+    let cuts: Vec<u64> = (777..290_000).step_by(777).collect();
+    let v = oracle(
+        "paused_service",
+        |cfg| svc.simulation(cfg, 9),
+        MachineConfig::new(3),
+        &cuts,
+    );
+    v.reference.unwrap();
+    let drained = v.cuts.iter().position(|c| *c != Ok(false));
+    let drained = drained.expect("the stream drains within the cuts");
+    assert!(drained > 0 && v.cuts[drained..].iter().all(|c| *c == Ok(true)));
 }
 
 /// One job of the service program arriving at each of `instants` on
@@ -164,45 +164,21 @@ fn arrivals_precede_the_events_of_their_tick_and_tie_in_job_order() {
 /// A pause placed exactly on, one tick before and one tick after an
 /// arrival instant — while every processor is idle and the calendar is
 /// empty, so the pending arrival is the only thing keeping the run
-/// alive — neither ends the run nor moves a tick of it, on the inline
-/// engine, the sharded coordinator and the threaded session. A driver
-/// that looked only at the calendar would report the run drained.
+/// alive — neither ends the run nor moves a tick of it, on one group and
+/// on two, on every driver. A driver that looked only at the calendar
+/// would report the run drained.
 #[test]
 fn pausing_around_an_arrival_on_an_idle_machine_matches_drain_on_every_driver() {
     // A job takes a few hundred ticks; the arrivals are thousands apart.
     const ARRIVALS: &[u64] = &[1_000, 5_000, 9_000];
-    let one_group = |shards: usize| {
-        trace_sim(
-            MachineConfig::new(4).with_shards(ShardPolicy::new(shards)),
-            &[(0, ARRIVALS)],
-        )
-    };
-    let two_groups = || {
-        trace_sim(
-            MachineConfig::new(4).with_shards(ShardPolicy::new(2)),
-            &[(0, ARRIVALS), (1, ARRIVALS)],
-        )
-    };
-    let one_ref = one_group(1).run().unwrap();
-    let two_ref = two_groups().run().unwrap();
-    assert_eq!((one_ref.jobs_completed(), two_ref.jobs_completed()), (3, 6));
+    let one_group = |cfg| trace_sim(cfg, &[(0, ARRIVALS)]);
+    let two_groups = |cfg| trace_sim(cfg, &[(0, ARRIVALS), (1, ARRIVALS)]);
     for limit in [4_999u64, 5_000, 5_001] {
-        let through_session = |sim: Simulation| {
-            let mut session = sim.into_session().unwrap();
-            let drained = session.step_until(SimTime(limit)).unwrap();
-            assert!(!drained, "arrivals remain past t={limit}");
-            session.report().unwrap()
-        };
-        assert_eq!(through_session(one_group(1)), one_ref, "inline, t={limit}");
-        assert_eq!(
-            through_session(one_group(2)),
-            one_ref,
-            "coordinator over one group, t={limit}"
-        );
-        assert_eq!(through_session(two_groups()), two_ref, "sharded, t={limit}");
-        let mut threaded = pax_runtime::ThreadedSession::new(two_groups().into_sharded().unwrap());
-        let drained = threaded.step_until(SimTime(limit)).unwrap();
-        assert!(!drained, "arrivals remain past t={limit}");
-        assert_eq!(threaded.finish().unwrap(), two_ref, "threaded, t={limit}");
+        let one = oracle("one_group", one_group, MachineConfig::new(4), &[limit]);
+        let two = oracle("two_groups", two_groups, MachineConfig::new(4), &[limit]);
+        assert_eq!(one.cuts, [Ok(false)], "arrivals remain past t={limit}");
+        assert_eq!(two.cuts, [Ok(false)], "arrivals remain past t={limit}");
+        let completed = |v: common::Verdict| v.reference.unwrap().jobs_completed();
+        assert_eq!((completed(one), completed(two)), (3, 6));
     }
 }
