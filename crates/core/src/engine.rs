@@ -343,6 +343,14 @@ impl Engine {
             "arrival instants parallel the job list"
         );
         debug_assert!(s.streams.is_empty(), "streams expanded before build");
+        // The work the jobs declare sizes the level traces (a task adds at
+        // most one `+1` and one `−1` to each). A stream's jobs share one
+        // program, walked once; a job that loops declares nothing.
+        let declared_tasks = s.programs.chunk_by(Arc::ptr_eq).try_fold(0u64, |sum, run| {
+            let tasks = run[0].declared_tasks(s.policy.sizing, s.cfg.processors)?;
+            Some(sum.saturating_add(tasks.saturating_mul(run.len() as u64)))
+        });
+        let trace_points = declared_tasks.map_or(0, |tasks| tasks.saturating_mul(2));
         let jobs: Vec<JobRt> = s
             .programs
             .into_iter()
@@ -436,8 +444,8 @@ impl Engine {
             composite_memo: Vec::new(),
             idle_workers: Vec::with_capacity(s.cfg.processors),
             rng: pax_sim::seeded_rng(s.seed),
-            computing: LevelSweep::new(),
-            managing: LevelSweep::new(),
+            computing: LevelSweep::expecting(trace_points),
+            managing: LevelSweep::expecting(trace_points),
             compute_total: SimDuration::ZERO,
             mgmt_total: SimDuration::ZERO,
             serial_total: SimDuration::ZERO,

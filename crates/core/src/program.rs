@@ -10,6 +10,7 @@
 use crate::ids::PhaseId;
 use crate::mapping::EnablementMapping;
 use crate::phase::PhaseDef;
+use crate::policy::TaskSizing;
 use pax_sim::time::SimDuration;
 
 /// One `phase-name/MAPPING=option` element of an `ENABLE` clause.
@@ -274,6 +275,31 @@ impl Program {
                 }
             }
         }
+    }
+
+    /// The tasks one run of this program declares when `sizing` carves
+    /// its phases for `processors` processors: ⌈granules / task size⌉
+    /// summed over every dispatch step, a forward branch counting both
+    /// arms. `None` when a `Goto` or `Branch` targets its own step or an
+    /// earlier one (a loop leaves the work unknown) or a dispatch names an
+    /// unknown phase.
+    pub fn declared_tasks(&self, sizing: TaskSizing, processors: usize) -> Option<u64> {
+        let mut tasks = 0u64;
+        for (i, step) in self.steps.iter().enumerate() {
+            match *step {
+                Step::Dispatch { phase, .. } => {
+                    let granules = self.phases.get(phase.0 as usize)?.granules;
+                    let per_task = sizing.task_granules(granules, processors);
+                    tasks = tasks.saturating_add(u64::from(granules.div_ceil(per_task)));
+                }
+                Step::Goto(target) if target <= i => return None,
+                Step::Branch {
+                    on_true, on_false, ..
+                } if on_true.min(on_false) <= i => return None,
+                _ => {}
+            }
+        }
+        Some(tasks)
     }
 
     /// Statically look ahead from just past step `from` to find the next
@@ -579,6 +605,65 @@ mod tests {
         .eval(&[7]));
         assert!(BranchTest::Always.eval(&[]));
         assert!(!BranchTest::Never.eval(&[]));
+    }
+
+    #[test]
+    fn declared_tasks_counts_every_dispatch() {
+        let mut b = ProgramBuilder::new();
+        let a = b.phase(PhaseDef::new("a", 10, CostModel::constant(1)));
+        let z = b.phase(PhaseDef::new("z", 64, CostModel::constant(1)));
+        b.dispatch(a).dispatch(z).dispatch(a);
+        let p = b.build().unwrap();
+        // ⌈10/4⌉ + ⌈64/4⌉ + ⌈10/4⌉: the phase dispatched twice counts twice.
+        assert_eq!(p.declared_tasks(TaskSizing::Fixed(4), 8), Some(3 + 16 + 3));
+        // Two tasks a processor on 4 processors: 10 → 1-granule tasks,
+        // 64 → 8-granule tasks.
+        let sizing = TaskSizing::TasksPerProcessor(2.0);
+        assert_eq!(p.declared_tasks(sizing, 4), Some(10 + 8 + 10));
+    }
+
+    #[test]
+    fn declared_tasks_counts_both_arms_of_a_forward_branch() {
+        let mut b = ProgramBuilder::new();
+        let pa = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
+        let pb = b.phase(PhaseDef::new("b", 8, CostModel::constant(1)));
+        let pc = b.phase(PhaseDef::new("c", 16, CostModel::constant(1)));
+        let ctr = b.counter();
+        b.dispatch(pa); // 0
+        b.step(Step::Branch {
+            test: BranchTest::CounterLt(ctr, 1),
+            on_true: 2,
+            on_false: 4,
+        }); // 1
+        b.dispatch(pb); // 2
+        b.step(Step::Goto(5)); // 3
+        b.dispatch(pc); // 4
+        let p = b.build().unwrap();
+        assert_eq!(p.declared_tasks(TaskSizing::Fixed(1), 2), Some(4 + 8 + 16));
+    }
+
+    #[test]
+    fn declared_tasks_is_unknown_for_a_loop() {
+        let program = |jump: Step| {
+            let mut b = ProgramBuilder::new();
+            let a = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
+            b.counter();
+            b.dispatch(a); // 0
+            b.step(jump); // 1
+            b.build().unwrap()
+        };
+        let branch = |on_true, on_false| Step::Branch {
+            test: BranchTest::CounterLt(0, 3),
+            on_true,
+            on_false,
+        };
+        let sizing = TaskSizing::Fixed(1);
+        assert_eq!(program(Step::Goto(2)).declared_tasks(sizing, 1), Some(4));
+        assert_eq!(program(Step::Goto(0)).declared_tasks(sizing, 1), None);
+        assert_eq!(program(Step::Goto(1)).declared_tasks(sizing, 1), None);
+        assert_eq!(program(branch(0, 2)).declared_tasks(sizing, 1), None);
+        assert_eq!(program(branch(2, 0)).declared_tasks(sizing, 1), None);
+        assert_eq!(program(branch(2, 2)).declared_tasks(sizing, 1), Some(4));
     }
 
     #[test]

@@ -148,7 +148,12 @@ impl StepTrace {
                 Some(Reverse((t + *offset, i)))
             })
             .collect();
-        let mut sum = StepTrace::new();
+        // Every point of the sum sits at some part's instant, so the
+        // parts' total bounds its length: the sum never grows.
+        let total = parts.iter().map(|(part, _)| part.points.len()).sum();
+        let mut sum = StepTrace {
+            points: Vec::with_capacity(total),
+        };
         let mut level: u32 = 0;
         while let Some(&Reverse((t, _))) = heads.peek() {
             let mut changed = false;
@@ -215,12 +220,28 @@ pub struct LevelSweep {
     /// Changes not yet in the trace: ascending, one net entry an instant.
     pending: VecDeque<(SimTime, i32)>,
     horizon: SimTime,
+    /// Points to reserve in the trace when the first change settles;
+    /// zero once reserved, or when nothing was declared.
+    expected: u64,
 }
 
 impl LevelSweep {
     /// New sweep at level zero.
     pub fn new() -> LevelSweep {
         LevelSweep::default()
+    }
+
+    /// New sweep at level zero whose trace is expected to reach about
+    /// `points` change points. Room for them is reserved once, when the
+    /// first change settles — not here, so building the sweep stays free
+    /// — and the trace then records without growth copies. If the
+    /// reservation fails, the trace grows as [`LevelSweep::new`]'s does;
+    /// the trace is the same either way.
+    pub fn expecting(points: u64) -> LevelSweep {
+        LevelSweep {
+            expected: points,
+            ..LevelSweep::default()
+        }
     }
 
     /// Change the level by `delta` at time `at`, which must not precede
@@ -264,9 +285,20 @@ impl LevelSweep {
 
     #[inline]
     fn apply(&mut self, t: SimTime, net: i32) {
+        if self.expected != 0 {
+            self.reserve_expected();
+        }
         self.level += i64::from(net);
         debug_assert!(self.level >= 0, "level went negative at {t}");
         self.trace.record(t, self.level.max(0) as u32);
+    }
+
+    /// The declared size is input, not a promise: a count no allocation
+    /// can hold leaves the trace to grow as it goes.
+    #[cold]
+    fn reserve_expected(&mut self) {
+        let points = usize::try_from(std::mem::take(&mut self.expected)).unwrap_or(usize::MAX);
+        let _ = self.trace.points.try_reserve_exact(points);
     }
 
     /// Changes still waiting for the horizon to pass them.
@@ -390,9 +422,9 @@ mod tests {
         assert_eq!(c.finish().points(), &[(t(0), 1), (t(30), 0)]);
     }
 
-    #[test]
-    fn level_sweep_feed_order_does_not_show() {
-        // 120 task spans, some of zero length, many sharing instants.
+    /// 120 task spans, some of zero length, many sharing instants, in
+    /// time order.
+    fn task_span_changes() -> Vec<(SimTime, i32)> {
         let mut changes: Vec<(SimTime, i32)> = (0..120u64)
             .flat_map(|k| {
                 let start = 5 * k;
@@ -400,13 +432,22 @@ mod tests {
             })
             .collect();
         changes.sort_by_key(|&(at, _)| at);
-        // In time order, the horizon on the heels of every change: each
-        // add is a push or a merge into the back.
-        let mut ordered = LevelSweep::new();
-        for &(at, delta) in &changes {
-            ordered.settle(at);
-            ordered.add(at, delta);
+        changes
+    }
+
+    /// Feed `changes` in time order, the horizon on the heels of every
+    /// change: each add is a push or a merge into the back.
+    fn sweep_in_order(mut sweep: LevelSweep, changes: &[(SimTime, i32)]) -> StepTrace {
+        for &(at, delta) in changes {
+            sweep.settle(at);
+            sweep.add(at, delta);
         }
+        sweep.finish()
+    }
+
+    #[test]
+    fn level_sweep_feed_order_does_not_show() {
+        let changes = task_span_changes();
         // The same changes sixteen at a time, each batch latest first,
         // the horizon moved up only between batches.
         let mut shuffled = LevelSweep::new();
@@ -416,12 +457,32 @@ mod tests {
                 shuffled.add(at, delta);
             }
         }
-        let trace = ordered.finish();
+        let trace = sweep_in_order(LevelSweep::new(), &changes);
         assert_eq!(trace, shuffled.finish());
         assert_eq!(trace.points().last().map(|&(_, level)| level), Some(0));
         assert_eq!(
             trace.integral(t(0), t(1_000)),
             (0..120).map(|k| k * 7 % 23).sum()
+        );
+    }
+
+    #[test]
+    fn level_sweep_expected_size_does_not_show() {
+        let changes = task_span_changes();
+        let grown = sweep_in_order(LevelSweep::new(), &changes);
+        let exact = grown.points().len() as u64;
+        for expected in [0, 1, exact, 10 * exact] {
+            let reserved = sweep_in_order(LevelSweep::expecting(expected), &changes);
+            assert_eq!(reserved, grown, "expecting {expected} points");
+            if expected >= exact {
+                // Reserved once, never grown past the reservation.
+                assert_eq!(reserved.points.capacity() as u64, expected);
+            }
+        }
+        // A count no allocation can hold leaves the trace to grow.
+        assert_eq!(
+            sweep_in_order(LevelSweep::expecting(u64::MAX), &changes),
+            grown
         );
     }
 
@@ -443,6 +504,7 @@ mod tests {
         b.record(t(5), 0);
         let sum = StepTrace::superimpose(&[(a, SimDuration(0)), (b, SimDuration(5))]);
         assert_eq!(sum.points(), &[(t(0), 2), (t(5), 3), (t(10), 0)]);
+        assert_eq!(sum.points.capacity(), 4, "sized from the parts");
         assert!(StepTrace::superimpose(&[]).points().is_empty());
     }
 }
