@@ -336,6 +336,11 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
+    /// The engine for a built simulation. Its busy and management traces
+    /// are sized once from the tasks the jobs' programs declare
+    /// ([`Program::declared_tasks`](crate::program::Program::declared_tasks),
+    /// two points a task), so they record without growth copies; a job
+    /// whose program declares nothing leaves them to grow as they go.
     pub(crate) fn new(s: Simulation) -> Engine {
         debug_assert_eq!(
             s.programs.len(),
@@ -345,9 +350,10 @@ impl Engine {
         debug_assert!(s.streams.is_empty(), "streams expanded before build");
         // The work the jobs declare sizes the level traces (a task adds at
         // most one `+1` and one `−1` to each). A stream's jobs share one
-        // program, walked once; a job that loops declares nothing.
+        // program, walked once; loops are walked iteration by iteration,
+        // and a job whose walk runs out of steps declares nothing.
         let declared_tasks = s.programs.chunk_by(Arc::ptr_eq).try_fold(0u64, |sum, run| {
-            let tasks = run[0].declared_tasks(s.policy.sizing, s.cfg.processors)?;
+            let tasks = run[0].declared_tasks(&s.policy, s.cfg.processors)?;
             Some(sum.saturating_add(tasks.saturating_mul(run.len() as u64)))
         });
         let trace_points = declared_tasks.map_or(0, |tasks| tasks.saturating_mul(2));

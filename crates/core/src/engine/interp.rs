@@ -98,7 +98,8 @@ impl Engine {
                     return;
                 }
                 Step::Incr { idx, delta } => {
-                    self.jobs[job].counters[*idx] += delta;
+                    let c = &mut self.jobs[job].counters[*idx];
+                    *c = c.saturating_add(*delta);
                     pc += 1;
                 }
                 Step::Goto(t) => pc = *t,

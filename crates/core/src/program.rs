@@ -10,8 +10,13 @@
 use crate::ids::PhaseId;
 use crate::mapping::EnablementMapping;
 use crate::phase::PhaseDef;
-use crate::policy::TaskSizing;
+use crate::policy::OverlapPolicy;
 use pax_sim::time::SimDuration;
+
+/// Steps [`Program::declared_tasks`] walks before it gives a program up
+/// as endless and declares nothing. A constant, not an option: a walk
+/// that long is a fraction of a millisecond.
+pub const DECLARE_WALK_STEPS: usize = 65_536;
 
 /// One `phase-name/MAPPING=option` element of an `ENABLE` clause.
 #[derive(Debug, Clone)]
@@ -277,29 +282,98 @@ impl Program {
         }
     }
 
-    /// The tasks one run of this program declares when `sizing` carves
-    /// its phases for `processors` processors: ⌈granules / task size⌉
-    /// summed over every dispatch step, a forward branch counting both
-    /// arms. `None` when a `Goto` or `Branch` targets its own step or an
-    /// earlier one (a loop leaves the work unknown) or a dispatch names an
-    /// unknown phase.
-    pub fn declared_tasks(&self, sizing: TaskSizing, processors: usize) -> Option<u64> {
+    /// The tasks one fault-free run of this program may dispatch when
+    /// `policy` carves its phases for `processors` processors, counted
+    /// high: the bound that sizes the run's level traces.
+    ///
+    /// Branches test counters only, so the dispatch sequence is known
+    /// before the run: this walks it from step 0 with every counter zero,
+    /// as a job starts, applying `Incr`, following `Goto` and `Branch`,
+    /// and stopping at `End`. A loop counts once per iteration it runs; a
+    /// forward branch counts the arm taken. Each dispatch reached counts
+    /// ⌈granules / task size⌉, or `granules` when its release can
+    /// fragment it: when overlap enables it through counters (forward,
+    /// reverse, seam), or by identity from a phase that itself counted
+    /// `granules`. Overlap reaches a dispatch as
+    /// [`Program::lookahead`] does: under an enabled policy, never past a
+    /// `Serial`, nor past a `Branch` after a dispatch that is not
+    /// `ENABLE/BRANCHINDEPENDENT`.
+    ///
+    /// `None` when the walk takes more than [`DECLARE_WALK_STEPS`] steps
+    /// (an endless program) or a dispatch names an unknown phase.
+    pub fn declared_tasks(&self, policy: &OverlapPolicy, processors: usize) -> Option<u64> {
+        // A phase carved whole makes ⌈granules / task size⌉ tasks, a count
+        // of its granules alone. The last one is kept: a program's phases
+        // mostly share a size (identity maps require it), so the walk
+        // mostly adds, and allocates no table of them.
+        let mut carved = (0u32, 0u64);
+        let mut counters = vec![0i64; self.counters];
+        // The last dispatch: the ENABLE clause overlap can still reach past
+        // it with (empty once cut), whether it is branch-independent, and
+        // whether it counted `granules`.
+        let mut reach: &[EnableSpec] = &[];
+        let mut branch_independent = true;
+        let mut fragmented = false;
         let mut tasks = 0u64;
-        for (i, step) in self.steps.iter().enumerate() {
-            match *step {
-                Step::Dispatch { phase, .. } => {
+        let mut pc = 0;
+        for _ in 0..DECLARE_WALK_STEPS {
+            match self.steps.get(pc) {
+                None | Some(Step::End) => return Some(tasks),
+                Some(Step::Dispatch {
+                    phase,
+                    enables,
+                    branch_independent: independent,
+                }) => {
                     let granules = self.phases.get(phase.0 as usize)?.granules;
-                    let per_task = sizing.task_granules(granules, processors);
-                    tasks = tasks.saturating_add(u64::from(granules.div_ceil(per_task)));
+                    if carved.0 != granules {
+                        let per_task = policy.sizing.task_granules(granules, processors);
+                        carved = (granules, u64::from(granules.div_ceil(per_task)));
+                    }
+                    let spec = reach.iter().find(|e| e.successor == *phase);
+                    fragmented = policy.enabled
+                        && spec.is_some_and(|e| match e.mapping {
+                            EnablementMapping::ForwardIndirect(_)
+                            | EnablementMapping::ReverseIndirect(_)
+                            | EnablementMapping::Seam(_) => true,
+                            EnablementMapping::Identity => fragmented,
+                            EnablementMapping::Universal | EnablementMapping::Null => false,
+                        });
+                    let declared = if fragmented {
+                        u64::from(granules)
+                    } else {
+                        carved.1
+                    };
+                    tasks = tasks.saturating_add(declared);
+                    reach = enables;
+                    branch_independent = *independent;
+                    pc += 1;
                 }
-                Step::Goto(target) if target <= i => return None,
-                Step::Branch {
-                    on_true, on_false, ..
-                } if on_true.min(on_false) <= i => return None,
-                _ => {}
+                Some(Step::Serial { .. }) => {
+                    reach = &[];
+                    pc += 1;
+                }
+                Some(Step::Incr { idx, delta }) => {
+                    counters[*idx] = counters[*idx].saturating_add(*delta);
+                    pc += 1;
+                }
+                Some(Step::Goto(t)) => pc = *t,
+                Some(Step::Branch {
+                    test,
+                    on_true,
+                    on_false,
+                }) => {
+                    if !branch_independent {
+                        reach = &[];
+                    }
+                    pc = if test.eval(&counters) {
+                        *on_true
+                    } else {
+                        *on_false
+                    };
+                }
             }
         }
-        Some(tasks)
+        None
     }
 
     /// Statically look ahead from just past step `from` to find the next
@@ -326,7 +400,7 @@ impl Program {
                 }
                 Some(Step::Serial { .. }) => return Lookahead::BlockedBySerial,
                 Some(Step::Incr { idx, delta }) => {
-                    scratch[*idx] += delta;
+                    scratch[*idx] = scratch[*idx].saturating_add(*delta);
                     pc += 1;
                 }
                 Some(Step::Goto(t)) => pc = *t,
@@ -454,6 +528,8 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::ReverseMap;
+    use crate::policy::TaskSizing;
     use pax_sim::dist::CostModel;
 
     fn two_phase_program() -> Program {
@@ -615,55 +691,205 @@ mod tests {
         b.dispatch(a).dispatch(z).dispatch(a);
         let p = b.build().unwrap();
         // ⌈10/4⌉ + ⌈64/4⌉ + ⌈10/4⌉: the phase dispatched twice counts twice.
-        assert_eq!(p.declared_tasks(TaskSizing::Fixed(4), 8), Some(3 + 16 + 3));
+        let fixed = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+        assert_eq!(p.declared_tasks(&fixed, 8), Some(3 + 16 + 3));
         // Two tasks a processor on 4 processors: 10 → 1-granule tasks,
         // 64 → 8-granule tasks.
-        let sizing = TaskSizing::TasksPerProcessor(2.0);
-        assert_eq!(p.declared_tasks(sizing, 4), Some(10 + 8 + 10));
+        let ratio = OverlapPolicy::overlap().with_sizing(TaskSizing::TasksPerProcessor(2.0));
+        assert_eq!(p.declared_tasks(&ratio, 4), Some(10 + 8 + 10));
     }
 
     #[test]
-    fn declared_tasks_counts_both_arms_of_a_forward_branch() {
-        let mut b = ProgramBuilder::new();
-        let pa = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
-        let pb = b.phase(PhaseDef::new("b", 8, CostModel::constant(1)));
-        let pc = b.phase(PhaseDef::new("c", 16, CostModel::constant(1)));
-        let ctr = b.counter();
-        b.dispatch(pa); // 0
-        b.step(Step::Branch {
-            test: BranchTest::CounterLt(ctr, 1),
-            on_true: 2,
-            on_false: 4,
-        }); // 1
-        b.dispatch(pb); // 2
-        b.step(Step::Goto(5)); // 3
-        b.dispatch(pc); // 4
-        let p = b.build().unwrap();
-        assert_eq!(p.declared_tasks(TaskSizing::Fixed(1), 2), Some(4 + 8 + 16));
-    }
-
-    #[test]
-    fn declared_tasks_is_unknown_for_a_loop() {
-        let program = |jump: Step| {
+    fn declared_tasks_counts_the_taken_arm_of_a_forward_branch() {
+        let program = |test| {
             let mut b = ProgramBuilder::new();
-            let a = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
+            let pa = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
+            let pb = b.phase(PhaseDef::new("b", 8, CostModel::constant(1)));
+            let pc = b.phase(PhaseDef::new("c", 16, CostModel::constant(1)));
             b.counter();
-            b.dispatch(a); // 0
-            b.step(jump); // 1
+            b.dispatch(pa); // 0
+            b.step(Step::Branch {
+                test,
+                on_true: 2,
+                on_false: 4,
+            }); // 1
+            b.dispatch(pb); // 2
+            b.step(Step::Goto(5)); // 3
+            b.dispatch(pc); // 4
             b.build().unwrap()
         };
-        let branch = |on_true, on_false| Step::Branch {
-            test: BranchTest::CounterLt(0, 3),
-            on_true,
-            on_false,
+        let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1));
+        // The counter starts at zero, as a job's does.
+        let taken = program(BranchTest::CounterLt(0, 1)).declared_tasks(&policy, 2);
+        assert_eq!(taken, Some(4 + 8));
+        let other = program(BranchTest::CounterLt(0, 0)).declared_tasks(&policy, 2);
+        assert_eq!(other, Some(4 + 16));
+    }
+
+    #[test]
+    fn declared_tasks_counts_a_loop_once_per_iteration() {
+        // c = 0; top: dispatch a; c += 1; if c < 3 goto top
+        let mut b = ProgramBuilder::new();
+        let a = b.phase(PhaseDef::new("a", 12, CostModel::constant(1)));
+        let z = b.phase(PhaseDef::new("z", 5, CostModel::constant(1)));
+        let c = b.counter();
+        b.dispatch(a); // 0
+        b.incr(c, 1); // 1
+        b.step(Step::Branch {
+            test: BranchTest::CounterLt(c, 3),
+            on_true: 0,
+            on_false: 3,
+        }); // 2
+        b.dispatch(z); // 3
+        let p = b.build().unwrap();
+        let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+        assert_eq!(p.declared_tasks(&policy, 4), Some(3 * 3 + 2));
+    }
+
+    #[test]
+    fn declared_tasks_is_unknown_for_an_endless_program() {
+        let program = |jump: Step| Program {
+            phases: vec![PhaseDef::new("a", 4, CostModel::constant(1))],
+            steps: vec![
+                Step::Dispatch {
+                    phase: PhaseId(0),
+                    enables: vec![],
+                    branch_independent: false,
+                },
+                jump,
+                Step::End,
+            ],
+            counters: 1,
         };
-        let sizing = TaskSizing::Fixed(1);
-        assert_eq!(program(Step::Goto(2)).declared_tasks(sizing, 1), Some(4));
-        assert_eq!(program(Step::Goto(0)).declared_tasks(sizing, 1), None);
-        assert_eq!(program(Step::Goto(1)).declared_tasks(sizing, 1), None);
-        assert_eq!(program(branch(0, 2)).declared_tasks(sizing, 1), None);
-        assert_eq!(program(branch(2, 0)).declared_tasks(sizing, 1), None);
-        assert_eq!(program(branch(2, 2)).declared_tasks(sizing, 1), Some(4));
+        let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1));
+        assert_eq!(program(Step::Goto(2)).declared_tasks(&policy, 1), Some(4));
+        // Back to the dispatch, or to itself: the walk's budget runs out.
+        assert_eq!(program(Step::Goto(0)).declared_tasks(&policy, 1), None);
+        assert_eq!(program(Step::Goto(1)).declared_tasks(&policy, 1), None);
+        // A counter that never moves never leaves the loop.
+        let stuck = Step::Branch {
+            test: BranchTest::CounterLt(0, 3),
+            on_true: 0,
+            on_false: 2,
+        };
+        assert_eq!(program(stuck).declared_tasks(&policy, 1), None);
+        // A dispatch of an unknown phase declares nothing either.
+        let mut unknown = program(Step::Goto(2));
+        unknown.phases.clear();
+        assert_eq!(unknown.declared_tasks(&policy, 1), None);
+    }
+
+    /// `a` enables `b` through a reverse map, `b` enables `c` by
+    /// identity, `c` enables `d` by identity, and `d` enables `e`
+    /// universally; `gap` goes between `a` and `b`, as step 1.
+    fn counted_chain(gap: Option<Step>, branch_independent: bool) -> Program {
+        let mut b = ProgramBuilder::new();
+        let ids: Vec<PhaseId> = ["a", "b", "c", "d", "e"]
+            .iter()
+            .map(|name| b.phase(PhaseDef::new(*name, 12, CostModel::constant(1))))
+            .collect();
+        let enable = |successor, mapping| vec![EnableSpec { successor, mapping }];
+        let reverse = ReverseMap::new((0..12).map(|r| vec![r]).collect(), 12);
+        let counted = EnablementMapping::ReverseIndirect(std::sync::Arc::new(reverse));
+        if branch_independent {
+            b.dispatch_enable_branch_independent(ids[0], enable(ids[1], counted));
+        } else {
+            b.dispatch_enable(ids[0], enable(ids[1], counted));
+        }
+        if let Some(gap) = gap {
+            b.step(gap);
+        }
+        b.dispatch_enable(ids[1], enable(ids[2], EnablementMapping::Identity));
+        b.dispatch_enable(ids[2], enable(ids[3], EnablementMapping::Identity));
+        b.dispatch_enable(ids[3], enable(ids[4], EnablementMapping::Universal));
+        b.dispatch(ids[4]);
+        b.build().unwrap()
+    }
+
+    #[test]
+    fn declared_tasks_counts_granules_for_a_counted_successor_and_its_identity_chain() {
+        let p = counted_chain(None, false);
+        // 12 granules in tasks of 4: a phase carved whole is 3 tasks.
+        let overlap = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+        // a carved; b counted; c, d identity from a counted phase; e
+        // universal, carved whole again.
+        assert_eq!(p.declared_tasks(&overlap, 4), Some(3 + 12 + 12 + 12 + 3));
+        // Under the strict policy nothing fragments.
+        let strict = OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(4));
+        assert_eq!(p.declared_tasks(&strict, 4), Some(5 * 3));
+    }
+
+    #[test]
+    fn declared_tasks_cuts_the_chain_where_lookahead_stops() {
+        let overlap = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+        let serial = Step::Serial {
+            duration: SimDuration(10),
+            label: "decide".into(),
+        };
+        let branch = Step::Branch {
+            test: BranchTest::Always,
+            on_true: 2,
+            on_false: 2,
+        };
+        // A serial step cuts the chain: b is carved whole, and so are the
+        // identity successors that follow it.
+        let cut = Some(5 * 3);
+        assert_eq!(
+            counted_chain(Some(serial.clone()), true).declared_tasks(&overlap, 4),
+            cut
+        );
+        // A branch cuts it after a branch-dependent dispatch only.
+        let dependent = counted_chain(Some(branch.clone()), false);
+        assert_eq!(dependent.declared_tasks(&overlap, 4), cut);
+        let independent = counted_chain(Some(branch), true);
+        assert_eq!(
+            independent.declared_tasks(&overlap, 4),
+            Some(3 + 12 + 12 + 12 + 3)
+        );
+    }
+
+    #[test]
+    fn counters_saturate_alike_in_lookahead_the_walk_and_the_interpreter() {
+        // c += i64::MAX; c += 1; dispatch a; if c < 0 (it wrapped) goto
+        // b else goto z. Saturating, c stays at i64::MAX and z follows.
+        let mut b = ProgramBuilder::new();
+        let pa = b.phase(PhaseDef::new("a", 4, CostModel::constant(1)));
+        let pb = b.phase(PhaseDef::new("b", 4, CostModel::constant(1)));
+        let pz = b.phase(PhaseDef::new("z", 8, CostModel::constant(1)));
+        let c = b.counter();
+        b.incr(c, i64::MAX); // 0
+        b.incr(c, 1); // 1
+        b.dispatch_enable_branch_independent(
+            pa,
+            vec![EnableSpec {
+                successor: pz,
+                mapping: EnablementMapping::Universal,
+            }],
+        ); // 2
+        b.step(Step::Branch {
+            test: BranchTest::CounterLt(c, 0),
+            on_true: 4,
+            on_false: 6,
+        }); // 3
+        b.dispatch(pb); // 4
+        b.step(Step::Goto(7)); // 5
+        b.dispatch(pz); // 6
+        let p = b.build().unwrap();
+        assert_eq!(
+            p.lookahead(2, &[i64::MAX], true),
+            Lookahead::Phase { phase: pz, step: 6 }
+        );
+        let lookahead_incr = p.lookahead(0, &[i64::MAX], false);
+        assert_eq!(lookahead_incr, Lookahead::Phase { phase: pa, step: 2 });
+        let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1));
+        assert_eq!(p.declared_tasks(&policy, 2), Some(4 + 8));
+        let mut sim =
+            crate::engine::Simulation::new(pax_sim::machine::MachineConfig::new(2), policy);
+        sim.add_job(p);
+        let report = sim.run().expect("the program runs to its end");
+        let ran: Vec<&str> = report.phases.iter().map(|ph| ph.name.as_str()).collect();
+        assert_eq!(ran, ["a", "z"]);
+        assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     }
 
     #[test]

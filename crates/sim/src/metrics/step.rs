@@ -231,12 +231,14 @@ impl LevelSweep {
         LevelSweep::default()
     }
 
-    /// New sweep at level zero whose trace is expected to reach about
-    /// `points` change points. Room for them is reserved once, when the
-    /// first change settles — not here, so building the sweep stays free
-    /// — and the trace then records without growth copies. If the
-    /// reservation fails, the trace grows as [`LevelSweep::new`]'s does;
-    /// the trace is the same either way.
+    /// New sweep at level zero whose trace is expected to reach at most
+    /// `points` change points — a bound from the declared work, which a
+    /// run that fragments less than it may leaves partly unused. Room for
+    /// them is reserved once, when the first change settles — not here,
+    /// so building the sweep stays free — and the trace then records
+    /// without growth copies. If the reservation fails, or the trace
+    /// passes the bound, it grows as [`LevelSweep::new`]'s does; the trace
+    /// is the same either way.
     pub fn expecting(points: u64) -> LevelSweep {
         LevelSweep {
             expected: points,
