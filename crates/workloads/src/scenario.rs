@@ -11,11 +11,14 @@
 //! under `examples/scenarios/` are each loaded by a test.
 //!
 //! The loader is deliberately serde-free: a small hand-rolled JSON
-//! reader tracks the line of every value so that every error — a syntax
-//! slip, a missing field, a wrong type, an unknown key, a reference to
-//! an undeclared resource pool — surfaces as a typed [`ScenarioError`]
-//! carrying the offending line and a dotted field path
-//! (`machine.classes[1].count`), not a panic or a bare string.
+//! reader (`scenario/json.rs`) tracks the line of every value, and one
+//! pass over that tree reads the document into the engine's own config
+//! types, so that every error — a syntax slip, a missing field, a wrong
+//! type, an unknown or repeated key, a reference to an undeclared
+//! resource pool — surfaces as a typed [`ScenarioError`] carrying the
+//! offending line and a dotted field path (`machine.classes[1].count`),
+//! not a panic or a bare string. [`Scenario::to_json`] writes through
+//! the same tree.
 //!
 //! ```
 //! use pax_workloads::scenario::Scenario;
@@ -34,8 +37,10 @@
 //! ```
 
 use pax_core::prelude::*;
-use pax_sim::faults::ScriptedFault;
 use std::fmt;
+
+mod json;
+use json::{Json, Node};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -58,7 +63,7 @@ pub enum ScenarioErrorKind {
     /// An object contains a key the format does not define (typo guard).
     UnknownField(String),
     /// The value parses but is semantically invalid (bad enum tag, count
-    /// mismatch, reference to an undeclared name, ...).
+    /// mismatch, repeated key, reference to an undeclared name, ...).
     Invalid(String),
     /// The scenario file could not be read from disk.
     Io(String),
@@ -95,6 +100,8 @@ impl fmt::Display for ScenarioError {
 
 impl std::error::Error for ScenarioError {}
 
+type Result<T, E = ScenarioError> = std::result::Result<T, E>;
+
 fn err(line: usize, path: impl Into<String>, kind: ScenarioErrorKind) -> ScenarioError {
     ScenarioError {
         line,
@@ -104,14 +111,9 @@ fn err(line: usize, path: impl Into<String>, kind: ScenarioErrorKind) -> Scenari
 }
 
 // ---------------------------------------------------------------------------
-// Limits (documented in docs/SCENARIO_FORMAT.md, "Limits")
+// Limits (documented in docs/SCENARIO_FORMAT.md, "Limits"; the nesting
+// depth is the reader's, in json.rs)
 // ---------------------------------------------------------------------------
-
-/// Deepest nesting the reader follows before it gives up with a syntax
-/// error. The deepest value the format defines
-/// (`workload[i].phases[j].cost`) sits six levels down; the reader
-/// recurses once a level, so an unbounded depth is an unbounded stack.
-const MAX_DEPTH: usize = 32;
 
 /// Ceilings on the sizes the engine allocates for before it simulates a
 /// tick: per-processor and per-lane state, and one record a job.
@@ -129,393 +131,266 @@ const MANAGEMENT_TICKS_PER_PHASE: u128 = 16;
 const EXPONENTIAL_MEANS_AT_MOST: u64 = 28;
 
 // ---------------------------------------------------------------------------
-// Minimal line-tracking JSON reader
+// Reading and writing the value tree
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Node>),
-    Obj(Vec<(String, Node)>),
+/// Where a value sits in the document: a chain of keys and indices
+/// borrowed from the readers above it, formatted only into an error.
+#[derive(Clone, Copy)]
+enum Path<'a> {
+    Root,
+    Key(&'a Path<'a>, &'a str),
+    Index(&'a Path<'a>, usize),
 }
 
-#[derive(Debug, Clone)]
-struct Node {
-    line: usize,
-    v: Json,
+impl fmt::Display for Path<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Path::Root => f.write_str("$"),
+            Path::Key(Path::Root, key) => f.write_str(key),
+            Path::Key(parent, key) => write!(f, "{parent}.{key}"),
+            Path::Index(parent, i) => write!(f, "{parent}[{i}]"),
+        }
+    }
 }
 
-impl Node {
-    fn type_name(&self) -> &'static str {
-        match self.v {
-            Json::Null => "null",
-            Json::Bool(_) => "boolean",
-            Json::Num(_) => "number",
-            Json::Str(_) => "string",
-            Json::Arr(_) => "array",
-            Json::Obj(_) => "object",
+/// One value of the document and its path.
+struct Val<'a> {
+    node: &'a Node,
+    path: Path<'a>,
+}
+
+impl<'a> Val<'a> {
+    fn invalid(&self, msg: impl Into<String>) -> ScenarioError {
+        let kind = ScenarioErrorKind::Invalid(msg.into());
+        err(self.node.line, self.path.to_string(), kind)
+    }
+
+    fn wrong(&self, expected: &'static str) -> ScenarioError {
+        let found = self.node.type_name();
+        let kind = ScenarioErrorKind::WrongType { expected, found };
+        err(self.node.line, self.path.to_string(), kind)
+    }
+
+    /// The value as an object whose keys are each in `keys`, and each
+    /// given once.
+    fn obj(&self, keys: &[&str]) -> Result<Obj<'_>> {
+        let Json::Obj(fields) = &self.node.v else {
+            return Err(self.wrong("object"));
+        };
+        let o = Obj { v: self };
+        // Keys before `i` are known and distinct, so the scan is short.
+        for (i, (k, v)) in fields.iter().enumerate() {
+            if !keys.contains(&k.as_str()) {
+                let kind = ScenarioErrorKind::UnknownField(k.clone());
+                return Err(o.key_error(v.line, k, kind));
+            }
+            if fields[..i].iter().any(|(seen, _)| seen == k) {
+                let kind = ScenarioErrorKind::Invalid(format!("duplicate key '{k}'"));
+                return Err(o.key_error(v.line, k, kind));
+            }
         }
+        Ok(o)
     }
 
-    fn wrong(&self, path: &str, expected: &'static str) -> ScenarioError {
-        err(
-            self.line,
-            path,
-            ScenarioErrorKind::WrongType {
-                expected,
-                found: self.type_name(),
-            },
-        )
+    fn items(&self) -> Result<Vec<Val<'_>>> {
+        let Json::Arr(items) = &self.node.v else {
+            return Err(self.wrong("array"));
+        };
+        let at = |(i, node)| Val {
+            node,
+            path: Path::Index(&self.path, i),
+        };
+        Ok(items.iter().enumerate().map(at).collect())
     }
 
-    fn obj(&self, path: &str) -> Result<&[(String, Node)], ScenarioError> {
-        match &self.v {
-            Json::Obj(fields) => Ok(fields),
-            _ => Err(self.wrong(path, "object")),
-        }
-    }
-
-    fn arr(&self, path: &str) -> Result<&[Node], ScenarioError> {
-        match &self.v {
-            Json::Arr(items) => Ok(items),
-            _ => Err(self.wrong(path, "array")),
-        }
-    }
-
-    fn str_(&self, path: &str) -> Result<&str, ScenarioError> {
-        match &self.v {
+    fn str(&self) -> Result<&'a str> {
+        match &self.node.v {
             Json::Str(s) => Ok(s),
-            _ => Err(self.wrong(path, "string")),
+            _ => Err(self.wrong("string")),
         }
     }
 
-    fn bool_(&self, path: &str) -> Result<bool, ScenarioError> {
-        match &self.v {
-            Json::Bool(b) => Ok(*b),
-            _ => Err(self.wrong(path, "boolean")),
+    /// Decode a string tag through `table`. An unknown tag is told the
+    /// table's tags, and `more`, a form of the value that is not a tag.
+    fn tag<T: Clone>(&self, table: Tags<T>, what: &str, more: Option<&str>) -> Result<T> {
+        let s = self.str()?;
+        if let Some((_, value)) = table.iter().find(|(tag, _)| *tag == s) {
+            return Ok(value.clone());
         }
-    }
-
-    fn f64_(&self, path: &str) -> Result<f64, ScenarioError> {
-        match &self.v {
-            Json::Num(n) => Ok(*n),
-            _ => Err(self.wrong(path, "number")),
-        }
-    }
-
-    fn u64_(&self, path: &str) -> Result<u64, ScenarioError> {
-        let n = self.f64_(path)?;
-        if n < 0.0 || n.fract() != 0.0 || n > 9_007_199_254_740_992.0 {
-            return Err(err(
-                self.line,
-                path,
-                ScenarioErrorKind::Invalid(format!("expected a non-negative integer, found {n}")),
-            ));
-        }
-        Ok(n as u64)
-    }
-
-    fn u32_(&self, path: &str) -> Result<u32, ScenarioError> {
-        let n = self.u64_(path)?;
-        u32::try_from(n).map_err(|_| {
-            err(
-                self.line,
-                path,
-                ScenarioErrorKind::Invalid(format!("{n} does not fit in 32 bits")),
-            )
-        })
-    }
-
-    fn usize_(&self, path: &str) -> Result<usize, ScenarioError> {
-        Ok(self.u64_(path)? as usize)
+        let tags = table.iter().map(|(tag, _)| format!("'{tag}'"));
+        let alternatives: Vec<String> = tags.chain(more.map(String::from)).collect();
+        let expected = match alternatives.as_slice() {
+            [a, b] => format!("{a} or {b}"),
+            [init @ .., last] if !init.is_empty() => format!("{}, or {last}", init.join(", ")),
+            _ => alternatives.concat(),
+        };
+        Err(self.invalid(format!("unknown {what} '{s}' (expected {expected})")))
     }
 }
 
-/// Field access over a parsed object with missing/unknown-key diagnostics.
+/// An object of the document whose keys are checked: field access by
+/// key.
 struct Obj<'a> {
-    line: usize,
-    fields: &'a [(String, Node)],
+    v: &'a Val<'a>,
 }
 
 impl<'a> Obj<'a> {
-    fn of(node: &'a Node, path: &str) -> Result<Obj<'a>, ScenarioError> {
-        Ok(Obj {
-            line: node.line,
-            fields: node.obj(path)?,
-        })
+    /// An error at `key` of this object. A key of the document itself
+    /// is named `$.key` here (a value read from it, plain `key`).
+    fn key_error(&self, line: usize, key: &str, kind: ScenarioErrorKind) -> ScenarioError {
+        err(line, format!("{}.{key}", self.v.path), kind)
     }
 
     fn get(&self, key: &str) -> Option<&'a Node> {
-        self.fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+        self.v.node.get(key)
     }
 
-    fn req(&self, key: &str, path: &str) -> Result<&'a Node, ScenarioError> {
-        self.get(key).ok_or_else(|| {
-            err(
-                self.line,
-                format!("{path}.{key}"),
-                ScenarioErrorKind::MissingField(key.into()),
-            )
-        })
+    fn maybe_with<T>(&self, key: &str, read: impl FnOnce(&Val) -> Result<T>) -> Result<Option<T>> {
+        let at = |node| Val {
+            node,
+            path: Path::Key(&self.v.path, key),
+        };
+        self.get(key).map(|node| read(&at(node))).transpose()
     }
 
-    fn check_keys(&self, allowed: &[&str], path: &str) -> Result<(), ScenarioError> {
-        for (k, v) in self.fields {
-            if !allowed.contains(&k.as_str()) {
-                return Err(err(
-                    v.line,
-                    format!("{path}.{k}"),
-                    ScenarioErrorKind::UnknownField(k.clone()),
-                ));
-            }
-        }
-        Ok(())
+    fn req_with<T>(&self, key: &str, read: impl FnOnce(&Val) -> Result<T>) -> Result<T> {
+        let missing = ScenarioErrorKind::MissingField(key.into());
+        self.maybe_with(key, read)?
+            .ok_or_else(|| self.key_error(self.v.node.line, key, missing))
+    }
+
+    fn maybe<T: Field>(&self, key: &str) -> Result<Option<T>> {
+        self.maybe_with(key, T::read)
+    }
+
+    fn req<T: Field>(&self, key: &str) -> Result<T> {
+        self.req_with(key, T::read)
+    }
+
+    fn opt<T: Field>(&self, key: &str, default: T) -> Result<T> {
+        Ok(self.maybe(key)?.unwrap_or(default))
+    }
+
+    fn tag<T: Clone>(&self, key: &str, table: Tags<T>, what: &str) -> Result<T> {
+        self.req_with(key, |v| v.tag(table, what, None))
     }
 }
 
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    line: usize,
-    /// Arrays and objects open around `pos`.
-    depth: usize,
+/// A value of the format: read from the tree the JSON reader builds,
+/// and written as the same tree.
+trait Field: Sized {
+    fn read(v: &Val) -> Result<Self>;
+    fn write(&self) -> Json;
 }
 
-impl<'a> Reader<'a> {
-    fn new(text: &'a str) -> Reader<'a> {
-        Reader {
-            bytes: text.as_bytes(),
-            pos: 0,
-            line: 1,
-            depth: 0,
-        }
-    }
-
-    fn syntax(&self, msg: impl Into<String>) -> ScenarioError {
-        err(self.line, "$", ScenarioErrorKind::Syntax(msg.into()))
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        if b == b'\n' {
-            self.line += 1;
-        }
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\r' | b'\n')) {
-            self.bump();
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), ScenarioError> {
-        match self.bump() {
-            Some(got) if got == b => Ok(()),
-            Some(got) => {
-                Err(self.syntax(format!("expected '{}', found '{}'", b as char, got as char)))
+impl Field for u64 {
+    fn read(v: &Val) -> Result<u64> {
+        match v.node.v {
+            Json::Num(n) if n >= 0.0 && n.fract() == 0.0 && n <= 9_007_199_254_740_992.0 => {
+                Ok(n as u64)
             }
-            None => Err(self.syntax(format!("expected '{}', found end of input", b as char))),
+            Json::Num(n) => Err(v.invalid(format!("expected a non-negative integer, found {n}"))),
+            _ => Err(v.wrong("number")),
         }
     }
 
-    fn parse_document(&mut self) -> Result<Node, ScenarioError> {
-        let root = self.parse_value()?;
-        self.skip_ws();
-        if self.pos != self.bytes.len() {
-            return Err(self.syntax("trailing characters after the document"));
-        }
-        Ok(root)
+    fn write(&self) -> Json {
+        Json::Num(*self as f64)
+    }
+}
+
+impl Field for u32 {
+    fn read(v: &Val) -> Result<u32> {
+        let n = u64::read(v)?;
+        u32::try_from(n).map_err(|_| v.invalid(format!("{n} does not fit in 32 bits")))
     }
 
-    fn parse_value(&mut self) -> Result<Node, ScenarioError> {
-        self.skip_ws();
-        let line = self.line;
-        match self.peek() {
-            Some(b'{') => self.nested(Self::parse_obj, line),
-            Some(b'[') => self.nested(Self::parse_arr, line),
-            Some(b'"') => {
-                let s = self.parse_string()?;
-                Ok(Node {
-                    line,
-                    v: Json::Str(s),
-                })
-            }
-            Some(b't') => self.parse_word("true", line, Json::Bool(true)),
-            Some(b'f') => self.parse_word("false", line, Json::Bool(false)),
-            Some(b'n') => self.parse_word("null", line, Json::Null),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(line),
-            Some(c) => Err(self.syntax(format!("unexpected character '{}'", c as char))),
-            None => Err(self.syntax("unexpected end of input")),
-        }
+    fn write(&self) -> Json {
+        Json::Num(f64::from(*self))
+    }
+}
+
+impl Field for usize {
+    fn read(v: &Val) -> Result<usize> {
+        Ok(u64::read(v)? as usize)
     }
 
-    /// Parse an array or object one level further down, unless that is
-    /// deeper than any scenario goes.
-    fn nested(
-        &mut self,
-        parse: fn(&mut Self, usize) -> Result<Node, ScenarioError>,
-        line: usize,
-    ) -> Result<Node, ScenarioError> {
-        if self.depth == MAX_DEPTH {
-            return Err(self.syntax(format!("nesting deeper than {MAX_DEPTH} levels")));
-        }
-        self.depth += 1;
-        let node = parse(self, line);
-        self.depth -= 1;
-        node
+    fn write(&self) -> Json {
+        Json::Num(*self as f64)
     }
+}
 
-    fn parse_word(&mut self, word: &str, line: usize, v: Json) -> Result<Node, ScenarioError> {
-        for &b in word.as_bytes() {
-            self.expect(b)?;
-        }
-        Ok(Node { line, v })
-    }
-
-    fn parse_number(&mut self, line: usize) -> Result<Node, ScenarioError> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.bump();
-        }
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit() || matches!(c, b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            self.bump();
-        }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        let n: f64 = text
-            .parse()
-            .map_err(|_| self.syntax(format!("malformed number '{text}'")))?;
-        Ok(Node {
-            line,
-            v: Json::Num(n),
-        })
-    }
-
-    fn parse_string(&mut self) -> Result<String, ScenarioError> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.syntax("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| (c as char).to_digit(16))
-                                .ok_or_else(|| self.syntax("malformed \\u escape"))?;
-                            code = code * 16 + d;
-                        }
-                        out.push(
-                            char::from_u32(code)
-                                .ok_or_else(|| self.syntax("\\u escape is not a scalar value"))?,
-                        );
-                    }
-                    _ => return Err(self.syntax("unknown escape sequence")),
-                },
-                Some(c) if c < 0x20 => {
-                    return Err(self.syntax("unescaped control character in string"))
-                }
-                Some(c) if c < 0x80 => out.push(c as char),
-                Some(c) => {
-                    // Re-assemble the UTF-8 sequence the byte starts.
-                    let len = match c {
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let start = self.pos - 1;
-                    for _ in 1..len {
-                        self.bump();
-                    }
-                    let chunk = self
-                        .bytes
-                        .get(start..start + len)
-                        .and_then(|s| std::str::from_utf8(s).ok())
-                        .ok_or_else(|| self.syntax("invalid UTF-8 in string"))?;
-                    out.push_str(chunk);
-                }
-            }
+impl Field for bool {
+    fn read(v: &Val) -> Result<bool> {
+        match v.node.v {
+            Json::Bool(b) => Ok(b),
+            _ => Err(v.wrong("boolean")),
         }
     }
 
-    fn parse_obj(&mut self, line: usize) -> Result<Node, ScenarioError> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.bump();
-            return Ok(Node {
-                line,
-                v: Json::Obj(fields),
-            });
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            fields.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b'}') => {
-                    return Ok(Node {
-                        line,
-                        v: Json::Obj(fields),
-                    })
-                }
-                _ => return Err(self.syntax("expected ',' or '}' in object")),
-            }
+    fn write(&self) -> Json {
+        Json::Bool(*self)
+    }
+}
+
+impl Field for String {
+    fn read(v: &Val) -> Result<String> {
+        Ok(v.str()?.to_string())
+    }
+
+    fn write(&self) -> Json {
+        Json::Str(self.clone())
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn read(v: &Val) -> Result<Vec<T>> {
+        v.items()?.iter().map(T::read).collect()
+    }
+
+    fn write(&self) -> Json {
+        arr(self, T::write)
+    }
+}
+
+/// A value or `null`; written, `None` leaves its key out.
+impl<T: Field> Field for Option<T> {
+    fn read(v: &Val) -> Result<Option<T>> {
+        match v.node.v {
+            Json::Null => Ok(None),
+            _ => T::read(v).map(Some),
         }
     }
 
-    fn parse_arr(&mut self, line: usize) -> Result<Node, ScenarioError> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.bump();
-            return Ok(Node {
-                line,
-                v: Json::Arr(items),
-            });
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => continue,
-                Some(b']') => {
-                    return Ok(Node {
-                        line,
-                        v: Json::Arr(items),
-                    })
-                }
-                _ => return Err(self.syntax("expected ',' or ']' in array")),
-            }
-        }
+    fn write(&self) -> Json {
+        self.as_ref().map_or(Json::Null, T::write)
     }
+}
+
+fn arr<T>(items: &[T], write: impl Fn(&T) -> Json) -> Json {
+    Json::Arr(items.iter().map(|item| write(item).into()).collect())
+}
+
+/// An object of `fields` in this order, less those that are `null`.
+fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
+    let present = fields.into_iter().filter(|(_, v)| !matches!(v, Json::Null));
+    Json::Obj(present.map(|(k, v)| (k.to_string(), v.into())).collect())
+}
+
+/// The tags of an enum's variants: the one list its reader decodes and
+/// its writer encodes through, a data-carrying variant standing for
+/// every value of its kind.
+type Tags<T> = &'static [(&'static str, T)];
+
+/// The tag of `value`'s variant.
+fn tag_of<T>(table: Tags<T>, value: &T) -> Json {
+    let kind = std::mem::discriminant(value);
+    let row = table
+        .iter()
+        .find(|(_, v)| std::mem::discriminant(v) == kind);
+    let (tag, _) = row.expect("a tag for every variant written as a tag");
+    Json::Str(tag.to_string())
 }
 
 // ---------------------------------------------------------------------------
@@ -544,6 +419,48 @@ pub struct Scenario {
     pub policy: PolicyDoc,
 }
 
+impl Scenario {
+    fn read(v: &Val) -> Result<Scenario> {
+        let o = v.obj(&["name", "seed", "machine", "workload", "stream", "policy"])?;
+        let name = o.opt("name", String::new())?;
+        let seed = o.opt("seed", 0)?;
+        let machine: MachineDoc = o.req("machine")?;
+        let workload = o.req_with("workload", |w| {
+            let items = w.items()?;
+            if items.is_empty() {
+                return Err(w.invalid("workload must declare at least one program"));
+            }
+            let mut programs = Vec::with_capacity(items.len());
+            for item in &items {
+                programs.push(ProgramDoc::read(item, &machine.resources, &programs)?);
+            }
+            Ok(programs)
+        })?;
+        let stream = o.maybe_with("stream", |s| StreamDoc::read(s, &workload))?;
+        let policy = o.opt("policy", PolicyDoc::default())?;
+        Ok(Scenario {
+            name,
+            seed,
+            machine,
+            workload,
+            stream,
+            policy,
+        })
+    }
+
+    fn write(&self) -> Json {
+        let stream = self.stream.as_ref().map_or(Json::Null, StreamDoc::write);
+        obj([
+            ("name", self.name.write()),
+            ("seed", self.seed.write()),
+            ("machine", self.machine.write()),
+            ("workload", arr(&self.workload, ProgramDoc::write)),
+            ("stream", stream),
+            ("policy", self.policy.write()),
+        ])
+    }
+}
+
 /// The `machine` block of a scenario file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct MachineDoc {
@@ -557,59 +474,176 @@ pub struct MachineDoc {
     /// Machine-group shard count (`None` keeps single).
     pub shards: Option<usize>,
     /// Heterogeneous speed classes (empty = homogeneous machine).
-    pub classes: Vec<ClassDoc>,
+    pub classes: Vec<ProcessorClass>,
     /// Secondary-resource token pools (empty = processors only).
-    pub resources: Vec<PoolDoc>,
+    pub resources: Vec<ResourcePool>,
     /// Admission policy for arrivals.
-    pub admission: AdmissionDoc,
+    pub admission: AdmissionPolicy,
     /// Optional fault-injection plan.
     pub faults: Option<FaultDoc>,
 }
 
-/// One `machine.classes[i]` entry.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ClassDoc {
-    /// Class name (report label).
-    pub name: String,
-    /// Workers in the class.
-    pub count: usize,
-    /// Speed relative to nominal, percent (100 = nominal, 200 = double).
-    pub speed_percent: u32,
-    /// Queue-segment affinity.
-    pub affinity: AffinityDoc,
+impl Field for MachineDoc {
+    fn read(v: &Val) -> Result<MachineDoc> {
+        let o = v.obj(&[
+            "processors",
+            "ideal",
+            "lanes",
+            "calendar",
+            "shards",
+            "classes",
+            "resources",
+            "admission",
+            "faults",
+        ])?;
+        o.maybe_with("calendar", check_calendar)?;
+        let machine = MachineDoc {
+            processors: o.req("processors")?,
+            ideal: o.opt("ideal", false)?,
+            lanes: o.maybe("lanes")?,
+            shards: o.maybe("shards")?,
+            classes: o.opt("classes", Vec::new())?,
+            resources: o.opt("resources", Vec::new())?,
+            admission: o.opt("admission", AdmissionPolicy::AcceptAll)?,
+            faults: o.maybe("faults")?,
+        };
+        // Machine-config consistency (class counts, pool names, ...).
+        machine
+            .to_config()
+            .validate()
+            .map_err(|e| v.invalid(e.to_string()))?;
+        Ok(machine)
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("processors", self.processors.write()),
+            ("ideal", self.ideal.write()),
+            ("lanes", self.lanes.write()),
+            ("shards", self.shards.write()),
+            ("classes", self.classes.write()),
+            ("resources", self.resources.write()),
+            ("admission", self.admission.write()),
+            ("faults", self.faults.write()),
+        ])
+    }
 }
 
-/// Queue affinity of a processor class (`machine.classes[i].affinity`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AffinityDoc {
-    /// Serve either queue segment (default).
-    #[default]
-    Any,
-    /// Serve only elevated conflict-released work.
-    ElevatedOnly,
-    /// Serve only normal phase work.
-    NormalOnly,
+/// `machine.calendar` names the future-event list. There is one
+/// (`"heap"` is its frozen spelling), so the key is optional and accepts
+/// `"heap"` or `{ "kind": "heap" }` only; the removed backends and their
+/// geometry keys are rejected by name so an old file fails loudly
+/// instead of running on a calendar it did not ask for.
+fn check_calendar(v: &Val) -> Result<()> {
+    let invalid = |line, msg| err(line, v.path.to_string(), ScenarioErrorKind::Invalid(msg));
+    let removed = |what: String, line| {
+        let msg = "was removed in favour of the binary heap; use \"heap\" or drop the key";
+        invalid(line, format!("{what} {msg}"))
+    };
+    let named = |name: &str, line| match name {
+        "heap" => Ok(()),
+        "wheel" | "hier" | "auto" => Err(removed(format!("calendar backend '{name}'"), line)),
+        _ => Err(invalid(
+            line,
+            format!("unknown calendar '{name}' (expected 'heap')"),
+        )),
+    };
+    if let Json::Str(name) = &v.node.v {
+        return named(name, v.node.line);
+    }
+    for key in ["slots", "bucket_ticks", "levels"] {
+        if let Some(n) = v.node.get(key) {
+            return Err(removed(format!("calendar geometry key '{key}'"), n.line));
+        }
+    }
+    v.obj(&["kind"])?
+        .req_with("kind", |kind| named(kind.str()?, kind.node.line))
 }
 
-/// One `machine.resources[i]` entry: a named token pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PoolDoc {
-    /// Pool name, referenced by phase `requires` lists.
-    pub name: String,
-    /// Concurrent tokens available.
-    pub tokens: u32,
+impl Field for ProcessorClass {
+    fn read(v: &Val) -> Result<ProcessorClass> {
+        let o = v.obj(&["name", "count", "speed_percent", "affinity"])?;
+        Ok(ProcessorClass {
+            name: o.req("name")?,
+            count: o.req("count")?,
+            speed_percent: o.opt("speed_percent", 100)?,
+            affinity: o.opt("affinity", ClassAffinity::Any)?,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("name", self.name.write()),
+            ("count", self.count.write()),
+            ("speed_percent", self.speed_percent.write()),
+            ("affinity", self.affinity.write()),
+        ])
+    }
 }
 
-/// Admission policy (`machine.admission`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum AdmissionDoc {
-    /// Admit everything immediately (default).
-    #[default]
-    AcceptAll,
-    /// Defer arrivals beyond the in-flight bound.
-    BoundedDefer(usize),
-    /// Reject arrivals beyond the in-flight bound.
-    Shed(usize),
+const AFFINITIES: Tags<ClassAffinity> = &[
+    ("any", ClassAffinity::Any),
+    ("elevated_only", ClassAffinity::ElevatedOnly),
+    ("normal_only", ClassAffinity::NormalOnly),
+];
+
+impl Field for ClassAffinity {
+    fn read(v: &Val) -> Result<ClassAffinity> {
+        v.tag(AFFINITIES, "affinity", None)
+    }
+
+    fn write(&self) -> Json {
+        tag_of(AFFINITIES, self)
+    }
+}
+
+impl Field for ResourcePool {
+    fn read(v: &Val) -> Result<ResourcePool> {
+        let o = v.obj(&["name", "tokens"])?;
+        Ok(ResourcePool {
+            name: o.req("name")?,
+            tokens: o.req("tokens")?,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([("name", self.name.write()), ("tokens", self.tokens.write())])
+    }
+}
+
+const ADMISSIONS: Tags<AdmissionPolicy> = &[
+    ("accept_all", AdmissionPolicy::AcceptAll),
+    (
+        "bounded_defer",
+        AdmissionPolicy::BoundedDefer { max_in_flight: 0 },
+    ),
+    ("shed", AdmissionPolicy::Shed { max_in_flight: 0 }),
+];
+
+impl Field for AdmissionPolicy {
+    fn read(v: &Val) -> Result<AdmissionPolicy> {
+        let o = v.obj(&["policy", "max_in_flight"])?;
+        Ok(match o.tag("policy", ADMISSIONS, "admission policy")? {
+            AdmissionPolicy::AcceptAll => AdmissionPolicy::AcceptAll,
+            AdmissionPolicy::BoundedDefer { .. } => AdmissionPolicy::BoundedDefer {
+                max_in_flight: o.req("max_in_flight")?,
+            },
+            AdmissionPolicy::Shed { .. } => AdmissionPolicy::Shed {
+                max_in_flight: o.req("max_in_flight")?,
+            },
+        })
+    }
+
+    fn write(&self) -> Json {
+        let policy = ("policy", tag_of(ADMISSIONS, self));
+        match *self {
+            AdmissionPolicy::AcceptAll => obj([policy]),
+            AdmissionPolicy::BoundedDefer { max_in_flight }
+            | AdmissionPolicy::Shed { max_in_flight } => {
+                obj([policy, ("max_in_flight", max_in_flight.write())])
+            }
+        }
+    }
 }
 
 /// Fault-injection plan (`machine.faults`).
@@ -618,7 +652,7 @@ pub struct FaultDoc {
     /// Crash/repair generation model.
     pub model: FaultModelDoc,
     /// Disposition of work lost to crashes.
-    pub retry: RetryDoc,
+    pub retry: RetryPolicy,
 }
 
 /// Crash/repair model (`machine.faults.model`).
@@ -632,30 +666,100 @@ pub enum FaultModelDoc {
         time_to_repair: DistDoc,
     },
     /// Explicit scripted crash events.
-    Scripted(Vec<FaultEventDoc>),
+    Scripted(Vec<ScriptedFault>),
 }
 
-/// One scripted crash (`machine.faults.events[i]`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FaultEventDoc {
-    /// Worker processor index.
-    pub processor: usize,
-    /// Crash instant in local ticks.
-    pub crash_at: u64,
-    /// Down span; `None` is permanent.
-    pub repair_after: Option<u64>,
+const FAULT_MODELS: Tags<FaultModelDoc> = &[
+    (
+        "random",
+        FaultModelDoc::Random {
+            time_to_failure: DistDoc::Zero,
+            time_to_repair: DistDoc::Zero,
+        },
+    ),
+    ("scripted", FaultModelDoc::Scripted(Vec::new())),
+];
+
+impl Field for FaultDoc {
+    fn read(v: &Val) -> Result<FaultDoc> {
+        let o = v.obj(&[
+            "model",
+            "time_to_failure",
+            "time_to_repair",
+            "events",
+            "retry",
+        ])?;
+        let model = match o.tag("model", FAULT_MODELS, "fault model")? {
+            FaultModelDoc::Random { .. } => FaultModelDoc::Random {
+                time_to_failure: o.req("time_to_failure")?,
+                time_to_repair: o.req("time_to_repair")?,
+            },
+            FaultModelDoc::Scripted(_) => FaultModelDoc::Scripted(o.req("events")?),
+        };
+        let retry = o.opt("retry", RetryPolicy::ReissueFront)?;
+        Ok(FaultDoc { model, retry })
+    }
+
+    fn write(&self) -> Json {
+        let model = ("model", tag_of(FAULT_MODELS, &self.model));
+        let retry = ("retry", self.retry.write());
+        match &self.model {
+            FaultModelDoc::Random {
+                time_to_failure,
+                time_to_repair,
+            } => obj([
+                model,
+                ("time_to_failure", time_to_failure.write()),
+                ("time_to_repair", time_to_repair.write()),
+                retry,
+            ]),
+            FaultModelDoc::Scripted(events) => obj([model, ("events", events.write()), retry]),
+        }
+    }
 }
 
-/// Retry policy for lost work (`machine.faults.retry`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RetryDoc {
-    /// Reissue lost ranges at the queue front, unbounded (default).
-    #[default]
-    ReissueFront,
-    /// Abort the job at the first lost range.
-    Abandon,
-    /// Reissue up to the given number of attempts, then abort.
-    Bounded(u32),
+impl Field for ScriptedFault {
+    fn read(v: &Val) -> Result<ScriptedFault> {
+        let o = v.obj(&["processor", "crash_at", "repair_after"])?;
+        Ok(ScriptedFault {
+            processor: o.req("processor")?,
+            crash_at: o.req("crash_at")?,
+            repair_after: o.opt("repair_after", None)?,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("processor", self.processor.write()),
+            ("crash_at", self.crash_at.write()),
+            ("repair_after", self.repair_after.write()),
+        ])
+    }
+}
+
+/// `{ "bounded": N }` is the one retry policy that is not a tag.
+const RETRIES: Tags<RetryPolicy> = &[
+    ("reissue_front", RetryPolicy::ReissueFront),
+    ("abandon", RetryPolicy::Abandon),
+];
+
+impl Field for RetryPolicy {
+    fn read(v: &Val) -> Result<RetryPolicy> {
+        match v.node.v {
+            Json::Str(_) => v.tag(RETRIES, "retry policy", Some("{\"bounded\": N}")),
+            Json::Obj(_) => Ok(RetryPolicy::Bounded {
+                max_attempts: v.obj(&["bounded"])?.req("bounded")?,
+            }),
+            _ => Err(v.wrong("string or object")),
+        }
+    }
+
+    fn write(&self) -> Json {
+        match *self {
+            RetryPolicy::Bounded { max_attempts } => obj([("bounded", max_attempts.write())]),
+            _ => tag_of(RETRIES, self),
+        }
+    }
 }
 
 /// A duration distribution (phase costs, fault spans).
@@ -676,6 +780,44 @@ pub enum DistDoc {
     Exponential(u64),
 }
 
+const DISTS: Tags<DistDoc> = &[
+    ("zero", DistDoc::Zero),
+    ("constant", DistDoc::Constant(0)),
+    ("uniform", DistDoc::Uniform { lo: 0, hi: 0 }),
+    ("exponential", DistDoc::Exponential(0)),
+];
+
+impl Field for DistDoc {
+    fn read(v: &Val) -> Result<DistDoc> {
+        let o = v.obj(&["dist", "ticks", "lo", "hi", "mean"])?;
+        Ok(match o.tag("dist", DISTS, "distribution")? {
+            DistDoc::Zero => DistDoc::Zero,
+            DistDoc::Constant(_) => DistDoc::Constant(o.req("ticks")?),
+            DistDoc::Uniform { .. } => {
+                let lo = o.req("lo")?;
+                let hi = o.req_with("hi", |hi| match u64::read(hi)? {
+                    n if n < lo => Err(hi.invalid(format!(
+                        "a uniform distribution needs lo <= hi, found lo {lo} and hi {n}"
+                    ))),
+                    n => Ok(n),
+                })?;
+                DistDoc::Uniform { lo, hi }
+            }
+            DistDoc::Exponential(_) => DistDoc::Exponential(o.req("mean")?),
+        })
+    }
+
+    fn write(&self) -> Json {
+        let dist = ("dist", tag_of(DISTS, self));
+        match *self {
+            DistDoc::Zero => obj([dist]),
+            DistDoc::Constant(ticks) => obj([dist, ("ticks", ticks.write())]),
+            DistDoc::Uniform { lo, hi } => obj([dist, ("lo", lo.write()), ("hi", hi.write())]),
+            DistDoc::Exponential(mean) => obj([dist, ("mean", mean.write())]),
+        }
+    }
+}
+
 /// One `workload[i]` entry: a named linear program.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProgramDoc {
@@ -685,6 +827,53 @@ pub struct ProgramDoc {
     pub count: usize,
     /// The phase chain, in execution order.
     pub phases: Vec<PhaseDoc>,
+}
+
+impl ProgramDoc {
+    fn read(v: &Val, pools: &[ResourcePool], before: &[ProgramDoc]) -> Result<ProgramDoc> {
+        let o = v.obj(&["name", "count", "phases"])?;
+        let name: String = o.req("name")?;
+        // Duplicate program names make stream references ambiguous.
+        if before.iter().any(|p| p.name == name) {
+            let msg = format!("duplicate program name '{name}'");
+            return Err(o.key_error(v.node.line, "name", ScenarioErrorKind::Invalid(msg)));
+        }
+        let count = o.opt("count", 1)?;
+        let phases = o.req_with("phases", |v| {
+            let items = v.items()?;
+            if items.is_empty() {
+                return Err(v.invalid("a program needs at least one phase"));
+            }
+            let phases = items.iter().map(|p| PhaseDoc::read(p, pools));
+            let phases = phases.collect::<Result<Vec<_>, _>>()?;
+            // Identity mappings need equal granule counts.
+            for (item, pair) in items.iter().zip(phases.windows(2)) {
+                let (ph, next) = (&pair[0], &pair[1]);
+                if ph.mapping == MappingDoc::Identity && ph.granules != next.granules {
+                    let msg = format!(
+                        "identity mapping requires equal granule counts ({} vs {} in '{}')",
+                        ph.granules, next.granules, next.name
+                    );
+                    let path = format!("{}.mapping", item.path);
+                    return Err(err(item.node.line, path, ScenarioErrorKind::Invalid(msg)));
+                }
+            }
+            Ok(phases)
+        })?;
+        Ok(ProgramDoc {
+            name,
+            count,
+            phases,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("name", self.name.write()),
+            ("count", self.count.write()),
+            ("phases", arr(&self.phases, PhaseDoc::write)),
+        ])
+    }
 }
 
 /// One phase of a scenario program (`workload[i].phases[j]`).
@@ -704,6 +893,42 @@ pub struct PhaseDoc {
     pub mapping: MappingDoc,
 }
 
+impl PhaseDoc {
+    fn read(v: &Val, pools: &[ResourcePool]) -> Result<PhaseDoc> {
+        let o = v.obj(&["name", "granules", "cost", "lines", "requires", "mapping"])?;
+        let phase = PhaseDoc {
+            name: o.req("name")?,
+            granules: o.req_with("granules", |g| match u32::read(g)? {
+                0 => Err(g.invalid("a phase needs at least one granule")),
+                n => Ok(n),
+            })?,
+            cost: o.req("cost")?,
+            lines: o.opt("lines", 0)?,
+            requires: o.opt("requires", Vec::new())?,
+            mapping: o.opt("mapping", MappingDoc::Null)?,
+        };
+        // Resource references must name declared pools.
+        let undeclared = |(_, name): &(usize, &String)| !pools.iter().any(|p| &p.name == *name);
+        if let Some((r, name)) = phase.requires.iter().enumerate().find(undeclared) {
+            let msg = format!("phase requires undeclared resource pool '{name}'");
+            let path = format!("{}.requires[{r}]", v.path);
+            return Err(err(v.node.line, path, ScenarioErrorKind::Invalid(msg)));
+        }
+        Ok(phase)
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("name", self.name.write()),
+            ("granules", self.granules.write()),
+            ("cost", self.cost.write()),
+            ("lines", self.lines.write()),
+            ("requires", self.requires.write()),
+            ("mapping", self.mapping.write()),
+        ])
+    }
+}
+
 /// Enablement mapping between consecutive phases
 /// (`workload[i].phases[j].mapping`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -717,6 +942,22 @@ pub enum MappingDoc {
     Universal,
 }
 
+const MAPPINGS: Tags<MappingDoc> = &[
+    ("null", MappingDoc::Null),
+    ("identity", MappingDoc::Identity),
+    ("universal", MappingDoc::Universal),
+];
+
+impl Field for MappingDoc {
+    fn read(v: &Val) -> Result<MappingDoc> {
+        v.tag(MAPPINGS, "mapping", None)
+    }
+
+    fn write(&self) -> Json {
+        tag_of(MAPPINGS, self)
+    }
+}
+
 /// The `stream` block: an open-system arrival stream.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamDoc {
@@ -726,6 +967,30 @@ pub struct StreamDoc {
     pub count: usize,
     /// The arrival process.
     pub arrivals: ArrivalDoc,
+}
+
+impl StreamDoc {
+    fn read(v: &Val, programs: &[ProgramDoc]) -> Result<StreamDoc> {
+        let o = v.obj(&["program", "count", "arrivals"])?;
+        let program: String = o.req("program")?;
+        if !programs.iter().any(|p| p.name == program) {
+            let msg = format!("stream references unknown program '{program}'");
+            return Err(o.key_error(v.node.line, "program", ScenarioErrorKind::Invalid(msg)));
+        }
+        Ok(StreamDoc {
+            program,
+            count: o.req("count")?,
+            arrivals: o.req("arrivals")?,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("program", self.program.write()),
+            ("count", self.count.write()),
+            ("arrivals", self.arrivals.write()),
+        ])
+    }
 }
 
 /// Arrival process of a stream (`stream.arrivals`).
@@ -740,97 +1005,119 @@ pub enum ArrivalDoc {
     Trace(Vec<u64>),
 }
 
+const ARRIVALS: Tags<ArrivalDoc> = &[
+    ("poisson", ArrivalDoc::Poisson { mean_gap: 0 }),
+    ("trace", ArrivalDoc::Trace(Vec::new())),
+];
+
+impl Field for ArrivalDoc {
+    fn read(v: &Val) -> Result<ArrivalDoc> {
+        let o = v.obj(&["process", "mean_gap", "instants"])?;
+        Ok(match o.tag("process", ARRIVALS, "arrival process")? {
+            ArrivalDoc::Poisson { .. } => ArrivalDoc::Poisson {
+                mean_gap: o.req("mean_gap")?,
+            },
+            ArrivalDoc::Trace(_) => ArrivalDoc::Trace(o.req("instants")?),
+        })
+    }
+
+    fn write(&self) -> Json {
+        let process = ("process", tag_of(ARRIVALS, self));
+        match self {
+            ArrivalDoc::Poisson { mean_gap } => obj([process, ("mean_gap", mean_gap.write())]),
+            ArrivalDoc::Trace(instants) => obj([process, ("instants", instants.write())]),
+        }
+    }
+}
+
 /// The `policy` block.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicyDoc {
     /// `true` enables phase overlap (the paper's treatment machine).
     pub overlap: bool,
     /// Optional task-sizing override.
-    pub sizing: Option<SizingDoc>,
+    pub sizing: Option<TaskSizing>,
 }
 
-/// Task sizing override (`policy.sizing`).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum SizingDoc {
-    /// Fixed granules per task.
-    Fixed(u32),
-    /// Size tasks for this many tasks per processor.
-    PerProcessor(f64),
+impl Field for PolicyDoc {
+    fn read(v: &Val) -> Result<PolicyDoc> {
+        let o = v.obj(&["overlap", "sizing"])?;
+        Ok(PolicyDoc {
+            overlap: o.opt("overlap", false)?,
+            sizing: o.maybe("sizing")?,
+        })
+    }
+
+    fn write(&self) -> Json {
+        obj([
+            ("overlap", self.overlap.write()),
+            ("sizing", self.sizing.write()),
+        ])
+    }
+}
+
+impl Field for TaskSizing {
+    fn read(v: &Val) -> Result<TaskSizing> {
+        let o = v.obj(&["fixed", "per_processor"])?;
+        match (o.get("fixed"), o.get("per_processor")) {
+            (Some(_), None) => Ok(TaskSizing::Fixed(o.req("fixed")?)),
+            (None, Some(_)) => o.req_with("per_processor", |r| match r.node.v {
+                Json::Num(ratio) if ratio.is_finite() && ratio > 0.0 => {
+                    Ok(TaskSizing::TasksPerProcessor(ratio))
+                }
+                Json::Num(ratio) => {
+                    Err(r.invalid(format!("expected a positive finite number, found {ratio}")))
+                }
+                _ => Err(r.wrong("number")),
+            }),
+            _ => Err(v.invalid("sizing takes exactly one of 'fixed' or 'per_processor'")),
+        }
+    }
+
+    fn write(&self) -> Json {
+        match *self {
+            TaskSizing::Fixed(n) => obj([("fixed", n.write())]),
+            TaskSizing::TasksPerProcessor(ratio) => obj([("per_processor", Json::Num(ratio))]),
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------
-// Parsing
+// Parsing and writing a document
 // ---------------------------------------------------------------------------
 
 impl Scenario {
     /// Parse and validate a scenario document.
     ///
-    /// Validation covers both shape (types, required fields, unknown
-    /// keys) and semantics (machine-config consistency, resource-pool
-    /// references, identity-mapping granule counts, stream program
-    /// names), each reported at the offending line.
+    /// Validation covers both shape (types, required fields, unknown and
+    /// repeated keys) and semantics (machine-config consistency,
+    /// resource-pool references, identity-mapping granule counts, stream
+    /// program names), each reported at the offending line, in one pass.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
-        let root = Reader::new(text).parse_document()?;
-        let doc = Obj::of(&root, "$")?;
-        doc.check_keys(
-            &["name", "seed", "machine", "workload", "stream", "policy"],
-            "$",
-        )?;
-        let name = match doc.get("name") {
-            Some(n) => n.str_("name")?.to_string(),
-            None => String::new(),
-        };
-        let seed = match doc.get("seed") {
-            Some(n) => n.u64_("seed")?,
-            None => 0,
-        };
-        let machine_node = doc.req("machine", "$")?;
-        let machine = parse_machine(machine_node)?;
-        let workload_node = doc.req("workload", "$")?;
-        let items = workload_node.arr("workload")?;
-        if items.is_empty() {
-            return Err(err(
-                workload_node.line,
-                "workload",
-                ScenarioErrorKind::Invalid("workload must declare at least one program".into()),
-            ));
-        }
-        let mut workload = Vec::with_capacity(items.len());
-        for (i, item) in items.iter().enumerate() {
-            workload.push(parse_program(item, &format!("workload[{i}]"))?);
-        }
-        let stream = match doc.get("stream") {
-            Some(n) => Some(parse_stream(n)?),
-            None => None,
-        };
-        let policy = match doc.get("policy") {
-            Some(n) => parse_policy(n)?,
-            None => PolicyDoc::default(),
-        };
-        let scenario = Scenario {
-            name,
-            seed,
-            machine,
-            workload,
-            stream,
-            policy,
-        };
-        scenario.check_limits(machine_node, items, doc.get("stream"))?;
-        scenario.validate_semantics(&root, machine_node)?;
+        let root = json::parse(text)?;
+        let scenario = Scenario::read(&Val {
+            node: &root,
+            path: Path::Root,
+        })?;
+        scenario.check_limits(&root)?;
         Ok(scenario)
     }
 
     /// Read and parse a scenario file from disk.
     pub fn load_path(path: impl AsRef<std::path::Path>) -> Result<Scenario, ScenarioError> {
         let path = path.as_ref();
-        let text = std::fs::read_to_string(path).map_err(|e| {
-            err(
-                0,
-                path.display().to_string(),
-                ScenarioErrorKind::Io(e.to_string()),
-            )
-        })?;
+        let io = |e: std::io::Error| ScenarioErrorKind::Io(e.to_string());
+        let text =
+            std::fs::read_to_string(path).map_err(|e| err(0, path.display().to_string(), io(e)))?;
         Scenario::parse(&text)
+    }
+
+    /// Serialize back to the scenario format.
+    ///
+    /// The emitted text is canonical (stable key order and layout) and
+    /// re-parses to an equal [`Scenario`]: `parse(to_json(s)) == s`.
+    pub fn to_json(&self) -> String {
+        self.write().pretty()
     }
 
     /// Reject a document that asks for more than the loader's limits,
@@ -846,37 +1133,22 @@ impl Scenario {
     /// their down-spans and one re-executed task each. A random fault
     /// model can lose and redo work without limit, so under one the bound
     /// is necessary, not sufficient.
-    fn check_limits(
-        &self,
-        machine: &Node,
-        programs: &[Node],
-        stream: Option<&Node>,
-    ) -> Result<(), ScenarioError> {
-        let line_of = |node: &Node, key: &str| {
-            let value = Obj::of(node, "").ok().and_then(|o| o.get(key));
-            value.map_or(node.line, |v| v.line)
-        };
+    fn check_limits(&self, root: &Node) -> Result<()> {
+        let block = |key| root.get(key).unwrap_or(root);
+        let (machine, programs, stream) =
+            (block("machine"), block("workload").items(), block("stream"));
         // `path` names a field of `node`, whose value `size` is.
         let over = |size: usize, max: usize, node: &Node, path: &str| {
             if size <= max {
                 return Ok(());
             }
-            let line = line_of(node, path.rsplit('.').next().unwrap_or(path));
+            let line = node.line_of(path.rsplit('.').next().unwrap_or(path));
             let msg = format!("above the loader's ceiling of {max}");
             Err(err(line, path, ScenarioErrorKind::Invalid(msg)))
         };
         let m = &self.machine;
         over(m.processors, MAX_PROCESSORS, machine, "machine.processors")?;
         over(m.lanes.unwrap_or(0), MAX_LANES, machine, "machine.lanes")?;
-        let mut jobs = 0usize;
-        for (i, (p, node)) in self.workload.iter().zip(programs).enumerate() {
-            jobs = jobs.saturating_add(p.count);
-            over(jobs, MAX_JOBS, node, &format!("workload[{i}].count"))?;
-        }
-        if let (Some(st), Some(node)) = (&self.stream, stream) {
-            let jobs = jobs.saturating_add(st.count);
-            over(jobs, MAX_JOBS, node, "stream.count")?;
-        }
 
         // Worst-case ticks, term by term; u128 with saturation, so the
         // bound itself cannot wrap.
@@ -887,7 +1159,10 @@ impl Scenario {
                 * (u128::from(ph.cost.max_ticks()) * slowdown + MANAGEMENT_TICKS_PER_GRANULE)
         };
         let mut terms: Vec<(u128, usize, String)> = Vec::new();
+        let mut jobs = 0usize;
         for (i, (p, node)) in self.workload.iter().zip(programs).enumerate() {
+            jobs = jobs.saturating_add(p.count);
+            over(jobs, MAX_JOBS, node, &format!("workload[{i}].count"))?;
             let streamed = self.stream.as_ref().filter(|st| st.program == p.name);
             let copies = p.count + streamed.map_or(0, |st| st.count);
             let job: u128 = p
@@ -898,14 +1173,20 @@ impl Scenario {
             let work = job.saturating_mul(copies as u128);
             terms.push((work, node.line, format!("workload[{i}]")));
         }
-        if let (Some(st), Some(node)) = (&self.stream, stream) {
+        if let Some(st) = &self.stream {
+            over(
+                jobs.saturating_add(st.count),
+                MAX_JOBS,
+                stream,
+                "stream.count",
+            )?;
             let last = match &st.arrivals {
                 ArrivalDoc::Poisson { mean_gap } => {
                     u128::from(*mean_gap) * u128::from(EXPONENTIAL_MEANS_AT_MOST) * st.count as u128
                 }
                 ArrivalDoc::Trace(instants) => instants.iter().copied().max().unwrap_or(0).into(),
             };
-            terms.push((last, line_of(node, "arrivals"), "stream.arrivals".into()));
+            terms.push((last, stream.line_of("arrivals"), "stream.arrivals".into()));
         }
         if let Some(FaultDoc {
             model: FaultModelDoc::Scripted(events),
@@ -918,581 +1199,22 @@ impl Scenario {
                 .iter()
                 .map(|e| u128::from(e.repair_after.unwrap_or(0)) + longest_task)
                 .fold(0, u128::saturating_add);
-            terms.push((lost, line_of(machine, "faults"), "machine.faults".into()));
+            terms.push((lost, machine.line_of("faults"), "machine.faults".into()));
         }
         let horizon = terms.iter().map(|t| t.0).fold(0, u128::saturating_add);
         let needed = horizon.saturating_mul(2 * m.processors.max(1) as u128);
-        if needed > u128::from(u64::MAX) {
-            let (_, line, path) = terms
-                .into_iter()
-                .max_by_key(|t| t.0)
-                .expect("a workload has at least one program");
-            let msg = format!(
-                "the run can last {horizon} ticks in the worst case, and {} processors' \
-                 worth of twice that does not fit the engine's 64-bit tick arithmetic",
-                m.processors
-            );
-            return Err(err(line, path, ScenarioErrorKind::Invalid(msg)));
-        }
-        Ok(())
-    }
-
-    /// Cross-reference checks that need the whole document, with line
-    /// diagnostics recovered from the parse tree.
-    fn validate_semantics(&self, root: &Node, machine_node: &Node) -> Result<(), ScenarioError> {
-        // Machine-config consistency (class counts, pool names, ...).
-        self.machine_config().map_err(|mut e| {
-            if e.line == 0 {
-                e.line = machine_node.line;
+        match terms.into_iter().max_by_key(|t| t.0) {
+            Some((_, line, path)) if needed > u128::from(u64::MAX) => {
+                let msg = format!(
+                    "the run can last {horizon} ticks in the worst case, and {} processors' \
+                     worth of twice that does not fit the engine's 64-bit tick arithmetic",
+                    m.processors
+                );
+                Err(err(line, path, ScenarioErrorKind::Invalid(msg)))
             }
-            e
-        })?;
-        let doc = Obj::of(root, "$").expect("validated");
-        // Duplicate program names make stream references ambiguous.
-        let workload_items = doc
-            .req("workload", "$")
-            .expect("validated")
-            .arr("workload")
-            .expect("validated");
-        for (i, p) in self.workload.iter().enumerate() {
-            if self.workload[..i].iter().any(|q| q.name == p.name) {
-                return Err(err(
-                    workload_items[i].line,
-                    format!("workload[{i}].name"),
-                    ScenarioErrorKind::Invalid(format!("duplicate program name '{}'", p.name)),
-                ));
-            }
-            let phases = Obj::of(&workload_items[i], "")
-                .expect("validated")
-                .req("phases", "")
-                .expect("validated")
-                .arr("")
-                .expect("validated");
-            for (j, ph) in p.phases.iter().enumerate() {
-                let ph_path = format!("workload[{i}].phases[{j}]");
-                // Identity mappings need equal granule counts.
-                if ph.mapping == MappingDoc::Identity {
-                    match p.phases.get(j + 1) {
-                        Some(next) if next.granules != ph.granules => {
-                            return Err(err(
-                                phases[j].line,
-                                format!("{ph_path}.mapping"),
-                                ScenarioErrorKind::Invalid(format!(
-                                    "identity mapping requires equal granule counts \
-                                     ({} vs {} in '{}')",
-                                    ph.granules, next.granules, next.name
-                                )),
-                            ))
-                        }
-                        _ => {}
-                    }
-                }
-                // Resource references must name declared pools.
-                for (r, req) in ph.requires.iter().enumerate() {
-                    if !self.machine.resources.iter().any(|p| &p.name == req) {
-                        return Err(err(
-                            phases[j].line,
-                            format!("{ph_path}.requires[{r}]"),
-                            ScenarioErrorKind::Invalid(format!(
-                                "phase requires undeclared resource pool '{req}'"
-                            )),
-                        ));
-                    }
-                }
-            }
-            // The builder itself enforces the rest (non-empty chains...).
-            build_program(p).map_err(|msg| {
-                err(
-                    workload_items[i].line,
-                    format!("workload[{i}]"),
-                    ScenarioErrorKind::Invalid(msg),
-                )
-            })?;
-        }
-        if let Some(stream) = &self.stream {
-            if !self.workload.iter().any(|p| p.name == stream.program) {
-                let node = doc.req("stream", "$").expect("validated");
-                return Err(err(
-                    node.line,
-                    "stream.program",
-                    ScenarioErrorKind::Invalid(format!(
-                        "stream references unknown program '{}'",
-                        stream.program
-                    )),
-                ));
-            }
-        }
-        Ok(())
-    }
-}
-
-fn parse_machine(node: &Node) -> Result<MachineDoc, ScenarioError> {
-    let path = "machine";
-    let m = Obj::of(node, path)?;
-    m.check_keys(
-        &[
-            "processors",
-            "ideal",
-            "lanes",
-            "calendar",
-            "shards",
-            "classes",
-            "resources",
-            "admission",
-            "faults",
-        ],
-        path,
-    )?;
-    let processors = m.req("processors", path)?.usize_("machine.processors")?;
-    let ideal = match m.get("ideal") {
-        Some(n) => n.bool_("machine.ideal")?,
-        None => false,
-    };
-    let lanes = match m.get("lanes") {
-        Some(n) => Some(n.usize_("machine.lanes")?),
-        None => None,
-    };
-    if let Some(n) = m.get("calendar") {
-        check_calendar(n)?;
-    }
-    let shards = match m.get("shards") {
-        Some(n) => Some(n.usize_("machine.shards")?),
-        None => None,
-    };
-    let mut classes = Vec::new();
-    if let Some(n) = m.get("classes") {
-        for (i, c) in n.arr("machine.classes")?.iter().enumerate() {
-            classes.push(parse_class(c, &format!("machine.classes[{i}]"))?);
+            _ => Ok(()),
         }
     }
-    let mut resources = Vec::new();
-    if let Some(n) = m.get("resources") {
-        for (i, p) in n.arr("machine.resources")?.iter().enumerate() {
-            resources.push(parse_pool(p, &format!("machine.resources[{i}]"))?);
-        }
-    }
-    let admission = match m.get("admission") {
-        Some(n) => parse_admission(n)?,
-        None => AdmissionDoc::AcceptAll,
-    };
-    let faults = match m.get("faults") {
-        Some(n) => Some(parse_faults(n)?),
-        None => None,
-    };
-    Ok(MachineDoc {
-        processors,
-        ideal,
-        lanes,
-        shards,
-        classes,
-        resources,
-        admission,
-        faults,
-    })
-}
-
-fn parse_class(node: &Node, path: &str) -> Result<ClassDoc, ScenarioError> {
-    let c = Obj::of(node, path)?;
-    c.check_keys(&["name", "count", "speed_percent", "affinity"], path)?;
-    let name = c.req("name", path)?.str_(&format!("{path}.name"))?.into();
-    let count = c.req("count", path)?.usize_(&format!("{path}.count"))?;
-    let speed_percent = match c.get("speed_percent") {
-        Some(n) => n.u32_(&format!("{path}.speed_percent"))?,
-        None => 100,
-    };
-    let affinity = match c.get("affinity") {
-        Some(n) => {
-            let p = format!("{path}.affinity");
-            match n.str_(&p)? {
-                "any" => AffinityDoc::Any,
-                "elevated_only" => AffinityDoc::ElevatedOnly,
-                "normal_only" => AffinityDoc::NormalOnly,
-                other => {
-                    return Err(err(
-                        n.line,
-                        p,
-                        ScenarioErrorKind::Invalid(format!(
-                            "unknown affinity '{other}' \
-                             (expected 'any', 'elevated_only', or 'normal_only')"
-                        )),
-                    ))
-                }
-            }
-        }
-        None => AffinityDoc::Any,
-    };
-    Ok(ClassDoc {
-        name,
-        count,
-        speed_percent,
-        affinity,
-    })
-}
-
-fn parse_pool(node: &Node, path: &str) -> Result<PoolDoc, ScenarioError> {
-    let p = Obj::of(node, path)?;
-    p.check_keys(&["name", "tokens"], path)?;
-    Ok(PoolDoc {
-        name: p.req("name", path)?.str_(&format!("{path}.name"))?.into(),
-        tokens: p.req("tokens", path)?.u32_(&format!("{path}.tokens"))?,
-    })
-}
-
-/// `machine.calendar` names the future-event list. There is one
-/// (`"heap"` is its frozen spelling), so the key is optional and accepts
-/// `"heap"` or `{ "kind": "heap" }` only; the removed backends and their
-/// geometry keys are rejected by name so an old file fails loudly
-/// instead of running on a calendar it did not ask for.
-fn check_calendar(node: &Node) -> Result<(), ScenarioError> {
-    let path = "machine.calendar";
-    let removed = |what: String, line: usize| {
-        err(
-            line,
-            path,
-            ScenarioErrorKind::Invalid(format!(
-                "{what} was removed in favour of the binary heap; use \"heap\" or drop the key"
-            )),
-        )
-    };
-    let named = |name: &str, line: usize| match name {
-        "heap" => Ok(()),
-        "wheel" | "hier" | "auto" => Err(removed(format!("calendar backend '{name}'"), line)),
-        other => Err(err(
-            line,
-            path,
-            ScenarioErrorKind::Invalid(format!("unknown calendar '{other}' (expected 'heap')")),
-        )),
-    };
-    if matches!(node.v, Json::Str(_)) {
-        return named(node.str_(path)?, node.line);
-    }
-    let c = Obj::of(node, path)?;
-    for key in ["slots", "bucket_ticks", "levels"] {
-        if let Some(n) = c.get(key) {
-            return Err(removed(format!("calendar geometry key '{key}'"), n.line));
-        }
-    }
-    c.check_keys(&["kind"], path)?;
-    let kind = c.req("kind", path)?;
-    named(kind.str_(&format!("{path}.kind"))?, kind.line)
-}
-
-fn parse_admission(node: &Node) -> Result<AdmissionDoc, ScenarioError> {
-    let path = "machine.admission";
-    let a = Obj::of(node, path)?;
-    a.check_keys(&["policy", "max_in_flight"], path)?;
-    let policy_node = a.req("policy", path)?;
-    let policy = policy_node.str_(&format!("{path}.policy"))?;
-    let bound = || -> Result<usize, ScenarioError> {
-        a.req("max_in_flight", path)?
-            .usize_(&format!("{path}.max_in_flight"))
-    };
-    match policy {
-        "accept_all" => Ok(AdmissionDoc::AcceptAll),
-        "bounded_defer" => Ok(AdmissionDoc::BoundedDefer(bound()?)),
-        "shed" => Ok(AdmissionDoc::Shed(bound()?)),
-        other => Err(err(
-            policy_node.line,
-            format!("{path}.policy"),
-            ScenarioErrorKind::Invalid(format!(
-                "unknown admission policy '{other}' \
-                 (expected 'accept_all', 'bounded_defer', or 'shed')"
-            )),
-        )),
-    }
-}
-
-fn parse_faults(node: &Node) -> Result<FaultDoc, ScenarioError> {
-    let path = "machine.faults";
-    let f = Obj::of(node, path)?;
-    f.check_keys(
-        &[
-            "model",
-            "time_to_failure",
-            "time_to_repair",
-            "events",
-            "retry",
-        ],
-        path,
-    )?;
-    let model_node = f.req("model", path)?;
-    let model = match model_node.str_(&format!("{path}.model"))? {
-        "random" => FaultModelDoc::Random {
-            time_to_failure: parse_dist(
-                f.req("time_to_failure", path)?,
-                &format!("{path}.time_to_failure"),
-            )?,
-            time_to_repair: parse_dist(
-                f.req("time_to_repair", path)?,
-                &format!("{path}.time_to_repair"),
-            )?,
-        },
-        "scripted" => {
-            let events_node = f.req("events", path)?;
-            let mut events = Vec::new();
-            for (i, e) in events_node
-                .arr(&format!("{path}.events"))?
-                .iter()
-                .enumerate()
-            {
-                let p = format!("{path}.events[{i}]");
-                let o = Obj::of(e, &p)?;
-                o.check_keys(&["processor", "crash_at", "repair_after"], &p)?;
-                let repair_after = match o.get("repair_after") {
-                    None => None,
-                    Some(n) if matches!(n.v, Json::Null) => None,
-                    Some(n) => Some(n.u64_(&format!("{p}.repair_after"))?),
-                };
-                events.push(FaultEventDoc {
-                    processor: o.req("processor", &p)?.usize_(&format!("{p}.processor"))?,
-                    crash_at: o.req("crash_at", &p)?.u64_(&format!("{p}.crash_at"))?,
-                    repair_after,
-                });
-            }
-            FaultModelDoc::Scripted(events)
-        }
-        other => {
-            return Err(err(
-                model_node.line,
-                format!("{path}.model"),
-                ScenarioErrorKind::Invalid(format!(
-                    "unknown fault model '{other}' (expected 'random' or 'scripted')"
-                )),
-            ))
-        }
-    };
-    let retry = match f.get("retry") {
-        None => RetryDoc::ReissueFront,
-        Some(n) => {
-            let p = format!("{path}.retry");
-            match &n.v {
-                Json::Str(s) => match s.as_str() {
-                    "reissue_front" => RetryDoc::ReissueFront,
-                    "abandon" => RetryDoc::Abandon,
-                    other => {
-                        return Err(err(
-                            n.line,
-                            p,
-                            ScenarioErrorKind::Invalid(format!(
-                                "unknown retry policy '{other}' (expected 'reissue_front', \
-                                 'abandon', or {{\"bounded\": N}})"
-                            )),
-                        ))
-                    }
-                },
-                Json::Obj(_) => {
-                    let o = Obj::of(n, &p)?;
-                    o.check_keys(&["bounded"], &p)?;
-                    RetryDoc::Bounded(o.req("bounded", &p)?.u32_(&format!("{p}.bounded"))?)
-                }
-                _ => return Err(n.wrong(&p, "string or object")),
-            }
-        }
-    };
-    Ok(FaultDoc { model, retry })
-}
-
-fn parse_dist(node: &Node, path: &str) -> Result<DistDoc, ScenarioError> {
-    let d = Obj::of(node, path)?;
-    d.check_keys(&["dist", "ticks", "lo", "hi", "mean"], path)?;
-    let tag_node = d.req("dist", path)?;
-    match tag_node.str_(&format!("{path}.dist"))? {
-        "zero" => Ok(DistDoc::Zero),
-        "constant" => Ok(DistDoc::Constant(
-            d.req("ticks", path)?.u64_(&format!("{path}.ticks"))?,
-        )),
-        "uniform" => {
-            let lo = d.req("lo", path)?.u64_(&format!("{path}.lo"))?;
-            let hi_node = d.req("hi", path)?;
-            let hi = hi_node.u64_(&format!("{path}.hi"))?;
-            if hi < lo {
-                return Err(err(
-                    hi_node.line,
-                    format!("{path}.hi"),
-                    ScenarioErrorKind::Invalid(format!(
-                        "a uniform distribution needs lo <= hi, found lo {lo} and hi {hi}"
-                    )),
-                ));
-            }
-            Ok(DistDoc::Uniform { lo, hi })
-        }
-        "exponential" => Ok(DistDoc::Exponential(
-            d.req("mean", path)?.u64_(&format!("{path}.mean"))?,
-        )),
-        other => Err(err(
-            tag_node.line,
-            format!("{path}.dist"),
-            ScenarioErrorKind::Invalid(format!(
-                "unknown distribution '{other}' \
-                 (expected 'zero', 'constant', 'uniform', or 'exponential')"
-            )),
-        )),
-    }
-}
-
-fn parse_program(node: &Node, path: &str) -> Result<ProgramDoc, ScenarioError> {
-    let p = Obj::of(node, path)?;
-    p.check_keys(&["name", "count", "phases"], path)?;
-    let name = p.req("name", path)?.str_(&format!("{path}.name"))?.into();
-    let count = match p.get("count") {
-        Some(n) => n.usize_(&format!("{path}.count"))?,
-        None => 1,
-    };
-    let phases_node = p.req("phases", path)?;
-    let items = phases_node.arr(&format!("{path}.phases"))?;
-    if items.is_empty() {
-        return Err(err(
-            phases_node.line,
-            format!("{path}.phases"),
-            ScenarioErrorKind::Invalid("a program needs at least one phase".into()),
-        ));
-    }
-    let mut phases = Vec::with_capacity(items.len());
-    for (j, item) in items.iter().enumerate() {
-        phases.push(parse_phase(item, &format!("{path}.phases[{j}]"))?);
-    }
-    Ok(ProgramDoc {
-        name,
-        count,
-        phases,
-    })
-}
-
-fn parse_phase(node: &Node, path: &str) -> Result<PhaseDoc, ScenarioError> {
-    let p = Obj::of(node, path)?;
-    p.check_keys(
-        &["name", "granules", "cost", "lines", "requires", "mapping"],
-        path,
-    )?;
-    let name = p.req("name", path)?.str_(&format!("{path}.name"))?.into();
-    let granules_node = p.req("granules", path)?;
-    let granules = granules_node.u32_(&format!("{path}.granules"))?;
-    if granules == 0 {
-        return Err(err(
-            granules_node.line,
-            format!("{path}.granules"),
-            ScenarioErrorKind::Invalid("a phase needs at least one granule".into()),
-        ));
-    }
-    let cost = parse_dist(p.req("cost", path)?, &format!("{path}.cost"))?;
-    let lines = match p.get("lines") {
-        Some(n) => n.u32_(&format!("{path}.lines"))?,
-        None => 0,
-    };
-    let mut requires = Vec::new();
-    if let Some(n) = p.get("requires") {
-        for (r, item) in n.arr(&format!("{path}.requires"))?.iter().enumerate() {
-            requires.push(item.str_(&format!("{path}.requires[{r}]"))?.to_string());
-        }
-    }
-    let mapping = match p.get("mapping") {
-        Some(n) => {
-            let mp = format!("{path}.mapping");
-            match n.str_(&mp)? {
-                "null" => MappingDoc::Null,
-                "identity" => MappingDoc::Identity,
-                "universal" => MappingDoc::Universal,
-                other => {
-                    return Err(err(
-                        n.line,
-                        mp,
-                        ScenarioErrorKind::Invalid(format!(
-                            "unknown mapping '{other}' \
-                             (expected 'null', 'identity', or 'universal')"
-                        )),
-                    ))
-                }
-            }
-        }
-        None => MappingDoc::Null,
-    };
-    Ok(PhaseDoc {
-        name,
-        granules,
-        cost,
-        lines,
-        requires,
-        mapping,
-    })
-}
-
-fn parse_stream(node: &Node) -> Result<StreamDoc, ScenarioError> {
-    let path = "stream";
-    let s = Obj::of(node, path)?;
-    s.check_keys(&["program", "count", "arrivals"], path)?;
-    let program = s.req("program", path)?.str_("stream.program")?.to_string();
-    let count = s.req("count", path)?.usize_("stream.count")?;
-    let arrivals_node = s.req("arrivals", path)?;
-    let a = Obj::of(arrivals_node, "stream.arrivals")?;
-    a.check_keys(&["process", "mean_gap", "instants"], "stream.arrivals")?;
-    let process_node = a.req("process", "stream.arrivals")?;
-    let arrivals = match process_node.str_("stream.arrivals.process")? {
-        "poisson" => ArrivalDoc::Poisson {
-            mean_gap: a
-                .req("mean_gap", "stream.arrivals")?
-                .u64_("stream.arrivals.mean_gap")?,
-        },
-        "trace" => {
-            let instants_node = a.req("instants", "stream.arrivals")?;
-            let mut instants = Vec::new();
-            for (i, t) in instants_node
-                .arr("stream.arrivals.instants")?
-                .iter()
-                .enumerate()
-            {
-                instants.push(t.u64_(&format!("stream.arrivals.instants[{i}]"))?);
-            }
-            ArrivalDoc::Trace(instants)
-        }
-        other => {
-            return Err(err(
-                process_node.line,
-                "stream.arrivals.process",
-                ScenarioErrorKind::Invalid(format!(
-                    "unknown arrival process '{other}' (expected 'poisson' or 'trace')"
-                )),
-            ))
-        }
-    };
-    Ok(StreamDoc {
-        program,
-        count,
-        arrivals,
-    })
-}
-
-fn parse_policy(node: &Node) -> Result<PolicyDoc, ScenarioError> {
-    let path = "policy";
-    let p = Obj::of(node, path)?;
-    p.check_keys(&["overlap", "sizing"], path)?;
-    let overlap = match p.get("overlap") {
-        Some(n) => n.bool_("policy.overlap")?,
-        None => false,
-    };
-    let sizing = match p.get("sizing") {
-        None => None,
-        Some(n) => {
-            let sp = "policy.sizing";
-            let s = Obj::of(n, sp)?;
-            s.check_keys(&["fixed", "per_processor"], sp)?;
-            match (s.get("fixed"), s.get("per_processor")) {
-                (Some(f), None) => Some(SizingDoc::Fixed(f.u32_("policy.sizing.fixed")?)),
-                (None, Some(r)) => Some(SizingDoc::PerProcessor(
-                    r.f64_("policy.sizing.per_processor")?,
-                )),
-                _ => {
-                    return Err(err(
-                        n.line,
-                        sp,
-                        ScenarioErrorKind::Invalid(
-                            "sizing takes exactly one of 'fixed' or 'per_processor'".into(),
-                        ),
-                    ))
-                }
-            }
-        }
-    };
-    Ok(PolicyDoc { overlap, sizing })
 }
 
 // ---------------------------------------------------------------------------
@@ -1538,37 +1260,10 @@ impl MachineDoc {
         if let Some(shards) = self.shards {
             cfg = cfg.with_shards(ShardPolicy::new(shards));
         }
-        if !self.classes.is_empty() {
-            cfg = cfg.with_classes(
-                self.classes
-                    .iter()
-                    .map(|c| {
-                        ProcessorClass::new(c.name.clone(), c.count, c.speed_percent).with_affinity(
-                            match c.affinity {
-                                AffinityDoc::Any => ClassAffinity::Any,
-                                AffinityDoc::ElevatedOnly => ClassAffinity::ElevatedOnly,
-                                AffinityDoc::NormalOnly => ClassAffinity::NormalOnly,
-                            },
-                        )
-                    })
-                    .collect(),
-            );
-        }
-        if !self.resources.is_empty() {
-            cfg = cfg.with_resources(
-                self.resources
-                    .iter()
-                    .map(|p| ResourcePool::new(p.name.clone(), p.tokens))
-                    .collect(),
-            );
-        }
-        cfg = cfg.with_admission(match self.admission {
-            AdmissionDoc::AcceptAll => AdmissionPolicy::AcceptAll,
-            AdmissionDoc::BoundedDefer(max_in_flight) => {
-                AdmissionPolicy::BoundedDefer { max_in_flight }
-            }
-            AdmissionDoc::Shed(max_in_flight) => AdmissionPolicy::Shed { max_in_flight },
-        });
+        cfg = cfg
+            .with_classes(self.classes.clone())
+            .with_resources(self.resources.clone())
+            .with_admission(self.admission);
         if let Some(faults) = &self.faults {
             let model = match &faults.model {
                 FaultModelDoc::Random {
@@ -1578,22 +1273,9 @@ impl MachineDoc {
                     time_to_failure: time_to_failure.to_dist(),
                     time_to_repair: time_to_repair.to_dist(),
                 },
-                FaultModelDoc::Scripted(events) => FaultModel::Scripted(
-                    events
-                        .iter()
-                        .map(|e| ScriptedFault {
-                            processor: e.processor,
-                            crash_at: e.crash_at,
-                            repair_after: e.repair_after,
-                        })
-                        .collect(),
-                ),
+                FaultModelDoc::Scripted(events) => FaultModel::Scripted(events.clone()),
             };
-            let retry = match faults.retry {
-                RetryDoc::ReissueFront => RetryPolicy::ReissueFront,
-                RetryDoc::Abandon => RetryPolicy::Abandon,
-                RetryDoc::Bounded(max_attempts) => RetryPolicy::Bounded { max_attempts },
-            };
+            let retry = faults.retry;
             cfg = cfg.with_faults(FaultPlan { model, retry });
         }
         cfg
@@ -1602,40 +1284,24 @@ impl MachineDoc {
 
 fn build_program(doc: &ProgramDoc) -> Result<Program, String> {
     let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = doc
-        .phases
-        .iter()
+    let ids: Vec<PhaseId> = (doc.phases.iter())
         .map(|ph| {
-            b.phase(
-                PhaseDef::new(
-                    ph.name.clone(),
-                    ph.granules,
-                    CostModel::new(ph.cost.to_dist()),
-                )
-                .with_lines(ph.lines)
-                .with_requires(ph.requires.clone()),
-            )
+            let cost = CostModel::new(ph.cost.to_dist());
+            let def = PhaseDef::new(ph.name.clone(), ph.granules, cost).with_lines(ph.lines);
+            b.phase(def.with_requires(ph.requires.clone()))
         })
         .collect();
-    for (j, &id) in ids.iter().enumerate() {
-        match (doc.phases[j].mapping, ids.get(j + 1)) {
-            (mapping, Some(&next)) => {
-                b.dispatch_enable(
-                    id,
-                    vec![EnableSpec {
-                        successor: next,
-                        mapping: match mapping {
-                            MappingDoc::Null => EnablementMapping::Null,
-                            MappingDoc::Identity => EnablementMapping::Identity,
-                            MappingDoc::Universal => EnablementMapping::Universal,
-                        },
-                    }],
-                );
-            }
-            (_, None) => {
-                b.dispatch(id);
-            }
-        }
+    for (ph, pair) in doc.phases.iter().zip(ids.windows(2)) {
+        let mapping = match ph.mapping {
+            MappingDoc::Null => EnablementMapping::Null,
+            MappingDoc::Identity => EnablementMapping::Identity,
+            MappingDoc::Universal => EnablementMapping::Universal,
+        };
+        let successor = pair[1];
+        b.dispatch_enable(pair[0], vec![EnableSpec { successor, mapping }]);
+    }
+    if let Some(&last) = ids.last() {
+        b.dispatch(last);
     }
     b.build()
 }
@@ -1659,273 +1325,38 @@ impl Scenario {
             OverlapPolicy::strict()
         };
         if let Some(sizing) = self.policy.sizing {
-            policy = policy.with_sizing(match sizing {
-                SizingDoc::Fixed(n) => TaskSizing::Fixed(n),
-                SizingDoc::PerProcessor(r) => TaskSizing::TasksPerProcessor(r),
-            });
+            policy = policy.with_sizing(sizing);
         }
         let mut sim = Simulation::new(cfg, policy).with_seed(self.seed);
+        let mut programs = Vec::with_capacity(self.workload.len());
         for (i, doc) in self.workload.iter().enumerate() {
             let program = build_program(doc)
                 .map_err(|msg| err(0, format!("workload[{i}]"), ScenarioErrorKind::Invalid(msg)))?;
             for _ in 0..doc.count {
                 sim.add_job(program.clone());
             }
+            programs.push(program);
         }
         if let Some(stream) = &self.stream {
-            let (i, doc) = self
+            let i = self
                 .workload
                 .iter()
-                .enumerate()
-                .find(|(_, p)| p.name == stream.program)
+                .position(|p| p.name == stream.program)
                 .ok_or_else(|| {
-                    err(
-                        0,
-                        "stream.program",
-                        ScenarioErrorKind::Invalid(format!(
-                            "stream references unknown program '{}'",
-                            stream.program
-                        )),
-                    )
+                    let msg = format!("stream references unknown program '{}'", stream.program);
+                    err(0, "stream.program", ScenarioErrorKind::Invalid(msg))
                 })?;
-            let program = build_program(doc)
-                .map_err(|msg| err(0, format!("workload[{i}]"), ScenarioErrorKind::Invalid(msg)))?;
             let process = match &stream.arrivals {
                 ArrivalDoc::Poisson { mean_gap } => ArrivalProcess::poisson(*mean_gap),
                 ArrivalDoc::Trace(instants) => {
                     ArrivalProcess::trace(instants.iter().map(|&t| SimTime(t)).collect())
                 }
             };
-            sim.add_job_stream(program, process, stream.count);
+            sim.add_job_stream(programs.swap_remove(i), process, stream.count);
         }
         Ok(sim)
     }
 }
-
-// ---------------------------------------------------------------------------
-// Emitting
-// ---------------------------------------------------------------------------
-
-fn push_escaped(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-fn emit_dist(out: &mut String, d: &DistDoc) {
-    match d {
-        DistDoc::Zero => out.push_str(r#"{ "dist": "zero" }"#),
-        DistDoc::Constant(t) => out.push_str(&format!(r#"{{ "dist": "constant", "ticks": {t} }}"#)),
-        DistDoc::Uniform { lo, hi } => out.push_str(&format!(
-            r#"{{ "dist": "uniform", "lo": {lo}, "hi": {hi} }}"#
-        )),
-        DistDoc::Exponential(mean) => {
-            out.push_str(&format!(r#"{{ "dist": "exponential", "mean": {mean} }}"#))
-        }
-    }
-}
-
-impl Scenario {
-    /// Serialize back to the scenario format.
-    ///
-    /// The emitted text is canonical (stable key order and layout) and
-    /// re-parses to an equal [`Scenario`]: `parse(to_json(s)) == s`.
-    pub fn to_json(&self) -> String {
-        let mut o = String::new();
-        o.push_str("{\n");
-        o.push_str("  \"name\": ");
-        push_escaped(&mut o, &self.name);
-        o.push_str(",\n");
-        o.push_str(&format!("  \"seed\": {},\n", self.seed));
-        // --- machine ---
-        let m = &self.machine;
-        o.push_str("  \"machine\": {\n");
-        o.push_str(&format!("    \"processors\": {},\n", m.processors));
-        o.push_str(&format!("    \"ideal\": {},\n", m.ideal));
-        if let Some(lanes) = m.lanes {
-            o.push_str(&format!("    \"lanes\": {lanes},\n"));
-        }
-        if let Some(shards) = m.shards {
-            o.push_str(&format!("    \"shards\": {shards},\n"));
-        }
-        o.push_str("    \"classes\": [");
-        for (i, c) in m.classes.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n      { \"name\": ");
-            push_escaped(&mut o, &c.name);
-            o.push_str(&format!(
-                ", \"count\": {}, \"speed_percent\": {}, \"affinity\": \"{}\" }}",
-                c.count,
-                c.speed_percent,
-                match c.affinity {
-                    AffinityDoc::Any => "any",
-                    AffinityDoc::ElevatedOnly => "elevated_only",
-                    AffinityDoc::NormalOnly => "normal_only",
-                }
-            ));
-        }
-        if !m.classes.is_empty() {
-            o.push_str("\n    ");
-        }
-        o.push_str("],\n");
-        o.push_str("    \"resources\": [");
-        for (i, p) in m.resources.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n      { \"name\": ");
-            push_escaped(&mut o, &p.name);
-            o.push_str(&format!(", \"tokens\": {} }}", p.tokens));
-        }
-        if !m.resources.is_empty() {
-            o.push_str("\n    ");
-        }
-        o.push_str("],\n");
-        o.push_str("    \"admission\": ");
-        match m.admission {
-            AdmissionDoc::AcceptAll => o.push_str(r#"{ "policy": "accept_all" }"#),
-            AdmissionDoc::BoundedDefer(n) => o.push_str(&format!(
-                r#"{{ "policy": "bounded_defer", "max_in_flight": {n} }}"#
-            )),
-            AdmissionDoc::Shed(n) => {
-                o.push_str(&format!(r#"{{ "policy": "shed", "max_in_flight": {n} }}"#))
-            }
-        }
-        if let Some(f) = &m.faults {
-            o.push_str(",\n    \"faults\": {\n");
-            match &f.model {
-                FaultModelDoc::Random {
-                    time_to_failure,
-                    time_to_repair,
-                } => {
-                    o.push_str("      \"model\": \"random\",\n");
-                    o.push_str("      \"time_to_failure\": ");
-                    emit_dist(&mut o, time_to_failure);
-                    o.push_str(",\n      \"time_to_repair\": ");
-                    emit_dist(&mut o, time_to_repair);
-                    o.push_str(",\n");
-                }
-                FaultModelDoc::Scripted(events) => {
-                    o.push_str("      \"model\": \"scripted\",\n");
-                    o.push_str("      \"events\": [");
-                    for (i, e) in events.iter().enumerate() {
-                        if i > 0 {
-                            o.push(',');
-                        }
-                        o.push_str(&format!(
-                            "\n        {{ \"processor\": {}, \"crash_at\": {}, \"repair_after\": {} }}",
-                            e.processor,
-                            e.crash_at,
-                            match e.repair_after {
-                                Some(t) => t.to_string(),
-                                None => "null".into(),
-                            }
-                        ));
-                    }
-                    if !events.is_empty() {
-                        o.push_str("\n      ");
-                    }
-                    o.push_str("],\n");
-                }
-            }
-            o.push_str("      \"retry\": ");
-            match f.retry {
-                RetryDoc::ReissueFront => o.push_str("\"reissue_front\""),
-                RetryDoc::Abandon => o.push_str("\"abandon\""),
-                RetryDoc::Bounded(n) => o.push_str(&format!(r#"{{ "bounded": {n} }}"#)),
-            }
-            o.push_str("\n    }");
-        }
-        o.push_str("\n  },\n");
-        // --- workload ---
-        o.push_str("  \"workload\": [");
-        for (i, p) in self.workload.iter().enumerate() {
-            if i > 0 {
-                o.push(',');
-            }
-            o.push_str("\n    {\n      \"name\": ");
-            push_escaped(&mut o, &p.name);
-            o.push_str(&format!(",\n      \"count\": {},\n", p.count));
-            o.push_str("      \"phases\": [");
-            for (j, ph) in p.phases.iter().enumerate() {
-                if j > 0 {
-                    o.push(',');
-                }
-                o.push_str("\n        { \"name\": ");
-                push_escaped(&mut o, &ph.name);
-                o.push_str(&format!(", \"granules\": {}, \"cost\": ", ph.granules));
-                emit_dist(&mut o, &ph.cost);
-                o.push_str(&format!(", \"lines\": {}", ph.lines));
-                o.push_str(", \"requires\": [");
-                for (r, req) in ph.requires.iter().enumerate() {
-                    if r > 0 {
-                        o.push_str(", ");
-                    }
-                    push_escaped(&mut o, req);
-                }
-                o.push(']');
-                o.push_str(&format!(
-                    ", \"mapping\": \"{}\" }}",
-                    match ph.mapping {
-                        MappingDoc::Null => "null",
-                        MappingDoc::Identity => "identity",
-                        MappingDoc::Universal => "universal",
-                    }
-                ));
-            }
-            o.push_str("\n      ]\n    }");
-        }
-        o.push_str("\n  ]");
-        // --- stream ---
-        if let Some(s) = &self.stream {
-            o.push_str(",\n  \"stream\": {\n    \"program\": ");
-            push_escaped(&mut o, &s.program);
-            o.push_str(&format!(",\n    \"count\": {},\n", s.count));
-            o.push_str("    \"arrivals\": ");
-            match &s.arrivals {
-                ArrivalDoc::Poisson { mean_gap } => o.push_str(&format!(
-                    r#"{{ "process": "poisson", "mean_gap": {mean_gap} }}"#
-                )),
-                ArrivalDoc::Trace(instants) => {
-                    o.push_str(r#"{ "process": "trace", "instants": ["#);
-                    for (i, t) in instants.iter().enumerate() {
-                        if i > 0 {
-                            o.push_str(", ");
-                        }
-                        o.push_str(&t.to_string());
-                    }
-                    o.push_str("] }");
-                }
-            }
-            o.push_str("\n  }");
-        }
-        // --- policy ---
-        o.push_str(",\n  \"policy\": {\n");
-        o.push_str(&format!("    \"overlap\": {}", self.policy.overlap));
-        if let Some(sizing) = self.policy.sizing {
-            o.push_str(",\n    \"sizing\": ");
-            match sizing {
-                SizingDoc::Fixed(n) => o.push_str(&format!(r#"{{ "fixed": {n} }}"#)),
-                SizingDoc::PerProcessor(r) => o.push_str(&format!(r#"{{ "per_processor": {r} }}"#)),
-            }
-        }
-        o.push_str("\n  }\n}\n");
-        o
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2064,9 +1495,10 @@ mod tests {
         assert_eq!(e.line, 3);
     }
 
-    #[test]
-    fn full_featured_scenario_round_trips() {
-        let s = Scenario {
+    /// A document with every key the format defines but the random
+    /// fault model's, the trace arrivals' and `per_processor`.
+    fn kitchen_sink() -> Scenario {
+        Scenario {
             name: "kitchen sink".into(),
             seed: 42,
             machine: MachineDoc {
@@ -2075,31 +1507,38 @@ mod tests {
                 lanes: Some(2),
                 shards: Some(4),
                 classes: vec![
-                    ClassDoc {
+                    ProcessorClass {
                         name: "fast".into(),
                         count: 2,
                         speed_percent: 200,
-                        affinity: AffinityDoc::Any,
+                        affinity: ClassAffinity::Any,
                     },
-                    ClassDoc {
+                    ProcessorClass {
                         name: "base".into(),
                         count: 6,
                         speed_percent: 100,
-                        affinity: AffinityDoc::NormalOnly,
+                        affinity: ClassAffinity::NormalOnly,
                     },
                 ],
-                resources: vec![PoolDoc {
+                resources: vec![ResourcePool {
                     name: "operator".into(),
                     tokens: 2,
                 }],
-                admission: AdmissionDoc::BoundedDefer(4),
+                admission: AdmissionPolicy::BoundedDefer { max_in_flight: 4 },
                 faults: Some(FaultDoc {
-                    model: FaultModelDoc::Scripted(vec![FaultEventDoc {
-                        processor: 0,
-                        crash_at: 100,
-                        repair_after: None,
-                    }]),
-                    retry: RetryDoc::Bounded(3),
+                    model: FaultModelDoc::Scripted(vec![
+                        ScriptedFault {
+                            processor: 0,
+                            crash_at: 100,
+                            repair_after: None,
+                        },
+                        ScriptedFault {
+                            processor: 1,
+                            crash_at: 200,
+                            repair_after: Some(40),
+                        },
+                    ]),
+                    retry: RetryPolicy::Bounded { max_attempts: 3 },
                 }),
             },
             workload: vec![ProgramDoc {
@@ -2131,12 +1570,59 @@ mod tests {
             }),
             policy: PolicyDoc {
                 overlap: true,
-                sizing: Some(SizingDoc::Fixed(2)),
+                sizing: Some(TaskSizing::Fixed(2)),
             },
-        };
-        let text = s.to_json();
-        let back = Scenario::parse(&text).unwrap();
-        assert_eq!(back, s);
+        }
+    }
+
+    /// The kitchen sink with the keys it leaves out.
+    fn kitchen_sink_random() -> Scenario {
+        let mut s = kitchen_sink();
+        s.machine.faults = Some(FaultDoc {
+            model: FaultModelDoc::Random {
+                time_to_failure: DistDoc::Exponential(5_000),
+                time_to_repair: DistDoc::Constant(100),
+            },
+            retry: RetryPolicy::Abandon,
+        });
+        s.stream.as_mut().unwrap().arrivals = ArrivalDoc::Trace(vec![0, 10, 250]);
+        s.policy.sizing = Some(TaskSizing::TasksPerProcessor(2.5));
+        s
+    }
+
+    #[test]
+    fn full_featured_scenario_round_trips() {
+        for s in [kitchen_sink(), kitchen_sink_random()] {
+            let text = s.to_json();
+            let back = Scenario::parse(&text).unwrap();
+            assert_eq!(back, s);
+        }
+    }
+
+    /// Every key the writer emits has a row, `key`, in the format spec:
+    /// a key added to the format without one fails here.
+    #[test]
+    fn every_written_key_is_documented() {
+        fn keys<'a>(v: &'a Json, out: &mut Vec<&'a str>) {
+            match v {
+                Json::Arr(items) => items.iter().for_each(|n| keys(&n.v, out)),
+                Json::Obj(fields) => fields.iter().for_each(|(k, n)| {
+                    out.push(k);
+                    keys(&n.v, out)
+                }),
+                _ => {}
+            }
+        }
+        let spec = include_str!("../../../docs/SCENARIO_FORMAT.md");
+        for s in [kitchen_sink(), kitchen_sink_random()] {
+            let tree = s.write();
+            let mut written = Vec::new();
+            keys(&tree, &mut written);
+            for key in written {
+                let cell = format!("`{key}`");
+                assert!(spec.contains(&cell), "docs/SCENARIO_FORMAT.md lacks {cell}");
+            }
+        }
     }
 
     #[test]

@@ -17,10 +17,13 @@
 //!    byte-level property leg checks that no input makes the loader (or
 //!    the builders behind it) panic.
 
+use pax_core::prelude::{
+    AdmissionPolicy, ClassAffinity, ProcessorClass, ResourcePool, RetryPolicy, RunReport,
+    ScriptedFault, TaskSizing,
+};
 use pax_workloads::scenario::{
-    AdmissionDoc, AffinityDoc, ArrivalDoc, ClassDoc, DistDoc, FaultDoc, FaultEventDoc,
-    FaultModelDoc, MachineDoc, MappingDoc, PhaseDoc, PolicyDoc, PoolDoc, ProgramDoc, RetryDoc,
-    Scenario, ScenarioErrorKind, SizingDoc, StreamDoc,
+    ArrivalDoc, DistDoc, FaultDoc, FaultModelDoc, MachineDoc, MappingDoc, PhaseDoc, PolicyDoc,
+    ProgramDoc, Scenario, ScenarioErrorKind, StreamDoc,
 };
 use std::path::PathBuf;
 
@@ -45,22 +48,35 @@ fn cookbook_files() -> Vec<PathBuf> {
     files
 }
 
-/// Every checked-in cookbook scenario loads and runs.
+/// Every checked-in cookbook scenario loads and runs, and written back
+/// out re-parses to the same document, which runs to the same report.
 #[test]
 fn every_cookbook_scenario_loads_and_runs() {
     for file in cookbook_files() {
+        let run = |scenario: &Scenario| {
+            scenario
+                .build()
+                .unwrap_or_else(|e| panic!("{}: {e}", file.display()))
+                .run()
+                .unwrap_or_else(|e| panic!("{}: {e:?}", file.display()))
+        };
         let scenario =
             Scenario::load_path(&file).unwrap_or_else(|e| panic!("{}: {e}", file.display()));
-        let report = scenario
-            .build()
-            .unwrap_or_else(|e| panic!("{}: {e}", file.display()))
-            .run()
-            .unwrap_or_else(|e| panic!("{}: {e:?}", file.display()));
+        let report = run(&scenario);
         assert!(
             report.makespan.ticks() > 0,
             "{}: degenerate run",
             file.display()
         );
+        let text = scenario.to_json();
+        let again = Scenario::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        assert_eq!(again, scenario, "{}", file.display());
+        let rerun = run(&again);
+        let signature = |r: &RunReport| {
+            let counts = (r.makespan, r.events, r.tasks_dispatched, r.crashes);
+            (counts, r.class_reports.clone(), r.pool_reports.clone())
+        };
+        assert_eq!(signature(&rerun), signature(&report), "{}", file.display());
     }
 }
 
@@ -229,6 +245,38 @@ fn uniform_with_lo_above_hi_is_rejected_at_load() {
         5,
         "machine.faults.time_to_repair.hi",
     );
+}
+
+/// A key given twice used to load silently as its first value
+/// (`"processors": 2, "processors": 4` as 2 processors). The second
+/// occurrence is rejected, at its own line and path, in every object.
+#[test]
+fn duplicate_keys_are_rejected_at_the_second_occurrence() {
+    let processors = doc_with(",\n \"processors\": 4", "", "");
+    assert_invalid_at(&processors, 3, "machine.processors");
+    let ideal = doc_with(", \"ideal\": true,\n \"ideal\": false", "", "");
+    assert_invalid_at(&ideal, 3, "machine.ideal");
+    let granules =
+        doc_with("", "", "").replace(r#""granules": 4"#, r#""granules": 4, "granules": 8"#);
+    assert_invalid_at(&granules, 5, "workload[0].phases[0].granules");
+    let seed = doc_with("", "", ",\n  \"seed\": 1,\n  \"seed\": 2");
+    assert_invalid_at(&seed, 9, "$.seed");
+    let e = Scenario::parse(&processors).unwrap_err();
+    assert!(e.to_string().contains("duplicate key 'processors'"), "{e}");
+}
+
+/// `policy.sizing.per_processor` used to take any number: `1e400` loaded
+/// as infinity and wrote back as `inf`, which does not re-parse, and `0`
+/// or `-3` silently meant one task a phase.
+#[test]
+fn per_processor_sizing_must_be_positive_and_finite() {
+    for ratio in ["1e400", "0", "-3"] {
+        let sizing =
+            format!(",\n  \"policy\": {{ \"sizing\":\n    {{ \"per_processor\": {ratio} }} }}");
+        assert_invalid_at(&doc_with("", "", &sizing), 9, "policy.sizing.per_processor");
+    }
+    let sizing = ",\n  \"policy\": { \"sizing\": { \"per_processor\": 0.5 } }";
+    Scenario::parse(&doc_with("", "", sizing)).unwrap();
 }
 
 /// `"granules": 0` used to panic inside `Scenario::parse`, in
@@ -401,33 +449,33 @@ mod round_trip {
     ) -> Scenario {
         let classes = match split {
             0 => Vec::new(),
-            s if s >= processors => vec![ClassDoc {
+            s if s >= processors => vec![ProcessorClass {
                 name: "only \"class\"".into(),
                 count: processors,
                 speed_percent: speed,
-                affinity: AffinityDoc::Any,
+                affinity: ClassAffinity::Any,
             }],
             s => vec![
-                ClassDoc {
+                ProcessorClass {
                     name: "head".into(),
                     count: s,
                     speed_percent: speed,
-                    affinity: AffinityDoc::Any,
+                    affinity: ClassAffinity::Any,
                 },
-                ClassDoc {
+                ProcessorClass {
                     name: "tail".into(),
                     count: processors - s,
                     speed_percent: 100,
                     affinity: match affinity % 3 {
-                        0 => AffinityDoc::Any,
-                        1 => AffinityDoc::ElevatedOnly,
-                        _ => AffinityDoc::NormalOnly,
+                        0 => ClassAffinity::Any,
+                        1 => ClassAffinity::ElevatedOnly,
+                        _ => ClassAffinity::NormalOnly,
                     },
                 },
             ],
         };
-        let resources: Vec<PoolDoc> = (0..pools)
-            .map(|i| PoolDoc {
+        let resources: Vec<ResourcePool> = (0..pools)
+            .map(|i| ResourcePool {
                 name: format!("pool{i}"),
                 tokens,
             })
@@ -473,9 +521,9 @@ mod round_trip {
                 classes,
                 resources,
                 admission: match admission % 3 {
-                    0 => AdmissionDoc::AcceptAll,
-                    1 => AdmissionDoc::BoundedDefer(3),
-                    _ => AdmissionDoc::Shed(3),
+                    0 => AdmissionPolicy::AcceptAll,
+                    1 => AdmissionPolicy::BoundedDefer { max_in_flight: 3 },
+                    _ => AdmissionPolicy::Shed { max_in_flight: 3 },
                 },
                 faults: match fault_kind % 3 {
                     0 => None,
@@ -485,13 +533,13 @@ mod round_trip {
                             time_to_repair: DistDoc::Constant(100),
                         },
                         retry: match retry_kind % 3 {
-                            0 => RetryDoc::ReissueFront,
-                            1 => RetryDoc::Abandon,
-                            _ => RetryDoc::Bounded(4),
+                            0 => RetryPolicy::ReissueFront,
+                            1 => RetryPolicy::Abandon,
+                            _ => RetryPolicy::Bounded { max_attempts: 4 },
                         },
                     }),
                     _ => Some(FaultDoc {
-                        model: FaultModelDoc::Scripted(vec![FaultEventDoc {
+                        model: FaultModelDoc::Scripted(vec![ScriptedFault {
                             processor: 0,
                             crash_at: 123,
                             repair_after: if retry_kind.is_multiple_of(2) {
@@ -500,7 +548,7 @@ mod round_trip {
                                 None
                             },
                         }]),
-                        retry: RetryDoc::ReissueFront,
+                        retry: RetryPolicy::ReissueFront,
                     }),
                 },
             },
@@ -526,8 +574,8 @@ mod round_trip {
                 overlap,
                 sizing: match sizing_kind % 3 {
                     0 => None,
-                    1 => Some(SizingDoc::Fixed(2)),
-                    _ => Some(SizingDoc::PerProcessor(2.5)),
+                    1 => Some(TaskSizing::Fixed(2)),
+                    _ => Some(TaskSizing::TasksPerProcessor(2.5)),
                 },
             },
         }
