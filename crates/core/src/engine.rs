@@ -212,6 +212,8 @@ struct Scratch {
     /// Successor-splitting tiles: range plus the predecessor piece (if
     /// any) whose conflict queue receives it.
     pieces: Vec<(GranuleRange, Option<DescId>)>,
+    /// The job's counter file, copied for the overlap lookahead to step.
+    counters: Vec<i64>,
 }
 
 /// Runtime state of the heterogeneous-classes / secondary-resources

@@ -98,9 +98,9 @@ impl Engine {
         for id in ids.drain(..) {
             let inst = &mut self.instances[id.0 as usize];
             if inst.state != InstState::Complete {
-                // An abandoned lookahead misprediction could leave an
-                // Initiated instance behind; keep it (leaked, warned
-                // about at initiation) rather than evict live state.
+                // Every initiated successor is promoted (the lookahead
+                // walks the path the job takes), so none should be left;
+                // keep one rather than evict live state.
                 debug_assert_eq!(inst.state, InstState::Initiated, "evicting live instance");
                 continue;
             }

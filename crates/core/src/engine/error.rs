@@ -19,10 +19,12 @@ pub enum EngineError {
     /// The machine configuration failed
     /// [`pax_sim::machine::MachineConfig::validate`] at session build.
     InvalidConfig(ConfigError),
-    /// A processor crash lost a granule range that the machine's
-    /// [`pax_sim::faults::RetryPolicy`] refused to reissue — the job can
-    /// never complete, so the run fails structurally instead of
-    /// deadlocking.
+    /// A job can never complete, so the run fails structurally instead
+    /// of deadlocking or hanging: a processor crash lost a granule range
+    /// that the machine's [`pax_sim::faults::RetryPolicy`] refused to
+    /// reissue, or the job's program ran more than
+    /// [`WALK_STEPS`](crate::program::WALK_STEPS) counter steps without a
+    /// dispatch, serial region or end (a loop with no dispatch).
     JobAborted {
         /// Index of the aborted job.
         job: usize,

@@ -2,12 +2,12 @@
 //! the next, and the phase instances that creates, promotes and
 //! completes.
 
-use super::{Engine, Ev, InstState, Instance};
+use super::{Engine, EngineError, Ev, InstState, Instance};
 use crate::descriptor::QueueClass;
 use crate::ids::{GranuleRange, InstanceId, PhaseId};
 use crate::mapping::MappingKind;
 use crate::phase::PhaseStats;
-use crate::program::Step;
+use crate::program::{Step, Stop, WALK_STEPS};
 use crate::rangeset::RangeSet;
 use pax_sim::time::SimDuration;
 use std::sync::Arc;
@@ -80,75 +80,54 @@ impl Engine {
         id
     }
 
-    /// Execute program steps for `job` starting at step `pc` until a
-    /// dispatch takes effect, a serial region is scheduled, or the program
-    /// ends.
+    /// Walk `job`'s program from step `pc` to its next effect: a dispatch
+    /// takes effect, a serial region is scheduled, or the program ends.
+    /// A walk that spends its [`WALK_STEPS`] budget first (a loop with no
+    /// dispatch, serial region or end) aborts the job.
     ///
     /// Holding a reference-counted handle on the program (one pointer
-    /// bump per call, not per step) lets the interpreter borrow each step
-    /// across the `&mut self` state changes it triggers, where indexing
-    /// `self.jobs` afresh used to force a deep `Step::clone` per step
-    /// executed.
-    pub(super) fn run_program(&mut self, job: usize, mut pc: usize) {
+    /// bump per call, not per step) lets the interpreter borrow the step
+    /// it stopped at across the `&mut self` state changes it triggers.
+    pub(super) fn run_program(&mut self, job: usize, pc: usize) {
         let program = Arc::clone(&self.jobs[job].program);
-        loop {
-            match &program.steps[pc] {
-                Step::End => {
-                    self.finish_job(job);
-                    return;
-                }
-                Step::Incr { idx, delta } => {
-                    let c = &mut self.jobs[job].counters[*idx];
-                    *c = c.saturating_add(*delta);
-                    pc += 1;
-                }
-                Step::Goto(t) => pc = *t,
-                Step::Branch {
-                    test,
-                    on_true,
-                    on_false,
-                } => {
-                    pc = if test.eval(&self.jobs[job].counters) {
-                        *on_true
-                    } else {
-                        *on_false
-                    };
-                }
-                Step::Serial { duration, label } => {
-                    let duration = *duration;
-                    let (_s, end) = self.exec_service_serial(self.now, duration);
-                    self.jobs[job].pc = pc;
-                    self.jobs[job].pending_serial_gap += duration;
-                    self.tlog.log(self.now, || {
-                        format!("job{job} serial '{label}' until {end}")
-                    });
-                    self.events.schedule(end, Ev::SerialDone { job });
-                    return;
-                }
-                Step::Dispatch { phase, .. } => {
-                    let phase = *phase;
-                    // Was a successor already initiated for this step?
-                    if let Some((pred_step, inst_id)) = self.jobs[job].pending_successor.take() {
-                        if pred_step == pc {
-                            self.promote(inst_id, pc);
-                            return;
-                        }
-                        // Misprediction cannot happen with counter-only
-                        // branch tests; surface loudly if it ever does.
-                        self.warnings.push(format!(
-                            "job{job}: lookahead predicted step {pred_step}, actual {pc}; \
-                             initiated instance {inst_id} abandoned"
-                        ));
-                    }
-                    let inst_id = self.new_instance(job, phase, pc, InstState::Current, None, None);
-                    let mut cost = self.cfg.costs.phase_init;
-                    let full = GranuleRange::new(0, self.inst(inst_id).granules);
-                    self.release_range(inst_id, full, QueueClass::Normal, &mut cost);
-                    self.exec_service(self.now, cost);
-                    self.initiate_successor(inst_id);
-                    return;
-                }
+        let mut fuel = WALK_STEPS;
+        match program.walk(pc, &mut self.jobs[job].counters, true, &mut fuel) {
+            Stop::End => self.finish_job(job),
+            Stop::Endless(at) => {
+                let detail = format!(
+                    "step {at}: more than {WALK_STEPS} counter steps without a dispatch, \
+                     serial region or end"
+                );
+                self.abort
+                    .get_or_insert(EngineError::JobAborted { job, detail });
             }
+            Stop::At(pc, Step::Serial { duration, label }) => {
+                let duration = *duration;
+                let (_s, end) = self.exec_service_serial(self.now, duration);
+                self.jobs[job].pc = pc;
+                self.jobs[job].pending_serial_gap += duration;
+                self.tlog.log(self.now, || {
+                    format!("job{job} serial '{label}' until {end}")
+                });
+                self.events.schedule(end, Ev::SerialDone { job });
+            }
+            Stop::At(pc, Step::Dispatch { phase, .. }) => {
+                // Was a successor already initiated for this step? The
+                // lookahead that initiated it walked this very path on a
+                // copy of these counters, so it predicted this step.
+                if let Some((predicted, inst_id)) = self.jobs[job].pending_successor.take() {
+                    debug_assert_eq!(predicted, pc, "the lookahead walks the path the job takes");
+                    self.promote(inst_id, pc);
+                    return;
+                }
+                let inst_id = self.new_instance(job, *phase, pc, InstState::Current, None, None);
+                let mut cost = self.cfg.costs.phase_init;
+                let full = GranuleRange::new(0, self.inst(inst_id).granules);
+                self.release_range(inst_id, full, QueueClass::Normal, &mut cost);
+                self.exec_service(self.now, cost);
+                self.initiate_successor(inst_id);
+            }
+            Stop::At(..) => unreachable!("a walk that takes branches stops at no branch"),
         }
     }
 

@@ -59,7 +59,7 @@ impl Engine {
         // Borrow the ENABLE clause from the shared program instead of
         // cloning the spec vector (and its mapping payloads) per overlap.
         let program = Arc::clone(&self.jobs[job].program);
-        let (enables, branch_independent) = match &program.steps[dispatch_step] {
+        let (enables, take_branches) = match &program.steps[dispatch_step] {
             Step::Dispatch {
                 enables,
                 branch_independent,
@@ -67,7 +67,8 @@ impl Engine {
             } => (enables, *branch_independent),
             _ => return,
         };
-        let la = program.lookahead(dispatch_step, &self.jobs[job].counters, branch_independent);
+        self.scratch.counters.clone_from(&self.jobs[job].counters);
+        let la = program.lookahead(dispatch_step, &mut self.scratch.counters, take_branches);
         let (succ_phase, succ_step) = match la {
             Lookahead::Phase { phase, step } => (phase, step),
             _ => return, // serial gap, opaque branch, or program end

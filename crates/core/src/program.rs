@@ -13,10 +13,11 @@ use crate::phase::PhaseDef;
 use crate::policy::OverlapPolicy;
 use pax_sim::time::SimDuration;
 
-/// Steps [`Program::declared_tasks`] walks before it gives a program up
-/// as endless and declares nothing. A constant, not an option: a walk
-/// that long is a fraction of a millisecond.
-pub const DECLARE_WALK_STEPS: usize = 65_536;
+/// Counter steps one [`Program::walk`] budget allows: a job's
+/// interpreter between two effects, a lookahead, and the whole of
+/// [`Program::declared_tasks`]. A constant, not an option: a walk that
+/// long is a fraction of a millisecond.
+pub const WALK_STEPS: usize = 65_536;
 
 /// One `phase-name/MAPPING=option` element of an `ENABLE` clause.
 #[derive(Debug, Clone)]
@@ -153,13 +154,26 @@ pub enum Lookahead {
     BlockedBySerial,
     /// A data-dependent (non-preprocessable) branch intervenes.
     BlockedByBranch,
-    /// The program ends.
+    /// The program ends (or runs more than [`WALK_STEPS`] counter steps
+    /// without a dispatch, serial region or end).
     ProgramEnd,
 }
 
+/// Where [`Program::walk`] stopped: the next step with an effect.
+#[derive(Debug, Clone, Copy)]
+pub enum Stop<'p> {
+    /// A `Dispatch` or `Serial` step, or a `Branch` reached with branches
+    /// not taken, and its index.
+    At(usize, &'p Step),
+    /// `End`, or past the last step.
+    End,
+    /// The fuel ran out at this step index.
+    Endless(usize),
+}
+
 impl Program {
-    /// Validate step targets and phase ids; returns a description of the
-    /// first problem found.
+    /// Validate step targets, phase ids and moduli; returns a description
+    /// of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
         for (i, s) in self.steps.iter().enumerate() {
             match s {
@@ -182,16 +196,21 @@ impl Program {
                     if *on_true >= self.steps.len() || *on_false >= self.steps.len() {
                         return Err(format!("step {i}: branch target out of range"));
                     }
-                    let c = match *test {
-                        BranchTest::CounterLt(c, _) => Some(c),
-                        BranchTest::CounterModEq { counter, .. }
-                        | BranchTest::CounterModNe { counter, .. } => Some(counter),
-                        _ => None,
-                    };
-                    if let Some(c) = c {
-                        if c >= self.counters {
-                            return Err(format!("step {i}: branch uses unknown counter {c}"));
+                    let (c, modulus) = match *test {
+                        BranchTest::CounterLt(c, _) => (Some(c), 1),
+                        BranchTest::CounterModEq {
+                            counter, modulus, ..
                         }
+                        | BranchTest::CounterModNe {
+                            counter, modulus, ..
+                        } => (Some(counter), modulus),
+                        BranchTest::Always | BranchTest::Never => (None, 1),
+                    };
+                    if let Some(c) = c.filter(|&c| c >= self.counters) {
+                        return Err(format!("step {i}: branch uses unknown counter {c}"));
+                    }
+                    if modulus <= 0 {
+                        return Err(format!("step {i}: modulus {modulus} is not positive"));
                     }
                 }
                 Step::Goto(t) => {
@@ -287,9 +306,9 @@ impl Program {
     /// high: the bound that sizes the run's level traces.
     ///
     /// Branches test counters only, so the dispatch sequence is known
-    /// before the run: this walks it from step 0 with every counter zero,
-    /// as a job starts, applying `Incr`, following `Goto` and `Branch`,
-    /// and stopping at `End`. A loop counts once per iteration it runs; a
+    /// before the run: this [walks](Program::walk) it from step 0 with
+    /// every counter zero, as a job starts, to `End`, on one budget of
+    /// [`WALK_STEPS`]. A loop counts once per iteration it runs; a
     /// forward branch counts the arm taken. Each dispatch reached counts
     /// ⌈granules / task size⌉, or `granules` when its release can
     /// fragment it: when overlap enables it through counters (forward,
@@ -299,8 +318,8 @@ impl Program {
     /// `Serial`, nor past a `Branch` after a dispatch that is not
     /// `ENABLE/BRANCHINDEPENDENT`.
     ///
-    /// `None` when the walk takes more than [`DECLARE_WALK_STEPS`] steps
-    /// (an endless program) or a dispatch names an unknown phase.
+    /// `None` when the walk takes more than [`WALK_STEPS`] counter steps in
+    /// all (an endless program) or a dispatch names an unknown phase.
     pub fn declared_tasks(&self, policy: &OverlapPolicy, processors: usize) -> Option<u64> {
         // A phase carved whole makes ⌈granules / task size⌉ tasks, a count
         // of its granules alone. The last one is kept: a program's phases
@@ -309,21 +328,26 @@ impl Program {
         let mut carved = (0u32, 0u64);
         let mut counters = vec![0i64; self.counters];
         // The last dispatch: the ENABLE clause overlap can still reach past
-        // it with (empty once cut), whether it is branch-independent, and
+        // it with (empty once cut), whether a branch leaves it uncut, and
         // whether it counted `granules`.
         let mut reach: &[EnableSpec] = &[];
-        let mut branch_independent = true;
+        let mut take_branches = true;
         let mut fragmented = false;
         let mut tasks = 0u64;
+        let mut fuel = WALK_STEPS;
         let mut pc = 0;
-        for _ in 0..DECLARE_WALK_STEPS {
-            match self.steps.get(pc) {
-                None | Some(Step::End) => return Some(tasks),
-                Some(Step::Dispatch {
-                    phase,
-                    enables,
-                    branch_independent: independent,
-                }) => {
+        loop {
+            match self.walk(pc, &mut counters, take_branches, &mut fuel) {
+                Stop::End => return Some(tasks),
+                Stop::Endless(_) => return None,
+                Stop::At(
+                    at,
+                    Step::Dispatch {
+                        phase,
+                        enables,
+                        branch_independent,
+                    },
+                ) => {
                     let granules = self.phases.get(phase.0 as usize)?.granules;
                     if carved.0 != granules {
                         let per_task = policy.sizing.task_granules(granules, processors);
@@ -345,13 +369,63 @@ impl Program {
                     };
                     tasks = tasks.saturating_add(declared);
                     reach = enables;
-                    branch_independent = *independent;
-                    pc += 1;
+                    take_branches = *branch_independent;
+                    pc = at + 1;
                 }
-                Some(Step::Serial { .. }) => {
+                Stop::At(at, Step::Serial { .. }) => {
                     reach = &[];
-                    pc += 1;
+                    pc = at + 1;
                 }
+                // A branch not taken: overlap stops here, as the lookahead
+                // does. Cut the chain and carry on down the arm it takes.
+                Stop::At(at, _) => {
+                    reach = &[];
+                    take_branches = true;
+                    pc = at;
+                }
+            }
+        }
+    }
+
+    /// Look ahead from just past dispatch step `from` to the phase that
+    /// follows it, applying counter steps to `counters`: a copy of the
+    /// job's counter file that the caller owns, so preprocessing a branch
+    /// sees the values it *will* have and the job's own are untouched.
+    ///
+    /// `take_branches` says whether branches may be preprocessed; it is
+    /// the dispatch's `ENABLE/BRANCHINDEPENDENT` annotation. This is the
+    /// walk the interpreter takes once the dispatch completes, so a
+    /// predicted phase is the phase dispatched.
+    pub fn lookahead(&self, from: usize, counters: &mut [i64], take_branches: bool) -> Lookahead {
+        let mut fuel = WALK_STEPS;
+        match self.walk(from + 1, counters, take_branches, &mut fuel) {
+            Stop::At(step, &Step::Dispatch { phase, .. }) => Lookahead::Phase { phase, step },
+            Stop::At(_, Step::Serial { .. }) => Lookahead::BlockedBySerial,
+            Stop::At(..) => Lookahead::BlockedByBranch,
+            Stop::End | Stop::Endless(_) => Lookahead::ProgramEnd,
+        }
+    }
+
+    /// Step the control stream from `pc` to the next step with an effect:
+    /// the only code that executes `Incr` (saturating), `Goto` and
+    /// `Branch`. Stops at a `Dispatch` or `Serial`, at `End` (or past the
+    /// last step), at a `Branch` when `take_branches` is false, and at
+    /// [`Stop::Endless`] when a counter step is due and `fuel` is spent.
+    /// Each counter step executed costs one unit of `fuel`; a stop costs
+    /// nothing.
+    pub fn walk(
+        &self,
+        mut pc: usize,
+        counters: &mut [i64],
+        take_branches: bool,
+        fuel: &mut usize,
+    ) -> Stop<'_> {
+        loop {
+            match self.steps.get(pc) {
+                None | Some(Step::End) => return Stop::End,
+                Some(s @ (Step::Dispatch { .. } | Step::Serial { .. })) => return Stop::At(pc, s),
+                Some(s @ Step::Branch { .. }) if !take_branches => return Stop::At(pc, s),
+                Some(_) if *fuel == 0 => return Stop::Endless(pc),
                 Some(Step::Incr { idx, delta }) => {
                     counters[*idx] = counters[*idx].saturating_add(*delta);
                     pc += 1;
@@ -362,66 +436,15 @@ impl Program {
                     on_true,
                     on_false,
                 }) => {
-                    if !branch_independent {
-                        reach = &[];
-                    }
-                    pc = if test.eval(&counters) {
+                    pc = if test.eval(counters) {
                         *on_true
                     } else {
                         *on_false
                     };
                 }
             }
+            *fuel -= 1;
         }
-        None
-    }
-
-    /// Statically look ahead from just past step `from` to find the next
-    /// phase dispatch, simulating counter side effects on a scratch copy
-    /// (so preprocessing a branch sees the counter values it *will* have).
-    ///
-    /// `branch_independent` controls whether branches may be preprocessed;
-    /// it comes from the dispatch's `ENABLE` annotation.
-    pub fn lookahead(&self, from: usize, counters: &[i64], branch_independent: bool) -> Lookahead {
-        let steps = &self.steps;
-        let mut scratch: Vec<i64> = counters.to_vec();
-        let mut pc = from + 1;
-        let mut fuel = steps.len() * 2 + 8; // cycle guard
-        while fuel > 0 {
-            fuel -= 1;
-            match steps.get(pc) {
-                None => return Lookahead::ProgramEnd,
-                Some(Step::End) => return Lookahead::ProgramEnd,
-                Some(Step::Dispatch { phase, .. }) => {
-                    return Lookahead::Phase {
-                        phase: *phase,
-                        step: pc,
-                    }
-                }
-                Some(Step::Serial { .. }) => return Lookahead::BlockedBySerial,
-                Some(Step::Incr { idx, delta }) => {
-                    scratch[*idx] = scratch[*idx].saturating_add(*delta);
-                    pc += 1;
-                }
-                Some(Step::Goto(t)) => pc = *t,
-                Some(Step::Branch {
-                    test,
-                    on_true,
-                    on_false,
-                }) => {
-                    if !branch_independent {
-                        return Lookahead::BlockedByBranch;
-                    }
-                    pc = if test.eval(&scratch) {
-                        *on_true
-                    } else {
-                        *on_false
-                    };
-                }
-            }
-        }
-        // Pathological counter-free loop with no dispatch: treat as end.
-        Lookahead::ProgramEnd
     }
 }
 
@@ -558,7 +581,7 @@ mod tests {
     #[test]
     fn lookahead_finds_next_dispatch() {
         let p = two_phase_program();
-        match p.lookahead(0, &[], false) {
+        match p.lookahead(0, &mut [], false) {
             Lookahead::Phase { phase, step } => {
                 assert_eq!(phase, PhaseId(1));
                 assert_eq!(step, 1);
@@ -576,7 +599,7 @@ mod tests {
         b.serial(100, "decide");
         b.dispatch(c);
         let p = b.build().unwrap();
-        assert_eq!(p.lookahead(0, &[], true), Lookahead::BlockedBySerial);
+        assert_eq!(p.lookahead(0, &mut [], true), Lookahead::BlockedBySerial);
     }
 
     #[test]
@@ -603,16 +626,16 @@ mod tests {
 
         // counter = 7: branch true -> b
         assert_eq!(
-            p.lookahead(0, &[7], true),
+            p.lookahead(0, &mut [7], true),
             Lookahead::Phase { phase: pb, step: 2 }
         );
         // counter = 10: branch false -> c
         assert_eq!(
-            p.lookahead(0, &[10], true),
+            p.lookahead(0, &mut [10], true),
             Lookahead::Phase { phase: pc, step: 3 }
         );
         // branch-dependent: blocked
-        assert_eq!(p.lookahead(0, &[7], false), Lookahead::BlockedByBranch);
+        assert_eq!(p.lookahead(0, &mut [7], false), Lookahead::BlockedByBranch);
     }
 
     #[test]
@@ -635,7 +658,7 @@ mod tests {
         let counters = vec![0i64];
         // After the incr, counter==1, so CounterLt(1) is false -> c
         assert_eq!(
-            p.lookahead(0, &counters, true),
+            p.lookahead(0, &mut counters.clone(), true),
             Lookahead::Phase { phase: pc, step: 4 }
         );
         // the real counter file was untouched
@@ -661,6 +684,47 @@ mod tests {
             counters: 0,
         };
         assert!(p2.validate().is_err());
+    }
+
+    #[test]
+    fn validate_rejects_a_modulus_that_is_not_positive() {
+        let program = |test| Program {
+            phases: vec![],
+            steps: vec![
+                Step::Branch {
+                    test,
+                    on_true: 1,
+                    on_false: 1,
+                },
+                Step::End,
+            ],
+            counters: 1,
+        };
+        for modulus in [0, -3] {
+            let (counter, residue) = (0, 0);
+            for test in [
+                BranchTest::CounterModEq {
+                    counter,
+                    modulus,
+                    residue,
+                },
+                BranchTest::CounterModNe {
+                    counter,
+                    modulus,
+                    residue,
+                },
+            ] {
+                let err = program(test).validate().unwrap_err();
+                assert!(err.starts_with("step 0:"), "{err}");
+                assert!(err.contains(&format!("modulus {modulus}")), "{err}");
+            }
+        }
+        let three = BranchTest::CounterModEq {
+            counter: 0,
+            modulus: 3,
+            residue: 2,
+        };
+        assert_eq!(program(three).validate(), Ok(()));
     }
 
     #[test]
@@ -876,10 +940,10 @@ mod tests {
         b.dispatch(pz); // 6
         let p = b.build().unwrap();
         assert_eq!(
-            p.lookahead(2, &[i64::MAX], true),
+            p.lookahead(2, &mut [i64::MAX], true),
             Lookahead::Phase { phase: pz, step: 6 }
         );
-        let lookahead_incr = p.lookahead(0, &[i64::MAX], false);
+        let lookahead_incr = p.lookahead(0, &mut [i64::MAX], false);
         assert_eq!(lookahead_incr, Lookahead::Phase { phase: pa, step: 2 });
         let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1));
         assert_eq!(p.declared_tasks(&policy, 2), Some(4 + 8));
@@ -906,6 +970,6 @@ mod tests {
             ],
             counters: 0,
         };
-        assert_eq!(p.lookahead(0, &[], true), Lookahead::ProgramEnd);
+        assert_eq!(p.lookahead(0, &mut [], true), Lookahead::ProgramEnd);
     }
 }

@@ -103,25 +103,25 @@ pub enum CondExpr {
         /// Counter name.
         counter: String,
         /// Modulus.
-        modulus: u64,
+        modulus: i64,
         /// Residue.
-        residue: u64,
+        residue: i64,
     },
     /// `IMOD(counter, k) .EQ. m`
     ImodEq {
         /// Counter name.
         counter: String,
         /// Modulus.
-        modulus: u64,
+        modulus: i64,
         /// Residue.
-        residue: u64,
+        residue: i64,
     },
     /// `counter .LT. k`
     Lt {
         /// Counter name.
         counter: String,
         /// Bound.
-        value: u64,
+        value: i64,
     },
 }
 
@@ -187,6 +187,21 @@ pub enum AstStmt {
 pub struct Script {
     /// Statements in order.
     pub stmts: Vec<AstStmt>,
+}
+
+impl AstStmt {
+    /// Source position of the statement.
+    pub fn pos(&self) -> Pos {
+        match self {
+            AstStmt::Define(d) => d.pos,
+            AstStmt::Dispatch { pos, .. }
+            | AstStmt::Serial { pos, .. }
+            | AstStmt::Label { pos, .. }
+            | AstStmt::Goto { pos, .. }
+            | AstStmt::If { pos, .. }
+            | AstStmt::Increment { pos, .. } => *pos,
+        }
+    }
 }
 
 impl Script {

@@ -3,9 +3,10 @@
 
 use crate::ast::*;
 use crate::token::Pos;
+use pax_core::ids::PhaseId;
 use pax_core::mapping::{EnablementMapping, MappingKind};
 use pax_core::phase::PhaseDef;
-use pax_core::program::{BranchTest, EnableSpec, Program, Step};
+use pax_core::program::{BranchTest, EnableSpec, Lookahead, Program, Step, Stop, WALK_STEPS};
 use pax_sim::dist::{CostModel, DurationDist};
 use std::collections::HashMap;
 use std::fmt;
@@ -116,6 +117,13 @@ fn option_kind(opt: MappingOption) -> MappingKind {
 }
 
 /// Compile a parsed script against map bindings.
+///
+/// The interlock check is exact along the job's path. Branches test
+/// counters only, so a job takes one path; the check walks it as the
+/// executive will and, at each dispatch with an `ENABLE` clause, warns
+/// when the phase the executive's lookahead finds there is not named. A
+/// loop that would run more than [`WALK_STEPS`] counter steps without a
+/// `DISPATCH`, `SERIAL` or end is an error: the run would abort the job.
 pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, CompileError> {
     let mut diags: Vec<Diagnostic> = Vec::new();
 
@@ -256,6 +264,8 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
 
     // --- lowering ------------------------------------------------------
     let mut steps: Vec<Step> = Vec::new();
+    // The source position of each step, for diagnostics about a step.
+    let mut positions: Vec<Pos> = Vec::new();
     for (i, s) in script.stmts.iter().enumerate() {
         match s {
             AstStmt::Define(_) | AstStmt::Label { .. } => {}
@@ -337,8 +347,7 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
                     branch_independent,
                 });
             }
-            AstStmt::Serial { ticks, label, pos } => {
-                let _ = pos;
+            AstStmt::Serial { ticks, label, .. } => {
                 steps.push(Step::Serial {
                     duration: pax_sim::SimDuration(*ticks),
                     label: label.clone().unwrap_or_else(|| "serial".into()),
@@ -374,8 +383,8 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
                         residue,
                     } => BranchTest::CounterModNe {
                         counter: counter_of(counter, &mut counters),
-                        modulus: *modulus as i64,
-                        residue: *residue as i64,
+                        modulus: *modulus,
+                        residue: *residue,
                     },
                     CondExpr::ImodEq {
                         counter,
@@ -383,11 +392,11 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
                         residue,
                     } => BranchTest::CounterModEq {
                         counter: counter_of(counter, &mut counters),
-                        modulus: *modulus as i64,
-                        residue: *residue as i64,
+                        modulus: *modulus,
+                        residue: *residue,
                     },
                     CondExpr::Lt { counter, value } => {
-                        BranchTest::CounterLt(counter_of(counter, &mut counters), *value as i64)
+                        BranchTest::CounterLt(counter_of(counter, &mut counters), *value)
                     }
                 };
                 let on_false = steps.len() + 1;
@@ -404,12 +413,11 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
                 });
             }
         }
+        positions.resize(steps.len(), s.pos());
     }
     steps.push(Step::End);
 
     // --- static interlock verification ---------------------------------
-    // For every dispatch with a named ENABLE clause, check that at least
-    // one named successor is actually the next phase in some static path.
     let program = Program {
         phases,
         steps,
@@ -422,7 +430,7 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
             pos: Pos { line: 0, col: 0 },
         });
     } else {
-        verify_interlock(&program, script, &mut diags);
+        verify_interlock(&program, &positions, &mut diags);
     }
 
     if diags.iter().any(|d| d.error) {
@@ -448,66 +456,68 @@ fn next_dispatch(script: &Script, i: usize) -> Option<String> {
     None
 }
 
-/// Static interlock check: for each dispatch step with a named enable
-/// clause, run the same lookahead the executive will use (over both branch
-/// outcomes) and confirm each reachable successor is covered by the
-/// clause; warn when it is not.
-fn verify_interlock(program: &Program, script: &Script, diags: &mut Vec<Diagnostic>) {
-    let mut dispatch_positions: Vec<Pos> = Vec::new();
-    for s in &script.stmts {
-        if let AstStmt::Dispatch { pos, .. } = s {
-            dispatch_positions.push(*pos);
-        }
-    }
-    let mut dispatch_no = 0usize;
-    for (idx, step) in program.steps.iter().enumerate() {
-        let Step::Dispatch {
-            enables,
-            branch_independent,
-            ..
-        } = step
-        else {
-            continue;
-        };
-        let pos = dispatch_positions
-            .get(dispatch_no)
-            .copied()
-            .unwrap_or(Pos { line: 0, col: 0 });
-        dispatch_no += 1;
-        if enables.is_empty() {
-            continue;
-        }
-        // Explore successors: without branch preprocessing there is a
-        // single lookahead; with it, both counter parities may matter, so
-        // try a handful of plausible counter files.
-        let counter_samples: Vec<Vec<i64>> = vec![
-            vec![0; program.counters],
-            vec![1; program.counters],
-            vec![9; program.counters],
-            vec![10; program.counters],
-        ];
-        let mut reachable: Vec<pax_core::ids::PhaseId> = Vec::new();
-        for counters in &counter_samples {
-            if let pax_core::program::Lookahead::Phase { phase, .. } =
-                program.lookahead(idx, counters, *branch_independent)
-            {
-                if !reachable.contains(&phase) {
-                    reachable.push(phase);
-                }
-            }
-        }
-        for succ in reachable {
-            if !enables.iter().any(|e| e.successor == succ) {
+/// Static interlock check along the job's own path. Branches test
+/// counters only, so a job has one path: this [walks](Program::walk) it
+/// from step 0 with every counter zero, as the interpreter will, each
+/// stretch between two effects on the interpreter's budget. At every
+/// dispatch it reaches that has an ENABLE clause it takes the lookahead
+/// the executive will take, and warns once per dispatch and phase when
+/// the phase that follows is not named. A stretch that spends its budget
+/// is an error at the step where it stopped: the job would abort there.
+/// The check follows the path for its first [`WALK_STEPS`] counter
+/// steps, so it ends on every program.
+fn verify_interlock(program: &Program, positions: &[Pos], diags: &mut Vec<Diagnostic>) {
+    let mut counters = vec![0; program.counters];
+    let mut ahead = Vec::new();
+    let mut warned: Vec<(usize, PhaseId)> = Vec::new();
+    let (mut pc, mut walked) = (0, 0);
+    while walked < WALK_STEPS {
+        let mut fuel = WALK_STEPS;
+        let stop = program.walk(pc, &mut counters, true, &mut fuel);
+        walked += WALK_STEPS - fuel;
+        match stop {
+            Stop::End => return,
+            Stop::Endless(at) => {
                 diags.push(Diagnostic {
-                    error: false,
+                    error: true,
                     message: format!(
-                        "interlock: phase '{}' can follow this dispatch but is not \
-                         named in its ENABLE clause — it will run without overlap",
-                        program.phases[succ.0 as usize].name
+                        "the job would abort here: more than {WALK_STEPS} counter steps \
+                         without a DISPATCH, SERIAL or end"
                     ),
-                    pos,
+                    pos: positions[at],
                 });
+                return;
             }
+            Stop::At(
+                at,
+                Step::Dispatch {
+                    enables,
+                    branch_independent,
+                    ..
+                },
+            ) if !enables.is_empty() => {
+                ahead.clone_from(&counters);
+                if let Lookahead::Phase { phase, .. } =
+                    program.lookahead(at, &mut ahead, *branch_independent)
+                {
+                    if !enables.iter().any(|e| e.successor == phase)
+                        && !warned.contains(&(at, phase))
+                    {
+                        warned.push((at, phase));
+                        diags.push(Diagnostic {
+                            error: false,
+                            message: format!(
+                                "interlock: phase '{}' follows this dispatch but is not \
+                                 named in its ENABLE clause — it will run without overlap",
+                                program.phases[phase.0 as usize].name
+                            ),
+                            pos: positions[at],
+                        });
+                    }
+                }
+                pc = at + 1;
+            }
+            Stop::At(at, _) => pc = at + 1,
         }
     }
 }

@@ -17,7 +17,13 @@
 //!
 //! This crate implements all four: a lexer/parser ([`parser::parse`]), a
 //! compiler with the interlock verification ([`compile::compile`]), and a
-//! one-call runner ([`run_script`]).
+//! one-call runner ([`run_script`]). The verification is exact along the
+//! job's path: branches test counters only, so the compiler walks the one
+//! path a job takes with the executive's own walker
+//! ([`Program::walk`](pax_core::program::Program::walk)) and checks the
+//! successor its lookahead finds at every dispatch, where a guess at
+//! counter values could miss an arm. A loop that never reaches a
+//! dispatch is a compile error, not a job that hangs.
 //!
 //! ```
 //! use pax_lang::{parse, compile, MapBindings};
@@ -120,6 +126,81 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, ScriptError::Parse(_)));
+    }
+
+    /// The third pass through the loop takes the `IMOD(K,3).EQ.2` arm,
+    /// which no counter file a guess would sample at step 0 reaches.
+    #[test]
+    fn the_interlock_check_follows_the_job() {
+        let src = "
+            DEFINE PHASE a GRANULES 4
+            DEFINE PHASE b GRANULES 4
+            DEFINE PHASE c GRANULES 4
+            top:
+            DISPATCH a ENABLE/BRANCHINDEPENDENT [b/MAPPING=UNIVERSAL]
+            IF (IMOD(K,3).EQ.2) THEN GO TO other
+            DISPATCH b
+            GO TO next
+            other:
+            DISPATCH c
+            next:
+            INCREMENT K
+            IF (K .LT. 3) THEN GO TO top
+            ";
+        let compiled = compile(&parse(src).unwrap(), &MapBindings::new()).unwrap();
+        let names_c = |w: &str| w.contains("interlock") && w.contains("'c'");
+        let warned: Vec<&str> = compiled
+            .warnings
+            .iter()
+            .map(|d| d.message.as_str())
+            .collect();
+        assert_eq!(
+            warned.iter().filter(|w| names_c(w)).count(),
+            1,
+            "{warned:?}"
+        );
+        let report = run_script(
+            src,
+            &MapBindings::new(),
+            MachineConfig::ideal(2),
+            OverlapPolicy::overlap(),
+        )
+        .unwrap();
+        assert!(
+            report.warnings.iter().any(|w| names_c(w)),
+            "{:?}",
+            report.warnings
+        );
+    }
+
+    #[test]
+    fn a_loop_with_no_dispatch_is_a_compile_error_not_a_hang() {
+        let src = "
+            DEFINE PHASE a GRANULES 4
+            DISPATCH a
+            spin: INCREMENT K
+            GO TO spin
+            ";
+        let err = run_script(
+            src,
+            &MapBindings::new(),
+            MachineConfig::ideal(2),
+            OverlapPolicy::overlap(),
+        )
+        .unwrap_err();
+        let ScriptError::Compile(err) = err else {
+            panic!("expected a compile error, got {err:?}");
+        };
+        let [d] = &err.diagnostics[..] else {
+            panic!("expected one diagnostic, got {:?}", err.diagnostics);
+        };
+        assert!(d.error);
+        assert!(
+            d.message.contains("counter steps without a DISPATCH"),
+            "{d}"
+        );
+        // Where the walk stopped: the loop's INCREMENT.
+        assert_eq!((d.pos.line, d.pos.col), (4, 19));
     }
 
     #[test]

@@ -94,6 +94,16 @@ impl Parser {
         }
     }
 
+    /// An integer operand of counter arithmetic, which must fit an `i64`.
+    fn signed(&mut self, what: &str) -> Result<i64, ParseError> {
+        let pos = self.peek().pos;
+        let n = self.int(what)?;
+        i64::try_from(n).map_err(|_| ParseError {
+            message: format!("{what} {n} exceeds {}", i64::MAX),
+            pos,
+        })
+    }
+
     fn expect(&mut self, tok: Tok) -> Result<Pos, ParseError> {
         let t = self.next();
         if t.tok == tok {
@@ -260,13 +270,13 @@ impl Parser {
             self.expect(Tok::LParen)?;
             let (counter, _) = self.ident("counter name")?;
             self.expect(Tok::Comma)?;
-            let modulus = self.int("modulus")?;
+            let modulus = self.signed("modulus")?;
             if modulus == 0 {
                 return self.err("IMOD modulus must be positive");
             }
             self.expect(Tok::RParen)?;
             let op = self.next();
-            let residue = self.int("residue")?;
+            let residue = self.signed("residue")?;
             match op.tok {
                 Tok::DotOp(ref s) if s == "NE" => CondExpr::ImodNe {
                     counter,
@@ -288,7 +298,7 @@ impl Parser {
         } else {
             let (counter, _) = self.ident("counter name")?;
             let op = self.next();
-            let value = self.int("comparison value")?;
+            let value = self.signed("comparison value")?;
             match op.tok {
                 Tok::DotOp(ref s) if s == "LT" => CondExpr::Lt { counter, value },
                 other => {
@@ -374,7 +384,7 @@ impl Parser {
                 let (counter, _) = self.ident("counter name")?;
                 let by = if self.peek_keyword("BY") {
                     self.keyword("BY")?;
-                    self.int("increment step")? as i64
+                    self.signed("increment step")?
                 } else {
                     1
                 };
@@ -506,6 +516,33 @@ mod tests {
             AstStmt::Serial { ticks: 500, label: Some(l), .. } if l == "convergence-check"
         ));
         assert!(matches!(&s.stmts[1], AstStmt::Increment { by: 2, .. }));
+    }
+
+    #[test]
+    fn counter_operands_above_i64_max_are_errors_at_the_operand() {
+        let big = "9223372036854775808";
+        for src in [
+            "INCREMENT K BY 9223372036854775808",
+            "IF (IMOD(K,9223372036854775808).EQ.0) THEN GO TO x",
+            "IF (IMOD(K,3).NE.9223372036854775808) THEN GO TO x",
+            "IF (K .LT. 9223372036854775808) THEN GO TO x",
+        ] {
+            let err = parse(src).unwrap_err();
+            assert!(err.message.contains(big), "{src}: {}", err.message);
+            assert_eq!(err.pos.line, 1, "{src}");
+            assert_eq!(err.pos.col as usize, src.find(big).unwrap() + 1, "{src}");
+        }
+        let max = parse("IF (K .LT. 9223372036854775807) THEN GO TO x").unwrap();
+        assert!(matches!(
+            &max.stmts[0],
+            AstStmt::If {
+                cond: CondExpr::Lt {
+                    value: i64::MAX,
+                    ..
+                },
+                ..
+            }
+        ));
     }
 
     #[test]
