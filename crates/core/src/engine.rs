@@ -290,11 +290,12 @@ pub(crate) struct Engine {
     composite_memo: Vec<MemoizedComposite>,
     idle_workers: Vec<WorkerId>,
     rng: SmallRng,
-    /// Processors computing and executive lanes serving, traced as the
-    /// run goes: dispatch and service learn their spans ahead of `now`,
-    /// and each event round settles what `now` has passed.
+    /// Processors computing, traced as the run goes: dispatch learns a
+    /// task's start ahead of `now`, and each event round settles what
+    /// `now` has passed. The executive is accounted by its totals only;
+    /// the lanes' live level is the `exec_lanes` entries ending after
+    /// `now`.
     computing: LevelSweep,
-    managing: LevelSweep,
     compute_total: SimDuration,
     mgmt_total: SimDuration,
     serial_total: SimDuration,
@@ -338,11 +339,11 @@ pub(crate) struct Engine {
 }
 
 impl Engine {
-    /// The engine for a built simulation. Its busy and management traces
-    /// are sized once from the tasks the jobs' programs declare
+    /// The engine for a built simulation. Its busy trace is sized once
+    /// from the tasks the jobs' programs declare
     /// ([`Program::declared_tasks`](crate::program::Program::declared_tasks),
-    /// two points a task), so they record without growth copies; a job
-    /// whose program declares nothing leaves them to grow as they go.
+    /// two points a task), so it records without growth copies; a job
+    /// whose program declares nothing leaves it to grow as it goes.
     pub(crate) fn new(s: Simulation) -> Engine {
         debug_assert_eq!(
             s.programs.len(),
@@ -350,8 +351,8 @@ impl Engine {
             "arrival instants parallel the job list"
         );
         debug_assert!(s.streams.is_empty(), "streams expanded before build");
-        // The work the jobs declare sizes the level traces (a task adds at
-        // most one `+1` and one `−1` to each). A stream's jobs share one
+        // The work the jobs declare sizes the busy trace (a task adds at
+        // most one `+1` and one `−1` to it). A stream's jobs share one
         // program, walked once; loops are walked iteration by iteration,
         // and a job whose walk runs out of steps declares nothing.
         let declared_tasks = s.programs.chunk_by(Arc::ptr_eq).try_fold(0u64, |sum, run| {
@@ -453,7 +454,6 @@ impl Engine {
             idle_workers: Vec::with_capacity(s.cfg.processors),
             rng: pax_sim::seeded_rng(s.seed),
             computing: LevelSweep::expecting(trace_points),
-            managing: LevelSweep::expecting(trace_points),
             compute_total: SimDuration::ZERO,
             mgmt_total: SimDuration::ZERO,
             serial_total: SimDuration::ZERO,
@@ -508,11 +508,7 @@ impl Engine {
         let start = at.max(self.exec_lanes[lane]);
         let end = start + cost;
         self.exec_lanes[lane] = end;
-        if !cost.is_zero() {
-            self.managing.add(start, 1);
-            self.managing.add(end, -1);
-            self.mgmt_total += cost;
-        }
+        self.mgmt_total += cost;
         self.last_event_end = self.last_event_end.max(end);
         (start, end)
     }
@@ -1238,7 +1234,6 @@ impl Engine {
             // Simulated time never runs backwards, so no level change can
             // still arrive before this round.
             self.computing.settle(round_start);
-            self.managing.settle(round_start);
             if let Some(f) = self.faults.as_mut() {
                 f.avail.settle(round_start);
             }

@@ -45,7 +45,6 @@ impl Engine {
     fn build_report(self) -> RunReport {
         let makespan = self.last_event_end.since(SimTime::ZERO);
         let busy_trace = self.computing.finish();
-        let mgmt_trace = self.managing.finish();
         let (avail_trace, lost_work, retries, crashes) = match self.faults {
             Some(f) => (f.avail.finish(), f.lost_work, f.retries, f.crashes),
             None => (StepTrace::new(), SimDuration::ZERO, 0, 0),
@@ -113,7 +112,6 @@ impl Engine {
             serial_time: self.serial_total,
             mgmt_steals_workers: self.cfg.executive == ExecutivePlacement::StealsWorker,
             busy_trace,
-            mgmt_trace,
             avail_trace,
             lost_work,
             retries,

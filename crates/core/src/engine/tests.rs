@@ -58,9 +58,9 @@ fn single_phase_perfect_division() {
 
 #[test]
 fn level_sweeps_hold_only_the_changes_in_flight() {
-    // Ten times the work must not deepen the pending buffers: what
-    // waits is what the processors and lanes have in flight, never
-    // the history of the run.
+    // Ten times the work must not deepen the pending buffer: what
+    // waits is what the processors have in flight, never the history
+    // of the run.
     let worst_pending = |granules: u32| {
         let program = linear_program(granules, 2, 100, |_| EnablementMapping::Identity);
         let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
@@ -71,22 +71,19 @@ fn level_sweeps_hold_only_the_changes_in_flight() {
         let mut worst = 0;
         while let Some(t) = eng.next_event_time() {
             eng.run_window(Some(t));
-            worst = worst.max(eng.computing.pending() + eng.managing.pending());
+            worst = worst.max(eng.computing.pending());
         }
         assert!(eng.finish().is_ok());
         worst
     };
     let (small, large) = (worst_pending(500), worst_pending(5_000));
     assert!(small > 0 && large <= small + 2, "{small} -> {large}");
-    // A task's `-1` is added when its completion is serviced, so what
-    // waits is a start a processor whose dispatch service has not ended
-    // and the lane's queued services, each end merged with the next
-    // start — not a start and an end for every task in flight (27 here
-    // when ends were registered at dispatch; 19 now).
-    assert!(
-        large <= 2 * 8 + 4,
-        "{large} changes pending on 8 processors"
-    );
+    // A task's `-1` is added when its completion is serviced, at the
+    // round's instant, so what waits is that instant's net change plus
+    // one start a processor whose dispatch service has not ended — not
+    // a start and an end for every task in flight (8 here; 19 when the
+    // executive lanes' services waited in a second sweep).
+    assert!(large <= 8 + 1, "{large} changes pending on 8 processors");
 }
 
 #[test]

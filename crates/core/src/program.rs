@@ -303,7 +303,7 @@ impl Program {
 
     /// The tasks one fault-free run of this program may dispatch when
     /// `policy` carves its phases for `processors` processors, counted
-    /// high: the bound that sizes the run's level traces.
+    /// high: the bound that sizes the run's busy trace.
     ///
     /// Branches test counters only, so the dispatch sequence is known
     /// before the run: this [walks](Program::walk) it from step 0 with

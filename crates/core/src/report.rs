@@ -135,8 +135,6 @@ pub struct RunReport {
     pub mgmt_steals_workers: bool,
     /// Busy-compute-processor step trace.
     pub busy_trace: StepTrace,
-    /// Busy-executive step trace.
-    pub mgmt_trace: StepTrace,
     /// Availability timeline: how many worker processors were up over
     /// time. Empty when fault injection is disabled (all `processors`
     /// were available for the whole run).
@@ -480,7 +478,6 @@ mod tests {
             serial_time: SimDuration::ZERO,
             mgmt_steals_workers: false,
             busy_trace: busy,
-            mgmt_trace: StepTrace::new(),
             avail_trace: StepTrace::new(),
             lost_work: SimDuration::ZERO,
             retries: 0,

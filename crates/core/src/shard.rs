@@ -393,7 +393,6 @@ impl Coordinator {
         // Each group's traces with the group's admission instant, the
         // offset of its local timeline on the fleet's.
         let mut busy: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
-        let mut mgmt: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
         let mut avail: Vec<(StepTrace, SimDuration)> = Vec::with_capacity(n);
         let mut jobs: Vec<Option<JobReport>> = self.job_groups.iter().map(|_| None).collect();
         for cell in cells {
@@ -418,7 +417,6 @@ impl Coordinator {
                 other => other,
             })?;
             busy.push((take(&mut report.busy_trace), SimDuration(admit)));
-            mgmt.push((take(&mut report.mgmt_trace), SimDuration(admit)));
             avail.push((take(&mut report.avail_trace), SimDuration(admit)));
             for (j, jr) in report.jobs.iter().enumerate() {
                 jobs[job_map[j]] = Some(JobReport {
@@ -477,7 +475,6 @@ impl Coordinator {
         }
         let mut acc = merged.expect("at least one group");
         acc.busy_trace = StepTrace::superimpose(&busy);
-        acc.mgmt_trace = StepTrace::superimpose(&mgmt);
         acc.avail_trace = StepTrace::superimpose(&avail);
         acc.jobs = jobs
             .into_iter()

@@ -5,14 +5,16 @@
 //! processing one completion event in identity-mapping steady state
 //! performs **zero** heap allocations. Proving "zero per event" from
 //! inside one process has a subtlety: long-lived vectors (descriptor
-//! slab, waiting queue, metric delta logs) legitimately double a
-//! logarithmic number of times as a run grows. So the test runs the same
-//! identity-overlap workload at two sizes and checks that the *extra*
-//! allocations per *extra* event are (far) below one — the per-event term
-//! is zero, only the `O(log n)` growth term remains.
+//! slab, waiting queue) legitimately double a logarithmic number of
+//! times as a run grows, and the busy trace is reserved once from the
+//! declared work. So the test runs the same identity-overlap workload at
+//! two sizes and checks that the *extra* allocations per *extra* event
+//! are (far) below one — the per-event term is zero, only the `O(log n)`
+//! growth term remains — and that the extra bytes per extra task leave
+//! no room for a second level trace.
 //!
-//! This file contains exactly one `#[test]` on purpose: the counter is a
-//! process-wide global, and a concurrently running sibling test would
+//! This file contains exactly one `#[test]` on purpose: the counters are
+//! process-wide globals, and a concurrently running sibling test would
 //! bleed allocations into the measurement window.
 
 use pax_core::prelude::*;
@@ -24,10 +26,13 @@ use std::sync::atomic::{AtomicU64, Ordering};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes asked for: a block's size, and a reallocated block's new size.
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -37,6 +42,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -70,13 +76,13 @@ fn assert_no_per_event_allocations(what: &str, small: (&RunReport, u64), large: 
 /// `processors` processors under the given split strategy and executive
 /// lane count (lanes > 1 exercises the batched drain: whole coincident
 /// completion groups per service round) and report the run plus the
-/// allocations it performed.
+/// allocations it performed and the bytes they asked for.
 fn identity_run(
     processors: usize,
     granules: u32,
     strategy: SplitStrategy,
     lanes: usize,
-) -> (RunReport, u64) {
+) -> (RunReport, u64, u64) {
     let mut b = ProgramBuilder::new();
     let pa = b.phase(PhaseDef::new("a", granules, CostModel::constant(100)));
     let pb = b.phase(PhaseDef::new("b", granules, CostModel::constant(100)));
@@ -95,10 +101,12 @@ fn identity_run(
     let machine = MachineConfig::new(processors).with_executive_lanes(lanes);
     let mut sim = Simulation::new(machine, policy).with_seed(1);
     sim.add_job(program);
+    let bytes = BYTES.load(Ordering::Relaxed);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let report = sim.run().unwrap();
     let after = ALLOCATIONS.load(Ordering::Relaxed);
-    (report, after - before)
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes;
+    (report, after - before, bytes)
 }
 
 /// A trace-driven stream of one-task jobs: an arrival is every fourth
@@ -195,16 +203,26 @@ fn assert_faults_enabled_steady_state_alloc_free() {
 }
 
 /// The identity-overlap legs: one machine size, strategy and lane count
-/// at 4× growth.
+/// at 4× growth. Besides the allocation count, the bytes an extra task
+/// asks for: the busy trace's two 16-byte points (32 B) plus the
+/// descriptor arena's doublings read 138 (demand split) and 148
+/// (presplit). A second level trace adds another 32 B a task (170 and
+/// 180), above the ceiling.
 fn assert_steady_state_alloc_free(processors: usize, strategy: SplitStrategy, lanes: usize) {
-    let (r1, a1) = identity_run(processors, 2_048, strategy, lanes);
-    let (r2, a2) = identity_run(processors, 8_192, strategy, lanes);
+    const MAX_BYTES_PER_TASK: f64 = 160.0;
+    let what =
+        format!("{strategy:?} ({processors} processors, lanes {lanes}) completion processing");
+    let (r1, a1, b1) = identity_run(processors, 2_048, strategy, lanes);
+    let (r2, a2, b2) = identity_run(processors, 8_192, strategy, lanes);
     assert_eq!(r1.phases[0].stats.executed_granules, 2_048);
     assert_eq!(r2.phases[0].stats.executed_granules, 8_192);
-    assert_no_per_event_allocations(
-        &format!("{strategy:?} ({processors} processors, lanes {lanes}) completion processing"),
-        (&r1, a1),
-        (&r2, a2),
+    assert_no_per_event_allocations(&what, (&r1, a1), (&r2, a2));
+    let per_task =
+        b2.saturating_sub(b1) as f64 / (r2.tasks_dispatched - r1.tasks_dispatched) as f64;
+    assert!(
+        per_task < MAX_BYTES_PER_TASK,
+        "{what} asks for {per_task:.1} bytes an extra task (run sizes {b1} vs {b2} bytes): \
+         a second level trace is being kept"
     );
 }
 

@@ -188,9 +188,8 @@ impl StepTrace {
     }
 }
 
-/// A level — busy processors, busy executive lanes, processors up —
-/// kept as a [`StepTrace`] while its `±delta` changes arrive slightly
-/// out of time order.
+/// A level — busy processors, processors up — kept as a [`StepTrace`]
+/// while its `±delta` changes arrive slightly out of time order.
 ///
 /// A discrete-event engine learns of a change before simulated time
 /// reaches it (a dispatch at `now` knows the task's start and end), but
@@ -204,12 +203,11 @@ impl StepTrace {
 /// an `add` is a push or a merge into the back: a task's `+1` when it is
 /// dispatched (its start lies ahead of `now` by the dispatch service),
 /// its `−1` only when its completion is serviced, at `now`. What waits
-/// is then the starts and services still ahead of `now` — at most one
-/// start a processor and the executive lanes' queued services — not two
-/// changes for every task in flight. Out of order are only a completion
-/// (or a crash's cancelling `−1`) at `now` behind starts still waiting
-/// for their dispatch service to end, and the services of several lanes
-/// running side by side; those take the sorted insert, among that few.
+/// is then the starts still ahead of `now` — at most one a processor —
+/// not two changes for every task in flight. Out of order is only a
+/// completion (or a crash's cancelling `−1`) at `now` behind starts
+/// still waiting for their dispatch service to end; it takes the sorted
+/// insert, among that few.
 ///
 /// Changes at one instant are summed before the trace sees them, so a
 /// coincident `+1`/`−1` leaves no point.

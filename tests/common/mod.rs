@@ -33,7 +33,9 @@ pub struct Verdict {
 /// `Ok` reference must conserve work: busy processor-time over the
 /// makespan is useful compute plus the work crashes threw away (the
 /// idle / overhead accounting of Acar, Charguéraud & Rainey,
-/// arXiv 1709.03767).
+/// arXiv 1709.03767). It must also fit its executive in the run: each
+/// lane's services are disjoint spans inside the makespan, so management
+/// plus serial time is at most lanes × groups × makespan.
 pub fn oracle(
     name: &str,
     build: impl Fn(MachineConfig) -> Simulation,
@@ -48,6 +50,15 @@ pub fn oracle(
             busy,
             (r.compute_time + r.lost_work).ticks(),
             "{name}: busy processor-time is not compute time plus lost work"
+        );
+        let groups = (r.processors / machine.processors) as u64;
+        let lanes = machine.executive_lanes as u64 * groups;
+        let executive = (r.mgmt_time + r.serial_time).ticks();
+        assert!(
+            executive <= lanes * r.makespan.ticks(),
+            "{name}: {executive} ticks of executive service do not fit \
+             {lanes} lanes over a makespan of {}",
+            r.makespan
         );
     }
     let mut stepped: Option<Vec<Result<bool, EngineError>>> = None;

@@ -1,6 +1,6 @@
-//! The work a program declares sizes the run's level traces up front.
+//! The work a program declares sizes the run's busy trace up front.
 //! The declaration is input, so a size no allocation can hold must leave
-//! the run to grow its traces as it goes: never abort, panic or overflow.
+//! the run to grow its trace as it goes: never abort, panic or overflow.
 //! It is a bound: a run dispatches no more tasks than its program
 //! declares, and a looping program declares its loop, iteration by
 //! iteration.
@@ -28,7 +28,7 @@ fn an_unholdable_declared_size_falls_back_to_growth() {
 
 /// A `Goto` back to a dispatch with no exit: the walk's step budget runs
 /// out, the program declares nothing, and the session still builds and
-/// runs, its traces growing as they go.
+/// runs, its trace growing as it goes.
 #[test]
 fn an_endless_program_declares_nothing_and_still_runs() {
     let mut b = ProgramBuilder::new();
