@@ -30,9 +30,9 @@ pub struct E6Row {
     /// Machine utilization.
     pub utilization: f64,
     /// Mean per-job makespan (ticks).
-    pub mean_job_makespan: f64,
+    pub mean_job_span: f64,
     /// Worst per-job makespan (ticks).
-    pub max_job_makespan: u64,
+    pub max_job_span: u64,
 }
 
 /// Results of E6.
@@ -76,8 +76,8 @@ pub fn run(quick: bool) -> E6Result {
             arrangement: label.to_string(),
             jobs,
             utilization: r.utilization(),
-            mean_job_makespan: spans.iter().sum::<u64>() as f64 / spans.len() as f64,
-            max_job_makespan: spans.iter().copied().max().unwrap_or(0),
+            mean_job_span: spans.iter().sum::<u64>() as f64 / spans.len() as f64,
+            max_job_span: spans.iter().copied().max().unwrap_or(0),
         });
     };
     run_jobs(1, false, "1 job, strict barriers");
@@ -102,8 +102,8 @@ impl std::fmt::Display for E6Result {
                 r.arrangement.clone(),
                 r.jobs.to_string(),
                 pct(r.utilization * 100.0),
-                f2(r.mean_job_makespan),
-                r.max_job_makespan.to_string(),
+                f2(r.mean_job_span),
+                r.max_job_span.to_string(),
             ]);
         }
         write!(f, "{}", t.render())
@@ -127,8 +127,8 @@ mod tests {
         // batching shares the machine: each added stream lengthens every
         // job's wall-clock (the exact factor depends on how much rundown
         // idle the fill recovers)
-        assert!(two.mean_job_makespan > single.mean_job_makespan * 1.2);
-        assert!(four.mean_job_makespan > two.mean_job_makespan * 1.2);
+        assert!(two.mean_job_span > single.mean_job_span * 1.2);
+        assert!(four.mean_job_span > two.mean_job_span * 1.2);
     }
 
     #[test]
@@ -138,7 +138,7 @@ mod tests {
         let overlap = &r.rows[3];
         assert!(overlap.utilization > single.utilization);
         assert!(
-            overlap.mean_job_makespan < single.mean_job_makespan,
+            overlap.mean_job_span < single.mean_job_span,
             "overlap should shorten the job, not stretch it"
         );
     }

@@ -44,9 +44,8 @@ use pax_sim::event::EventQueue;
 use pax_sim::machine::{
     BatchPolicy, ClassAffinity, ExecutivePlacement, MachineConfig, ProcessorClass, ResourcePool,
 };
-use pax_sim::metrics::{Activity, GanttTrace, LevelSweep, Span};
+use pax_sim::metrics::{GanttTrace, LevelSweep, Span};
 use pax_sim::time::{SimDuration, SimTime};
-use pax_sim::trace::TraceLog;
 use rand::rngs::SmallRng;
 use std::collections::VecDeque;
 use std::mem::take;
@@ -301,7 +300,6 @@ pub(crate) struct Engine {
     serial_total: SimDuration,
     last_event_end: SimTime,
     gantt: GanttTrace,
-    tlog: TraceLog,
     events_processed: u64,
     tasks_dispatched: u64,
     splits: u64,
@@ -463,11 +461,6 @@ impl Engine {
             } else {
                 GanttTrace::disabled()
             },
-            tlog: if s.trace {
-                TraceLog::enabled(100_000)
-            } else {
-                TraceLog::disabled()
-            },
             events_processed: 0,
             tasks_dispatched: 0,
             splits: 0,
@@ -496,8 +489,8 @@ impl Engine {
     // ------------------------------------------------------------------
 
     /// Charge `cost` to the least-loaded executive lane starting no
-    /// earlier than `at`; returns `(service_start, service_end)`.
-    fn exec_service(&mut self, at: SimTime, cost: SimDuration) -> (SimTime, SimTime) {
+    /// earlier than `at`; returns when the service ends.
+    fn exec_service(&mut self, at: SimTime, cost: SimDuration) -> SimTime {
         let lane = self
             .exec_lanes
             .iter()
@@ -510,21 +503,21 @@ impl Engine {
         self.exec_lanes[lane] = end;
         self.mgmt_total += cost;
         self.last_event_end = self.last_event_end.max(end);
-        (start, end)
+        end
     }
 
     /// Like [`Engine::exec_service`] but accounted as *serial algorithm
     /// work* rather than management: the paper's null mappings arise from
     /// "serial actions and decisions" that are part of the computation,
     /// so they must not pollute the computation-to-management ratio.
-    fn exec_service_serial(&mut self, at: SimTime, cost: SimDuration) -> (SimTime, SimTime) {
-        let (start, end) = self.exec_service(at, cost);
+    fn exec_service_serial(&mut self, at: SimTime, cost: SimDuration) -> SimTime {
+        let end = self.exec_service(at, cost);
         if !cost.is_zero() {
             // move the charge from management to serial
             self.mgmt_total -= cost;
             self.serial_total += cost;
         }
-        (start, end)
+        end
     }
 
     fn earliest_exec_free(&self) -> SimTime {
@@ -815,8 +808,7 @@ impl Engine {
                 h.class_tasks[c] += 1;
             }
         }
-        let (svc_start, svc_end) = self.exec_service(self.now, cost);
-        self.record_dispatch_gantt(w, svc_start, svc_end);
+        let svc_end = self.exec_service(self.now, cost);
         let overlapping = self
             .inst(inst_id)
             .predecessor
@@ -848,11 +840,9 @@ impl Engine {
                 worker: w.0,
                 start,
                 end,
-                activity: Activity::Compute {
-                    phase: inst_id.0,
-                    lo: range.lo,
-                    hi: range.hi,
-                },
+                phase: inst_id.0,
+                lo: range.lo,
+                hi: range.hi,
             });
         }
         self.tasks_dispatched += 1;
@@ -942,42 +932,6 @@ impl Engine {
         total
     }
 
-    fn record_dispatch_gantt(&mut self, w: WorkerId, svc_start: SimTime, svc_end: SimTime) {
-        if !self.gantt.is_enabled() {
-            return;
-        }
-        match self.cfg.executive {
-            ExecutivePlacement::StealsWorker => {
-                if svc_start > self.now {
-                    self.gantt.push(Span {
-                        worker: w.0,
-                        start: self.now,
-                        end: svc_start,
-                        activity: Activity::ExecutiveWait,
-                    });
-                }
-                if svc_end > svc_start {
-                    self.gantt.push(Span {
-                        worker: w.0,
-                        start: svc_start,
-                        end: svc_end,
-                        activity: Activity::Management,
-                    });
-                }
-            }
-            ExecutivePlacement::Dedicated => {
-                if svc_end > self.now {
-                    self.gantt.push(Span {
-                        worker: w.0,
-                        start: self.now,
-                        end: svc_end,
-                        activity: Activity::ExecutiveWait,
-                    });
-                }
-            }
-        }
-    }
-
     /// Service a run of coincident completion events in calendar order —
     /// the multi-lane executive's batched drain. The conflict-queue
     /// wakeup buffer is taken once for the whole batch and every event's
@@ -1050,8 +1004,7 @@ impl Engine {
                 self.complete_instance(inst_id, &mut cost);
             }
 
-            let (svc_start, svc_end) = self.exec_service(self.now, cost);
-            self.record_dispatch_gantt(w, svc_start, svc_end);
+            let svc_end = self.exec_service(self.now, cost);
             let seek_at = match self.cfg.executive {
                 ExecutivePlacement::StealsWorker => svc_end,
                 ExecutivePlacement::Dedicated => self.now,

@@ -52,8 +52,6 @@ impl Engine {
                     self.jobs[job].rejected = true;
                     self.jobs[job].done = true;
                     self.jobs_rejected += 1;
-                    self.tlog
-                        .log(self.now, || format!("job{job} shed by admission"));
                 }
             }
         }

@@ -199,7 +199,9 @@ impl Engine {
     /// Reverse the dispatch-time accounting of a preempted task and route
     /// its granule range per the retry policy. The busy trace keeps the
     /// span the worker really computed (start → crash) — that time is
-    /// *lost work*, counted separately from useful compute.
+    /// *lost work*, counted separately from useful compute — while the
+    /// Gantt trace drops the task's compute span: it never finished, and
+    /// its granules get their real span when they are reissued.
     fn preempt_lost_task(&mut self, w: WorkerId, d: DescId, start: SimTime, end: SimTime) {
         let exec = end.since(start);
         // Tokens held by the preempted task return immediately — before
@@ -221,6 +223,7 @@ impl Engine {
         let cancel_from = start.max(self.now);
         self.computing.add(cancel_from, -1);
         self.compute_total -= exec;
+        self.gantt.retract_last(w.0);
         let f = self
             .faults
             .as_mut()

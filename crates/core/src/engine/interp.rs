@@ -101,14 +101,11 @@ impl Engine {
                 self.abort
                     .get_or_insert(EngineError::JobAborted { job, detail });
             }
-            Stop::At(pc, Step::Serial { duration, label }) => {
+            Stop::At(pc, Step::Serial { duration, .. }) => {
                 let duration = *duration;
-                let (_s, end) = self.exec_service_serial(self.now, duration);
+                let end = self.exec_service_serial(self.now, duration);
                 self.jobs[job].pc = pc;
                 self.jobs[job].pending_serial_gap += duration;
-                self.tlog.log(self.now, || {
-                    format!("job{job} serial '{label}' until {end}")
-                });
                 self.events.schedule(end, Ev::SerialDone { job });
             }
             Stop::At(pc, Step::Dispatch { phase, .. }) => {
@@ -169,9 +166,6 @@ impl Engine {
         if let Some(succ_id) = succ {
             self.release_residual(succ_id, cost);
         }
-        self.tlog.log(now, || {
-            format!("{inst_id} complete (job{job}, step {step})")
-        });
         self.run_program(job, step + 1);
     }
 

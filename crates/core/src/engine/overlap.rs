@@ -136,12 +136,6 @@ impl Engine {
             EnablementMapping::Null => unreachable!(),
         }
         self.exec_service(self.now, cost);
-        self.tlog.log(self.now, || {
-            format!(
-                "{pred_id} initiated successor {succ_id} via {}",
-                kind.label()
-            )
-        });
     }
 
     /// Identity overlap: queue a matching successor description on every

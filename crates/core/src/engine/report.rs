@@ -28,11 +28,10 @@ impl Engine {
                 .unwrap_or(0);
             let detail = format!(
                 "waiting queue len {}, backlog {}, live descriptors {}, \
-                 down processors {down}, trace:\n{}",
+                 down processors {down}",
                 self.waiting.len(),
                 self.exec_backlog.len(),
                 self.arena.live(),
-                self.tlog
             );
             return Err(EngineError::Deadlock {
                 unfinished_jobs: unfinished,

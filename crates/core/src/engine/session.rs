@@ -57,7 +57,6 @@ pub struct Simulation {
     pub(crate) links: Vec<crate::shard::GroupLink>,
     pub(crate) seed: u64,
     pub(crate) gantt: bool,
-    pub(crate) trace: bool,
 }
 
 /// A deferred arrival stream: `count` copies of one program admitted at
@@ -83,11 +82,10 @@ impl Simulation {
             links: Vec::new(),
             seed: 0x5EED_CA5E,
             gantt: false,
-            trace: false,
         }
     }
 
-    /// Add a job stream; returns its id.
+    /// Add one job to machine group 0; returns its id.
     pub fn add_job(&mut self, program: Program) -> JobId {
         self.add_job_in_group(program, 0)
     }
@@ -168,7 +166,7 @@ impl Simulation {
         }
     }
 
-    /// Add a job stream to machine group `group`; returns its id.
+    /// Add one job to machine group `group`; returns its id.
     ///
     /// Jobs in one group run on one shared simulated machine (contending
     /// for its processors, executive lanes, and waiting queue, exactly as
@@ -201,16 +199,11 @@ impl Simulation {
         self
     }
 
-    /// Record a per-worker Gantt trace (needed by overlap-invariant
-    /// tests; costs memory proportional to task count).
+    /// Record a per-worker Gantt trace: one compute span per finished
+    /// task (needed by overlap-invariant tests; costs memory proportional
+    /// to task count).
     pub fn with_gantt(mut self) -> Simulation {
         self.gantt = true;
-        self
-    }
-
-    /// Record a textual debug trace.
-    pub fn with_trace(mut self) -> Simulation {
-        self.trace = true;
         self
     }
 

@@ -334,11 +334,6 @@ impl WaitingQueue {
         }
     }
 
-    /// Number of elevated entries (diagnostics).
-    pub fn elevated_len(&self) -> usize {
-        self.elevated.len()
-    }
-
     /// Remove a specific description from the segment it was queued in
     /// (`class` and `job` as recorded in the arena when it was pushed).
     /// Linear in that one segment — only used by the priority-elevation

@@ -180,7 +180,9 @@ pub struct RunReport {
     pub descriptors_created: u64,
     /// Peak simultaneously-live descriptions.
     pub descriptors_peak: usize,
-    /// Optional per-worker Gantt trace.
+    /// Per-worker compute spans of the tasks that finished
+    /// ([`Simulation::with_gantt`](crate::Simulation::with_gantt); one
+    /// machine group only).
     pub gantt: Option<GanttTrace>,
     /// Warnings raised during the run (interlock violations etc.).
     pub warnings: Vec<String>,
@@ -312,11 +314,6 @@ impl RunReport {
             .iter()
             .map(|p| p.stats.overlap_granules as u64)
             .sum()
-    }
-
-    /// Makespan of job 0 (single-job convenience).
-    pub fn job_makespan(&self) -> Option<SimDuration> {
-        self.jobs.first().and_then(|j| j.makespan())
     }
 
     /// Jobs that ran to completion (shed jobs excluded).

@@ -738,7 +738,6 @@ impl Simulation {
                     links: Vec::new(),
                     seed: group_seed(self.seed, g),
                     gantt: self.gantt,
-                    trace: self.trace,
                 };
                 place(g, Engine::new(sub));
             }

@@ -611,7 +611,6 @@ mod enablement_safety {
     use pax_core::prelude::*;
     use pax_sim::dist::CostModel;
     use pax_sim::machine::MachineConfig;
-    use pax_sim::metrics::Activity;
     use proptest::prelude::*;
     use std::collections::HashMap;
     use std::sync::Arc;
@@ -675,10 +674,8 @@ mod enablement_safety {
             let gantt = r.gantt.as_ref().unwrap();
             let mut span_of: HashMap<(u32, u32), (u64, u64)> = HashMap::new();
             for span in gantt.spans() {
-                if let Activity::Compute { phase, lo, hi } = span.activity {
-                    for g in lo..hi {
-                        span_of.insert((phase, g), (span.start.ticks(), span.end.ticks()));
-                    }
+                for g in span.lo..span.hi {
+                    span_of.insert((span.phase, g), (span.start.ticks(), span.end.ticks()));
                 }
             }
             let cur = r.phases[0].instance.0;

@@ -26,9 +26,8 @@
 //!   ([`machine::ResourcePool`]).
 //! * [`locality`] — clustered-memory model (data homes, remote-access
 //!   stalls) behind the paper's "data-proximity work assignment" strategy.
-//! * [`metrics`] — busy-processor step traces, per-worker Gantt traces,
-//!   and statistics used by every experiment.
-//! * [`trace`] — an optional textual debug log.
+//! * [`metrics`] — busy-processor step traces (always on) and opt-in
+//!   per-worker compute spans (Gantt traces).
 //!
 //! The scheduling logic itself (phases, enablement mappings, the waiting
 //! computation queue, overlap control) lives in `pax-core`, layered on top
@@ -44,7 +43,6 @@ pub mod locality;
 pub mod machine;
 pub mod metrics;
 pub mod time;
-pub mod trace;
 
 pub use calendar::{Calendar, CalendarKind};
 pub use dist::{ArrivalProcess, CostModel, DurationDist};
@@ -55,9 +53,8 @@ pub use machine::{
     AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
     ManagementCosts, ProcessorClass, ResourcePool, ShardPolicy,
 };
-pub use metrics::{Activity, GanttTrace, LevelSweep, Span, StepTrace, Welford};
+pub use metrics::{GanttTrace, LevelSweep, Span, StepTrace};
 pub use time::{SimDuration, SimTime};
-pub use trace::TraceLog;
 
 /// Construct the deterministic RNG used across the workspace.
 ///

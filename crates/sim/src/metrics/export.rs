@@ -1,20 +1,9 @@
-//! Plain-text exports of measurement series (CSV), so experiment output
-//! can be plotted externally without adding serialization dependencies.
+//! Plain-text export of step traces (CSV), so experiment output can be
+//! plotted externally without adding serialization dependencies.
 
-use crate::metrics::gantt::{Activity, GanttTrace};
 use crate::metrics::step::StepTrace;
 use crate::time::SimTime;
 use std::fmt::Write as _;
-
-/// Render a step trace as two-column CSV (`time,value`), with explicit
-/// change points only.
-pub fn step_trace_csv(trace: &StepTrace) -> String {
-    let mut out = String::from("time,value\n");
-    for &(t, v) in trace.points() {
-        let _ = writeln!(out, "{},{}", t.ticks(), v);
-    }
-    out
-}
 
 /// Render one or more step traces resampled onto a common time grid:
 /// `time,<name1>,<name2>,…`. Useful for barrier-vs-overlap figure data.
@@ -45,63 +34,9 @@ pub fn step_traces_csv(
     out
 }
 
-/// Render a Gantt trace as CSV rows `worker,start,end,kind,phase,lo,hi`
-/// (management/wait rows have empty phase columns).
-pub fn gantt_csv(trace: &GanttTrace) -> String {
-    let mut out = String::from("worker,start,end,kind,phase,lo,hi\n");
-    for s in trace.spans() {
-        match s.activity {
-            Activity::Compute { phase, lo, hi } => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},compute,{},{},{}",
-                    s.worker,
-                    s.start.ticks(),
-                    s.end.ticks(),
-                    phase,
-                    lo,
-                    hi
-                );
-            }
-            Activity::Management => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},management,,,",
-                    s.worker,
-                    s.start.ticks(),
-                    s.end.ticks()
-                );
-            }
-            Activity::ExecutiveWait => {
-                let _ = writeln!(
-                    out,
-                    "{},{},{},wait,,,",
-                    s.worker,
-                    s.start.ticks(),
-                    s.end.ticks()
-                );
-            }
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::gantt::Span;
-
-    #[test]
-    fn step_trace_csv_lists_change_points() {
-        let mut tr = StepTrace::new();
-        tr.record(SimTime(0), 3);
-        tr.record(SimTime(10), 1);
-        let csv = step_trace_csv(&tr);
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "time,value");
-        assert_eq!(lines[1], "0,3");
-        assert_eq!(lines[2], "10,1");
-    }
 
     #[test]
     fn multi_trace_csv_resamples() {
@@ -124,33 +59,7 @@ mod tests {
     }
 
     #[test]
-    fn gantt_csv_rows() {
-        let mut g = GanttTrace::enabled();
-        g.push(Span {
-            worker: 0,
-            start: SimTime(0),
-            end: SimTime(5),
-            activity: Activity::Compute {
-                phase: 2,
-                lo: 4,
-                hi: 8,
-            },
-        });
-        g.push(Span {
-            worker: 1,
-            start: SimTime(5),
-            end: SimTime(7),
-            activity: Activity::Management,
-        });
-        let csv = gantt_csv(&g);
-        assert!(csv.contains("0,0,5,compute,2,4,8"));
-        assert!(csv.contains("1,5,7,management,,,"));
-    }
-
-    #[test]
     fn empty_inputs() {
-        let tr = StepTrace::new();
-        assert_eq!(step_trace_csv(&tr), "time,value\n");
         let csv = step_traces_csv(&[], SimTime(0), SimTime(0), 0);
         assert_eq!(csv, "time\n");
     }

@@ -69,34 +69,17 @@ impl FleetConfig {
     /// One group's program: two identity-mapped phases, overlapping
     /// through the rundown exactly like the bench identity scenario.
     pub fn program(&self) -> Program {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new(
-            "fleet-a",
+        identity_pair(
+            ["fleet-a", "fleet-z"],
             self.granules_per_group,
-            CostModel::constant(self.granule_cost),
-        ));
-        let z = b.phase(PhaseDef::new(
-            "fleet-z",
-            self.granules_per_group,
-            CostModel::constant(self.granule_cost),
-        ));
-        b.dispatch_enable(
-            a,
-            vec![EnableSpec {
-                successor: z,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(z);
-        b.build().expect("fleet program is statically valid")
+            self.granule_cost,
+        )
     }
 
     /// The overlap policy the fleet runs under (demand splitting at the
     /// configured task size).
     pub fn policy(&self) -> OverlapPolicy {
-        OverlapPolicy::overlap()
-            .with_sizing(TaskSizing::Fixed(self.task_size))
-            .with_split_strategy(SplitStrategy::DemandSplit)
+        demand_split(self.task_size)
     }
 
     /// Assemble the full multi-group simulation on `machine` (whose
@@ -115,6 +98,33 @@ impl FleetConfig {
         }
         sim
     }
+}
+
+/// The fleet and service job: phases `names[0]` then `names[1]`, each of
+/// `granules` constant-`cost` granules, the second enabled by identity
+/// from the first.
+pub(crate) fn identity_pair(names: [&str; 2], granules: u32, cost: u64) -> Program {
+    let mut b = ProgramBuilder::new();
+    let [a, z] =
+        names.map(|name| b.phase(PhaseDef::new(name, granules, CostModel::constant(cost))));
+    b.dispatch_enable(
+        a,
+        vec![EnableSpec {
+            successor: z,
+            mapping: EnablementMapping::Identity,
+        }],
+    );
+    b.dispatch(z);
+    b.build()
+        .expect("a two-phase identity job is statically valid")
+}
+
+/// Overlap with demand splitting at `task_size` granules a task: the
+/// fleet and service policy.
+pub(crate) fn demand_split(task_size: u32) -> OverlapPolicy {
+    OverlapPolicy::overlap()
+        .with_sizing(TaskSizing::Fixed(task_size))
+        .with_split_strategy(SplitStrategy::DemandSplit)
 }
 
 /// The canonical degraded-fleet fault plan used by the bench sweep and

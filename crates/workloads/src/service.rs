@@ -15,12 +15,11 @@
 //! `mean_gap = 0` every arrival lands at time zero and the run reduces
 //! exactly to the closed system (the equivalence suite pins this).
 
-use pax_core::mapping::EnablementMapping;
-use pax_core::phase::PhaseDef;
-use pax_core::policy::{OverlapPolicy, SplitStrategy, TaskSizing};
-use pax_core::program::{EnableSpec, Program, ProgramBuilder};
+use crate::fleet::{demand_split, identity_pair};
+use pax_core::policy::OverlapPolicy;
+use pax_core::program::Program;
 use pax_core::Simulation;
-use pax_sim::dist::{ArrivalProcess, CostModel};
+use pax_sim::dist::ArrivalProcess;
 use pax_sim::machine::{AdmissionPolicy, MachineConfig};
 
 /// A stream of identical jobs arriving at a machine held in service.
@@ -74,33 +73,12 @@ impl ServiceConfig {
     /// One job's program: two identity-mapped phases, overlapping through
     /// the rundown (the fleet workloads' shape, for comparability).
     pub fn program(&self) -> Program {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new(
-            "svc-a",
-            self.granules_per_job,
-            CostModel::constant(self.granule_cost),
-        ));
-        let z = b.phase(PhaseDef::new(
-            "svc-z",
-            self.granules_per_job,
-            CostModel::constant(self.granule_cost),
-        ));
-        b.dispatch_enable(
-            a,
-            vec![EnableSpec {
-                successor: z,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(z);
-        b.build().expect("service program is statically valid")
+        identity_pair(["svc-a", "svc-z"], self.granules_per_job, self.granule_cost)
     }
 
     /// The overlap policy the service runs under.
     pub fn policy(&self) -> OverlapPolicy {
-        OverlapPolicy::overlap()
-            .with_sizing(TaskSizing::Fixed(self.task_size))
-            .with_split_strategy(SplitStrategy::DemandSplit)
+        demand_split(self.task_size)
     }
 
     /// Jobs routed to group `g` (round-robin remainder-first split).

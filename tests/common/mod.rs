@@ -36,6 +36,11 @@ pub struct Verdict {
 /// arXiv 1709.03767). It must also fit its executive in the run: each
 /// lane's services are disjoint spans inside the makespan, so management
 /// plus serial time is at most lanes × groups × makespan.
+///
+/// Recording is observation only: `build(machine).with_gantt().run()`,
+/// its trace taken out, is the reference too, and a trace (one group's
+/// run keeps one) holds exactly the useful compute — its spans sum to
+/// `compute_time`, with no span left for a task a crash preempted.
 pub fn oracle(
     name: &str,
     build: impl Fn(MachineConfig) -> Simulation,
@@ -61,6 +66,18 @@ pub fn oracle(
             r.makespan
         );
     }
+    let mut traced = build(machine.clone()).with_gantt().run();
+    if let Ok(r) = &mut traced {
+        if let Some(gantt) = r.gantt.take() {
+            let spans: u64 = gantt.spans().iter().map(|s| s.duration().ticks()).sum();
+            assert_eq!(
+                spans,
+                r.compute_time.ticks(),
+                "{name}: Gantt compute spans do not sum to compute time"
+            );
+        }
+    }
+    assert_eq!(traced, reference, "{name}: with_gantt");
     let mut stepped: Option<Vec<Result<bool, EngineError>>> = None;
     for batch in [BatchPolicy::Coincident, BatchPolicy::Single] {
         for shards in [1, 2, 3, 4, 8] {

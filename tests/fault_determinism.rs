@@ -16,7 +16,7 @@ mod common;
 use common::oracle;
 use pax_core::engine::EngineError;
 use pax_core::phase::PhaseDef;
-use pax_core::policy::OverlapPolicy;
+use pax_core::policy::{OverlapPolicy, TaskSizing};
 use pax_core::program::{Program, ProgramBuilder};
 use pax_core::Simulation;
 use pax_sim::dist::{CostModel, DurationDist};
@@ -101,6 +101,35 @@ fn degraded_capacity_accounting_is_populated() {
     }
     let s = r.summary();
     assert!(s.contains("crashes"), "summary surfaces fault accounting");
+}
+
+/// A task a crash preempts leaves no Gantt span: the trace holds only
+/// work that finished, so its spans sum to `compute_time`, every granule
+/// is covered exactly once, and no span on a crashed processor reaches
+/// into the time it was down.
+#[test]
+fn crash_preempted_tasks_leave_no_gantt_span() {
+    let program = FleetConfig::independent(1, 4096).program();
+    let machine = MachineConfig::new(8).with_faults(scripted_plan());
+    let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(16));
+    let mut sim = Simulation::new(machine, policy).with_gantt();
+    sim.add_job(program);
+    let r = sim.run().unwrap();
+    assert_eq!(r.crashes, 2);
+    assert!(r.lost_work.ticks() > 0, "both crashes cut a task short");
+    let gantt = r.gantt.as_ref().expect("gantt enabled");
+    let spans: u64 = gantt.spans().iter().map(|s| s.duration().ticks()).sum();
+    assert_eq!(spans, r.compute_time.ticks());
+    let granules: u64 = gantt.spans().iter().map(|s| u64::from(s.hi - s.lo)).sum();
+    assert_eq!(granules, 2 * 4096);
+    for s in gantt.spans() {
+        // Processor 1 is down over [500, 1 200); processor 3 from 1 900.
+        match s.worker {
+            1 => assert!(s.end.ticks() <= 500 || s.start.ticks() >= 1_200, "{s:?}"),
+            3 => assert!(s.end.ticks() <= 1_900, "{s:?}"),
+            _ => {}
+        }
+    }
 }
 
 /// A faults-disabled run reports full nominal availability.

@@ -81,16 +81,13 @@ fn simulated_executive_overlaps_the_pipeline_legally() {
     // Enablement safety from the Gantt trace: no interp-t granule may
     // start before all its IMAP-required power-t granules end.
     let gantt = r.gantt.as_ref().unwrap();
-    use pax_sim::metrics::Activity;
     use std::collections::HashMap;
     let mut start: HashMap<(u32, u32), u64> = HashMap::new();
     let mut end: HashMap<(u32, u32), u64> = HashMap::new();
     for span in gantt.spans() {
-        if let Activity::Compute { phase, lo, hi } = span.activity {
-            for g in lo..hi {
-                start.insert((phase, g), span.start.ticks());
-                end.insert((phase, g), span.end.ticks());
-            }
+        for g in span.lo..span.hi {
+            start.insert((span.phase, g), span.start.ticks());
+            end.insert((span.phase, g), span.end.ticks());
         }
     }
     let mut checked = 0;

@@ -117,7 +117,7 @@ fn claim_batch_tradeoff() {
     let single = &r.rows[0];
     let batch = &r.rows[1];
     assert!(batch.utilization > single.utilization);
-    assert!(batch.mean_job_makespan > single.mean_job_makespan);
+    assert!(batch.mean_job_span > single.mean_job_span);
 }
 
 /// Every language form from the paper round-trips.

@@ -8,7 +8,6 @@ use pax_core::prelude::*;
 use pax_sim::dist::CostModel;
 use pax_sim::locality::{DataLayout, LocalityModel};
 use pax_sim::machine::MachineConfig;
-use pax_sim::metrics::Activity;
 use pax_sim::time::SimDuration;
 use pax_workloads::checkerboard::checkerboard_program;
 use pax_workloads::generators::{CostShape, GeneratorConfig};
@@ -52,11 +51,9 @@ fn gantt_spans_agree_with_remote_accounting() {
     let mut remote = 0u64;
     let mut executed = 0u64;
     for span in gantt.spans() {
-        if let Activity::Compute { lo, hi, .. } = span.activity {
-            executed += u64::from(hi - lo);
-            let wc = loc.worker_cluster(span.worker as usize, processors);
-            remote += loc.remote_granules(lo, hi, 240, wc);
-        }
+        executed += u64::from(span.hi - span.lo);
+        let wc = loc.worker_cluster(span.worker as usize, processors);
+        remote += loc.remote_granules(span.lo, span.hi, 240, wc);
     }
     assert_eq!(executed, 3 * 240);
     assert_eq!(remote, r.remote_granules, "gantt-derived remote count");
@@ -85,11 +82,9 @@ fn proximity_preserves_seam_enablement_on_checkerboard() {
     let mut done: HashMap<(u32, u32), u64> = HashMap::new(); // (inst, granule) -> end
     let mut start: HashMap<(u32, u32), u64> = HashMap::new();
     for span in gantt.spans() {
-        if let Activity::Compute { phase, lo, hi } = span.activity {
-            for g in lo..hi {
-                done.insert((phase, g), span.end.ticks());
-                start.insert((phase, g), span.start.ticks());
-            }
+        for g in span.lo..span.hi {
+            done.insert((span.phase, g), span.end.ticks());
+            start.insert((span.phase, g), span.start.ticks());
         }
     }
     // For every seam-enabled pair of adjacent instances, check that each
