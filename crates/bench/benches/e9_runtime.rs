@@ -2,7 +2,8 @@
 //! sizes — criterion repeats runs many times).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use pax_runtime::{run_chain, RtMapping, RtPhase, RuntimeConfig};
+use pax_core::mapping::EnablementMapping;
+use pax_runtime::{run_chain, RtPhase, RuntimeConfig};
 use std::time::Duration;
 
 fn chain(phases: usize, granules: u32) -> Vec<RtPhase> {
@@ -10,7 +11,7 @@ fn chain(phases: usize, granules: u32) -> Vec<RtPhase> {
         .map(|i| {
             let p = RtPhase::synthetic(format!("p{i}"), granules, Duration::from_micros(30));
             if i + 1 < phases {
-                p.with_mapping(RtMapping::Identity)
+                p.with_mapping(EnablementMapping::Identity)
             } else {
                 p
             }

@@ -9,7 +9,8 @@
 //! from peers), on the same overlap workloads.
 
 use crate::table::{f2, pct, Table};
-use pax_runtime::{run_chain, run_chain_lateral, RtMapping, RtPhase, RuntimeConfig};
+use pax_core::mapping::EnablementMapping;
+use pax_runtime::{run_chain, run_chain_lateral, RtPhase, RuntimeConfig};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -46,7 +47,7 @@ fn identity_chain(phases: usize, granules: u32, per: Duration) -> Vec<RtPhase> {
         .map(|i| {
             let p = RtPhase::synthetic(format!("p{i}"), granules, per);
             if i + 1 < phases {
-                p.with_mapping(RtMapping::Identity)
+                p.with_mapping(EnablementMapping::Identity)
             } else {
                 p
             }
@@ -67,7 +68,7 @@ fn fine_grained_chain(phases: usize, granules: u32) -> Vec<RtPhase> {
                 }),
             );
             if i + 1 < phases {
-                p.with_mapping(RtMapping::Identity)
+                p.with_mapping(EnablementMapping::Identity)
             } else {
                 p
             }

@@ -7,8 +7,8 @@
 //! utilization.
 
 use crate::table::{f2, pct, Table};
-use pax_core::mapping::CompositeMap;
-use pax_runtime::{run_chain, RtMapping, RtPhase, RuntimeConfig};
+use pax_core::mapping::EnablementMapping;
+use pax_runtime::{run_chain, RtPhase, RuntimeConfig};
 use pax_workloads::checkerboard::{Checkerboard, Color};
 use std::sync::Arc;
 use std::time::Duration;
@@ -64,7 +64,7 @@ fn straggler_chain(phases: usize, granules: u32, base: Duration) -> Vec<RtPhase>
                 }),
             );
             if i + 1 < phases {
-                p.with_mapping(RtMapping::Universal)
+                p.with_mapping(EnablementMapping::Universal)
             } else {
                 p
             }
@@ -74,14 +74,8 @@ fn straggler_chain(phases: usize, granules: u32, base: Duration) -> Vec<RtPhase>
 
 fn seam_sor_chain(n: usize, sweeps: usize, per_cell: Duration) -> Vec<RtPhase> {
     let board = Checkerboard::new(n);
-    let red_to_black = Arc::new(CompositeMap::from_requirement_lists(
-        &board.seam_map(Color::Red).requires,
-        board.granules(Color::Red),
-    ));
-    let black_to_red = Arc::new(CompositeMap::from_requirement_lists(
-        &board.seam_map(Color::Black).requires,
-        board.granules(Color::Black),
-    ));
+    let maps = [Color::Red, Color::Black]
+        .map(|color| EnablementMapping::Seam(Arc::new(board.seam_map(color))));
     (0..sweeps)
         .map(|s| {
             let color = if s % 2 == 0 { Color::Red } else { Color::Black };
@@ -92,12 +86,7 @@ fn seam_sor_chain(n: usize, sweeps: usize, per_cell: Duration) -> Vec<RtPhase> {
                 per_cell,
             );
             if s + 1 < sweeps {
-                let map = if s % 2 == 0 {
-                    Arc::clone(&red_to_black)
-                } else {
-                    Arc::clone(&black_to_red)
-                };
-                p.with_mapping(RtMapping::Counted(map))
+                p.with_mapping(maps[s % 2].clone())
             } else {
                 p
             }
@@ -125,7 +114,7 @@ pub fn mini_casper_chain(
     let p = Arc::new(SharedF64::zeros(n as usize));
     let m = Arc::new(SharedF64::zeros(n as usize));
     let imap: Arc<Vec<Vec<u32>>> = Arc::new(spec.imap.clone());
-    let reverse = Arc::new(CompositeMap::from_requirement_lists(&spec.imap, n));
+    let reverse = EnablementMapping::ReverseIndirect(Arc::new(spec.reverse_map()));
 
     let mut phases = Vec::with_capacity(spec.timesteps * 4);
     for t in 0..spec.timesteps {
@@ -141,7 +130,7 @@ pub fn mini_casper_chain(
                     pw.set(g as usize, MC::power_kernel(ur.get(g as usize)));
                 }),
             )
-            .with_mapping(RtMapping::Counted(Arc::clone(&reverse))),
+            .with_mapping(reverse.clone()),
         );
         // 2. interpolator matrix row (gathers p through the dynamic IMAP)
         let (pr, mw, im) = (Arc::clone(&p), Arc::clone(&m), Arc::clone(&imap));
@@ -156,7 +145,7 @@ pub fn mini_casper_chain(
                     mw.set(g as usize, v);
                 }),
             )
-            .with_mapping(RtMapping::Identity),
+            .with_mapping(EnablementMapping::Identity),
         );
         // 3. apply (relax the field in place)
         let (uw, mr) = (Arc::clone(&u), Arc::clone(&m));
@@ -170,7 +159,7 @@ pub fn mini_casper_chain(
                     uw.set(i, MC::apply_kernel(uw.get(i), mr.get(i)));
                 }),
             )
-            .with_mapping(RtMapping::Universal),
+            .with_mapping(EnablementMapping::Universal),
         );
         // 4. structural load table (self-contained)
         let sw = Arc::clone(&s);
@@ -188,9 +177,9 @@ pub fn mini_casper_chain(
             ph = ph.with_mapping(if serial_next {
                 // the paper's null mapping: a serial convergence decision
                 // separates the timesteps
-                RtMapping::Barrier
+                EnablementMapping::Null
             } else {
-                RtMapping::Universal
+                EnablementMapping::Universal
             });
         }
         phases.push(ph);

@@ -95,17 +95,6 @@ impl Engine {
         if kind == MappingKind::Null {
             return;
         }
-        if kind == MappingKind::Identity {
-            let pg = self.inst(pred_id).granules;
-            let sg = self.jobs[job].program.phases[succ_phase.0 as usize].granules;
-            if pg != sg {
-                self.warnings.push(format!(
-                    "identity mapping requires equal granule counts ({pg} vs {sg}); \
-                     overlap skipped at step {dispatch_step}"
-                ));
-                return;
-            }
-        }
         let succ_id = self.new_instance(
             job,
             succ_phase,

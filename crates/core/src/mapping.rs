@@ -172,6 +172,60 @@ impl EnablementMapping {
         }
     }
 
+    /// Whether this mapping fits an edge from a phase of `current`
+    /// granules into one of `successor` granules: the granule-count half
+    /// of the interlock the paper asks for "so that the executive system
+    /// (or language processor) can verify" it. The one place these rules
+    /// live; program validation, both real-thread executors, the
+    /// language's `ENABLE` resolution and the scenario reader all ask
+    /// here. Returns a description of the first misfit.
+    pub fn check_edge(&self, current: u32, successor: u32) -> Result<(), String> {
+        // Reverse and seam maps are both per-successor requirement lists.
+        let lists = |what: &str, requires: &[Vec<u32>]| {
+            if requires.len() != successor as usize {
+                Err(format!(
+                    "{what} map covers {} successor granules, phase has {successor}",
+                    requires.len()
+                ))
+            } else if let Some(&d) = requires.iter().flatten().find(|&&d| d >= current) {
+                Err(format!(
+                    "{what} map requires current granule {d}, phase has only {current}"
+                ))
+            } else {
+                Ok(())
+            }
+        };
+        match self {
+            EnablementMapping::Universal | EnablementMapping::Null => Ok(()),
+            EnablementMapping::Identity if current != successor => Err(format!(
+                "identity mapping requires equal granule counts ({current} vs {successor})"
+            )),
+            EnablementMapping::Identity => Ok(()),
+            EnablementMapping::ForwardIndirect(f) => {
+                if f.successor_granules != successor {
+                    Err(format!(
+                        "forward map built for {} successor granules, phase has {successor}",
+                        f.successor_granules
+                    ))
+                } else if f.targets.len() > current as usize {
+                    Err(format!(
+                        "forward map has {} entries but the current phase has only \
+                         {current} granules",
+                        f.targets.len()
+                    ))
+                } else if let Some(&t) = f.targets.iter().find(|&&t| t >= successor) {
+                    Err(format!(
+                        "forward map targets successor granule {t}, phase has only {successor}"
+                    ))
+                } else {
+                    Ok(())
+                }
+            }
+            EnablementMapping::ReverseIndirect(r) => lists("reverse", &r.requires),
+            EnablementMapping::Seam(s) => lists("seam", &s.requires),
+        }
+    }
+
     /// Whether this mapping requires a composite granule map (all indirect
     /// forms do; universal/identity/null do not).
     pub fn needs_composite(&self) -> bool {

@@ -181,11 +181,13 @@ impl Program {
                     if phase.0 as usize >= self.phases.len() {
                         return Err(format!("step {i}: dispatch of unknown {phase}"));
                     }
+                    let current = self.phases[phase.0 as usize].granules;
                     for e in enables {
-                        if e.successor.0 as usize >= self.phases.len() {
+                        let Some(succ) = self.phases.get(e.successor.0 as usize) else {
                             return Err(format!("step {i}: ENABLE names unknown {}", e.successor));
-                        }
-                        self.validate_enable(i, *phase, e)?;
+                        };
+                        let fits = e.mapping.check_edge(current, succ.granules);
+                        fits.map_err(|m| format!("step {i}: {m}"))?;
                     }
                 }
                 Step::Branch {
@@ -227,78 +229,6 @@ impl Program {
             }
         }
         Ok(())
-    }
-
-    /// Check one ENABLE clause's mapping against the granule counts of
-    /// the phases it connects — the executive-level half of the paper's
-    /// interlock ("so that the executive system (or language processor)
-    /// can verify").
-    fn validate_enable(&self, step: usize, current: PhaseId, e: &EnableSpec) -> Result<(), String> {
-        use crate::mapping::EnablementMapping as M;
-        let cur = self.phases[current.0 as usize].granules;
-        let succ = self.phases[e.successor.0 as usize].granules;
-        match &e.mapping {
-            M::Universal | M::Null => Ok(()),
-            M::Identity => {
-                if cur != succ {
-                    Err(format!(
-                        "step {step}: identity mapping connects phases of {cur} and \
-                         {succ} granules; counts must match"
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-            M::ForwardIndirect(f) => {
-                if f.successor_granules != succ {
-                    Err(format!(
-                        "step {step}: forward map built for {} successor granules, \
-                         phase has {succ}",
-                        f.successor_granules
-                    ))
-                } else if f.targets.len() > cur as usize {
-                    Err(format!(
-                        "step {step}: forward map has {} entries but the current \
-                         phase has only {cur} granules",
-                        f.targets.len()
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-            M::ReverseIndirect(r) => {
-                if r.requires.len() != succ as usize {
-                    Err(format!(
-                        "step {step}: reverse map covers {} successor granules, \
-                         phase has {succ}",
-                        r.requires.len()
-                    ))
-                } else if let Some(&d) = r.requires.iter().flatten().find(|&&d| d >= cur) {
-                    Err(format!(
-                        "step {step}: reverse map requires current granule {d}, \
-                         phase has only {cur}"
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-            M::Seam(s) => {
-                if s.requires.len() != succ as usize {
-                    Err(format!(
-                        "step {step}: seam map covers {} successor granules, \
-                         phase has {succ}",
-                        s.requires.len()
-                    ))
-                } else if let Some(&d) = s.requires.iter().flatten().find(|&&d| d >= cur) {
-                    Err(format!(
-                        "step {step}: seam map requires current granule {d}, \
-                         phase has only {cur}"
-                    ))
-                } else {
-                    Ok(())
-                }
-            }
-        }
     }
 
     /// The tasks one fault-free run of this program may dispatch when
@@ -551,7 +481,7 @@ impl ProgramBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::mapping::ReverseMap;
+    use crate::mapping::{ForwardMap, ReverseMap};
     use crate::policy::TaskSizing;
     use pax_sim::dist::CostModel;
 
@@ -684,6 +614,40 @@ mod tests {
             counters: 0,
         };
         assert!(p2.validate().is_err());
+
+        // A forward map whose target lies past its successor: fields are
+        // public, so `ForwardMap::new`'s assertion can be bypassed.
+        let stray = ForwardMap {
+            targets: vec![0, 9],
+            successor_granules: 4,
+        };
+        let p3 = Program {
+            phases: vec![
+                PhaseDef::new("a", 4, CostModel::constant(1)),
+                PhaseDef::new("b", 4, CostModel::constant(1)),
+            ],
+            steps: vec![
+                Step::Dispatch {
+                    phase: PhaseId(0),
+                    enables: vec![EnableSpec {
+                        successor: PhaseId(1),
+                        mapping: EnablementMapping::ForwardIndirect(std::sync::Arc::new(stray)),
+                    }],
+                    branch_independent: false,
+                },
+                Step::Dispatch {
+                    phase: PhaseId(1),
+                    enables: vec![],
+                    branch_independent: false,
+                },
+                Step::End,
+            ],
+            counters: 0,
+        };
+        assert_eq!(
+            p3.validate().unwrap_err(),
+            "step 0: forward map targets successor granule 9, phase has only 4"
+        );
     }
 
     #[test]

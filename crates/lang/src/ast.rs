@@ -1,38 +1,27 @@
 //! Abstract syntax for PAX language scripts.
 
 use crate::token::Pos;
+use pax_core::mapping::MappingKind;
 
-/// A mapping option named in an `ENABLE` clause. Indirect options carry no
-/// tables in source form; concrete maps are bound at compile time (PAX
-//  bound computations to names the same way).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MappingOption {
-    /// `MAPPING=UNIVERSAL`
-    Universal,
-    /// `MAPPING=IDENTITY`
-    Identity,
-    /// `MAPPING=FORWARD`
-    Forward,
-    /// `MAPPING=REVERSE`
-    Reverse,
-    /// `MAPPING=SEAM`
-    Seam,
-    /// `MAPPING=NULL`
-    Null,
-}
+/// The `MAPPING=` options of an `ENABLE` clause, one keyword per
+/// enablement mapping kind: the parser reads them (case-insensitively)
+/// and diagnostics print them. Indirect options carry no tables in source
+/// form; concrete maps are bound at compile time
+/// ([`MapBindings`](crate::MapBindings)), as PAX bound computations to
+/// names.
+pub const MAPPING_KEYWORDS: [(&str, MappingKind); 6] = [
+    ("UNIVERSAL", MappingKind::Universal),
+    ("IDENTITY", MappingKind::Identity),
+    ("FORWARD", MappingKind::ForwardIndirect),
+    ("REVERSE", MappingKind::ReverseIndirect),
+    ("SEAM", MappingKind::Seam),
+    ("NULL", MappingKind::Null),
+];
 
-impl MappingOption {
-    /// Keyword spelling.
-    pub fn keyword(self) -> &'static str {
-        match self {
-            MappingOption::Universal => "UNIVERSAL",
-            MappingOption::Identity => "IDENTITY",
-            MappingOption::Forward => "FORWARD",
-            MappingOption::Reverse => "REVERSE",
-            MappingOption::Seam => "SEAM",
-            MappingOption::Null => "NULL",
-        }
-    }
+/// The `MAPPING=` keyword of `kind`.
+pub(crate) fn mapping_keyword(kind: MappingKind) -> &'static str {
+    let found = MAPPING_KEYWORDS.iter().find(|&&(_, k)| k == kind);
+    found.expect("every mapping kind has a keyword").0
 }
 
 /// One `phase-name/MAPPING=option` element.
@@ -41,7 +30,7 @@ pub struct EnableItem {
     /// Named successor phase.
     pub phase: String,
     /// Mapping option.
-    pub mapping: MappingOption,
+    pub mapping: MappingKind,
     /// Source position (for diagnostics).
     pub pos: Pos,
 }
@@ -54,7 +43,7 @@ pub enum EnableClause {
     /// `ENABLE/MAPPING=option` — applies to whatever phase follows
     /// (form 1: "simple and explicit; however, it leaves the door wide
     /// open to user mistakes").
-    Bare(MappingOption),
+    Bare(MappingKind),
     /// `ENABLE [name/MAPPING=option …]` — named successors the executive
     /// can verify (form 2).
     Named(Vec<EnableItem>),

@@ -105,17 +105,6 @@ fn cost_model(spec: Option<CostSpec>) -> CostModel {
     }
 }
 
-fn option_kind(opt: MappingOption) -> MappingKind {
-    match opt {
-        MappingOption::Universal => MappingKind::Universal,
-        MappingOption::Identity => MappingKind::Identity,
-        MappingOption::Forward => MappingKind::ForwardIndirect,
-        MappingOption::Reverse => MappingKind::ReverseIndirect,
-        MappingOption::Seam => MappingKind::Seam,
-        MappingOption::Null => MappingKind::Null,
-    }
-}
-
 /// Compile a parsed script against map bindings.
 ///
 /// The interlock check is exact along the job's path. Branches test
@@ -186,73 +175,54 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
         })
     };
 
-    // helper: resolve an enable item list to EnableSpecs
+    // helper: resolve an enable item list to EnableSpecs; an item that
+    // fails gets one diagnostic, at its position, and is dropped
     let resolve_items =
         |from: &str, items: &[EnableItem], diags: &mut Vec<Diagnostic>| -> Vec<EnableSpec> {
             let mut out = Vec::new();
             for item in items {
-                let Some(&succ) = phase_ids.get(&item.phase) else {
+                let mut error = |message: String| {
                     diags.push(Diagnostic {
                         error: true,
-                        message: format!("ENABLE names undefined phase '{}'", item.phase),
+                        message,
                         pos: item.pos,
-                    });
+                    })
+                };
+                let Some(&succ) = phase_ids.get(&item.phase) else {
+                    error(format!("ENABLE names undefined phase '{}'", item.phase));
                     continue;
                 };
                 let mapping = match item.mapping {
-                    MappingOption::Universal => EnablementMapping::Universal,
-                    MappingOption::Identity => EnablementMapping::Identity,
-                    MappingOption::Null => EnablementMapping::Null,
-                    indirect => match bindings.get(from, &item.phase) {
+                    MappingKind::Universal => EnablementMapping::Universal,
+                    MappingKind::Identity => EnablementMapping::Identity,
+                    MappingKind::Null => EnablementMapping::Null,
+                    want => match bindings.get(from, &item.phase) {
+                        Some(m) if m.kind() == want => m.clone(),
                         Some(m) => {
-                            let want = option_kind(indirect);
-                            if m.kind() != want {
-                                diags.push(Diagnostic {
-                                    error: true,
-                                    message: format!(
-                                        "binding for {from}->{} is {} but script says {}",
-                                        item.phase,
-                                        m.kind().label(),
-                                        want.label()
-                                    ),
-                                    pos: item.pos,
-                                });
-                                continue;
-                            }
-                            m.clone()
+                            error(format!(
+                                "binding for {from}->{} is {} but script says {}",
+                                item.phase,
+                                m.kind().label(),
+                                want.label()
+                            ));
+                            continue;
                         }
                         None => {
-                            diags.push(Diagnostic {
-                                error: true,
-                                message: format!(
-                                    "MAPPING={} between '{from}' and '{}' requires a map \
+                            error(format!(
+                                "MAPPING={} between '{from}' and '{}' requires a map \
                                  binding (indirect maps are runtime data)",
-                                    item.mapping.keyword(),
-                                    item.phase
-                                ),
-                                pos: item.pos,
-                            });
+                                mapping_keyword(want),
+                                item.phase
+                            ));
                             continue;
                         }
                     },
                 };
-                // identity granule-count interlock
-                if matches!(item.mapping, MappingOption::Identity) {
-                    let from_g = phase_ids.get(from).map(|&p| phases[p.0 as usize].granules);
-                    let to_g = phases[succ.0 as usize].granules;
-                    if let Some(fg) = from_g {
-                        if fg != to_g {
-                            diags.push(Diagnostic {
-                                error: true,
-                                message: format!(
-                                    "identity mapping between '{from}' ({fg} granules) and \
-                                 '{}' ({to_g} granules) requires equal granule counts",
-                                    item.phase
-                                ),
-                                pos: item.pos,
-                            });
-                        }
-                    }
+                // the granule-count interlock
+                let current = phases[phase_ids[from].0 as usize].granules;
+                if let Err(e) = mapping.check_edge(current, phases[succ.0 as usize].granules) {
+                    error(format!("ENABLE of '{}' from '{from}': {e}", item.phase));
+                    continue;
                 }
                 out.push(EnableSpec {
                     successor: succ,
@@ -287,15 +257,14 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
                         // resolve it to the next dispatch and warn.
                         match next_dispatch(script, i) {
                             Some(next_name) => {
+                                let kw = mapping_keyword(*opt);
                                 diags.push(Diagnostic {
                                     error: false,
                                     message: format!(
-                                        "bare ENABLE/MAPPING={} resolved to following \
+                                        "bare ENABLE/MAPPING={kw} resolved to following \
                                          phase '{next_name}'; prefer the named form \
-                                         ENABLE [{next_name}/MAPPING={}] which the \
-                                         executive can verify",
-                                        opt.keyword(),
-                                        opt.keyword()
+                                         ENABLE [{next_name}/MAPPING={kw}] which the \
+                                         executive can verify"
                                     ),
                                     pos: *pos,
                                 });
@@ -586,10 +555,34 @@ mod tests {
         )
         .unwrap();
         let err = compile(&script, &MapBindings::new()).unwrap_err();
-        assert!(err
-            .diagnostics
-            .iter()
-            .any(|d| d.error && d.message.contains("equal granule counts")));
+        let [d] = &err.diagnostics[..] else {
+            panic!("one diagnostic, not {:?}", err.diagnostics);
+        };
+        assert!(d.error && d.message.contains("equal granule counts"), "{d}");
+        assert_eq!(d.pos.line, 4);
+
+        // A bound reverse map covering 6 of b's 16 granules: one error,
+        // at its item.
+        let rmap = pax_core::mapping::ReverseMap::new(vec![vec![0]; 6], 8);
+        let reverse = EnablementMapping::ReverseIndirect(std::sync::Arc::new(rmap));
+        let script = parse(
+            "
+            DEFINE PHASE a GRANULES 8
+            DEFINE PHASE b GRANULES 16
+            DISPATCH a ENABLE [b/MAPPING=REVERSE]
+            DISPATCH b
+            ",
+        )
+        .unwrap();
+        let err = compile(&script, &MapBindings::new().bind("a", "b", reverse)).unwrap_err();
+        let [d] = &err.diagnostics[..] else {
+            panic!("one diagnostic, not {:?}", err.diagnostics);
+        };
+        assert!(
+            d.error && d.message.contains("covers 6 successor granules"),
+            "{d}"
+        );
+        assert_eq!(d.pos.line, 4);
     }
 
     #[test]

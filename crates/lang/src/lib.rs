@@ -15,6 +15,14 @@
 //!    mapping selections are matched when the phase is defined; the
 //!    invocation site only flags whether branches may be preprocessed.
 //!
+//! Each `option` is one of the six keywords of [`ast::MAPPING_KEYWORDS`],
+//! one per [`MappingKind`](pax_core::mapping::MappingKind): `UNIVERSAL`,
+//! `IDENTITY`, `FORWARD`, `REVERSE`, `SEAM` or `NULL`. The indirect three
+//! name a map the host binds ([`MapBindings`]). Each named item is checked
+//! against the granule counts of the two phases it connects by
+//! [`check_edge`](pax_core::mapping::EnablementMapping::check_edge), and a
+//! misfit is one error at the item.
+//!
 //! This crate implements all four: a lexer/parser ([`parser::parse`]), a
 //! compiler with the interlock verification ([`compile::compile`]), and a
 //! one-call runner ([`run_script`]). The verification is exact along the
@@ -45,9 +53,7 @@ pub mod compile;
 pub mod parser;
 pub mod token;
 
-pub use ast::{
-    AstStmt, CondExpr, CostSpec, DefinePhase, EnableClause, EnableItem, MappingOption, Script,
-};
+pub use ast::{AstStmt, CondExpr, CostSpec, DefinePhase, EnableClause, EnableItem, Script};
 pub use compile::{compile, CompileError, Compiled, Diagnostic, MapBindings};
 pub use parser::{parse, ParseError};
 pub use token::{lex, LexError, Pos, Tok, Token};

@@ -2,6 +2,7 @@
 
 use crate::ast::*;
 use crate::token::{lex, LexError, Pos, Tok, Token};
+use pax_core::mapping::MappingKind;
 use std::fmt;
 
 /// Parse error with position.
@@ -116,22 +117,24 @@ impl Parser {
         }
     }
 
-    fn mapping_option(&mut self) -> Result<MappingOption, ParseError> {
+    fn mapping_option(&mut self) -> Result<MappingKind, ParseError> {
         let (s, pos) = self.ident("mapping option")?;
-        match s.to_ascii_uppercase().as_str() {
-            "UNIVERSAL" => Ok(MappingOption::Universal),
-            "IDENTITY" => Ok(MappingOption::Identity),
-            "FORWARD" => Ok(MappingOption::Forward),
-            "REVERSE" => Ok(MappingOption::Reverse),
-            "SEAM" => Ok(MappingOption::Seam),
-            "NULL" => Ok(MappingOption::Null),
-            other => Err(ParseError {
-                message: format!(
-                    "unknown mapping option '{other}' \
-                     (expected UNIVERSAL, IDENTITY, FORWARD, REVERSE, SEAM or NULL)"
-                ),
-                pos,
-            }),
+        match MAPPING_KEYWORDS
+            .iter()
+            .find(|(kw, _)| s.eq_ignore_ascii_case(kw))
+        {
+            Some(&(_, kind)) => Ok(kind),
+            None => {
+                let known: Vec<&str> = MAPPING_KEYWORDS.iter().map(|&(kw, _)| kw).collect();
+                Err(ParseError {
+                    message: format!(
+                        "unknown mapping option '{}' (expected one of {})",
+                        s.to_ascii_uppercase(),
+                        known.join(", ")
+                    ),
+                    pos,
+                })
+            }
         }
     }
 
@@ -429,7 +432,7 @@ mod tests {
         match &s.stmts[0] {
             AstStmt::Dispatch { phase, enable, .. } => {
                 assert_eq!(phase, "phase-name");
-                assert_eq!(enable, &EnableClause::Bare(MappingOption::Identity));
+                assert_eq!(enable, &EnableClause::Bare(MappingKind::Identity));
             }
             other => panic!("unexpected {other:?}"),
         }
@@ -443,7 +446,7 @@ mod tests {
                 EnableClause::Named(items) => {
                     assert_eq!(items.len(), 1);
                     assert_eq!(items[0].phase, "q");
-                    assert_eq!(items[0].mapping, MappingOption::Universal);
+                    assert_eq!(items[0].mapping, MappingKind::Universal);
                 }
                 other => panic!("unexpected {other:?}"),
             },

@@ -10,7 +10,8 @@
 //! The book takes no lock of its own: each executor keeps it behind the
 //! mutex it already has.
 
-use crate::executor::{RtMapping, RtPhase, RtPhaseReport, RuntimeConfig};
+use crate::executor::{RtPhase, RtPhaseReport, RuntimeConfig};
+use pax_core::mapping::{CompositeMap, MappingKind};
 use std::time::Instant;
 
 /// A contiguous granule range of one phase, at most one task size long.
@@ -23,10 +24,12 @@ pub(crate) struct Task {
 
 struct Phase {
     granules: u32,
-    /// How the predecessor enables this phase (`Barrier` for phase 0).
-    enabled_by: RtMapping,
+    /// How the predecessor enables this phase (`Null` for phase 0).
+    enabled_by: MappingKind,
     remaining: u32,
-    /// Enablement counters of a counted mapping into this phase.
+    /// The composite map of an indirect mapping into this phase, and its
+    /// enablement counters.
+    composite: Option<CompositeMap>,
     counters: Vec<u32>,
     /// Identity releases that fired while this phase was still outside
     /// the lookahead window; flushed at window entry. Without this buffer
@@ -46,78 +49,41 @@ pub(crate) struct PhaseBook {
     task_granules: u32,
 }
 
-/// Refuse a chain the book cannot run to completion, before any thread
-/// starts: an identity edge between unequal phases, or a composite map
-/// that is not the shape of its edge (a short `requires` would leave
-/// granules unreleased for ever, a wrong count would release one twice).
-fn validate(specs: &[RtPhase]) {
-    assert!(!specs.is_empty(), "need at least one phase");
-    for (i, edge) in specs.windows(2).enumerate() {
-        let (pred, succ) = (&edge[0], &edge[1]);
-        match &pred.mapping_to_next {
-            RtMapping::Identity => assert_eq!(
-                pred.granules, succ.granules,
-                "identity mapping requires equal granule counts (phase {i} `{}` into `{}`)",
-                pred.name, succ.name
-            ),
-            RtMapping::Counted(comp) => {
-                let edge = format!("counted mapping of phase {i} `{}`", pred.name);
-                assert_eq!(
-                    comp.requires.len(),
-                    succ.granules as usize,
-                    "{edge}: `requires` needs one count per granule of `{}`",
-                    succ.name
-                );
-                assert_eq!(
-                    comp.offsets.len(),
-                    pred.granules as usize + 1,
-                    "{edge}: `offsets` needs one slot per granule of the phase, plus one"
-                );
-                assert!(
-                    comp.offsets[0] == 0
-                        && comp.offsets.windows(2).all(|w| w[0] <= w[1])
-                        && comp.offsets[pred.granules as usize] as usize == comp.targets.len(),
-                    "{edge}: `offsets` must rise from 0 to `targets.len()`"
-                );
-                let mut counts = vec![0u32; comp.requires.len()];
-                for &r in &comp.targets {
-                    assert!(
-                        (r as usize) < counts.len(),
-                        "{edge}: target {r} is not a granule of `{}`",
-                        succ.name
-                    );
-                    counts[r as usize] += 1;
-                }
-                assert!(
-                    counts == comp.requires,
-                    "{edge}: `requires` disagrees with the entries of `targets`"
-                );
-            }
-            RtMapping::Universal | RtMapping::Barrier => {}
-        }
-    }
-}
-
 impl PhaseBook {
-    /// The book of a validated chain, nothing released yet.
+    /// The book of a chain, nothing released yet: each indirect edge's
+    /// composite map and counters built. Refuses, before any thread
+    /// starts, a chain with an edge whose mapping does not fit its phases
+    /// ([`check_edge`](pax_core::mapping::EnablementMapping::check_edge)):
+    /// unchecked, a granule could be left unreleased for ever or released
+    /// twice.
     pub(crate) fn new(specs: &[RtPhase], cfg: &RuntimeConfig) -> PhaseBook {
-        validate(specs);
+        assert!(!specs.is_empty(), "need at least one phase");
         let phases = specs
             .iter()
             .enumerate()
             .map(|(i, spec)| {
-                let enabled_by = match i {
-                    0 => RtMapping::Barrier,
-                    _ => specs[i - 1].mapping_to_next.clone(),
+                let (enabled_by, composite) = match i.checked_sub(1).map(|p| &specs[p]) {
+                    None => (MappingKind::Null, None),
+                    Some(pred) => {
+                        let m = &pred.mapping_to_next;
+                        if let Err(e) = m.check_edge(pred.granules, spec.granules) {
+                            panic!("phase {} `{}` into `{}`: {e}", i - 1, pred.name, spec.name);
+                        }
+                        let indirect = m.needs_composite();
+                        (
+                            m.kind(),
+                            indirect.then(|| CompositeMap::build(m, pred.granules)),
+                        )
+                    }
                 };
                 Phase {
                     granules: spec.granules,
                     remaining: spec.granules,
-                    counters: match &enabled_by {
-                        RtMapping::Counted(comp) => comp.requires.clone(),
-                        _ => Vec::new(),
-                    },
+                    counters: composite
+                        .as_ref()
+                        .map_or(Vec::new(), |c| c.requires.clone()),
                     enabled_by,
+                    composite,
                     deferred: Vec::new(),
                     first_start: None,
                     last_end: None,
@@ -179,14 +145,15 @@ impl PhaseBook {
             let in_window = succ == self.current + 1;
             let Phase {
                 enabled_by,
+                composite,
                 counters,
                 deferred,
                 ..
             } = &mut self.phases[succ];
-            match enabled_by {
-                RtMapping::Identity if in_window => chunk(step, succ, t.lo, t.hi, release),
-                RtMapping::Identity => deferred.push((t.lo, t.hi)),
-                RtMapping::Counted(comp) => {
+            match (*enabled_by, composite) {
+                (MappingKind::Identity, _) if in_window => chunk(step, succ, t.lo, t.hi, release),
+                (MappingKind::Identity, _) => deferred.push((t.lo, t.hi)),
+                (_, Some(comp)) => {
                     let mut freed: Vec<u32> = Vec::new();
                     for g in t.lo..t.hi {
                         for &r in comp.dependents_of(g) {
@@ -204,7 +171,7 @@ impl PhaseBook {
                         }
                     }
                 }
-                RtMapping::Universal | RtMapping::Barrier => {}
+                _ => {}
             }
         }
 
@@ -222,7 +189,7 @@ impl PhaseBook {
                 // window entry, and an identity or counted one granule by
                 // granule — its predecessor is complete, so every release
                 // has fired, in the window or flushed on entering it.
-                if !self.overlap || matches!(ph.enabled_by, RtMapping::Barrier) {
+                if !self.overlap || ph.enabled_by == MappingKind::Null {
                     self.release_all(cur, release);
                 }
                 // the next phase enters the lookahead window
@@ -262,17 +229,17 @@ impl PhaseBook {
         }
         let ph = &mut self.phases[phase];
         let runs = match ph.enabled_by {
-            RtMapping::Universal => return self.release_all(phase, release),
-            RtMapping::Identity => std::mem::take(&mut ph.deferred),
-            // null-set-enabled granules, and those whose counters reached
-            // zero while the phase was outside the window
-            RtMapping::Counted(_) => {
+            MappingKind::Universal => return self.release_all(phase, release),
+            MappingKind::Identity => std::mem::take(&mut ph.deferred),
+            MappingKind::Null => return,
+            // indirect: null-set-enabled granules, and those whose
+            // counters reached zero while the phase was outside the window
+            MappingKind::ForwardIndirect | MappingKind::ReverseIndirect | MappingKind::Seam => {
                 let zeroed: Vec<u32> = (0..ph.granules)
                     .filter(|&g| ph.counters[g as usize] == 0)
                     .collect();
                 index_runs(&zeroed)
             }
-            RtMapping::Barrier => return,
         };
         for (a, b) in runs {
             chunk(self.task_granules, phase, a, b, release);
@@ -309,7 +276,7 @@ fn index_runs(sorted: &[u32]) -> Vec<(u32, u32)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_core::mapping::CompositeMap;
+    use pax_core::mapping::{EnablementMapping, ReverseMap};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -324,9 +291,7 @@ mod tests {
     /// The sink of a thread-free run: queues what the book releases and
     /// checks each granule against what has finished so far.
     struct Recorder {
-        edges: Vec<RtMapping>,
-        /// Requirement lists of each counted edge (empty for the others).
-        requires: Vec<Vec<Vec<u32>>>,
+        edges: Vec<EnablementMapping>,
         overlap: bool,
         task_granules: u32,
         finished: Vec<Vec<bool>>,
@@ -345,12 +310,13 @@ mod tests {
                 (0, _) => true,
                 (p, false) => complete(p - 1),
                 (p, true) => match &self.edges[p - 1] {
-                    RtMapping::Barrier => complete(p - 1),
-                    RtMapping::Universal => true,
-                    RtMapping::Identity => self.finished[p - 1][g],
-                    RtMapping::Counted(_) => self.requires[p - 1][g]
+                    EnablementMapping::Null => complete(p - 1),
+                    EnablementMapping::Universal => true,
+                    EnablementMapping::Identity => self.finished[p - 1][g],
+                    EnablementMapping::ReverseIndirect(r) => r.requires[g]
                         .iter()
                         .all(|&d| self.finished[p - 1][d as usize]),
+                    other => unreachable!("the model draws no {:?} edge", other.kind()),
                 },
             };
             if !(fits && in_window && (t.lo..t.hi).all(|g| enabled(g as usize))) {
@@ -380,23 +346,22 @@ mod tests {
             seed in 0u64..u64::MAX,
         ) {
             let mut rng = seed;
-            let mut requires = vec![Vec::new(); nphases - 1];
-            let edges: Vec<RtMapping> = (0..nphases - 1)
+            let edges: Vec<EnablementMapping> = (0..nphases - 1)
                 .map(|i| match mappings[i] {
-                    0 => RtMapping::Barrier,
-                    1 => RtMapping::Universal,
-                    2 => RtMapping::Identity,
+                    0 => EnablementMapping::Null,
+                    1 => EnablementMapping::Universal,
+                    2 => EnablementMapping::Identity,
                     _ => {
                         // fan-in 0 (enabled by the null set) to 3
-                        requires[i] = (0..granules)
+                        let requires = (0..granules)
                             .map(|_| {
                                 (0..splitmix(&mut rng) % 4)
                                     .map(|_| (splitmix(&mut rng) % granules as u64) as u32)
                                     .collect()
                             })
                             .collect();
-                        let comp = CompositeMap::from_requirement_lists(&requires[i], granules);
-                        RtMapping::Counted(Arc::new(comp))
+                        let map = ReverseMap::new(requires, granules);
+                        EnablementMapping::ReverseIndirect(Arc::new(map))
                     }
                 })
                 .collect();
@@ -414,7 +379,6 @@ mod tests {
             let mut book = PhaseBook::new(&specs, &cfg);
             let mut rec = Recorder {
                 edges,
-                requires,
                 overlap,
                 task_granules,
                 finished: vec![vec![false; granules as usize]; nphases],

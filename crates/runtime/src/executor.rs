@@ -4,12 +4,12 @@
 //! mode every phase completes before the next starts — the strict
 //! sequential-phase regime the paper starts from. In **overlap** mode the
 //! executor applies the paper's enablement machinery for real: identity
-//! releases matching successor ranges as current tasks complete, counted
-//! (indirect/seam) mappings decrement per-granule enablement counters, and
-//! universal successors release wholesale when they enter the one-phase
-//! lookahead window. That machinery is `crate::book`, shared with
-//! [`crate::lateral`]; this module owns the chain's public types and the
-//! central queue discipline.
+//! releases matching successor ranges as current tasks complete, indirect
+//! (forward, reverse, seam) mappings decrement per-granule enablement
+//! counters, and universal successors release wholesale when they enter
+//! the one-phase lookahead window. That machinery is `crate::book`, shared
+//! with [`crate::lateral`]; this module owns the chain's public types and
+//! the central queue discipline.
 //!
 //! The executive is deliberately a single mutex-protected queue — PAX's
 //! management was serial, and the lock hold times here are exactly the
@@ -20,36 +20,10 @@
 use crate::book::{PhaseBook, Task};
 use crate::work::spin_for;
 use parking_lot::{Condvar, Mutex};
-use pax_core::mapping::CompositeMap;
+use pax_core::mapping::EnablementMapping;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// How a phase enables its successor in the chain.
-#[derive(Clone)]
-pub enum RtMapping {
-    /// Strict barrier (also used for the paper's null mapping).
-    Barrier,
-    /// Successor shares nothing; released wholesale at window entry.
-    Universal,
-    /// Completion of granule `i` releases successor granule `i`
-    /// (granule counts must match).
-    Identity,
-    /// Composite-map enablement counters (forward/reverse indirect and
-    /// seam mappings all lower to this, as in the paper).
-    Counted(Arc<CompositeMap>),
-}
-
-impl std::fmt::Debug for RtMapping {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            RtMapping::Barrier => write!(f, "Barrier"),
-            RtMapping::Universal => write!(f, "Universal"),
-            RtMapping::Identity => write!(f, "Identity"),
-            RtMapping::Counted(c) => write!(f, "Counted({} entries)", c.entries()),
-        }
-    }
-}
 
 /// One phase of real work.
 #[derive(Clone)]
@@ -60,8 +34,10 @@ pub struct RtPhase {
     pub granules: u32,
     /// The work of one granule (called with the granule index).
     pub work: Arc<dyn Fn(u32) + Send + Sync>,
-    /// How this phase enables the next one in the chain.
-    pub mapping_to_next: RtMapping,
+    /// How this phase enables the next one in the chain (`Null`, a
+    /// barrier, by default). An indirect map's composite is built when the
+    /// run starts, before its clock does.
+    pub mapping_to_next: EnablementMapping,
 }
 
 impl RtPhase {
@@ -75,12 +51,12 @@ impl RtPhase {
             name: name.into(),
             granules,
             work,
-            mapping_to_next: RtMapping::Barrier,
+            mapping_to_next: EnablementMapping::Null,
         }
     }
 
     /// Set the enablement mapping to the next phase.
-    pub fn with_mapping(mut self, m: RtMapping) -> RtPhase {
+    pub fn with_mapping(mut self, m: EnablementMapping) -> RtPhase {
         self.mapping_to_next = m;
         self
     }
@@ -354,6 +330,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
 mod tests {
     use super::*;
     use crate::work::{SharedCounters, SharedF64};
+    use pax_core::mapping::{ForwardMap, ReverseMap};
 
     fn counting_phase(name: &str, n: u32, counters: Arc<SharedCounters>) -> RtPhase {
         RtPhase::new(
@@ -370,7 +347,7 @@ mod tests {
         let c1 = Arc::new(SharedCounters::zeros(100));
         let c2 = Arc::new(SharedCounters::zeros(100));
         let phases = vec![
-            counting_phase("a", 100, Arc::clone(&c1)).with_mapping(RtMapping::Identity),
+            counting_phase("a", 100, Arc::clone(&c1)).with_mapping(EnablementMapping::Identity),
             counting_phase("b", 100, Arc::clone(&c2)),
         ];
         let r = run_chain(phases, RuntimeConfig::new(4, 8).barrier());
@@ -401,7 +378,7 @@ mod tests {
                 b1.set(g as usize, g as f64 + 1.0);
             }),
         )
-        .with_mapping(RtMapping::Identity);
+        .with_mapping(EnablementMapping::Identity);
         let b2 = Arc::clone(&b);
         let c2 = Arc::clone(&c);
         let p2 = RtPhase::new(
@@ -424,7 +401,7 @@ mod tests {
         // successor granule r needs current granules {r, r+1 mod n}
         let n = 200u32;
         let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 1) % n]).collect();
-        let comp = Arc::new(CompositeMap::from_requirement_lists(&req, n));
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
         let a = Arc::new(SharedF64::zeros(n as usize));
         let out = Arc::new(SharedF64::zeros(n as usize));
         let a1 = Arc::clone(&a);
@@ -436,7 +413,7 @@ mod tests {
                 a1.set(g as usize, g as f64);
             }),
         )
-        .with_mapping(RtMapping::Counted(comp));
+        .with_mapping(reverse);
         let a2 = Arc::clone(&a);
         let o2 = Arc::clone(&out);
         let p2 = RtPhase::new(
@@ -459,7 +436,7 @@ mod tests {
         let c1 = Arc::new(SharedCounters::zeros(50));
         let c2 = Arc::new(SharedCounters::zeros(50));
         let phases = vec![
-            counting_phase("a", 50, Arc::clone(&c1)).with_mapping(RtMapping::Universal),
+            counting_phase("a", 50, Arc::clone(&c1)).with_mapping(EnablementMapping::Universal),
             counting_phase("b", 50, Arc::clone(&c2)),
         ];
         run_chain(phases, RuntimeConfig::new(4, 4));
@@ -489,7 +466,7 @@ mod tests {
                     }
                 }),
             )
-            .with_mapping(RtMapping::Universal);
+            .with_mapping(EnablementMapping::Universal);
             let fill = RtPhase::synthetic("fill", 30, Duration::from_micros(2500));
             vec![slow, fill]
         };
@@ -527,9 +504,9 @@ mod tests {
         let c3 = Arc::new(SharedCounters::zeros(n as usize));
         let phases = vec![
             RtPhase::synthetic("p0", n, Duration::from_micros(30))
-                .with_mapping(RtMapping::Identity),
+                .with_mapping(EnablementMapping::Identity),
             RtPhase::synthetic("p1", n, Duration::from_micros(30))
-                .with_mapping(RtMapping::Universal),
+                .with_mapping(EnablementMapping::Universal),
             counting_phase("p2", n, Arc::clone(&c3)),
         ];
         let r = run_chain(phases, RuntimeConfig::new(3, 5));
@@ -558,7 +535,7 @@ mod tests {
                     b1.set(g as usize, g as f64 + 1.0);
                 }),
             )
-            .with_mapping(RtMapping::Identity);
+            .with_mapping(EnablementMapping::Identity);
             let b2 = Arc::clone(&b);
             let c2 = Arc::clone(&c);
             let p2 = RtPhase::new(
@@ -590,13 +567,13 @@ mod tests {
         // once under batched completion service.
         let n = 120u32;
         let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 1) % n]).collect();
-        let comp = Arc::new(CompositeMap::from_requirement_lists(&req, n));
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
         let c1 = Arc::new(SharedCounters::zeros(n as usize));
         let c2 = Arc::new(SharedCounters::zeros(n as usize));
         let c3 = Arc::new(SharedCounters::zeros(n as usize));
         let phases = vec![
-            counting_phase("a", n, Arc::clone(&c1)).with_mapping(RtMapping::Counted(comp)),
-            counting_phase("b", n, Arc::clone(&c2)).with_mapping(RtMapping::Barrier),
+            counting_phase("a", n, Arc::clone(&c1)).with_mapping(reverse),
+            counting_phase("b", n, Arc::clone(&c2)).with_mapping(EnablementMapping::Null),
             counting_phase("c", n, Arc::clone(&c3)),
         ];
         let r = run_chain(phases, RuntimeConfig::new(4, 3).with_exec_lanes(8));
@@ -631,79 +608,53 @@ mod tests {
         resume_unwind(payload);
     }
 
-    fn counted_edge(comp: CompositeMap) -> Vec<RtPhase> {
-        let p1 = RtPhase::synthetic("a", 10, Duration::ZERO)
-            .with_mapping(RtMapping::Counted(Arc::new(comp)));
+    /// A 10 → 10 edge under `mapping`.
+    fn edge(mapping: EnablementMapping) -> Vec<RtPhase> {
+        let p1 = RtPhase::synthetic("a", 10, Duration::ZERO).with_mapping(mapping);
         vec![p1, RtPhase::synthetic("b", 10, Duration::ZERO)]
     }
 
-    /// Successor granule `r` of a 10 → 10 edge requires granule `r`.
-    fn diagonal() -> CompositeMap {
-        let req: Vec<Vec<u32>> = (0..10).map(|r| vec![r]).collect();
-        CompositeMap::from_requirement_lists(&req, 10)
-    }
-
     #[test]
-    #[should_panic(expected = "equal granule counts (phase 0 `a` into `b`)")]
+    #[should_panic(
+        expected = "phase 0 `a` into `b`: identity mapping requires equal granule counts"
+    )]
     fn identity_requires_equal_counts() {
         both_executors_reject(|| {
-            let p1 = RtPhase::synthetic("a", 10, Duration::ZERO).with_mapping(RtMapping::Identity);
+            let p1 = RtPhase::synthetic("a", 10, Duration::ZERO)
+                .with_mapping(EnablementMapping::Identity);
             vec![p1, RtPhase::synthetic("b", 20, Duration::ZERO)]
         });
     }
 
     #[test]
-    #[should_panic(expected = "phase 0 `a`: `requires` needs one count per granule of `b`")]
-    fn counted_requires_covers_the_successor() {
-        // Nothing targets the two tail granules, so the short `requires`
-        // is the only thing wrong: unchecked, they are never released —
-        // the central executor parks on its condvar, the lateral one
-        // spins.
+    #[should_panic(
+        expected = "phase 0 `a` into `b`: reverse map covers 8 successor granules, \
+                               phase has 10"
+    )]
+    fn reverse_map_covers_the_successor() {
+        // Unchecked, the two uncovered granules of `b` are never released:
+        // the central executor parks on its condvar, the lateral one spins.
         both_executors_reject(|| {
-            let req: Vec<Vec<u32>> = (0..10).map(|r| vec![r; (r < 8) as usize]).collect();
-            let mut comp = CompositeMap::from_requirement_lists(&req, 10);
-            comp.requires.truncate(8);
-            counted_edge(comp)
+            let req: Vec<Vec<u32>> = (0..8).map(|r| vec![r]).collect();
+            edge(EnablementMapping::ReverseIndirect(Arc::new(
+                ReverseMap::new(req, 10),
+            )))
         });
     }
 
     #[test]
-    #[should_panic(expected = "phase 0 `a`: `offsets` needs one slot per granule")]
-    fn counted_offsets_cover_the_predecessor() {
+    #[should_panic(
+        expected = "phase 0 `a` into `b`: forward map targets successor granule 10, \
+                               phase has only 10"
+    )]
+    fn forward_map_targets_are_successor_granules() {
+        // The fields are public, so `ForwardMap::new`'s check is bypassed.
         both_executors_reject(|| {
-            let mut comp = diagonal();
-            comp.offsets.pop();
-            counted_edge(comp)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "phase 0 `a`: `offsets` must rise from 0 to `targets.len()`")]
-    fn counted_offsets_index_the_targets() {
-        both_executors_reject(|| {
-            let mut comp = diagonal();
-            comp.offsets[4] = 99;
-            counted_edge(comp)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "phase 0 `a`: target 10 is not a granule of `b`")]
-    fn counted_targets_are_successor_granules() {
-        both_executors_reject(|| {
-            let mut comp = diagonal();
-            comp.targets[3] = 10;
-            counted_edge(comp)
-        });
-    }
-
-    #[test]
-    #[should_panic(expected = "phase 0 `a`: `requires` disagrees with the entries of `targets`")]
-    fn counted_requires_matches_its_entries() {
-        both_executors_reject(|| {
-            let mut comp = diagonal();
-            comp.requires[3] = 2;
-            counted_edge(comp)
+            let stray = ForwardMap {
+                targets: vec![0, 10],
+                successor_granules: 10,
+            };
+            edge(EnablementMapping::ForwardIndirect(Arc::new(stray)))
         });
     }
 }

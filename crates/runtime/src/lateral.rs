@@ -169,9 +169,8 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::RtMapping;
     use crate::work::{SharedCounters, SharedF64};
-    use pax_core::mapping::CompositeMap;
+    use pax_core::mapping::{EnablementMapping, ReverseMap};
 
     #[test]
     fn every_granule_runs_exactly_once() {
@@ -187,7 +186,10 @@ mod tests {
                 }),
             )
         };
-        let phases = vec![mk(&c1, "a").with_mapping(RtMapping::Identity), mk(&c2, "b")];
+        let phases = vec![
+            mk(&c1, "a").with_mapping(EnablementMapping::Identity),
+            mk(&c2, "b"),
+        ];
         let r = run_chain_lateral(phases, RuntimeConfig::new(4, 8));
         for i in 0..200 {
             assert_eq!(c1.get(i), 1, "phase a granule {i}");
@@ -210,7 +212,7 @@ mod tests {
                 b1.set(g as usize, g as f64 * 3.0);
             }),
         )
-        .with_mapping(RtMapping::Identity);
+        .with_mapping(EnablementMapping::Identity);
         let b2 = Arc::clone(&b);
         let c2 = Arc::clone(&c);
         let p2 = RtPhase::new(
@@ -230,7 +232,7 @@ mod tests {
     fn counted_dataflow_preserved_under_stealing() {
         let n = 150u32;
         let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 3) % n]).collect();
-        let comp = Arc::new(CompositeMap::from_requirement_lists(&req, n));
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
         let a = Arc::new(SharedF64::zeros(n as usize));
         let out = Arc::new(SharedF64::zeros(n as usize));
         let a1 = Arc::clone(&a);
@@ -242,7 +244,7 @@ mod tests {
                 a1.set(g as usize, g as f64);
             }),
         )
-        .with_mapping(RtMapping::Counted(comp));
+        .with_mapping(reverse);
         let a2 = Arc::clone(&a);
         let o = Arc::clone(&out);
         let p2 = RtPhase::new(
@@ -271,7 +273,7 @@ mod tests {
         let cc = Arc::clone(&c);
         let phases = vec![
             RtPhase::synthetic("a", 64, Duration::from_micros(5))
-                .with_mapping(RtMapping::Universal),
+                .with_mapping(EnablementMapping::Universal),
             RtPhase::new(
                 "b",
                 64,
@@ -327,7 +329,10 @@ mod tests {
                 }),
             )
         };
-        let phases = vec![mk(&c1, "a").with_mapping(RtMapping::Identity), mk(&c2, "b")];
+        let phases = vec![
+            mk(&c1, "a").with_mapping(EnablementMapping::Identity),
+            mk(&c2, "b"),
+        ];
         let r = run_chain_lateral(phases, RuntimeConfig::new(4, 4).with_clusters(2));
         for i in 0..n as usize {
             assert_eq!(c1.get(i), 1);
@@ -349,7 +354,7 @@ mod tests {
         for _ in 0..5 {
             let phases = vec![
                 RtPhase::synthetic("a", 64, Duration::from_micros(50))
-                    .with_mapping(RtMapping::Identity),
+                    .with_mapping(EnablementMapping::Identity),
                 RtPhase::synthetic("b", 64, Duration::from_micros(50)),
             ];
             let r = run_chain_lateral(phases, RuntimeConfig::new(4, 2).with_clusters(2));
@@ -376,7 +381,7 @@ mod tests {
             .map(|i| {
                 let p = RtPhase::synthetic(format!("p{i}"), 30, Duration::from_micros(100));
                 if i < 2 {
-                    p.with_mapping(RtMapping::Universal)
+                    p.with_mapping(EnablementMapping::Universal)
                 } else {
                     p
                 }

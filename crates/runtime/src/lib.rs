@@ -5,7 +5,14 @@
 //! pool of OS threads executes a linear chain of phases under either
 //! strict barriers or the paper's enablement machinery (identity releases,
 //! composite-map enablement counters, universal window releases), and the
-//! report measures real utilization and rundown fill.
+//! report measures real utilization and rundown fill. Each edge of the
+//! chain is the simulator's own
+//! [`EnablementMapping`](pax_core::mapping::EnablementMapping), checked
+//! against its two phases by the same
+//! [`check_edge`](pax_core::mapping::EnablementMapping::check_edge)
+//! before any thread starts; an indirect edge's composite map is built
+//! with [`CompositeMap::build`](pax_core::mapping::CompositeMap::build)
+//! before the clock starts.
 //!
 //! Two executors share that machinery, written once in the crate-private
 //! `book` module (what a completion releases, and when: the mapping's
@@ -23,13 +30,13 @@
 //! E12).
 //!
 //! ```
-//! use pax_runtime::{run_chain, RtMapping, RtPhase, RuntimeConfig};
-//! use std::sync::Arc;
+//! use pax_core::mapping::EnablementMapping;
+//! use pax_runtime::{run_chain, RtPhase, RuntimeConfig};
 //! use std::time::Duration;
 //!
 //! let phases = vec![
 //!     RtPhase::synthetic("sweep-1", 32, Duration::from_micros(50))
-//!         .with_mapping(RtMapping::Identity),
+//!         .with_mapping(EnablementMapping::Identity),
 //!     RtPhase::synthetic("sweep-2", 32, Duration::from_micros(50)),
 //! ];
 //! let report = run_chain(phases, RuntimeConfig::new(4, 2));
@@ -44,7 +51,7 @@ pub mod lateral;
 pub mod shard_exec;
 pub mod work;
 
-pub use executor::{run_chain, RtMapping, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
+pub use executor::{run_chain, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
 pub use lateral::run_chain_lateral;
 pub use shard_exec::{run_simulation_sharded, ThreadedSession};
 pub use work::{spin_for, SharedCounters, SharedF64};

@@ -2,9 +2,9 @@
 //! threads, both executors, all mappings — every granule must execute
 //! exactly once, whatever the OS scheduler does.
 
-use pax_core::mapping::CompositeMap;
+use pax_core::mapping::{EnablementMapping, ReverseMap};
 use pax_runtime::SharedCounters;
-use pax_runtime::{run_chain, run_chain_lateral, RtMapping, RtPhase, RuntimeConfig};
+use pax_runtime::{run_chain, run_chain_lateral, RtPhase, RuntimeConfig};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -31,17 +31,16 @@ fn chain(
                 return p;
             }
             match mappings[i] % 4 {
-                0 => p.with_mapping(RtMapping::Barrier),
-                1 => p.with_mapping(RtMapping::Universal),
-                2 => p.with_mapping(RtMapping::Identity),
+                0 => p.with_mapping(EnablementMapping::Null),
+                1 => p.with_mapping(EnablementMapping::Universal),
+                2 => p.with_mapping(EnablementMapping::Identity),
                 _ => {
                     // deterministic pseudo-random fan-in-2 reverse map
                     let req: Vec<Vec<u32>> = (0..granules)
                         .map(|r| vec![r, (r * 7 + 3) % granules])
                         .collect();
-                    p.with_mapping(RtMapping::Counted(Arc::new(
-                        CompositeMap::from_requirement_lists(&req, granules),
-                    )))
+                    let map = ReverseMap::new(req, granules);
+                    p.with_mapping(EnablementMapping::ReverseIndirect(Arc::new(map)))
                 }
             }
         })

@@ -846,14 +846,11 @@ impl ProgramDoc {
             }
             let phases = items.iter().map(|p| PhaseDoc::read(p, pools));
             let phases = phases.collect::<Result<Vec<_>, _>>()?;
-            // Identity mappings need equal granule counts.
+            // Each mapping must fit the two phases it connects.
             for (item, pair) in items.iter().zip(phases.windows(2)) {
                 let (ph, next) = (&pair[0], &pair[1]);
-                if ph.mapping == MappingDoc::Identity && ph.granules != next.granules {
-                    let msg = format!(
-                        "identity mapping requires equal granule counts ({} vs {} in '{}')",
-                        ph.granules, next.granules, next.name
-                    );
+                if let Err(e) = ph.mapping.mapping().check_edge(ph.granules, next.granules) {
+                    let msg = format!("{e} into '{}'", next.name);
                     let path = format!("{}.mapping", item.path);
                     return Err(err(item.node.line, path, ScenarioErrorKind::Invalid(msg)));
                 }
@@ -940,6 +937,17 @@ pub enum MappingDoc {
     Identity,
     /// Any completion enables every successor granule.
     Universal,
+}
+
+impl MappingDoc {
+    /// The engine's mapping of this spelling.
+    fn mapping(self) -> EnablementMapping {
+        match self {
+            MappingDoc::Null => EnablementMapping::Null,
+            MappingDoc::Identity => EnablementMapping::Identity,
+            MappingDoc::Universal => EnablementMapping::Universal,
+        }
+    }
 }
 
 const MAPPINGS: Tags<MappingDoc> = &[
@@ -1292,12 +1300,7 @@ fn build_program(doc: &ProgramDoc) -> Result<Program, String> {
         })
         .collect();
     for (ph, pair) in doc.phases.iter().zip(ids.windows(2)) {
-        let mapping = match ph.mapping {
-            MappingDoc::Null => EnablementMapping::Null,
-            MappingDoc::Identity => EnablementMapping::Identity,
-            MappingDoc::Universal => EnablementMapping::Universal,
-        };
-        let successor = pair[1];
+        let (successor, mapping) = (pair[1], ph.mapping.mapping());
         b.dispatch_enable(pair[0], vec![EnableSpec { successor, mapping }]);
     }
     if let Some(&last) = ids.last() {
@@ -1468,7 +1471,11 @@ mod tests {
         }"#;
         let e = Scenario::parse(text).unwrap_err();
         assert_eq!(e.path, "workload[0].phases[0].mapping");
-        assert!(matches!(e.kind, ScenarioErrorKind::Invalid(_)));
+        assert_eq!(e.line, 6);
+        let ScenarioErrorKind::Invalid(msg) = e.kind else {
+            panic!("{:?}", e.kind);
+        };
+        assert!(msg.contains("equal granule counts (4 vs 8)"), "{msg}");
     }
 
     #[test]

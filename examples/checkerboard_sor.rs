@@ -15,7 +15,7 @@
 //!    overlap filling rundown on actual hardware.
 
 use pax_core::prelude::*;
-use pax_runtime::{run_chain, RtMapping, RtPhase, RuntimeConfig, SharedF64};
+use pax_runtime::{run_chain, RtPhase, RuntimeConfig, SharedF64};
 use pax_workloads::checkerboard::{checkerboard_program, Checkerboard, Color, RedBlackGrid};
 use std::sync::Arc;
 use std::time::Duration;
@@ -144,16 +144,8 @@ fn part3_real_threads() {
         grid.set(idx, grid.get(idx) + omega * (avg - grid.get(idx)));
     };
 
-    let maps = [
-        Arc::new(CompositeMap::from_requirement_lists(
-            &board.seam_map(Color::Red).requires,
-            board.granules(Color::Red),
-        )),
-        Arc::new(CompositeMap::from_requirement_lists(
-            &board.seam_map(Color::Black).requires,
-            board.granules(Color::Black),
-        )),
-    ];
+    let maps = [Color::Red, Color::Black]
+        .map(|color| EnablementMapping::Seam(Arc::new(board.seam_map(color))));
     let phases: Vec<RtPhase> = (0..sweeps)
         .map(|s| {
             let color = if s % 2 == 0 { Color::Red } else { Color::Black };
@@ -170,7 +162,7 @@ fn part3_real_threads() {
                 }),
             );
             if s + 1 < sweeps {
-                p.with_mapping(RtMapping::Counted(Arc::clone(&maps[s % 2])))
+                p.with_mapping(maps[s % 2].clone())
             } else {
                 p
             }
