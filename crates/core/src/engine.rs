@@ -915,8 +915,7 @@ impl Engine {
     fn sample_task_time(&mut self, inst_id: InstanceId, range: GranuleRange) -> SimDuration {
         let inst = &self.instances[inst_id.0 as usize];
         // Disjoint field borrows: the model stays borrowed from `jobs`
-        // while the RNG advances, so nothing is cloned per dispatch
-        // (bimodal models heap-allocate their arms on clone).
+        // while the RNG advances, so nothing is cloned per dispatch.
         let model = &self.jobs[inst.job].program.phases[inst.def.0 as usize].cost;
         // Fast path: constant cost, no conditional skip.
         if model.skip_probability == 0.0 {

@@ -8,7 +8,7 @@ use crate::program::Program;
 use crate::report::RunReport;
 use crate::shard::ShardedRun;
 use pax_sim::dist::{arrival_seed, ArrivalProcess};
-use pax_sim::machine::MachineConfig;
+use pax_sim::machine::{MachineConfig, ResourcePool};
 use pax_sim::time::{SimDuration, SimTime};
 use std::mem::take;
 use std::sync::Arc;
@@ -236,20 +236,14 @@ impl Simulation {
             // `requires` lists resolve against the machine's pools here,
             // once, so the engine's per-dispatch lookup is by index.
             for ph in &p.phases {
-                for (k, name) in ph.requires.iter().enumerate() {
-                    if !self.cfg.resources.iter().any(|pool| pool.name == *name) {
-                        return Err(EngineError::InvalidProgram(format!(
-                            "job {i}: phase '{}' requires unknown resource pool '{name}'",
+                ResourcePool::check_requires(&self.cfg.resources, &ph.requires).map_err(
+                    |(_, what)| {
+                        EngineError::InvalidProgram(format!(
+                            "job {i}: phase '{}' requires {what}",
                             ph.name
-                        )));
-                    }
-                    if ph.requires[..k].contains(name) {
-                        return Err(EngineError::InvalidProgram(format!(
-                            "job {i}: phase '{}' requires pool '{name}' twice",
-                            ph.name
-                        )));
-                    }
-                }
+                        ))
+                    },
+                )?;
             }
         }
         if self.programs.is_empty() {

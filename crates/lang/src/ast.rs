@@ -2,6 +2,7 @@
 
 use crate::token::Pos;
 use pax_core::mapping::MappingKind;
+use pax_sim::dist::DurationDist;
 
 /// The `MAPPING=` options of an `ENABLE` clause, one keyword per
 /// enablement mapping kind: the parser reads them (case-insensitively)
@@ -55,17 +56,6 @@ pub enum EnableClause {
     BranchDependent,
 }
 
-/// Cost model syntax for phase definitions.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum CostSpec {
-    /// `COST CONST t`
-    Const(u64),
-    /// `COST UNIFORM lo hi`
-    Uniform(u64, u64),
-    /// `COST EXP mean`
-    Exponential(u64),
-}
-
 /// `DEFINE PHASE name GRANULES n [COST …] [LINES l] [ENABLE [...]]`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DefinePhase {
@@ -73,8 +63,9 @@ pub struct DefinePhase {
     pub name: String,
     /// Granule count.
     pub granules: u32,
-    /// Cost model (defaults to `CONST 100`).
-    pub cost: Option<CostSpec>,
+    /// Per-granule cost: `COST CONST t`, `COST UNIFORM lo hi` or
+    /// `COST EXP mean`, and `CONST 100` when the script gives none.
+    pub cost: DurationDist,
     /// Census line weight.
     pub lines: Option<u32>,
     /// Enable declarations made at definition time (form 4).

@@ -7,7 +7,7 @@ use pax_core::ids::PhaseId;
 use pax_core::mapping::{EnablementMapping, MappingKind};
 use pax_core::phase::PhaseDef;
 use pax_core::program::{BranchTest, EnableSpec, Lookahead, Program, Step, Stop, WALK_STEPS};
-use pax_sim::dist::{CostModel, DurationDist};
+use pax_sim::dist::CostModel;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -96,15 +96,6 @@ pub struct Compiled {
     pub phase_ids: HashMap<String, pax_core::ids::PhaseId>,
 }
 
-fn cost_model(spec: Option<CostSpec>) -> CostModel {
-    match spec {
-        None => CostModel::constant(100),
-        Some(CostSpec::Const(t)) => CostModel::constant(t),
-        Some(CostSpec::Uniform(lo, hi)) => CostModel::new(DurationDist::uniform(lo, hi)),
-        Some(CostSpec::Exponential(m)) => CostModel::new(DurationDist::exponential(m)),
-    }
-}
-
 /// Compile a parsed script against map bindings.
 ///
 /// The interlock check is exact along the job's path. Branches test
@@ -128,7 +119,7 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
             });
             continue;
         }
-        let def = PhaseDef::new(d.name.clone(), d.granules, cost_model(d.cost))
+        let def = PhaseDef::new(d.name.clone(), d.granules, CostModel::new(d.cost.clone()))
             .with_lines(d.lines.unwrap_or(0));
         phase_ids.insert(d.name.clone(), pax_core::ids::PhaseId(phases.len() as u32));
         phases.push(def);

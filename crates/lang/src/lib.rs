@@ -53,7 +53,7 @@ pub mod compile;
 pub mod parser;
 pub mod token;
 
-pub use ast::{AstStmt, CondExpr, CostSpec, DefinePhase, EnableClause, EnableItem, Script};
+pub use ast::{AstStmt, CondExpr, DefinePhase, EnableClause, EnableItem, Script};
 pub use compile::{compile, CompileError, Compiled, Diagnostic, MapBindings};
 pub use parser::{parse, ParseError};
 pub use token::{lex, LexError, Pos, Tok, Token};

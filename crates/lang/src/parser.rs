@@ -3,6 +3,7 @@
 use crate::ast::*;
 use crate::token::{lex, LexError, Pos, Tok, Token};
 use pax_core::mapping::MappingKind;
+use pax_sim::dist::DurationDist;
 use std::fmt;
 
 /// Parse error with position.
@@ -95,12 +96,17 @@ impl Parser {
         }
     }
 
-    /// An integer operand of counter arithmetic, which must fit an `i64`.
-    fn signed(&mut self, what: &str) -> Result<i64, ParseError> {
+    /// An integer that must fit `T`, whose largest value is `max`: an
+    /// operand of counter arithmetic (`i64`) or a line count (`u32`).
+    fn fits<T: TryFrom<u64>>(
+        &mut self,
+        what: &str,
+        max: impl fmt::Display,
+    ) -> Result<T, ParseError> {
         let pos = self.peek().pos;
         let n = self.int(what)?;
-        i64::try_from(n).map_err(|_| ParseError {
-            message: format!("{what} {n} exceeds {}", i64::MAX),
+        T::try_from(n).map_err(|_| ParseError {
+            message: format!("{what} {n} exceeds {max}"),
             pos,
         })
     }
@@ -197,10 +203,10 @@ impl Parser {
         }
     }
 
-    fn cost_spec(&mut self) -> Result<CostSpec, ParseError> {
+    fn cost(&mut self) -> Result<DurationDist, ParseError> {
         let (kind, pos) = self.ident("cost kind (CONST, UNIFORM, EXP)")?;
         match kind.to_ascii_uppercase().as_str() {
-            "CONST" => Ok(CostSpec::Const(self.int("constant cost")?)),
+            "CONST" => Ok(DurationDist::constant(self.int("constant cost")?)),
             "UNIFORM" => {
                 let lo = self.int("uniform lower bound")?;
                 let hi = self.int("uniform upper bound")?;
@@ -210,9 +216,9 @@ impl Parser {
                         pos,
                     });
                 }
-                Ok(CostSpec::Uniform(lo, hi))
+                Ok(DurationDist::uniform(lo, hi))
             }
-            "EXP" => Ok(CostSpec::Exponential(self.int("exponential mean")?)),
+            "EXP" => Ok(DurationDist::exponential(self.int("exponential mean")?)),
             other => Err(ParseError {
                 message: format!("unknown cost kind '{other}'"),
                 pos,
@@ -226,7 +232,7 @@ impl Parser {
         self.keyword("PHASE")?;
         let (name, _) = self.ident("phase name")?;
         let mut granules: Option<u32> = None;
-        let mut cost = None;
+        let mut cost = DurationDist::constant(100);
         let mut lines = None;
         let mut enables = Vec::new();
         loop {
@@ -239,10 +245,10 @@ impl Parser {
                 granules = Some(n as u32);
             } else if self.peek_keyword("COST") {
                 self.keyword("COST")?;
-                cost = Some(self.cost_spec()?);
+                cost = self.cost()?;
             } else if self.peek_keyword("LINES") {
                 self.keyword("LINES")?;
-                lines = Some(self.int("line count")? as u32);
+                lines = Some(self.fits("line count", u32::MAX)?);
             } else if self.peek_keyword("ENABLE") {
                 self.keyword("ENABLE")?;
                 enables = self.enable_list()?;
@@ -273,13 +279,13 @@ impl Parser {
             self.expect(Tok::LParen)?;
             let (counter, _) = self.ident("counter name")?;
             self.expect(Tok::Comma)?;
-            let modulus = self.signed("modulus")?;
+            let modulus = self.fits("modulus", i64::MAX)?;
             if modulus == 0 {
                 return self.err("IMOD modulus must be positive");
             }
             self.expect(Tok::RParen)?;
             let op = self.next();
-            let residue = self.signed("residue")?;
+            let residue = self.fits("residue", i64::MAX)?;
             match op.tok {
                 Tok::DotOp(ref s) if s == "NE" => CondExpr::ImodNe {
                     counter,
@@ -301,7 +307,7 @@ impl Parser {
         } else {
             let (counter, _) = self.ident("counter name")?;
             let op = self.next();
-            let value = self.signed("comparison value")?;
+            let value = self.fits("comparison value", i64::MAX)?;
             match op.tok {
                 Tok::DotOp(ref s) if s == "LT" => CondExpr::Lt { counter, value },
                 other => {
@@ -387,7 +393,7 @@ impl Parser {
                 let (counter, _) = self.ident("counter name")?;
                 let by = if self.peek_keyword("BY") {
                     self.keyword("BY")?;
-                    self.signed("increment step")?
+                    self.fits("increment step", i64::MAX)?
                 } else {
                     1
                 };
@@ -507,8 +513,17 @@ mod tests {
     fn parses_define_with_cost_and_lines() {
         let s = parse("DEFINE PHASE p GRANULES 10 COST UNIFORM 5 50 LINES 37").unwrap();
         let d = s.define_of("p").unwrap();
-        assert_eq!(d.cost, Some(CostSpec::Uniform(5, 50)));
+        assert_eq!(d.cost, DurationDist::uniform(5, 50));
         assert_eq!(d.lines, Some(37));
+        let s = parse("DEFINE PHASE p GRANULES 10").unwrap();
+        assert_eq!(s.define_of("p").unwrap().cost, DurationDist::constant(100));
+        // A line count above `u32` is an error at the count, not 0 lines.
+        let src = "DEFINE PHASE p GRANULES 10 LINES 4294967296";
+        let err = parse(src).unwrap_err();
+        assert!(err.message.contains("4294967296"), "{}", err.message);
+        assert_eq!(err.pos.col as usize, src.find("4294967296").unwrap() + 1);
+        let max = parse("DEFINE PHASE p GRANULES 10 LINES 4294967295").unwrap();
+        assert_eq!(max.define_of("p").unwrap().lines, Some(u32::MAX));
     }
 
     #[test]

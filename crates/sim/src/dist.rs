@@ -12,12 +12,17 @@
 //!   time for four additions and a divide").
 //! * [`DurationDist::Uniform`] / [`DurationDist::Exponential`] — unpredictable
 //!   access times.
-//! * [`DurationDist::Bimodal`] — a mix of short and long granules.
+//! * [`DurationDist::Bimodal`] — mostly short granules and a few long
+//!   stragglers, the tail that makes a phase run down.
 //! * The `skip_probability` on [`CostModel`] — conditionally executed
 //!   computations that turn out to be no-ops.
 
 use crate::time::{SimDuration, SimTime};
 use rand::Rng;
+
+/// The largest uniform draw an exponential sample transforms: `ln`
+/// never sees 0.
+const EXPONENTIAL_U_MAX: f64 = 1.0 - 1e-12;
 
 /// A distribution over granule execution times, sampled in whole ticks.
 #[derive(Debug, Clone, PartialEq)]
@@ -40,25 +45,25 @@ pub enum DurationDist {
         /// Mean of the distribution.
         mean: SimDuration,
     },
-    /// With probability `p_long` sample from `long`, otherwise from `short`.
+    /// `long` with probability `p_long`, otherwise `short`.
     Bimodal {
-        /// Distribution of the common, short granules.
-        short: Box<DurationDist>,
-        /// Distribution of the rare, long granules.
-        long: Box<DurationDist>,
-        /// Probability of drawing from `long`.
+        /// The common, short granule.
+        short: SimDuration,
+        /// The rare, long granule.
+        long: SimDuration,
+        /// Probability of `long`, in `[0, 1]`.
         p_long: f64,
     },
 }
 
 impl DurationDist {
     /// Convenience constructor for a constant distribution.
-    pub fn constant(ticks: u64) -> DurationDist {
+    pub const fn constant(ticks: u64) -> DurationDist {
         DurationDist::Constant(SimDuration(ticks))
     }
 
     /// Convenience constructor for a uniform distribution over `[lo, hi]`.
-    pub fn uniform(lo: u64, hi: u64) -> DurationDist {
+    pub const fn uniform(lo: u64, hi: u64) -> DurationDist {
         assert!(lo <= hi, "uniform distribution requires lo <= hi");
         DurationDist::Uniform {
             lo: SimDuration(lo),
@@ -67,18 +72,19 @@ impl DurationDist {
     }
 
     /// Convenience constructor for an exponential distribution.
-    pub fn exponential(mean: u64) -> DurationDist {
+    pub const fn exponential(mean: u64) -> DurationDist {
         DurationDist::Exponential {
             mean: SimDuration(mean),
         }
     }
 
-    /// Convenience constructor for a bimodal mix of two constants.
-    pub fn bimodal(short: u64, long: u64, p_long: f64) -> DurationDist {
-        assert!((0.0..=1.0).contains(&p_long), "p_long must be in [0,1]");
+    /// A bimodal mix: `long` ticks with probability `p_long`, else
+    /// `short`.
+    pub const fn bimodal(short: u64, long: u64, p_long: f64) -> DurationDist {
+        assert!(0.0 <= p_long && p_long <= 1.0, "p_long must be in [0,1]");
         DurationDist::Bimodal {
-            short: Box::new(DurationDist::constant(short)),
-            long: Box::new(DurationDist::constant(long)),
+            short: SimDuration(short),
+            long: SimDuration(long),
             p_long,
         }
     }
@@ -96,7 +102,7 @@ impl DurationDist {
                 // Inverse-transform sampling; clamp u away from 1.0 so that
                 // ln never sees 0, and round to at least one tick so that a
                 // "real" computation always advances time.
-                let u: f64 = rng.gen::<f64>().min(1.0 - 1e-12);
+                let u: f64 = rng.gen::<f64>().min(EXPONENTIAL_U_MAX);
                 let t = -(mean.0 as f64) * (1.0 - u).ln();
                 SimDuration((t.round() as u64).max(1))
             }
@@ -106,11 +112,24 @@ impl DurationDist {
                 p_long,
             } => {
                 if rng.gen::<f64>() < *p_long {
-                    long.sample(rng)
+                    *long
                 } else {
-                    short.sample(rng)
+                    *short
                 }
             }
+        }
+    }
+
+    /// The largest sample [`DurationDist::sample`] can draw, in ticks.
+    pub fn max_ticks(&self) -> u64 {
+        match self {
+            DurationDist::Zero => 0,
+            DurationDist::Constant(d) => d.0,
+            DurationDist::Uniform { hi, .. } => hi.0,
+            // `u` is clamped to `EXPONENTIAL_U_MAX`, so a sample is at
+            // most `-ln(1 - EXPONENTIAL_U_MAX)` = 27.7 means, rounded.
+            DurationDist::Exponential { mean } => mean.0.saturating_mul(28),
+            DurationDist::Bimodal { short, long, .. } => short.0.max(long.0),
         }
     }
 
@@ -125,7 +144,7 @@ impl DurationDist {
                 short,
                 long,
                 p_long,
-            } => short.mean_ticks() * (1.0 - p_long) + long.mean_ticks() * p_long,
+            } => short.0 as f64 * (1.0 - p_long) + long.0 as f64 * p_long,
         }
     }
 }
@@ -230,7 +249,7 @@ pub enum ArrivalProcess {
 
 impl ArrivalProcess {
     /// Poisson arrivals with the given mean inter-arrival gap in ticks.
-    pub fn poisson(mean_gap_ticks: u64) -> ArrivalProcess {
+    pub const fn poisson(mean_gap_ticks: u64) -> ArrivalProcess {
         ArrivalProcess::Poisson {
             mean: SimDuration(mean_gap_ticks),
         }
@@ -358,6 +377,29 @@ mod tests {
         let frac = longs as f64 / samples.len() as f64;
         assert!((frac - 0.25).abs() < 0.05, "long fraction {frac}");
         assert!((d.mean_ticks() - (0.75 + 25.0)).abs() < 1e-9);
+    }
+
+    #[test]
+    fn samples_never_exceed_max_ticks() {
+        let shapes = [
+            DurationDist::Zero,
+            DurationDist::constant(7),
+            DurationDist::uniform(3, 40),
+            DurationDist::exponential(1),
+            DurationDist::exponential(50),
+            DurationDist::bimodal(2, 90, 0.3),
+        ];
+        let mut r = rng();
+        for d in &shapes {
+            let max = d.max_ticks();
+            for _ in 0..10_000 {
+                let s = d.sample(&mut r).0;
+                assert!(s <= max, "{d:?}: sample {s} above max_ticks {max}");
+            }
+        }
+        // The clamped draw itself, where the bound is closest.
+        let t = -(1.0 - EXPONENTIAL_U_MAX).ln();
+        assert!(t.round() <= 28.0 && t > 27.0, "{t}");
     }
 
     #[test]

@@ -355,6 +355,24 @@ impl ResourcePool {
             tokens,
         }
     }
+
+    /// Check a phase's `requires` list against the machine's `pools`:
+    /// each name a declared pool, and each once. The error is the index
+    /// of the first name that is not, and what it is (`requires …`).
+    pub fn check_requires(
+        pools: &[ResourcePool],
+        requires: &[String],
+    ) -> Result<(), (usize, String)> {
+        for (k, name) in requires.iter().enumerate() {
+            if !pools.iter().any(|p| p.name == *name) {
+                return Err((k, format!("undeclared resource pool '{name}'")));
+            }
+            if requires[..k].contains(name) {
+                return Err((k, format!("resource pool '{name}' twice")));
+            }
+        }
+        Ok(())
+    }
 }
 
 /// A structured machine-configuration error, produced by

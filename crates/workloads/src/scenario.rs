@@ -127,9 +127,6 @@ const MAX_JOBS: usize = 1 << 20;
 const MANAGEMENT_TICKS_PER_GRANULE: u128 = 16;
 const MANAGEMENT_TICKS_PER_PHASE: u128 = 16;
 
-/// An exponential sample is at most `-mean × ln(1e-12)` = 27.7 means.
-const EXPONENTIAL_MEANS_AT_MOST: u64 = 28;
-
 // ---------------------------------------------------------------------------
 // Reading and writing the value tree
 // ---------------------------------------------------------------------------
@@ -172,16 +169,16 @@ impl<'a> Val<'a> {
         err(self.node.line, self.path.to_string(), kind)
     }
 
-    /// The value as an object whose keys are each in `keys`, and each
-    /// given once.
-    fn obj(&self, keys: &[&str]) -> Result<Obj<'_>> {
+    /// The value as an object whose keys are each in `keys` or `more`,
+    /// and each given once.
+    fn obj_of(&self, keys: &[&str], more: &[&str]) -> Result<Obj<'_>> {
         let Json::Obj(fields) = &self.node.v else {
             return Err(self.wrong("object"));
         };
         let o = Obj { v: self };
         // Keys before `i` are known and distinct, so the scan is short.
         for (i, (k, v)) in fields.iter().enumerate() {
-            if !keys.contains(&k.as_str()) {
+            if !keys.contains(&k.as_str()) && !more.contains(&k.as_str()) {
                 let kind = ScenarioErrorKind::UnknownField(k.clone());
                 return Err(o.key_error(v.line, k, kind));
             }
@@ -191,6 +188,20 @@ impl<'a> Val<'a> {
             }
         }
         Ok(o)
+    }
+
+    fn obj(&self, keys: &[&str]) -> Result<Obj<'_>> {
+        self.obj_of(keys, &[])
+    }
+
+    /// The value as an object tagged by `key`: the tag picks a row of
+    /// `table`, and the object takes `key` and that row's keys only.
+    fn variant<T>(&self, key: &str, table: Tags<T>, what: &str) -> Result<(&'static T, Obj<'_>)> {
+        let Json::Obj(_) = &self.node.v else {
+            return Err(self.wrong("object"));
+        };
+        let (_, value, keys) = Obj { v: self }.req_with(key, |tag| tag.row(table, what, None))?;
+        Ok((value, self.obj_of(&[key], keys)?))
     }
 
     fn items(&self) -> Result<Vec<Val<'_>>> {
@@ -211,14 +222,23 @@ impl<'a> Val<'a> {
         }
     }
 
-    /// Decode a string tag through `table`. An unknown tag is told the
-    /// table's tags, and `more`, a form of the value that is not a tag.
-    fn tag<T: Clone>(&self, table: Tags<T>, what: &str, more: Option<&str>) -> Result<T> {
-        let s = self.str()?;
-        if let Some((_, value)) = table.iter().find(|(tag, _)| *tag == s) {
-            return Ok(value.clone());
+    /// A finite number that is `ok`, which `expected` describes.
+    fn real(&self, ok: impl Fn(f64) -> bool, expected: &str) -> Result<f64> {
+        match self.node.v {
+            Json::Num(x) if x.is_finite() && ok(x) => Ok(x),
+            Json::Num(x) => Err(self.invalid(format!("expected {expected}, found {x}"))),
+            _ => Err(self.wrong("number")),
         }
-        let tags = table.iter().map(|(tag, _)| format!("'{tag}'"));
+    }
+
+    /// The row of `table` this string tags. An unknown tag is told the
+    /// table's tags, and `more`, a form of the value that is not a tag.
+    fn row<T>(&self, table: Tags<T>, what: &str, more: Option<&str>) -> Result<&'static Row<T>> {
+        let s = self.str()?;
+        if let Some(row) = table.iter().find(|(tag, ..)| *tag == s) {
+            return Ok(row);
+        }
+        let tags = table.iter().map(|(tag, ..)| format!("'{tag}'"));
         let alternatives: Vec<String> = tags.chain(more.map(String::from)).collect();
         let expected = match alternatives.as_slice() {
             [a, b] => format!("{a} or {b}"),
@@ -226,6 +246,11 @@ impl<'a> Val<'a> {
             _ => alternatives.concat(),
         };
         Err(self.invalid(format!("unknown {what} '{s}' (expected {expected})")))
+    }
+
+    /// Decode a string tag through `table`.
+    fn tag<T: Copy>(&self, table: Tags<T>, what: &str, more: Option<&str>) -> Result<T> {
+        Ok(self.row(table, what, more)?.1)
     }
 }
 
@@ -270,10 +295,6 @@ impl<'a> Obj<'a> {
 
     fn opt<T: Field>(&self, key: &str, default: T) -> Result<T> {
         Ok(self.maybe(key)?.unwrap_or(default))
-    }
-
-    fn tag<T: Clone>(&self, key: &str, table: Tags<T>, what: &str) -> Result<T> {
-        self.req_with(key, |v| v.tag(table, what, None))
     }
 }
 
@@ -380,17 +401,32 @@ fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
 
 /// The tags of an enum's variants: the one list its reader decodes and
 /// its writer encodes through, a data-carrying variant standing for
-/// every value of its kind.
-type Tags<T> = &'static [(&'static str, T)];
+/// every value of its kind. A variant written as an object also lists
+/// the keys it takes besides its tag; one written as a bare tag, none.
+type Tags<T> = &'static [Row<T>];
+type Row<T> = (&'static str, T, &'static [&'static str]);
 
-/// The tag of `value`'s variant.
-fn tag_of<T>(table: Tags<T>, value: &T) -> Json {
+/// The row of `value`'s variant.
+fn row_of<T>(table: Tags<T>, value: &T) -> &'static Row<T> {
     let kind = std::mem::discriminant(value);
     let row = table
         .iter()
-        .find(|(_, v)| std::mem::discriminant(v) == kind);
-    let (tag, _) = row.expect("a tag for every variant written as a tag");
-    Json::Str(tag.to_string())
+        .find(|(_, v, _)| std::mem::discriminant(v) == kind);
+    row.expect("a row for every variant written")
+}
+
+/// The tag of `value`'s variant.
+fn tag_of<T>(table: Tags<T>, value: &T) -> Json {
+    Json::Str(row_of(table, value).0.to_string())
+}
+
+/// `value` as an object: its tag under `key`, then its row's keys with
+/// `fields`, in the row's order.
+fn tagged<T>(key: &str, table: Tags<T>, value: &T, fields: Vec<Json>) -> Json {
+    let (tag, _, keys) = row_of(table, value);
+    debug_assert_eq!(keys.len(), fields.len(), "a field for each key of '{tag}'");
+    let tag = (key, Json::Str(tag.to_string()));
+    obj(std::iter::once(tag).chain(keys.iter().copied().zip(fields)))
 }
 
 // ---------------------------------------------------------------------------
@@ -480,7 +516,7 @@ pub struct MachineDoc {
     /// Admission policy for arrivals.
     pub admission: AdmissionPolicy,
     /// Optional fault-injection plan.
-    pub faults: Option<FaultDoc>,
+    pub faults: Option<FaultPlan>,
 }
 
 impl Field for MachineDoc {
@@ -582,9 +618,9 @@ impl Field for ProcessorClass {
 }
 
 const AFFINITIES: Tags<ClassAffinity> = &[
-    ("any", ClassAffinity::Any),
-    ("elevated_only", ClassAffinity::ElevatedOnly),
-    ("normal_only", ClassAffinity::NormalOnly),
+    ("any", ClassAffinity::Any, &[]),
+    ("elevated_only", ClassAffinity::ElevatedOnly, &[]),
+    ("normal_only", ClassAffinity::NormalOnly, &[]),
 ];
 
 impl Field for ClassAffinity {
@@ -612,18 +648,23 @@ impl Field for ResourcePool {
 }
 
 const ADMISSIONS: Tags<AdmissionPolicy> = &[
-    ("accept_all", AdmissionPolicy::AcceptAll),
+    ("accept_all", AdmissionPolicy::AcceptAll, &[]),
     (
         "bounded_defer",
         AdmissionPolicy::BoundedDefer { max_in_flight: 0 },
+        &["max_in_flight"],
     ),
-    ("shed", AdmissionPolicy::Shed { max_in_flight: 0 }),
+    (
+        "shed",
+        AdmissionPolicy::Shed { max_in_flight: 0 },
+        &["max_in_flight"],
+    ),
 ];
 
 impl Field for AdmissionPolicy {
     fn read(v: &Val) -> Result<AdmissionPolicy> {
-        let o = v.obj(&["policy", "max_in_flight"])?;
-        Ok(match o.tag("policy", ADMISSIONS, "admission policy")? {
+        let (policy, o) = v.variant("policy", ADMISSIONS, "admission policy")?;
+        Ok(match policy {
             AdmissionPolicy::AcceptAll => AdmissionPolicy::AcceptAll,
             AdmissionPolicy::BoundedDefer { .. } => AdmissionPolicy::BoundedDefer {
                 max_in_flight: o.req("max_in_flight")?,
@@ -635,86 +676,57 @@ impl Field for AdmissionPolicy {
     }
 
     fn write(&self) -> Json {
-        let policy = ("policy", tag_of(ADMISSIONS, self));
-        match *self {
-            AdmissionPolicy::AcceptAll => obj([policy]),
+        let fields = match *self {
+            AdmissionPolicy::AcceptAll => vec![],
             AdmissionPolicy::BoundedDefer { max_in_flight }
-            | AdmissionPolicy::Shed { max_in_flight } => {
-                obj([policy, ("max_in_flight", max_in_flight.write())])
-            }
-        }
+            | AdmissionPolicy::Shed { max_in_flight } => vec![max_in_flight.write()],
+        };
+        tagged("policy", ADMISSIONS, self, fields)
     }
 }
 
-/// Fault-injection plan (`machine.faults`).
-#[derive(Debug, Clone, PartialEq)]
-pub struct FaultDoc {
-    /// Crash/repair generation model.
-    pub model: FaultModelDoc,
-    /// Disposition of work lost to crashes.
-    pub retry: RetryPolicy,
-}
-
-/// Crash/repair model (`machine.faults.model`).
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultModelDoc {
-    /// Independent up/down spans per processor.
-    Random {
-        /// Distribution of up spans.
-        time_to_failure: DistDoc,
-        /// Distribution of down spans.
-        time_to_repair: DistDoc,
-    },
-    /// Explicit scripted crash events.
-    Scripted(Vec<ScriptedFault>),
-}
-
-const FAULT_MODELS: Tags<FaultModelDoc> = &[
+/// `machine.faults`: the model's tag picks its keys; `retry` is
+/// optional in either.
+const FAULT_MODELS: Tags<FaultModel> = &[
     (
         "random",
-        FaultModelDoc::Random {
-            time_to_failure: DistDoc::Zero,
-            time_to_repair: DistDoc::Zero,
+        FaultModel::Random {
+            time_to_failure: DurationDist::Zero,
+            time_to_repair: DurationDist::Zero,
         },
+        &["time_to_failure", "time_to_repair", "retry"],
     ),
-    ("scripted", FaultModelDoc::Scripted(Vec::new())),
+    (
+        "scripted",
+        FaultModel::Scripted(Vec::new()),
+        &["events", "retry"],
+    ),
 ];
 
-impl Field for FaultDoc {
-    fn read(v: &Val) -> Result<FaultDoc> {
-        let o = v.obj(&[
-            "model",
-            "time_to_failure",
-            "time_to_repair",
-            "events",
-            "retry",
-        ])?;
-        let model = match o.tag("model", FAULT_MODELS, "fault model")? {
-            FaultModelDoc::Random { .. } => FaultModelDoc::Random {
+impl Field for FaultPlan {
+    fn read(v: &Val) -> Result<FaultPlan> {
+        let (model, o) = v.variant("model", FAULT_MODELS, "fault model")?;
+        let model = match model {
+            FaultModel::Random { .. } => FaultModel::Random {
                 time_to_failure: o.req("time_to_failure")?,
                 time_to_repair: o.req("time_to_repair")?,
             },
-            FaultModelDoc::Scripted(_) => FaultModelDoc::Scripted(o.req("events")?),
+            FaultModel::Scripted(_) => FaultModel::Scripted(o.req("events")?),
         };
         let retry = o.opt("retry", RetryPolicy::ReissueFront)?;
-        Ok(FaultDoc { model, retry })
+        Ok(FaultPlan { model, retry })
     }
 
     fn write(&self) -> Json {
-        let model = ("model", tag_of(FAULT_MODELS, &self.model));
-        let retry = ("retry", self.retry.write());
-        match &self.model {
-            FaultModelDoc::Random {
+        let retry = self.retry.write();
+        let fields = match &self.model {
+            FaultModel::Random {
                 time_to_failure,
                 time_to_repair,
-            } => obj([
-                model,
-                ("time_to_failure", time_to_failure.write()),
-                ("time_to_repair", time_to_repair.write()),
-                retry,
-            ]),
-            FaultModelDoc::Scripted(events) => obj([model, ("events", events.write()), retry]),
-        }
+            } => vec![time_to_failure.write(), time_to_repair.write(), retry],
+            FaultModel::Scripted(events) => vec![events.write(), retry],
+        };
+        tagged("model", FAULT_MODELS, &self.model, fields)
     }
 }
 
@@ -739,8 +751,8 @@ impl Field for ScriptedFault {
 
 /// `{ "bounded": N }` is the one retry policy that is not a tag.
 const RETRIES: Tags<RetryPolicy> = &[
-    ("reissue_front", RetryPolicy::ReissueFront),
-    ("abandon", RetryPolicy::Abandon),
+    ("reissue_front", RetryPolicy::ReissueFront, &[]),
+    ("abandon", RetryPolicy::Abandon, &[]),
 ];
 
 impl Field for RetryPolicy {
@@ -762,38 +774,26 @@ impl Field for RetryPolicy {
     }
 }
 
-/// A duration distribution (phase costs, fault spans).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DistDoc {
-    /// Always zero ticks.
-    Zero,
-    /// Every sample is exactly this many ticks.
-    Constant(u64),
-    /// Uniform over `[lo, hi]` inclusive.
-    Uniform {
-        /// Smallest sample.
-        lo: u64,
-        /// Largest sample.
-        hi: u64,
-    },
-    /// Exponential with this mean, truncated to ≥ 1 tick.
-    Exponential(u64),
-}
-
-const DISTS: Tags<DistDoc> = &[
-    ("zero", DistDoc::Zero),
-    ("constant", DistDoc::Constant(0)),
-    ("uniform", DistDoc::Uniform { lo: 0, hi: 0 }),
-    ("exponential", DistDoc::Exponential(0)),
+/// Phase costs and fault spans.
+const DISTS: Tags<DurationDist> = &[
+    ("zero", DurationDist::Zero, &[]),
+    ("constant", DurationDist::constant(0), &["ticks"]),
+    ("uniform", DurationDist::uniform(0, 0), &["lo", "hi"]),
+    ("exponential", DurationDist::exponential(0), &["mean"]),
+    (
+        "bimodal",
+        DurationDist::bimodal(0, 0, 0.0),
+        &["short", "long", "p_long"],
+    ),
 ];
 
-impl Field for DistDoc {
-    fn read(v: &Val) -> Result<DistDoc> {
-        let o = v.obj(&["dist", "ticks", "lo", "hi", "mean"])?;
-        Ok(match o.tag("dist", DISTS, "distribution")? {
-            DistDoc::Zero => DistDoc::Zero,
-            DistDoc::Constant(_) => DistDoc::Constant(o.req("ticks")?),
-            DistDoc::Uniform { .. } => {
+impl Field for DurationDist {
+    fn read(v: &Val) -> Result<DurationDist> {
+        let (dist, o) = v.variant("dist", DISTS, "distribution")?;
+        Ok(match dist {
+            DurationDist::Zero => DurationDist::Zero,
+            DurationDist::Constant(_) => DurationDist::constant(o.req("ticks")?),
+            DurationDist::Uniform { .. } => {
                 let lo = o.req("lo")?;
                 let hi = o.req_with("hi", |hi| match u64::read(hi)? {
                     n if n < lo => Err(hi.invalid(format!(
@@ -801,20 +801,32 @@ impl Field for DistDoc {
                     ))),
                     n => Ok(n),
                 })?;
-                DistDoc::Uniform { lo, hi }
+                DurationDist::uniform(lo, hi)
             }
-            DistDoc::Exponential(_) => DistDoc::Exponential(o.req("mean")?),
+            DurationDist::Exponential { .. } => DurationDist::exponential(o.req("mean")?),
+            DurationDist::Bimodal { .. } => DurationDist::Bimodal {
+                short: SimDuration(o.req("short")?),
+                long: SimDuration(o.req("long")?),
+                p_long: o.req_with("p_long", |p| {
+                    p.real(|x| (0.0..=1.0).contains(&x), "a number in [0, 1]")
+                })?,
+            },
         })
     }
 
     fn write(&self) -> Json {
-        let dist = ("dist", tag_of(DISTS, self));
-        match *self {
-            DistDoc::Zero => obj([dist]),
-            DistDoc::Constant(ticks) => obj([dist, ("ticks", ticks.write())]),
-            DistDoc::Uniform { lo, hi } => obj([dist, ("lo", lo.write()), ("hi", hi.write())]),
-            DistDoc::Exponential(mean) => obj([dist, ("mean", mean.write())]),
-        }
+        let ticks = |d: SimDuration| d.0.write();
+        let fields = match *self {
+            DurationDist::Zero => vec![],
+            DurationDist::Constant(t) | DurationDist::Exponential { mean: t } => vec![ticks(t)],
+            DurationDist::Uniform { lo, hi } => vec![ticks(lo), ticks(hi)],
+            DurationDist::Bimodal {
+                short,
+                long,
+                p_long,
+            } => vec![ticks(short), ticks(long), Json::Num(p_long)],
+        };
+        tagged("dist", DISTS, self, fields)
     }
 }
 
@@ -881,7 +893,7 @@ pub struct PhaseDoc {
     /// Granules dispatched per execution.
     pub granules: u32,
     /// Per-granule cost distribution.
-    pub cost: DistDoc,
+    pub cost: DurationDist,
     /// Census line weight (default 0).
     pub lines: u32,
     /// Secondary-resource pools a task must hold one token from.
@@ -904,12 +916,11 @@ impl PhaseDoc {
             requires: o.opt("requires", Vec::new())?,
             mapping: o.opt("mapping", MappingDoc::Null)?,
         };
-        // Resource references must name declared pools.
-        let undeclared = |(_, name): &(usize, &String)| !pools.iter().any(|p| &p.name == *name);
-        if let Some((r, name)) = phase.requires.iter().enumerate().find(undeclared) {
-            let msg = format!("phase requires undeclared resource pool '{name}'");
-            let path = format!("{}.requires[{r}]", v.path);
-            return Err(err(v.node.line, path, ScenarioErrorKind::Invalid(msg)));
+        if let Err((k, what)) = ResourcePool::check_requires(pools, &phase.requires) {
+            let line = o.get("requires").map_or(0, |list| list.items()[k].line);
+            let msg = format!("phase requires {what}");
+            let path = format!("{}.requires[{k}]", v.path);
+            return Err(err(line, path, ScenarioErrorKind::Invalid(msg)));
         }
         Ok(phase)
     }
@@ -951,9 +962,9 @@ impl MappingDoc {
 }
 
 const MAPPINGS: Tags<MappingDoc> = &[
-    ("null", MappingDoc::Null),
-    ("identity", MappingDoc::Identity),
-    ("universal", MappingDoc::Universal),
+    ("null", MappingDoc::Null, &[]),
+    ("identity", MappingDoc::Identity, &[]),
+    ("universal", MappingDoc::Universal, &[]),
 ];
 
 impl Field for MappingDoc {
@@ -974,7 +985,7 @@ pub struct StreamDoc {
     /// Jobs to admit.
     pub count: usize,
     /// The arrival process.
-    pub arrivals: ArrivalDoc,
+    pub arrivals: ArrivalProcess,
 }
 
 impl StreamDoc {
@@ -1001,40 +1012,31 @@ impl StreamDoc {
     }
 }
 
-/// Arrival process of a stream (`stream.arrivals`).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArrivalDoc {
-    /// Exponential inter-arrival gaps with this mean.
-    Poisson {
-        /// Mean gap in ticks.
-        mean_gap: u64,
-    },
-    /// Explicit admission instants.
-    Trace(Vec<u64>),
-}
-
-const ARRIVALS: Tags<ArrivalDoc> = &[
-    ("poisson", ArrivalDoc::Poisson { mean_gap: 0 }),
-    ("trace", ArrivalDoc::Trace(Vec::new())),
+/// `stream.arrivals`.
+const ARRIVALS: Tags<ArrivalProcess> = &[
+    ("poisson", ArrivalProcess::poisson(0), &["mean_gap"]),
+    ("trace", ArrivalProcess::Trace(Vec::new()), &["instants"]),
 ];
 
-impl Field for ArrivalDoc {
-    fn read(v: &Val) -> Result<ArrivalDoc> {
-        let o = v.obj(&["process", "mean_gap", "instants"])?;
-        Ok(match o.tag("process", ARRIVALS, "arrival process")? {
-            ArrivalDoc::Poisson { .. } => ArrivalDoc::Poisson {
-                mean_gap: o.req("mean_gap")?,
-            },
-            ArrivalDoc::Trace(_) => ArrivalDoc::Trace(o.req("instants")?),
+impl Field for ArrivalProcess {
+    fn read(v: &Val) -> Result<ArrivalProcess> {
+        let (process, o) = v.variant("process", ARRIVALS, "arrival process")?;
+        Ok(match process {
+            ArrivalProcess::Poisson { .. } => ArrivalProcess::poisson(o.req("mean_gap")?),
+            // In time order, whatever order the file lists them in.
+            ArrivalProcess::Trace(_) => {
+                let instants: Vec<u64> = o.req("instants")?;
+                ArrivalProcess::trace(instants.into_iter().map(SimTime).collect())
+            }
         })
     }
 
     fn write(&self) -> Json {
-        let process = ("process", tag_of(ARRIVALS, self));
-        match self {
-            ArrivalDoc::Poisson { mean_gap } => obj([process, ("mean_gap", mean_gap.write())]),
-            ArrivalDoc::Trace(instants) => obj([process, ("instants", instants.write())]),
-        }
+        let fields = match self {
+            ArrivalProcess::Poisson { mean } => mean.0.write(),
+            ArrivalProcess::Trace(instants) => arr(instants, |t| t.0.write()),
+        };
+        tagged("process", ARRIVALS, self, vec![fields])
     }
 }
 
@@ -1069,14 +1071,9 @@ impl Field for TaskSizing {
         let o = v.obj(&["fixed", "per_processor"])?;
         match (o.get("fixed"), o.get("per_processor")) {
             (Some(_), None) => Ok(TaskSizing::Fixed(o.req("fixed")?)),
-            (None, Some(_)) => o.req_with("per_processor", |r| match r.node.v {
-                Json::Num(ratio) if ratio.is_finite() && ratio > 0.0 => {
-                    Ok(TaskSizing::TasksPerProcessor(ratio))
-                }
-                Json::Num(ratio) => {
-                    Err(r.invalid(format!("expected a positive finite number, found {ratio}")))
-                }
-                _ => Err(r.wrong("number")),
+            (None, Some(_)) => o.req_with("per_processor", |r| {
+                let ratio = r.real(|x| x > 0.0, "a positive finite number")?;
+                Ok(TaskSizing::TasksPerProcessor(ratio))
             }),
             _ => Err(v.invalid("sizing takes exactly one of 'fixed' or 'per_processor'")),
         }
@@ -1130,17 +1127,18 @@ impl Scenario {
 
     /// Reject a document that asks for more than the loader's limits,
     /// before anything is built from it: a size above its ceiling, or
-    /// tick values whose sums over the run can leave `u64`.
+    /// tick values whose sums over the run can leave `u64`, or a document
+    /// that runs no job.
     ///
     /// The tick bound is the run's worst case on one processor — every
     /// job's granules at their costliest, on the slowest class, with the
     /// executive's charges, after the last arrival — and no machine takes
     /// longer than one processor does. Processor-time integrals multiply
     /// it by the processor count, and a dispatched task's scheduled end
-    /// may lie a task past it; both must still fit. Scripted faults add
-    /// their down-spans and one re-executed task each. A random fault
-    /// model can lose and redo work without limit, so under one the bound
-    /// is necessary, not sufficient.
+    /// may lie a task past it; both must still fit. A crash adds its
+    /// down-span and one re-executed task: each scripted one, and one of a
+    /// random fault model. A random model can lose and redo work without
+    /// limit, so under one the bound is necessary, not sufficient.
     fn check_limits(&self, root: &Node) -> Result<()> {
         let block = |key| root.get(key).unwrap_or(root);
         let (machine, programs, stream) =
@@ -1188,25 +1186,41 @@ impl Scenario {
                 stream,
                 "stream.count",
             )?;
-            let last = match &st.arrivals {
-                ArrivalDoc::Poisson { mean_gap } => {
-                    u128::from(*mean_gap) * u128::from(EXPONENTIAL_MEANS_AT_MOST) * st.count as u128
+            let (last, admitted) = match &st.arrivals {
+                ArrivalProcess::Poisson { mean } => {
+                    let gap = DurationDist::Exponential { mean: *mean }.max_ticks();
+                    (u128::from(gap) * st.count as u128, st.count)
                 }
-                ArrivalDoc::Trace(instants) => instants.iter().copied().max().unwrap_or(0).into(),
+                ArrivalProcess::Trace(instants) => {
+                    let last = instants.iter().max().map_or(0, |t| t.0);
+                    (last.into(), st.count.min(instants.len()))
+                }
             };
             terms.push((last, stream.line_of("arrivals"), "stream.arrivals".into()));
+            jobs += admitted;
         }
-        if let Some(FaultDoc {
-            model: FaultModelDoc::Scripted(events),
-            ..
-        }) = &m.faults
-        {
+        if jobs == 0 {
+            let (line, path) = match self.stream {
+                Some(_) => (stream.line_of("count"), "stream.count"),
+                None => (root.line_of("workload"), "workload"),
+            };
+            let msg =
+                "the document runs no jobs: no program is added at t = 0 and no stream job arrives";
+            return Err(err(line, path, ScenarioErrorKind::Invalid(msg.into())));
+        }
+        if let Some(plan) = &m.faults {
             let phases = self.workload.iter().flat_map(|p| &p.phases);
             let longest_task = phases.map(task).max().unwrap_or(0);
-            let lost = events
-                .iter()
-                .map(|e| u128::from(e.repair_after.unwrap_or(0)) + longest_task)
-                .fold(0, u128::saturating_add);
+            // A crash costs its down span and the task it loses: each
+            // scripted crash, and one crash of a random plan.
+            let lost = match &plan.model {
+                FaultModel::Scripted(events) => (events.iter())
+                    .map(|e| u128::from(e.repair_after.unwrap_or(0)) + longest_task)
+                    .fold(0, u128::saturating_add),
+                FaultModel::Random { time_to_repair, .. } => {
+                    u128::from(time_to_repair.max_ticks()) + longest_task
+                }
+            };
             terms.push((lost, machine.line_of("faults"), "machine.faults".into()));
         }
         let horizon = terms.iter().map(|t| t.0).fold(0, u128::saturating_add);
@@ -1229,30 +1243,6 @@ impl Scenario {
 // Building
 // ---------------------------------------------------------------------------
 
-impl DistDoc {
-    /// The most ticks one sample can take.
-    fn max_ticks(self) -> u64 {
-        match self {
-            DistDoc::Zero => 0,
-            DistDoc::Constant(t) => t,
-            DistDoc::Uniform { hi, .. } => hi,
-            DistDoc::Exponential(mean) => mean.saturating_mul(EXPONENTIAL_MEANS_AT_MOST),
-        }
-    }
-
-    fn to_dist(self) -> DurationDist {
-        match self {
-            DistDoc::Zero => DurationDist::Zero,
-            DistDoc::Constant(t) => DurationDist::constant(t),
-            DistDoc::Uniform { lo, hi } => DurationDist::Uniform {
-                lo: SimDuration(lo),
-                hi: SimDuration(hi),
-            },
-            DistDoc::Exponential(mean) => DurationDist::exponential(mean),
-        }
-    }
-}
-
 impl MachineDoc {
     /// Translate the machine block into a (not yet validated)
     /// [`MachineConfig`].
@@ -1273,18 +1263,7 @@ impl MachineDoc {
             .with_resources(self.resources.clone())
             .with_admission(self.admission);
         if let Some(faults) = &self.faults {
-            let model = match &faults.model {
-                FaultModelDoc::Random {
-                    time_to_failure,
-                    time_to_repair,
-                } => FaultModel::Random {
-                    time_to_failure: time_to_failure.to_dist(),
-                    time_to_repair: time_to_repair.to_dist(),
-                },
-                FaultModelDoc::Scripted(events) => FaultModel::Scripted(events.clone()),
-            };
-            let retry = faults.retry;
-            cfg = cfg.with_faults(FaultPlan { model, retry });
+            cfg = cfg.with_faults(faults.clone());
         }
         cfg
     }
@@ -1294,7 +1273,7 @@ fn build_program(doc: &ProgramDoc) -> Result<Program, String> {
     let mut b = ProgramBuilder::new();
     let ids: Vec<PhaseId> = (doc.phases.iter())
         .map(|ph| {
-            let cost = CostModel::new(ph.cost.to_dist());
+            let cost = CostModel::new(ph.cost.clone());
             let def = PhaseDef::new(ph.name.clone(), ph.granules, cost).with_lines(ph.lines);
             b.phase(def.with_requires(ph.requires.clone()))
         })
@@ -1349,12 +1328,7 @@ impl Scenario {
                     let msg = format!("stream references unknown program '{}'", stream.program);
                     err(0, "stream.program", ScenarioErrorKind::Invalid(msg))
                 })?;
-            let process = match &stream.arrivals {
-                ArrivalDoc::Poisson { mean_gap } => ArrivalProcess::poisson(*mean_gap),
-                ArrivalDoc::Trace(instants) => {
-                    ArrivalProcess::trace(instants.iter().map(|&t| SimTime(t)).collect())
-                }
-            };
+            let process = stream.arrivals.clone();
             sim.add_job_stream(programs.swap_remove(i), process, stream.count);
         }
         Ok(sim)
@@ -1417,6 +1391,75 @@ mod tests {
         assert_eq!(e.line, 4);
         assert_eq!(e.path, "machine.procesors");
         assert_eq!(e.kind, ScenarioErrorKind::UnknownField("procesors".into()));
+
+        // A key of another variant than the tag picks is unknown too.
+        let doc = |machine: &str, cost: &str, stream: &str| {
+            format!(
+                "{{\n\"machine\": {{ \"processors\": 2{machine} }},\n\
+                 \"workload\": [ {{ \"name\": \"w\", \"phases\": [\n\
+                 {{ \"name\": \"p\", \"granules\": 4, \"cost\": {cost} }} ] }} ]{stream}\n}}"
+            )
+        };
+        let constant = r#"{ "dist": "constant", "ticks": 5 }"#;
+        let cases = [
+            (
+                doc(
+                    "",
+                    "{ \"dist\": \"constant\", \"ticks\": 5,\n\"mean\": 9 }",
+                    "",
+                ),
+                "workload[0].phases[0].cost.mean",
+            ),
+            (
+                doc(
+                    "",
+                    "{ \"dist\": \"exponential\", \"mean\": 5,\n\"ticks\": 9 }",
+                    "",
+                ),
+                "workload[0].phases[0].cost.ticks",
+            ),
+            (
+                doc(
+                    ", \"admission\": { \"policy\": \"accept_all\",\n\"max_in_flight\": 3 }",
+                    constant,
+                    "",
+                ),
+                "machine.admission.max_in_flight",
+            ),
+            (
+                doc(
+                    ", \"faults\": { \"model\": \"scripted\", \"events\": [],\n\
+                     \"time_to_failure\": { \"dist\": \"zero\" } }",
+                    constant,
+                    "",
+                ),
+                "machine.faults.time_to_failure",
+            ),
+            (
+                doc(
+                    "",
+                    constant,
+                    ",\n\"stream\": { \"program\": \"w\", \"count\": 1, \"arrivals\":\n\
+                     { \"process\": \"poisson\", \"mean_gap\": 9,\n\"instants\": [0] } }",
+                ),
+                "stream.arrivals.instants",
+            ),
+        ];
+        for (text, path) in cases {
+            let e = Scenario::parse(&text).unwrap_err();
+            let key = path.rsplit('.').next().unwrap();
+            assert_eq!(
+                e.kind,
+                ScenarioErrorKind::UnknownField(key.into()),
+                "{text}"
+            );
+            assert_eq!(e.path, path, "{text}");
+            let line = 1 + text
+                .lines()
+                .position(|l| l.contains(&format!("\"{key}\"")))
+                .unwrap();
+            assert_eq!(e.line, line, "{text}");
+        }
     }
 
     #[test]
@@ -1503,7 +1546,8 @@ mod tests {
     }
 
     /// A document with every key the format defines but the random
-    /// fault model's, the trace arrivals' and `per_processor`.
+    /// fault model's, the constant and bimodal distributions', the trace
+    /// arrivals' and `per_processor`.
     fn kitchen_sink() -> Scenario {
         Scenario {
             name: "kitchen sink".into(),
@@ -1532,8 +1576,8 @@ mod tests {
                     tokens: 2,
                 }],
                 admission: AdmissionPolicy::BoundedDefer { max_in_flight: 4 },
-                faults: Some(FaultDoc {
-                    model: FaultModelDoc::Scripted(vec![
+                faults: Some(FaultPlan {
+                    model: FaultModel::Scripted(vec![
                         ScriptedFault {
                             processor: 0,
                             crash_at: 100,
@@ -1555,7 +1599,7 @@ mod tests {
                     PhaseDoc {
                         name: "a".into(),
                         granules: 16,
-                        cost: DistDoc::Uniform { lo: 5, hi: 15 },
+                        cost: DurationDist::uniform(5, 15),
                         lines: 37,
                         requires: vec!["operator".into()],
                         mapping: MappingDoc::Identity,
@@ -1563,7 +1607,7 @@ mod tests {
                     PhaseDoc {
                         name: "b".into(),
                         granules: 16,
-                        cost: DistDoc::Exponential(10),
+                        cost: DurationDist::exponential(10),
                         lines: 0,
                         requires: vec![],
                         mapping: MappingDoc::Null,
@@ -1573,7 +1617,7 @@ mod tests {
             stream: Some(StreamDoc {
                 program: "sweep".into(),
                 count: 5,
-                arrivals: ArrivalDoc::Poisson { mean_gap: 500 },
+                arrivals: ArrivalProcess::poisson(500),
             }),
             policy: PolicyDoc {
                 overlap: true,
@@ -1585,14 +1629,17 @@ mod tests {
     /// The kitchen sink with the keys it leaves out.
     fn kitchen_sink_random() -> Scenario {
         let mut s = kitchen_sink();
-        s.machine.faults = Some(FaultDoc {
-            model: FaultModelDoc::Random {
-                time_to_failure: DistDoc::Exponential(5_000),
-                time_to_repair: DistDoc::Constant(100),
+        s.machine.faults = Some(FaultPlan {
+            model: FaultModel::Random {
+                time_to_failure: DurationDist::constant(5_000),
+                time_to_repair: DurationDist::bimodal(100, 900, 0.125),
             },
             retry: RetryPolicy::Abandon,
         });
-        s.stream.as_mut().unwrap().arrivals = ArrivalDoc::Trace(vec![0, 10, 250]);
+        s.workload[0].phases[0].cost = DurationDist::bimodal(3, 60, 0.25);
+        s.workload[0].phases[1].cost = DurationDist::Zero;
+        let instants = vec![SimTime(0), SimTime(10), SimTime(250)];
+        s.stream.as_mut().unwrap().arrivals = ArrivalProcess::trace(instants);
         s.policy.sizing = Some(TaskSizing::TasksPerProcessor(2.5));
         s
     }

@@ -18,12 +18,12 @@
 //!    the builders behind it) panic.
 
 use pax_core::prelude::{
-    AdmissionPolicy, ClassAffinity, ProcessorClass, ResourcePool, RetryPolicy, RunReport,
-    ScriptedFault, TaskSizing,
+    AdmissionPolicy, ArrivalProcess, ClassAffinity, DurationDist, FaultModel, FaultPlan,
+    ProcessorClass, ResourcePool, RetryPolicy, RunReport, ScriptedFault, SimDuration, SimTime,
+    TaskSizing,
 };
 use pax_workloads::scenario::{
-    ArrivalDoc, DistDoc, FaultDoc, FaultModelDoc, MachineDoc, MappingDoc, PhaseDoc, PolicyDoc,
-    ProgramDoc, Scenario, ScenarioErrorKind, StreamDoc,
+    MachineDoc, MappingDoc, PhaseDoc, PolicyDoc, ProgramDoc, Scenario, ScenarioErrorKind, StreamDoc,
 };
 use std::path::PathBuf;
 
@@ -357,6 +357,65 @@ fn tick_sums_that_can_leave_u64_are_rejected_at_load() {
     assert_invalid_at(&doc_with("", "", gaps), 9, "stream.arrivals");
 }
 
+/// `"requires": ["bus", "bus"]` used to load and build, then fail the
+/// run with `phase 'p' requires pool 'bus' twice` and no position.
+#[test]
+fn a_pool_required_twice_is_rejected_at_the_repeat() {
+    let bus = ",\n \"resources\": [ { \"name\": \"bus\", \"tokens\": 1 } ]";
+    let requires = |list: &str| {
+        doc_with(bus, "", "").replace(
+            r#""granules": 4"#,
+            &format!("\"granules\": 4,\n \"requires\": [{list}]"),
+        )
+    };
+    assert_invalid_at(
+        &requires("\"bus\",\n \"bus\""),
+        8,
+        "workload[0].phases[0].requires[1]",
+    );
+    let e = Scenario::parse(&requires("\"bus\", \"bus\"")).unwrap_err();
+    assert!(
+        e.to_string().contains("requires resource pool 'bus' twice"),
+        "{e}"
+    );
+    Scenario::parse(&requires("\"bus\""))
+        .unwrap()
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+}
+
+/// A document whose every `count` is 0 and whose stream is absent or
+/// admits no job used to load and build, then fail the run with
+/// `invalid program: no jobs`.
+#[test]
+fn a_document_with_no_jobs_is_rejected_at_load() {
+    let idle = ",\n \"count\": 0";
+    assert_invalid_at(&doc_with("", idle, ""), 3, "workload");
+    let stream = |count: u32, arrivals: &str| {
+        format!(
+            ",\n  \"stream\": {{ \"program\": \"w\",\n    \"count\": {count},\n    \
+             \"arrivals\": {arrivals} }}"
+        )
+    };
+    let poisson = r#"{ "process": "poisson", "mean_gap": 10 }"#;
+    let empty_trace = r#"{ "process": "trace", "instants": [] }"#;
+    assert_invalid_at(&doc_with("", idle, &stream(0, poisson)), 10, "stream.count");
+    assert_invalid_at(
+        &doc_with("", idle, &stream(3, empty_trace)),
+        10,
+        "stream.count",
+    );
+    let report = Scenario::parse(&doc_with("", idle, &stream(2, poisson)))
+        .unwrap()
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    assert_eq!(report.jobs.len(), 2);
+}
+
 mod hostile_bytes {
     use super::*;
     use proptest::prelude::*;
@@ -414,15 +473,18 @@ mod round_trip {
     use super::*;
     use proptest::prelude::*;
 
-    fn dist_from(kind: u8, a: u64, b: u64) -> DistDoc {
-        match kind % 4 {
-            0 => DistDoc::Zero,
-            1 => DistDoc::Constant(a),
-            2 => DistDoc::Uniform {
-                lo: a.min(b),
-                hi: a.max(b),
+    /// Each of the five shapes, by `kind`.
+    fn dist_from(kind: u8, a: u64, b: u64) -> DurationDist {
+        match kind % 5 {
+            0 => DurationDist::Zero,
+            1 => DurationDist::constant(a),
+            2 => DurationDist::uniform(a.min(b), a.max(b)),
+            3 => DurationDist::exponential(a.max(1)),
+            _ => DurationDist::Bimodal {
+                short: SimDuration(a.min(b)),
+                long: SimDuration(a.max(b)),
+                p_long: f64::from(kind) / 255.0,
             },
-            _ => DistDoc::Exponential(a.max(1)),
         }
     }
 
@@ -527,10 +589,10 @@ mod round_trip {
                 },
                 faults: match fault_kind % 3 {
                     0 => None,
-                    1 => Some(FaultDoc {
-                        model: FaultModelDoc::Random {
-                            time_to_failure: DistDoc::Exponential(5_000),
-                            time_to_repair: DistDoc::Constant(100),
+                    1 => Some(FaultPlan {
+                        model: FaultModel::Random {
+                            time_to_failure: dist_from(cost_kind, 5_000, 9_000),
+                            time_to_repair: dist_from(cost_kind.wrapping_add(seed as u8), 40, 100),
                         },
                         retry: match retry_kind % 3 {
                             0 => RetryPolicy::ReissueFront,
@@ -538,8 +600,8 @@ mod round_trip {
                             _ => RetryPolicy::Bounded { max_attempts: 4 },
                         },
                     }),
-                    _ => Some(FaultDoc {
-                        model: FaultModelDoc::Scripted(vec![ScriptedFault {
+                    _ => Some(FaultPlan {
+                        model: FaultModel::Scripted(vec![ScriptedFault {
                             processor: 0,
                             crash_at: 123,
                             repair_after: if retry_kind.is_multiple_of(2) {
@@ -554,7 +616,8 @@ mod round_trip {
             },
             workload: vec![ProgramDoc {
                 name: "prog".into(),
-                count: (seed % 3) as usize,
+                // A document without a stream runs its `t = 0` jobs.
+                count: (seed % 3) as usize + usize::from(stream_kind.is_multiple_of(3)),
                 phases: phase_docs,
             }],
             stream: match stream_kind % 3 {
@@ -562,12 +625,12 @@ mod round_trip {
                 1 => Some(StreamDoc {
                     program: "prog".into(),
                     count: 4,
-                    arrivals: ArrivalDoc::Poisson { mean_gap: 250 },
+                    arrivals: ArrivalProcess::poisson(250),
                 }),
                 _ => Some(StreamDoc {
                     program: "prog".into(),
                     count: 3,
-                    arrivals: ArrivalDoc::Trace(vec![0, 10, 250]),
+                    arrivals: ArrivalProcess::trace(vec![SimTime(0), SimTime(10), SimTime(250)]),
                 }),
             },
             policy: PolicyDoc {
@@ -585,7 +648,7 @@ mod round_trip {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Emit → parse is the identity on valid scenarios, and the
-        /// parsed document assembles a simulation.
+        /// parsed document assembles a session.
         #[test]
         fn emit_parse_round_trip(
             seed in 0u64..1_000,
@@ -597,7 +660,7 @@ mod round_trip {
             tokens in 1u32..4,
             phases in 1usize..4,
             granules in 1u32..40,
-            cost_kind in 0u8..4,
+            cost_kind in 0u8..=255,
             mapping_kind in 0u8..3,
             admission in 0u8..3,
             fault_kind in 0u8..3,
@@ -617,9 +680,11 @@ mod round_trip {
             let back = Scenario::parse(&text)
                 .map_err(|e| TestCaseError::fail(format!("re-parse failed: {e}\n{text}")))?;
             prop_assert_eq!(&back, &doc);
-            // The round-tripped document is also buildable.
+            // The round-tripped document also builds a session.
             back.build()
-                .map_err(|e| TestCaseError::fail(format!("build failed: {e}")))?;
+                .map_err(|e| TestCaseError::fail(format!("build failed: {e}")))?
+                .into_session()
+                .map_err(|e| TestCaseError::fail(format!("session failed: {e}")))?;
         }
     }
 }
