@@ -306,7 +306,6 @@ pub(crate) struct Engine {
     local_granules: u64,
     remote_granules: u64,
     remote_stall: SimDuration,
-    warnings: Vec<String>,
     /// Round buffers for `run_window`, kept on the engine so repeated
     /// epoch windows reuse one allocation instead of growing fresh
     /// vectors per window (pinned by the alloc-free regression test).
@@ -467,7 +466,6 @@ impl Engine {
             local_granules: 0,
             remote_granules: 0,
             remote_stall: SimDuration::ZERO,
-            warnings: Vec::new(),
             round_batch: Vec::with_capacity(s.cfg.executive_lanes),
             round_dones: Vec::with_capacity(s.cfg.executive_lanes),
             in_flight: 0,

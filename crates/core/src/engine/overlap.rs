@@ -74,21 +74,6 @@ impl Engine {
             _ => return, // serial gap, opaque branch, or program end
         };
         let Some(spec) = enables.iter().find(|e| e.successor == succ_phase) else {
-            if !enables.is_empty() {
-                let names: Vec<&str> = enables
-                    .iter()
-                    .map(|e| {
-                        self.jobs[job].program.phases[e.successor.0 as usize]
-                            .name
-                            .as_str()
-                    })
-                    .collect();
-                self.warnings.push(format!(
-                    "interlock: ENABLE clause of step {dispatch_step} names {names:?} but \
-                     the following phase is '{}' — no overlap applied",
-                    self.jobs[job].program.phases[succ_phase.0 as usize].name
-                ));
-            }
             return;
         };
         let kind = spec.mapping.kind();

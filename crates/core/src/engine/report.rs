@@ -132,7 +132,6 @@ impl Engine {
             } else {
                 None
             },
-            warnings: self.warnings,
             class_reports,
             pool_reports,
         }

@@ -90,14 +90,6 @@ impl Simulation {
         self.add_job_in_group(program, 0)
     }
 
-    /// Add a job arriving at instant `at` (open-system admission): the
-    /// job enters the machine's admission policy when simulated time
-    /// reaches `at`, while earlier jobs are still running down. `at = 0`
-    /// is exactly [`Simulation::add_job`].
-    pub fn add_job_at(&mut self, program: Program, at: SimTime) -> JobId {
-        self.add_job_at_in_group(program, at, 0)
-    }
-
     /// Add a job arriving at instant `at` in machine group `group`. The
     /// instant is local to the group's timeline: a gated group's jobs
     /// arrive `at` ticks after the group is admitted.

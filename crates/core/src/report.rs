@@ -184,8 +184,6 @@ pub struct RunReport {
     /// ([`Simulation::with_gantt`](crate::Simulation::with_gantt); one
     /// machine group only).
     pub gantt: Option<GanttTrace>,
-    /// Warnings raised during the run (interlock violations etc.).
-    pub warnings: Vec<String>,
     /// Per-class accounting on heterogeneous machines, in declaration
     /// order. Empty on homogeneous (classless) machines.
     pub class_reports: Vec<ClassReport>,
@@ -509,7 +507,6 @@ mod tests {
             descriptors_created: 12,
             descriptors_peak: 6,
             gantt: None,
-            warnings: vec![],
             class_reports: vec![],
             pool_reports: vec![],
         }

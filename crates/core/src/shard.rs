@@ -433,7 +433,6 @@ impl Coordinator {
                     first.makespan = SimDuration(admit + first.makespan.0);
                     first.gantt = None;
                     rewrite_phases(&mut first.phases, 0, &job_map);
-                    prefix_warnings(&mut first.warnings, g);
                     merged = Some(first);
                     continue;
                 }
@@ -469,9 +468,6 @@ impl Coordinator {
             let mut phases = report.phases;
             rewrite_phases(&mut phases, instance_base, &job_map);
             acc.phases.append(&mut phases);
-            let mut warnings = report.warnings;
-            prefix_warnings(&mut warnings, g);
-            acc.warnings.append(&mut warnings);
         }
         let mut acc = merged.expect("at least one group");
         acc.busy_trace = StepTrace::superimpose(&busy);
@@ -492,12 +488,6 @@ fn rewrite_phases(
     for (i, p) in phases.iter_mut().enumerate() {
         p.instance = InstanceId(instance_base + i as u32);
         p.job = job_map[p.job as usize] as u32;
-    }
-}
-
-fn prefix_warnings(warnings: &mut [String], group: usize) {
-    for w in warnings.iter_mut() {
-        *w = format!("group {group}: {w}");
     }
 }
 

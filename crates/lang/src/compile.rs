@@ -1,12 +1,13 @@
-//! Compilation of parsed scripts into executable [`Program`]s, including
-//! the executive-verifiable interlock checks the paper motivates.
+//! Compilation of parsed scripts into executable [`Program`]s, reporting
+//! the executive-verifiable interlock ([`Program::interlock_gaps`]) the
+//! paper motivates as diagnostics at the source.
 
 use crate::ast::*;
 use crate::token::Pos;
 use pax_core::ids::PhaseId;
 use pax_core::mapping::{EnablementMapping, MappingKind};
 use pax_core::phase::PhaseDef;
-use pax_core::program::{BranchTest, EnableSpec, Lookahead, Program, Step, Stop, WALK_STEPS};
+use pax_core::program::{BranchTest, EnableSpec, Program, Step, WALK_STEPS};
 use pax_sim::dist::CostModel;
 use std::collections::HashMap;
 use std::fmt;
@@ -93,22 +94,22 @@ pub struct Compiled {
     /// Non-fatal diagnostics (interlock warnings etc.).
     pub warnings: Vec<Diagnostic>,
     /// Phase name → id mapping.
-    pub phase_ids: HashMap<String, pax_core::ids::PhaseId>,
+    pub phase_ids: HashMap<String, PhaseId>,
 }
 
 /// Compile a parsed script against map bindings.
 ///
-/// The interlock check is exact along the job's path. Branches test
-/// counters only, so a job takes one path; the check walks it as the
-/// executive will and, at each dispatch with an `ENABLE` clause, warns
-/// when the phase the executive's lookahead finds there is not named. A
-/// loop that would run more than [`WALK_STEPS`] counter steps without a
+/// The interlock check is the program's own,
+/// [`Program::interlock_gaps`], exact along the job's path: each gap it
+/// finds — a dispatch with an `ENABLE` clause followed by a phase the
+/// clause does not name — is one warning at the dispatch. A loop that
+/// would run more than [`WALK_STEPS`] counter steps without a
 /// `DISPATCH`, `SERIAL` or end is an error: the run would abort the job.
 pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, CompileError> {
     let mut diags: Vec<Diagnostic> = Vec::new();
 
     // --- phase table -------------------------------------------------
-    let mut phase_ids: HashMap<String, pax_core::ids::PhaseId> = HashMap::new();
+    let mut phase_ids: HashMap<String, PhaseId> = HashMap::new();
     let mut phases: Vec<PhaseDef> = Vec::new();
     for d in script.defines() {
         if phase_ids.contains_key(&d.name) {
@@ -121,7 +122,7 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
         }
         let def = PhaseDef::new(d.name.clone(), d.granules, CostModel::new(d.cost.clone()))
             .with_lines(d.lines.unwrap_or(0));
-        phase_ids.insert(d.name.clone(), pax_core::ids::PhaseId(phases.len() as u32));
+        phase_ids.insert(d.name.clone(), PhaseId(phases.len() as u32));
         phases.push(def);
     }
 
@@ -390,7 +391,25 @@ pub fn compile(script: &Script, bindings: &MapBindings) -> Result<Compiled, Comp
             pos: Pos { line: 0, col: 0 },
         });
     } else {
-        verify_interlock(&program, &positions, &mut diags);
+        match program.interlock_gaps() {
+            Ok(gaps) => diags.extend(gaps.into_iter().map(|(at, phase)| Diagnostic {
+                error: false,
+                message: format!(
+                    "interlock: phase '{}' follows this dispatch but is not \
+                     named in its ENABLE clause — it will run without overlap",
+                    program.phases[phase.0 as usize].name
+                ),
+                pos: positions[at],
+            })),
+            Err(at) => diags.push(Diagnostic {
+                error: true,
+                message: format!(
+                    "the job would abort here: more than {WALK_STEPS} counter steps \
+                     without a DISPATCH, SERIAL or end"
+                ),
+                pos: positions[at],
+            }),
+        }
     }
 
     if diags.iter().any(|d| d.error) {
@@ -414,72 +433,6 @@ fn next_dispatch(script: &Script, i: usize) -> Option<String> {
         }
     }
     None
-}
-
-/// Static interlock check along the job's own path. Branches test
-/// counters only, so a job has one path: this [walks](Program::walk) it
-/// from step 0 with every counter zero, as the interpreter will, each
-/// stretch between two effects on the interpreter's budget. At every
-/// dispatch it reaches that has an ENABLE clause it takes the lookahead
-/// the executive will take, and warns once per dispatch and phase when
-/// the phase that follows is not named. A stretch that spends its budget
-/// is an error at the step where it stopped: the job would abort there.
-/// The check follows the path for its first [`WALK_STEPS`] counter
-/// steps, so it ends on every program.
-fn verify_interlock(program: &Program, positions: &[Pos], diags: &mut Vec<Diagnostic>) {
-    let mut counters = vec![0; program.counters];
-    let mut ahead = Vec::new();
-    let mut warned: Vec<(usize, PhaseId)> = Vec::new();
-    let (mut pc, mut walked) = (0, 0);
-    while walked < WALK_STEPS {
-        let mut fuel = WALK_STEPS;
-        let stop = program.walk(pc, &mut counters, true, &mut fuel);
-        walked += WALK_STEPS - fuel;
-        match stop {
-            Stop::End => return,
-            Stop::Endless(at) => {
-                diags.push(Diagnostic {
-                    error: true,
-                    message: format!(
-                        "the job would abort here: more than {WALK_STEPS} counter steps \
-                         without a DISPATCH, SERIAL or end"
-                    ),
-                    pos: positions[at],
-                });
-                return;
-            }
-            Stop::At(
-                at,
-                Step::Dispatch {
-                    enables,
-                    branch_independent,
-                    ..
-                },
-            ) if !enables.is_empty() => {
-                ahead.clone_from(&counters);
-                if let Lookahead::Phase { phase, .. } =
-                    program.lookahead(at, &mut ahead, *branch_independent)
-                {
-                    if !enables.iter().any(|e| e.successor == phase)
-                        && !warned.contains(&(at, phase))
-                    {
-                        warned.push((at, phase));
-                        diags.push(Diagnostic {
-                            error: false,
-                            message: format!(
-                                "interlock: phase '{}' follows this dispatch but is not \
-                                 named in its ENABLE clause — it will run without overlap",
-                                program.phases[phase.0 as usize].name
-                            ),
-                            pos: positions[at],
-                        });
-                    }
-                }
-                pc = at + 1;
-            }
-            Stop::At(at, _) => pc = at + 1,
-        }
-    }
 }
 
 #[cfg(test)]

@@ -84,17 +84,6 @@ pub struct RuntimeConfig {
     /// Ignored by the central executor: the steal order belongs to
     /// [`crate::lateral`]. `None` = flat steal order.
     pub clusters: Option<usize>,
-    /// Completion-service lanes. `1` (the default) is PAX's serial
-    /// executive: every worker processes its own completion while holding
-    /// the executive lock. With more lanes, completions are *posted* to a
-    /// pending queue and one worker at a time acts as the combiner,
-    /// draining up to `exec_lanes` postings per critical section and
-    /// yielding the lock between batches — the paper's "middle
-    /// management" answer to rundown: idle processors help service the
-    /// completion queue instead of waiting on it. Ignored by the lateral
-    /// executor, whose completion processing is already per-worker: the
-    /// combiner belongs to [`crate::executor`].
-    pub exec_lanes: usize,
 }
 
 impl RuntimeConfig {
@@ -107,22 +96,12 @@ impl RuntimeConfig {
             task_granules,
             overlap: true,
             clusters: None,
-            exec_lanes: 1,
         }
     }
 
     /// Switch to strict barrier mode.
     pub fn barrier(mut self) -> RuntimeConfig {
         self.overlap = false;
-        self
-    }
-
-    /// Service completions in combiner batches of up to `lanes` per
-    /// executive critical section (must be ≥ 1; 1 keeps the serial
-    /// own-completion service).
-    pub fn with_exec_lanes(mut self, lanes: usize) -> RuntimeConfig {
-        assert!(lanes > 0, "need at least one executive lane");
-        self.exec_lanes = lanes;
         self
     }
 
@@ -201,17 +180,12 @@ struct State {
     queue: VecDeque<Task>,
     book: PhaseBook,
     tasks_executed: u64,
-    /// Completions posted but not yet serviced (`exec_lanes > 1` only).
-    pending: VecDeque<(Task, Instant)>,
-    /// A worker is currently draining `pending` in combiner batches.
-    combining: bool,
 }
 
 struct Shared {
     state: Mutex<State>,
     cond: Condvar,
     specs: Vec<RtPhase>,
-    cfg: RuntimeConfig,
 }
 
 impl Shared {
@@ -238,12 +212,9 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
             queue,
             book,
             tasks_executed: 0,
-            pending: VecDeque::new(),
-            combining: false,
         }),
         cond: Condvar::new(),
         specs,
-        cfg: cfg.clone(),
     });
 
     let mut handles = Vec::with_capacity(cfg.workers);
@@ -273,37 +244,9 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                 busy += start.elapsed();
                 let mut st = sh.state.lock();
                 st.tasks_executed += 1;
-                if sh.cfg.exec_lanes <= 1 {
-                    // Serial executive: service your own completion while
-                    // holding the lock (the PAX arrangement).
-                    sh.service(&mut st, t, Instant::now());
-                } else {
-                    // Multi-lane service: post the completion; if a
-                    // combiner is already draining, it will pick this
-                    // posting up and this worker goes straight back to
-                    // seeking work. Otherwise become the combiner and
-                    // drain in batches of `exec_lanes`, yielding the lock
-                    // between batches so peers post and fetch instead of
-                    // queueing behind one long critical section.
-                    st.pending.push_back((t, Instant::now()));
-                    if !st.combining {
-                        st.combining = true;
-                        loop {
-                            for _ in 0..sh.cfg.exec_lanes {
-                                let Some((pt, pnow)) = st.pending.pop_front() else {
-                                    break;
-                                };
-                                sh.service(&mut st, pt, pnow);
-                            }
-                            if st.pending.is_empty() {
-                                break;
-                            }
-                            drop(st);
-                            st = sh.state.lock();
-                        }
-                        st.combining = false;
-                    }
-                }
+                // Serial executive: service your own completion while
+                // holding the lock (the PAX arrangement).
+                sh.service(&mut st, t, Instant::now());
             }
             busy
         }));
@@ -515,80 +458,6 @@ mod tests {
         }
         assert_eq!(r.phases.len(), 3);
         assert!(r.utilization() > 0.0);
-    }
-
-    #[test]
-    fn multi_lane_combiner_preserves_dataflow() {
-        // The batched completion combiner must not lose, duplicate, or
-        // reorder enablement: same dataflow check as the serial
-        // executive, at several lane counts (including lanes > workers).
-        for lanes in [2usize, 4, 16] {
-            let n = 300u32;
-            let b = Arc::new(SharedF64::zeros(n as usize));
-            let c = Arc::new(SharedF64::zeros(n as usize));
-            let b1 = Arc::clone(&b);
-            let p1 = RtPhase::new(
-                "write-b",
-                n,
-                Arc::new(move |g| {
-                    spin_for(Duration::from_micros(15));
-                    b1.set(g as usize, g as f64 + 1.0);
-                }),
-            )
-            .with_mapping(EnablementMapping::Identity);
-            let b2 = Arc::clone(&b);
-            let c2 = Arc::clone(&c);
-            let p2 = RtPhase::new(
-                "read-b",
-                n,
-                Arc::new(move |g| {
-                    let v = b2.get(g as usize);
-                    c2.set(g as usize, v * 2.0);
-                }),
-            );
-            let r = run_chain(
-                vec![p1, p2],
-                RuntimeConfig::new(4, 4).with_exec_lanes(lanes),
-            );
-            for g in 0..n {
-                assert_eq!(
-                    c.get(g as usize),
-                    (g as f64 + 1.0) * 2.0,
-                    "lanes {lanes} granule {g}"
-                );
-            }
-            assert_eq!(r.tasks, 150, "lanes {lanes}");
-        }
-    }
-
-    #[test]
-    fn multi_lane_combiner_barrier_and_counted_mappings() {
-        // Every granule of a mixed barrier/counted chain runs exactly
-        // once under batched completion service.
-        let n = 120u32;
-        let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 1) % n]).collect();
-        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
-        let c1 = Arc::new(SharedCounters::zeros(n as usize));
-        let c2 = Arc::new(SharedCounters::zeros(n as usize));
-        let c3 = Arc::new(SharedCounters::zeros(n as usize));
-        let phases = vec![
-            counting_phase("a", n, Arc::clone(&c1)).with_mapping(reverse),
-            counting_phase("b", n, Arc::clone(&c2)).with_mapping(EnablementMapping::Null),
-            counting_phase("c", n, Arc::clone(&c3)),
-        ];
-        let r = run_chain(phases, RuntimeConfig::new(4, 3).with_exec_lanes(8));
-        for i in 0..n as usize {
-            assert_eq!(c1.get(i), 1);
-            assert_eq!(c2.get(i), 1);
-            assert_eq!(c3.get(i), 1);
-        }
-        assert_eq!(r.phases.len(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one executive lane")]
-    fn zero_exec_lanes_rejected() {
-        let _ = RuntimeConfig::new(2, 2).with_exec_lanes(0);
     }
 
     /// Both executors must refuse `chain` before a thread starts, with

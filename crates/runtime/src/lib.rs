@@ -19,8 +19,8 @@
 //! release, the one-phase lookahead window, deferral, the residual
 //! release, `done`), and differ only in the queue discipline each owns.
 //! [`run_chain`] ([`executor`]) routes every dispatch through a central
-//! serial executive — one mutex-guarded queue, a condvar, and the
-//! `exec_lanes` completion combiner (PAX's arrangement) — while
+//! serial executive — one mutex-guarded queue and a condvar, each worker
+//! servicing its own completion under the lock (PAX's arrangement) — while
 //! [`run_chain_lateral`] ([`lateral`]) implements the paper's "direct
 //! worker-to-worker lateral communication scheme" as work stealing —
 //! per-worker deques, an injector, the steal order and its counters —
@@ -53,5 +53,5 @@ pub mod work;
 
 pub use executor::{run_chain, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
 pub use lateral::run_chain_lateral;
-pub use shard_exec::{run_simulation_sharded, ThreadedSession};
+pub use shard_exec::ThreadedSession;
 pub use work::{spin_for, SharedCounters, SharedF64};

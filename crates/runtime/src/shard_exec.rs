@@ -1,8 +1,9 @@
 //! The threaded executor of the sharded simulation core: one worker
 //! thread per shard behind a cancellable epoch gate.
 //!
-//! `pax-core`'s [`pax_core::shard`] module decomposes a [`Simulation`]
-//! into per-shard [`ShardEngine`]s plus an epoch [`Coordinator`], and
+//! `pax-core`'s [`pax_core::shard`] module decomposes a
+//! [`Simulation`](pax_core::engine::Simulation) into per-shard
+//! [`ShardEngine`]s plus an epoch [`Coordinator`], and
 //! owns the one epoch loop that drives them ([`ShardedRun`]), which is
 //! parameterised by an [`Executor`]. This module owns the threaded
 //! executor and nothing else of the protocol: [`ThreadedSession`] is a
@@ -52,7 +53,7 @@
 //! finish times), so the nondeterministic arrival order never reaches
 //! the results.
 
-use pax_core::engine::{EngineError, Simulation};
+use pax_core::engine::EngineError;
 use pax_core::report::RunReport;
 use pax_core::shard::{Coordinator, Executor, GroupNote, ShardEngine, ShardedRun};
 use pax_sim::time::SimTime;
@@ -149,18 +150,6 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     } else {
         "shard thread panicked with a non-string payload".to_string()
     }
-}
-
-/// Run `sim` to completion on one worker thread per shard
-/// (`sim`'s `MachineConfig::shards`, clamped to the group count).
-///
-/// Falls back to the calling thread when the decomposition yields a
-/// single shard. Results are bit-identical to [`Simulation::run`]. A
-/// shard thread that panics or wedges past the per-epoch watchdog
-/// surfaces as [`EngineError::ShardFailed`]; the driver never hangs on
-/// a failed worker.
-pub fn run_simulation_sharded(sim: Simulation) -> Result<RunReport, EngineError> {
-    ThreadedSession::new(sim.into_sharded()?).finish()
 }
 
 /// A long-lived threaded sharded run: the counterpart of
@@ -375,6 +364,7 @@ fn publish_and_wait(gate: &Gate, cmd: Command, watchdog: Duration) -> Result<(),
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pax_core::engine::Simulation;
     use pax_core::mapping::EnablementMapping;
     use pax_core::phase::PhaseDef;
     use pax_core::policy::OverlapPolicy;
@@ -480,7 +470,9 @@ mod tests {
         })
         .finish();
         assert!(matches!(result, Err(EngineError::ShardFailed { .. })));
-        let clean = run_simulation_sharded(fleet(2, 4)).unwrap();
+        let clean = ThreadedSession::new(fleet(2, 4).into_sharded().unwrap())
+            .finish()
+            .unwrap();
         assert_eq!(clean.jobs.len(), 4);
     }
 }

@@ -54,8 +54,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Central executor: exactly-once execution for every granule of
-    /// every phase under any mapping mix, worker count, task size, and
-    /// completion service (serial, or combiner batches of 2 or 3).
+    /// every phase under any mapping mix, worker count and task size.
     #[test]
     fn central_executor_runs_every_granule_once(
         granules in 8u32..60,
@@ -64,10 +63,9 @@ proptest! {
         workers in 1usize..5,
         task in 1u32..9,
         overlap in proptest::bool::ANY,
-        exec_lanes in 1usize..4,
     ) {
         let (phases, counters) = chain(granules, nphases, &mappings);
-        let cfg = RuntimeConfig::new(workers, task).with_exec_lanes(exec_lanes);
+        let cfg = RuntimeConfig::new(workers, task);
         let cfg = if overlap { cfg } else { cfg.barrier() };
         let r = run_chain(phases, cfg);
         for (i, c) in counters.iter().enumerate() {

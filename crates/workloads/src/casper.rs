@@ -347,11 +347,12 @@ mod tests {
             } else {
                 OverlapPolicy::strict()
             };
+            let program = cfg.build(overlap);
+            assert_eq!(program.interlock_gaps(), Ok(vec![]));
             let mut sim = Simulation::new(MachineConfig::ideal(8), policy);
-            sim.add_job(cfg.build(overlap));
+            sim.add_job(program);
             let r = sim.run().unwrap();
             assert_eq!(r.phases.len(), 22);
-            assert!(r.warnings.is_empty(), "warnings: {:?}", r.warnings);
         }
     }
 

@@ -35,6 +35,7 @@ fn counted_loop(cost: CostModel) -> Program {
 #[test]
 fn the_lookahead_predicts_the_dispatch_a_loop_reaches() {
     let program = counted_loop(CostModel::constant(10));
+    assert_eq!(program.interlock_gaps(), Ok(vec![]));
     let ahead = program.lookahead(0, &mut [0], true);
     assert_eq!(
         ahead,
@@ -52,7 +53,6 @@ fn the_lookahead_predicts_the_dispatch_a_loop_reaches() {
     let report = oracle("counted_loop", build, MachineConfig::new(4), &[60, 200])
         .reference
         .expect("the counted loop runs to its end");
-    assert!(report.warnings.is_empty(), "{:?}", report.warnings);
     let ran: Vec<&str> = report.phases.iter().map(|p| p.name.as_str()).collect();
     assert_eq!(ran, ["a", "b"]);
     // `b` was initiated while `a` ran down, and filled its idle processors.
