@@ -94,22 +94,28 @@ impl Census {
         }
     }
 
-    /// Percentage of phases easily overlapped (universal + identity) —
-    /// the paper's 68% headline.
+    /// Sum of `pct` over the recorded kinds for which `keep` holds.
+    fn pct_sum(&self, keep: fn(MappingKind) -> bool, pct: fn(&Self, MappingKind) -> f64) -> f64 {
+        let kept = self.rows.keys().filter(|&&k| keep(k));
+        kept.map(|&k| pct(self, k)).sum()
+    }
+
+    /// Percentage of phases easily overlapped
+    /// ([`MappingKind::easily_overlapped`]) — the paper's 68% headline.
     pub fn easily_overlapped_phase_pct(&self) -> f64 {
-        self.phase_pct(MappingKind::Universal) + self.phase_pct(MappingKind::Identity)
+        self.pct_sum(MappingKind::easily_overlapped, Self::phase_pct)
     }
 
     /// Percentage of lines easily overlapped — also 68% in the paper.
     pub fn easily_overlapped_line_pct(&self) -> f64 {
-        self.line_pct(MappingKind::Universal) + self.line_pct(MappingKind::Identity)
+        self.pct_sum(MappingKind::easily_overlapped, Self::line_pct)
     }
 
-    /// Percentage of phases amenable to *some* overlap (everything but
-    /// null) — the paper's "more than 90 percent ... with extended
-    /// effort".
+    /// Percentage of phases amenable to *some* overlap
+    /// ([`MappingKind::overlappable`]) — the paper's "more than 90
+    /// percent ... with extended effort".
     pub fn amenable_phase_pct(&self) -> f64 {
-        100.0 - self.phase_pct(MappingKind::Null)
+        self.pct_sum(MappingKind::overlappable, Self::phase_pct)
     }
 
     /// Iterate rows in taxonomy order.

@@ -39,20 +39,18 @@ fn bench_event_queue(c: &mut Criterion) {
             })
         });
     }
-    // Batch pop: `n` events in same-time cohorts of 64, drained through
-    // `pop_coincident_into` as the multi-lane executive does.
+    // Drain: `n` events in same-time cohorts of 64, popped one at a time
+    // as the executive services them.
     for &n in &[10_000usize, 100_000] {
-        g.bench_with_input(BenchmarkId::new("coincident_drain", n), &n, |b, &n| {
+        g.bench_with_input(BenchmarkId::new("drain", n), &n, |b, &n| {
             b.iter(|| {
                 let mut q = EventQueue::new();
                 for i in 0..n {
                     q.schedule(SimTime((i / 64) as u64 * 10), i);
                 }
-                let mut out = Vec::with_capacity(64);
                 let mut popped = 0usize;
-                while !q.is_empty() {
-                    out.clear();
-                    popped += q.pop_coincident_into(usize::MAX, &mut out);
+                while q.pop().is_some() {
+                    popped += 1;
                 }
                 popped
             })
@@ -78,19 +76,12 @@ fn bench_event_queue(c: &mut Criterion) {
                 let d = spacing();
                 q.schedule(SimTime(d), i);
             }
-            let mut pops = 0u64;
-            let mut batch = Vec::new();
-            while pops < u64::from(n) * 8 {
-                batch.clear();
-                let k = q.pop_coincident_into(usize::MAX, &mut batch);
-                let now = batch[0].0 .0;
-                for &(_, e) in &batch {
-                    let d = spacing();
-                    q.schedule(SimTime(now + d), e);
-                }
-                pops += k as u64;
+            for _ in 0..n * 8 {
+                let (now, e) = q.pop().expect("the population is constant");
+                let d = spacing();
+                q.schedule(SimTime(now.0 + d), e);
             }
-            pops
+            q.len()
         })
     });
     // The engine's own mix at a fixed population: every pop is
@@ -369,8 +360,8 @@ fn bench_rangeset_churn(c: &mut Criterion) {
 /// `splice` used to perform through its drain/relocate machinery and the
 /// `copy_within` batch shift now performs as one memmove. `wide`
 /// additionally measures many-run absorption (one insert swallowing 64
-/// runs at a time), the batched-drain merge shape. Measured at the guard
-/// commit (splice → copy_within/Vec::insert, same host):
+/// runs at a time). Measured at the guard commit (splice →
+/// copy_within/Vec::insert, same host):
 /// rangeset_churn/1e6 476.8 → 348.6 ms, rangeset_churn/1e5 3.30 →
 /// 1.73 ms, wide/1e4 130.5 → 39.6 µs, random_inserts/1e4 1.45 ms →
 /// 612 µs; bridge_pairs is memmove-bound either way (~unchanged).

@@ -91,8 +91,8 @@ fn bench_split_strategies(c: &mut Criterion) {
 /// What the executive's width costs the *simulator*: the two-phase
 /// identity program at 10⁵ single-granule tasks (demand split, 16
 /// processors, seed 7) with 1 and with 64 executive lanes. The simulated
-/// run gets a little shorter with lanes; the host pays for the wider
-/// coincident drain, and the gap between the two rows is that price.
+/// run gets a little shorter with lanes, and the gap between the two
+/// rows is what the wider executive costs the host.
 fn bench_executive_lanes(c: &mut Criterion) {
     use pax_sim::CostModel;
     let mut g = c.benchmark_group("e5_executive_lanes");

@@ -66,11 +66,6 @@ pub fn f2(x: f64) -> String {
     format!("{x:.2}")
 }
 
-/// Format a float with 1 decimal.
-pub fn f1(x: f64) -> String {
-    format!("{x:.1}")
-}
-
 /// Format a percentage with 1 decimal.
 pub fn pct(x: f64) -> String {
     format!("{x:.1}%")
@@ -104,7 +99,6 @@ mod tests {
     #[test]
     fn formatters() {
         assert_eq!(f2(1.234), "1.23");
-        assert_eq!(f1(1.26), "1.3");
         assert_eq!(pct(68.18), "68.2%");
     }
 }

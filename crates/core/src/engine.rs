@@ -17,11 +17,9 @@
 //! * **successor-splitting tasks** and **presplitting** as alternatives to
 //!   demand splitting of queued successors;
 //! * serial executive service (optionally multi-lane), either stealing
-//!   worker time (UNIVAC 1100) or on a dedicated processor. With more
-//!   than one lane the run loop drains up to `lanes` coincident
-//!   completion events per service round (see
-//!   [`BatchPolicy`]) — the batched drain
-//!   is pinned run-identical to single-event service.
+//!   worker time (UNIVAC 1100) or on a dedicated processor. Every service
+//!   round takes one calendar event; more lanes let more rounds' service
+//!   overlap in simulated time, not more events per round.
 //!
 //! State changes are applied at event time; the *costs* of management
 //! operations are accumulated per event and charged to the executive
@@ -42,7 +40,7 @@ use crate::rangeset::{coalesce_indices_into, RangeSet};
 use pax_sim::dist::DurationDist;
 use pax_sim::event::EventQueue;
 use pax_sim::machine::{
-    BatchPolicy, ClassAffinity, ExecutivePlacement, MachineConfig, ProcessorClass, ResourcePool,
+    ClassAffinity, ExecutivePlacement, MachineConfig, ProcessorClass, ResourcePool,
 };
 use pax_sim::metrics::{GanttTrace, LevelSweep, Span};
 use pax_sim::time::{SimDuration, SimTime};
@@ -189,9 +187,9 @@ struct JobRt {
 /// (release paths called while a buffer is out never touch that buffer).
 #[derive(Debug, Default)]
 struct Scratch {
-    /// Conflict-queue members drained at completion. Owned by the batched
-    /// completion service for a whole drain (several events), so it must
-    /// not be shared with paths reachable from completion processing —
+    /// Conflict-queue members drained at completion. Owned by the
+    /// completion service while it re-queues them, so it must not be
+    /// shared with paths reachable from completion processing —
     /// `members` below serves those.
     wakeups: Vec<DescId>,
     /// Conflict-queue members snapshotted at overlap initiation.
@@ -306,11 +304,6 @@ pub(crate) struct Engine {
     local_granules: u64,
     remote_granules: u64,
     remote_stall: SimDuration,
-    /// Round buffers for `run_window`, kept on the engine so repeated
-    /// epoch windows reuse one allocation instead of growing fresh
-    /// vectors per window (pinned by the alloc-free regression test).
-    round_batch: Vec<(SimTime, Ev)>,
-    round_dones: Vec<(WorkerId, DescId)>,
     /// Jobs admitted and not yet finished (admission-policy accounting).
     in_flight: usize,
     /// Jobs held back by `AdmissionPolicy::BoundedDefer`, in arrival
@@ -466,8 +459,6 @@ impl Engine {
             local_granules: 0,
             remote_granules: 0,
             remote_stall: SimDuration::ZERO,
-            round_batch: Vec::with_capacity(s.cfg.executive_lanes),
-            round_dones: Vec::with_capacity(s.cfg.executive_lanes),
             in_flight: 0,
             deferred: VecDeque::new(),
             jobs_rejected: 0,
@@ -929,87 +920,77 @@ impl Engine {
         total
     }
 
-    /// Service a run of coincident completion events in calendar order —
-    /// the multi-lane executive's batched drain. The conflict-queue
-    /// wakeup buffer is taken once for the whole batch and every event's
-    /// merge, wakeups, enablement decrements, and (possible) instance
-    /// completion are applied in event order with per-event service
-    /// charges, so a batched drain is observably identical to servicing
-    /// the same events one pop at a time ([`BatchPolicy::Single`]) —
-    /// the equivalence the fingerprint tests pin. Coalescings that would
-    /// change descriptor granularity (merging freed runs *across* events
-    /// into wider releases) are deliberately not performed: they would
-    /// alter split/release charges and break the reference semantics.
-    fn service_completions(&mut self, dones: &[(WorkerId, DescId)]) {
+    /// Service worker `w`'s non-stale completion of `d`: merge the range
+    /// back, release the conflict queue, decrement the successor's
+    /// enablement counters, complete the instance if it drained, and
+    /// charge the lot as one executive service before `w` seeks again.
+    fn service_completion(&mut self, w: WorkerId, d: DescId) {
+        if let Some(f) = self.faults.as_mut() {
+            f.running[w.0 as usize] = None;
+            // Forget the reissue budget: the descriptor id can be
+            // recycled by the arena after release.
+            if let Some(pos) = f.attempts.iter().position(|&(id, _)| id == d) {
+                f.attempts.swap_remove(pos);
+            }
+        }
+        // A non-stale completion is serviced at the task's end.
+        self.computing.add(self.now, -1);
+        // The finished task's secondary-resource tokens return to
+        // their pools before anything else is serviced, so released
+        // conflict-queue work and parked workers see them.
+        self.release_tokens(w);
+        let inst_id = self.arena.instance(d);
+        let range = self.arena.range(d);
+        let enabling = self.arena.enabling(d);
+        let mut cost = self.cfg.costs.completion;
+
+        // Merge the completed range back into the phase's accounting.
+        {
+            let ran_during_predecessor = self.arena.overlap(d);
+            let inst = self.inst_mut(inst_id);
+            inst.completed.insert(range);
+            inst.remaining -= range.len();
+            inst.stats.executed_granules += range.len();
+            if ran_during_predecessor {
+                inst.stats.overlap_granules += range.len();
+            }
+        }
+        self.live_remove(inst_id, d);
+
+        // Release everything on the conflict queue: "Upon completion
+        // of the described computation, all the queued conflicting
+        // computations became unconditionally computable and were
+        // placed in the waiting computation queue" (ahead of normal
+        // work).
         let mut wakeups = take(&mut self.scratch.wakeups);
-        for &(w, d) in dones {
-            if let Some(f) = self.faults.as_mut() {
-                f.running[w.0 as usize] = None;
-                // Forget the reissue budget: the descriptor id can be
-                // recycled by the arena after release.
-                if let Some(pos) = f.attempts.iter().position(|&(id, _)| id == d) {
-                    f.attempts.swap_remove(pos);
-                }
-            }
-            // A non-stale completion is serviced at the task's end.
-            self.computing.add(self.now, -1);
-            // The finished task's secondary-resource tokens return to
-            // their pools before anything else is serviced, so released
-            // conflict-queue work and parked workers see them.
-            self.release_tokens(w);
-            let inst_id = self.arena.instance(d);
-            let range = self.arena.range(d);
-            let enabling = self.arena.enabling(d);
-            let mut cost = self.cfg.costs.completion;
-
-            // Merge the completed range back into the phase's accounting.
-            {
-                let ran_during_predecessor = self.arena.overlap(d);
-                let inst = self.inst_mut(inst_id);
-                inst.completed.insert(range);
-                inst.remaining -= range.len();
-                inst.stats.executed_granules += range.len();
-                if ran_during_predecessor {
-                    inst.stats.overlap_granules += range.len();
-                }
-            }
-            self.live_remove(inst_id, d);
-
-            // Release everything on the conflict queue: "Upon completion
-            // of the described computation, all the queued conflicting
-            // computations became unconditionally computable and were
-            // placed in the waiting computation queue" (ahead of normal
-            // work).
-            wakeups.clear();
-            self.arena.cq_drain_into(d, &mut wakeups);
-            let rclass = self.released_class();
-            for &m in &wakeups {
-                cost += self.cfg.costs.release;
-                self.enqueue(m, rclass, false);
-            }
-
-            // Status bit: decrement enablement counters of the successor.
-            if enabling {
-                if let Some(succ_id) = self.inst(inst_id).successor {
-                    self.apply_decrements(succ_id, range, &mut cost);
-                }
-            }
-
-            self.arena.release(d);
-
-            if self.inst(inst_id).remaining == 0 && self.inst(inst_id).state == InstState::Current {
-                self.complete_instance(inst_id, &mut cost);
-            }
-
-            let svc_end = self.exec_service(self.now, cost);
-            let seek_at = match self.cfg.executive {
-                ExecutivePlacement::StealsWorker => svc_end,
-                ExecutivePlacement::Dedicated => self.now,
-            };
-            self.events.schedule(seek_at, Ev::Seek(w));
+        self.arena.cq_drain_into(d, &mut wakeups);
+        let rclass = self.released_class();
+        for &m in &wakeups {
+            cost += self.cfg.costs.release;
+            self.enqueue(m, rclass, false);
         }
         wakeups.clear();
         self.scratch.wakeups = wakeups;
+
+        // Status bit: decrement enablement counters of the successor.
+        if enabling {
+            if let Some(succ_id) = self.inst(inst_id).successor {
+                self.apply_decrements(succ_id, range, &mut cost);
+            }
+        }
+
+        self.arena.release(d);
+
+        if self.inst(inst_id).remaining == 0 && self.inst(inst_id).state == InstState::Current {
+            self.complete_instance(inst_id, &mut cost);
+        }
+
+        let svc_end = self.exec_service(self.now, cost);
+        let seek_at = match self.cfg.executive {
+            ExecutivePlacement::StealsWorker => svc_end,
+            ExecutivePlacement::Dedicated => self.now,
+        };
+        self.events.schedule(seek_at, Ev::Seek(w));
     }
 
     fn apply_decrements(
@@ -1091,65 +1072,22 @@ impl Engine {
         self.last_event_end
     }
 
-    /// Events the executive drains per service round: one in the pinned
-    /// reference mode, up to the lane count otherwise (the paper's
-    /// parallel executive services the queue with every idle lane).
-    fn batch_capacity(&self) -> usize {
-        match self.cfg.batch {
-            BatchPolicy::Single => 1,
-            BatchPolicy::Coincident => self.cfg.executive_lanes.max(1),
-        }
-    }
-
-    /// Handle one drained coincident group in calendar order. Runs of
-    /// adjacent completion events go through the batched completion
-    /// service; state evolution is identical to popping the same events
-    /// one at a time.
-    fn process_batch(&mut self, batch: &[(SimTime, Ev)], dones: &mut Vec<(WorkerId, DescId)>) {
-        let mut i = 0;
-        while i < batch.len() {
-            let (t, ev) = batch[i];
-            debug_assert!(t >= self.now, "time went backwards");
-            self.now = t;
-            match ev {
-                Ev::TaskDone { worker, desc } => {
-                    dones.clear();
-                    self.events_processed += 1;
-                    if !self.task_done_is_stale(worker, desc) {
-                        dones.push((worker, desc));
-                    }
-                    while let Some(&(t2, Ev::TaskDone { worker, desc })) = batch.get(i + 1) {
-                        debug_assert_eq!(t2, t, "coincident group spans ticks");
-                        self.events_processed += 1;
-                        if !self.task_done_is_stale(worker, desc) {
-                            dones.push((worker, desc));
-                        }
-                        i += 1;
-                    }
-                    self.service_completions(dones);
-                }
-                Ev::Seek(w) => {
-                    self.events_processed += 1;
-                    self.on_seek(w);
-                }
-                Ev::ExecKick => {
-                    self.events_processed += 1;
-                    self.on_exec_kick();
-                }
-                Ev::SerialDone { job } => {
-                    self.events_processed += 1;
-                    self.on_serial_done(job);
-                }
-                Ev::Crash { worker } => {
-                    self.events_processed += 1;
-                    self.on_crash(worker);
-                }
-                Ev::Repair { worker } => {
-                    self.events_processed += 1;
-                    self.on_repair(worker);
+    /// Handle one calendar event due at `t`.
+    fn process(&mut self, t: SimTime, ev: Ev) {
+        debug_assert!(t >= self.now, "time went backwards");
+        self.now = t;
+        self.events_processed += 1;
+        match ev {
+            Ev::TaskDone { worker, desc } => {
+                if !self.task_done_is_stale(worker, desc) {
+                    self.service_completion(worker, desc);
                 }
             }
-            i += 1;
+            Ev::Seek(w) => self.on_seek(w),
+            Ev::ExecKick => self.on_exec_kick(),
+            Ev::SerialDone { job } => self.on_serial_done(job),
+            Ev::Crash { worker } => self.on_crash(worker),
+            Ev::Repair { worker } => self.on_repair(worker),
         }
     }
 
@@ -1157,17 +1095,13 @@ impl Engine {
     /// remain when `None`). Returns `true` when neither the feed nor the
     /// calendar holds anything afterwards.
     ///
-    /// Pausing between windows mutates no engine state, and every batch a
-    /// windowed drain forms is a batch the unbounded loop would form (the
-    /// batch groupings are pinned observably identical to
-    /// [`BatchPolicy::Single`] service anyway), so chopping a run into
-    /// windows at *any* boundaries is result-invariant — the property the
-    /// sharded drivers' determinism contract rests on.
+    /// Each round admits one due arrival or services one calendar event.
+    /// Pausing between windows mutates no engine state and a round never
+    /// spans two events, so chopping a run into windows at *any*
+    /// boundaries is result-invariant — the property the sharded drivers'
+    /// determinism contract rests on.
     pub(crate) fn run_window(&mut self, limit: Option<SimTime>) -> bool {
-        let cap = self.batch_capacity();
-        let mut batch = take(&mut self.round_batch);
-        let mut dones = take(&mut self.round_dones);
-        let drained_all = loop {
+        loop {
             if self.abort.is_some() {
                 // Structural abort (e.g. retry policy gave up): stop
                 // draining; `finish` surfaces the error. Reported as
@@ -1194,15 +1128,10 @@ impl Engine {
                 self.events_processed += 1;
                 self.admit_or_queue(job);
             } else {
-                batch.clear();
-                let drained = self.events.pop_coincident_into(cap, &mut batch);
-                debug_assert!(drained > 0, "peeked event must drain");
-                self.process_batch(&batch, &mut dones);
+                let (t, ev) = self.events.pop().expect("peeked event must pop");
+                self.process(t, ev);
             }
-        };
-        self.round_batch = batch;
-        self.round_dones = dones;
-        drained_all
+        }
     }
 }
 

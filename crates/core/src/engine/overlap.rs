@@ -297,24 +297,24 @@ impl Engine {
         self.scratch.zero_now = zero_now;
         freed.clear();
         self.scratch.freed = freed;
-        if self.policy.elevate_enabling {
-            // Only granules that enable the chosen early subset are worth
-            // elevating ("identify a subset group of successor-phase
-            // granules ... so as to avoid solving an unnecessarily large
-            // enablement problem"); and if most of the current phase is
-            // enabling, elevation is a no-op by definition — skip it
-            // rather than shatter the master description.
-            let mut enabling = take(&mut self.scratch.indices);
-            enabling.extend(
-                (0..pred_granules)
-                    .filter(|&i| comp.dependents_of(i).iter().any(|&r| r < early_limit)),
-            );
-            if enabling.len() * 2 <= pred_granules as usize {
-                self.elevate_enabling_granules(pred_id, &mut enabling, cost);
-            }
-            enabling.clear();
-            self.scratch.indices = enabling;
+
+        // Elevate the current-phase granules that enable the successor.
+        // Only granules that enable the chosen early subset are worth
+        // elevating ("identify a subset group of successor-phase
+        // granules ... so as to avoid solving an unnecessarily large
+        // enablement problem"); and if most of the current phase is
+        // enabling, elevation is a no-op by definition — skip it
+        // rather than shatter the master description.
+        let mut enabling = take(&mut self.scratch.indices);
+        enabling.extend(
+            (0..pred_granules).filter(|&i| comp.dependents_of(i).iter().any(|&r| r < early_limit)),
+        );
+        if enabling.len() * 2 <= pred_granules as usize {
+            self.elevate_enabling_granules(pred_id, &mut enabling, cost);
         }
+        enabling.clear();
+        self.scratch.indices = enabling;
+
         self.inst_mut(succ_id)
             .counter_state
             .as_mut()

@@ -93,8 +93,8 @@ pub mod prelude {
     pub use pax_sim::faults::{FaultModel, FaultPlan, RetryPolicy, ScriptedFault};
     pub use pax_sim::locality::{DataLayout, LocalityModel};
     pub use pax_sim::machine::{
-        AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement,
-        MachineConfig, ManagementCosts, ProcessorClass, ResourcePool, ShardPolicy,
+        AdmissionPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
+        ManagementCosts, ProcessorClass, ResourcePool, ShardPolicy,
     };
     pub use pax_sim::seeded_rng;
     pub use pax_sim::time::{SimDuration, SimTime};

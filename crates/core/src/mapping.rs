@@ -272,15 +272,6 @@ impl CompositeMap {
         &self.targets[a..b]
     }
 
-    /// Current-phase granules that appear in at least one requirement list
-    /// (the "enabling set" whose priority the paper suggests elevating).
-    pub fn enabling_granules(&self) -> Vec<u32> {
-        (0..self.offsets.len() - 1)
-            .filter(|&i| self.offsets[i] != self.offsets[i + 1])
-            .map(|i| i as u32)
-            .collect()
-    }
-
     /// Build from a forward map. Duplicate writers of one successor
     /// granule each count toward its requirement (all writes must land
     /// before the successor may read).
@@ -448,7 +439,9 @@ mod tests {
     fn enabling_granules_extraction() {
         let r = ReverseMap::new(vec![vec![5], vec![2, 5]], 8);
         let c = CompositeMap::from_reverse(&r, 8);
-        assert_eq!(c.enabling_granules(), vec![2, 5]);
+        // The enabling set: current granules some successor granule needs.
+        let enabling: Vec<u32> = (0..8).filter(|&i| !c.dependents_of(i).is_empty()).collect();
+        assert_eq!(enabling, vec![2, 5]);
     }
 
     #[test]

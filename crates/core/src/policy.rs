@@ -95,11 +95,6 @@ pub struct OverlapPolicy {
     pub split_strategy: SplitStrategy,
     /// Composite-map construction timing for indirect mappings.
     pub composite_build: CompositeBuild,
-    /// Elevate the priority of current-phase granules that enable the
-    /// chosen successor subset (indirect mappings): "they should be split
-    /// into individual descriptions and placed in the waiting computation
-    /// queue in such a manner as to elevate their computational priority".
-    pub elevate_enabling: bool,
     /// Cap on the number of successor granules subjected to early
     /// enablement under indirect mappings ("identify a subset group of
     /// successor-phase granules ... so as to avoid solving an
@@ -125,7 +120,6 @@ impl OverlapPolicy {
             sizing: TaskSizing::TasksPerProcessor(2.0),
             split_strategy: SplitStrategy::DemandSplit,
             composite_build: CompositeBuild::Background,
-            elevate_enabling: true,
             indirect_subset: u32::MAX,
             elevate_released: false,
             assignment: AssignmentPolicy::QueueOrder,
@@ -133,15 +127,13 @@ impl OverlapPolicy {
     }
 
     /// Overlap with the paper's recommended settings: two tasks per
-    /// processor, successor-splitting tasks, background composite builds,
-    /// elevated enabling granules.
+    /// processor, successor-splitting tasks, background composite builds.
     pub fn overlap() -> OverlapPolicy {
         OverlapPolicy {
             enabled: true,
             sizing: TaskSizing::TasksPerProcessor(2.0),
             split_strategy: SplitStrategy::SuccessorSplitTask,
             composite_build: CompositeBuild::Background,
-            elevate_enabling: true,
             indirect_subset: u32::MAX,
             elevate_released: false,
             assignment: AssignmentPolicy::QueueOrder,
@@ -163,12 +155,6 @@ impl OverlapPolicy {
     /// Set composite-map build timing.
     pub fn with_composite_build(mut self, c: CompositeBuild) -> OverlapPolicy {
         self.composite_build = c;
-        self
-    }
-
-    /// Enable/disable priority elevation of enabling granules.
-    pub fn with_elevate_enabling(mut self, e: bool) -> OverlapPolicy {
-        self.elevate_enabling = e;
         self
     }
 
@@ -226,12 +212,10 @@ mod tests {
             .with_sizing(TaskSizing::Fixed(4))
             .with_split_strategy(SplitStrategy::PreSplit)
             .with_composite_build(CompositeBuild::Immediate)
-            .with_elevate_enabling(false)
             .with_indirect_subset(64);
         assert_eq!(p.sizing, TaskSizing::Fixed(4));
         assert_eq!(p.split_strategy, SplitStrategy::PreSplit);
         assert_eq!(p.composite_build, CompositeBuild::Immediate);
-        assert!(!p.elevate_enabling);
         assert_eq!(p.indirect_subset, 64);
     }
 }

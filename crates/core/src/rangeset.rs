@@ -184,10 +184,10 @@ impl RangeSet {
             // memmove of the tail.
             self.runs.insert(start, (lo, hi));
         } else {
-            // Bridging insert (≥2 runs coalesce, the batched-drain merge
-            // shape): write the coalesced run in place and batch-shift
-            // the tail left with one `copy_within` (a single memmove),
-            // instead of `splice`'s per-element drain/relocate machinery.
+            // Bridging insert (≥2 runs coalesce): write the coalesced run
+            // in place and batch-shift the tail left with one
+            // `copy_within` (a single memmove), instead of `splice`'s
+            // per-element drain/relocate machinery.
             self.runs[start] = (lo, hi);
             self.runs.copy_within(end.., start + 1);
             self.runs.truncate(self.runs.len() - (absorbed - 1));
@@ -301,14 +301,6 @@ pub fn coalesce_indices_into(indices: &mut Vec<u32>, out: &mut Vec<GranuleRange>
     out.push(GranuleRange::new(lo, prev + 1));
 }
 
-/// Coalesce into a fresh vector. Convenience wrapper over
-/// [`coalesce_indices_into`] for tests and cold paths.
-pub fn coalesce_indices(indices: &mut Vec<u32>) -> Vec<GranuleRange> {
-    let mut out = Vec::new();
-    coalesce_indices_into(indices, &mut out);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -395,19 +387,23 @@ mod tests {
         assert_eq!(s.covered_in(r(0, 2)), vec![]);
     }
 
+    /// Runs [`coalesce_indices_into`] finds in `v`.
+    fn coalesce(mut v: Vec<u32>) -> Vec<GranuleRange> {
+        let mut runs = Vec::new();
+        coalesce_indices_into(&mut v, &mut runs);
+        runs
+    }
+
     #[test]
     fn coalesce_runs() {
-        let mut v = vec![5, 1, 2, 3, 9, 8, 20];
-        let runs = coalesce_indices(&mut v);
+        let runs = coalesce(vec![5, 1, 2, 3, 9, 8, 20]);
         assert_eq!(runs, vec![r(1, 4), r(5, 6), r(8, 10), r(20, 21)]);
-        assert!(coalesce_indices(&mut Vec::new()).is_empty());
+        assert!(coalesce(Vec::new()).is_empty());
     }
 
     #[test]
     fn coalesce_dedups() {
-        let mut v = vec![3, 3, 4, 4, 5];
-        let runs = coalesce_indices(&mut v);
-        assert_eq!(runs, vec![r(3, 6)]);
+        assert_eq!(coalesce(vec![3, 3, 4, 4, 5]), vec![r(3, 6)]);
     }
 
     #[test]

@@ -94,15 +94,12 @@ pub struct GroupLink {
 
 /// Deterministic per-group RNG seed: group 0 keeps the scenario seed (so
 /// single-group runs match the classic engine exactly); higher groups get
-/// independent streams through the splitmix64 finalizer.
+/// independent streams through [`pax_sim::mix_seed`].
 pub(crate) fn group_seed(seed: u64, group: usize) -> u64 {
     if group == 0 {
         return seed;
     }
-    let mut z = seed ^ (group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    pax_sim::mix_seed(seed ^ (group as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 /// One epoch's progress report for one group, deposited in the owning

@@ -74,9 +74,9 @@ fn assert_no_per_event_allocations(what: &str, small: (&RunReport, u64), large: 
 /// Run a two-phase identity-overlap program (single-granule tasks — the
 /// configuration with the most completion events per granule) on
 /// `processors` processors under the given split strategy and executive
-/// lane count (lanes > 1 exercises the batched drain: whole coincident
-/// completion groups per service round) and report the run plus the
-/// allocations it performed and the bytes they asked for.
+/// lane count (lanes > 1 lets completions' services overlap on the lane
+/// timelines) and report the run plus the allocations it performed and
+/// the bytes they asked for.
 fn identity_run(
     processors: usize,
     granules: u32,
@@ -434,10 +434,8 @@ fn steady_state_completion_processing_is_allocation_free() {
     // time, so the arena's lane growth (amortized, O(log n) doublings)
     // is the only allocation source left.
     assert_steady_state_alloc_free(8, SplitStrategy::PreSplit, 1);
-    // Multi-lane batched drains: whole coincident completion groups are
-    // serviced per round through the shared wakeup buffer — still zero
-    // allocations per event (the round's drain/done buffers are sized
-    // once at run start).
+    // Multi-lane executives: services spread over 8 and 64 lane
+    // timelines — still zero allocations per event.
     assert_steady_state_alloc_free(8, SplitStrategy::DemandSplit, 8);
     assert_steady_state_alloc_free(8, SplitStrategy::PreSplit, 64);
     // 48 processors: a calendar population above the event queue's

@@ -95,83 +95,6 @@ proptest! {
         prop_assert!(r.jobs[0].finished_at.is_some());
     }
 
-    /// The multi-lane executive's batched drain (`BatchPolicy::Coincident`)
-    /// is run-identical to the pinned single-event
-    /// reference (`BatchPolicy::Single`) on randomized programs: same
-    /// makespan, same task/split/descriptor counts, same per-phase
-    /// executed/overlap granule totals, same management time — at every
-    /// lane count, with and without management costs, under stochastic
-    /// granule costs (so dispatch-order-dependent RNG draws are pinned
-    /// too).
-    #[test]
-    fn batched_service_matches_single_reference(
-        granules in 2u32..28,
-        procs in 1usize..9,
-        lanes in 2usize..64,
-        nphases in 2usize..5,
-        seed in 0u64..1000,
-        map_seed in 0usize..5,
-        strategy in 0usize..3,
-        costs_on in proptest::bool::ANY,
-        stochastic in proptest::bool::ANY,
-    ) {
-        use pax_sim::machine::{BatchPolicy, ManagementCosts};
-        let maps: Vec<EnablementMapping> = (0..nphases - 1).map(|i| {
-            match (i + map_seed) % 5 {
-                0 => EnablementMapping::Universal,
-                1 => EnablementMapping::Identity,
-                2 => EnablementMapping::Null,
-                3 => {
-                    let t: Vec<u32> = (0..granules).map(|g| (g * 7 + 3) % granules).collect();
-                    EnablementMapping::ForwardIndirect(Arc::new(ForwardMap::new(t, granules)))
-                }
-                _ => {
-                    let req: Vec<Vec<u32>> =
-                        (0..granules).map(|r| vec![r % granules, (r + 1) % granules]).collect();
-                    EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, granules)))
-                }
-            }
-        }).collect();
-        let dist = if stochastic {
-            DurationDist::uniform(1, 25)
-        } else {
-            DurationDist::constant(10)
-        };
-        let program = linear(granules, vec![dist; nphases], maps);
-        let split = match strategy {
-            0 => SplitStrategy::DemandSplit,
-            1 => SplitStrategy::PreSplit,
-            _ => SplitStrategy::SuccessorSplitTask,
-        };
-        let run = |batch: BatchPolicy| {
-            let mut cfg = MachineConfig::new(procs)
-                .with_executive_lanes(lanes)
-                .with_batch_policy(batch);
-            cfg = cfg.with_costs(if costs_on {
-                ManagementCosts::pax_default()
-            } else {
-                ManagementCosts::free()
-            });
-            let policy = OverlapPolicy::overlap().with_split_strategy(split);
-            let mut sim = Simulation::new(cfg, policy).with_seed(seed);
-            sim.add_job(program.clone());
-            sim.run().expect("deadlock")
-        };
-        let single = run(BatchPolicy::Single);
-        let b = run(BatchPolicy::Coincident);
-        prop_assert_eq!(b.makespan, single.makespan);
-        prop_assert_eq!(b.events, single.events);
-        prop_assert_eq!(b.tasks_dispatched, single.tasks_dispatched);
-        prop_assert_eq!(b.splits, single.splits);
-        prop_assert_eq!(b.descriptors_created, single.descriptors_created);
-        prop_assert_eq!(b.mgmt_time, single.mgmt_time);
-        prop_assert_eq!(b.compute_time, single.compute_time);
-        for (bp, sp) in b.phases.iter().zip(single.phases.iter()) {
-            prop_assert_eq!(bp.stats.executed_granules, sp.stats.executed_granules);
-            prop_assert_eq!(bp.stats.overlap_granules, sp.stats.overlap_granules);
-        }
-    }
-
     /// Overlap never loses to the strict barrier on ideal machines
     /// (work-conserving scheduling with extra available work can only
     /// fill, never displace).
@@ -622,8 +545,7 @@ mod enablement_safety {
         /// itself: under a randomized reverse map, no task containing a
         /// successor granule may start before every task containing one
         /// of its required current-phase granules has ended — whatever
-        /// the split strategy, subset cap, elevation setting, machine
-        /// size, or task size.
+        /// the split strategy, subset cap, machine size, or task size.
         #[test]
         fn no_successor_starts_before_its_enablers_end(
             granules in 6u32..40,
@@ -631,7 +553,6 @@ mod enablement_safety {
             fan in 1usize..4,
             seed in 0u64..10_000,
             strategy in 0usize..3,
-            elevate in proptest::bool::ANY,
             subset in prop_oneof![Just(u32::MAX), 2u32..12],
             task in 1u32..7,
         ) {
@@ -662,7 +583,6 @@ mod enablement_safety {
             let policy = OverlapPolicy::overlap()
                 .with_split_strategy(split)
                 .with_sizing(TaskSizing::Fixed(task))
-                .with_elevate_enabling(elevate)
                 .with_indirect_subset(subset);
             let mut sim = Simulation::new(MachineConfig::ideal(procs), policy)
                 .with_seed(seed)

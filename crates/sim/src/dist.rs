@@ -303,16 +303,14 @@ impl ArrivalProcess {
 /// Arrival instants must never share the engine's task-sampling RNG:
 /// with a shared stream, merely attaching an arrival process would
 /// perturb every sampled task time and break the t=0 ≡ batch-golden
-/// contract. A splitmix64 finalizer over a domain- and stream-separated
+/// contract. [`crate::mix_seed`] over a domain- and stream-separated
 /// seed gives each stream an independent, reproducible sequence that is
 /// also stable across shard counts (expansion happens before sharding).
 pub fn arrival_seed(seed: u64, stream: u64) -> u64 {
-    let mut z = seed
-        ^ 0x0000_A221_77A1_5EED_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        ^ stream.wrapping_mul(0xD6E8_FEB8_6659_FD93);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::mix_seed(
+        seed ^ 0x0000_A221_77A1_5EED_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            ^ stream.wrapping_mul(0xD6E8_FEB8_6659_FD93),
+    )
 }
 
 #[cfg(test)]

@@ -205,25 +205,15 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Rule 2: the earliest pending entry.
-    #[inline]
-    fn pop_entry(&mut self) -> Option<Scheduled<E>> {
-        match self.near.pop_front() {
-            Some(s) => Some(s),
-            None => self.pop_behind_empty_tier(),
-        }
-    }
-
     /// Rule 2 with the sorted tier empty: refill it with the heap's
     /// `NEAR / 2` earliest entries and pop the first of them — unless
     /// nothing has been scheduled since the last refill, when the caller
     /// is draining, no new event can overtake the entries a refill would
     /// move, and they come straight off the heap.
     ///
-    /// Out of line on purpose: inlined into [`EventQueue::pop_entry`] the
-    /// heap's pop merges its result with the ring's through the stack on
-    /// every pop, which tripled `pop_coincident_into`'s share of a
-    /// `batch_identity` rep.
+    /// Out of line on purpose: inlined into [`EventQueue::pop`] the heap's
+    /// pop merges its result with the ring's through the stack on every
+    /// pop, which tripled the calendar's share of a `batch_identity` rep.
     #[inline(never)]
     fn pop_behind_empty_tier(&mut self) -> Option<Scheduled<E>> {
         if self.refilled_at != self.scheduled_total {
@@ -236,37 +226,20 @@ impl<E> EventQueue<E> {
         self.near.pop_front().or_else(|| self.far.pop())
     }
 
-    /// Remove and return the earliest event, if any.
+    /// Remove and return the earliest event, if any (rule 2).
     #[inline]
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.pop_entry().map(|s| (s.at, s.payload))
+        let s = match self.near.pop_front() {
+            Some(s) => s,
+            None => self.pop_behind_empty_tier()?,
+        };
+        Some((s.at, s.payload))
     }
 
     /// Due time of the earliest pending event.
     #[inline]
     pub fn peek_time(&self) -> Option<SimTime> {
         self.near.front().or_else(|| self.far.peek()).map(|s| s.at)
-    }
-
-    /// Remove up to `max` events sharing the earliest pending due time
-    /// (the *coincident group*) and append them to `out`, in exactly the
-    /// order repeated [`EventQueue::pop`] calls would return them. `out`
-    /// is not cleared. Returns the number of events moved — 0 when the
-    /// queue is empty or `max` is 0. This is the multi-lane executive's
-    /// batch pop: one call drains a whole service round, off the sorted
-    /// tier and across as many refills as the group spans.
-    pub fn pop_coincident_into(&mut self, max: usize, out: &mut Vec<(SimTime, E)>) -> usize {
-        let Some(t) = self.peek_time() else { return 0 };
-        let mut n = 0;
-        while n < max {
-            let s = self.pop_entry().expect("peeked");
-            out.push((s.at, s.payload));
-            n += 1;
-            if n < max && self.peek_time() != Some(t) {
-                break;
-            }
-        }
-        n
     }
 
     /// Number of pending events.
@@ -333,40 +306,6 @@ mod tests {
         assert_eq!(q.peek_time(), Some(SimTime(4)));
         q.pop();
         assert_eq!(q.peek_time(), Some(SimTime(9)));
-    }
-
-    #[test]
-    fn pop_coincident_takes_only_the_earliest_tick() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime(5), "a");
-        q.schedule(SimTime(5), "b");
-        q.schedule(SimTime(7), "c");
-        q.schedule(SimTime(5), "d");
-        let mut out = Vec::new();
-        assert_eq!(q.pop_coincident_into(8, &mut out), 3);
-        assert_eq!(
-            out,
-            vec![(SimTime(5), "a"), (SimTime(5), "b"), (SimTime(5), "d")]
-        );
-        assert_eq!(q.pop(), Some((SimTime(7), "c")));
-        assert_eq!(q.pop_coincident_into(4, &mut out), 0);
-    }
-
-    #[test]
-    fn pop_coincident_respects_max_and_appends() {
-        let mut q = EventQueue::new();
-        for i in 0..5 {
-            q.schedule(SimTime(3), i);
-        }
-        let mut out = vec![(SimTime(0), 99)];
-        assert_eq!(q.pop_coincident_into(2, &mut out), 2);
-        assert_eq!(
-            out,
-            vec![(SimTime(0), 99), (SimTime(3), 0), (SimTime(3), 1)]
-        );
-        assert_eq!(q.pop_coincident_into(0, &mut out), 0);
-        assert_eq!(q.len(), 3);
-        assert_eq!(q.pop(), Some((SimTime(3), 2)));
     }
 
     /// Ids in pop order.
@@ -442,17 +381,17 @@ mod tests {
     }
 
     #[test]
-    fn a_coincident_group_larger_than_the_tier_drains_in_one_call() {
+    fn a_coincident_group_larger_than_the_tier_pops_in_order_across_refills() {
         let mut q = EventQueue::new();
         let n = 3 * NEAR as u32;
         for i in 0..n {
             q.schedule(SimTime(7), i);
             q.schedule(SimTime(9), n + i);
         }
-        let mut out = Vec::new();
-        assert_eq!(q.pop_coincident_into(usize::MAX, &mut out), n as usize);
-        let want: Vec<_> = (0..n).map(|i| (SimTime(7), i)).collect();
-        assert_eq!(out, want);
+        for i in 0..n {
+            assert_eq!(q.peek_time(), Some(SimTime(7)));
+            assert_eq!(q.pop(), Some((SimTime(7), i)));
+        }
         assert_eq!(q.peek_time(), Some(SimTime(9)));
         assert_eq!(q.len(), n as usize);
     }

@@ -148,13 +148,10 @@ impl FaultPlan {
 /// The fault stream must never share the engine's task-sampling RNG:
 /// with a shared stream, merely enabling faults would perturb every
 /// sampled task time, and a faults-disabled run could not be guaranteed
-/// to consume zero extra draws. A splitmix64 finalizer over a
+/// to consume zero extra draws. [`crate::mix_seed`] over a
 /// domain-separated seed gives an independent, reproducible stream.
 pub fn fault_seed(seed: u64) -> u64 {
-    let mut z = seed ^ 0x000F_A017_5EED_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    crate::mix_seed(seed ^ 0x000F_A017_5EED_u64.wrapping_mul(0x9E37_79B9_7F4A_7C15))
 }
 
 #[cfg(test)]

@@ -50,7 +50,7 @@ pub use event::EventQueue;
 pub use faults::{FaultModel, FaultPlan, RetryPolicy, ScriptedFault};
 pub use locality::{DataLayout, LocalityModel};
 pub use machine::{
-    AdmissionPolicy, BatchPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
+    AdmissionPolicy, ClassAffinity, ConfigError, ExecutivePlacement, MachineConfig,
     ManagementCosts, ProcessorClass, ResourcePool, ShardPolicy,
 };
 pub use metrics::{GanttTrace, LevelSweep, Span, StepTrace};
@@ -63,4 +63,14 @@ pub use time::{SimDuration, SimTime};
 pub fn seeded_rng(seed: u64) -> rand::rngs::SmallRng {
     use rand::SeedableRng;
     rand::rngs::SmallRng::seed_from_u64(seed)
+}
+
+/// The splitmix64 finalizer. Every derived seed in the workspace (per
+/// machine group, per arrival stream, per fault plan) is this applied to
+/// a domain-separated mix of the scenario seed, so derived streams are
+/// independent of each other and of the engine's own stream.
+pub fn mix_seed(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }

@@ -106,29 +106,6 @@ impl Default for ManagementCosts {
     }
 }
 
-/// How many queued simulator events the executive drains per service
-/// round — the paper's "middle management" parallel executive serviced
-/// the completion queue with idle processors instead of letting them
-/// wait on a serial executive, and batching the drain is how the engine
-/// models (and measures) that amortization.
-///
-/// Both modes produce **bit-identical runs**: a batch is always a
-/// prefix of the deterministic `(time, insertion)` event order, and each
-/// event in it is serviced exactly as [`BatchPolicy::Single`] would
-/// service it, which the equivalence tests pin. Scheduling semantics
-/// live in [`MachineConfig::executive_lanes`], which also bounds the
-/// batch size.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum BatchPolicy {
-    /// One event per service round — the pinned deterministic reference
-    /// mode equivalence tests diff the batched mode against.
-    Single,
-    /// Drain up to `executive_lanes` same-timestamp events per round
-    /// (one coincident group). The default.
-    #[default]
-    Coincident,
-}
-
 /// How many shards the sharded engine partitions a simulation's *machine
 /// groups* across (`pax-core`'s `Simulation::add_job_in_group` /
 /// `link_groups`).
@@ -141,12 +118,12 @@ pub enum BatchPolicy {
 /// calendars up to a conservative epoch boundary, and cross-group
 /// effects (job-admission edges) are exchanged at a two-phase barrier.
 ///
-/// Like [`BatchPolicy`], this is a **host-performance knob, not a
-/// semantics knob**: every shard count (including pathological ones
-/// such as 3) produces bit-identical reports, pinned by the equivalence
-/// suite. Per-group RNG streams are split deterministically from the
-/// scenario seed, so results do not depend on which shard — or which OS
-/// thread — a group lands on.
+/// This is a **host-performance knob, not a semantics knob**: every
+/// shard count (including pathological ones such as 3) produces
+/// bit-identical reports, pinned by the equivalence suite. Per-group RNG
+/// streams are split deterministically from the scenario seed, so
+/// results do not depend on which shard — or which OS thread — a group
+/// lands on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ShardPolicy {
     /// Number of shards (≥ 1). Clamped to the number of groups at run
@@ -309,14 +286,15 @@ impl ProcessorClass {
     }
 
     /// Scale a sampled task duration (in ticks) by this class's speed:
-    /// `ceil(ticks × 100 / speed_percent)`, computed in 128-bit so large
-    /// durations cannot overflow. At 100 percent this is exactly the
-    /// identity, which is what keeps a speed-100 class bit-identical to
-    /// the homogeneous machine.
+    /// `ceil(ticks × 100 / speed_percent)`, computed in 128-bit and
+    /// saturating at `u64::MAX`, so a slow class never turns a long task
+    /// into a short one. At 100 percent this is exactly the identity,
+    /// which is what keeps a speed-100 class bit-identical to the
+    /// homogeneous machine.
     pub fn scale_ticks(&self, ticks: u64) -> u64 {
         debug_assert!(self.speed_percent > 0, "validated at session build");
         let p = u128::from(self.speed_percent.max(1));
-        (u128::from(ticks) * 100).div_ceil(p) as u64
+        u64::try_from((u128::from(ticks) * 100).div_ceil(p)).unwrap_or(u64::MAX)
     }
 }
 
@@ -517,9 +495,6 @@ pub struct MachineConfig {
     /// data-proximity assignment policy something to optimize (the third
     /// strategy the paper names as under development).
     pub locality: Option<LocalityModel>,
-    /// Event-drain batching per executive service round (bounded by
-    /// [`MachineConfig::executive_lanes`]); both modes are run-identical.
-    pub batch: BatchPolicy,
     /// Sharding policy for multi-group simulations. Every shard count is
     /// result-identical; counts > 1 let the threaded driver in
     /// `pax-runtime` drain independent machine groups in parallel.
@@ -565,7 +540,6 @@ impl MachineConfig {
             costs: ManagementCosts::pax_default(),
             executive_lanes: 1,
             locality: None,
-            batch: BatchPolicy::default(),
             shards: ShardPolicy::default(),
             admission: AdmissionPolicy::default(),
             faults: None,
@@ -583,7 +557,6 @@ impl MachineConfig {
             costs: ManagementCosts::free(),
             executive_lanes: 1,
             locality: None,
-            batch: BatchPolicy::default(),
             shards: ShardPolicy::default(),
             admission: AdmissionPolicy::default(),
             faults: None,
@@ -686,12 +659,6 @@ impl MachineConfig {
         self
     }
 
-    /// Builder-style: set the executive's event-drain batching policy.
-    pub fn with_batch_policy(mut self, batch: BatchPolicy) -> MachineConfig {
-        self.batch = batch;
-        self
-    }
-
     /// Builder-style: set the sharding policy for multi-group runs.
     pub fn with_shards(mut self, shards: ShardPolicy) -> MachineConfig {
         self.shards = shards;
@@ -754,19 +721,6 @@ mod tests {
             .with_calendar(CalendarKind::BinaryHeap);
         assert_eq!(m.executive, ExecutivePlacement::StealsWorker);
         assert_eq!(m.costs.dispatch, SimDuration::ZERO);
-    }
-
-    #[test]
-    fn batch_policy_defaults_and_builder() {
-        // Batched drains are the default; `Single` is the pinned
-        // reference mode the equivalence tests diff against.
-        assert_eq!(MachineConfig::new(4).batch, BatchPolicy::Coincident);
-        assert_eq!(MachineConfig::ideal(4).batch, BatchPolicy::Coincident);
-        let s = MachineConfig::new(4)
-            .with_executive_lanes(16)
-            .with_batch_policy(BatchPolicy::Single);
-        assert_eq!(s.batch, BatchPolicy::Single);
-        assert_eq!(s.executive_lanes, 16);
     }
 
     #[test]
@@ -969,6 +923,16 @@ mod tests {
         assert_eq!(slow.scale_ticks(1000), 2000);
         let odd = ProcessorClass::new("o", 1, 300);
         assert_eq!(odd.scale_ticks(10), 4); // ceil(10/3)
+    }
+
+    #[test]
+    fn slow_class_saturates_instead_of_wrapping() {
+        let slowest = ProcessorClass::new("s", 1, 1);
+        assert_eq!(slowest.scale_ticks(1 << 62), u64::MAX);
+        assert_eq!(slowest.scale_ticks(u64::MAX), u64::MAX);
+        assert_eq!(slowest.scale_ticks(1 << 56), 100 << 56);
+        let nominal = ProcessorClass::new("n", 1, 100);
+        assert_eq!(nominal.scale_ticks(u64::MAX), u64::MAX);
     }
 
     #[test]

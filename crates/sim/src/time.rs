@@ -54,12 +54,6 @@ impl SimDuration {
     /// The empty duration.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// Construct from a tick count.
-    #[inline]
-    pub const fn from_ticks(t: u64) -> SimDuration {
-        SimDuration(t)
-    }
-
     /// Raw tick count.
     #[inline]
     pub fn ticks(self) -> u64 {
@@ -70,17 +64,6 @@ impl SimDuration {
     #[inline]
     pub fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// Fractional ratio of `self` to `denom`; 0.0 when `denom` is zero.
-    /// Used by reports (e.g. utilization = busy / capacity).
-    #[inline]
-    pub fn ratio_to(self, denom: SimDuration) -> f64 {
-        if denom.0 == 0 {
-            0.0
-        } else {
-            self.0 as f64 / denom.0 as f64
-        }
     }
 
     /// Saturating subtraction.
@@ -200,12 +183,6 @@ mod tests {
     fn since_saturates() {
         assert_eq!(SimTime(3).since(SimTime(10)), SimDuration::ZERO);
         assert_eq!(SimTime(10).since(SimTime(3)), SimDuration(7));
-    }
-
-    #[test]
-    fn ratio_handles_zero_denominator() {
-        assert_eq!(SimDuration(5).ratio_to(SimDuration::ZERO), 0.0);
-        assert!((SimDuration(1).ratio_to(SimDuration(4)) - 0.25).abs() < 1e-12);
     }
 
     #[test]

@@ -6,57 +6,6 @@ use pax_sim::time::{SimDuration, SimTime};
 use proptest::prelude::*;
 
 proptest! {
-    /// Batch pops are a pure regrouping of single pops: on any schedule
-    /// (including interleaved scheduling), `peek_time` names the batch's
-    /// time, every drained group is coincident, and the concatenation of
-    /// the groups equals the single-pop event order.
-    #[test]
-    fn pop_coincident_is_a_regrouped_pop_order(
-        max in 1usize..9,
-        ops in proptest::collection::vec(
-            (0u64..2000, 1usize..6, proptest::bool::ANY, proptest::bool::ANY),
-            1..100,
-        ),
-    ) {
-        let mut heap = EventQueue::new();
-        let mut reference = EventQueue::new();
-        let mut now = 0u64;
-        let mut id = 0u64;
-        let mut out = Vec::new();
-        for &(dt, burst, do_pop, far) in &ops {
-            for k in 0..burst {
-                let stretch = if far { 977 } else { 1 };
-                let at = SimTime(now + ((dt + k as u64 * 41) % 2000) * stretch);
-                heap.schedule(at, id);
-                reference.schedule(at, id);
-                id += 1;
-            }
-            if do_pop {
-                let peeked = heap.peek_time();
-                let n = heap.pop_coincident_into(max, &mut out);
-                let batch = &out[out.len() - n..];
-                prop_assert_eq!(peeked, batch.first().map(|b| b.0), "peek divergence");
-                prop_assert!(batch.iter().all(|&(t, _)| Some(t) == batch.first().map(|b| b.0)));
-                for got in batch {
-                    prop_assert_eq!(Some(*got), reference.pop(), "regrouping divergence");
-                }
-                if let Some(&(t, _)) = batch.last() {
-                    now = t.0;
-                }
-            }
-        }
-        loop {
-            let n = heap.pop_coincident_into(max, &mut out);
-            for got in &out[out.len() - n..] {
-                prop_assert_eq!(Some(*got), reference.pop());
-            }
-            if n == 0 {
-                break;
-            }
-        }
-        prop_assert_eq!(reference.pop(), None);
-    }
-
     /// The queue against a model that shares no code with it: a `Vec`
     /// kept stably sorted by `(time, insertion index)`. Every operation
     /// is interleaved with every other; times are 0..4 ticks from the
@@ -77,7 +26,6 @@ proptest! {
         let mut model: Vec<(u64, u64)> = Vec::new();
         let (mut now, mut next_id) = (0u64, 0u64);
         let (mut growing, mut rounds) = (true, 0);
-        let mut out = Vec::new();
         for &(kind, dt, m) in &ops {
             let schedule = kind < if growing { 15 } else { 8 };
             if schedule {
@@ -92,11 +40,9 @@ proptest! {
                 now = want.map_or(now, |(t, _)| t);
             } else {
                 let group = model.iter().take_while(|e| e.0 == model[0].0).count();
-                let want: Vec<_> = model.drain(..group.min(maxes[m])).collect();
-                out.clear();
-                prop_assert_eq!(q.pop_coincident_into(maxes[m], &mut out), want.len());
-                for (got, &(t, id)) in out.iter().zip(&want) {
-                    prop_assert_eq!(*got, (SimTime(t), id), "batch order");
+                for (t, id) in model.drain(..group.min(maxes[m])) {
+                    prop_assert_eq!(q.peek_time(), Some(SimTime(t)), "group time");
+                    prop_assert_eq!(q.pop(), Some((SimTime(t), id)), "group order");
                     now = t;
                 }
             }

@@ -106,19 +106,6 @@ impl Checkerboard {
         self.granule_of[r * self.n + c]
     }
 
-    /// The cell `(r, c)` of granule `g` of `color`. O(n²) scan — used only
-    /// in tests.
-    pub fn cell_of(&self, color: Color, g: u32) -> Option<(usize, usize)> {
-        for r in 0..self.n {
-            for c in 0..self.n {
-                if self.color(r, c) == color && self.granule(r, c) == g {
-                    return Some((r, c));
-                }
-            }
-        }
-        None
-    }
-
     /// Orthogonal neighbors of `(r, c)` (2–4 of them; edges clip).
     pub fn neighbors(&self, r: usize, c: usize) -> Vec<(usize, usize)> {
         let mut out = Vec::with_capacity(4);

@@ -61,11 +61,6 @@ impl FleetConfig {
         }
     }
 
-    /// Total granules executed across the fleet.
-    pub fn total_granules(&self) -> u64 {
-        2 * self.groups as u64 * self.granules_per_group as u64
-    }
-
     /// One group's program: two identity-mapped phases, overlapping
     /// through the rundown exactly like the bench identity scenario.
     pub fn program(&self) -> Program {
@@ -148,7 +143,6 @@ mod tests {
     #[test]
     fn independent_fleet_runs_and_scales_shard_free() {
         let cfg = FleetConfig::independent(3, 64);
-        assert_eq!(cfg.total_granules(), 384);
         let base = cfg.simulation(MachineConfig::new(4), 7).run().unwrap();
         assert_eq!(base.jobs.len(), 3);
         assert_eq!(base.processors, 12);

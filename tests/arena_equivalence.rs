@@ -15,7 +15,7 @@
 //! bf7c64c). Any layout-induced reordering, miscount, or dropped release
 //! changes at least one field of at least one fingerprint. The golden is
 //! checked on the oracle's reference, so it is what every driver, shard
-//! count, batch policy and cut set returned.
+//! count and cut set returned.
 //!
 //! If an *intentional* behavior change ever lands, regenerate with:
 //!
@@ -147,7 +147,6 @@ fn shapes() -> Vec<Shape> {
         cfg: MachineConfig::new(8).with_costs(ManagementCosts::pax_default()),
         policy: fixed1(OverlapPolicy::overlap())
             .with_composite_build(CompositeBuild::Background)
-            .with_elevate_enabling(true)
             .with_indirect_subset(16),
         jobs: 1,
     });
@@ -299,14 +298,12 @@ fn soa_arena_matches_aos_goldens() {
     );
 }
 
-/// The multi-lane executive's batched drain must be *observably
-/// identical* to single-event service: a batch is a prefix of the
-/// deterministic event order and each event in it is serviced exactly as
-/// `BatchPolicy::Single` services it. The oracle diffs the two batch
-/// policies (among everything else) on every shape at 2, 7 and 64 lanes;
-/// one lane is the goldens above.
+/// Every shape keeps the determinism contract on a multi-lane executive:
+/// the oracle runs each at 2, 7 and 64 lanes through every shard count,
+/// driver and cut, and checks that the lanes' service fits the makespan.
+/// One lane is the goldens above.
 #[test]
-fn batched_drain_matches_single_service_on_all_shapes() {
+fn every_shape_is_deterministic_on_a_multi_lane_executive() {
     let shapes = shapes();
     for lanes in [2usize, 7, 64] {
         for shape in &shapes {

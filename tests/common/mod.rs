@@ -2,8 +2,7 @@
 //!
 //! The contract (`pax_core::shard`, "Determinism contract"): one
 //! simulation gives one result — the same `RunReport`, or the same
-//! `EngineError` — on every driver, shard count, batch policy and pause
-//! schedule. [`oracle`] checks all of it for one case, so a suite brings
+//! `EngineError` — on every driver, shard count and pause schedule. [`oracle`] checks all of it for one case, so a suite brings
 //! only its builders and the semantics it pins on the result.
 
 use pax_core::prelude::*;
@@ -15,7 +14,7 @@ pub struct Verdict {
     /// `build(machine).run()`, which every driver returned.
     pub reference: Result<RunReport, EngineError>,
     /// What `step_until` returned at each cut: the same on both sessions
-    /// under every batch policy and shard count.
+    /// at every shard count.
     #[allow(dead_code)] // not every suite pins its cuts
     pub cuts: Vec<Result<bool, EngineError>>,
 }
@@ -23,9 +22,9 @@ pub struct Verdict {
 /// Check the determinism contract for one case and return what the
 /// drivers agreed on.
 ///
-/// The reference is `build(machine).run()`, an `Err` included. Under
-/// both batch policies and shard counts 1, 2, 3, 4 and 8 (overriding
-/// `machine`'s), three drivers must return exactly the reference:
+/// The reference is `build(machine).run()`, an `Err` included. At shard
+/// counts 1, 2, 3, 4 and 8 (overriding `machine`'s), three drivers must
+/// return exactly the reference:
 /// `Simulation::run`, a `Session` stepped through `cuts` (absolute
 /// instants) then `report()`, and a `ThreadedSession` stepped through the
 /// same cuts then `finish()` — the threaded drain a run with no cuts
@@ -80,48 +79,39 @@ pub fn oracle(
     }
     assert_eq!(traced, reference, "{name}: with_gantt");
     let mut stepped: Option<Vec<Result<bool, EngineError>>> = None;
-    for batch in [BatchPolicy::Coincident, BatchPolicy::Single] {
-        for shards in [1, 2, 3, 4, 8] {
-            let at = format!("{name} [{batch:?}, {shards} shards]");
-            let sim = || {
-                build(
-                    machine
-                        .clone()
-                        .with_batch_policy(batch)
-                        .with_shards(ShardPolicy::new(shards)),
-                )
-            };
-            assert_eq!(sim().run(), reference, "{at}: Simulation::run");
-            let mut calling = sim().into_session();
-            let mut threaded = sim().into_sharded().map(ThreadedSession::new);
-            let mut results = Vec::with_capacity(cuts.len());
-            for &cut in cuts {
-                let limit = SimTime(cut);
-                let done = calling
-                    .as_mut()
-                    .map_err(|e| e.clone())
-                    .and_then(|s| s.step_until(limit));
-                let threaded_done = threaded
-                    .as_mut()
-                    .map_err(|e| e.clone())
-                    .and_then(|s| s.step_until(limit));
-                assert_eq!(threaded_done, done, "{at}: step_until({cut})");
-                results.push(done);
-            }
-            assert_eq!(
-                calling.and_then(Session::report),
-                reference,
-                "{at}: Session cut at {cuts:?}"
-            );
-            assert_eq!(
-                threaded.and_then(ThreadedSession::finish),
-                reference,
-                "{at}: ThreadedSession cut at {cuts:?}"
-            );
-            match &stepped {
-                None => stepped = Some(results),
-                Some(first) => assert_eq!(&results, first, "{at}: step_until results"),
-            }
+    for shards in [1, 2, 3, 4, 8] {
+        let at = format!("{name} [{shards} shards]");
+        let sim = || build(machine.clone().with_shards(ShardPolicy::new(shards)));
+        assert_eq!(sim().run(), reference, "{at}: Simulation::run");
+        let mut calling = sim().into_session();
+        let mut threaded = sim().into_sharded().map(ThreadedSession::new);
+        let mut results = Vec::with_capacity(cuts.len());
+        for &cut in cuts {
+            let limit = SimTime(cut);
+            let done = calling
+                .as_mut()
+                .map_err(|e| e.clone())
+                .and_then(|s| s.step_until(limit));
+            let threaded_done = threaded
+                .as_mut()
+                .map_err(|e| e.clone())
+                .and_then(|s| s.step_until(limit));
+            assert_eq!(threaded_done, done, "{at}: step_until({cut})");
+            results.push(done);
+        }
+        assert_eq!(
+            calling.and_then(Session::report),
+            reference,
+            "{at}: Session cut at {cuts:?}"
+        );
+        assert_eq!(
+            threaded.and_then(ThreadedSession::finish),
+            reference,
+            "{at}: ThreadedSession cut at {cuts:?}"
+        );
+        match &stepped {
+            None => stepped = Some(results),
+            Some(first) => assert_eq!(&results, first, "{at}: step_until results"),
         }
     }
     Verdict {

@@ -4,7 +4,7 @@
 //! construction — must extend to faulty runs: the same seed and
 //! [`FaultPlan`] produce the same crashes, the same preemptions, the
 //! same retries, and the same degraded-capacity report on every driver,
-//! shard count, batch policy and pause schedule. The fault stream lives
+//! shard count and pause schedule. The fault stream lives
 //! on a dedicated RNG split from the per-group seed, so this is a
 //! designed property; the determinism oracle (`tests/common/mod.rs`)
 //! pins it on scripted and random plans here and on random fleets under
@@ -54,7 +54,7 @@ fn random_plan() -> FaultPlan {
 }
 
 /// Scripted and random fault plans give one report on every driver,
-/// shard count, batch policy and cut set, on independent and staged
+/// shard count and cut set, on independent and staged
 /// fleets; the cuts land on the scripted crash and repair instants.
 #[test]
 fn fault_injected_runs_are_identical_across_shards_and_drivers() {

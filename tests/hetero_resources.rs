@@ -7,7 +7,7 @@
 //! affinities, and resource-token pools goes through the determinism
 //! oracle (`tests/common/mod.rs`), so its report — including the
 //! per-class and per-pool accounting — is the same on every driver,
-//! shard count, batch policy and cut set. A fault-injected leg crashes
+//! shard count and cut set. A fault-injected leg crashes
 //! processors mid-task to prove held tokens are returned on the crash
 //! path deterministically (a leaked token would change every downstream
 //! dispatch and split the reports).
@@ -121,7 +121,7 @@ fn run(sim: Simulation) -> RunReport {
 const CUTS: &[u64] = &[20, 30, 45, 80, 400, 1_000];
 
 /// Heterogeneous + resource-constrained fleets give one report on every
-/// driver, shard count, batch policy and cut set.
+/// driver, shard count and cut set.
 #[test]
 fn hetero_fleet_is_shard_invariant_on_all_drivers() {
     let v = oracle("hetero", |cfg| fleet(cfg, false), hetero_machine(), CUTS);
