@@ -11,14 +11,15 @@
 //! under `examples/scenarios/` are each loaded by a test.
 //!
 //! The loader is deliberately serde-free: a small hand-rolled JSON
-//! reader (`scenario/json.rs`) tracks the line of every value, and one
-//! pass over that tree reads the document into the engine's own config
-//! types, so that every error — a syntax slip, a missing field, a wrong
-//! type, an unknown or repeated key, a reference to an undeclared
-//! resource pool — surfaces as a typed [`ScenarioError`] carrying the
-//! offending line and a dotted field path (`machine.classes[1].count`),
-//! not a panic or a bare string. [`Scenario::to_json`] writes through
-//! the same tree.
+//! reader (`scenario/json.rs`) tracks the line of every value. The tree
+//! is read for shape into the engine's own config types, one key table a
+//! block, and the document is then checked as a whole, so a shape error
+//! anywhere is reported before any cross-reference error. Every error —
+//! a syntax slip, a missing field, a wrong type, an unknown or repeated
+//! key, a reference to an undeclared resource pool — surfaces as a typed
+//! [`ScenarioError`] carrying the offending line and a dotted field path
+//! (`machine.classes[1].count`), not a panic or a bare string.
+//! [`Scenario::to_json`] writes through the same tree.
 //!
 //! ```
 //! use pax_workloads::scenario::Scenario;
@@ -399,6 +400,30 @@ fn obj<'k>(fields: impl IntoIterator<Item = (&'k str, Json)>) -> Json {
     Json::Obj(present.map(|(k, v)| (k.to_string(), v.into())).collect())
 }
 
+/// A plain block of the format as one table: each row names a key, which
+/// is also the field it fills, and its rule — `req` (required), `maybe`
+/// (absent is `None`) or `opt(default)`. The table is the block's key
+/// check, its reader and its writer, in row order; `accepts` lists keys
+/// the block takes but does not store.
+macro_rules! block {
+    ($ty:ident $(accepts [$($more:literal),*])? {
+        $($key:ident: $rule:ident $(($default:expr))?),* $(,)?
+    }) => {
+        impl Field for $ty {
+            fn read(v: &Val) -> Result<$ty> {
+                let o = v.obj_of(&[$(stringify!($key)),*], &[$($($more),*)?])?;
+                Ok($ty {
+                    $($key: o.$rule(stringify!($key) $(, $default)?)?),*
+                })
+            }
+
+            fn write(&self) -> Json {
+                obj([$((stringify!($key), self.$key.write())),*])
+            }
+        }
+    };
+}
+
 /// The tags of an enum's variants: the one list its reader decodes and
 /// its writer encodes through, a data-carrying variant standing for
 /// every value of its kind. A variant written as an object also lists
@@ -455,47 +480,14 @@ pub struct Scenario {
     pub policy: PolicyDoc,
 }
 
-impl Scenario {
-    fn read(v: &Val) -> Result<Scenario> {
-        let o = v.obj(&["name", "seed", "machine", "workload", "stream", "policy"])?;
-        let name = o.opt("name", String::new())?;
-        let seed = o.opt("seed", 0)?;
-        let machine: MachineDoc = o.req("machine")?;
-        let workload = o.req_with("workload", |w| {
-            let items = w.items()?;
-            if items.is_empty() {
-                return Err(w.invalid("workload must declare at least one program"));
-            }
-            let mut programs = Vec::with_capacity(items.len());
-            for item in &items {
-                programs.push(ProgramDoc::read(item, &machine.resources, &programs)?);
-            }
-            Ok(programs)
-        })?;
-        let stream = o.maybe_with("stream", |s| StreamDoc::read(s, &workload))?;
-        let policy = o.opt("policy", PolicyDoc::default())?;
-        Ok(Scenario {
-            name,
-            seed,
-            machine,
-            workload,
-            stream,
-            policy,
-        })
-    }
-
-    fn write(&self) -> Json {
-        let stream = self.stream.as_ref().map_or(Json::Null, StreamDoc::write);
-        obj([
-            ("name", self.name.write()),
-            ("seed", self.seed.write()),
-            ("machine", self.machine.write()),
-            ("workload", arr(&self.workload, ProgramDoc::write)),
-            ("stream", stream),
-            ("policy", self.policy.write()),
-        ])
-    }
-}
+block!(Scenario {
+    name: opt(String::new()),
+    seed: opt(0),
+    machine: req,
+    workload: req,
+    stream: maybe,
+    policy: opt(PolicyDoc::default()),
+});
 
 /// The `machine` block of a scenario file.
 #[derive(Debug, Clone, PartialEq)]
@@ -519,51 +511,17 @@ pub struct MachineDoc {
     pub faults: Option<FaultPlan>,
 }
 
-impl Field for MachineDoc {
-    fn read(v: &Val) -> Result<MachineDoc> {
-        let o = v.obj(&[
-            "processors",
-            "ideal",
-            "lanes",
-            "calendar",
-            "shards",
-            "classes",
-            "resources",
-            "admission",
-            "faults",
-        ])?;
-        o.maybe_with("calendar", check_calendar)?;
-        let machine = MachineDoc {
-            processors: o.req("processors")?,
-            ideal: o.opt("ideal", false)?,
-            lanes: o.maybe("lanes")?,
-            shards: o.maybe("shards")?,
-            classes: o.opt("classes", Vec::new())?,
-            resources: o.opt("resources", Vec::new())?,
-            admission: o.opt("admission", AdmissionPolicy::AcceptAll)?,
-            faults: o.maybe("faults")?,
-        };
-        // Machine-config consistency (class counts, pool names, ...).
-        machine
-            .to_config()
-            .validate()
-            .map_err(|e| v.invalid(e.to_string()))?;
-        Ok(machine)
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("processors", self.processors.write()),
-            ("ideal", self.ideal.write()),
-            ("lanes", self.lanes.write()),
-            ("shards", self.shards.write()),
-            ("classes", self.classes.write()),
-            ("resources", self.resources.write()),
-            ("admission", self.admission.write()),
-            ("faults", self.faults.write()),
-        ])
-    }
-}
+// `calendar` is read by the check pass (`check_calendar`), not stored.
+block!(MachineDoc accepts ["calendar"] {
+    processors: req,
+    ideal: opt(false),
+    lanes: maybe,
+    shards: maybe,
+    classes: opt(Vec::new()),
+    resources: opt(Vec::new()),
+    admission: opt(AdmissionPolicy::AcceptAll),
+    faults: maybe,
+});
 
 /// `machine.calendar` names the future-event list. There is one
 /// (`"heap"` is its frozen spelling), so the key is optional and accepts
@@ -596,26 +554,12 @@ fn check_calendar(v: &Val) -> Result<()> {
         .req_with("kind", |kind| named(kind.str()?, kind.node.line))
 }
 
-impl Field for ProcessorClass {
-    fn read(v: &Val) -> Result<ProcessorClass> {
-        let o = v.obj(&["name", "count", "speed_percent", "affinity"])?;
-        Ok(ProcessorClass {
-            name: o.req("name")?,
-            count: o.req("count")?,
-            speed_percent: o.opt("speed_percent", 100)?,
-            affinity: o.opt("affinity", ClassAffinity::Any)?,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("name", self.name.write()),
-            ("count", self.count.write()),
-            ("speed_percent", self.speed_percent.write()),
-            ("affinity", self.affinity.write()),
-        ])
-    }
-}
+block!(ProcessorClass {
+    name: req,
+    count: req,
+    speed_percent: opt(100),
+    affinity: opt(ClassAffinity::Any),
+});
 
 const AFFINITIES: Tags<ClassAffinity> = &[
     ("any", ClassAffinity::Any, &[]),
@@ -633,19 +577,10 @@ impl Field for ClassAffinity {
     }
 }
 
-impl Field for ResourcePool {
-    fn read(v: &Val) -> Result<ResourcePool> {
-        let o = v.obj(&["name", "tokens"])?;
-        Ok(ResourcePool {
-            name: o.req("name")?,
-            tokens: o.req("tokens")?,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([("name", self.name.write()), ("tokens", self.tokens.write())])
-    }
-}
+block!(ResourcePool {
+    name: req,
+    tokens: req,
+});
 
 const ADMISSIONS: Tags<AdmissionPolicy> = &[
     ("accept_all", AdmissionPolicy::AcceptAll, &[]),
@@ -730,24 +665,11 @@ impl Field for FaultPlan {
     }
 }
 
-impl Field for ScriptedFault {
-    fn read(v: &Val) -> Result<ScriptedFault> {
-        let o = v.obj(&["processor", "crash_at", "repair_after"])?;
-        Ok(ScriptedFault {
-            processor: o.req("processor")?,
-            crash_at: o.req("crash_at")?,
-            repair_after: o.opt("repair_after", None)?,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("processor", self.processor.write()),
-            ("crash_at", self.crash_at.write()),
-            ("repair_after", self.repair_after.write()),
-        ])
-    }
-}
+block!(ScriptedFault {
+    processor: req,
+    crash_at: req,
+    repair_after: opt(None),
+});
 
 /// `{ "bounded": N }` is the one retry policy that is not a tag.
 const RETRIES: Tags<RetryPolicy> = &[
@@ -841,49 +763,11 @@ pub struct ProgramDoc {
     pub phases: Vec<PhaseDoc>,
 }
 
-impl ProgramDoc {
-    fn read(v: &Val, pools: &[ResourcePool], before: &[ProgramDoc]) -> Result<ProgramDoc> {
-        let o = v.obj(&["name", "count", "phases"])?;
-        let name: String = o.req("name")?;
-        // Duplicate program names make stream references ambiguous.
-        if before.iter().any(|p| p.name == name) {
-            let msg = format!("duplicate program name '{name}'");
-            return Err(o.key_error(v.node.line, "name", ScenarioErrorKind::Invalid(msg)));
-        }
-        let count = o.opt("count", 1)?;
-        let phases = o.req_with("phases", |v| {
-            let items = v.items()?;
-            if items.is_empty() {
-                return Err(v.invalid("a program needs at least one phase"));
-            }
-            let phases = items.iter().map(|p| PhaseDoc::read(p, pools));
-            let phases = phases.collect::<Result<Vec<_>, _>>()?;
-            // Each mapping must fit the two phases it connects.
-            for (item, pair) in items.iter().zip(phases.windows(2)) {
-                let (ph, next) = (&pair[0], &pair[1]);
-                if let Err(e) = ph.mapping.mapping().check_edge(ph.granules, next.granules) {
-                    let msg = format!("{e} into '{}'", next.name);
-                    let path = format!("{}.mapping", item.path);
-                    return Err(err(item.node.line, path, ScenarioErrorKind::Invalid(msg)));
-                }
-            }
-            Ok(phases)
-        })?;
-        Ok(ProgramDoc {
-            name,
-            count,
-            phases,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("name", self.name.write()),
-            ("count", self.count.write()),
-            ("phases", arr(&self.phases, PhaseDoc::write)),
-        ])
-    }
-}
+block!(ProgramDoc {
+    name: req,
+    count: opt(1),
+    phases: req,
+});
 
 /// One phase of a scenario program (`workload[i].phases[j]`).
 #[derive(Debug, Clone, PartialEq)]
@@ -902,40 +786,14 @@ pub struct PhaseDoc {
     pub mapping: MappingDoc,
 }
 
-impl PhaseDoc {
-    fn read(v: &Val, pools: &[ResourcePool]) -> Result<PhaseDoc> {
-        let o = v.obj(&["name", "granules", "cost", "lines", "requires", "mapping"])?;
-        let phase = PhaseDoc {
-            name: o.req("name")?,
-            granules: o.req_with("granules", |g| match u32::read(g)? {
-                0 => Err(g.invalid("a phase needs at least one granule")),
-                n => Ok(n),
-            })?,
-            cost: o.req("cost")?,
-            lines: o.opt("lines", 0)?,
-            requires: o.opt("requires", Vec::new())?,
-            mapping: o.opt("mapping", MappingDoc::Null)?,
-        };
-        if let Err((k, what)) = ResourcePool::check_requires(pools, &phase.requires) {
-            let line = o.get("requires").map_or(0, |list| list.items()[k].line);
-            let msg = format!("phase requires {what}");
-            let path = format!("{}.requires[{k}]", v.path);
-            return Err(err(line, path, ScenarioErrorKind::Invalid(msg)));
-        }
-        Ok(phase)
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("name", self.name.write()),
-            ("granules", self.granules.write()),
-            ("cost", self.cost.write()),
-            ("lines", self.lines.write()),
-            ("requires", self.requires.write()),
-            ("mapping", self.mapping.write()),
-        ])
-    }
-}
+block!(PhaseDoc {
+    name: req,
+    granules: req,
+    cost: req,
+    lines: opt(0),
+    requires: opt(Vec::new()),
+    mapping: opt(MappingDoc::Null),
+});
 
 /// Enablement mapping between consecutive phases
 /// (`workload[i].phases[j].mapping`).
@@ -988,29 +846,11 @@ pub struct StreamDoc {
     pub arrivals: ArrivalProcess,
 }
 
-impl StreamDoc {
-    fn read(v: &Val, programs: &[ProgramDoc]) -> Result<StreamDoc> {
-        let o = v.obj(&["program", "count", "arrivals"])?;
-        let program: String = o.req("program")?;
-        if !programs.iter().any(|p| p.name == program) {
-            let msg = format!("stream references unknown program '{program}'");
-            return Err(o.key_error(v.node.line, "program", ScenarioErrorKind::Invalid(msg)));
-        }
-        Ok(StreamDoc {
-            program,
-            count: o.req("count")?,
-            arrivals: o.req("arrivals")?,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("program", self.program.write()),
-            ("count", self.count.write()),
-            ("arrivals", self.arrivals.write()),
-        ])
-    }
-}
+block!(StreamDoc {
+    program: req,
+    count: req,
+    arrivals: req,
+});
 
 /// `stream.arrivals`.
 const ARRIVALS: Tags<ArrivalProcess> = &[
@@ -1049,22 +889,10 @@ pub struct PolicyDoc {
     pub sizing: Option<TaskSizing>,
 }
 
-impl Field for PolicyDoc {
-    fn read(v: &Val) -> Result<PolicyDoc> {
-        let o = v.obj(&["overlap", "sizing"])?;
-        Ok(PolicyDoc {
-            overlap: o.opt("overlap", false)?,
-            sizing: o.maybe("sizing")?,
-        })
-    }
-
-    fn write(&self) -> Json {
-        obj([
-            ("overlap", self.overlap.write()),
-            ("sizing", self.sizing.write()),
-        ])
-    }
-}
+block!(PolicyDoc {
+    overlap: opt(false),
+    sizing: maybe,
+});
 
 impl Field for TaskSizing {
     fn read(v: &Val) -> Result<TaskSizing> {
@@ -1094,16 +922,18 @@ impl Field for TaskSizing {
 impl Scenario {
     /// Parse and validate a scenario document.
     ///
-    /// Validation covers both shape (types, required fields, unknown and
-    /// repeated keys) and semantics (machine-config consistency,
-    /// resource-pool references, identity-mapping granule counts, stream
-    /// program names), each reported at the offending line, in one pass.
+    /// The document is read for shape first (types, required fields,
+    /// unknown and repeated keys), then checked as a whole (machine-config
+    /// consistency, resource-pool references, mapping granule counts,
+    /// stream program names) and against the limits, each error reported
+    /// at the offending line.
     pub fn parse(text: &str) -> Result<Scenario, ScenarioError> {
         let root = json::parse(text)?;
         let scenario = Scenario::read(&Val {
             node: &root,
             path: Path::Root,
         })?;
+        scenario.check(&root)?;
         scenario.check_limits(&root)?;
         Ok(scenario)
     }
@@ -1123,6 +953,72 @@ impl Scenario {
     /// re-parses to an equal [`Scenario`]: `parse(to_json(s)) == s`.
     pub fn to_json(&self) -> String {
         self.write().pretty()
+    }
+
+    /// Check the rules that relate two values of a document whose shape
+    /// is read, each at the line of the value it names. A valid document
+    /// formats no path.
+    fn check(&self, root: &Node) -> Result<()> {
+        fn invalid(line: usize, path: impl Into<String>, msg: impl Into<String>) -> ScenarioError {
+            err(line, path, ScenarioErrorKind::Invalid(msg.into()))
+        }
+        let machine = root.get("machine").unwrap_or(root);
+        if let Some(node) = machine.get("calendar") {
+            let parent = Path::Key(&Path::Root, "machine");
+            let path = Path::Key(&parent, "calendar");
+            check_calendar(&Val { node, path })?;
+        }
+        // Machine-config consistency (class counts, pool names, ...).
+        (self.machine.to_config().validate())
+            .map_err(|e| invalid(machine.line, "machine", e.to_string()))?;
+        if self.workload.is_empty() {
+            let msg = "workload must declare at least one program";
+            return Err(invalid(root.line_of("workload"), "workload", msg));
+        }
+        let programs = root.get("workload").map_or(&[][..], Node::items);
+        for (i, (p, node)) in self.workload.iter().zip(programs).enumerate() {
+            // Duplicate program names make stream references ambiguous.
+            if self.workload[..i].iter().any(|q| q.name == p.name) {
+                let msg = format!("duplicate program name '{}'", p.name);
+                let path = format!("workload[{i}].name");
+                return Err(invalid(node.line_of("name"), path, msg));
+            }
+            if p.phases.is_empty() {
+                let msg = "a program needs at least one phase";
+                let path = format!("workload[{i}].phases");
+                return Err(invalid(node.line_of("phases"), path, msg));
+            }
+            let phases = node.get("phases").map_or(&[][..], Node::items);
+            let at = |j, key: &str| format!("workload[{i}].phases[{j}].{key}");
+            for (j, (ph, item)) in p.phases.iter().zip(phases).enumerate() {
+                if ph.granules == 0 {
+                    let msg = "a phase needs at least one granule";
+                    return Err(invalid(item.line_of("granules"), at(j, "granules"), msg));
+                }
+                let pools = &self.machine.resources;
+                if let Err((k, what)) = ResourcePool::check_requires(pools, &ph.requires) {
+                    let line = item.get("requires").map_or(0, |list| list.items()[k].line);
+                    let path = at(j, &format!("requires[{k}]"));
+                    return Err(invalid(line, path, format!("phase requires {what}")));
+                }
+            }
+            // Each mapping must fit the two phases it connects.
+            for (j, (pair, item)) in p.phases.windows(2).zip(phases).enumerate() {
+                let (ph, next) = (&pair[0], &pair[1]);
+                if let Err(e) = ph.mapping.mapping().check_edge(ph.granules, next.granules) {
+                    let msg = format!("{e} into '{}'", next.name);
+                    return Err(invalid(item.line, at(j, "mapping"), msg));
+                }
+            }
+        }
+        match &self.stream {
+            Some(st) if !self.workload.iter().any(|p| p.name == st.program) => {
+                let line = root.get("stream").map_or(0, |node| node.line_of("program"));
+                let msg = format!("stream references unknown program '{}'", st.program);
+                Err(invalid(line, "stream.program", msg))
+            }
+            _ => Ok(()),
+        }
     }
 
     /// Reject a document that asks for more than the loader's limits,

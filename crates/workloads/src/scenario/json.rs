@@ -219,6 +219,19 @@ impl Reader<'_> {
         text.parse().map(Json::Num).map_err(malformed)
     }
 
+    /// The four hex digits of a `\u` escape.
+    fn parse_hex4(&mut self) -> Result<u32> {
+        let mut code = 0;
+        for _ in 0..4 {
+            let d = self
+                .bump()
+                .and_then(|c| (c as char).to_digit(16))
+                .ok_or_else(|| self.syntax("malformed \\u escape"))?;
+            code = code * 16 + d;
+        }
+        Ok(code)
+    }
+
     fn parse_string(&mut self) -> Result<String> {
         self.expect(b'"')?;
         let mut out = String::new();
@@ -236,13 +249,17 @@ impl Reader<'_> {
                     Some(b'b') => out.push('\u{8}'),
                     Some(b'f') => out.push('\u{c}'),
                     Some(b'u') => {
-                        let mut code = 0u32;
-                        for _ in 0..4 {
-                            let d = self
-                                .bump()
-                                .and_then(|c| (c as char).to_digit(16))
-                                .ok_or_else(|| self.syntax("malformed \\u escape"))?;
-                            code = code * 16 + d;
+                        let mut code = self.parse_hex4()?;
+                        // A character above U+FFFF is escaped as a surrogate
+                        // pair; a lone half of one is no character.
+                        if (0xD800..0xDC00).contains(&code)
+                            && self.bytes[self.pos..].starts_with(b"\\u")
+                        {
+                            self.pos += 2;
+                            let low = self.parse_hex4()?;
+                            if (0xDC00..0xE000).contains(&low) {
+                                code = 0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00);
+                            }
                         }
                         out.push(
                             char::from_u32(code)

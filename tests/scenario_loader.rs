@@ -416,6 +416,55 @@ fn a_document_with_no_jobs_is_rejected_at_load() {
     assert_eq!(report.jobs.len(), 2);
 }
 
+/// The rules that relate two values of a document are checked once the
+/// whole document is read, each at the line of the value it names.
+#[test]
+fn cross_reference_errors_locate_line_and_path() {
+    let second_program = doc_with("", "", "").replace(
+        "  } ]",
+        "  },\n  { \"phases\": [ { \"name\": \"q\", \"granules\": 1,\n    \
+         \"cost\": { \"dist\": \"zero\" } } ],\n    \"name\": \"w\" } ]",
+    );
+    let unknown_program = doc_with(
+        "",
+        "",
+        ",\n  \"stream\": { \"count\": 1,\n    \"program\": \"nope\",\n    \
+         \"arrivals\": { \"process\": \"poisson\", \"mean_gap\": 10 } }",
+    );
+    let no_programs = "{\n  \"machine\": { \"processors\": 2 },\n  \"workload\":\n    []\n}";
+    let no_phases = "{\n  \"machine\": { \"processors\": 2 },\n  \"workload\": [ {\n    \
+                     \"name\": \"w\",\n    \"phases\":\n      [] } ]\n}";
+    let cases = [
+        (second_program.as_str(), 10, "workload[1].name"),
+        (unknown_program.as_str(), 9, "stream.program"),
+        (no_programs, 4, "workload"),
+        (no_phases, 6, "workload[0].phases"),
+    ];
+    for (text, line, path) in cases {
+        assert_invalid_at(text, line, path);
+    }
+}
+
+/// A character outside the Basic Multilingual Plane written as a JSON
+/// surrogate pair (as Python's `json.dumps` writes one by default) reads
+/// as the character, and a lone half of a pair is a syntax error.
+#[test]
+fn surrogate_pair_escapes_read_as_one_character() {
+    let text = doc_with("", "", "").replace("\"w\"", r#""\ud83d\ude00 \uD83D\uDE00""#);
+    let scenario = Scenario::parse(&text).unwrap();
+    assert_eq!(scenario.workload[0].name, "😀 😀");
+    assert_eq!(Scenario::parse(&scenario.to_json()).unwrap(), scenario);
+    for lone in [r"\ud83d", r"\ud83d x", r"\ud83d\u0041", r"\ude00"] {
+        let text = doc_with("", "", "").replace("\"w\"", &format!("\"{lone}\""));
+        let e = Scenario::parse(&text).unwrap_err();
+        assert!(
+            matches!(e.kind, ScenarioErrorKind::Syntax(_)),
+            "{lone}: {e}"
+        );
+        assert_eq!(e.line, 4, "{lone}");
+    }
+}
+
 mod hostile_bytes {
     use super::*;
     use proptest::prelude::*;
