@@ -4,13 +4,11 @@
 //! precisely that those reads stop dragging whole descriptor structs
 //! through the cache. The groups here isolate that access pattern, the
 //! alloc/release recycling churn, the conflict-queue link traffic, and
-//! the split chains the dispatch path produces — plus the `RangeSet`
-//! completed-run hint on its in-order fast path.
+//! the split chains the dispatch path produces.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pax_core::descriptor::{DescArena, QueueClass};
 use pax_core::ids::{DescId, GranuleRange, InstanceId, JobId};
-use pax_core::rangeset::RangeSet;
 use rand::Rng;
 
 fn populate(n: u32) -> (DescArena, Vec<DescId>) {
@@ -129,33 +127,11 @@ fn bench_split_chain(c: &mut Criterion) {
     g.finish();
 }
 
-/// The completed-run hint on its home turf: strictly in-order
-/// single-granule inserts (the identity-rundown merge pattern). Without
-/// the hint every insert re-runs the binary search; with it, each is an
-/// O(1) tail extend.
-fn bench_rangeset_inorder_hint(c: &mut Criterion) {
-    let mut g = c.benchmark_group("rangeset_inorder_insert");
-    g.sample_size(10);
-    for &n in &[100_000u32, 1_000_000] {
-        g.bench_with_input(BenchmarkId::from_parameter(n), &n, |b, &n| {
-            b.iter(|| {
-                let mut s = RangeSet::new();
-                for i in 0..n {
-                    s.insert_run(GranuleRange::new(i, i + 1));
-                }
-                s.run_count()
-            })
-        });
-    }
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_completion_field_scan,
     bench_alloc_release_churn,
     bench_cq_mirror,
-    bench_split_chain,
-    bench_rangeset_inorder_hint
+    bench_split_chain
 );
 criterion_main!(benches);

@@ -1,6 +1,5 @@
-//! Criterion bench for E5–E8 families: management overhead, split
-//! strategies, and indirect-map machinery on the CASPER pipeline, plus
-//! what a wide executive costs the host.
+//! What management costs the host: the CASPER pipeline under each
+//! executive placement, and a wide executive against a narrow one.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use pax_core::prelude::*;
@@ -52,42 +51,6 @@ fn bench_casper_pipeline(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_split_strategies(c: &mut Criterion) {
-    let mut g = c.benchmark_group("e7_split_strategies");
-    g.sample_size(10);
-    use pax_workloads::generators::{CostShape, GeneratorConfig};
-    let cfg = GeneratorConfig {
-        phases: 3,
-        granules: 400,
-        mean_cost: 100,
-        shape: CostShape::Jittered,
-        mapping: pax_core::mapping::MappingKind::Identity,
-        reverse_fan: 4,
-        seed: 0xE7,
-    };
-    for strat in [
-        SplitStrategy::DemandSplit,
-        SplitStrategy::PreSplit,
-        SplitStrategy::SuccessorSplitTask,
-    ] {
-        g.bench_with_input(
-            BenchmarkId::from_parameter(format!("{strat:?}")),
-            &strat,
-            |b, &strat| {
-                b.iter(|| {
-                    let machine =
-                        MachineConfig::new(16).with_costs(ManagementCosts::pax_default().scaled(8));
-                    let policy = OverlapPolicy::overlap().with_split_strategy(strat);
-                    let mut sim = Simulation::new(machine, policy);
-                    sim.add_job(cfg.build(true));
-                    sim.run().unwrap().makespan
-                })
-            },
-        );
-    }
-    g.finish();
-}
-
 /// What the executive's width costs the *simulator*: the two-phase
 /// identity program at 10⁵ single-granule tasks (demand split, 16
 /// processors, seed 7) with 1 and with 64 executive lanes. The simulated
@@ -125,10 +88,5 @@ fn bench_executive_lanes(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(
-    benches,
-    bench_casper_pipeline,
-    bench_split_strategies,
-    bench_executive_lanes
-);
+criterion_group!(benches, bench_casper_pipeline, bench_executive_lanes);
 criterion_main!(benches);

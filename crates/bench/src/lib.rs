@@ -22,9 +22,9 @@
 //! | E13 | (extension) serial-executive saturation at scale |
 //!
 //! Run them all with `cargo run --release -p pax-bench --bin experiments`.
-//! Host-time measurement lives elsewhere: the criterion files under
-//! `benches/` for single structures, and the `benchmark/` workspace at the
-//! root of the repo for end-to-end and per-layer numbers.
+//! Host-time measurement lives elsewhere: the `benchmark/` workspace at
+//! the root of the repo for end-to-end and per-layer numbers, and the
+//! criterion files under `benches/` for the few rows it cannot give yet.
 
 #![warn(missing_docs)]
 

@@ -12,6 +12,8 @@
 
 use crate::executor::{RtPhase, RtPhaseReport, RuntimeConfig};
 use pax_core::mapping::{CompositeMap, MappingKind};
+use std::any::Any;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 /// A contiguous granule range of one phase, at most one task size long.
@@ -20,6 +22,20 @@ pub(crate) struct Task {
     pub(crate) phase: usize,
     pub(crate) lo: u32,
     pub(crate) hi: u32,
+}
+
+/// What a granule's work panicked with.
+pub(crate) type Panic = Box<dyn Any + Send>;
+
+impl Task {
+    /// Run the task's granules. A granule that panics ends the task there
+    /// and its payload comes back: the task never completes, so the
+    /// executor stops every worker and re-raises the payload on the
+    /// caller rather than wait for a chain that cannot finish.
+    pub(crate) fn run(self, specs: &[RtPhase]) -> Result<(), Panic> {
+        let work = &*specs[self.phase].work;
+        catch_unwind(AssertUnwindSafe(|| (self.lo..self.hi).for_each(work)))
+    }
 }
 
 struct Phase {
@@ -52,7 +68,8 @@ pub(crate) struct PhaseBook {
 impl PhaseBook {
     /// The book of a chain, nothing released yet: each indirect edge's
     /// composite map and counters built. Refuses, before any thread
-    /// starts, a chain with an edge whose mapping does not fit its phases
+    /// starts, a chain with a phase of no granules, which never completes,
+    /// or with an edge whose mapping does not fit its phases
     /// ([`check_edge`](pax_core::mapping::EnablementMapping::check_edge)):
     /// unchecked, a granule could be left unreleased for ever or released
     /// twice.
@@ -62,6 +79,11 @@ impl PhaseBook {
             .iter()
             .enumerate()
             .map(|(i, spec)| {
+                assert!(
+                    spec.granules > 0,
+                    "phase {i} `{}` has no granules",
+                    spec.name
+                );
                 let (enabled_by, composite) = match i.checked_sub(1).map(|p| &specs[p]) {
                     None => (MappingKind::Null, None),
                     Some(pred) => {

@@ -17,11 +17,12 @@
 //! one cycle per processor per task time. The book is a field of the
 //! state that one mutex guards.
 
-use crate::book::{PhaseBook, Task};
+use crate::book::{Panic, PhaseBook, Task};
 use crate::work::spin_for;
 use parking_lot::{Condvar, Mutex};
 use pax_core::mapping::EnablementMapping;
 use std::collections::VecDeque;
+use std::panic::resume_unwind;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -180,6 +181,8 @@ struct State {
     queue: VecDeque<Task>,
     book: PhaseBook,
     tasks_executed: u64,
+    /// The first granule panic; every worker exits once it is set.
+    panic: Option<Panic>,
 }
 
 struct Shared {
@@ -201,7 +204,9 @@ impl Shared {
     }
 }
 
-/// Run a phase chain to completion; returns measured timings.
+/// Run a phase chain to completion; returns measured timings. A granule
+/// that panics stops the run, and its panic is re-raised here once every
+/// worker has exited.
 pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
     let mut book = PhaseBook::new(&specs, &cfg);
     let mut queue = VecDeque::new();
@@ -212,6 +217,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
             queue,
             book,
             tasks_executed: 0,
+            panic: None,
         }),
         cond: Condvar::new(),
         specs,
@@ -226,23 +232,26 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                 let task = {
                     let mut st = sh.state.lock();
                     loop {
+                        if st.book.done() || st.panic.is_some() {
+                            break None;
+                        }
                         if let Some(t) = st.queue.pop_front() {
                             st.book.on_task_start(t, Instant::now());
                             break Some(t);
-                        }
-                        if st.book.done() {
-                            break None;
                         }
                         sh.cond.wait(&mut st);
                     }
                 };
                 let Some(t) = task else { break };
                 let start = Instant::now();
-                for g in t.lo..t.hi {
-                    (sh.specs[t.phase].work)(g);
-                }
+                let ran = t.run(&sh.specs);
                 busy += start.elapsed();
                 let mut st = sh.state.lock();
+                if let Err(payload) = ran {
+                    st.panic.get_or_insert(payload);
+                    sh.cond.notify_all();
+                    break;
+                }
                 st.tasks_executed += 1;
                 // Serial executive: service your own completion while
                 // holding the lock (the PAX arrangement).
@@ -257,7 +266,10 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         busy_total += h.join().expect("worker panicked");
     }
     let wall = t0.elapsed();
-    let st = shared.state.lock();
+    let mut st = shared.state.lock();
+    if let Some(payload) = st.panic.take() {
+        resume_unwind(payload);
+    }
     RtReport {
         wall,
         busy: busy_total,
@@ -460,13 +472,55 @@ mod tests {
         assert!(r.utilization() > 0.0);
     }
 
+    type Executor = fn(Vec<RtPhase>, RuntimeConfig) -> RtReport;
+
+    /// Run `chain` on a helper thread and return how the run ended, or
+    /// fail once it has run for 10 s: a hung executor fails its test
+    /// instead of hanging the suite.
+    fn run_guarded(
+        run: Executor,
+        chain: Vec<RtPhase>,
+        cfg: RuntimeConfig,
+    ) -> std::thread::Result<RtReport> {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| run(chain, cfg))));
+        });
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("the executor did not return within 10 s")
+    }
+
+    #[test]
+    fn a_granule_panic_is_raised_on_the_caller() {
+        // Unhandled, the panicking task never completes: the other workers
+        // wait for the chain's end for good, and so does the caller's join.
+        for run in [run_chain as Executor, crate::lateral::run_chain_lateral] {
+            let chain = vec![RtPhase::new(
+                "fails",
+                64,
+                Arc::new(|g| {
+                    if g == 37 {
+                        panic!("granule {g} fails");
+                    }
+                }),
+            )];
+            let payload = run_guarded(run, chain, RuntimeConfig::new(4, 1))
+                .expect_err("the run hid the granule's panic");
+            assert_eq!(
+                payload.downcast_ref::<String>().map(String::as_str),
+                Some("granule 37 fails")
+            );
+        }
+    }
+
     /// Both executors must refuse `chain` before a thread starts, with
     /// the same message; the central executor's panic is re-raised for the
     /// caller's `#[should_panic(expected = ..)]` to read.
     fn both_executors_reject(chain: impl Fn() -> Vec<RtPhase>) {
-        use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-        let message = |run: fn(Vec<RtPhase>, RuntimeConfig) -> RtReport| {
-            let refused = catch_unwind(AssertUnwindSafe(|| run(chain(), RuntimeConfig::new(2, 2))));
+        use std::panic::resume_unwind;
+        let message = |run: Executor| {
+            let refused = run_guarded(run, chain(), RuntimeConfig::new(2, 2));
             let payload = refused.expect_err("the executor ran a mis-shaped chain");
             let text = payload.downcast_ref::<String>().cloned();
             (text.expect("a formatted panic message"), payload)
@@ -475,6 +529,23 @@ mod tests {
         let (central, payload) = message(run_chain);
         assert_eq!(central, lateral, "the executors share one validation");
         resume_unwind(payload);
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `z` has no granules")]
+    fn a_lone_phase_needs_granules() {
+        both_executors_reject(|| vec![RtPhase::synthetic("z", 0, Duration::ZERO)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "phase 0 `z` has no granules")]
+    fn a_phase_with_a_successor_needs_granules() {
+        // Unchecked, `z` never completes, so neither does the chain.
+        both_executors_reject(|| {
+            let z = RtPhase::synthetic("z", 0, Duration::ZERO)
+                .with_mapping(EnablementMapping::Universal);
+            vec![z, RtPhase::synthetic("b", 10, Duration::ZERO)]
+        });
     }
 
     /// A 10 → 10 edge under `mapping`.

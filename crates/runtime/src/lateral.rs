@@ -15,10 +15,11 @@
 //! takes a lock. This module owns the deques, the injector, the steal
 //! order and the steal counters.
 
-use crate::book::{PhaseBook, Task};
+use crate::book::{Panic, PhaseBook, Task};
 use crate::executor::{RtPhase, RtReport, RuntimeConfig};
 use crossbeam::deque::{Injector, Stealer, Worker as Deque};
 use parking_lot::Mutex;
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,7 +33,10 @@ struct Shared {
     /// `(victim, same_cluster)` pairs, fixed at startup.
     steal_order: Vec<Vec<(usize, bool)>>,
     book: Mutex<PhaseBook>,
+    /// Set when the chain completes, or when a granule panics.
     done: AtomicBool,
+    /// The first granule panic.
+    panic: Mutex<Option<Panic>>,
     tasks_executed: AtomicU64,
     steals_same_cluster: AtomicU64,
     steals_cross_cluster: AtomicU64,
@@ -91,7 +95,9 @@ fn build_steal_order(cfg: &RuntimeConfig) -> Vec<Vec<(usize, bool)>> {
         .collect()
 }
 
-/// Run a phase chain on the lateral (work-stealing) executor.
+/// Run a phase chain on the lateral (work-stealing) executor. A granule
+/// that panics stops the run, and its panic is re-raised here once every
+/// worker has exited.
 pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
     let mut book = PhaseBook::new(&specs, &cfg);
     let workers = cfg.workers;
@@ -108,6 +114,7 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         injector,
         stealers,
         done: AtomicBool::new(false),
+        panic: Mutex::new(None),
         tasks_executed: AtomicU64::new(0),
         steals_same_cluster: AtomicU64::new(0),
         steals_cross_cluster: AtomicU64::new(0),
@@ -118,21 +125,21 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         let sh = Arc::clone(&shared);
         handles.push(std::thread::spawn(move || {
             let mut busy = Duration::ZERO;
-            loop {
+            while !sh.done.load(Ordering::Acquire) {
                 let Some(t) = sh.find_task(&deque, id) else {
-                    if sh.done.load(Ordering::Acquire) {
-                        break;
-                    }
                     std::hint::spin_loop();
                     std::thread::yield_now();
                     continue;
                 };
                 sh.book.lock().on_task_start(t, Instant::now());
                 let start = Instant::now();
-                for g in t.lo..t.hi {
-                    (sh.specs[t.phase].work)(g);
-                }
+                let ran = t.run(&sh.specs);
                 busy += start.elapsed();
+                if let Err(payload) = ran {
+                    sh.panic.lock().get_or_insert(payload);
+                    sh.done.store(true, Ordering::Release);
+                    break;
+                }
                 sh.tasks_executed.fetch_add(1, Ordering::AcqRel);
                 // lateral hand-off: whatever `t` enables goes to this
                 // worker's own deque, warm in cache
@@ -154,6 +161,9 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         busy_total += h.join().expect("worker panicked");
     }
     let wall = t0.elapsed();
+    if let Some(payload) = shared.panic.lock().take() {
+        resume_unwind(payload);
+    }
     let phases = shared.book.lock().phase_reports(&shared.specs, t0);
     RtReport {
         wall,

@@ -10,9 +10,11 @@
 //! [`EnablementMapping`](pax_core::mapping::EnablementMapping), checked
 //! against its two phases by the same
 //! [`check_edge`](pax_core::mapping::EnablementMapping::check_edge)
-//! before any thread starts; an indirect edge's composite map is built
-//! with [`CompositeMap::build`](pax_core::mapping::CompositeMap::build)
-//! before the clock starts.
+//! before any thread starts, as is every phase's granule count (at least
+//! one); an indirect edge's composite map is built with
+//! [`CompositeMap::build`](pax_core::mapping::CompositeMap::build) before
+//! the clock starts. A granule whose work panics stops the run: every
+//! worker exits and the panic is re-raised on the caller.
 //!
 //! Two executors share that machinery, written once in the crate-private
 //! `book` module (what a completion releases, and when: the mapping's
