@@ -161,9 +161,7 @@ pub fn classify(
     {
         return Classification {
             kind: MappingKind::Seam,
-            mapping: EnablementMapping::Seam(Arc::new(SeamMap {
-                requires: requires.clone(),
-            })),
+            mapping: EnablementMapping::Seam(Arc::new(SeamMap::new(requires.clone()))),
             requires,
         };
     }

@@ -384,15 +384,6 @@ impl DescArena {
         self.links[owner.0 as usize].cq_head = NIL;
     }
 
-    /// Detach and return every member of `owner`'s conflict queue, in
-    /// insertion order. Allocating wrapper over
-    /// [`DescArena::cq_drain_into`] for tests and cold paths.
-    pub fn cq_drain(&mut self, owner: DescId) -> Vec<DescId> {
-        let mut out = Vec::new();
-        self.cq_drain_into(owner, &mut out);
-        out
-    }
-
     /// Remove a single `member` from whatever conflict queue it is on.
     pub fn cq_remove(&mut self, member: DescId) {
         let Links {
@@ -436,14 +427,6 @@ impl DescArena {
         }
     }
 
-    /// Iterate members of `owner`'s conflict queue without detaching.
-    /// Allocating wrapper over [`DescArena::cq_members_into`].
-    pub fn cq_members(&self, owner: DescId) -> Vec<DescId> {
-        let mut out = Vec::new();
-        self.cq_members_into(owner, &mut out);
-        out
-    }
-
     /// Split the waiting description `id` at `at` granules: `id` keeps the
     /// front `[lo, lo+at)`; a new description takes the remainder. Any
     /// identity-mapped successors on the conflict queue are *not* touched
@@ -468,6 +451,20 @@ impl DescArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// `owner`'s queue, detached, through [`DescArena::cq_drain_into`].
+    fn drain(a: &mut DescArena, owner: DescId) -> Vec<DescId> {
+        let mut out = Vec::new();
+        a.cq_drain_into(owner, &mut out);
+        out
+    }
+
+    /// `owner`'s queue, in place, through [`DescArena::cq_members_into`].
+    fn members(a: &DescArena, owner: DescId) -> Vec<DescId> {
+        let mut out = Vec::new();
+        a.cq_members_into(owner, &mut out);
+        out
+    }
 
     fn arena_with(n: usize) -> (DescArena, Vec<DescId>) {
         let mut a = DescArena::new();
@@ -510,11 +507,11 @@ mod tests {
         a.cq_push(ids[0], ids[3]);
         assert!(a.has_conflicts(ids[0]));
         assert_eq!(a.state(ids[1]), DescState::Conflicted);
-        let drained = a.cq_drain(ids[0]);
+        let drained = drain(&mut a, ids[0]);
         assert_eq!(drained, vec![ids[1], ids[2], ids[3]]);
         assert!(!a.has_conflicts(ids[0]));
         assert_eq!(a.state(ids[1]), DescState::Fresh);
-        assert!(a.cq_drain(ids[0]).is_empty());
+        assert!(drain(&mut a, ids[0]).is_empty());
     }
 
     #[test]
@@ -524,8 +521,8 @@ mod tests {
         a.cq_push(ids[0], ids[2]);
         a.cq_push(ids[0], ids[3]);
         a.cq_remove(ids[2]);
-        assert_eq!(a.cq_members(ids[0]), vec![ids[1], ids[3]]);
-        let drained = a.cq_drain(ids[0]);
+        assert_eq!(members(&a, ids[0]), vec![ids[1], ids[3]]);
+        let drained = drain(&mut a, ids[0]);
         assert_eq!(drained, vec![ids[1], ids[3]]);
     }
 
@@ -535,7 +532,7 @@ mod tests {
         a.cq_push(ids[0], ids[1]);
         a.cq_push(ids[0], ids[2]);
         a.cq_remove(ids[1]); // head
-        assert_eq!(a.cq_members(ids[0]), vec![ids[2]]);
+        assert_eq!(members(&a, ids[0]), vec![ids[2]]);
         a.cq_remove(ids[2]); // sole member
         assert!(!a.has_conflicts(ids[0]));
     }
@@ -574,12 +571,12 @@ mod tests {
         let (mut a, ids) = arena_with(3);
         a.cq_push(ids[0], ids[1]);
         a.cq_push(ids[1], ids[2]);
-        assert_eq!(a.cq_members(ids[0]), vec![ids[1]]);
-        assert_eq!(a.cq_members(ids[1]), vec![ids[2]]);
+        assert_eq!(members(&a, ids[0]), vec![ids[1]]);
+        assert_eq!(members(&a, ids[1]), vec![ids[2]]);
         // draining the outer queue leaves the inner intact
-        let drained = a.cq_drain(ids[0]);
+        let drained = drain(&mut a, ids[0]);
         assert_eq!(drained, vec![ids[1]]);
-        assert_eq!(a.cq_members(ids[1]), vec![ids[2]]);
+        assert_eq!(members(&a, ids[1]), vec![ids[2]]);
     }
 
     #[test]

@@ -59,7 +59,6 @@ mod session;
 
 pub use error::EngineError;
 use faults::FaultRt;
-use overlap::MemoizedComposite;
 pub use session::{Session, Simulation};
 
 /// Simulator events.
@@ -116,13 +115,14 @@ enum InstState {
 /// map for every initiated successor and pays `useful` entries of lane
 /// time for it, immediately or in background chunks; until that is paid
 /// `counters` is `None` and completions decrement nothing. The *host*
-/// resolves the map once, at initiation, from the engine's memo
-/// ([`Engine::composite_for`]): every instance initiated under one
+/// takes the map at initiation from the mapping itself
+/// ([`EnablementMapping::composite`](crate::mapping::EnablementMapping::composite)),
+/// which builds it once per payload: every instance initiated under one
 /// mapping payload shares one constructed map.
 #[derive(Debug)]
 struct CounterState {
     /// The successor's composite granule map (decrements flow through
-    /// it), shared with the memo and with sibling instances.
+    /// it), shared with its mapping and with sibling instances.
     composite: Arc<CompositeMap>,
     /// Entries of `composite` that feed the early subset, counted once:
     /// what the executive is charged to build the map.
@@ -282,9 +282,6 @@ pub(crate) struct Engine {
     now: SimTime,
     exec_lanes: Vec<SimTime>,
     exec_backlog: VecDeque<ExecTask>,
-    /// Built composite maps, most recently used first (see
-    /// [`Engine::composite_for`]).
-    composite_memo: Vec<MemoizedComposite>,
     idle_workers: Vec<WorkerId>,
     rng: SmallRng,
     /// Processors computing, traced as the run goes: dispatch learns a
@@ -440,7 +437,6 @@ impl Engine {
             now: SimTime::ZERO,
             exec_lanes: vec![SimTime::ZERO; s.cfg.executive_lanes],
             exec_backlog: VecDeque::new(),
-            composite_memo: Vec::new(),
             idle_workers: Vec::with_capacity(s.cfg.processors),
             rng: pax_sim::seeded_rng(s.seed),
             computing: LevelSweep::expecting(trace_points),

@@ -240,30 +240,17 @@ impl Engine {
                 1
             }
         };
-        let give_up = match retry {
-            RetryPolicy::Abandon => true,
-            RetryPolicy::Bounded { max_attempts } => attempts > max_attempts,
-            RetryPolicy::ReissueFront => false,
-        };
-        if give_up {
-            let job = self.arena.job(d).0 as usize;
-            let detail = match retry {
-                RetryPolicy::Abandon => format!(
-                    "processor {} crashed at {} and the retry policy abandons lost work",
-                    w.0, self.now
-                ),
-                _ => format!(
+        if let RetryPolicy::Bounded { max_attempts } = retry {
+            if attempts > max_attempts {
+                let job = self.arena.job(d).0 as usize;
+                let detail = format!(
                     "descriptor lost to processor crashes {attempts} times \
-                     (reissue budget {})",
-                    match retry {
-                        RetryPolicy::Bounded { max_attempts } => max_attempts,
-                        _ => 0,
-                    }
-                ),
-            };
-            self.abort
-                .get_or_insert(EngineError::JobAborted { job, detail });
-            return;
+                     (reissue budget {max_attempts})"
+                );
+                self.abort
+                    .get_or_insert(EngineError::JobAborted { job, detail });
+                return;
+            }
         }
         self.faults.as_mut().expect("fault plan present").retries += 1;
         let class = self.arena.class(d);

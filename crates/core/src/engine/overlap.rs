@@ -6,7 +6,7 @@
 use super::{CounterState, Engine, Ev, ExecTask, InstState};
 use crate::descriptor::{DescState, QueueClass};
 use crate::ids::{DescId, GranuleRange, InstanceId, JobId};
-use crate::mapping::{CompositeMap, EnablementMapping, MappingKind};
+use crate::mapping::{EnablementMapping, MappingKind};
 use crate::policy::CompositeBuild;
 use crate::program::{Lookahead, Step};
 use crate::rangeset::coalesce_indices_into;
@@ -16,33 +16,6 @@ use std::sync::Arc;
 
 /// Lane-time slice for chunked background composite-map construction.
 const BUILD_CHUNK_TICKS: u64 = 64;
-
-/// Composite maps the engine keeps ready for reuse. A constant, not an
-/// option: a loop or a stream re-initiating the same few mappings builds
-/// each once, while a long-lived session whose jobs each bring their own
-/// maps holds at most this many.
-pub(super) const COMPOSITE_MEMO_SLOTS: usize = 8;
-
-/// One memoised composite map. The key is the *identity* of the mapping's
-/// shared payload plus the current phase's granule count; holding the
-/// mapping keeps the payload alive, so its address cannot be recycled by
-/// a different map while the entry exists.
-pub(super) struct MemoizedComposite {
-    mapping: EnablementMapping,
-    pred_granules: u32,
-    composite: Arc<CompositeMap>,
-}
-
-/// Whether two indirect mappings share one payload allocation.
-fn same_payload(a: &EnablementMapping, b: &EnablementMapping) -> bool {
-    use EnablementMapping::{ForwardIndirect, ReverseIndirect, Seam};
-    match (a, b) {
-        (ForwardIndirect(x), ForwardIndirect(y)) => Arc::ptr_eq(x, y),
-        (ReverseIndirect(x), ReverseIndirect(y)) => Arc::ptr_eq(x, y),
-        (Seam(x), Seam(y)) => Arc::ptr_eq(x, y),
-        _ => false,
-    }
-}
 
 impl Engine {
     /// Apply the overlap policy at the moment `pred` becomes current:
@@ -154,7 +127,7 @@ impl Engine {
         cost: &mut SimDuration,
     ) {
         let early_limit = self.policy.indirect_subset.min(self.inst(succ_id).granules);
-        let composite = self.composite_for(mapping, self.inst(pred_id).granules);
+        let composite = Arc::clone(mapping.composite().expect("an indirect mapping"));
         // Only entries that feed the chosen early subset are constructed
         // (the paper's subset advice caps the enablement problem's size).
         let useful = if early_limit as usize >= composite.requires.len() {
@@ -190,38 +163,6 @@ impl Engine {
                 self.kick_exec();
             }
         }
-    }
-
-    /// The composite map of `mapping` over a current phase of
-    /// `pred_granules` granules: the memoised one while it is among the
-    /// [`COMPOSITE_MEMO_SLOTS`] most recently used, else built here (the
-    /// only place one is) and remembered in place of the least recently
-    /// used. Host work only — the simulated executive is charged for a
-    /// construction per initiated successor regardless.
-    fn composite_for(
-        &mut self,
-        mapping: &EnablementMapping,
-        pred_granules: u32,
-    ) -> Arc<CompositeMap> {
-        let memo = &mut self.composite_memo;
-        let hit = memo
-            .iter()
-            .position(|e| e.pred_granules == pred_granules && same_payload(&e.mapping, mapping));
-        match hit {
-            Some(i) => memo[..=i].rotate_right(1),
-            None => {
-                memo.truncate(COMPOSITE_MEMO_SLOTS - 1);
-                memo.insert(
-                    0,
-                    MemoizedComposite {
-                        mapping: mapping.clone(),
-                        pred_granules,
-                        composite: Arc::new(CompositeMap::build(mapping, pred_granules)),
-                    },
-                );
-            }
-        }
-        Arc::clone(&memo[0].composite)
     }
 
     /// The simulated executive finishes constructing the composite map for
@@ -482,7 +423,6 @@ impl Engine {
         }
         let range = self.arena.range(succ_desc);
         let succ_inst = self.arena.instance(succ_desc);
-        let job = self.arena.job(succ_desc);
 
         // Pieces: completed predecessor sub-ranges release immediately;
         // live predecessor descriptors get matching conflicted pieces.
@@ -508,24 +448,6 @@ impl Engine {
             "predecessor pieces must tile the successor range"
         );
 
-        if pieces.len() == 1 {
-            let (_, target) = pieces[0];
-            match target {
-                Some(pd) => {
-                    self.arena.set_state(succ_desc, DescState::Fresh);
-                    self.arena.cq_push(pd, succ_desc);
-                }
-                None => {
-                    *cost += self.cfg.costs.release;
-                    let rc = self.released_class();
-                    self.enqueue(succ_desc, rc, false);
-                }
-            }
-            pieces.clear();
-            self.scratch.pieces = pieces;
-            return;
-        }
-
         // Slice the detached descriptor front-to-back.
         let mut cur = succ_desc;
         self.arena.set_state(cur, DescState::Fresh);
@@ -547,7 +469,6 @@ impl Engine {
                 Some(pd) => self.arena.cq_push(pd, piece),
                 None => {
                     *cost += self.cfg.costs.release;
-                    let _ = job;
                     let rc = self.released_class();
                     self.enqueue(piece, rc, false);
                 }

@@ -345,18 +345,8 @@ fn indirect_chain(granules: &[u32], maps: &[EnablementMapping], iterations: i64)
     b.build().unwrap()
 }
 
-/// Drive `sim` on a bare engine; the report, and how many composite maps
-/// the engine held when the calendar ran dry.
-fn run_counting_maps(sim: Simulation) -> (RunReport, usize) {
-    let mut eng = Engine::new(sim);
-    eng.start();
-    assert!(eng.run_window(None));
-    let held = eng.composite_memo.len();
-    (eng.finish().expect("run failed"), held)
-}
-
 #[test]
-fn composite_memo_key_is_identity_and_result_is_content() {
+fn shared_and_distinct_payloads_give_one_report() {
     // Two jobs behind one `Arc<ReverseMap>` share one built map; two jobs
     // holding equal maps in distinct `Arc`s build two. Nothing a report
     // records can tell the difference.
@@ -370,21 +360,20 @@ fn composite_memo_key_is_identity_and_result_is_content() {
                 2,
             ));
         }
-        run_counting_maps(sim)
+        sim.run().expect("run failed")
     };
     let one = ring_reverse_map(8, 8, 0);
-    let (shared, shared_maps) = two_jobs(one.clone(), one);
-    let (distinct, distinct_maps) = two_jobs(ring_reverse_map(8, 8, 0), ring_reverse_map(8, 8, 0));
-    assert_eq!((shared_maps, distinct_maps), (1, 2));
+    let shared = two_jobs(one.clone(), one);
+    let distinct = two_jobs(ring_reverse_map(8, 8, 0), ring_reverse_map(8, 8, 0));
     assert!(shared.total_overlap_granules() > 0);
     assert_eq!(shared, distinct);
 }
 
 #[test]
-fn composite_memo_key_includes_the_current_phase_size() {
-    // One map behind a 12-granule and an 8-granule current phase: the
-    // inverted index differs (13 offsets against 9), so two are built —
-    // and the run is the one two separate `Arc`s give.
+fn one_map_serves_current_phases_of_any_fitting_size() {
+    // One map behind a 12-granule and an 8-granule current phase: its one
+    // composite covers the 8 current granules it names, and the run is the
+    // one two separate `Arc`s give.
     let chain = |first: std::sync::Arc<ReverseMap>, second: std::sync::Arc<ReverseMap>| {
         let maps = [
             EnablementMapping::ReverseIndirect(first),
@@ -393,31 +382,28 @@ fn composite_memo_key_includes_the_current_phase_size() {
         let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
         let mut sim = Simulation::new(MachineConfig::new(3), policy);
         sim.add_job(indirect_chain(&[12, 8, 8], &maps, 2));
-        run_counting_maps(sim)
+        sim.run().expect("run failed")
     };
     let one = ring_reverse_map(8, 8, 3);
-    let (shared, shared_maps) = chain(one.clone(), one);
-    let (distinct, _) = chain(ring_reverse_map(8, 8, 3), ring_reverse_map(8, 8, 3));
-    assert_eq!(shared_maps, 2);
+    let shared = chain(one.clone(), one);
+    let distinct = chain(ring_reverse_map(8, 8, 3), ring_reverse_map(8, 8, 3));
     assert_eq!(shared.phases[1].stats.executed_granules, 8);
     assert_eq!(shared, distinct);
 }
 
 #[test]
-fn composite_memo_eviction_costs_a_rebuild_never_a_result() {
-    // Three passes over a chain of more distinct maps than the engine
-    // keeps: every initiation misses and evicts, and the run is the one
-    // recorded, for these eleven maps, from the engine that built a map
-    // per initiation.
-    let distinct = super::overlap::COMPOSITE_MEMO_SLOTS + 3;
+fn eleven_map_chain_reads_its_recorded_run() {
+    // Three passes over a chain of eleven distinct maps: the run is the
+    // one recorded, for these maps, from the engine that built a map per
+    // initiation.
+    let distinct = 11;
     let maps: Vec<EnablementMapping> = (0..distinct as u32)
         .map(|shift| EnablementMapping::ReverseIndirect(ring_reverse_map(16, 16, shift)))
         .collect();
     let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
     let mut sim = Simulation::new(MachineConfig::new(4), policy);
     sim.add_job(indirect_chain(&vec![16; distinct + 1], &maps, 3));
-    let (r, held) = run_counting_maps(sim);
-    assert_eq!(held, super::overlap::COMPOSITE_MEMO_SLOTS);
+    let r = sim.run().expect("run failed");
     assert_eq!(r.phases.len(), 3 * (distinct + 1));
     assert!(r.total_overlap_granules() > 0);
     assert_eq!(
@@ -432,7 +418,7 @@ fn stale_background_build_leaves_nothing_on_the_instance() {
     // that the current phase completes many 64-tick chunks before the
     // build would: the task goes stale and is dropped. The successor
     // then holds no armed counters and no map of its own — only its
-    // handle on the memo's.
+    // handle on the mapping's.
     let mut cfg = MachineConfig::new(4);
     cfg.costs.composite_map_per_entry = SimDuration(100);
     let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
@@ -453,11 +439,10 @@ fn stale_background_build_leaves_nothing_on_the_instance() {
     let cs = succ.counter_state.as_ref().expect("a counted successor");
     assert!(cs.counters.is_none(), "the build never completed");
     assert_eq!(cs.useful, 32);
-    assert_eq!(eng.composite_memo.len(), 1);
     assert_eq!(
         std::sync::Arc::strong_count(&cs.composite),
         2,
-        "the memo's map and this handle on it, nothing else"
+        "the mapping's map and this handle on it, nothing else"
     );
     let r = eng.finish().unwrap();
     assert_eq!(r.phases[1].stats.overlap_granules, 0);

@@ -36,7 +36,7 @@
 //! an inverted current→successors index, driven by enablement counters
 //! decremented during completion processing.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Discriminant of an enablement mapping, used for census tables and
 /// reports.
@@ -84,13 +84,14 @@ impl MappingKind {
 /// A forward information-selection map: current granule `i` writes the
 /// location read by successor granule `fmap[i]` (the paper's
 /// `B(IMAP(I))=A(IMAP(I))` → `C(I)=B(I)` fragment).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ForwardMap {
     /// `fmap[i]` = successor granule enabled by current granule `i`.
     pub targets: Vec<u32>,
     /// Total granule count of the successor phase (the image of `targets`
     /// may cover only a subset; the rest are enabled by the null set).
     pub successor_granules: u32,
+    composite: Built,
 }
 
 impl ForwardMap {
@@ -103,6 +104,7 @@ impl ForwardMap {
         ForwardMap {
             targets,
             successor_granules,
+            composite: Built::default(),
         }
     }
 }
@@ -110,12 +112,13 @@ impl ForwardMap {
 /// A reverse information-selection map: successor granule `r` reads the
 /// locations written by current granules `requires[r]` (the paper's
 /// `B(I) = Σ_J A(IMAP(J,I))` fragment).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct ReverseMap {
     /// `requires[r]` = current-phase granules that must complete before
     /// successor granule `r` is enabled. Entries may repeat; duplicates
     /// are counted once.
     pub requires: Vec<Vec<u32>>,
+    composite: Built,
 }
 
 impl ReverseMap {
@@ -127,17 +130,50 @@ impl ReverseMap {
                 .all(|deps| deps.iter().all(|&d| d < current_granules)),
             "reverse map dependency out of current-phase range"
         );
-        ReverseMap { requires }
+        ReverseMap {
+            requires,
+            composite: Built::default(),
+        }
     }
 }
 
 /// Structural seam topology: which current-phase granules border each
 /// successor granule. The checkerboard instance lives in `pax-workloads`;
 /// the executive only needs the generated lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct SeamMap {
     /// `requires[r]` = bordering current-phase granules of successor `r`.
     pub requires: Vec<Vec<u32>>,
+    composite: Built,
+}
+
+impl SeamMap {
+    /// Wrap the bordering lists; [`EnablementMapping::check_edge`] decides
+    /// which phases they fit.
+    pub fn new(requires: Vec<Vec<u32>>) -> SeamMap {
+        SeamMap {
+            requires,
+            composite: Built::default(),
+        }
+    }
+}
+
+/// An indirect payload's composite map, built on first use and kept with
+/// the payload. A cloned payload starts with none: its fields may be
+/// edited before it is used.
+#[derive(Debug, Default)]
+struct Built(OnceLock<Arc<CompositeMap>>);
+
+impl Built {
+    fn get(&self, build: impl FnOnce() -> CompositeMap) -> &Arc<CompositeMap> {
+        self.0.get_or_init(|| Arc::new(build()))
+    }
+}
+
+impl Clone for Built {
+    fn clone(&self) -> Built {
+        Built::default()
+    }
 }
 
 /// An enablement mapping from one phase to its successor.
@@ -226,15 +262,26 @@ impl EnablementMapping {
         }
     }
 
-    /// Whether this mapping requires a composite granule map (all indirect
-    /// forms do; universal/identity/null do not).
-    pub fn needs_composite(&self) -> bool {
-        matches!(
-            self,
-            EnablementMapping::ForwardIndirect(_)
-                | EnablementMapping::ReverseIndirect(_)
-                | EnablementMapping::Seam(_)
-        )
+    /// The composite map of an indirect mapping, built on the first call
+    /// and kept with the map's payload: every clone of this mapping, and
+    /// every edge and instance it serves, shares the one `Arc`. `None`
+    /// for universal, identity and null mappings. The map fits every
+    /// current phase that [`check_edge`](Self::check_edge) accepts. It is
+    /// built from the payload's fields as they are at the first call, so
+    /// edit a payload only before its mapping is used.
+    pub fn composite(&self) -> Option<&Arc<CompositeMap>> {
+        Some(match self {
+            EnablementMapping::ForwardIndirect(f) => {
+                f.composite.get(|| CompositeMap::from_forward(f))
+            }
+            EnablementMapping::ReverseIndirect(r) => r
+                .composite
+                .get(|| CompositeMap::from_requirement_lists(&r.requires)),
+            EnablementMapping::Seam(s) => s
+                .composite
+                .get(|| CompositeMap::from_requirement_lists(&s.requires)),
+            _ => return None,
+        })
     }
 }
 
@@ -251,7 +298,8 @@ pub struct CompositeMap {
     /// Requirement count per successor granule. Zero means the granule is
     /// enabled by the null set (released at successor initiation).
     pub requires: Vec<u32>,
-    /// CSR offsets into `targets`, one slot per current granule + 1.
+    /// CSR offsets into `targets`, one slot per current granule the map
+    /// covers + 1.
     pub offsets: Vec<u32>,
     /// Successor granules decremented by each current granule.
     pub targets: Vec<u32>,
@@ -264,59 +312,37 @@ impl CompositeMap {
         self.targets.len() as u64
     }
 
-    /// Successor granules that depend on current granule `i`.
+    /// Successor granules that depend on current granule `i`; none past
+    /// the last current granule the map names.
     #[inline]
     pub fn dependents_of(&self, i: u32) -> &[u32] {
-        let a = self.offsets[i as usize] as usize;
-        let b = self.offsets[i as usize + 1] as usize;
-        &self.targets[a..b]
+        match self.offsets.get(i as usize..i as usize + 2) {
+            Some(&[a, b]) => &self.targets[a as usize..b as usize],
+            _ => &[],
+        }
     }
 
     /// Build from a forward map. Duplicate writers of one successor
     /// granule each count toward its requirement (all writes must land
     /// before the successor may read).
-    pub fn from_forward(fmap: &ForwardMap, current_granules: u32) -> CompositeMap {
-        assert!(
-            fmap.targets.len() <= current_granules as usize,
-            "forward map longer than current phase"
-        );
-        let n_succ = fmap.successor_granules as usize;
-        let mut requires = vec![0u32; n_succ];
-        let mut offsets = vec![0u32; current_granules as usize + 1];
-        for (i, &t) in fmap.targets.iter().enumerate() {
+    fn from_forward(fmap: &ForwardMap) -> CompositeMap {
+        let mut requires = vec![0u32; fmap.successor_granules as usize];
+        for &t in &fmap.targets {
             requires[t as usize] += 1;
-            offsets[i + 1] = 1;
         }
-        // prefix-sum offsets
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut targets = vec![0u32; fmap.targets.len()];
-        for (i, &t) in fmap.targets.iter().enumerate() {
-            let slot = offsets[i] as usize; // each current granule has ≤1 target here
-            targets[slot] = t;
-        }
+        // each current granule has exactly one target
         CompositeMap {
             requires,
-            offsets,
-            targets,
+            offsets: (0..=fmap.targets.len() as u32).collect(),
+            targets: fmap.targets.clone(),
         }
     }
 
-    /// Build from a reverse map (dedup within each requirement list).
-    pub fn from_reverse(rmap: &ReverseMap, current_granules: u32) -> CompositeMap {
-        Self::from_requirement_lists(&rmap.requires, current_granules)
-    }
-
-    /// Build from a seam map.
-    pub fn from_seam(smap: &SeamMap, current_granules: u32) -> CompositeMap {
-        Self::from_requirement_lists(&smap.requires, current_granules)
-    }
-
-    /// Shared constructor: invert per-successor requirement lists into the
-    /// CSR current→successors index.
-    pub fn from_requirement_lists(lists: &[Vec<u32>], current_granules: u32) -> CompositeMap {
-        let n_cur = current_granules as usize;
+    /// Invert per-successor requirement lists into the CSR
+    /// current→successors index, over current granules up to the largest
+    /// one a list names.
+    pub fn from_requirement_lists(lists: &[Vec<u32>]) -> CompositeMap {
+        let n_cur = lists.iter().flatten().max().map_or(0, |&d| d as usize + 1);
         // First pass: every list sorted and deduplicated, end to end in
         // one buffer; `requires[r]` is the extent of list `r` in it.
         let mut flat: Vec<u32> = Vec::with_capacity(lists.iter().map(Vec::len).sum());
@@ -354,20 +380,6 @@ impl CompositeMap {
             targets,
         }
     }
-
-    /// Build the composite for any indirect mapping; panics on
-    /// non-indirect mappings (callers check [`EnablementMapping::needs_composite`]).
-    pub fn build(mapping: &EnablementMapping, current_granules: u32) -> CompositeMap {
-        match mapping {
-            EnablementMapping::ForwardIndirect(f) => Self::from_forward(f, current_granules),
-            EnablementMapping::ReverseIndirect(r) => Self::from_reverse(r, current_granules),
-            EnablementMapping::Seam(s) => Self::from_seam(s, current_granules),
-            other => panic!(
-                "composite map requested for non-indirect mapping {:?}",
-                other.kind()
-            ),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -387,7 +399,7 @@ mod tests {
     fn forward_composite_counts_duplicates() {
         // current granules 0..4 write successor granules [2, 2, 0, 1]
         let f = ForwardMap::new(vec![2, 2, 0, 1], 3);
-        let c = CompositeMap::from_forward(&f, 4);
+        let c = CompositeMap::from_forward(&f);
         assert_eq!(c.requires, vec![1, 1, 2]);
         assert_eq!(c.dependents_of(0), &[2]);
         assert_eq!(c.dependents_of(1), &[2]);
@@ -401,16 +413,18 @@ mod tests {
         // Only 2 current granules map; successor has 5 granules, 3 of which
         // have zero requirements (null-set enabled).
         let f = ForwardMap::new(vec![4, 0], 5);
-        let c = CompositeMap::from_forward(&f, 2);
+        let c = CompositeMap::from_forward(&f);
         assert_eq!(c.requires, vec![1, 0, 0, 0, 1]);
         assert_eq!(c.requires.iter().filter(|&&x| x == 0).count(), 3);
+        // current granules past the map enable nothing
+        assert!(c.dependents_of(2).is_empty());
     }
 
     #[test]
     fn reverse_composite_dedups() {
         // successor 0 requires {1,1,2} -> {1,2}; successor 1 requires {0}
         let r = ReverseMap::new(vec![vec![1, 1, 2], vec![0]], 3);
-        let c = CompositeMap::from_reverse(&r, 3);
+        let c = CompositeMap::from_requirement_lists(&r.requires);
         assert_eq!(c.requires, vec![2, 1]);
         assert_eq!(c.dependents_of(0), &[1]);
         assert_eq!(c.dependents_of(1), &[0]);
@@ -420,7 +434,7 @@ mod tests {
     #[test]
     fn decrement_simulation_releases_when_zero() {
         let r = ReverseMap::new(vec![vec![0, 1], vec![1, 2]], 3);
-        let c = CompositeMap::from_reverse(&r, 3);
+        let c = CompositeMap::from_requirement_lists(&r.requires);
         let mut counters = c.requires.clone();
         let mut released: Vec<u32> = Vec::new();
         for completed in [1u32, 0, 2] {
@@ -438,7 +452,7 @@ mod tests {
     #[test]
     fn enabling_granules_extraction() {
         let r = ReverseMap::new(vec![vec![5], vec![2, 5]], 8);
-        let c = CompositeMap::from_reverse(&r, 8);
+        let c = CompositeMap::from_requirement_lists(&r.requires);
         // The enabling set: current granules some successor granule needs.
         let enabling: Vec<u32> = (0..8).filter(|&i| !c.dependents_of(i).is_empty()).collect();
         assert_eq!(enabling, vec![2, 5]);
@@ -447,22 +461,24 @@ mod tests {
     #[test]
     fn seam_composite() {
         // Two successor granules each requiring two bordering current ones.
-        let s = SeamMap {
-            requires: vec![vec![0, 1], vec![1, 2]],
-        };
-        let c = CompositeMap::from_seam(&s, 3);
+        let s = SeamMap::new(vec![vec![0, 1], vec![1, 2]]);
+        let c = CompositeMap::from_requirement_lists(&s.requires);
         assert_eq!(c.requires, vec![2, 2]);
         assert_eq!(c.dependents_of(1), &[0, 1]);
     }
 
     #[test]
-    fn build_dispatches_on_kind() {
+    fn clones_of_a_mapping_share_one_composite() {
         let f = Arc::new(ForwardMap::new(vec![0], 1));
-        let m = EnablementMapping::ForwardIndirect(f);
-        assert!(m.needs_composite());
-        let c = CompositeMap::build(&m, 1);
-        assert_eq!(c.requires, vec![1]);
-        assert!(!EnablementMapping::Universal.needs_composite());
+        let m = EnablementMapping::ForwardIndirect(Arc::clone(&f));
+        let first = m.composite().expect("an indirect mapping");
+        assert_eq!(first.requires, vec![1]);
+        assert!(Arc::ptr_eq(first, m.clone().composite().unwrap()));
+        // A cloned payload is a new map: it builds its own.
+        let copy = EnablementMapping::ForwardIndirect(Arc::new(ForwardMap::clone(&f)));
+        assert!(!Arc::ptr_eq(first, copy.composite().unwrap()));
+        assert!(EnablementMapping::Identity.composite().is_none());
+        assert!(EnablementMapping::Universal.composite().is_none());
         assert_eq!(EnablementMapping::Identity.kind(), MappingKind::Identity);
     }
 
@@ -476,11 +492,5 @@ mod tests {
     #[should_panic(expected = "out of current-phase range")]
     fn reverse_map_validates() {
         let _ = ReverseMap::new(vec![vec![9]], 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "non-indirect mapping")]
-    fn build_rejects_identity() {
-        let _ = CompositeMap::build(&EnablementMapping::Identity, 4);
     }
 }

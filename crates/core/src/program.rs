@@ -667,10 +667,8 @@ mod tests {
 
         // A forward map whose target lies past its successor: fields are
         // public, so `ForwardMap::new`'s assertion can be bypassed.
-        let stray = ForwardMap {
-            targets: vec![0, 9],
-            successor_granules: 4,
-        };
+        let mut stray = ForwardMap::new(vec![0, 0], 4);
+        stray.targets[1] = 9;
         let p3 = Program {
             phases: vec![
                 PhaseDef::new("a", 4, CostModel::constant(1)),

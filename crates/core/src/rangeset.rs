@@ -248,14 +248,6 @@ impl RangeSet {
         self.hint = 0;
     }
 
-    /// The gaps inside the window, as a fresh vector. Convenience wrapper
-    /// over [`RangeSet::subtract_into`] for tests and cold paths.
-    pub fn gaps_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
-        let mut gaps = Vec::new();
-        self.subtract_into(win, &mut gaps);
-        gaps
-    }
-
     /// Iterate the covered sub-ranges intersecting the window, without
     /// materializing them.
     pub fn covered_in_iter(&self, win: GranuleRange) -> impl Iterator<Item = GranuleRange> + '_ {
@@ -266,12 +258,6 @@ impl RangeSet {
                 let h = r.hi.min(win.hi);
                 (l < h).then(|| GranuleRange::new(l, h))
             })
-    }
-
-    /// The covered sub-ranges intersecting the window, as a fresh vector.
-    /// Convenience wrapper over [`RangeSet::covered_in_iter`].
-    pub fn covered_in(&self, win: GranuleRange) -> Vec<GranuleRange> {
-        self.covered_in_iter(win).collect()
     }
 }
 
@@ -364,18 +350,23 @@ mod tests {
         assert!(s.contains_range(r(2, 2))); // empty range trivially covered
     }
 
+    /// The gaps of `s` inside `win`, through [`RangeSet::subtract_into`].
+    fn gaps(s: &RangeSet, win: GranuleRange) -> Vec<GranuleRange> {
+        let mut out = Vec::new();
+        s.subtract_into(win, &mut out);
+        out
+    }
+
     #[test]
     fn gaps_in_window() {
         let mut s = RangeSet::new();
         s.insert(r(2, 4));
         s.insert(r(6, 8));
-        let gaps = s.gaps_in(r(0, 10));
-        assert_eq!(gaps, vec![r(0, 2), r(4, 6), r(8, 10)]);
-        let gaps2 = s.gaps_in(r(3, 7));
-        assert_eq!(gaps2, vec![r(4, 6)]);
+        assert_eq!(gaps(&s, r(0, 10)), vec![r(0, 2), r(4, 6), r(8, 10)]);
+        assert_eq!(gaps(&s, r(3, 7)), vec![r(4, 6)]);
         let mut full = RangeSet::new();
         full.insert(r(0, 10));
-        assert!(full.gaps_in(r(0, 10)).is_empty());
+        assert!(gaps(&full, r(0, 10)).is_empty());
     }
 
     #[test]
@@ -383,8 +374,9 @@ mod tests {
         let mut s = RangeSet::new();
         s.insert(r(2, 4));
         s.insert(r(6, 8));
-        assert_eq!(s.covered_in(r(3, 7)), vec![r(3, 4), r(6, 7)]);
-        assert_eq!(s.covered_in(r(0, 2)), vec![]);
+        let covered = |win| s.covered_in_iter(win).collect::<Vec<_>>();
+        assert_eq!(covered(r(3, 7)), vec![r(3, 4), r(6, 7)]);
+        assert_eq!(covered(r(0, 2)), vec![]);
     }
 
     /// Runs [`coalesce_indices_into`] finds in `v`.
@@ -497,7 +489,9 @@ mod tests {
         s.insert(r(10, 20));
         for win in [r(0, 25), r(3, 7), r(4, 6), r(8, 10), r(5, 5)] {
             let a: Vec<GranuleRange> = s.covered_in_iter(win).collect();
-            assert_eq!(a, s.covered_in(win), "window {win}");
+            let covered: Vec<GranuleRange> =
+                s.iter_runs().filter_map(|run| run.intersect(win)).collect();
+            assert_eq!(a, covered, "window {win}");
         }
     }
 
@@ -582,7 +576,7 @@ mod tests {
         assert!(s.is_empty());
         assert_eq!(s.run_count(), 0);
         assert_eq!(s.len(), 0);
-        assert!(s.gaps_in(r(0, 50)) == vec![r(0, 50)]);
+        assert_eq!(gaps(&s, r(0, 50)), vec![r(0, 50)]);
         // a cleared set behaves like a fresh one
         s.insert(r(5, 9));
         s.insert(r(9, 12));

@@ -207,11 +207,9 @@ fn check_all(sut: &DescArena, model: &ModelArena) -> Result<(), TestCaseError> {
     prop_assert_eq!(sut.slots(), model.slots.len());
     for i in 0..model.slots.len() {
         check_slot(sut, model, i)?;
-        let members: Vec<usize> = sut
-            .cq_members(DescId(i as u32))
-            .into_iter()
-            .map(|d| d.0 as usize)
-            .collect();
+        let mut queue = Vec::new();
+        sut.cq_members_into(DescId(i as u32), &mut queue);
+        let members: Vec<usize> = queue.into_iter().map(|d| d.0 as usize).collect();
         prop_assert_eq!(members, model.cq_members(i), "queue of slot {}", i);
     }
     Ok(())
@@ -277,15 +275,13 @@ proptest! {
                         }
                     }
                 }
-                // cq_drain
+                // cq_drain_into
                 5 => {
                     if !alive.is_empty() {
                         let owner = alive[a as usize % alive.len()];
-                        let s: Vec<usize> = sut
-                            .cq_drain(DescId(owner as u32))
-                            .into_iter()
-                            .map(|d| d.0 as usize)
-                            .collect();
+                        let mut drained = Vec::new();
+                        sut.cq_drain_into(DescId(owner as u32), &mut drained);
+                        let s: Vec<usize> = drained.into_iter().map(|d| d.0 as usize).collect();
                         prop_assert_eq!(s, model.cq_drain(owner), "drain order at step {}", step);
                     }
                 }

@@ -249,9 +249,7 @@ fn seam_mapping_runs_through_engine() {
     let req: Vec<Vec<u32>> = (0..n)
         .map(|r| vec![r.saturating_sub(1), r, (r + 1).min(n - 1)])
         .collect();
-    let mapping = EnablementMapping::Seam(Arc::new(SeamMap {
-        requires: req.clone(),
-    }));
+    let mapping = EnablementMapping::Seam(Arc::new(SeamMap::new(req.clone())));
     let p = simple_program(n, 2, mapping);
     let mut sim = Simulation::new(
         MachineConfig::ideal(3),

@@ -68,9 +68,7 @@ fn reverse_map_with_wrong_successor_coverage_is_rejected() {
 #[test]
 fn seam_map_requiring_out_of_range_granule_is_rejected() {
     // seam constructed by hand with a dangling requirement
-    let seam = Arc::new(SeamMap {
-        requires: vec![vec![0], vec![99]],
-    });
+    let seam = Arc::new(SeamMap::new(vec![vec![0], vec![99]]));
     let msg = try_two_phases(4, 2, EnablementMapping::Seam(seam)).unwrap_err();
     assert!(msg.contains("seam map"), "{msg}");
 }

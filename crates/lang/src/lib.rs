@@ -58,7 +58,7 @@ pub mod token;
 pub use ast::{AstStmt, CondExpr, DefinePhase, EnableClause, EnableItem, Script};
 pub use compile::{compile, CompileError, Compiled, Diagnostic, MapBindings};
 pub use parser::{parse, ParseError};
-pub use token::{lex, LexError, Pos, Tok, Token};
+pub use token::{lex, Pos, Tok, Token};
 
 use pax_core::engine::{EngineError, Simulation};
 use pax_core::policy::OverlapPolicy;

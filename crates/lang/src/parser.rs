@@ -1,12 +1,12 @@
 //! Recursive-descent parser for PAX language scripts.
 
 use crate::ast::*;
-use crate::token::{lex, LexError, Pos, Tok, Token};
+use crate::token::{lex, Pos, Tok, Token};
 use pax_core::mapping::MappingKind;
 use pax_sim::dist::DurationDist;
 use std::fmt;
 
-/// Parse error with position.
+/// Lex or parse error with position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// What went wrong.
@@ -22,15 +22,6 @@ impl fmt::Display for ParseError {
 }
 
 impl std::error::Error for ParseError {}
-
-impl From<LexError> for ParseError {
-    fn from(e: LexError) -> ParseError {
-        ParseError {
-            message: e.message,
-            pos: e.pos,
-        }
-    }
-}
 
 struct Parser {
     toks: Vec<Token>,

@@ -6,6 +6,7 @@
 //! THEN GO TO branch-target`, labels, `GO TO rejoin`) and phase
 //! definitions with cost models so whole scripts are runnable.
 
+use crate::parser::ParseError;
 use std::fmt;
 
 /// Source position (1-based line and column).
@@ -81,27 +82,10 @@ pub struct Token {
     pub pos: Pos,
 }
 
-/// Lexer error.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LexError {
-    /// Description.
-    pub message: String,
-    /// Where the offending character sits.
-    pub pos: Pos,
-}
-
-impl fmt::Display for LexError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "lex error at {}: {}", self.pos, self.message)
-    }
-}
-
-impl std::error::Error for LexError {}
-
 /// Tokenize a script. Comments run from `!` or `;` to end of line.
 /// Identifiers may contain letters, digits, `-` and `_` (the paper uses
 /// names like `phase-name-1`).
-pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
+pub fn lex(src: &str) -> Result<Vec<Token>, ParseError> {
     let mut out = Vec::new();
     let mut line: u32 = 1;
     let mut col: u32 = 1;
@@ -210,13 +194,13 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                     chars.next();
                     col += 1;
                 } else {
-                    return Err(LexError {
+                    return Err(ParseError {
                         message: format!("unterminated dotted operator '.{op}'"),
                         pos,
                     });
                 }
                 if op.is_empty() {
-                    return Err(LexError {
+                    return Err(ParseError {
                         message: "empty dotted operator".into(),
                         pos,
                     });
@@ -233,7 +217,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                         n = n
                             .checked_mul(10)
                             .and_then(|x| x.checked_add(d as u64))
-                            .ok_or_else(|| LexError {
+                            .ok_or_else(|| ParseError {
                                 message: "integer literal overflows u64".into(),
                                 pos,
                             })?;
@@ -265,7 +249,7 @@ pub fn lex(src: &str) -> Result<Vec<Token>, LexError> {
                 });
             }
             other => {
-                return Err(LexError {
+                return Err(ParseError {
                     message: format!("unexpected character '{other}'"),
                     pos,
                 });

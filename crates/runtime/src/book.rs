@@ -14,6 +14,7 @@ use crate::executor::{RtPhase, RtPhaseReport, RuntimeConfig};
 use pax_core::mapping::{CompositeMap, MappingKind};
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Arc;
 use std::time::Instant;
 
 /// A contiguous granule range of one phase, at most one task size long.
@@ -43,9 +44,9 @@ struct Phase {
     /// How the predecessor enables this phase (`Null` for phase 0).
     enabled_by: MappingKind,
     remaining: u32,
-    /// The composite map of an indirect mapping into this phase, and its
-    /// enablement counters.
-    composite: Option<CompositeMap>,
+    /// The composite map of an indirect mapping into this phase, shared
+    /// with the mapping, and this chain's enablement counters.
+    composite: Option<Arc<CompositeMap>>,
     counters: Vec<u32>,
     /// Identity releases that fired while this phase was still outside
     /// the lookahead window; flushed at window entry. Without this buffer
@@ -67,7 +68,7 @@ pub(crate) struct PhaseBook {
 
 impl PhaseBook {
     /// The book of a chain, nothing released yet: each indirect edge's
-    /// composite map and counters built. Refuses, before any thread
+    /// composite map taken from its mapping and its counters armed. Refuses, before any thread
     /// starts, a chain with a phase of no granules, which never completes,
     /// or with an edge whose mapping does not fit its phases
     /// ([`check_edge`](pax_core::mapping::EnablementMapping::check_edge)):
@@ -91,11 +92,7 @@ impl PhaseBook {
                         if let Err(e) = m.check_edge(pred.granules, spec.granules) {
                             panic!("phase {} `{}` into `{}`: {e}", i - 1, pred.name, spec.name);
                         }
-                        let indirect = m.needs_composite();
-                        (
-                            m.kind(),
-                            indirect.then(|| CompositeMap::build(m, pred.granules)),
-                        )
+                        (m.kind(), m.composite().cloned())
                     }
                 };
                 Phase {

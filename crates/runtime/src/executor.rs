@@ -590,10 +590,8 @@ mod tests {
     fn forward_map_targets_are_successor_granules() {
         // The fields are public, so `ForwardMap::new`'s check is bypassed.
         both_executors_reject(|| {
-            let stray = ForwardMap {
-                targets: vec![0, 10],
-                successor_granules: 10,
-            };
+            let mut stray = ForwardMap::new(vec![0, 0], 10);
+            stray.targets[1] = 10;
             edge(EnablementMapping::ForwardIndirect(Arc::new(stray)))
         });
     }

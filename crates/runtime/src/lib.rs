@@ -11,9 +11,10 @@
 //! against its two phases by the same
 //! [`check_edge`](pax_core::mapping::EnablementMapping::check_edge)
 //! before any thread starts, as is every phase's granule count (at least
-//! one); an indirect edge's composite map is built with
-//! [`CompositeMap::build`](pax_core::mapping::CompositeMap::build) before
-//! the clock starts. A granule whose work panics stops the run: every
+//! one); an indirect edge's composite map comes from
+//! [`composite`](pax_core::mapping::EnablementMapping::composite), built
+//! once per map and shared by every run that uses it, before the clock
+//! starts. A granule whose work panics stops the run: every
 //! worker exits and the panic is re-raised on the caller.
 //!
 //! Two executors share that machinery, written once in the crate-private

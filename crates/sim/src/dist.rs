@@ -27,9 +27,6 @@ const EXPONENTIAL_U_MAX: f64 = 1.0 - 1e-12;
 /// A distribution over granule execution times, sampled in whole ticks.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DurationDist {
-    /// Every sample is exactly `0` ticks... never useful alone, but the
-    /// identity for composition and the result of a skipped computation.
-    Zero,
     /// Every granule takes exactly this long (the idealized checkerboard).
     Constant(SimDuration),
     /// Uniform over `[lo, hi]` inclusive.
@@ -92,7 +89,6 @@ impl DurationDist {
     /// Draw one sample.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> SimDuration {
         match self {
-            DurationDist::Zero => SimDuration::ZERO,
             DurationDist::Constant(d) => *d,
             DurationDist::Uniform { lo, hi } => SimDuration(rng.gen_range(lo.0..=hi.0)),
             DurationDist::Exponential { mean } => {
@@ -123,7 +119,6 @@ impl DurationDist {
     /// The largest sample [`DurationDist::sample`] can draw, in ticks.
     pub fn max_ticks(&self) -> u64 {
         match self {
-            DurationDist::Zero => 0,
             DurationDist::Constant(d) => d.0,
             DurationDist::Uniform { hi, .. } => hi.0,
             // `u` is clamped to `EXPONENTIAL_U_MAX`, so a sample is at
@@ -136,7 +131,6 @@ impl DurationDist {
     /// Analytical mean of the distribution, in ticks (floating point).
     pub fn mean_ticks(&self) -> f64 {
         match self {
-            DurationDist::Zero => 0.0,
             DurationDist::Constant(d) => d.0 as f64,
             DurationDist::Uniform { lo, hi } => (lo.0 + hi.0) as f64 / 2.0,
             DurationDist::Exponential { mean } => mean.0 as f64,
@@ -380,7 +374,7 @@ mod tests {
     #[test]
     fn samples_never_exceed_max_ticks() {
         let shapes = [
-            DurationDist::Zero,
+            DurationDist::constant(0),
             DurationDist::constant(7),
             DurationDist::uniform(3, 40),
             DurationDist::exponential(1),

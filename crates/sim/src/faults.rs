@@ -22,8 +22,8 @@
 //!
 //! What happens to the preempted work is the [`RetryPolicy`]: reissue the
 //! lost range at the front of the waiting queue (the default, and the
-//! natural reading of the paper's waiting-computation queue), abandon the
-//! job at the first loss, or reissue a bounded number of times before
+//! natural reading of the paper's waiting-computation queue), or reissue
+//! a bounded number of times — zero gives up at the first loss — before
 //! escalating to a structured `EngineError::JobAborted`.
 
 use crate::dist::DurationDist;
@@ -36,13 +36,10 @@ pub enum RetryPolicy {
     /// default.
     #[default]
     ReissueFront,
-    /// Give up on the whole job at the first lost range (the job can
-    /// never complete once granules are dropped): the run fails with
-    /// `EngineError::JobAborted`.
-    Abandon,
     /// Reissue a lost descriptor up to `max_attempts` times; one more
     /// crash of the same descriptor escalates to
-    /// `EngineError::JobAborted`.
+    /// `EngineError::JobAborted`. `max_attempts: 0` gives up on the whole
+    /// job at the first lost range.
     Bounded {
         /// Reissues allowed per descriptor before the job is aborted.
         max_attempts: u32,

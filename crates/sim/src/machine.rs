@@ -807,7 +807,7 @@ mod tests {
             crate::dist::DurationDist::exponential(10_000),
             crate::dist::DurationDist::constant(500),
         )
-        .with_retry(crate::faults::RetryPolicy::Abandon);
+        .with_retry(crate::faults::RetryPolicy::Bounded { max_attempts: 0 });
         let m = MachineConfig::new(4).with_faults(plan.clone());
         assert_eq!(m.faults, Some(plan));
     }

@@ -142,7 +142,7 @@ impl Checkerboard {
                 }
             }
         }
-        SeamMap { requires }
+        SeamMap::new(requires)
     }
 }
 

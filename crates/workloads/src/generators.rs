@@ -117,7 +117,7 @@ impl GeneratorConfig {
                     let req: Vec<Vec<u32>> = (0..self.granules)
                         .map(|r| vec![r, (r + 1) % self.granules])
                         .collect();
-                    EnablementMapping::Seam(Arc::new(pax_core::mapping::SeamMap { requires: req }))
+                    EnablementMapping::Seam(Arc::new(pax_core::mapping::SeamMap::new(req)))
                 }
             };
             if matches!(mapping, EnablementMapping::Null) {

@@ -626,8 +626,8 @@ const FAULT_MODELS: Tags<FaultModel> = &[
     (
         "random",
         FaultModel::Random {
-            time_to_failure: DurationDist::Zero,
-            time_to_repair: DurationDist::Zero,
+            time_to_failure: DurationDist::constant(0),
+            time_to_repair: DurationDist::constant(0),
         },
         &["time_to_failure", "time_to_repair", "retry"],
     ),
@@ -672,10 +672,7 @@ block!(ScriptedFault {
 });
 
 /// `{ "bounded": N }` is the one retry policy that is not a tag.
-const RETRIES: Tags<RetryPolicy> = &[
-    ("reissue_front", RetryPolicy::ReissueFront, &[]),
-    ("abandon", RetryPolicy::Abandon, &[]),
-];
+const RETRIES: Tags<RetryPolicy> = &[("reissue_front", RetryPolicy::ReissueFront, &[])];
 
 impl Field for RetryPolicy {
     fn read(v: &Val) -> Result<RetryPolicy> {
@@ -698,7 +695,6 @@ impl Field for RetryPolicy {
 
 /// Phase costs and fault spans.
 const DISTS: Tags<DurationDist> = &[
-    ("zero", DurationDist::Zero, &[]),
     ("constant", DurationDist::constant(0), &["ticks"]),
     ("uniform", DurationDist::uniform(0, 0), &["lo", "hi"]),
     ("exponential", DurationDist::exponential(0), &["mean"]),
@@ -713,7 +709,6 @@ impl Field for DurationDist {
     fn read(v: &Val) -> Result<DurationDist> {
         let (dist, o) = v.variant("dist", DISTS, "distribution")?;
         Ok(match dist {
-            DurationDist::Zero => DurationDist::Zero,
             DurationDist::Constant(_) => DurationDist::constant(o.req("ticks")?),
             DurationDist::Uniform { .. } => {
                 let lo = o.req("lo")?;
@@ -739,7 +734,6 @@ impl Field for DurationDist {
     fn write(&self) -> Json {
         let ticks = |d: SimDuration| d.0.write();
         let fields = match *self {
-            DurationDist::Zero => vec![],
             DurationDist::Constant(t) | DurationDist::Exponential { mean: t } => vec![ticks(t)],
             DurationDist::Uniform { lo, hi } => vec![ticks(lo), ticks(hi)],
             DurationDist::Bimodal {
@@ -1530,10 +1524,10 @@ mod tests {
                 time_to_failure: DurationDist::constant(5_000),
                 time_to_repair: DurationDist::bimodal(100, 900, 0.125),
             },
-            retry: RetryPolicy::Abandon,
+            retry: RetryPolicy::ReissueFront,
         });
         s.workload[0].phases[0].cost = DurationDist::bimodal(3, 60, 0.25);
-        s.workload[0].phases[1].cost = DurationDist::Zero;
+        s.workload[0].phases[1].cost = DurationDist::constant(0);
         let instants = vec![SimTime(0), SimTime(10), SimTime(250)];
         s.stream.as_mut().unwrap().arrivals = ArrivalProcess::trace(instants);
         s.policy.sizing = Some(TaskSizing::TasksPerProcessor(2.5));

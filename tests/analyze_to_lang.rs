@@ -30,7 +30,7 @@ fn classifier_derived_bindings_compile_and_run_the_script() {
         .collect();
     let mut bound = 0;
     for (i, (_, _, cl)) in classes.iter().enumerate() {
-        if cl.mapping.needs_composite() {
+        if cl.mapping.composite().is_some() {
             // strip the "-t" timestep suffix to get the DEFINE names
             let from = phase_names[i].split('-').next().unwrap();
             let to = phase_names[i + 1].split('-').next().unwrap();

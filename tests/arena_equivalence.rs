@@ -358,6 +358,50 @@ fn fleet_reports_are_identical_across_shard_counts_and_drivers() {
         .unwrap();
 }
 
+/// Three groups whose jobs all hold one reverse map and one checkerboard
+/// seam map. Each simulation gets fresh payloads, so its first initiation
+/// under a map builds that map's composite: at more than one shard, on
+/// whichever shard thread gets there first, while the others wait on it.
+#[test]
+fn groups_sharing_indirect_payloads_agree_on_every_driver() {
+    use pax_workloads::{Checkerboard, Color};
+    let board = Checkerboard::new(8);
+    let (red, black) = (board.granules(Color::Red), board.granules(Color::Black));
+    let shared = |cfg| {
+        let seam = EnablementMapping::Seam(Arc::new(board.seam_map(Color::Red)));
+        let gather = (0..red)
+            .map(|r| vec![r % black, (3 * r + 1) % black])
+            .collect();
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(gather, black)));
+        let mut b = ProgramBuilder::new();
+        let cost = CostModel::new(DurationDist::uniform(5, 50));
+        let first = b.phase(PhaseDef::new("red", red, cost.clone()));
+        let second = b.phase(PhaseDef::new("black", black, cost.clone()));
+        let third = b.phase(PhaseDef::new("gather", red, cost));
+        for (phase, successor, mapping) in [(first, second, seam), (second, third, reverse)] {
+            b.dispatch_enable(phase, vec![EnableSpec { successor, mapping }]);
+        }
+        b.dispatch(third);
+        let program = b.build().unwrap();
+        let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(2));
+        let mut sim = Simulation::new(cfg, policy).with_seed(7);
+        for group in [0, 1, 2, 0, 1, 2] {
+            sim.add_job_in_group(program.clone(), group);
+        }
+        sim
+    };
+    let r = oracle(
+        "shared_payloads",
+        shared,
+        MachineConfig::new(4),
+        &[30, 90, 200],
+    )
+    .reference
+    .unwrap();
+    assert_eq!((r.processors, r.jobs.len()), (12, 6));
+    assert!(r.total_overlap_granules() > 0);
+}
+
 /// Five replicas of the 4-processor machine merge into one report of 20
 /// processors and five jobs.
 #[test]

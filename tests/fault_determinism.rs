@@ -157,7 +157,7 @@ fn one_task_program(cost: u64) -> Program {
     b.build().unwrap()
 }
 
-/// `RetryPolicy::Abandon`: the first preemption aborts the job with a
+/// A reissue budget of 0: the first preemption aborts the job with a
 /// structured error instead of silently dropping granules.
 #[test]
 fn abandon_policy_aborts_on_first_loss() {
@@ -166,7 +166,7 @@ fn abandon_policy_aborts_on_first_loss() {
         crash_at: 10,
         repair_after: Some(5),
     }])
-    .with_retry(RetryPolicy::Abandon);
+    .with_retry(RetryPolicy::Bounded { max_attempts: 0 });
     let mut sim = Simulation::new(
         MachineConfig::ideal(1).with_faults(plan),
         OverlapPolicy::strict(),
@@ -175,7 +175,7 @@ fn abandon_policy_aborts_on_first_loss() {
     match sim.run() {
         Err(EngineError::JobAborted { job, detail }) => {
             assert_eq!(job, 0);
-            assert!(detail.contains("abandons"), "{detail}");
+            assert!(detail.contains("budget"), "{detail}");
         }
         other => panic!("expected JobAborted, got {other:?}"),
     }
@@ -235,7 +235,7 @@ fn bounded_retries_escalate_to_abort() {
 /// and carries the job's global submission index, on every driver.
 #[test]
 fn job_abort_indices_are_remapped_in_fleets() {
-    // One processor a replica, crashing at t = 40 under `Abandon`. Group
+    // One processor a replica, crashing at t = 40 with no reissues. Group
     // 0's lone job is done by then; group 1 runs its short job, then its
     // long one (local index 1, global index 2), which the crash aborts.
     let plan = FaultPlan::scripted(vec![ScriptedFault {
@@ -243,7 +243,7 @@ fn job_abort_indices_are_remapped_in_fleets() {
         crash_at: 40,
         repair_after: Some(5),
     }])
-    .with_retry(RetryPolicy::Abandon);
+    .with_retry(RetryPolicy::Bounded { max_attempts: 0 });
     let fleet = |cfg| {
         let mut sim = Simulation::new(cfg, OverlapPolicy::strict());
         sim.add_job_in_group(one_task_program(30), 0);

@@ -227,6 +227,31 @@ fn assert_invalid_at(text: &str, line: usize, path: &str) {
     assert_eq!((e.line, e.path.as_str()), (line, path), "{e}\n{text}");
 }
 
+/// A zero cost is `constant` 0 and giving up at the first loss is a
+/// reissue budget of 0: the old `"zero"` and `"abandon"` tags are unknown
+/// tags, and the error lists what is valid instead.
+#[test]
+fn one_spelling_per_behaviour() {
+    let zero = doc_with("", "", "").replace(r#""constant", "ticks": 5"#, r#""zero""#);
+    let abandon = doc_with(
+        r#", "faults": { "model": "scripted", "events": [], "retry": "abandon" }"#,
+        "",
+        "",
+    );
+    for (text, tag, valid) in [
+        (zero, "'zero'", "'constant'"),
+        (abandon, "'abandon'", "bounded"),
+    ] {
+        let e = Scenario::parse(&text).unwrap_err();
+        match e.kind {
+            ScenarioErrorKind::Invalid(msg) => {
+                assert!(msg.contains(tag) && msg.contains(valid), "{msg}")
+            }
+            other => panic!("expected Invalid, got {other:?}"),
+        }
+    }
+}
+
 /// `lo > hi` used to parse, build, and panic in `gen_range` at the first
 /// sample. `parse_dist` serves phase costs and fault spans alike.
 #[test]
@@ -423,7 +448,7 @@ fn cross_reference_errors_locate_line_and_path() {
     let second_program = doc_with("", "", "").replace(
         "  } ]",
         "  },\n  { \"phases\": [ { \"name\": \"q\", \"granules\": 1,\n    \
-         \"cost\": { \"dist\": \"zero\" } } ],\n    \"name\": \"w\" } ]",
+         \"cost\": { \"dist\": \"constant\", \"ticks\": 0 } } ],\n    \"name\": \"w\" } ]",
     );
     let unknown_program = doc_with(
         "",
@@ -522,13 +547,12 @@ mod round_trip {
     use super::*;
     use proptest::prelude::*;
 
-    /// Each of the five shapes, by `kind`.
+    /// Each of the four shapes, by `kind`.
     fn dist_from(kind: u8, a: u64, b: u64) -> DurationDist {
-        match kind % 5 {
-            0 => DurationDist::Zero,
-            1 => DurationDist::constant(a),
-            2 => DurationDist::uniform(a.min(b), a.max(b)),
-            3 => DurationDist::exponential(a.max(1)),
+        match kind % 4 {
+            0 => DurationDist::constant(a),
+            1 => DurationDist::uniform(a.min(b), a.max(b)),
+            2 => DurationDist::exponential(a.max(1)),
             _ => DurationDist::Bimodal {
                 short: SimDuration(a.min(b)),
                 long: SimDuration(a.max(b)),
@@ -645,7 +669,7 @@ mod round_trip {
                         },
                         retry: match retry_kind % 3 {
                             0 => RetryPolicy::ReissueFront,
-                            1 => RetryPolicy::Abandon,
+                            1 => RetryPolicy::Bounded { max_attempts: 0 },
                             _ => RetryPolicy::Bounded { max_attempts: 4 },
                         },
                     }),
