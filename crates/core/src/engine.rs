@@ -105,7 +105,7 @@ enum InstState {
     /// All granules complete.
     Complete,
     /// Recycled after its job finished (service mode): the slot is on the
-    /// free list, its run sets cleared in place, awaiting a new arrival.
+    /// free list, its released set cleared in place, awaiting a new arrival.
     Evicted,
 }
 
@@ -142,9 +142,11 @@ struct Instance {
     granules: u32,
     remaining: u32,
     task_size: u32,
-    /// Granules with an existing descriptor or already completed.
+    /// Granules given a description: released = completed ⊔ live, the
+    /// ranges of `live_descs` being disjoint and inside it. The completed
+    /// set is not kept; it is derived where read
+    /// ([`Engine::completed_runs_into`]).
     released: RangeSet,
-    completed: RangeSet,
     live_descs: Vec<DescId>,
     predecessor: Option<InstanceId>,
     successor: Option<InstanceId>,
@@ -206,6 +208,9 @@ struct Scratch {
     runs: Vec<GranuleRange>,
     /// `(descriptor, range)` pairs snapshotted from live lists.
     desc_ranges: Vec<(DescId, GranuleRange)>,
+    /// An instance's live ranges sorted by `lo`, for deriving its
+    /// completed runs.
+    live_ranges: Vec<GranuleRange>,
     /// Successor-splitting tiles: range plus the predecessor piece (if
     /// any) whose conflict queue receives it.
     pieces: Vec<(GranuleRange, Option<DescId>)>,
@@ -944,7 +949,6 @@ impl Engine {
         {
             let ran_during_predecessor = self.arena.overlap(d);
             let inst = self.inst_mut(inst_id);
-            inst.completed.insert(range);
             inst.remaining -= range.len();
             inst.stats.executed_granules += range.len();
             if ran_during_predecessor {

@@ -86,8 +86,8 @@ impl Engine {
         }
     }
 
-    /// Return every instance of finished job `job` to the free list: run
-    /// sets cleared in place (allocations kept), counter state dropped,
+    /// Return every instance of finished job `job` to the free list: released
+    /// set cleared in place (allocations kept), counter state dropped,
     /// slot marked [`InstState::Evicted`]. All of a job's instances die
     /// together, so no surviving predecessor/successor reference can
     /// dangle (those links never cross jobs).
@@ -108,7 +108,6 @@ impl Engine {
             );
             inst.state = InstState::Evicted;
             inst.released.clear();
-            inst.completed.clear();
             inst.counter_state = None;
             self.free_instances.push(id.0);
         }

@@ -63,7 +63,6 @@ impl Engine {
                     remaining: granules,
                     task_size,
                     released: RangeSet::new(),
-                    completed: RangeSet::new(),
                     live_descs: Vec::new(),
                     predecessor,
                     successor: None,

@@ -90,6 +90,8 @@ impl Engine {
     /// completed release immediately.
     fn init_identity(&mut self, pred_id: InstanceId, succ_id: InstanceId, cost: &mut SimDuration) {
         let job = JobId(self.inst(succ_id).job as u32);
+        // Live-list order fixes the successor's descriptor ids and its own
+        // live-list order, so the descriptors are made in that order...
         let mut pred_live = take(&mut self.scratch.desc_ranges);
         pred_live.extend(
             self.inst(pred_id)
@@ -100,13 +102,21 @@ impl Engine {
         for &(pd, range) in &pred_live {
             let sd = self.arena.alloc(succ_id, job, range);
             self.live_push(succ_id, sd);
-            self.inst_mut(succ_id).released.insert(range);
             self.arena.cq_push(pd, sd);
         }
         pred_live.clear();
         self.scratch.desc_ranges = pred_live;
+        // ...while the successor's released set, empty until now, is
+        // filled from the sorted copy, so every insert lands on its end.
+        let mut live = take(&mut self.scratch.live_ranges);
         let mut done_runs = take(&mut self.scratch.runs);
-        done_runs.extend(self.inst(pred_id).completed.iter_runs());
+        self.completed_runs_into(pred_id, &mut live, &mut done_runs);
+        let released = &mut self.inst_mut(succ_id).released;
+        for &range in &live {
+            released.insert(range);
+        }
+        live.clear();
+        self.scratch.live_ranges = live;
         let rclass = self.released_class();
         for &r in &done_runs {
             *cost += self.cfg.costs.release;
@@ -114,6 +124,32 @@ impl Engine {
         }
         done_runs.clear();
         self.scratch.runs = done_runs;
+    }
+
+    /// Append the completed granules of `inst_id` to `out` as coalesced
+    /// runs in index order: its released granules that no live
+    /// description covers. Leaves the ranges of its live descriptions in
+    /// `live` (cleared first), sorted by `lo`. Debug builds check that the
+    /// runs total `granules − remaining`.
+    fn completed_runs_into(
+        &self,
+        inst_id: InstanceId,
+        live: &mut Vec<GranuleRange>,
+        out: &mut Vec<GranuleRange>,
+    ) {
+        let inst = self.inst(inst_id);
+        live.clear();
+        live.extend(inst.live_descs.iter().map(|&d| self.arena.range(d)));
+        // Live ranges are disjoint, so their `lo`s are distinct: the
+        // unstable sort is deterministic and allocation-free.
+        live.sort_unstable_by_key(|r| r.lo);
+        let start = out.len();
+        released_minus_live(inst.released.iter_runs(), live.iter().copied(), out);
+        debug_assert_eq!(
+            out[start..].iter().map(|r| r.len() as u64).sum::<u64>(),
+            u64::from(inst.granules - inst.remaining),
+            "derived completed runs must total granules − remaining"
+        );
     }
 
     /// Indirect (forward/reverse/seam) overlap: set status bits on the
@@ -200,11 +236,15 @@ impl Engine {
         let mut zero_now = take(&mut self.scratch.zero_now);
         zero_now.extend((0..early_limit).filter(|&r| counters[r as usize] == 0));
         // Decrements for predecessor granules that completed before the
-        // map was built (background construction). `comp` is an owned
-        // handle, so the completed runs iterate without materializing.
+        // map was built (background construction).
         let mut freed = take(&mut self.scratch.freed);
         let decrement_cost = self.cfg.costs.counter_decrement;
-        for run in self.inst(pred_id).completed.iter_runs() {
+        let mut live = take(&mut self.scratch.live_ranges);
+        let mut runs = take(&mut self.scratch.runs);
+        self.completed_runs_into(pred_id, &mut live, &mut runs);
+        live.clear();
+        self.scratch.live_ranges = live;
+        for &run in &runs {
             for g in run.iter() {
                 for &r in comp.dependents_of(g) {
                     if r < early_limit {
@@ -219,7 +259,7 @@ impl Engine {
                 }
             }
         }
-        let mut runs = take(&mut self.scratch.runs);
+        runs.clear();
         coalesce_indices_into(&mut zero_now, &mut runs);
         for &run in &runs {
             *cost += self.cfg.costs.release;
@@ -424,24 +464,26 @@ impl Engine {
         let range = self.arena.range(succ_desc);
         let succ_inst = self.arena.instance(succ_desc);
 
-        // Pieces: completed predecessor sub-ranges release immediately;
-        // live predecessor descriptors get matching conflicted pieces.
+        // Pieces: live predecessor descriptors get matching conflicted
+        // pieces; the gaps between them (completed sub-ranges) release
+        // immediately. `range` lies inside the predecessor's released set,
+        // and it may have completed already: then every piece is a gap.
         let mut pieces = take(&mut self.scratch.pieces);
-        pieces.extend(
-            self.inst(pred)
-                .completed
-                .covered_in_iter(range)
-                .map(|r| (r, None)),
-        );
         pieces.extend(self.inst(pred).live_descs.iter().filter_map(|&pd| {
             self.arena
                 .range(pd)
                 .intersect(range)
                 .map(|ovl| (ovl, Some(pd)))
         }));
-        // Piece lo values are distinct (they tile the range), so the
-        // unstable sort is behavior-identical and allocation-free.
+        // Piece lo values are distinct (the pieces are disjoint), so the
+        // unstable sorts are behavior-identical and allocation-free.
         pieces.sort_unstable_by_key(|(r, _)| r.lo);
+        let mut done = take(&mut self.scratch.runs);
+        released_minus_live([range], pieces.iter().map(|&(r, _)| r), &mut done);
+        pieces.extend(done.iter().map(|&r| (r, None)));
+        pieces.sort_unstable_by_key(|(r, _)| r.lo);
+        done.clear();
+        self.scratch.runs = done;
         debug_assert_eq!(
             pieces.iter().map(|(r, _)| r.len() as u64).sum::<u64>(),
             range.len() as u64,
@@ -476,5 +518,29 @@ impl Engine {
         }
         pieces.clear();
         self.scratch.pieces = pieces;
+    }
+}
+
+/// Append to `out` the granules of `released` that no `live` range covers:
+/// an instance's completed granules, since released = completed ⊔ live.
+/// Both inputs are sorted by `lo` and disjoint, and each live range lies
+/// inside one released run; the output runs are coalesced and in order.
+fn released_minus_live(
+    released: impl IntoIterator<Item = GranuleRange>,
+    live: impl IntoIterator<Item = GranuleRange>,
+    out: &mut Vec<GranuleRange>,
+) {
+    let mut live = live.into_iter().peekable();
+    for run in released {
+        let mut cursor = run.lo;
+        while let Some(l) = live.next_if(|l| l.lo < run.hi) {
+            if l.lo > cursor {
+                out.push(GranuleRange::new(cursor, l.lo));
+            }
+            cursor = l.hi;
+        }
+        if cursor < run.hi {
+            out.push(GranuleRange::new(cursor, run.hi));
+        }
     }
 }

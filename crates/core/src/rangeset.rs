@@ -1,32 +1,35 @@
 //! A set of granule indices kept as sorted, disjoint, coalesced ranges.
 //!
 //! The executive uses range sets to track which granules of a phase have
-//! completed — the paper's descriptions are "large, contiguous collections
-//! of granules ... split apart as necessary ... and then merged back into
-//! single descriptions when the work was completed". `RangeSet::insert` is
-//! that merge.
+//! been *released* — given a description, running or done. The paper's
+//! descriptions are "large, contiguous collections of granules ... split
+//! apart as necessary ... and then merged back into single descriptions
+//! when the work was completed"; the completed granules are the released
+//! ones no live description covers, so the executive derives them where
+//! it reads them instead of keeping a second set.
 //!
 //! Runs live in one contiguous sorted `Vec<(u32, u32)>`. In-order
-//! completion extends a run in place via the completed-run hint; a
-//! bridging or disjoint insert into a *fragmented* set shifts the tail
-//! with one memmove.
+//! release extends a run in place via the last-run hint; a bridging or
+//! disjoint insert into a *fragmented* set shifts the tail with one
+//! memmove.
 
 use crate::ids::GranuleRange;
 
 /// Sorted, disjoint, coalesced set of `u32` indices.
 ///
-/// Carries a one-element **completed-run hint**: the position of the run
-/// the last [`RangeSet::insert_run`] merged into. Identity-mapped phases
-/// complete granules almost in order, so the overwhelmingly common insert
-/// extends that same run — the hint turns the run search into an O(1)
-/// bounds check plus an in-place extend. The hint is pure acceleration
-/// state: it never changes results, and equality ignores it.
+/// Carries a one-element **last-run hint**: the position of the run the
+/// last [`RangeSet::insert`] merged into. Releases mostly arrive in index
+/// order (an identity successor's released set is filled from its
+/// predecessor's sorted live ranges), so the common insert extends that
+/// same run — the hint turns the run search into an O(1) bounds check
+/// plus an in-place extend. The hint is pure acceleration state: it never
+/// changes results, and equality ignores it.
 #[derive(Debug, Clone, Default)]
 pub struct RangeSet {
     /// Half-open `[lo, hi)` pairs, sorted, non-overlapping, non-adjacent.
     runs: Vec<(u32, u32)>,
-    /// Completed-run hint: index into `runs` of the last merged run
-    /// (stale values are safe: the fast path re-validates before use).
+    /// Last-run hint: index into `runs` of the last merged run (stale
+    /// values are safe: the fast path re-validates before use).
     hint: usize,
 }
 
@@ -38,22 +41,6 @@ impl PartialEq for RangeSet {
 }
 
 impl Eq for RangeSet {}
-
-/// What [`RangeSet::insert_run`] did: the coalesced run that now covers the
-/// inserted range, how many pre-existing runs it swallowed, and how many
-/// indices were newly added. Lets completion processing merge a range and
-/// learn the merge shape in one pass, instead of re-querying the set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RunInsert {
-    /// The single stored run that contains the inserted range after
-    /// coalescing.
-    pub merged: GranuleRange,
-    /// Number of previously stored runs merged into `merged` (0 means the
-    /// inserted range was disjoint from — and non-adjacent to — everything).
-    pub absorbed: usize,
-    /// Indices newly covered by this insert (0 when already fully covered).
-    pub added: u64,
-}
 
 impl RangeSet {
     /// Empty set.
@@ -121,33 +108,19 @@ impl RangeSet {
 
     /// Insert `[lo, hi)`, merging with any overlapping or adjacent runs.
     /// Inserting an already-covered or empty range is a no-op.
-    #[inline]
     pub fn insert(&mut self, r: GranuleRange) {
-        if !r.is_empty() {
-            let _ = self.insert_run(r);
+        if r.is_empty() {
+            return;
         }
-    }
-
-    /// Insert `[lo, hi)` and report the merge: the coalesced run now
-    /// covering it, how many stored runs were absorbed, and how many
-    /// indices were newly added. `r` must be non-empty (the executive
-    /// never merges an empty completion; use [`RangeSet::insert`] when an
-    /// empty range may flow through).
-    pub fn insert_run(&mut self, r: GranuleRange) -> RunInsert {
-        debug_assert!(!r.is_empty(), "insert_run of empty range");
-        // Completed-run hint fast path: the common in-order insert touches
-        // only the run merged into last time. Handled here when the insert
+        // Last-run hint fast path: the common in-order insert touches only
+        // the run merged into last time. Handled here when the insert
         // lands wholly inside it, or extends its tail without reaching the
         // next stored run — both cases absorb exactly that one run, so the
         // result is identical to the search below.
         if let Some(&(hlo, hhi)) = self.runs.get(self.hint) {
             if r.lo >= hlo && r.lo <= hhi {
                 if r.hi <= hhi {
-                    return RunInsert {
-                        merged: GranuleRange::new(hlo, hhi),
-                        absorbed: 1,
-                        added: 0,
-                    };
+                    return;
                 }
                 let clear_of_next = match self.runs.get(self.hint + 1) {
                     Some(&(nlo, _)) => r.hi < nlo, // `==` would coalesce: slow path
@@ -155,11 +128,7 @@ impl RangeSet {
                 };
                 if clear_of_next {
                     self.runs[self.hint].1 = r.hi;
-                    return RunInsert {
-                        merged: GranuleRange::new(hlo, r.hi),
-                        absorbed: 1,
-                        added: (r.hi - hhi) as u64,
-                    };
+                    return;
                 }
             }
         }
@@ -167,17 +136,15 @@ impl RangeSet {
         // Find the first run whose end is >= lo (candidate for merging).
         let start = self.runs.partition_point(|&(_, rhi)| rhi < lo);
         let mut end = start;
-        let mut covered: u64 = 0;
         while end < self.runs.len() && self.runs[end].0 <= hi {
             lo = lo.min(self.runs[end].0);
             hi = hi.max(self.runs[end].1);
-            covered += (self.runs[end].1 - self.runs[end].0) as u64;
             end += 1;
         }
         let absorbed = end - start;
         if absorbed == 1 {
-            // Common completion-processing case: extend one run in place —
-            // no element shifting, no splice machinery.
+            // Extend one run in place — no element shifting, no splice
+            // machinery.
             self.runs[start] = (lo, hi);
         } else if absorbed == 0 {
             // Disjoint insert: `Vec::insert` is already a reserve + one
@@ -193,11 +160,6 @@ impl RangeSet {
             self.runs.truncate(self.runs.len() - (absorbed - 1));
         }
         self.hint = start;
-        RunInsert {
-            merged: GranuleRange::new(lo, hi),
-            absorbed,
-            added: (hi - lo) as u64 - covered,
-        }
     }
 
     /// Iterate the stored runs as `GranuleRange`s.
@@ -240,24 +202,12 @@ impl RangeSet {
     }
 
     /// Remove every stored run while keeping the allocation for reuse —
-    /// the eviction path resets a completed instance's sets without
-    /// returning their buffers to the allocator, so a recycled instance
-    /// starts warm.
+    /// the eviction path resets a completed instance's released set
+    /// without returning its buffer to the allocator, so a recycled
+    /// instance starts warm.
     pub fn clear(&mut self) {
         self.runs.clear();
         self.hint = 0;
-    }
-
-    /// Iterate the covered sub-ranges intersecting the window, without
-    /// materializing them.
-    pub fn covered_in_iter(&self, win: GranuleRange) -> impl Iterator<Item = GranuleRange> + '_ {
-        self.runs_from(win.lo)
-            .take_while(move |r| r.lo < win.hi)
-            .filter_map(move |r| {
-                let l = r.lo.max(win.lo);
-                let h = r.hi.min(win.hi);
-                (l < h).then(|| GranuleRange::new(l, h))
-            })
     }
 }
 
@@ -293,6 +243,11 @@ mod tests {
 
     fn r(lo: u32, hi: u32) -> GranuleRange {
         GranuleRange::new(lo, hi)
+    }
+
+    /// The stored run list.
+    fn runs(s: &RangeSet) -> Vec<GranuleRange> {
+        s.iter_runs().collect()
     }
 
     #[test]
@@ -369,16 +324,6 @@ mod tests {
         assert!(gaps(&full, r(0, 10)).is_empty());
     }
 
-    #[test]
-    fn covered_in_window() {
-        let mut s = RangeSet::new();
-        s.insert(r(2, 4));
-        s.insert(r(6, 8));
-        let covered = |win| s.covered_in_iter(win).collect::<Vec<_>>();
-        assert_eq!(covered(r(3, 7)), vec![r(3, 4), r(6, 7)]);
-        assert_eq!(covered(r(0, 2)), vec![]);
-    }
-
     /// Runs [`coalesce_indices_into`] finds in `v`.
     fn coalesce(mut v: Vec<u32>) -> Vec<GranuleRange> {
         let mut runs = Vec::new();
@@ -399,32 +344,24 @@ mod tests {
     }
 
     #[test]
-    fn insert_run_reports_merge_shape() {
+    fn insert_merges_into_stored_runs() {
         let mut s = RangeSet::new();
-        let i = s.insert_run(r(5, 10));
-        assert_eq!(i.merged, r(5, 10));
-        assert_eq!(i.absorbed, 0);
-        assert_eq!(i.added, 5);
+        s.insert(r(5, 10));
+        assert_eq!(runs(&s), vec![r(5, 10)]);
 
         // extend one run in place
-        let i = s.insert_run(r(10, 12));
-        assert_eq!(i.merged, r(5, 12));
-        assert_eq!(i.absorbed, 1);
-        assert_eq!(i.added, 2);
+        s.insert(r(10, 12));
+        assert_eq!(runs(&s), vec![r(5, 12)]);
 
         // bridge two runs
         s.insert(r(20, 25));
-        let i = s.insert_run(r(12, 20));
-        assert_eq!(i.merged, r(5, 25));
-        assert_eq!(i.absorbed, 2);
-        assert_eq!(i.added, 8);
-        assert_eq!(s.run_count(), 1);
+        assert_eq!(runs(&s), vec![r(5, 12), r(20, 25)]);
+        s.insert(r(12, 20));
+        assert_eq!(runs(&s), vec![r(5, 25)]);
 
-        // already covered: nothing added
-        let i = s.insert_run(r(6, 7));
-        assert_eq!(i.merged, r(5, 25));
-        assert_eq!(i.absorbed, 1);
-        assert_eq!(i.added, 0);
+        // already covered: nothing changes
+        s.insert(r(6, 7));
+        assert_eq!(runs(&s), vec![r(5, 25)]);
     }
 
     #[test]
@@ -436,10 +373,7 @@ mod tests {
             s.insert(r(k * 10, k * 10 + 4));
         }
         assert_eq!(s.run_count(), 100);
-        let i = s.insert_run(r(100, 196));
-        assert_eq!(i.absorbed, 10);
-        assert_eq!(i.merged, r(100, 196));
-        assert_eq!(i.added, 96 - 40);
+        s.insert(r(100, 196));
         assert_eq!(s.run_count(), 91);
         // head, merged middle, and shifted tail all intact
         assert!(s.contains_range(r(90, 94)));
@@ -482,20 +416,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_in_iter_matches_covered_in() {
-        let mut s = RangeSet::new();
-        s.insert(r(2, 4));
-        s.insert(r(6, 8));
-        s.insert(r(10, 20));
-        for win in [r(0, 25), r(3, 7), r(4, 6), r(8, 10), r(5, 5)] {
-            let a: Vec<GranuleRange> = s.covered_in_iter(win).collect();
-            let covered: Vec<GranuleRange> =
-                s.iter_runs().filter_map(|run| run.intersect(win)).collect();
-            assert_eq!(a, covered, "window {win}");
-        }
-    }
-
-    #[test]
     fn with_capacity_starts_empty() {
         let s = RangeSet::with_capacity(16);
         assert!(s.is_empty());
@@ -508,10 +428,8 @@ mod tests {
         // completions. Every insert after the first must hit the hint.
         let mut s = RangeSet::new();
         for g in 0..1000u32 {
-            let i = s.insert_run(r(g, g + 1));
-            assert_eq!(i.merged, r(0, g + 1));
-            assert_eq!(i.added, 1);
-            assert_eq!(i.absorbed, usize::from(g > 0));
+            s.insert(r(g, g + 1));
+            assert_eq!(runs(&s), vec![r(0, g + 1)]);
         }
         assert_eq!(s.run_count(), 1);
         assert_eq!(s.len(), 1000);
@@ -530,10 +448,8 @@ mod tests {
         t.insert(r(0, 5));
         t.insert(r(5, 10)); // hint on the merged run
         t.insert(r(12, 20));
-        let i = t.insert_run(r(10, 12)); // extends hint run right up to next
-        assert_eq!(i.merged, r(0, 20));
-        assert_eq!(i.absorbed, 2);
-        assert_eq!(t.run_count(), 1);
+        t.insert(r(10, 12)); // extends hint run right up to next
+        assert_eq!(runs(&t), vec![r(0, 20)]);
     }
 
     #[test]
@@ -555,14 +471,11 @@ mod tests {
         let mut s = RangeSet::new();
         s.insert(r(50, 60));
         s.insert(r(0, 10));
-        let i = s.insert_run(r(55, 58)); // inside the now-shifted run
-        assert_eq!(i.merged, r(50, 60));
-        assert_eq!(i.added, 0);
+        s.insert(r(55, 58)); // inside the now-shifted run
+        assert_eq!(runs(&s), vec![r(0, 10), r(50, 60)]);
         s.insert(r(20, 30));
-        let i = s.insert_run(r(25, 35)); // extend middle run
-        assert_eq!(i.merged, r(20, 35));
-        assert_eq!(i.added, 5);
-        assert_eq!(s.run_count(), 3);
+        s.insert(r(25, 35)); // extend middle run
+        assert_eq!(runs(&s), vec![r(0, 10), r(20, 35), r(50, 60)]);
     }
 
     #[test]

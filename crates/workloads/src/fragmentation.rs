@@ -1,12 +1,12 @@
 //! The stripe-churn insert sequence: the order that keeps a granule-run
 //! set maximally fragmented.
 //!
-//! The dense workloads (identity, universal) complete and release
-//! granules almost in index order, so the executive's `RangeSet`s stay
-//! at one or two runs and every merge is an O(1) hinted extend. Real
+//! The dense workloads (identity, universal) release granules almost in
+//! index order, so the executive's `RangeSet`s stay at one or two runs
+//! and every merge is an O(1) hinted extend. Real
 //! irregular phases are not so kind: when the enablement mapping scatters
-//! releases across the index space, the released/completed sets shatter
-//! into thousands of short runs and every merge becomes a *bridging or
+//! releases across the index space, the released sets shatter into
+//! thousands of short runs and every merge becomes a *bridging or
 //! disjoint insert into the middle of a fragmented run list* — the shape
 //! the contiguous-Vec run storage is worst at (each such insert shifts
 //! the whole tail).

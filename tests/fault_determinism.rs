@@ -23,6 +23,7 @@ use pax_sim::dist::{CostModel, DurationDist};
 use pax_sim::machine::MachineConfig;
 use pax_sim::time::SimDuration;
 use pax_sim::{FaultPlan, RetryPolicy, ScriptedFault};
+use pax_workloads::casper::CasperConfig;
 use pax_workloads::FleetConfig;
 
 /// A scripted plan that hits the fleet's machines mid-phase: processor 1
@@ -75,6 +76,33 @@ fn fault_injected_runs_are_identical_across_shards_and_drivers() {
             assert!(v.reference.unwrap().crashes > 0, "{name}: no crash landed");
         }
     }
+}
+
+/// CASPER under random crashes gives one report on every driver, shard
+/// count and cut set: crash preemption meets counted maps built in the
+/// background, successor-splitting tasks and identity conflict queues,
+/// all of which read a predecessor's completed granules.
+#[test]
+fn casper_under_faults_is_identical_across_shards_and_drivers() {
+    let casper = CasperConfig {
+        granules: 96,
+        iterations: 3,
+        seed: 5,
+        ..CasperConfig::default()
+    };
+    let program = casper.build(true);
+    let machine = MachineConfig::new(8).with_faults(random_plan());
+    let v = oracle(
+        "casper_96x3+random",
+        |cfg| {
+            let mut sim = Simulation::new(cfg, OverlapPolicy::overlap()).with_seed(3);
+            sim.add_job(program.clone());
+            sim
+        },
+        machine,
+        &[700, 5_000],
+    );
+    assert!(v.reference.unwrap().crashes > 0, "no crash landed");
 }
 
 /// The degraded-capacity report fields actually account for the faults:
