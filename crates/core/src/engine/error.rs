@@ -31,14 +31,16 @@ pub enum EngineError {
         /// Diagnostic text.
         detail: String,
     },
-    /// A shard worker thread of the threaded driver panicked or missed
-    /// the watchdog deadline, so the epoch protocol cannot complete.
-    /// Raised by `pax-runtime`'s `ThreadedSession` in place of the
-    /// process hang a naked barrier would produce.
+    /// A shard worker thread of the threaded driver panicked, or did
+    /// not reply to an epoch's command before the watchdog deadline, so
+    /// the epoch cannot complete. Raised by `pax-runtime`'s
+    /// `ThreadedSession` in place of a process hang; once raised, every
+    /// later call on the session returns the same error.
     ShardFailed {
         /// Index of the failed shard.
         shard: usize,
-        /// Panic payload or watchdog diagnostic.
+        /// The panic's message, with the epoch and window it struck in,
+        /// or the watchdog diagnostic naming the epoch.
         cause: String,
     },
 }

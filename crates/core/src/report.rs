@@ -22,7 +22,10 @@ pub struct PhaseReport {
     /// Mapping through which this instance was enabled by its
     /// predecessor, if it was overlapped.
     pub enabled_by: Option<MappingKind>,
-    /// Timing and overlap statistics.
+    /// Timing and overlap statistics. In a merged multi-group report
+    /// these instants are in the phase's group's local time, not the
+    /// global time of the report's jobs and traces (see `pax_core::shard`,
+    /// "Merged report conventions").
     pub stats: PhaseStats,
 }
 
@@ -289,6 +292,11 @@ impl RunReport {
     /// Rundown analysis for phase instance `idx`: the time from when busy
     /// processors last dropped below full (`processors`) until the phase
     /// completed, and the idle processor-time lost in that window.
+    ///
+    /// Wrong for a phase of a group admitted after `t = 0` in a merged
+    /// multi-group report: the phase's instants are group-local but the
+    /// busy trace is global, so the window read is the wrong one (see
+    /// `pax_core::shard`, "Merged report conventions").
     pub fn rundown_of(&self, idx: usize) -> Option<RundownWindow> {
         let p = &self.phases[idx];
         let end = p.stats.completed_at?;

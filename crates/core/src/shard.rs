@@ -31,13 +31,17 @@
 //! ## One loop, two executors
 //!
 //! That sequence — plan, pause at the caller's limit or clip the window
-//! to it, run the epoch, absorb the notes, route admissions — is written
-//! once, in [`ShardedRun`]; [`Simulation::run`], a stepped
-//! [`crate::engine::Session`] and `pax-runtime`'s `ThreadedSession` all
-//! go through it, a single-group simulation as its 1-group case. It is
-//! parameterised only by its [`Executor`]: this module owns the loop and
-//! the calling-thread executor, `pax-runtime` the one that runs shards on
-//! worker threads behind an epoch gate, and nothing else of the protocol.
+//! to it, run the epoch — is written once, in [`ShardedRun`];
+//! [`Simulation::run`], a stepped [`crate::engine::Session`] and
+//! `pax-runtime`'s `ThreadedSession` all go through it, a single-group
+//! simulation as its 1-group case. It is parameterised only by its
+//! [`Executor`], which runs an epoch whole: route the admissions the
+//! coordinator decided to their shards, drain each shard up to the
+//! window, have the coordinator absorb the notes. This module owns the
+//! loop and the calling-thread executor (`Vec<ShardEngine>`);
+//! `pax-runtime` owns the other, which gives every shard a worker thread
+//! and sends it one command and takes one reply per epoch over channels,
+//! at every shard count, and nothing else of the protocol.
 //!
 //! ## Determinism contract
 //!
@@ -70,6 +74,15 @@
 //! with `job` remapped to the original submission index; per-worker Gantt
 //! traces are not merged (`gantt: None`) since worker ids would collide
 //! across replicas.
+//!
+//! Known flaw: jobs and traces are global, but each phase's
+//! [`PhaseStats`](crate::phase::PhaseStats) instants stay in its group's
+//! *local* time, and the report does not carry the group's admission
+//! offset. So [`RunReport::rundown_of`] on a phase of a group admitted
+//! after `t = 0` reads the wrong window of the global busy trace. (Two
+//! 16-granule groups linked at latency 100: job 1 runs 140 → 180, its
+//! phase reports 0 → 40, and `rundown_of(1)` returns 0..40 with 160 idle
+//! ticks.)
 
 use crate::engine::{Engine, EngineError, Simulation};
 use crate::ids::InstanceId;
@@ -300,8 +313,8 @@ impl Coordinator {
     }
 
     /// Move decided-but-undelivered admissions into `into` as
-    /// `(group, admit_time)` pairs; the driver routes each to shard
-    /// `group % shard_count`.
+    /// `(group, admit_time)` pairs; the driver (an [`Executor`], at the
+    /// top of its next epoch) routes each to shard `group % shard_count`.
     pub fn drain_admissions(&mut self, into: &mut Vec<(usize, SimTime)>) {
         into.append(&mut self.pending);
     }
@@ -491,17 +504,16 @@ fn rewrite_phases(
 /// How a [`ShardedRun`] executes one epoch's shards and gets the shard
 /// engines back for the merge — the only thing its drivers differ in.
 pub trait Executor {
-    /// Drain every shard up to `window` ([`ShardEngine::run_window`]) and
+    /// Deliver the admissions `coordinator` decided since the last epoch
+    /// ([`Coordinator::drain_admissions`]) to their shards — group `g` to
+    /// shard `g % shard count`, through [`ShardEngine::deliver`] — then
+    /// drain every shard up to `window` ([`ShardEngine::run_window`]) and
     /// have `coordinator` absorb the notes each one deposited.
     fn run_epoch(
         &mut self,
         window: Option<SimTime>,
         coordinator: &mut Coordinator,
     ) -> Result<(), EngineError>;
-
-    /// Route an admission to the shard that owns `group` (shard
-    /// `group % shard count`), to take effect before its next window.
-    fn deliver(&mut self, group: usize, admit: SimTime);
 
     /// Stop executing and hand the shard engines back, in shard order.
     fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError>;
@@ -515,6 +527,10 @@ impl Executor for Vec<ShardEngine> {
         window: Option<SimTime>,
         coordinator: &mut Coordinator,
     ) -> Result<(), EngineError> {
+        let shard_count = self.len();
+        for (group, admit) in coordinator.pending.drain(..) {
+            self[group % shard_count].deliver(group, admit);
+        }
         for s in self.iter_mut() {
             s.run_window(window);
             coordinator.absorb(s.notes());
@@ -522,31 +538,8 @@ impl Executor for Vec<ShardEngine> {
         Ok(())
     }
 
-    fn deliver(&mut self, group: usize, admit: SimTime) {
-        let shard_count = self.len();
-        self[group % shard_count].deliver(group, admit);
-    }
-
     fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
         Ok(take(self))
-    }
-}
-
-impl<X: Executor + ?Sized> Executor for Box<X> {
-    fn run_epoch(
-        &mut self,
-        window: Option<SimTime>,
-        coordinator: &mut Coordinator,
-    ) -> Result<(), EngineError> {
-        (**self).run_epoch(window, coordinator)
-    }
-
-    fn deliver(&mut self, group: usize, admit: SimTime) {
-        (**self).deliver(group, admit)
-    }
-
-    fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
-        (**self).take_shards()
     }
 }
 
@@ -623,9 +616,6 @@ impl<X: Executor> ShardedRun<X> {
                 (w, l) => w.or(l),
             };
             self.executor.run_epoch(window, &mut self.coordinator)?;
-            for (group, admit) in self.coordinator.pending.drain(..) {
-                self.executor.deliver(group, admit);
-            }
         }
     }
 }

@@ -73,9 +73,15 @@ impl PhaseBook {
     /// or with an edge whose mapping does not fit its phases
     /// ([`check_edge`](pax_core::mapping::EnablementMapping::check_edge)):
     /// unchecked, a granule could be left unreleased for ever or released
-    /// twice.
+    /// twice. Refuses too the config values `RuntimeConfig`'s public fields
+    /// let past its constructors: no workers (the chain never runs), no
+    /// granules per task (releases chunk into empty tasks for ever) and
+    /// no clusters (a division by zero).
     pub(crate) fn new(specs: &[RtPhase], cfg: &RuntimeConfig) -> PhaseBook {
         assert!(!specs.is_empty(), "need at least one phase");
+        assert!(cfg.workers > 0, "need at least one worker");
+        assert!(cfg.task_granules > 0, "need at least one granule per task");
+        assert!(cfg.clusters != Some(0), "need at least one cluster");
         let phases = specs
             .iter()
             .enumerate()

@@ -514,21 +514,66 @@ mod tests {
         }
     }
 
-    /// Both executors must refuse `chain` before a thread starts, with
-    /// the same message; the central executor's panic is re-raised for the
-    /// caller's `#[should_panic(expected = ..)]` to read.
-    fn both_executors_reject(chain: impl Fn() -> Vec<RtPhase>) {
+    /// Both executors must refuse `chain` under `cfg` before a thread
+    /// starts, with the same message; the central executor's panic is
+    /// re-raised for the caller's `#[should_panic(expected = ..)]` to read.
+    fn both_executors_reject_under(cfg: RuntimeConfig, chain: impl Fn() -> Vec<RtPhase>) {
         use std::panic::resume_unwind;
         let message = |run: Executor| {
-            let refused = run_guarded(run, chain(), RuntimeConfig::new(2, 2));
+            let refused = run_guarded(run, chain(), cfg.clone());
             let payload = refused.expect_err("the executor ran a mis-shaped chain");
             let text = payload.downcast_ref::<String>().cloned();
-            (text.expect("a formatted panic message"), payload)
+            let text = text.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
+            (text.expect("a text panic message"), payload)
         };
         let (lateral, _) = message(crate::lateral::run_chain_lateral);
         let (central, payload) = message(run_chain);
         assert_eq!(central, lateral, "the executors share one validation");
         resume_unwind(payload);
+    }
+
+    /// [`both_executors_reject_under`] a valid config: 2 workers, 2
+    /// granules a task.
+    fn both_executors_reject(chain: impl Fn() -> Vec<RtPhase>) {
+        both_executors_reject_under(RuntimeConfig::new(2, 2), chain);
+    }
+
+    /// A valid two-phase chain, so only the config can be refused.
+    fn sound_chain() -> Vec<RtPhase> {
+        edge(EnablementMapping::Identity)
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn a_config_needs_workers() {
+        // Unchecked, both executors report a chain that never ran.
+        let cfg = RuntimeConfig {
+            workers: 0,
+            ..RuntimeConfig::new(2, 2)
+        };
+        both_executors_reject_under(cfg, sound_chain);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one granule per task")]
+    fn a_config_needs_granules_per_task() {
+        // Unchecked, every release chunks into empty tasks for ever.
+        let cfg = RuntimeConfig {
+            task_granules: 0,
+            ..RuntimeConfig::new(2, 2)
+        };
+        both_executors_reject_under(cfg, sound_chain);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one cluster")]
+    fn a_config_needs_clusters() {
+        // Unchecked, `worker_cluster` divides by zero.
+        let cfg = RuntimeConfig {
+            clusters: Some(0),
+            ..RuntimeConfig::new(2, 2)
+        };
+        both_executors_reject_under(cfg, sound_chain);
     }
 
     #[test]

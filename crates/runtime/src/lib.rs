@@ -32,6 +32,14 @@
 //! thread-level analogue of the data-proximity assignment measured in
 //! E12).
 //!
+//! [`ThreadedSession`] ([`shard_exec`]) runs the simulator's sharded
+//! epoch loop ([`pax_core::shard::ShardedRun`]) with one worker thread
+//! per shard, at every shard count. Each epoch is one command a shard
+//! over its own channel and one reply a shard over a shared one; a
+//! panicking or wedged shard surfaces as
+//! [`EngineError::ShardFailed`](pax_core::engine::EngineError::ShardFailed),
+//! and dropping the session lets its workers exit.
+//!
 //! ```
 //! use pax_core::mapping::EnablementMapping;
 //! use pax_runtime::{run_chain, RtPhase, RuntimeConfig};

@@ -1,5 +1,5 @@
 //! The threaded executor of the sharded simulation core: one worker
-//! thread per shard behind a cancellable epoch gate.
+//! thread per shard, driven over channels.
 //!
 //! `pax-core`'s [`pax_core::shard`] module decomposes a
 //! [`Simulation`](pax_core::engine::Simulation) into per-shard
@@ -7,138 +7,80 @@
 //! owns the one epoch loop that drives them ([`ShardedRun`]), which is
 //! parameterised by an [`Executor`]. This module owns the threaded
 //! executor and nothing else of the protocol: [`ThreadedSession`] is a
-//! [`ShardedRun`] whose executor is the **gate** — a mutex-and-condvar
-//! rendezvous that replaces the naked `std::sync::Barrier` an earlier
-//! revision used, because a barrier has no failure mode: one panicking or
-//! wedged shard thread left every other participant (the coordinator
-//! included) blocked in `Barrier::wait` forever.
+//! [`ShardedRun`] whose executor gives every shard a worker thread, at
+//! every shard count.
 //!
-//! One epoch through the gate is two phases:
+//! An epoch is one command and one reply per shard, over
+//! [`std::sync::mpsc`] channels:
 //!
-//! 1. **release** — the driving thread publishes the epoch command (the
-//!    window the loop computed, or stop) and bumps the gate's epoch
-//!    counter; each worker wakes, applies the admissions routed to its
-//!    inbox, and drains its shard's calendars up to the window;
-//! 2. **join** — workers deposit their outbox notes into the shared
-//!    exchange and check in; once every shard checked in, the coordinator
-//!    absorbs the notes and the loop goes on.
+//! 1. the driving thread sends each worker, on that worker's own command
+//!    channel, `Run(window, admissions)`: the window the loop computed
+//!    and the admissions the coordinator routed to the shard;
+//! 2. each worker applies the admissions, drains its shard up to the
+//!    window and answers `Ran(notes)` on the one reply channel all
+//!    workers share; once every shard replied, the coordinator absorbs
+//!    the notes in shard order and the loop goes on.
 //!
-//! Unlike a barrier, the gate is **failure-aware**:
+//! `Stop` ends the run: each worker answers `Stopped(engine)` and exits.
+//!
+//! A failure is a reply too, or the lack of one:
 //!
 //! * every epoch body runs under [`std::panic::catch_unwind`]; a panic
-//!   poisons the gate (records the shard and the panic message) instead
-//!   of unwinding through the rendezvous, and every other participant —
-//!   workers waiting for the next epoch and the driving thread waiting
-//!   for check-ins — observes the poisoned flag and cancels;
-//! * the driving thread's wait is guarded by a coarse **watchdog
-//!   deadline** (wall-clock, default two minutes per epoch — epochs of
-//!   the pinned suites complete in milliseconds, so only a genuinely
-//!   wedged thread can trip it); on expiry the gate is poisoned naming
-//!   the first shard that failed to check in, and the wedged thread is
-//!   abandoned (workers are spawned detached precisely so an unkillable
-//!   thread cannot block the driver's return);
+//!   becomes a `Panicked` reply that names the epoch and the window, and
+//!   the worker exits;
+//! * the driving thread waits for replies with `recv_timeout` against a
+//!   coarse **watchdog deadline** (wall-clock, default two minutes per
+//!   epoch — epochs of the pinned suites complete in milliseconds, so
+//!   only a genuinely wedged thread can trip it); on expiry it names the
+//!   first shard that did not reply and abandons that thread (workers
+//!   are spawned detached precisely so an unkillable thread cannot block
+//!   the driver's return);
+//! * the first failure is sticky: the call that saw it and every later
+//!   one return the same [`EngineError::ShardFailed`] `{ shard, cause }`
+//!   instead of a process hang;
 //! * dropping the executor — an abandoned session, or an error already
-//!   returned — poisons the gate too, so parked workers exit;
-//! * either way the caller gets a structured
-//!   [`EngineError::ShardFailed`] `{ shard, cause }` instead of a
-//!   process hang.
+//!   returned — closes the command channels, so parked workers exit.
 //!
 //! Determinism is inherited, not re-proven: workers only ever run whole
 //! windows of their own engines, and window boundaries are
 //! result-invariant, so a threaded run is bit-identical to the
 //! calling-thread one by construction — the equivalence suite pins it
-//! anyway. Note order in the exchange varies with thread completion
-//! order, but `Coordinator::absorb` is order-insensitive within an epoch
-//! (each note targets its own group; admissions are exact maxes over
-//! finish times), so the nondeterministic arrival order never reaches
-//! the results.
+//! anyway. Replies arrive in thread completion order, but each lands in
+//! its shard's slot, so the coordinator absorbs them in shard order, as
+//! the calling-thread executor does.
 
 use pax_core::engine::EngineError;
 use pax_core::report::RunReport;
 use pax_core::shard::{Coordinator, Executor, GroupNote, ShardEngine, ShardedRun};
 use pax_sim::time::SimTime;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Per-epoch watchdog: how long the coordinator will wait for every
-/// shard to check in before declaring the epoch wedged. Epochs of even
-/// the largest pinned workloads complete in milliseconds of wall-clock;
-/// two minutes is pure headroom for grotesquely loaded CI hosts.
+/// Per-epoch watchdog: how long the driver waits for every shard to
+/// reply before declaring the epoch wedged. Epochs of even the largest
+/// pinned workloads complete in milliseconds of wall-clock; two minutes
+/// is pure headroom for grotesquely loaded CI hosts.
 const DEFAULT_WATCHDOG: Duration = Duration::from_secs(120);
 
-/// What the coordinator asks of the workers this epoch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// What the driver asks of one worker.
 enum Command {
-    /// Drain one conservative window (unbounded when `None`).
-    Run(Option<SimTime>),
+    /// Deliver these `(group, admit)` admissions, then drain one
+    /// conservative window (unbounded when `None`).
+    Run(Option<SimTime>, Vec<(usize, SimTime)>),
     /// Hand the engine back and exit.
     Stop,
 }
 
-/// Everything the gate guards. One mutex covers command publication,
-/// check-ins, note exchange, admission inboxes, and the poison flag —
-/// epoch traffic is a handful of lock acquisitions per shard, so a
-/// single lock is simpler and plenty.
-struct GateState {
-    /// Bumped once per published epoch; workers wait for it to move.
-    epoch: u64,
-    command: Command,
-    /// Which shards checked in for the current epoch.
-    done: Vec<bool>,
-    /// First failure observed: `(shard, cause)`. Once set, every
-    /// participant cancels.
-    poisoned: Option<(usize, String)>,
-    /// Outbox notes deposited this epoch.
-    exchange: Vec<GroupNote>,
-    /// Admissions routed to each shard for its next epoch.
-    inboxes: Vec<Vec<(usize, SimTime)>>,
-    /// Engines handed back on [`Command::Stop`].
-    returned: Vec<(usize, ShardEngine)>,
-}
-
-/// The cancellable epoch gate.
-struct Gate {
-    state: Mutex<GateState>,
-    /// Wakes workers: a new epoch was published, or the gate poisoned.
-    publish: Condvar,
-    /// Wakes the coordinator: a worker checked in, or the gate poisoned.
-    checkin: Condvar,
-}
-
-impl Gate {
-    fn new(shards: usize) -> Gate {
-        Gate {
-            state: Mutex::new(GateState {
-                epoch: 0,
-                command: Command::Stop,
-                done: vec![false; shards],
-                poisoned: None,
-                exchange: Vec::new(),
-                inboxes: (0..shards).map(|_| Vec::new()).collect(),
-                returned: Vec::with_capacity(shards),
-            }),
-            publish: Condvar::new(),
-            checkin: Condvar::new(),
-        }
-    }
-
-    fn lock(&self) -> std::sync::MutexGuard<'_, GateState> {
-        // Worker panics are confined by `catch_unwind` before any lock
-        // is re-taken, so std's poisoning can only fire if the runtime
-        // itself is broken; recover the guard rather than double-panic.
-        self.state.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
-    /// Record a failure (first writer wins) and wake everyone.
-    fn poison(&self, shard: usize, cause: String) {
-        let mut st = self.lock();
-        if st.poisoned.is_none() {
-            st.poisoned = Some((shard, cause));
-        }
-        self.publish.notify_all();
-        self.checkin.notify_all();
-    }
+/// What one worker answers, tagged with its shard on the shared channel.
+enum Reply {
+    /// The notes of the window just drained.
+    Ran(Vec<GroupNote>),
+    /// The engine, handed back on [`Command::Stop`].
+    Stopped(ShardEngine),
+    /// The epoch body panicked (the cause); the worker has exited.
+    Panicked(String),
 }
 
 /// Render a panic payload for the `ShardFailed` cause.
@@ -154,14 +96,14 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 
 /// A long-lived threaded sharded run: the counterpart of
 /// [`pax_core::engine::Session`] with one persistent worker thread per
-/// shard behind the cancellable epoch gate.
+/// shard.
 ///
 /// `step_until` pauses the whole fleet at a global time bound (arrival
 /// streams keep the calendars populated between calls), `drain` runs to
 /// completion, and `finish` stops the workers and merges the report —
 /// all three are [`ShardedRun`]'s, the loop every driver shares.
 pub struct ThreadedSession {
-    run: ShardedRun<Box<dyn Executor + Send>>,
+    run: ShardedRun<ThreadExecutor>,
 }
 
 impl ThreadedSession {
@@ -172,31 +114,33 @@ impl ThreadedSession {
 
     /// Hand the run's shard engines to worker threads (detached — the
     /// watchdog abandons a wedged thread rather than joining on it),
-    /// parked at the gate awaiting the first epoch. `hook(shard, epoch)`
-    /// is invoked inside the `catch_unwind` envelope before each window
-    /// is drained — the chaos tests inject panicking and sleeping hooks
-    /// there to simulate shard failures.
+    /// each parked on its command channel awaiting the first epoch.
+    /// `hook(shard, epoch)` is invoked inside the `catch_unwind` envelope
+    /// before each window is drained — the chaos tests inject panicking
+    /// and sleeping hooks there to simulate shard failures.
     fn spawn<F>(run: ShardedRun, watchdog: Duration, hook: F) -> ThreadedSession
     where
         F: Fn(usize, u64) + Send + Sync + 'static,
     {
-        let run = run.with_executor(|shards| -> Box<dyn Executor + Send> {
-            if shards.len() <= 1 {
-                // A thread plus a gate rendezvous per epoch would buy
-                // nothing: keep the calling-thread executor.
-                return Box::new(shards);
-            }
-            let gate = Arc::new(Gate::new(shards.len()));
-            let hook = Arc::new(hook);
-            for (i, shard) in shards.into_iter().enumerate() {
-                let gate = Arc::clone(&gate);
-                let hook = Arc::clone(&hook);
+        let hook = Arc::new(hook);
+        let run = run.with_executor(|shards| {
+            let (reply, replies) = channel();
+            let commands = shards.into_iter().enumerate().map(|(i, shard)| {
+                let (command, commands) = channel();
+                let (reply, hook) = (reply.clone(), Arc::clone(&hook));
                 std::thread::Builder::new()
                     .name(format!("pax-shard-{i}"))
-                    .spawn(move || worker_loop(i, shard, &gate, &*hook))
+                    .spawn(move || worker(i, shard, &commands, &reply, &*hook))
                     .expect("spawn shard worker thread");
+                command
+            });
+            ThreadExecutor {
+                commands: commands.collect(),
+                replies,
+                watchdog,
+                epoch: 0,
+                failed: None,
             }
-            Box::new(GateExecutor { gate, watchdog })
         });
         ThreadedSession { run }
     }
@@ -220,145 +164,139 @@ impl ThreadedSession {
     }
 }
 
-/// The gate side of the epoch protocol: each epoch is one
-/// [`publish_and_wait`] rendezvous with the worker threads.
-struct GateExecutor {
-    gate: Arc<Gate>,
+/// The driving side of the channels: a command sender per shard worker
+/// and the one reply receiver they all send to.
+struct ThreadExecutor {
+    commands: Vec<Sender<Command>>,
+    replies: Receiver<(usize, Reply)>,
     watchdog: Duration,
+    /// Rounds sent so far, the final `Stop` included: the epoch a
+    /// watchdog cause names (the `Run`s are numbered as the workers
+    /// number them).
+    epoch: u64,
+    /// The first failure, `(shard, cause)`; every later call returns it.
+    failed: Option<(usize, String)>,
 }
 
-impl Executor for GateExecutor {
+impl ThreadExecutor {
+    /// Send every shard `command(shard)` and return the replies in shard
+    /// order, once every shard answered. The first failure — a panic, the
+    /// watchdog's expiry, or workers gone without a reply — is kept: this
+    /// call and every later one return it.
+    fn round(&mut self, command: impl Fn(usize) -> Command) -> Result<Vec<Reply>, EngineError> {
+        let mut replies: Vec<Option<Reply>> = self.commands.iter().map(|_| None).collect();
+        if self.failed.is_none() {
+            self.epoch += 1;
+            for (i, to) in self.commands.iter().enumerate() {
+                // A worker hangs up only after a failure, which is sticky.
+                let _ = to.send(command(i));
+            }
+            let deadline = Instant::now() + self.watchdog;
+            while let Some(missing) = replies.iter().position(Option::is_none) {
+                let wait = deadline.saturating_duration_since(Instant::now());
+                let failure = match self.replies.recv_timeout(wait) {
+                    Ok((i, Reply::Panicked(cause))) => (i, cause),
+                    Ok((i, reply)) => {
+                        replies[i] = Some(reply);
+                        continue;
+                    }
+                    Err(RecvTimeoutError::Timeout) => (
+                        missing,
+                        format!(
+                            "wedged: no reply for epoch {} within the {:?} watchdog",
+                            self.epoch, self.watchdog
+                        ),
+                    ),
+                    Err(RecvTimeoutError::Disconnected) => (
+                        missing,
+                        format!("exited without replying in epoch {}", self.epoch),
+                    ),
+                };
+                self.failed = Some(failure);
+                break;
+            }
+        }
+        match self.failed.clone() {
+            None => Ok(replies.into_iter().flatten().collect()),
+            Some((shard, cause)) => Err(EngineError::ShardFailed { shard, cause }),
+        }
+    }
+}
+
+impl Executor for ThreadExecutor {
     fn run_epoch(
         &mut self,
         window: Option<SimTime>,
         coordinator: &mut Coordinator,
     ) -> Result<(), EngineError> {
-        publish_and_wait(&self.gate, Command::Run(window), self.watchdog)?;
-        let mut st = self.gate.lock();
-        coordinator.absorb(&st.exchange);
-        st.exchange.clear();
+        let mut admissions = Vec::new();
+        coordinator.drain_admissions(&mut admissions);
+        let shard_count = self.commands.len();
+        let ran = self.round(|shard| {
+            let mine = admissions
+                .iter()
+                .filter(|&&(g, _)| g % shard_count == shard);
+            Command::Run(window, mine.copied().collect())
+        })?;
+        for reply in ran {
+            if let Reply::Ran(notes) = reply {
+                coordinator.absorb(&notes);
+            }
+        }
         Ok(())
     }
 
-    fn deliver(&mut self, group: usize, admit: SimTime) {
-        let mut st = self.gate.lock();
-        let n = st.inboxes.len();
-        st.inboxes[group % n].push((group, admit));
-    }
-
     fn take_shards(&mut self) -> Result<Vec<ShardEngine>, EngineError> {
-        publish_and_wait(&self.gate, Command::Stop, self.watchdog)?;
-        let mut returned = std::mem::take(&mut self.gate.lock().returned);
-        returned.sort_by_key(|&(i, _)| i);
-        Ok(returned.into_iter().map(|(_, s)| s).collect())
+        let stopped = self.round(|_| Command::Stop)?.into_iter();
+        Ok(stopped
+            .filter_map(|reply| match reply {
+                Reply::Stopped(shard) => Some(shard),
+                _ => None,
+            })
+            .collect())
     }
 }
 
-impl Drop for GateExecutor {
-    fn drop(&mut self) {
-        // Abandoned mid-run (or an error path already returned): cancel
-        // any workers parked at the gate so the detached threads exit
-        // instead of waiting forever. First-writer-wins makes this a
-        // no-op after a real failure already poisoned, and after a clean
-        // stop there is nobody left to wake.
-        self.gate
-            .poison(0, "session dropped before finish".to_string());
-    }
-}
-
-/// One shard thread: wait for each published epoch, run it under
-/// `catch_unwind`, check in; exit on stop or when the gate poisons.
-fn worker_loop<F>(i: usize, mut shard: ShardEngine, gate: &Gate, hook: &F)
-where
+/// One shard thread: run each epoch it is sent under `catch_unwind` and
+/// reply. It exits after a panic, on `Stop`, or once the executor is
+/// dropped and its command channel closes.
+fn worker<F>(
+    i: usize,
+    mut shard: ShardEngine,
+    commands: &Receiver<Command>,
+    replies: &Sender<(usize, Reply)>,
+    hook: &F,
+) where
     F: Fn(usize, u64),
 {
-    let mut seen_epoch = 0u64;
-    loop {
-        let (cmd, epoch, admissions) = {
-            let mut st = gate.lock();
-            while st.epoch == seen_epoch && st.poisoned.is_none() {
-                st = gate.publish.wait(st).unwrap_or_else(|e| e.into_inner());
+    let mut epoch = 0u64;
+    while let Ok(Command::Run(window, admissions)) = commands.recv() {
+        epoch += 1;
+        let body = catch_unwind(AssertUnwindSafe(|| {
+            hook(i, epoch);
+            for (g, at) in admissions {
+                shard.deliver(g, at);
             }
-            if st.poisoned.is_some() {
-                return; // cancelled: abandon the engine
-            }
-            seen_epoch = st.epoch;
-            (st.command, st.epoch, std::mem::take(&mut st.inboxes[i]))
-        };
-        match cmd {
-            Command::Stop => {
-                let mut st = gate.lock();
-                st.returned.push((i, shard));
-                st.done[i] = true;
-                gate.checkin.notify_all();
+            shard.run_window(window);
+        }));
+        let reply = match body {
+            Ok(()) => Reply::Ran(shard.notes().to_vec()),
+            Err(payload) => {
+                let window = window.map_or("unbounded".to_string(), |w| format!("to {w}"));
+                let cause = format!(
+                    "panicked in epoch {epoch} (window {window}): {}",
+                    panic_message(payload)
+                );
+                let _ = replies.send((i, Reply::Panicked(cause)));
                 return;
             }
-            Command::Run(window) => {
-                let body = catch_unwind(AssertUnwindSafe(|| {
-                    hook(i, epoch);
-                    for (g, at) in admissions {
-                        shard.deliver(g, at);
-                    }
-                    shard.run_window(window);
-                }));
-                match body {
-                    Ok(()) => {
-                        let mut st = gate.lock();
-                        if st.poisoned.is_some() {
-                            return;
-                        }
-                        st.exchange.extend_from_slice(shard.notes());
-                        st.done[i] = true;
-                        gate.checkin.notify_all();
-                    }
-                    Err(payload) => {
-                        gate.poison(i, format!("panicked: {}", panic_message(payload)));
-                        return;
-                    }
-                }
-            }
+        };
+        if replies.send((i, reply)).is_err() {
+            return;
         }
     }
-}
-
-/// Publish one epoch command, then wait — watchdog-guarded — until every
-/// shard checks in. A panic or watchdog expiry yields
-/// [`EngineError::ShardFailed`].
-fn publish_and_wait(gate: &Gate, cmd: Command, watchdog: Duration) -> Result<(), EngineError> {
-    let mut st = gate.lock();
-    for d in st.done.iter_mut() {
-        *d = false;
-    }
-    st.command = cmd;
-    st.epoch += 1;
-    gate.publish.notify_all();
-    let deadline = Instant::now() + watchdog;
-    loop {
-        if let Some((shard, cause)) = st.poisoned.clone() {
-            return Err(EngineError::ShardFailed { shard, cause });
-        }
-        if st.done.iter().all(|&d| d) {
-            return Ok(());
-        }
-        let now = Instant::now();
-        if now >= deadline {
-            let shard = st.done.iter().position(|&d| !d).unwrap_or(0);
-            let cause = format!(
-                "wedged: no check-in for epoch {} within the {:?} watchdog",
-                st.epoch, watchdog
-            );
-            st.poisoned = Some((shard, cause.clone()));
-            // Wake waiting workers so they observe the poison and exit;
-            // the wedged thread itself is abandoned.
-            gate.publish.notify_all();
-            return Err(EngineError::ShardFailed { shard, cause });
-        }
-        let (guard, _) = gate
-            .checkin
-            .wait_timeout(st, deadline - now)
-            .unwrap_or_else(|e| e.into_inner());
-        st = guard;
-    }
+    // `Stop`, or the executor is gone and this send goes unheard.
+    let _ = replies.send((i, Reply::Stopped(shard)));
 }
 
 #[cfg(test)]
@@ -401,7 +339,8 @@ mod tests {
     }
 
     /// A shard thread that panics mid-epoch must surface as a structured
-    /// `ShardFailed` — fast, via the poison path, not the watchdog.
+    /// `ShardFailed` naming the epoch — fast, via its `Panicked` reply,
+    /// not the watchdog.
     #[test]
     fn panicking_shard_surfaces_shard_failed() {
         let run = fleet(3, 6).into_sharded().unwrap();
@@ -417,6 +356,7 @@ mod tests {
             Err(EngineError::ShardFailed { shard, cause }) => {
                 assert_eq!(shard, 1);
                 assert!(cause.contains("injected shard panic"), "{cause}");
+                assert!(cause.contains("epoch 1"), "{cause}");
             }
             other => panic!("expected ShardFailed, got {other:?}"),
         }
@@ -426,7 +366,7 @@ mod tests {
         );
     }
 
-    /// A shard thread that wedges (never checks in) trips the watchdog
+    /// A shard thread that wedges (never replies) trips the watchdog
     /// within its budget instead of hanging the driver forever.
     #[test]
     fn wedged_shard_trips_the_watchdog() {
@@ -457,9 +397,8 @@ mod tests {
         );
     }
 
-    /// The poison flag cancels workers parked at the gate: after a
-    /// failure, a fresh run on the same process still works (no global
-    /// state was corrupted).
+    /// After a failure, a fresh run on the same process still works (no
+    /// global state was corrupted).
     #[test]
     fn driver_recovers_after_a_failed_run() {
         let run = fleet(2, 4).into_sharded().unwrap();
@@ -474,5 +413,34 @@ mod tests {
             .finish()
             .unwrap();
         assert_eq!(clean.jobs.len(), 4);
+    }
+
+    /// Dropping a session that still has work closes the command
+    /// channels: every parked worker exits and drops its hook.
+    #[test]
+    fn dropped_session_releases_its_threads() {
+        let marker = Arc::new(());
+        let held = Arc::clone(&marker);
+        let mut session = ThreadedSession::spawn(
+            fleet(3, 6).into_sharded().unwrap(),
+            DEFAULT_WATCHDOG,
+            move |_, _| {
+                let _hook_holds = &held;
+            },
+        );
+        assert!(
+            !session.step_until(SimTime(20)).unwrap(),
+            "the cut leaves work"
+        );
+        assert!(Arc::strong_count(&marker) > 1);
+        drop(session);
+        let started = Instant::now();
+        while Arc::strong_count(&marker) > 1 {
+            assert!(
+                started.elapsed() < Duration::from_secs(5),
+                "shard workers outlived their session"
+            );
+            std::thread::sleep(Duration::from_millis(5));
+        }
     }
 }
