@@ -12,7 +12,7 @@
 //! and successor-split tasks should dominate demand splitting as split
 //! costs grow.
 
-use crate::table::{f2, pct, Table};
+use crate::table::{pct, Table};
 use pax_core::mapping::MappingKind;
 use pax_core::prelude::*;
 use pax_sim::machine::{ExecutivePlacement, MachineConfig, ManagementCosts};
@@ -141,7 +141,6 @@ impl std::fmt::Display for E7Result {
                 }
             )?;
         }
-        let _ = f2(0.0);
         Ok(())
     }
 }

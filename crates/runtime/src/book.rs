@@ -11,7 +11,9 @@
 //! mutex it already has.
 
 use crate::executor::{RtPhase, RtPhaseReport, RuntimeConfig};
+use pax_core::ids::GranuleRange;
 use pax_core::mapping::{CompositeMap, MappingKind};
+use pax_core::rangeset::coalesce_indices_into;
 use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -51,7 +53,7 @@ struct Phase {
     /// Identity releases that fired while this phase was still outside
     /// the lookahead window; flushed at window entry. Without this buffer
     /// a ≥3-phase identity chain loses releases and deadlocks.
-    deferred: Vec<(u32, u32)>,
+    deferred: Vec<GranuleRange>,
     first_start: Option<Instant>,
     last_end: Option<Instant>,
     overlap_granules: u64,
@@ -177,7 +179,7 @@ impl PhaseBook {
             } = &mut self.phases[succ];
             match (*enabled_by, composite) {
                 (MappingKind::Identity, _) if in_window => chunk(step, succ, t.lo, t.hi, release),
-                (MappingKind::Identity, _) => deferred.push((t.lo, t.hi)),
+                (MappingKind::Identity, _) => deferred.push(GranuleRange::new(t.lo, t.hi)),
                 (_, Some(comp)) => {
                     let mut freed: Vec<u32> = Vec::new();
                     for g in t.lo..t.hi {
@@ -190,9 +192,10 @@ impl PhaseBook {
                         }
                     }
                     if in_window {
-                        freed.sort_unstable();
-                        for (a, b) in index_runs(&freed) {
-                            chunk(step, succ, a, b, release);
+                        let mut runs = Vec::new();
+                        coalesce_indices_into(&mut freed, &mut runs);
+                        for r in runs {
+                            chunk(step, succ, r.lo, r.hi, release);
                         }
                     }
                 }
@@ -260,14 +263,16 @@ impl PhaseBook {
             // indirect: null-set-enabled granules, and those whose
             // counters reached zero while the phase was outside the window
             MappingKind::ForwardIndirect | MappingKind::ReverseIndirect | MappingKind::Seam => {
-                let zeroed: Vec<u32> = (0..ph.granules)
+                let mut zeroed: Vec<u32> = (0..ph.granules)
                     .filter(|&g| ph.counters[g as usize] == 0)
                     .collect();
-                index_runs(&zeroed)
+                let mut runs = Vec::new();
+                coalesce_indices_into(&mut zeroed, &mut runs);
+                runs
             }
         };
-        for (a, b) in runs {
-            chunk(self.task_granules, phase, a, b, release);
+        for r in runs {
+            chunk(self.task_granules, phase, r.lo, r.hi, release);
         }
     }
 }
@@ -286,22 +291,10 @@ fn chunk(step: u32, phase: usize, lo: u32, hi: u32, release: &mut impl FnMut(Tas
     }
 }
 
-/// Maximal runs `[start, end)` of consecutive values in a sorted list.
-fn index_runs(sorted: &[u32]) -> Vec<(u32, u32)> {
-    let mut out: Vec<(u32, u32)> = Vec::new();
-    for &i in sorted {
-        match out.last_mut() {
-            Some((_, end)) if *end == i => *end += 1,
-            _ => out.push((i, i + 1)),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_core::mapping::{EnablementMapping, ReverseMap};
+    use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap, SeamMap};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -311,6 +304,19 @@ mod tests {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+
+    /// A draw from `0..below`.
+    fn draw(state: &mut u64, below: u32) -> u32 {
+        (splitmix(state) % below as u64) as u32
+    }
+
+    /// Per-successor requirement lists of fan-in 0 (enabled by the null
+    /// set) to 3.
+    fn lists(state: &mut u64, granules: u32) -> Vec<Vec<u32>> {
+        (0..granules)
+            .map(|_| (0..draw(state, 4)).map(|_| draw(state, granules)).collect())
+            .collect()
     }
 
     /// The sink of a thread-free run: queues what the book releases and
@@ -334,15 +340,23 @@ mod tests {
             let enabled = |g: usize| match (t.phase, self.overlap) {
                 (0, _) => true,
                 (p, false) => complete(p - 1),
-                (p, true) => match &self.edges[p - 1] {
-                    EnablementMapping::Null => complete(p - 1),
-                    EnablementMapping::Universal => true,
-                    EnablementMapping::Identity => self.finished[p - 1][g],
-                    EnablementMapping::ReverseIndirect(r) => r.requires[g]
-                        .iter()
-                        .all(|&d| self.finished[p - 1][d as usize]),
-                    other => unreachable!("the model draws no {:?} edge", other.kind()),
-                },
+                (p, true) => {
+                    let done = &self.finished[p - 1];
+                    let all = |deps: &[u32]| deps.iter().all(|&d| done[d as usize]);
+                    match &self.edges[p - 1] {
+                        EnablementMapping::Null => complete(p - 1),
+                        EnablementMapping::Universal => true,
+                        EnablementMapping::Identity => done[g],
+                        EnablementMapping::ReverseIndirect(r) => all(&r.requires[g]),
+                        EnablementMapping::Seam(s) => all(&s.requires[g]),
+                        // every writer of `g`, duplicates included
+                        EnablementMapping::ForwardIndirect(f) => f
+                            .targets
+                            .iter()
+                            .zip(done)
+                            .all(|(&r, &d)| r as usize != g || d),
+                    }
+                }
             };
             if !(fits && in_window && (t.lo..t.hi).all(|g| enabled(g as usize))) {
                 self.fault
@@ -365,7 +379,7 @@ mod tests {
         fn every_granule_is_released_once_and_never_early(
             granules in 8u32..61,
             nphases in 2usize..6,
-            mappings in proptest::collection::vec(0u8..4, 4),
+            mappings in proptest::collection::vec(0u8..6, 4),
             task_granules in 1u32..9,
             overlap in proptest::bool::ANY,
             seed in 0u64..u64::MAX,
@@ -376,17 +390,17 @@ mod tests {
                     0 => EnablementMapping::Null,
                     1 => EnablementMapping::Universal,
                     2 => EnablementMapping::Identity,
-                    _ => {
-                        // fan-in 0 (enabled by the null set) to 3
-                        let requires = (0..granules)
-                            .map(|_| {
-                                (0..splitmix(&mut rng) % 4)
-                                    .map(|_| (splitmix(&mut rng) % granules as u64) as u32)
-                                    .collect()
-                            })
-                            .collect();
-                        let map = ReverseMap::new(requires, granules);
+                    3 => {
+                        let map = ReverseMap::new(lists(&mut rng, granules), granules);
                         EnablementMapping::ReverseIndirect(Arc::new(map))
+                    }
+                    4 => EnablementMapping::Seam(Arc::new(SeamMap::new(lists(&mut rng, granules)))),
+                    _ => {
+                        // `granules` writers into `granules - 1` targets: some
+                        // successor has two writers, and the last has none
+                        let targets = (0..granules).map(|_| draw(&mut rng, granules - 1));
+                        let map = ForwardMap::new(targets.collect(), granules);
+                        EnablementMapping::ForwardIndirect(Arc::new(map))
                     }
                 })
                 .collect();
@@ -417,7 +431,7 @@ mod tests {
             let (mut run, mut done) = (0, false);
             book.start(&mut |t| rec.release(t));
             while !rec.ready.is_empty() {
-                let pick = (splitmix(&mut rng) % rec.ready.len() as u64) as usize;
+                let pick = draw(&mut rng, rec.ready.len() as u32) as usize;
                 let t = rec.ready.swap_remove(pick);
                 book.on_task_start(t, now);
                 for g in t.lo..t.hi {

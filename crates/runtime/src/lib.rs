@@ -32,6 +32,12 @@
 //! thread-level analogue of the data-proximity assignment measured in
 //! E12).
 //!
+//! One oracle checks both executors on threads, in the workspace's
+//! `tests/chain_executors.rs`: every chain case runs on both, under
+//! barriers and under overlap (and the lateral one with two steal
+//! clusters), and no granule may start before the granules its edge's
+//! mapping requires have ended, nor run other than once.
+//!
 //! [`ThreadedSession`] ([`shard_exec`]) runs the simulator's sharded
 //! epoch loop ([`pax_core::shard::ShardedRun`]) with one worker thread
 //! per shard, at every shard count. Each epoch is one command a shard
@@ -65,4 +71,4 @@ pub mod work;
 pub use executor::{run_chain, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
 pub use lateral::run_chain_lateral;
 pub use shard_exec::ThreadedSession;
-pub use work::{spin_for, SharedCounters, SharedF64};
+pub use work::{spin_for, SharedF64};

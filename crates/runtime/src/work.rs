@@ -65,41 +65,6 @@ pub fn spin_for(d: Duration) {
     }
 }
 
-/// A shared array of atomic counters (for test instrumentation).
-#[derive(Debug)]
-pub struct SharedCounters {
-    cells: Vec<AtomicU64>,
-}
-
-impl SharedCounters {
-    /// `n` zeroed counters.
-    pub fn zeros(n: usize) -> SharedCounters {
-        SharedCounters {
-            cells: (0..n).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-
-    /// Increment counter `i`, returning the previous value.
-    pub fn incr(&self, i: usize) -> u64 {
-        self.cells[i].fetch_add(1, Ordering::AcqRel)
-    }
-
-    /// Read counter `i`.
-    pub fn get(&self, i: usize) -> u64 {
-        self.cells[i].load(Ordering::Acquire)
-    }
-
-    /// Element count.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when there are no cells.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -126,15 +91,5 @@ mod tests {
         let t0 = Instant::now();
         spin_for(Duration::from_micros(200));
         assert!(t0.elapsed() >= Duration::from_micros(200));
-    }
-
-    #[test]
-    fn counters_count() {
-        let c = SharedCounters::zeros(2);
-        assert_eq!(c.incr(0), 0);
-        assert_eq!(c.incr(0), 1);
-        assert_eq!(c.get(0), 2);
-        assert_eq!(c.get(1), 0);
-        assert_eq!(c.len(), 2);
     }
 }
