@@ -284,7 +284,128 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::work::SharedF64;
     use pax_core::mapping::{ForwardMap, ReverseMap};
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+    /// `n` zeroed run counters, one a granule.
+    fn counters(n: u32) -> Arc<[AtomicU64]> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    fn counting_phase(name: &str, n: u32, counters: Arc<[AtomicU64]>) -> RtPhase {
+        RtPhase::new(
+            name,
+            n,
+            Arc::new(move |g| {
+                counters[g as usize].fetch_add(1, SeqCst);
+            }),
+        )
+    }
+
+    #[test]
+    fn every_granule_runs_exactly_once_barrier() {
+        let c1 = counters(100);
+        let c2 = counters(100);
+        let phases = vec![
+            counting_phase("a", 100, Arc::clone(&c1)).with_mapping(EnablementMapping::Identity),
+            counting_phase("b", 100, Arc::clone(&c2)),
+        ];
+        let r = run_chain(phases, RuntimeConfig::new(4, 8).barrier());
+        for i in 0..100 {
+            assert_eq!(c1[i].load(SeqCst), 1);
+            assert_eq!(c2[i].load(SeqCst), 1);
+        }
+        assert_eq!(
+            r.total_overlap_granules(),
+            0,
+            "barrier mode must not overlap"
+        );
+    }
+
+    #[test]
+    fn identity_overlap_preserves_dataflow() {
+        // phase 1: B[i] = i + 1; phase 2: C[i] = B[i] * 2.
+        // If enablement is wrong, C sees zeros.
+        let n = 400u32;
+        let b = Arc::new(SharedF64::zeros(n as usize));
+        let c = Arc::new(SharedF64::zeros(n as usize));
+        let b1 = Arc::clone(&b);
+        let p1 = RtPhase::new(
+            "write-b",
+            n,
+            Arc::new(move |g| {
+                spin_for(Duration::from_micros(20));
+                b1.set(g as usize, g as f64 + 1.0);
+            }),
+        )
+        .with_mapping(EnablementMapping::Identity);
+        let b2 = Arc::clone(&b);
+        let c2 = Arc::clone(&c);
+        let p2 = RtPhase::new(
+            "read-b",
+            n,
+            Arc::new(move |g| {
+                let v = b2.get(g as usize);
+                c2.set(g as usize, v * 2.0);
+            }),
+        );
+        let r = run_chain(vec![p1, p2], RuntimeConfig::new(4, 4));
+        for g in 0..n {
+            assert_eq!(c.get(g as usize), (g as f64 + 1.0) * 2.0, "granule {g}");
+        }
+        assert_eq!(r.tasks, 200);
+    }
+
+    #[test]
+    fn counted_mapping_preserves_dataflow() {
+        // successor granule r needs current granules {r, r+1 mod n}
+        let n = 200u32;
+        let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 1) % n]).collect();
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
+        let a = Arc::new(SharedF64::zeros(n as usize));
+        let out = Arc::new(SharedF64::zeros(n as usize));
+        let a1 = Arc::clone(&a);
+        let p1 = RtPhase::new(
+            "gen",
+            n,
+            Arc::new(move |g| {
+                spin_for(Duration::from_micros(10));
+                a1.set(g as usize, g as f64);
+            }),
+        )
+        .with_mapping(reverse);
+        let a2 = Arc::clone(&a);
+        let o2 = Arc::clone(&out);
+        let p2 = RtPhase::new(
+            "stencil",
+            n,
+            Arc::new(move |g| {
+                let v = a2.get(g as usize) + a2.get(((g + 1) % n) as usize);
+                o2.set(g as usize, v);
+            }),
+        );
+        run_chain(vec![p1, p2], RuntimeConfig::new(4, 2));
+        for g in 0..n {
+            let expect = g as f64 + ((g + 1) % n) as f64;
+            assert_eq!(out.get(g as usize), expect, "granule {g}");
+        }
+    }
+
+    #[test]
+    fn universal_overlap_runs_both_phases() {
+        let c1 = counters(50);
+        let c2 = counters(50);
+        let phases = vec![
+            counting_phase("a", 50, Arc::clone(&c1)).with_mapping(EnablementMapping::Universal),
+            counting_phase("b", 50, Arc::clone(&c2)),
+        ];
+        run_chain(phases, RuntimeConfig::new(4, 4));
+        for i in 0..50 {
+            assert_eq!(c1[i].load(SeqCst), 1);
+            assert_eq!(c2[i].load(SeqCst), 1);
+        }
+    }
 
     #[test]
     fn overlap_improves_utilization_with_rundown_tail() {
@@ -336,6 +457,25 @@ mod tests {
             "after 3 attempts: overlap {:?} !< barrier {:?}",
             last.0, last.1
         );
+    }
+
+    #[test]
+    fn three_phase_chain_mixed_mappings() {
+        let n = 120u32;
+        let c3 = counters(n);
+        let phases = vec![
+            RtPhase::synthetic("p0", n, Duration::from_micros(30))
+                .with_mapping(EnablementMapping::Identity),
+            RtPhase::synthetic("p1", n, Duration::from_micros(30))
+                .with_mapping(EnablementMapping::Universal),
+            counting_phase("p2", n, Arc::clone(&c3)),
+        ];
+        let r = run_chain(phases, RuntimeConfig::new(3, 5));
+        for i in 0..n as usize {
+            assert_eq!(c3[i].load(SeqCst), 1);
+        }
+        assert_eq!(r.phases.len(), 3);
+        assert!(r.utilization() > 0.0);
     }
 
     type Executor = fn(Vec<RtPhase>, RuntimeConfig) -> RtReport;

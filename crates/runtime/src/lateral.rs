@@ -179,7 +179,131 @@ pub fn run_chain_lateral(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_core::mapping::EnablementMapping;
+    use crate::work::{spin_for, SharedF64};
+    use pax_core::mapping::{EnablementMapping, ReverseMap};
+    use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
+
+    /// `n` zeroed run counters, one a granule.
+    fn counters(n: u32) -> Arc<[AtomicU64]> {
+        (0..n).map(|_| AtomicU64::new(0)).collect()
+    }
+
+    #[test]
+    fn every_granule_runs_exactly_once() {
+        let c1 = counters(200);
+        let c2 = counters(200);
+        let mk = |c: &Arc<[AtomicU64]>, name: &str| {
+            let c = Arc::clone(c);
+            RtPhase::new(
+                name,
+                200,
+                Arc::new(move |g| {
+                    c[g as usize].fetch_add(1, SeqCst);
+                }),
+            )
+        };
+        let phases = vec![
+            mk(&c1, "a").with_mapping(EnablementMapping::Identity),
+            mk(&c2, "b"),
+        ];
+        let r = run_chain_lateral(phases, RuntimeConfig::new(4, 8));
+        for i in 0..200 {
+            assert_eq!(c1[i].load(SeqCst), 1, "phase a granule {i}");
+            assert_eq!(c2[i].load(SeqCst), 1, "phase b granule {i}");
+        }
+        assert_eq!(r.tasks, 50);
+    }
+
+    #[test]
+    fn identity_dataflow_preserved_under_stealing() {
+        let n = 300u32;
+        let b = Arc::new(SharedF64::zeros(n as usize));
+        let c = Arc::new(SharedF64::zeros(n as usize));
+        let b1 = Arc::clone(&b);
+        let p1 = RtPhase::new(
+            "w",
+            n,
+            Arc::new(move |g| {
+                spin_for(Duration::from_micros(15));
+                b1.set(g as usize, g as f64 * 3.0);
+            }),
+        )
+        .with_mapping(EnablementMapping::Identity);
+        let b2 = Arc::clone(&b);
+        let c2 = Arc::clone(&c);
+        let p2 = RtPhase::new(
+            "r",
+            n,
+            Arc::new(move |g| {
+                c2.set(g as usize, b2.get(g as usize) + 1.0);
+            }),
+        );
+        run_chain_lateral(vec![p1, p2], RuntimeConfig::new(4, 4));
+        for g in 0..n {
+            assert_eq!(c.get(g as usize), g as f64 * 3.0 + 1.0, "granule {g}");
+        }
+    }
+
+    #[test]
+    fn counted_dataflow_preserved_under_stealing() {
+        let n = 150u32;
+        let req: Vec<Vec<u32>> = (0..n).map(|r| vec![r, (r + 3) % n]).collect();
+        let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(req, n)));
+        let a = Arc::new(SharedF64::zeros(n as usize));
+        let out = Arc::new(SharedF64::zeros(n as usize));
+        let a1 = Arc::clone(&a);
+        let p1 = RtPhase::new(
+            "gen",
+            n,
+            Arc::new(move |g| {
+                spin_for(Duration::from_micros(10));
+                a1.set(g as usize, g as f64);
+            }),
+        )
+        .with_mapping(reverse);
+        let a2 = Arc::clone(&a);
+        let o = Arc::clone(&out);
+        let p2 = RtPhase::new(
+            "use",
+            n,
+            Arc::new(move |g| {
+                o.set(
+                    g as usize,
+                    a2.get(g as usize) + a2.get(((g + 3) % n) as usize),
+                );
+            }),
+        );
+        run_chain_lateral(vec![p1, p2], RuntimeConfig::new(4, 2));
+        for g in 0..n {
+            assert_eq!(
+                out.get(g as usize),
+                g as f64 + ((g + 3) % n) as f64,
+                "granule {g}"
+            );
+        }
+    }
+
+    #[test]
+    fn barrier_mode_matches_central_executor_semantics() {
+        let c = counters(64);
+        let cc = Arc::clone(&c);
+        let phases = vec![
+            RtPhase::synthetic("a", 64, Duration::from_micros(5))
+                .with_mapping(EnablementMapping::Universal),
+            RtPhase::new(
+                "b",
+                64,
+                Arc::new(move |g| {
+                    cc[g as usize].fetch_add(1, SeqCst);
+                }),
+            ),
+        ];
+        let r = run_chain_lateral(phases, RuntimeConfig::new(3, 4).barrier());
+        assert_eq!(r.total_overlap_granules(), 0);
+        for i in 0..64 {
+            assert_eq!(c[i].load(SeqCst), 1);
+        }
+    }
 
     #[test]
     fn steal_order_partitions_by_cluster() {
@@ -203,6 +327,35 @@ mod tests {
             vec![(0, false), (1, false), (3, false)],
             "id order, all cross-cluster"
         );
+    }
+
+    #[test]
+    fn cluster_stealing_preserves_correctness_and_counts_steals() {
+        let n = 400u32;
+        let c1 = counters(n);
+        let c2 = counters(n);
+        let mk = |c: &Arc<[AtomicU64]>, name: &str| {
+            let c = Arc::clone(c);
+            RtPhase::new(
+                name,
+                n,
+                Arc::new(move |g| {
+                    spin_for(Duration::from_micros(5));
+                    c[g as usize].fetch_add(1, SeqCst);
+                }),
+            )
+        };
+        let phases = vec![
+            mk(&c1, "a").with_mapping(EnablementMapping::Identity),
+            mk(&c2, "b"),
+        ];
+        let r = run_chain_lateral(phases, RuntimeConfig::new(4, 4).with_clusters(2));
+        for i in 0..n as usize {
+            assert_eq!(c1[i].load(SeqCst), 1);
+            assert_eq!(c2[i].load(SeqCst), 1);
+        }
+        // steal accounting is consistent: total steals cannot exceed tasks
+        assert!(r.steals_same_cluster + r.steals_cross_cluster <= r.tasks);
     }
 
     #[test]
@@ -236,5 +389,22 @@ mod tests {
                 "no same-cluster steals in {same_total}+{cross_total}"
             );
         }
+    }
+
+    #[test]
+    fn lateral_overlaps_universal_chains() {
+        let phases: Vec<RtPhase> = (0..3)
+            .map(|i| {
+                let p = RtPhase::synthetic(format!("p{i}"), 30, Duration::from_micros(100));
+                if i < 2 {
+                    p.with_mapping(EnablementMapping::Universal)
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let r = run_chain_lateral(phases, RuntimeConfig::new(4, 1));
+        assert!(r.total_overlap_granules() > 0);
+        assert_eq!(r.tasks, 90);
     }
 }

@@ -1,21 +1,22 @@
 //! Property-based concurrency tests: random phase chains on real
 //! threads, both executors, all mappings — every granule must execute
-//! exactly once, whatever the OS scheduler does.
+//! exactly once, whatever the OS scheduler does. The workspace's
+//! `tests/chain_executors.rs` checks the same executors' release order
+//! against each mapping's promise.
 
 use pax_core::mapping::{EnablementMapping, ReverseMap};
-use pax_runtime::SharedCounters;
 use pax_runtime::{run_chain, run_chain_lateral, RtPhase, RuntimeConfig};
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
 
+/// One run counter a granule.
+type Counters = Arc<[AtomicU64]>;
+
 /// Build a random chain; returns (phases, per-phase counters).
-fn chain(
-    granules: u32,
-    nphases: usize,
-    mappings: &[u8],
-) -> (Vec<RtPhase>, Vec<Arc<SharedCounters>>) {
-    let counters: Vec<Arc<SharedCounters>> = (0..nphases)
-        .map(|_| Arc::new(SharedCounters::zeros(granules as usize)))
+fn chain(granules: u32, nphases: usize, mappings: &[u8]) -> (Vec<RtPhase>, Vec<Counters>) {
+    let counters: Vec<Counters> = (0..nphases)
+        .map(|_| (0..granules).map(|_| AtomicU64::new(0)).collect())
         .collect();
     let phases: Vec<RtPhase> = (0..nphases)
         .map(|i| {
@@ -24,7 +25,7 @@ fn chain(
                 format!("p{i}"),
                 granules,
                 Arc::new(move |g| {
-                    c.incr(g as usize);
+                    c[g as usize].fetch_add(1, SeqCst);
                 }),
             );
             if i + 1 == nphases {
@@ -70,7 +71,7 @@ proptest! {
         let r = run_chain(phases, cfg);
         for (i, c) in counters.iter().enumerate() {
             for g in 0..granules as usize {
-                prop_assert_eq!(c.get(g), 1, "phase {} granule {}", i, g);
+                prop_assert_eq!(c[g].load(SeqCst), 1, "phase {} granule {}", i, g);
             }
         }
         prop_assert_eq!(r.phases.len(), nphases);
@@ -98,7 +99,7 @@ proptest! {
         let r = run_chain_lateral(phases, cfg);
         for (i, c) in counters.iter().enumerate() {
             for g in 0..granules as usize {
-                prop_assert_eq!(c.get(g), 1, "phase {} granule {}", i, g);
+                prop_assert_eq!(c[g].load(SeqCst), 1, "phase {} granule {}", i, g);
             }
         }
         // steal accounting can never exceed executed tasks

@@ -1,16 +1,79 @@
-//! The mini-CASPER pipeline on the simulated executive: it must overlap
-//! the pipeline without violating any enablement, and never across a
-//! serial decision. The real-thread half — bit-exact results on both
-//! executors in every mode — is a case of the chain oracle in
-//! `tests/chain_executors.rs`.
+//! Cross-crate validation of the mini-CASPER numeric pipeline: the same
+//! dataflow must produce bitwise-identical results through the sequential
+//! reference, the central-executive thread executor, and the lateral
+//! work-stealing executor — under barriers and under overlap — and the
+//! simulated executive must schedule it without violating any enablement.
+//! The chain oracle in `tests/chain_executors.rs` also runs the pipeline
+//! on every executor mode and checks its release order.
 
+use pax_bench::experiments::e9::mini_casper_chain;
 use pax_core::prelude::*;
+use pax_runtime::{run_chain, run_chain_lateral, RuntimeConfig};
 use pax_sim::machine::MachineConfig;
 use pax_workloads::{CostShape, MiniCasper};
+use std::time::Duration;
+
+fn spec() -> MiniCasper {
+    MiniCasper::new(128, 4, 3, 2, 0xFEED)
+}
+
+#[test]
+fn central_executor_is_bit_exact_in_all_modes() {
+    let spec = spec();
+    let (u_ref, s_ref) = spec.reference();
+    for overlap in [false, true] {
+        let (phases, u, s) = mini_casper_chain(&spec, Duration::ZERO);
+        let cfg = if overlap {
+            RuntimeConfig::new(3, 8)
+        } else {
+            RuntimeConfig::new(3, 8).barrier()
+        };
+        run_chain(phases, cfg);
+        assert_eq!(u.to_vec(), u_ref, "u (overlap={overlap})");
+        assert_eq!(s.to_vec(), s_ref, "s (overlap={overlap})");
+    }
+}
+
+#[test]
+fn lateral_executor_is_bit_exact_with_and_without_clusters() {
+    let spec = spec();
+    let (u_ref, s_ref) = spec.reference();
+    for clusters in [None, Some(2)] {
+        let (phases, u, s) = mini_casper_chain(&spec, Duration::ZERO);
+        let mut cfg = RuntimeConfig::new(4, 8);
+        if let Some(c) = clusters {
+            cfg = cfg.with_clusters(c);
+        }
+        run_chain_lateral(phases, cfg);
+        assert_eq!(u.to_vec(), u_ref, "u (clusters={clusters:?})");
+        assert_eq!(s.to_vec(), s_ref, "s (clusters={clusters:?})");
+    }
+}
+
+#[test]
+fn repeated_runs_are_bit_identical_across_executors() {
+    // determinism is a property of the dataflow, not the schedule: any
+    // two runs of any executor agree exactly
+    let spec = spec();
+    let mut finals: Vec<Vec<f64>> = Vec::new();
+    for _ in 0..2 {
+        let (phases, u, _) = mini_casper_chain(&spec, Duration::ZERO);
+        run_chain(phases, RuntimeConfig::new(2, 4));
+        finals.push(u.to_vec());
+    }
+    for _ in 0..2 {
+        let (phases, u, _) = mini_casper_chain(&spec, Duration::ZERO);
+        run_chain_lateral(phases, RuntimeConfig::new(2, 4));
+        finals.push(u.to_vec());
+    }
+    for w in finals.windows(2) {
+        assert_eq!(w[0], w[1]);
+    }
+}
 
 #[test]
 fn simulated_executive_overlaps_the_pipeline_legally() {
-    let spec = MiniCasper::new(128, 4, 3, 2, 0xFEED);
+    let spec = spec();
     let program = spec.sim_program(30, CostShape::Jittered);
     let mut sim = Simulation::new(MachineConfig::ideal(8), OverlapPolicy::overlap()).with_gantt();
     sim.add_job(program);
