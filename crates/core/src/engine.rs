@@ -37,6 +37,7 @@ use crate::policy::{AssignmentPolicy, OverlapPolicy, SplitStrategy};
 use crate::program::Program;
 use crate::queue::WaitingQueue;
 use crate::rangeset::{coalesce_indices_into, RangeSet};
+use crate::report::JobReport;
 use pax_sim::dist::DurationDist;
 use pax_sim::event::EventQueue;
 use pax_sim::machine::{
@@ -155,29 +156,34 @@ struct Instance {
     stats: PhaseStats,
 }
 
-/// Per-job runtime state. The job's [`Program`] is shared, not owned:
-/// every job of an arrival stream points at the stream's one copy, and
-/// the interpreter can hold the handle across `&mut self` calls without
-/// cloning `Vec`/`String` payloads per step executed.
-#[derive(Debug)]
-struct JobRt {
-    program: Arc<Program>,
+/// The run state of an admitted job: where its program stands and what
+/// it has in flight. A job holds a slot only between admission and
+/// finish; the slots live in [`Engine::runs`], taken from
+/// [`Engine::free_runs`] by `admit_job` and handed back by `finish_job`
+/// with their buffers kept, so the job table's cost follows the jobs in
+/// flight and a warm service loop admits without allocating. What every
+/// job keeps for the whole run is its report row
+/// ([`Engine::reports`]) and its program ([`Engine::programs`]).
+#[derive(Debug, Default)]
+struct JobRun {
     pc: usize,
     counters: Vec<i64>,
     /// Successor instance initiated by overlap, keyed by the dispatch step
     /// it was predicted for.
     pending_successor: Option<(usize, InstanceId)>,
     pending_serial_gap: SimDuration,
-    done: bool,
-    arrived_at: SimTime,
-    started_at: SimTime,
-    finished_at: Option<SimTime>,
-    /// Shed by the admission policy (never ran).
-    rejected: bool,
     /// This job's instances, tracked only under eviction so completion
-    /// can recycle them in O(own instances). Buffers rotate through
-    /// [`Engine::inst_list_pool`] to keep the steady state alloc-free.
+    /// can recycle them in O(own instances); the buffer stays with the
+    /// slot for the next job.
     instances: Vec<InstanceId>,
+}
+
+/// The run slot of a job not admitted yet, or finished.
+const NO_RUN: u32 = u32::MAX;
+
+/// A job's row says it will run no more: finished, or shed.
+fn job_done(row: &JobReport) -> bool {
+    row.rejected || row.finished_at.is_some()
 }
 
 /// Reusable buffers for the executive's per-event processing. Every
@@ -271,7 +277,24 @@ impl HeteroRt {
 pub(crate) struct Engine {
     cfg: MachineConfig,
     policy: OverlapPolicy,
-    jobs: Vec<JobRt>,
+    /// Each job's program, the simulation's vector as given: the jobs of
+    /// an arrival stream share one, and the interpreter can hold the
+    /// handle across `&mut self` calls without cloning payloads per step.
+    programs: Vec<Arc<Program>>,
+    /// Each job's report row, written as the job goes: `arrived_at` at
+    /// build, `started_at` at admission, `finished_at` at finish,
+    /// `rejected` on shed. The report takes the rows as they stand.
+    reports: Vec<JobReport>,
+    /// Each job's slot in `runs` while it is admitted, else [`NO_RUN`].
+    run_of: Vec<u32>,
+    /// Run slots, as many as jobs were ever in flight at once; those not
+    /// in `free_runs` are held by the jobs admitted and not yet finished.
+    runs: Vec<JobRun>,
+    /// Slots of finished jobs, ready for the next admission.
+    free_runs: Vec<u32>,
+    /// Jobs neither finished nor shed: the run is over for the fault
+    /// stream when this reaches zero.
+    unfinished: usize,
     instances: Vec<Instance>,
     arena: DescArena,
     waiting: WaitingQueue,
@@ -306,8 +329,6 @@ pub(crate) struct Engine {
     local_granules: u64,
     remote_granules: u64,
     remote_stall: SimDuration,
-    /// Jobs admitted and not yet finished (admission-policy accounting).
-    in_flight: usize,
     /// Jobs held back by `AdmissionPolicy::BoundedDefer`, in arrival
     /// order; each job completion admits the front one.
     deferred: VecDeque<usize>,
@@ -318,8 +339,6 @@ pub(crate) struct Engine {
     /// Evicted instance slots available for reuse (LIFO, so the peak of
     /// `instances.len()` is the true live high-water mark).
     free_instances: Vec<u32>,
-    /// Recycled per-job instance-list buffers (see [`JobRt::instances`]).
-    inst_list_pool: Vec<Vec<InstanceId>>,
     /// Fault-injection runtime; `None` on failure-free machines.
     faults: Option<FaultRt>,
     /// Heterogeneous-classes / secondary-resources runtime; `None` on
@@ -352,28 +371,17 @@ impl Engine {
             Some(sum.saturating_add(tasks.saturating_mul(run.len() as u64)))
         });
         let trace_points = declared_tasks.map_or(0, |tasks| tasks.saturating_mul(2));
-        let jobs: Vec<JobRt> = s
-            .programs
-            .into_iter()
-            .zip(s.arrivals)
-            .map(|(program, arrived_at)| {
-                let counters = vec![0i64; program.counters];
-                JobRt {
-                    program,
-                    pc: 0,
-                    counters,
-                    pending_successor: None,
-                    pending_serial_gap: SimDuration::ZERO,
-                    done: false,
-                    arrived_at,
-                    started_at: SimTime::ZERO,
-                    finished_at: None,
-                    rejected: false,
-                    instances: Vec::new(),
-                }
+        let reports: Vec<JobReport> = s
+            .arrivals
+            .iter()
+            .map(|&arrived_at| JobReport {
+                arrived_at,
+                started_at: SimTime::ZERO,
+                finished_at: None,
+                rejected: false,
             })
             .collect();
-        let njobs = jobs.len();
+        let njobs = reports.len();
         let faults = s
             .cfg
             .faults
@@ -392,10 +400,11 @@ impl Engine {
             );
             // Resolve `requires` names to pool indices once; unknown
             // names were rejected by `Simulation::validate`.
-            let phase_pools: Vec<Vec<Vec<u16>>> = jobs
+            let phase_pools: Vec<Vec<Vec<u16>>> = s
+                .programs
                 .iter()
-                .map(|j| {
-                    j.program
+                .map(|program| {
+                    program
                         .phases
                         .iter()
                         .map(|ph| {
@@ -432,7 +441,12 @@ impl Engine {
         };
         Engine {
             waiting: WaitingQueue::new(njobs.max(1)),
-            jobs,
+            programs: s.programs,
+            reports,
+            run_of: vec![NO_RUN; njobs],
+            runs: Vec::new(),
+            free_runs: Vec::new(),
+            unfinished: njobs,
             instances: Vec::new(),
             arena: DescArena::new(),
             events: EventQueue::new(),
@@ -460,12 +474,10 @@ impl Engine {
             local_granules: 0,
             remote_granules: 0,
             remote_stall: SimDuration::ZERO,
-            in_flight: 0,
             deferred: VecDeque::new(),
             jobs_rejected: 0,
             evict: s.evict,
             free_instances: Vec::new(),
-            inst_list_pool: Vec::new(),
             faults,
             hetero,
             abort: None,
@@ -560,6 +572,19 @@ impl Engine {
     #[inline]
     fn inst_mut(&mut self, id: InstanceId) -> &mut Instance {
         &mut self.instances[id.0 as usize]
+    }
+
+    /// The run slot of admitted job `job`.
+    #[inline]
+    fn run(&self, job: usize) -> &JobRun {
+        debug_assert_ne!(self.run_of[job], NO_RUN, "job {job} is not admitted");
+        &self.runs[self.run_of[job] as usize]
+    }
+
+    #[inline]
+    fn run_mut(&mut self, job: usize) -> &mut JobRun {
+        debug_assert_ne!(self.run_of[job], NO_RUN, "job {job} is not admitted");
+        &mut self.runs[self.run_of[job] as usize]
     }
 
     /// Track `d` on its instance's live list, recording the slot index on
@@ -904,9 +929,9 @@ impl Engine {
 
     fn sample_task_time(&mut self, inst_id: InstanceId, range: GranuleRange) -> SimDuration {
         let inst = &self.instances[inst_id.0 as usize];
-        // Disjoint field borrows: the model stays borrowed from `jobs`
+        // Disjoint field borrows: the model stays borrowed from `programs`
         // while the RNG advances, so nothing is cloned per dispatch.
-        let model = &self.jobs[inst.job].program.phases[inst.def.0 as usize].cost;
+        let model = &self.programs[inst.job].phases[inst.def.0 as usize].cost;
         // Fast path: constant cost, no conditional skip.
         if model.skip_probability == 0.0 {
             if let DurationDist::Constant(c) = model.dist {

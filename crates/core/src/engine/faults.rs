@@ -96,7 +96,7 @@ impl Engine {
     /// order; scripted crashes are scheduled in crash-instant order, with
     /// their down-spans queued per processor in the same order.
     pub(super) fn start_faults(&mut self) {
-        if self.jobs.iter().all(|j| j.done) {
+        if self.all_jobs_done() {
             return; // nothing will run: schedule no fault stream
         }
         let now = self.now;
@@ -139,7 +139,7 @@ impl Engine {
     /// stream stops renewing itself, so the calendar always drains.
     pub(super) fn on_crash(&mut self, w: WorkerId) {
         let wi = w.0 as usize;
-        let all_done = self.jobs.iter().all(|j| j.done);
+        let all_done = self.all_jobs_done();
         let f = self
             .faults
             .as_mut()
@@ -264,7 +264,7 @@ impl Engine {
     /// and — under the random model — draw the next up-span.
     pub(super) fn on_repair(&mut self, w: WorkerId) {
         let wi = w.0 as usize;
-        let all_done = self.jobs.iter().all(|j| j.done);
+        let all_done = self.all_jobs_done();
         let f = self
             .faults
             .as_mut()

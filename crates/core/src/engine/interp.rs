@@ -22,14 +22,14 @@ impl Engine {
         predecessor: Option<InstanceId>,
         enabled_by: Option<MappingKind>,
     ) -> InstanceId {
-        let d = &self.jobs[job].program.phases[def.0 as usize];
+        let d = &self.programs[job].phases[def.0 as usize];
         let granules = d.granules;
         let task_size = self
             .policy
             .sizing
             .task_granules(granules, self.cfg.processors);
         let mut stats = PhaseStats::new(self.now);
-        stats.serial_gap = std::mem::take(&mut self.jobs[job].pending_serial_gap);
+        stats.serial_gap = std::mem::take(&mut self.run_mut(job).pending_serial_gap);
         // Under eviction, reuse a recycled slot: its run sets were cleared
         // in place (buffers kept warm) and its live list is empty, so the
         // steady-state service loop creates instances without allocating.
@@ -74,7 +74,7 @@ impl Engine {
             }
         };
         if self.evict {
-            self.jobs[job].instances.push(id);
+            self.run_mut(job).instances.push(id);
         }
         id
     }
@@ -88,9 +88,9 @@ impl Engine {
     /// bump per call, not per step) lets the interpreter borrow the step
     /// it stopped at across the `&mut self` state changes it triggers.
     pub(super) fn run_program(&mut self, job: usize, pc: usize) {
-        let program = Arc::clone(&self.jobs[job].program);
+        let program = Arc::clone(&self.programs[job]);
         let mut fuel = WALK_STEPS;
-        match program.walk(pc, &mut self.jobs[job].counters, true, &mut fuel) {
+        match program.walk(pc, &mut self.run_mut(job).counters, true, &mut fuel) {
             Stop::End => self.finish_job(job),
             Stop::Endless(at) => {
                 let detail = format!(
@@ -103,15 +103,16 @@ impl Engine {
             Stop::At(pc, Step::Serial { duration, .. }) => {
                 let duration = *duration;
                 let end = self.exec_service_serial(self.now, duration);
-                self.jobs[job].pc = pc;
-                self.jobs[job].pending_serial_gap += duration;
+                let run = self.run_mut(job);
+                run.pc = pc;
+                run.pending_serial_gap += duration;
                 self.events.schedule(end, Ev::SerialDone { job });
             }
             Stop::At(pc, Step::Dispatch { phase, .. }) => {
                 // Was a successor already initiated for this step? The
                 // lookahead that initiated it walked this very path on a
                 // copy of these counters, so it predicted this step.
-                if let Some((predicted, inst_id)) = self.jobs[job].pending_successor.take() {
+                if let Some((predicted, inst_id)) = self.run_mut(job).pending_successor.take() {
                     debug_assert_eq!(predicted, pc, "the lookahead walks the path the job takes");
                     self.promote(inst_id, pc);
                     return;
@@ -169,7 +170,7 @@ impl Engine {
     }
 
     pub(super) fn on_serial_done(&mut self, job: usize) {
-        let pc = self.jobs[job].pc;
+        let pc = self.run(job).pc;
         self.run_program(job, pc + 1);
     }
 }

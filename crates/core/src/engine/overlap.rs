@@ -31,7 +31,7 @@ impl Engine {
         };
         // Borrow the ENABLE clause from the shared program instead of
         // cloning the spec vector (and its mapping payloads) per overlap.
-        let program = Arc::clone(&self.jobs[job].program);
+        let program = Arc::clone(&self.programs[job]);
         let (enables, take_branches) = match &program.steps[dispatch_step] {
             Step::Dispatch {
                 enables,
@@ -40,7 +40,9 @@ impl Engine {
             } => (enables, *branch_independent),
             _ => return,
         };
-        self.scratch.counters.clone_from(&self.jobs[job].counters);
+        self.scratch
+            .counters
+            .clone_from(&self.runs[self.run_of[job] as usize].counters);
         let la = program.lookahead(dispatch_step, &mut self.scratch.counters, take_branches);
         let (succ_phase, succ_step) = match la {
             Lookahead::Phase { phase, step } => (phase, step),
@@ -62,7 +64,7 @@ impl Engine {
             Some(kind),
         );
         self.inst_mut(pred_id).successor = Some(succ_id);
-        self.jobs[job].pending_successor = Some((succ_step, succ_id));
+        self.run_mut(job).pending_successor = Some((succ_step, succ_id));
         let mut cost = self.cfg.costs.phase_init;
         match &spec.mapping {
             EnablementMapping::Universal => {

@@ -1,8 +1,8 @@
 //! The end of a run: the deadlock check and the [`RunReport`].
 
-use super::{Engine, EngineError, InstState};
+use super::{job_done, Engine, EngineError, InstState};
 use crate::ids::InstanceId;
-use crate::report::{ClassReport, JobReport, PhaseReport, PoolReport, RunReport};
+use crate::report::{ClassReport, PhaseReport, PoolReport, RunReport};
 use pax_sim::machine::ExecutivePlacement;
 use pax_sim::metrics::StepTrace;
 use pax_sim::time::{SimDuration, SimTime};
@@ -14,10 +14,10 @@ impl Engine {
             return Err(err);
         }
         let unfinished: Vec<usize> = self
-            .jobs
+            .reports
             .iter()
             .enumerate()
-            .filter(|(_, j)| !j.done)
+            .filter(|(_, r)| !job_done(r))
             .map(|(i, _)| i)
             .collect();
         if !unfinished.is_empty() {
@@ -84,23 +84,13 @@ impl Engine {
             .filter(|(_, inst)| inst.state != InstState::Evicted)
             .map(|(i, inst)| PhaseReport {
                 instance: InstanceId(i as u32),
-                name: self.jobs[inst.job].program.phases[inst.def.0 as usize]
+                name: self.programs[inst.job].phases[inst.def.0 as usize]
                     .name
                     .clone(),
                 job: inst.job as u32,
                 granules: inst.granules,
                 enabled_by: inst.enabled_by,
                 stats: inst.stats.clone(),
-            })
-            .collect();
-        let jobs: Vec<JobReport> = self
-            .jobs
-            .iter()
-            .map(|j| JobReport {
-                arrived_at: j.arrived_at,
-                started_at: j.started_at,
-                finished_at: j.finished_at,
-                rejected: j.rejected,
             })
             .collect();
         RunReport {
@@ -116,7 +106,7 @@ impl Engine {
             retries,
             crashes,
             phases,
-            jobs,
+            jobs: self.reports,
             jobs_rejected: self.jobs_rejected,
             instances_peak: self.instances.len(),
             events: self.events_processed,

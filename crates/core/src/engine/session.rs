@@ -151,8 +151,14 @@ impl Simulation {
         let streams = take(&mut self.streams);
         for (i, s) in streams.into_iter().enumerate() {
             let mut rng = pax_sim::seeded_rng(arrival_seed(self.seed, i as u64));
+            let instants = s.process.instants(s.count, &mut rng);
+            // The job vectors grow once a stream, to hold all of it,
+            // rather than by doubling through it.
+            self.programs.reserve(instants.len());
+            self.groups.reserve(instants.len());
+            self.arrivals.reserve(instants.len());
             // Every job of the stream shares the stream's one program.
-            for at in s.process.instants(s.count, &mut rng) {
+            for at in instants {
                 self.push_job(Arc::clone(&s.program), at, s.group);
             }
         }

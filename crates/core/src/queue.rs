@@ -18,7 +18,6 @@
 use crate::descriptor::QueueClass;
 use crate::ids::{DescId, JobId};
 use std::collections::VecDeque;
-use std::mem::take;
 
 /// The set of jobs whose normal segment is non-empty: one bit per job,
 /// and above those words one summary bit per word, so the next member
@@ -65,6 +64,11 @@ impl ActiveSet {
         if self.bits[w] == 0 {
             self.bits[self.words + (w >> 6)] &= !(1 << (w & 63));
         }
+    }
+
+    #[inline]
+    fn contains(&self, j: usize) -> bool {
+        self.bits[j >> 6] & (1 << (j & 63)) != 0
     }
 
     /// The smallest member `≥ from`.
@@ -115,20 +119,31 @@ impl ActiveSet {
 }
 
 /// The executive's waiting computation queue.
+///
+/// Storage follows the jobs in flight, not the jobs submitted: a job
+/// holds a normal segment only from its first push to its
+/// [`WaitingQueue::release`], and a submitted job costs the queue one
+/// `u32` (its segment index) and one bit (its place in the active set).
 #[derive(Debug)]
 pub struct WaitingQueue {
     elevated: VecDeque<DescId>,
-    /// Normal segments, indexed by job. A segment owns storage only
-    /// while its job runs: the first push takes a buffer from `spare`
-    /// and [`WaitingQueue::release`] hands it back, so storage follows
-    /// the jobs in flight, not the jobs submitted.
-    normal: Vec<VecDeque<DescId>>,
+    /// Each job's index into `segments`, or [`NO_SEGMENT`] while it holds
+    /// none. The round-robin runs over these job indices.
+    segment_of: Vec<u32>,
+    /// Normal segments of the jobs holding one, recycled: a job's first
+    /// push takes a free one (or adds one), its release hands it back
+    /// with its buffer kept.
+    segments: Vec<VecDeque<DescId>>,
+    /// Indices of `segments` no job holds.
+    free: Vec<u32>,
     active: ActiveSet,
-    spare: Vec<VecDeque<DescId>>,
     segment_capacity: usize,
     rr_cursor: usize,
     len: usize,
 }
+
+/// The segment index of a job that holds no segment.
+const NO_SEGMENT: u32 = u32::MAX;
 
 /// Initial per-segment capacity: enough for every release of a typical
 /// phase (two tasks per processor on a large machine) before the segment
@@ -142,15 +157,16 @@ impl WaitingQueue {
     }
 
     /// Queue serving `jobs` job streams whose segments reserve `cap`
-    /// slots when they first hold work (sized from the expected task
+    /// slots when they are first taken (sized from the expected task
     /// count per phase), so steady-state pushes stay allocation-free.
     pub fn with_capacity(jobs: usize, cap: usize) -> WaitingQueue {
         assert!(jobs > 0, "need at least one job stream");
         WaitingQueue {
             elevated: VecDeque::with_capacity(cap),
-            normal: (0..jobs).map(|_| VecDeque::new()).collect(),
+            segment_of: vec![NO_SEGMENT; jobs],
+            segments: Vec::new(),
+            free: Vec::new(),
             active: ActiveSet::new(jobs),
-            spare: Vec::new(),
             segment_capacity: cap,
             rr_cursor: 0,
             len: 0,
@@ -169,9 +185,9 @@ impl WaitingQueue {
         self.len == 0
     }
 
-    /// The segment of `class` for `job`, ready to take a push: an idle
-    /// normal segment joins the active set and picks up a recycled
-    /// buffer first.
+    /// The segment of `class` for `job`, ready to take a push: a job
+    /// without a normal segment takes a recycled one first, and an idle
+    /// segment joins the active set.
     #[inline]
     fn segment_for_push(&mut self, class: QueueClass, job: JobId) -> &mut VecDeque<DescId> {
         self.len += 1;
@@ -179,15 +195,16 @@ impl WaitingQueue {
             QueueClass::Elevated => &mut self.elevated,
             QueueClass::Normal => {
                 let j = job.0 as usize;
-                let seg = &mut self.normal[j];
+                if self.segment_of[j] == NO_SEGMENT {
+                    self.segment_of[j] = self.free.pop().unwrap_or_else(|| {
+                        self.segments
+                            .push(VecDeque::with_capacity(self.segment_capacity));
+                        (self.segments.len() - 1) as u32
+                    });
+                }
+                let seg = &mut self.segments[self.segment_of[j] as usize];
                 if seg.is_empty() {
                     self.active.insert(j);
-                    if seg.capacity() == 0 {
-                        *seg = self
-                            .spare
-                            .pop()
-                            .unwrap_or_else(|| VecDeque::with_capacity(self.segment_capacity));
-                    }
                 }
                 seg
             }
@@ -195,11 +212,13 @@ impl WaitingQueue {
     }
 
     /// `job` has finished and will queue nothing more: its drained
-    /// segment's buffer returns to the pool for the next arrival.
+    /// segment returns to the pool for the next arrival.
     pub fn release(&mut self, job: JobId) {
-        let seg = &mut self.normal[job.0 as usize];
-        if seg.is_empty() && seg.capacity() != 0 {
-            self.spare.push(take(seg));
+        let j = job.0 as usize;
+        let s = self.segment_of[j];
+        if s != NO_SEGMENT && self.segments[s as usize].is_empty() {
+            self.segment_of[j] = NO_SEGMENT;
+            self.free.push(s);
         }
     }
 
@@ -225,7 +244,7 @@ impl WaitingQueue {
         // The cursor's own job is first in line; the set is asked only
         // when that job has nothing queued.
         self.active.probe();
-        if !self.normal[self.rr_cursor].is_empty() {
+        if self.active.contains(self.rr_cursor) {
             return Some(self.rr_cursor);
         }
         self.active
@@ -270,7 +289,8 @@ impl WaitingQueue {
         }
         let mut found = None;
         'scan: for j in self.active.cyclic_from(self.rr_cursor) {
-            for (pos, &id) in self.normal[j].iter().enumerate() {
+            let seg = &self.segments[self.segment_of[j] as usize];
+            for (pos, &id) in seg.iter().enumerate() {
                 if scanned >= window {
                     break 'scan;
                 }
@@ -288,11 +308,12 @@ impl WaitingQueue {
             // exact head: keep pop()'s fairness bookkeeping
             return self.pop();
         }
-        self.normal[j].remove(pos);
-        self.len -= 1;
-        if self.normal[j].is_empty() {
+        let seg = &mut self.segments[self.segment_of[j] as usize];
+        seg.remove(pos);
+        if seg.is_empty() {
             self.active.remove(j);
         }
+        self.len -= 1;
         Some(id)
     }
 
@@ -315,13 +336,16 @@ impl WaitingQueue {
         }
         let j = self.head_job()?;
         self.active.probe();
-        let id = self.normal[j]
-            .pop_front()
-            .expect("an active job's segment holds work");
-        if self.normal[j].is_empty() {
+        let seg = &mut self.segments[self.segment_of[j] as usize];
+        let id = seg.pop_front().expect("an active job's segment holds work");
+        if seg.is_empty() {
             self.active.remove(j);
         }
-        self.rr_cursor = if j + 1 == self.normal.len() { 0 } else { j + 1 };
+        self.rr_cursor = if j + 1 == self.segment_of.len() {
+            0
+        } else {
+            j + 1
+        };
         self.len -= 1;
         Some(id)
     }
@@ -330,7 +354,10 @@ impl WaitingQueue {
     pub fn peek(&self) -> Option<DescId> {
         match self.elevated.front() {
             Some(&id) => Some(id),
-            None => self.normal[self.head_job()?].front().copied(),
+            None => {
+                let j = self.head_job()?;
+                self.segments[self.segment_of[j] as usize].front().copied()
+            }
         }
     }
 
@@ -343,7 +370,8 @@ impl WaitingQueue {
         let j = job.0 as usize;
         let seg = match class {
             QueueClass::Elevated => &mut self.elevated,
-            QueueClass::Normal => &mut self.normal[j],
+            QueueClass::Normal if self.segment_of[j] == NO_SEGMENT => return false,
+            QueueClass::Normal => &mut self.segments[self.segment_of[j] as usize],
         };
         let Some(pos) = seg.iter().position(|&x| x == id) else {
             return false;
@@ -731,6 +759,69 @@ mod tests {
         }
     }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A stream of jobs through four places in flight: each job
+        /// queues work, is drained and released, and the next arrival
+        /// takes a recycled segment. The queue pops exactly as the
+        /// per-job `VecDeque` reference does, and never holds more
+        /// segments than there are jobs in flight.
+        #[test]
+        fn recycled_segments_pop_like_per_job_deques(
+            jobs in 64usize..100,
+            ops in proptest::collection::vec((0u8..8, 0usize..4), 800..1500),
+        ) {
+            const IN_FLIGHT: usize = 4;
+            let mut q = WaitingQueue::with_capacity(jobs, 2);
+            let mut oracle = LinearScanQueue::new(jobs);
+            let mut flight: Vec<usize> = (0..IN_FLIGHT).collect();
+            let mut admitted = IN_FLIGHT;
+            for (step, &(op, pick)) in ops.iter().enumerate() {
+                let Some(&job) = flight.get(pick % flight.len().max(1)) else {
+                    break;
+                };
+                let id = DescId(step as u32);
+                let jid = JobId(job as u32);
+                match op {
+                    0 => {
+                        q.push_back(id, QueueClass::Normal, jid);
+                        oracle.push_back(id, QueueClass::Normal, jid);
+                    }
+                    1 => {
+                        q.push_front(id, QueueClass::Normal, jid);
+                        oracle.push_front(id, QueueClass::Normal, jid);
+                    }
+                    2 => {
+                        q.push_back(id, QueueClass::Elevated, jid);
+                        oracle.push_back(id, QueueClass::Elevated, jid);
+                    }
+                    3..=5 => prop_assert_eq!(q.pop(), oracle.pop(), "step {}", step),
+                    _ => {
+                        // The job finishes: pop until its segment is
+                        // drained, release it, admit the next arrival.
+                        while !oracle.normal[job].is_empty() {
+                            prop_assert_eq!(q.pop(), oracle.pop(), "step {}", step);
+                        }
+                        q.release(jid);
+                        let at = flight.iter().position(|&j| j == job).unwrap();
+                        if admitted < jobs {
+                            flight[at] = admitted;
+                            admitted += 1;
+                        } else {
+                            flight.swap_remove(at);
+                        }
+                    }
+                }
+                prop_assert_eq!(q.peek(), oracle.peek(), "step {}", step);
+                prop_assert_eq!(q.len(), oracle.len);
+                prop_assert_eq!(q.rr_cursor, oracle.rr_cursor, "step {}", step);
+                prop_assert!(q.segments.len() <= IN_FLIGHT, "{} segments", q.segments.len());
+            }
+            prop_assert_eq!(admitted, jobs, "every job of the stream went through");
+        }
+    }
+
     /// Finding the head costs the same handful of reads whether four
     /// jobs were submitted or four thousand: the work is counted, not
     /// timed, so the test cannot flake on a loaded host.
@@ -761,7 +852,7 @@ mod tests {
             assert_eq!(q.pop(), Some(d(j)));
             q.release(JobId(j));
         }
-        assert_eq!(q.spare.len(), 1, "one buffer served every job in turn");
-        assert!(q.normal.iter().all(|seg| seg.capacity() == 0));
+        assert_eq!(q.segments.len(), 1, "one segment served every job in turn");
+        assert!(q.segment_of.iter().all(|&s| s == NO_SEGMENT));
     }
 }

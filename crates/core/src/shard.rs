@@ -631,8 +631,14 @@ impl Simulation {
         self.cfg.validate().map_err(EngineError::InvalidConfig)?;
         self.validate()?;
         let n_groups = self.groups.iter().copied().max().unwrap_or(0) + 1;
-        for g in 0..n_groups {
-            if !self.groups.contains(&g) {
+        // A lone group is dense by construction; several are checked in
+        // one pass over the jobs.
+        if n_groups > 1 {
+            let mut has_jobs = vec![false; n_groups];
+            for &g in &self.groups {
+                has_jobs[g] = true;
+            }
+            if let Some(g) = has_jobs.iter().position(|&has| !has) {
                 return Err(EngineError::InvalidProgram(format!(
                     "machine group {g} has no jobs (group indices must be dense)"
                 )));
@@ -777,16 +783,27 @@ mod tests {
         assert_eq!(group_seed(7, 3), group_seed(7, 3));
     }
 
-    #[test]
-    fn sparse_group_indices_are_rejected() {
+    /// Jobs in groups `groups` must be refused, naming `missing` as the
+    /// first group without jobs.
+    fn assert_sparse_groups_rejected(groups: &[usize], missing: usize) {
         let mut sim = Simulation::new(MachineConfig::ideal(2), OverlapPolicy::strict());
-        sim.add_job_in_group(two_phase_program(8, 2), 0);
-        sim.add_job_in_group(two_phase_program(8, 2), 2);
+        for &g in groups {
+            sim.add_job_in_group(two_phase_program(8, 2), g);
+        }
         match sim.run() {
             Err(EngineError::InvalidProgram(msg)) => {
-                assert!(msg.contains("group 1"), "{msg}");
+                let want = format!("machine group {missing} has no jobs");
+                assert!(msg.contains(&want), "{groups:?}: {msg}");
             }
-            other => panic!("expected invalid program, got {other:?}"),
+            other => panic!("{groups:?}: expected invalid program, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn sparse_group_indices_are_rejected() {
+        assert_sparse_groups_rejected(&[0, 2], 1);
+        // The first gap is named, whatever the order jobs were added in.
+        assert_sparse_groups_rejected(&[4, 0, 0, 2], 1);
+        assert_sparse_groups_rejected(&[1, 2], 0);
     }
 }

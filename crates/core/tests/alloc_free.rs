@@ -274,8 +274,8 @@ fn sharded_fleet_run(granules_per_group: u32) -> (RunReport, u64) {
 /// two-phase single-granule-task program, completed instances recycled
 /// back into the arena. Growing the *stream* (not the per-job work) must
 /// not grow the allocation count per event: once the in-flight pool is
-/// warm, admitting a job reuses pooled instance slots and instance
-/// lists, and completing one returns them.
+/// warm, admitting a job reuses pooled run slots and instance slots, and
+/// completing one returns them.
 fn service_stream_run(jobs: usize) -> (RunReport, u64) {
     use pax_sim::dist::ArrivalProcess;
     let mut b = ProgramBuilder::new();
@@ -315,10 +315,10 @@ fn service_stream_run(jobs: usize) -> (RunReport, u64) {
 
 /// Service-mode steady state: 4× the stream length, same in-flight
 /// population. The per-completion (and per-admission) term is zero once
-/// the pool is warm — the eviction path recycles instance slots and
-/// per-job instance lists instead of allocating fresh ones, so only the
-/// job-table/report growth term (amortized doublings plus O(1) inline
-/// records per job, never per event) remains.
+/// the pool is warm — admission takes a recycled run slot (counter file
+/// and instance list kept) and the eviction path recycles instance slots
+/// instead of allocating fresh ones, so only the report-row growth term
+/// (set up once, O(1) a job, never per event) remains.
 fn assert_service_steady_state_alloc_free() {
     let (r1, a1) = service_stream_run(64);
     let (r2, a2) = service_stream_run(256);
@@ -422,6 +422,45 @@ fn assert_composite_maps_built_once() {
     );
 }
 
+/// The bytes a `jobs`-job Poisson stream asks for from the builder to a
+/// session ready to step, before any event runs: the set-up
+/// `into_session` performs for an open system.
+fn stream_setup_bytes(jobs: usize) -> u64 {
+    use pax_sim::dist::ArrivalProcess;
+    let mut b = ProgramBuilder::new();
+    let p = b.phase(PhaseDef::new("only", 16, CostModel::constant(100)));
+    b.dispatch(p);
+    let program = b.build().unwrap();
+    let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
+    let bytes = BYTES.load(Ordering::Relaxed);
+    let mut sim = Simulation::new(MachineConfig::new(8), policy)
+        .with_seed(1)
+        .with_eviction();
+    sim.add_job_stream(program, ArrivalProcess::poisson(4_000), jobs);
+    let session = sim.into_session().unwrap();
+    let bytes = BYTES.load(Ordering::Relaxed) - bytes;
+    drop(session);
+    bytes
+}
+
+/// A submitted job costs the set-up its few fixed words: its program
+/// handle, group and arrival instant as the builder holds them, its
+/// report row and its queue and run-slot indices (about 80 B). What runs
+/// a job (its counters, instance list and queue segment) is taken at
+/// admission from slots the jobs in flight recycle. A job table that
+/// builds the run state of every job up front reads about 224 B a job.
+fn assert_setup_bytes_follow_jobs_in_flight() {
+    const MAX_BYTES_PER_JOB: f64 = 96.0;
+    let small = stream_setup_bytes(1_000);
+    let large = stream_setup_bytes(4_000);
+    let per_job = large.saturating_sub(small) as f64 / 3_000.0;
+    assert!(
+        per_job <= MAX_BYTES_PER_JOB,
+        "set-up asks for {per_job:.1} bytes an extra submitted job \
+         (stream sizes {small} vs {large} bytes): per-job run state is built up front"
+    );
+}
+
 #[test]
 fn steady_state_completion_processing_is_allocation_free() {
     // Warm-up absorbs lazy one-time initialization.
@@ -463,4 +502,7 @@ fn steady_state_completion_processing_is_allocation_free() {
     // many iterations initiate a successor under it.
     let _ = indirect_loop_run(2);
     assert_composite_maps_built_once();
+    // Set-up: the job table holds report rows and indices, not run state.
+    let _ = stream_setup_bytes(100);
+    assert_setup_bytes_follow_jobs_in_flight();
 }
