@@ -24,7 +24,8 @@
 //! Run them all with `cargo run --release -p pax-bench --bin experiments`.
 //! Host-time measurement lives elsewhere: the `benchmark/` workspace at
 //! the root of the repo for end-to-end and per-layer numbers, and the
-//! criterion files under `benches/` for the few rows it cannot give yet.
+//! criterion file under `benches/` for the CASPER-pipeline and
+//! executive-lane rows it cannot give yet.
 
 #![warn(missing_docs)]
 

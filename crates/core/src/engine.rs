@@ -248,8 +248,9 @@ struct HeteroRt {
     /// The declared pools (capacity + name, for the report).
     pools: Vec<ResourcePool>,
     /// Resolved `requires` lists: job → phase → pool indices. Resolved
-    /// once at engine build (names validated at session build).
-    phase_pools: Vec<Vec<Vec<u16>>>,
+    /// once per program at engine build (names validated at session
+    /// build); the jobs of a stream share their program's table.
+    phase_pools: Vec<Arc<[Vec<u16>]>>,
     /// Pool indices held by the task running on each worker.
     held: Vec<Vec<u16>>,
     /// Workers parked because a required pool was empty:
@@ -398,31 +399,30 @@ impl Engine {
                 class_of.is_empty() || class_of.len() == s.cfg.processors,
                 "class counts validated at session build"
             );
-            // Resolve `requires` names to pool indices once; unknown
-            // names were rejected by `Simulation::validate`.
-            let phase_pools: Vec<Vec<Vec<u16>>> = s
-                .programs
-                .iter()
-                .map(|program| {
-                    program
-                        .phases
-                        .iter()
-                        .map(|ph| {
-                            ph.requires
-                                .iter()
-                                .map(|name| {
-                                    s.cfg
-                                        .resources
-                                        .iter()
-                                        .position(|p| p.name == *name)
-                                        .expect("pool names validated at session build")
-                                        as u16
-                                })
-                                .collect()
-                        })
-                        .collect()
-                })
-                .collect();
+            // Resolve `requires` names to pool indices once per program
+            // (a stream's jobs share one); unknown names were rejected by
+            // `Simulation::validate`.
+            let mut phase_pools: Vec<Arc<[Vec<u16>]>> = Vec::with_capacity(njobs);
+            for run in s.programs.chunk_by(Arc::ptr_eq) {
+                let resolved: Arc<[Vec<u16>]> = run[0]
+                    .phases
+                    .iter()
+                    .map(|ph| {
+                        ph.requires
+                            .iter()
+                            .map(|name| {
+                                s.cfg
+                                    .resources
+                                    .iter()
+                                    .position(|p| p.name == *name)
+                                    .expect("pool names validated at session build")
+                                    as u16
+                            })
+                            .collect()
+                    })
+                    .collect();
+                phase_pools.extend(std::iter::repeat_n(resolved, run.len()));
+            }
             let npools = s.cfg.resources.len();
             let nclasses = s.cfg.classes.len();
             Some(HeteroRt {
@@ -530,15 +530,11 @@ impl Engine {
     // waiting-queue helpers
     // ------------------------------------------------------------------
 
-    fn enqueue(&mut self, desc: DescId, class: QueueClass, front: bool) {
+    fn enqueue(&mut self, desc: DescId, class: QueueClass) {
         let job = self.arena.job(desc);
         self.arena.set_class(desc, class);
         self.arena.set_state(desc, DescState::Waiting);
-        if front {
-            self.waiting.push_front(desc, class, job);
-        } else {
-            self.waiting.push_back(desc, class, job);
-        }
+        self.waiting.push_back(desc, class, job);
         self.wake_workers(1);
     }
 
@@ -648,7 +644,7 @@ impl Engine {
                     .alloc(inst_id, JobId(job as u32), GranuleRange::new(lo, hi));
                 self.arena.set_enabling(d, enabling);
                 self.live_push(inst_id, d);
-                self.enqueue(d, class, false);
+                self.enqueue(d, class);
                 if hi < range.hi {
                     *cost += self.cfg.costs.split;
                     self.splits += 1;
@@ -659,7 +655,7 @@ impl Engine {
             let d = self.arena.alloc(inst_id, JobId(job as u32), range);
             self.arena.set_enabling(d, enabling);
             self.live_push(inst_id, d);
-            self.enqueue(d, class, false);
+            self.enqueue(d, class);
         }
     }
 
@@ -992,7 +988,7 @@ impl Engine {
         let rclass = self.released_class();
         for &m in &wakeups {
             cost += self.cfg.costs.release;
-            self.enqueue(m, rclass, false);
+            self.enqueue(m, rclass);
         }
         wakeups.clear();
         self.scratch.wakeups = wakeups;
@@ -1000,7 +996,7 @@ impl Engine {
         // Status bit: decrement enablement counters of the successor.
         if enabling {
             if let Some(succ_id) = self.inst(inst_id).successor {
-                self.apply_decrements(succ_id, range, &mut cost);
+                self.apply_decrements(succ_id, &[range], &mut cost);
             }
         }
 
@@ -1018,10 +1014,13 @@ impl Engine {
         self.events.schedule(seek_at, Ev::Seek(w));
     }
 
+    /// Decrement `succ_id`'s enablement counters for the completed
+    /// predecessor runs `done`, and release the granules that reach zero,
+    /// coalesced across all of `done`.
     fn apply_decrements(
         &mut self,
         succ_id: InstanceId,
-        range: GranuleRange,
+        done: &[GranuleRange],
         cost: &mut SimDuration,
     ) {
         let decrement_cost = self.cfg.costs.counter_decrement;
@@ -1037,15 +1036,17 @@ impl Engine {
                 return; // map not built yet; build applies these later
             };
             let early = cs.early_limit;
-            for g in range.iter() {
-                for &r in cs.composite.dependents_of(g) {
-                    if r < early {
-                        let c = &mut counters[r as usize];
-                        debug_assert!(*c > 0, "enablement counter underflow");
-                        *c -= 1;
-                        *cost += decrement_cost;
-                        if *c == 0 {
-                            freed.push(r);
+            for run in done {
+                for g in run.iter() {
+                    for &r in cs.composite.dependents_of(g) {
+                        if r < early {
+                            let c = &mut counters[r as usize];
+                            debug_assert!(*c > 0, "enablement counter underflow");
+                            *c -= 1;
+                            *cost += decrement_cost;
+                            if *c == 0 {
+                                freed.push(r);
+                            }
                         }
                     }
                 }

@@ -9,6 +9,12 @@ use std::mem::take;
 
 impl Engine {
     pub(crate) fn start(&mut self) {
+        // The feed takes every later arrival: sized once, not by doubling.
+        let later = self
+            .reports
+            .iter()
+            .filter(|r| r.arrived_at != SimTime::ZERO);
+        self.feed.reserve_exact(later.count());
         for j in 0..self.reports.len() {
             // `t = 0` arrivals are admitted directly: under the default
             // accept-all policy the event stream (and hence the whole

@@ -232,54 +232,35 @@ impl Engine {
             (Arc::clone(&cs.composite), cs.early_limit)
         };
 
-        let mut counters: Vec<u32> = comp.requires[..early_limit as usize].to_vec();
+        let counters = comp.requires[..early_limit as usize].to_vec();
         // Null-set-enabled granules in the early window behave like a
         // universal successor: queue them behind the current phase.
         let mut zero_now = take(&mut self.scratch.zero_now);
         zero_now.extend((0..early_limit).filter(|&r| counters[r as usize] == 0));
-        // Decrements for predecessor granules that completed before the
-        // map was built (background construction).
-        let mut freed = take(&mut self.scratch.freed);
-        let decrement_cost = self.cfg.costs.counter_decrement;
-        let mut live = take(&mut self.scratch.live_ranges);
+        self.inst_mut(succ_id)
+            .counter_state
+            .as_mut()
+            .expect("counted gate")
+            .counters = Some(counters);
         let mut runs = take(&mut self.scratch.runs);
-        self.completed_runs_into(pred_id, &mut live, &mut runs);
-        live.clear();
-        self.scratch.live_ranges = live;
-        for &run in &runs {
-            for g in run.iter() {
-                for &r in comp.dependents_of(g) {
-                    if r < early_limit {
-                        let c = &mut counters[r as usize];
-                        debug_assert!(*c > 0);
-                        *c -= 1;
-                        *cost += decrement_cost;
-                        if *c == 0 {
-                            freed.push(r);
-                        }
-                    }
-                }
-            }
-        }
-        runs.clear();
         coalesce_indices_into(&mut zero_now, &mut runs);
         for &run in &runs {
             *cost += self.cfg.costs.release;
             self.release_range(succ_id, run, QueueClass::Normal, cost);
         }
-        runs.clear();
-        let rclass = self.released_class();
-        coalesce_indices_into(&mut freed, &mut runs);
-        for &run in &runs {
-            *cost += self.cfg.costs.release;
-            self.release_range(succ_id, run, rclass, cost);
-        }
-        runs.clear();
-        self.scratch.runs = runs;
         zero_now.clear();
         self.scratch.zero_now = zero_now;
-        freed.clear();
-        self.scratch.freed = freed;
+        // Decrements for predecessor granules that completed before the
+        // map was built (background construction). `apply_decrements`
+        // coalesces into `runs`, so here `runs` takes the live ranges and
+        // the `live_ranges` buffer takes the completed runs.
+        let mut done = take(&mut self.scratch.live_ranges);
+        self.completed_runs_into(pred_id, &mut runs, &mut done);
+        runs.clear();
+        self.scratch.runs = runs;
+        self.apply_decrements(succ_id, &done, cost);
+        done.clear();
+        self.scratch.live_ranges = done;
 
         // Elevate the current-phase granules that enable the successor.
         // Only granules that enable the chosen early subset are worth
@@ -297,12 +278,6 @@ impl Engine {
         }
         enabling.clear();
         self.scratch.indices = enabling;
-
-        self.inst_mut(succ_id)
-            .counter_state
-            .as_mut()
-            .expect("counted gate")
-            .counters = Some(counters);
     }
 
     /// Carve the enabling current-phase granules into elevated individual
@@ -514,7 +489,7 @@ impl Engine {
                 None => {
                     *cost += self.cfg.costs.release;
                     let rc = self.released_class();
-                    self.enqueue(piece, rc, false);
+                    self.enqueue(piece, rc);
                 }
             }
         }

@@ -10,6 +10,7 @@ use crate::shard::ShardedRun;
 use pax_sim::dist::{arrival_seed, ArrivalProcess};
 use pax_sim::machine::{MachineConfig, ResourcePool};
 use pax_sim::time::{SimDuration, SimTime};
+use std::iter::repeat_n;
 use std::mem::take;
 use std::sync::Arc;
 
@@ -94,11 +95,7 @@ impl Simulation {
     /// instant is local to the group's timeline: a gated group's jobs
     /// arrive `at` ticks after the group is admitted.
     pub fn add_job_at_in_group(&mut self, program: Program, at: SimTime, group: usize) -> JobId {
-        self.push_job(Arc::new(program), at, group)
-    }
-
-    fn push_job(&mut self, program: Arc<Program>, at: SimTime, group: usize) -> JobId {
-        self.programs.push(program);
+        self.programs.push(Arc::new(program));
         self.groups.push(group);
         self.arrivals.push(at);
         JobId(self.programs.len() as u32 - 1)
@@ -151,16 +148,16 @@ impl Simulation {
         let streams = take(&mut self.streams);
         for (i, s) in streams.into_iter().enumerate() {
             let mut rng = pax_sim::seeded_rng(arrival_seed(self.seed, i as u64));
-            let instants = s.process.instants(s.count, &mut rng);
-            // The job vectors grow once a stream, to hold all of it,
-            // rather than by doubling through it.
-            self.programs.reserve(instants.len());
-            self.groups.reserve(instants.len());
-            self.arrivals.reserve(instants.len());
-            // Every job of the stream shares the stream's one program.
-            for at in instants {
-                self.push_job(Arc::clone(&s.program), at, s.group);
-            }
+            // The instants go straight into the job table; each job
+            // vector grows once a stream, to hold all of it, rather than
+            // by doubling through it. Every job of the stream shares the
+            // stream's one program.
+            let before = self.arrivals.len();
+            s.process
+                .instants_into(s.count, &mut rng, &mut self.arrivals);
+            let jobs = self.arrivals.len() - before;
+            self.programs.extend(repeat_n(s.program, jobs));
+            self.groups.extend(repeat_n(s.group, jobs));
         }
     }
 

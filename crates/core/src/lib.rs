@@ -24,9 +24,13 @@
 //!   where released enabled work is "placed ahead of the normal
 //!   computations".
 //! * An [`policy::OverlapPolicy`] selects among the paper's control
-//!   strategies: demand splitting vs presplitting vs successor-splitting
-//!   tasks, immediate vs background composite-map construction, priority
-//!   elevation of enabling granules, and the early-enablement subset size.
+//!   strategies: overlap or the strict barrier (`enabled`), task sizing
+//!   (`sizing`), demand splitting vs presplitting vs successor-splitting
+//!   tasks (`split_strategy`), immediate vs background composite-map
+//!   construction (`composite_build`), the early-enablement subset size
+//!   (`indirect_subset`), whether released successor work is queued ahead
+//!   of the current phase (`elevate_released`), and the worker-to-work
+//!   matching rule (`assignment`).
 //!
 //! ## Quick example
 //!

@@ -424,16 +424,24 @@ fn assert_composite_maps_built_once() {
 
 /// The bytes a `jobs`-job Poisson stream asks for from the builder to a
 /// session ready to step, before any event runs: the set-up
-/// `into_session` performs for an open system.
-fn stream_setup_bytes(jobs: usize) -> u64 {
+/// `into_session` performs for an open system. `pooled` gives the
+/// machine a resource pool and makes the stream's one phase require it.
+fn stream_setup_bytes(jobs: usize, pooled: bool) -> u64 {
     use pax_sim::dist::ArrivalProcess;
+    use pax_sim::machine::ResourcePool;
+    let mut def = PhaseDef::new("only", 16, CostModel::constant(100));
+    let mut machine = MachineConfig::new(8);
+    if pooled {
+        def = def.with_requires(vec!["operator".into()]);
+        machine = machine.with_resources(vec![ResourcePool::new("operator", 3)]);
+    }
     let mut b = ProgramBuilder::new();
-    let p = b.phase(PhaseDef::new("only", 16, CostModel::constant(100)));
+    let p = b.phase(def);
     b.dispatch(p);
     let program = b.build().unwrap();
     let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
     let bytes = BYTES.load(Ordering::Relaxed);
-    let mut sim = Simulation::new(MachineConfig::new(8), policy)
+    let mut sim = Simulation::new(machine, policy)
         .with_seed(1)
         .with_eviction();
     sim.add_job_stream(program, ArrivalProcess::poisson(4_000), jobs);
@@ -445,20 +453,26 @@ fn stream_setup_bytes(jobs: usize) -> u64 {
 
 /// A submitted job costs the set-up its few fixed words: its program
 /// handle, group and arrival instant as the builder holds them, its
-/// report row and its queue and run-slot indices (about 80 B). What runs
+/// report row and its queue and run-slot indices (about 72 B). What runs
 /// a job (its counters, instance list and queue segment) is taken at
 /// admission from slots the jobs in flight recycle. A job table that
 /// builds the run state of every job up front reads about 224 B a job.
+/// On a machine with pools a job adds a handle to its program's pool
+/// requirements, resolved once for the stream (about 88 B in all), not
+/// a table of its own (about 130 B).
 fn assert_setup_bytes_follow_jobs_in_flight() {
     const MAX_BYTES_PER_JOB: f64 = 96.0;
-    let small = stream_setup_bytes(1_000);
-    let large = stream_setup_bytes(4_000);
-    let per_job = large.saturating_sub(small) as f64 / 3_000.0;
-    assert!(
-        per_job <= MAX_BYTES_PER_JOB,
-        "set-up asks for {per_job:.1} bytes an extra submitted job \
-         (stream sizes {small} vs {large} bytes): per-job run state is built up front"
-    );
+    for pooled in [false, true] {
+        let small = stream_setup_bytes(1_000, pooled);
+        let large = stream_setup_bytes(4_000, pooled);
+        let per_job = large.saturating_sub(small) as f64 / 3_000.0;
+        assert!(
+            per_job <= MAX_BYTES_PER_JOB,
+            "set-up asks for {per_job:.1} bytes an extra submitted job \
+             (stream sizes {small} vs {large} bytes, pooled: {pooled}): \
+             per-job state is built up front"
+        );
+    }
 }
 
 #[test]
@@ -503,6 +517,6 @@ fn steady_state_completion_processing_is_allocation_free() {
     let _ = indirect_loop_run(2);
     assert_composite_maps_built_once();
     // Set-up: the job table holds report rows and indices, not run state.
-    let _ = stream_setup_bytes(100);
+    let _ = stream_setup_bytes(100, true);
     assert_setup_bytes_follow_jobs_in_flight();
 }

@@ -260,18 +260,29 @@ impl ArrivalProcess {
     /// sorted ascending. A trace shorter than `count` yields only the
     /// instants it has; Poisson always yields exactly `count`.
     pub fn instants<R: Rng + ?Sized>(&self, count: usize, rng: &mut R) -> Vec<SimTime> {
+        let mut out = Vec::new();
+        self.instants_into(count, rng, &mut out);
+        out
+    }
+
+    /// [`ArrivalProcess::instants`], appended to `out` (which grows once,
+    /// by the number of instants appended).
+    pub fn instants_into<R: Rng + ?Sized>(
+        &self,
+        count: usize,
+        rng: &mut R,
+        out: &mut Vec<SimTime>,
+    ) {
         match self {
             ArrivalProcess::Poisson { mean } => {
                 let gap = DurationDist::Exponential { mean: *mean };
                 let mut t = SimTime::ZERO;
-                (0..count)
-                    .map(|_| {
-                        t += gap.sample(rng);
-                        t
-                    })
-                    .collect()
+                out.extend((0..count).map(|_| {
+                    t += gap.sample(rng);
+                    t
+                }));
             }
-            ArrivalProcess::Trace(instants) => instants.iter().take(count).copied().collect(),
+            ArrivalProcess::Trace(instants) => out.extend(instants.iter().take(count).copied()),
         }
     }
 
