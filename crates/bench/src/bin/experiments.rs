@@ -66,7 +66,7 @@ type Experiment = fn(bool) -> String;
 
 /// Every claim experiment by id; ids on the command line are checked
 /// against this table, and it is the only place an experiment is named.
-const EXPERIMENTS: [(&str, Experiment); 13] = [
+const EXPERIMENTS: [(&str, Experiment); 12] = [
     ("e1", |quick| ex::e1::run(quick).to_string()),
     ("e2", |quick| ex::e2::run(quick).to_string()),
     ("e3", |quick| ex::e3::run(quick).to_string()),
@@ -77,7 +77,6 @@ const EXPERIMENTS: [(&str, Experiment); 13] = [
     ("e8", |quick| ex::e8::run(quick).to_string()),
     ("e9", |quick| ex::e9::run(quick).to_string()),
     ("e10", |quick| ex::e10::run(quick).to_string()),
-    ("e11", |quick| ex::e11::run(quick).to_string()),
     ("e12", |quick| ex::e12::run(quick).to_string()),
     ("e13", |quick| ex::e13::run(quick).to_string()),
 ];

@@ -2,8 +2,9 @@
 //!
 //! The paper names three management strategies "identified for
 //! development": a middle management scheme (measured as executive lanes
-//! in E5), a direct worker-to-worker lateral communication scheme (E11),
-//! and "a data-proximity work assignment algorithm" — this experiment.
+//! in E5), a direct worker-to-worker lateral communication scheme (E11,
+//! retired), and "a data-proximity work assignment algorithm" — this
+//! experiment.
 //! The motivation is the paper's observation that in PAX/CASPER "shared
 //! information access times were unpredictable and unrepeatable from
 //! instance to instance": on a clustered-memory machine, which worker

@@ -3,7 +3,6 @@
 
 pub mod e1;
 pub mod e10;
-pub mod e11;
 pub mod e12;
 pub mod e13;
 pub mod e2;

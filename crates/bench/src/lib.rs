@@ -17,7 +17,7 @@
 //! | E8  | the reverse-indirect engineering judgment: composite-map cost vs rundown cost |
 //! | E9  | phase overlap on real threads |
 //! | E10 | the language construct round-trip: all four forms |
-//! | E11 | (extension) lateral worker-to-worker communication |
+//! | E11 | retired: lateral worker-to-worker communication (its executor won no `benchmark/` row and was deleted) |
 //! | E12 | (extension) the data-proximity work assignment algorithm |
 //! | E13 | (extension) serial-executive saturation at scale |
 //!

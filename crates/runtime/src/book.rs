@@ -1,13 +1,14 @@
 //! The enablement book — what a completion releases, and when.
 //!
-//! Both real-thread executors apply the paper's rundown remedy: a
+//! The real-thread executor applies the paper's rundown remedy: a
 //! completed task *releases* successor granules through the phase's
 //! enablement mapping (identity ranges, composite-map counters, nothing
 //! before a barrier), with one phase of lookahead. That decision lives
-//! here once. [`crate::executor`] and [`crate::lateral`] own their queues
-//! and hand the book a sink; the sink is all the book knows about them.
+//! here, apart from the threads: [`crate::executor`] owns the queue and
+//! hands the book a sink, and the sink is all the book knows of it, so the
+//! release logic is checked thread-free by this module's tests.
 //!
-//! The book takes no lock of its own: each executor keeps it behind the
+//! The book takes no lock of its own: the executor keeps it behind the
 //! mutex it already has.
 
 use crate::executor::{RtPhase, RtPhaseReport, RuntimeConfig};
@@ -76,14 +77,10 @@ impl PhaseBook {
     /// ([`check_edge`](pax_core::mapping::EnablementMapping::check_edge)):
     /// unchecked, a granule could be left unreleased for ever or released
     /// twice. Refuses too the config values `RuntimeConfig`'s public fields
-    /// let past its constructors: no workers (the chain never runs), no
-    /// granules per task (releases chunk into empty tasks for ever) and
-    /// no clusters (a division by zero).
+    /// let past its constructor ([`RuntimeConfig::check`]).
     pub(crate) fn new(specs: &[RtPhase], cfg: &RuntimeConfig) -> PhaseBook {
         assert!(!specs.is_empty(), "need at least one phase");
-        assert!(cfg.workers > 0, "need at least one worker");
-        assert!(cfg.task_granules > 0, "need at least one granule per task");
-        assert!(cfg.clusters != Some(0), "need at least one cluster");
+        cfg.check();
         let phases = specs
             .iter()
             .enumerate()

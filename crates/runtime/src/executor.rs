@@ -7,9 +7,8 @@
 //! releases matching successor ranges as current tasks complete, indirect
 //! (forward, reverse, seam) mappings decrement per-granule enablement
 //! counters, and universal successors release wholesale when they enter
-//! the one-phase lookahead window. That machinery is `crate::book`, shared
-//! with [`crate::lateral`]; this module owns the chain's public types and
-//! the central queue discipline.
+//! the one-phase lookahead window. That machinery is `crate::book`; this
+//! module owns the chain's public types and the central queue discipline.
 //!
 //! The executive is deliberately a single mutex-protected queue — PAX's
 //! management was serial, and the lock hold times here are exactly the
@@ -19,11 +18,10 @@
 
 use crate::book::{Panic, PhaseBook, Task};
 use crate::work::spin_for;
-use parking_lot::{Condvar, Mutex};
 use pax_core::mapping::EnablementMapping;
 use std::collections::VecDeque;
 use std::panic::resume_unwind;
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
 /// One phase of real work.
@@ -78,51 +76,37 @@ pub struct RuntimeConfig {
     pub task_granules: u32,
     /// Overlap (true) or strict barriers (false).
     pub overlap: bool,
-    /// Optional cluster count for proximity-aware stealing in the lateral
-    /// executor (the paper's "data-proximity work assignment algorithm"
-    /// on real threads): workers are block-partitioned into clusters and
-    /// an idle worker raids same-cluster peers before crossing clusters.
-    /// Ignored by the central executor: the steal order belongs to
-    /// [`crate::lateral`]. `None` = flat steal order.
-    pub clusters: Option<usize>,
 }
 
 impl RuntimeConfig {
     /// `workers` threads, task size per the paper's two-tasks-per-worker
     /// guidance applied by the caller, overlap on.
+    ///
+    /// # Panics
+    ///
+    /// If `workers` or `task_granules` is zero.
     pub fn new(workers: usize, task_granules: u32) -> RuntimeConfig {
-        assert!(workers > 0 && task_granules > 0);
-        RuntimeConfig {
+        let cfg = RuntimeConfig {
             workers,
             task_granules,
             overlap: true,
-            clusters: None,
-        }
+        };
+        cfg.check();
+        cfg
+    }
+
+    /// Refuse the values the public fields let past [`RuntimeConfig::new`]:
+    /// no workers (the chain never runs) and no granules per task
+    /// (releases chunk into empty tasks for ever).
+    pub(crate) fn check(&self) {
+        assert!(self.workers > 0, "need at least one worker");
+        assert!(self.task_granules > 0, "need at least one granule per task");
     }
 
     /// Switch to strict barrier mode.
     pub fn barrier(mut self) -> RuntimeConfig {
         self.overlap = false;
         self
-    }
-
-    /// Enable proximity-aware stealing with `clusters` worker clusters.
-    pub fn with_clusters(mut self, clusters: usize) -> RuntimeConfig {
-        assert!(clusters > 0, "need at least one cluster");
-        self.clusters = Some(clusters);
-        self
-    }
-
-    /// Cluster of worker `w` (block partition; cluster 0 when proximity
-    /// stealing is disabled).
-    pub fn worker_cluster(&self, w: usize) -> usize {
-        match self.clusters {
-            None => 0,
-            Some(c) => {
-                let block = self.workers.div_ceil(c).max(1);
-                (w / block).min(c - 1)
-            }
-        }
     }
 }
 
@@ -150,12 +134,6 @@ pub struct RtReport {
     pub workers: usize,
     /// Tasks executed.
     pub tasks: u64,
-    /// Tasks stolen from a peer in the thief's own cluster (lateral
-    /// executor only; 0 elsewhere).
-    pub steals_same_cluster: u64,
-    /// Tasks stolen from a peer in another cluster (lateral executor
-    /// only; counts all peer steals when clustering is disabled).
-    pub steals_cross_cluster: u64,
     /// Per-phase details.
     pub phases: Vec<RtPhaseReport>,
 }
@@ -192,6 +170,15 @@ struct Shared {
 }
 
 impl Shared {
+    /// Take the state lock, poisoned or not ([`PoisonError::into_inner`];
+    /// the `Condvar::wait` in `run_chain` does the same). A granule's panic
+    /// cannot poison it: [`Task::run`] catches the panic outside the lock,
+    /// and the worker records it under the lock as `State::panic`, which
+    /// stops every worker.
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// Service one completion: what the book releases goes on the queue,
     /// and waiters hear of it; caller holds the lock.
     fn service(&self, st: &mut State, t: Task, now: Instant) {
@@ -230,7 +217,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
             let mut busy = Duration::ZERO;
             loop {
                 let task = {
-                    let mut st = sh.state.lock();
+                    let mut st = sh.lock();
                     loop {
                         if st.book.done() || st.panic.is_some() {
                             break None;
@@ -239,14 +226,14 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
                             st.book.on_task_start(t, Instant::now());
                             break Some(t);
                         }
-                        sh.cond.wait(&mut st);
+                        st = sh.cond.wait(st).unwrap_or_else(PoisonError::into_inner);
                     }
                 };
                 let Some(t) = task else { break };
                 let start = Instant::now();
                 let ran = t.run(&sh.specs);
                 busy += start.elapsed();
-                let mut st = sh.state.lock();
+                let mut st = sh.lock();
                 if let Err(payload) = ran {
                     st.panic.get_or_insert(payload);
                     sh.cond.notify_all();
@@ -266,7 +253,7 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         busy_total += h.join().expect("worker panicked");
     }
     let wall = t0.elapsed();
-    let mut st = shared.state.lock();
+    let mut st = shared.lock();
     if let Some(payload) = st.panic.take() {
         resume_unwind(payload);
     }
@@ -275,8 +262,6 @@ pub fn run_chain(specs: Vec<RtPhase>, cfg: RuntimeConfig) -> RtReport {
         busy: busy_total,
         workers: cfg.workers,
         tasks: st.tasks_executed,
-        steals_same_cluster: 0,
-        steals_cross_cluster: 0,
         phases: st.book.phase_reports(&shared.specs, t0),
     }
 }
@@ -478,20 +463,14 @@ mod tests {
         assert!(r.utilization() > 0.0);
     }
 
-    type Executor = fn(Vec<RtPhase>, RuntimeConfig) -> RtReport;
-
     /// Run `chain` on a helper thread and return how the run ended, or
     /// fail once it has run for 10 s: a hung executor fails its test
     /// instead of hanging the suite.
-    fn run_guarded(
-        run: Executor,
-        chain: Vec<RtPhase>,
-        cfg: RuntimeConfig,
-    ) -> std::thread::Result<RtReport> {
+    fn run_guarded(chain: Vec<RtPhase>, cfg: RuntimeConfig) -> std::thread::Result<RtReport> {
         use std::panic::{catch_unwind, AssertUnwindSafe};
         let (tx, rx) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
-            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| run(chain, cfg))));
+            let _ = tx.send(catch_unwind(AssertUnwindSafe(|| run_chain(chain, cfg))));
         });
         rx.recv_timeout(Duration::from_secs(10))
             .expect("the executor did not return within 10 s")
@@ -501,63 +480,58 @@ mod tests {
     fn a_granule_panic_is_raised_on_the_caller() {
         // Unhandled, the panicking task never completes: the other workers
         // wait for the chain's end for good, and so does the caller's join.
-        for run in [run_chain as Executor, crate::lateral::run_chain_lateral] {
-            let chain = vec![RtPhase::new(
-                "fails",
-                64,
-                Arc::new(|g| {
-                    if g == 37 {
-                        panic!("granule {g} fails");
-                    }
-                }),
-            )];
-            let payload = run_guarded(run, chain, RuntimeConfig::new(4, 1))
-                .expect_err("the run hid the granule's panic");
-            assert_eq!(
-                payload.downcast_ref::<String>().map(String::as_str),
-                Some("granule 37 fails")
-            );
-        }
+        let chain = vec![RtPhase::new(
+            "fails",
+            64,
+            Arc::new(|g| {
+                if g == 37 {
+                    panic!("granule {g} fails");
+                }
+            }),
+        )];
+        let payload = run_guarded(chain, RuntimeConfig::new(4, 1))
+            .expect_err("the run hid the granule's panic");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("granule 37 fails")
+        );
     }
 
-    /// Both executors must refuse `chain` under `cfg` before a thread
-    /// starts, with the same message; the central executor's panic is
-    /// re-raised for the caller's `#[should_panic(expected = ..)]` to read.
-    fn both_executors_reject_under(cfg: RuntimeConfig, chain: impl Fn() -> Vec<RtPhase>) {
-        use std::panic::resume_unwind;
-        let message = |run: Executor| {
-            let refused = run_guarded(run, chain(), cfg.clone());
-            let payload = refused.expect_err("the executor ran a mis-shaped chain");
-            let text = payload.downcast_ref::<String>().cloned();
-            let text = text.or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()));
-            (text.expect("a text panic message"), payload)
-        };
-        let (lateral, _) = message(crate::lateral::run_chain_lateral);
-        let (central, payload) = message(run_chain);
-        assert_eq!(central, lateral, "the executors share one validation");
-        resume_unwind(payload);
+    /// The executor must refuse `chain` under `cfg` before a thread
+    /// starts; its panic is re-raised as it came, a `&str` from a bare
+    /// `assert!` message or a `String` from a formatted one, for the
+    /// caller's `#[should_panic(expected = ..)]` to read.
+    fn rejects_under(cfg: RuntimeConfig, chain: Vec<RtPhase>) {
+        let refused = run_guarded(chain, cfg);
+        resume_unwind(refused.expect_err("the executor ran a mis-shaped chain"));
     }
 
-    /// [`both_executors_reject_under`] a valid config: 2 workers, 2
-    /// granules a task.
-    fn both_executors_reject(chain: impl Fn() -> Vec<RtPhase>) {
-        both_executors_reject_under(RuntimeConfig::new(2, 2), chain);
+    /// [`rejects_under`] a valid config: 2 workers, 2 granules a task.
+    fn rejects(chain: Vec<RtPhase>) {
+        rejects_under(RuntimeConfig::new(2, 2), chain);
     }
 
-    /// A valid two-phase chain, so only the config can be refused.
-    fn sound_chain() -> Vec<RtPhase> {
-        edge(EnablementMapping::Identity)
+    #[test]
+    #[should_panic(expected = "need at least one worker")]
+    fn new_needs_a_worker() {
+        RuntimeConfig::new(0, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "need at least one granule per task")]
+    fn new_needs_a_granule_per_task() {
+        RuntimeConfig::new(2, 0);
     }
 
     #[test]
     #[should_panic(expected = "need at least one worker")]
     fn a_config_needs_workers() {
-        // Unchecked, both executors report a chain that never ran.
+        // Unchecked, the executor reports a chain that never ran.
         let cfg = RuntimeConfig {
             workers: 0,
             ..RuntimeConfig::new(2, 2)
         };
-        both_executors_reject_under(cfg, sound_chain);
+        rejects_under(cfg, edge(EnablementMapping::Identity));
     }
 
     #[test]
@@ -568,35 +542,22 @@ mod tests {
             task_granules: 0,
             ..RuntimeConfig::new(2, 2)
         };
-        both_executors_reject_under(cfg, sound_chain);
-    }
-
-    #[test]
-    #[should_panic(expected = "need at least one cluster")]
-    fn a_config_needs_clusters() {
-        // Unchecked, `worker_cluster` divides by zero.
-        let cfg = RuntimeConfig {
-            clusters: Some(0),
-            ..RuntimeConfig::new(2, 2)
-        };
-        both_executors_reject_under(cfg, sound_chain);
+        rejects_under(cfg, edge(EnablementMapping::Identity));
     }
 
     #[test]
     #[should_panic(expected = "phase 0 `z` has no granules")]
     fn a_lone_phase_needs_granules() {
-        both_executors_reject(|| vec![RtPhase::synthetic("z", 0, Duration::ZERO)]);
+        rejects(vec![RtPhase::synthetic("z", 0, Duration::ZERO)]);
     }
 
     #[test]
     #[should_panic(expected = "phase 0 `z` has no granules")]
     fn a_phase_with_a_successor_needs_granules() {
         // Unchecked, `z` never completes, so neither does the chain.
-        both_executors_reject(|| {
-            let z = RtPhase::synthetic("z", 0, Duration::ZERO)
-                .with_mapping(EnablementMapping::Universal);
-            vec![z, RtPhase::synthetic("b", 10, Duration::ZERO)]
-        });
+        let z =
+            RtPhase::synthetic("z", 0, Duration::ZERO).with_mapping(EnablementMapping::Universal);
+        rejects(vec![z, RtPhase::synthetic("b", 10, Duration::ZERO)]);
     }
 
     /// A 10 → 10 edge under `mapping`.
@@ -610,11 +571,9 @@ mod tests {
         expected = "phase 0 `a` into `b`: identity mapping requires equal granule counts"
     )]
     fn identity_requires_equal_counts() {
-        both_executors_reject(|| {
-            let p1 = RtPhase::synthetic("a", 10, Duration::ZERO)
-                .with_mapping(EnablementMapping::Identity);
-            vec![p1, RtPhase::synthetic("b", 20, Duration::ZERO)]
-        });
+        let p1 =
+            RtPhase::synthetic("a", 10, Duration::ZERO).with_mapping(EnablementMapping::Identity);
+        rejects(vec![p1, RtPhase::synthetic("b", 20, Duration::ZERO)]);
     }
 
     #[test]
@@ -623,14 +582,12 @@ mod tests {
                                phase has 10"
     )]
     fn reverse_map_covers_the_successor() {
-        // Unchecked, the two uncovered granules of `b` are never released:
-        // the central executor parks on its condvar, the lateral one spins.
-        both_executors_reject(|| {
-            let req: Vec<Vec<u32>> = (0..8).map(|r| vec![r]).collect();
-            edge(EnablementMapping::ReverseIndirect(Arc::new(
-                ReverseMap::new(req, 10),
-            )))
-        });
+        // Unchecked, the two uncovered granules of `b` are never released
+        // and the workers park on the condvar for good.
+        let req: Vec<Vec<u32>> = (0..8).map(|r| vec![r]).collect();
+        rejects(edge(EnablementMapping::ReverseIndirect(Arc::new(
+            ReverseMap::new(req, 10),
+        ))));
     }
 
     #[test]
@@ -640,10 +597,8 @@ mod tests {
     )]
     fn forward_map_targets_are_successor_granules() {
         // The fields are public, so `ForwardMap::new`'s check is bypassed.
-        both_executors_reject(|| {
-            let mut stray = ForwardMap::new(vec![0, 0], 10);
-            stray.targets[1] = 10;
-            edge(EnablementMapping::ForwardIndirect(Arc::new(stray)))
-        });
+        let mut stray = ForwardMap::new(vec![0, 0], 10);
+        stray.targets[1] = 10;
+        rejects(edge(EnablementMapping::ForwardIndirect(Arc::new(stray))));
     }
 }

@@ -17,25 +17,16 @@
 //! starts. A granule whose work panics stops the run: every
 //! worker exits and the panic is re-raised on the caller.
 //!
-//! Two executors share that machinery, written once in the crate-private
-//! `book` module (what a completion releases, and when: the mapping's
-//! release, the one-phase lookahead window, deferral, the residual
-//! release, `done`), and differ only in the queue discipline each owns.
 //! [`run_chain`] ([`executor`]) routes every dispatch through a central
 //! serial executive — one mutex-guarded queue and a condvar, each worker
-//! servicing its own completion under the lock (PAX's arrangement) — while
-//! [`run_chain_lateral`] ([`lateral`]) implements the paper's "direct
-//! worker-to-worker lateral communication scheme" as work stealing —
-//! per-worker deques, an injector, the steal order and its counters —
-//! optionally cluster-aware ([`RuntimeConfig::with_clusters`]), so an
-//! idle worker raids same-cluster peers before crossing clusters (the
-//! thread-level analogue of the data-proximity assignment measured in
-//! E12).
+//! servicing its own completion under the lock (PAX's arrangement). What a
+//! completion releases, and when (the mapping's release, the one-phase
+//! lookahead window, deferral, the residual release, `done`), is written
+//! once in the crate-private `book` module, apart from the threads.
 //!
-//! One oracle checks both executors on threads, in the workspace's
-//! `tests/chain_executors.rs`: every chain case runs on both, under
-//! barriers and under overlap (and the lateral one with two steal
-//! clusters), and no granule may start before the granules its edge's
+//! An oracle checks the executor on threads, in the workspace's
+//! `tests/chain_executors.rs`: every chain case runs under barriers and
+//! under overlap, and no granule may start before the granules its edge's
 //! mapping requires have ended, nor run other than once.
 //!
 //! [`ThreadedSession`] ([`shard_exec`]) runs the simulator's sharded
@@ -64,11 +55,9 @@
 
 pub(crate) mod book;
 pub mod executor;
-pub mod lateral;
 pub mod shard_exec;
 pub mod work;
 
 pub use executor::{run_chain, RtPhase, RtPhaseReport, RtReport, RuntimeConfig};
-pub use lateral::run_chain_lateral;
 pub use shard_exec::ThreadedSession;
 pub use work::{spin_for, SharedF64};

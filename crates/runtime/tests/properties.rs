@@ -1,11 +1,11 @@
 //! Property-based concurrency tests: random phase chains on real
-//! threads, both executors, all mappings — every granule must execute
-//! exactly once, whatever the OS scheduler does. The workspace's
-//! `tests/chain_executors.rs` checks the same executors' release order
+//! threads, all mappings — every granule must execute exactly once,
+//! whatever the OS scheduler does. The workspace's
+//! `tests/chain_executors.rs` checks the same executor's release order
 //! against each mapping's promise.
 
 use pax_core::mapping::{EnablementMapping, ReverseMap};
-use pax_runtime::{run_chain, run_chain_lateral, RtPhase, RuntimeConfig};
+use pax_runtime::{run_chain, RtPhase, RuntimeConfig};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering::SeqCst};
 use std::sync::Arc;
@@ -80,34 +80,8 @@ proptest! {
         }
     }
 
-    /// Lateral (work-stealing) executor: the same exactly-once guarantee,
-    /// with and without cluster-aware stealing.
-    #[test]
-    fn lateral_executor_runs_every_granule_once(
-        granules in 8u32..60,
-        nphases in 2usize..5,
-        mappings in proptest::collection::vec(0u8..4, 4),
-        workers in 1usize..5,
-        task in 1u32..9,
-        clusters in 0usize..3,
-    ) {
-        let (phases, counters) = chain(granules, nphases, &mappings);
-        let mut cfg = RuntimeConfig::new(workers, task);
-        if clusters > 0 {
-            cfg = cfg.with_clusters(clusters);
-        }
-        let r = run_chain_lateral(phases, cfg);
-        for (i, c) in counters.iter().enumerate() {
-            for g in 0..granules as usize {
-                prop_assert_eq!(c[g].load(SeqCst), 1, "phase {} granule {}", i, g);
-            }
-        }
-        // steal accounting can never exceed executed tasks
-        prop_assert!(r.steals_same_cluster + r.steals_cross_cluster <= r.tasks);
-    }
-
-    /// Both executors agree on the task count for identical configs
-    /// (tasks = Σ ceil(granules / task_size) per phase).
+    /// The task count of an identity chain is Σ ceil(granules /
+    /// task_size) over its phases.
     #[test]
     fn task_count_is_deterministic(
         granules in 8u32..60,
@@ -119,8 +93,5 @@ proptest! {
         let (phases, _) = chain(granules, nphases, &mappings);
         let central = run_chain(phases, RuntimeConfig::new(2, task));
         prop_assert_eq!(central.tasks, per_phase * nphases as u64);
-        let (phases, _) = chain(granules, nphases, &mappings);
-        let lateral = run_chain_lateral(phases, RuntimeConfig::new(2, task));
-        prop_assert_eq!(lateral.tasks, per_phase * nphases as u64);
     }
 }

@@ -5,15 +5,15 @@
 //! The pipeline exercises the paper's mapping mix end to end — reverse
 //! indirect through a dynamically generated `IMAP`, identity, universal,
 //! and a serial convergence decision (null) — and verifies the result is
-//! **bitwise identical** to a sequential reference under barriers,
-//! overlap, and work stealing.
+//! **bitwise identical** to a sequential reference under barriers and
+//! under overlap.
 //!
 //! ```text
 //! cargo run --release --example mini_casper -- [--cells N] [--steps T]
 //! ```
 
 use pax_bench::experiments::e9::mini_casper_chain;
-use pax_runtime::{run_chain, run_chain_lateral, RuntimeConfig};
+use pax_runtime::{run_chain, RuntimeConfig};
 use pax_workloads::MiniCasper;
 use std::time::Duration;
 
@@ -90,19 +90,10 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         assert_eq!(s.to_vec(), s_ref);
         r.wall
     });
-    let lateral = run_mode("phase overlap (work stealing)", &|| {
-        let (phases, u, s) = mini_casper_chain(&spec, spin);
-        let r = run_chain_lateral(phases, RuntimeConfig::new(workers, 8));
-        assert_eq!(u.to_vec(), u_ref, "bitwise check failed");
-        assert_eq!(s.to_vec(), s_ref);
-        r.wall
-    });
 
     println!(
-        "\noverlap speedup {:.2}x, lateral {:.2}x — all three bitwise equal \
-         to the sequential reference",
+        "\noverlap speedup {:.2}x — both bitwise equal to the sequential reference",
         barrier.as_secs_f64() / overlap.as_secs_f64(),
-        barrier.as_secs_f64() / lateral.as_secs_f64(),
     );
     Ok(())
 }

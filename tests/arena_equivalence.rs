@@ -172,7 +172,7 @@ fn shapes() -> Vec<Shape> {
         policy: fixed1(OverlapPolicy::overlap()),
         jobs: 1,
     });
-    // E11/E13-flavored: looping dispatch under stochastic granule costs.
+    // E13-flavored: looping dispatch under stochastic granule costs.
     v.push(Shape {
         name: "e13_stochastic_loop",
         program: {

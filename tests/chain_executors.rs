@@ -1,19 +1,16 @@
-//! The one oracle both real-thread chain executors answer to.
+//! The one oracle the real-thread chain executor answers to.
 //!
 //! A successor granule may start only after the current-phase granules its
 //! enablement mapping names have ended: that is the promise the paper's
 //! rundown remedy rests on, and `pax_runtime`'s book keeps it for the
-//! central executive ([`run_chain`]) and the lateral work-stealing
-//! executor ([`run_chain_lateral`]) alike. [`chain_oracle`] runs a chain
-//! on every executor mode and checks each run against what its mappings
-//! promise; a case brings its chain, the dataflow it verifies, and
-//! anything more it pins on the reports.
+//! central executive ([`run_chain`]). [`chain_oracle`] runs a chain under
+//! barriers and under overlap and checks each run against what its
+//! mappings promise; a case brings its chain, the dataflow it verifies,
+//! and anything more it pins on the reports.
 
 use pax_bench::experiments::e9::mini_casper_chain;
 use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap, SeamMap};
-use pax_runtime::{
-    run_chain, run_chain_lateral, spin_for, RtPhase, RtReport, RuntimeConfig, SharedF64,
-};
+use pax_runtime::{run_chain, spin_for, RtPhase, RtReport, RuntimeConfig, SharedF64};
 use pax_workloads::MiniCasper;
 use proptest::prelude::*;
 use rand::Rng;
@@ -23,44 +20,20 @@ use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One executor and mode the oracle runs every chain in.
+/// One mode the oracle runs every chain in.
 struct Mode {
     name: &'static str,
-    lateral: bool,
     overlap: bool,
-    clusters: Option<usize>,
 }
 
-const MODES: [Mode; 5] = [
+const MODES: [Mode; 2] = [
     Mode {
         name: "central barrier",
-        lateral: false,
         overlap: false,
-        clusters: None,
     },
     Mode {
         name: "central overlap",
-        lateral: false,
         overlap: true,
-        clusters: None,
-    },
-    Mode {
-        name: "lateral barrier",
-        lateral: true,
-        overlap: false,
-        clusters: None,
-    },
-    Mode {
-        name: "lateral overlap",
-        lateral: true,
-        overlap: true,
-        clusters: None,
-    },
-    Mode {
-        name: "lateral overlap, 2 clusters",
-        lateral: true,
-        overlap: true,
-        clusters: Some(2),
     },
 ];
 
@@ -134,11 +107,11 @@ fn awaited(edge: &EnablementMapping, overlap: bool, ends: &[u64], successor: usi
 /// - no granule started before the granules its edge's mapping requires
 ///   had ended ([`awaited`]);
 /// - a barrier run overlapped nothing;
-/// - the report has one row per phase, each with `first_start ≤ last_end`;
+/// - the report has one row per phase, each with
+///   `first_start ≤ last_end ≤ wall`;
+/// - `busy ≤ wall × workers`, so `utilization()` is at most 1;
 /// - `tasks` is `Σ⌈granules/task⌉` when no edge is counted (forward,
 ///   reverse or seam, under overlap), and at least that otherwise;
-/// - the central executor reports no steal, a flat steal order no
-///   same-cluster steal, and steals never exceed tasks;
 /// - the `verify` closure `build` returned beside the chain holds.
 ///
 /// A run that has not returned within 10 s fails instead of hanging.
@@ -162,18 +135,12 @@ fn chain_oracle<V: FnOnce()>(
             let stamps = stamp(&mut phases, &clock);
             let mut cfg = RuntimeConfig::new(workers, task);
             cfg.overlap = mode.overlap;
-            cfg.clusters = mode.clusters;
-            let run = if mode.lateral {
-                run_chain_lateral
-            } else {
-                run_chain
-            };
             let at = format!("{name}, {}", mode.name);
             // on a helper thread, so that a chain that stalls fails
             let (running, over) = mpsc::channel::<()>();
             let helper = std::thread::spawn(move || {
                 let _running = running; // dropped when the run returns or unwinds
-                run(phases, cfg)
+                run_chain(phases, cfg)
             });
             if over.recv_timeout(Duration::from_secs(10)) == Err(RecvTimeoutError::Timeout) {
                 panic!("{at}: no report within 10 s");
@@ -219,7 +186,19 @@ fn chain_oracle<V: FnOnce()>(
                     "{at}: phase `{}` ends before it starts",
                     row.name
                 );
+                assert!(
+                    last <= report.wall,
+                    "{at}: phase `{}` ends at {last:?}, after the run's {:?}",
+                    row.name,
+                    report.wall
+                );
             }
+            assert!(
+                report.busy <= report.wall * workers as u32,
+                "{at}: {:?} busy on {workers} workers in {:?}",
+                report.busy,
+                report.wall
+            );
             let least: u64 = granules.iter().map(|&g| g.div_ceil(task) as u64).sum();
             // an indirect edge under overlap releases what each completion
             // frees, in runs that may split a task
@@ -236,14 +215,6 @@ fn chain_oracle<V: FnOnce()>(
             } else {
                 assert_eq!(report.tasks, least, "{at}: tasks");
             }
-            let (same, cross) = (report.steals_same_cluster, report.steals_cross_cluster);
-            if !mode.lateral {
-                assert_eq!((same, cross), (0, 0), "{at}: the central executor stole");
-            }
-            if mode.clusters.is_none() {
-                assert_eq!(same, 0, "{at}: a flat steal order stole within a cluster");
-            }
-            assert!(same + cross <= report.tasks, "{at}: more steals than tasks");
             verify();
             (mode, report)
         })
@@ -353,7 +324,7 @@ fn universal_chains_overlap_their_rundown() {
 #[test]
 fn mini_casper_is_bit_exact_on_every_mode() {
     // reverse, identity, universal and null edges; any two runs of any
-    // executor agree with the sequential reference bit for bit
+    // mode agree with the sequential reference bit for bit
     let spec = MiniCasper::new(128, 4, 3, 2, 0xFEED);
     let (u_ref, s_ref) = &spec.reference();
     chain_oracle("mini-CASPER", 3, 8, || {
@@ -394,7 +365,7 @@ fn random_edge(kind: u8, n: u32, rng: &mut impl Rng) -> EnablementMapping {
 }
 
 proptest! {
-    // Five runs a case, each spawning its own threads.
+    // Two runs a case, each spawning its own threads.
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random chains of all six mapping kinds, any worker count and task
