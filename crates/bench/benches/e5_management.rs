@@ -57,21 +57,10 @@ fn bench_casper_pipeline(c: &mut Criterion) {
 /// run gets a little shorter with lanes, and the gap between the two
 /// rows is what the wider executive costs the host.
 fn bench_executive_lanes(c: &mut Criterion) {
-    use pax_sim::CostModel;
     let mut g = c.benchmark_group("e5_executive_lanes");
     g.sample_size(10);
-    let mut pb = ProgramBuilder::new();
-    let a = pb.phase(PhaseDef::new("a", 100_000, CostModel::constant(100)));
-    let s = pb.phase(PhaseDef::new("b", 100_000, CostModel::constant(100)));
-    pb.dispatch_enable(
-        a,
-        vec![EnableSpec {
-            successor: s,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    pb.dispatch(s);
-    let program = pb.build().unwrap();
+    let phases = ["a", "b"].map(|name| PhaseDef::new(name, 100_000, CostModel::constant(100)));
+    let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap();
     for lanes in [1usize, 64] {
         g.bench_with_input(BenchmarkId::new("lanes", lanes), &lanes, |b, &lanes| {
             b.iter(|| {

@@ -57,36 +57,17 @@ pub fn run(quick: bool) -> E8Result {
     let mapping = EnablementMapping::ReverseIndirect(Arc::new(rmap));
 
     let build = |with_enable: bool| {
-        let mut b = ProgramBuilder::new();
-        let p1 = b.phase(PhaseDef::new(
-            "A(I)=FUNC(I)",
-            n,
-            pax_sim::dist::CostModel::new(pax_sim::dist::DurationDist::uniform(
-                mean / 2,
-                mean * 3 / 2,
-            )),
-        ));
-        let p2 = b.phase(PhaseDef::new(
-            "B(I)=SUM A(IMAP(J,I))",
-            n,
-            pax_sim::dist::CostModel::new(pax_sim::dist::DurationDist::uniform(
-                mean / 2,
-                mean * 3 / 2,
-            )),
-        ));
-        if with_enable {
-            b.dispatch_enable(
-                p1,
-                vec![EnableSpec {
-                    successor: p2,
-                    mapping: mapping.clone(),
-                }],
-            );
+        let cost = || CostModel::new(DurationDist::uniform(mean / 2, mean * 3 / 2));
+        let phases = vec![
+            PhaseDef::new("A(I)=FUNC(I)", n, cost()),
+            PhaseDef::new("B(I)=SUM A(IMAP(J,I))", n, cost()),
+        ];
+        let edge = if with_enable {
+            mapping.clone()
         } else {
-            b.dispatch(p1);
-        }
-        b.dispatch(p2);
-        b.build().unwrap()
+            EnablementMapping::Null
+        };
+        Program::chain(phases, vec![edge]).unwrap()
     };
 
     let run_with = |with_enable: bool,

@@ -19,15 +19,13 @@ use std::sync::Arc;
 /// ```
 /// use pax_core::engine::Simulation;
 /// use pax_core::policy::OverlapPolicy;
-/// use pax_core::program::ProgramBuilder;
+/// use pax_core::program::Program;
 /// use pax_core::phase::PhaseDef;
 /// use pax_sim::dist::CostModel;
 /// use pax_sim::machine::MachineConfig;
 ///
-/// let mut b = ProgramBuilder::new();
-/// let p = b.phase(PhaseDef::new("only", 32, CostModel::constant(5)));
-/// b.dispatch(p);
-/// let program = b.build().unwrap();
+/// let only = PhaseDef::new("only", 32, CostModel::constant(5));
+/// let program = Program::chain(vec![only], vec![]).unwrap();
 ///
 /// let mut sim = Simulation::new(MachineConfig::ideal(4), OverlapPolicy::strict());
 /// sim.add_job(program);

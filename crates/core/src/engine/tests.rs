@@ -5,36 +5,13 @@ use crate::program::{EnableSpec, ProgramBuilder, Step};
 use crate::report::RunReport;
 use pax_sim::dist::{ArrivalProcess, CostModel};
 
-fn linear_program(
-    granules: u32,
-    phases: usize,
-    cost_ticks: u64,
-    mapping: impl Fn(usize) -> EnablementMapping,
-) -> Program {
-    let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = (0..phases)
-        .map(|i| {
-            b.phase(PhaseDef::new(
-                format!("p{i}"),
-                granules,
-                CostModel::constant(cost_ticks),
-            ))
-        })
+/// `edges.len() + 1` phases of `granules` granules costing `cost_ticks`
+/// each, chained by `edges`.
+fn linear_program(granules: u32, cost_ticks: u64, edges: Vec<EnablementMapping>) -> Program {
+    let phases = (0..=edges.len())
+        .map(|i| PhaseDef::new(format!("p{i}"), granules, CostModel::constant(cost_ticks)))
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        if i + 1 < phases {
-            b.dispatch_enable(
-                id,
-                vec![EnableSpec {
-                    successor: ids[i + 1],
-                    mapping: mapping(i),
-                }],
-            );
-        } else {
-            b.dispatch(id);
-        }
-    }
-    b.build().unwrap()
+    Program::chain(phases, edges).unwrap()
 }
 
 fn run(program: Program, processors: usize, policy: OverlapPolicy) -> RunReport {
@@ -47,7 +24,7 @@ fn run(program: Program, processors: usize, policy: OverlapPolicy) -> RunReport 
 fn single_phase_perfect_division() {
     // 32 granules × 5 ticks on 4 procs, task size = 4 (2 tasks/proc):
     // ideal makespan = 32*5/4 = 40.
-    let p = linear_program(32, 1, 5, |_| EnablementMapping::Null);
+    let p = linear_program(32, 5, vec![]);
     let r = run(p, 4, OverlapPolicy::strict());
     assert_eq!(r.makespan.ticks(), 40);
     assert_eq!(r.compute_time.ticks(), 160);
@@ -62,7 +39,7 @@ fn level_sweeps_hold_only_the_changes_in_flight() {
     // waits is what the processors have in flight, never the history
     // of the run.
     let worst_pending = |granules: u32| {
-        let program = linear_program(granules, 2, 100, |_| EnablementMapping::Identity);
+        let program = linear_program(granules, 100, vec![EnablementMapping::Identity]);
         let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
         let mut sim = Simulation::new(MachineConfig::new(8), policy);
         sim.add_job(program);
@@ -88,7 +65,7 @@ fn level_sweeps_hold_only_the_changes_in_flight() {
 
 #[test]
 fn strict_barrier_sequences_phases() {
-    let p = linear_program(16, 3, 10, |_| EnablementMapping::Identity);
+    let p = linear_program(16, 10, vec![EnablementMapping::Identity; 2]);
     let r = run(p, 4, OverlapPolicy::strict());
     assert_eq!(r.phases.len(), 3);
     // With a barrier, each phase spans 16*10/4 = 40 ticks.
@@ -103,7 +80,7 @@ fn strict_barrier_sequences_phases() {
 fn rundown_idle_without_overlap() {
     // 5 granules of 10 ticks on 4 processors: wave 1 runs 4, wave 2
     // runs 1 → 3 processors idle for 10 ticks.
-    let p = linear_program(5, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(5, 10, vec![]);
     let r = run(
         p,
         4,
@@ -120,7 +97,7 @@ fn universal_overlap_fills_rundown() {
     // Two universal phases, 6 granules × 10 ticks each, 4 procs,
     // task=1. Strict: 2 ticks idle-waves per phase (6 = 4+2).
     // Overlap: second phase granules fill the first phase's tail.
-    let p = linear_program(6, 2, 10, |_| EnablementMapping::Universal);
+    let p = linear_program(6, 10, vec![EnablementMapping::Universal]);
     let strict = run(
         p.clone(),
         4,
@@ -142,7 +119,7 @@ fn universal_overlap_fills_rundown() {
 fn identity_overlap_respects_enablement() {
     // 10 granules on 4 processors leaves a 2-granule final wave — the
     // rundown the overlap must fill.
-    let p = linear_program(10, 2, 10, |_| EnablementMapping::Identity);
+    let p = linear_program(10, 10, vec![EnablementMapping::Identity]);
     let policy = OverlapPolicy::overlap()
         .with_sizing(crate::policy::TaskSizing::Fixed(1))
         .with_split_strategy(SplitStrategy::DemandSplit);
@@ -176,7 +153,7 @@ fn identity_overlap_all_split_strategies_agree_on_invariant() {
         SplitStrategy::PreSplit,
         SplitStrategy::SuccessorSplitTask,
     ] {
-        let p = linear_program(12, 2, 7, |_| EnablementMapping::Identity);
+        let p = linear_program(12, 7, vec![EnablementMapping::Identity]);
         let policy = OverlapPolicy::overlap()
             .with_sizing(crate::policy::TaskSizing::Fixed(2))
             .with_split_strategy(strat);
@@ -198,7 +175,7 @@ fn identity_overlap_all_split_strategies_agree_on_invariant() {
 
 #[test]
 fn null_mapping_never_overlaps() {
-    let p = linear_program(8, 2, 10, |_| EnablementMapping::Null);
+    let p = linear_program(8, 10, vec![EnablementMapping::Null]);
     let r = run(
         p,
         4,
@@ -239,18 +216,7 @@ fn forward_indirect_overlap() {
     // Phase a (10 granules) forward-maps i -> 9-i into phase b.
     let fwd = crate::mapping::ForwardMap::new((0..10).rev().collect(), 10);
     let mapping = EnablementMapping::ForwardIndirect(std::sync::Arc::new(fwd));
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 10, CostModel::constant(10)));
-    let pb = b.phase(PhaseDef::new("b", 10, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping,
-        }],
-    );
-    b.dispatch(pb);
-    let p = b.build().unwrap();
+    let p = linear_program(10, 10, vec![mapping]);
     let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
     let mut sim = Simulation::new(MachineConfig::ideal(4), policy).with_gantt();
     sim.add_job(p);
@@ -272,18 +238,7 @@ fn reverse_indirect_overlap() {
     let req: Vec<Vec<u32>> = (0..8).map(|r| vec![r, (r + 1) % 8]).collect();
     let rmap = crate::mapping::ReverseMap::new(req.clone(), 8);
     let mapping = EnablementMapping::ReverseIndirect(std::sync::Arc::new(rmap));
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 8, CostModel::constant(10)));
-    let pb = b.phase(PhaseDef::new("b", 8, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping,
-        }],
-    );
-    b.dispatch(pb);
-    let p = b.build().unwrap();
+    let p = linear_program(8, 10, vec![mapping]);
     let policy = OverlapPolicy::overlap().with_sizing(crate::policy::TaskSizing::Fixed(1));
     let mut sim = Simulation::new(MachineConfig::ideal(3), policy).with_gantt();
     sim.add_job(p);
@@ -543,13 +498,13 @@ fn branch_preprocessing_overlaps_taken_arm() {
 
 #[test]
 fn steals_worker_vs_dedicated_accounting() {
-    let p = linear_program(64, 2, 100, |_| EnablementMapping::Universal);
+    let p = linear_program(64, 100, vec![EnablementMapping::Universal]);
     let mk = |placement| {
         let cfg = MachineConfig::new(4)
             .with_executive(placement)
             .with_costs(pax_sim::machine::ManagementCosts::pax_default());
         let mut sim = Simulation::new(cfg, OverlapPolicy::strict());
-        sim.add_job(linear_program(64, 2, 100, |_| EnablementMapping::Universal));
+        sim.add_job(linear_program(64, 100, vec![EnablementMapping::Universal]));
         sim.run().unwrap()
     };
     let _ = p;
@@ -566,8 +521,8 @@ fn steals_worker_vs_dedicated_accounting() {
 #[test]
 fn multi_job_streams_share_machine() {
     let mut sim = Simulation::new(MachineConfig::ideal(4), OverlapPolicy::strict());
-    sim.add_job(linear_program(16, 2, 10, |_| EnablementMapping::Null));
-    sim.add_job(linear_program(16, 2, 10, |_| EnablementMapping::Null));
+    sim.add_job(linear_program(16, 10, vec![EnablementMapping::Null]));
+    sim.add_job(linear_program(16, 10, vec![EnablementMapping::Null]));
     let r = sim.run().unwrap();
     assert_eq!(r.jobs.len(), 2);
     assert!(r.jobs.iter().all(|j| j.finished_at.is_some()));
@@ -588,7 +543,7 @@ fn pending_arrivals_wait_beside_the_calendar_not_in_it() {
     let bound = cfg.processors + cfg.executive_lanes + 1;
     let mut sim = Simulation::new(cfg, OverlapPolicy::overlap()).with_eviction();
     sim.add_job_stream(
-        linear_program(8, 2, 10, |_| EnablementMapping::Identity),
+        linear_program(8, 10, vec![EnablementMapping::Identity]),
         ArrivalProcess::poisson(200),
         10_000,
     );
@@ -610,35 +565,17 @@ fn pending_arrivals_wait_beside_the_calendar_not_in_it() {
 #[test]
 fn deterministic_runs_with_same_seed() {
     let mk = || {
-        let p = linear_program(64, 3, 0, |_| EnablementMapping::Universal);
-        // use stochastic costs
-        let mut b = ProgramBuilder::new();
-        let mut prev: Option<PhaseId> = None;
-        let mut ids = Vec::new();
-        for i in 0..3 {
-            let id = b.phase(PhaseDef::new(
-                format!("p{i}"),
-                64,
-                pax_sim::dist::CostModel::new(DurationDist::uniform(5, 50)),
-            ));
-            ids.push(id);
-            let _ = prev.replace(id);
-        }
-        for (i, &id) in ids.iter().enumerate() {
-            if i + 1 < 3 {
-                b.dispatch_enable(
-                    id,
-                    vec![EnableSpec {
-                        successor: ids[i + 1],
-                        mapping: EnablementMapping::Universal,
-                    }],
-                );
-            } else {
-                b.dispatch(id);
-            }
-        }
-        let _ = p;
-        let program = b.build().unwrap();
+        // stochastic costs
+        let phases = (0..3)
+            .map(|i| {
+                PhaseDef::new(
+                    format!("p{i}"),
+                    64,
+                    CostModel::new(DurationDist::uniform(5, 50)),
+                )
+            })
+            .collect();
+        let program = Program::chain(phases, vec![EnablementMapping::Universal; 2]).unwrap();
         let mut sim =
             Simulation::new(MachineConfig::ideal(8), OverlapPolicy::overlap()).with_seed(42);
         sim.add_job(program);
@@ -656,18 +593,7 @@ fn elevated_subset_limits_indirect_problem_size() {
     let req: Vec<Vec<u32>> = (0..30).map(|r| vec![r]).collect();
     let rmap = crate::mapping::ReverseMap::new(req, 30);
     let mapping = EnablementMapping::ReverseIndirect(std::sync::Arc::new(rmap));
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 30, CostModel::constant(10)));
-    let pb = b.phase(PhaseDef::new("b", 30, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping,
-        }],
-    );
-    b.dispatch(pb);
-    let p = b.build().unwrap();
+    let p = linear_program(30, 10, vec![mapping]);
     let policy = OverlapPolicy::overlap()
         .with_sizing(crate::policy::TaskSizing::Fixed(1))
         .with_indirect_subset(4);
@@ -680,7 +606,7 @@ fn elevated_subset_limits_indirect_problem_size() {
 
 #[test]
 fn zero_management_costs_mean_infinite_ratio() {
-    let p = linear_program(8, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(8, 10, vec![]);
     let r = run(p, 2, OverlapPolicy::strict());
     assert!(r.comp_to_mgmt_ratio().is_infinite());
     assert_eq!(r.idle_time(), 0);
@@ -711,7 +637,7 @@ fn run_on(program: Program, cfg: MachineConfig, policy: OverlapPolicy) -> RunRep
 
 #[test]
 fn uniform_memory_reports_no_locality_traffic() {
-    let p = linear_program(32, 1, 5, |_| EnablementMapping::Null);
+    let p = linear_program(32, 5, vec![]);
     let r = run(p, 4, OverlapPolicy::strict());
     assert_eq!(r.local_granules, 0);
     assert_eq!(r.remote_granules, 0);
@@ -721,7 +647,7 @@ fn uniform_memory_reports_no_locality_traffic() {
 
 #[test]
 fn locality_accounts_every_granule() {
-    let p = linear_program(96, 2, 5, |_| EnablementMapping::Identity);
+    let p = linear_program(96, 5, vec![EnablementMapping::Identity]);
     let cfg = locality_machine(4, 4, 3, DataLayout::Block);
     let r = run_on(p, cfg, OverlapPolicy::strict());
     assert_eq!(r.local_granules + r.remote_granules, 2 * 96);
@@ -737,30 +663,16 @@ fn proximity_assignment_beats_queue_order_under_drift() {
     // Jittered granule costs make queue-order assignment drift off the
     // initial (accidentally local) block alignment; the proximity scan
     // holds workers to their home blocks.
-    let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = (0..4)
+    let phases = (0..4)
         .map(|i| {
-            b.phase(PhaseDef::new(
+            PhaseDef::new(
                 format!("p{i}"),
                 256,
-                CostModel::new(pax_sim::dist::DurationDist::uniform(20, 60)),
-            ))
+                CostModel::new(DurationDist::uniform(20, 60)),
+            )
         })
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        if i + 1 < 4 {
-            b.dispatch_enable(
-                id,
-                vec![EnableSpec {
-                    successor: ids[i + 1],
-                    mapping: EnablementMapping::Identity,
-                }],
-            );
-        } else {
-            b.dispatch(id);
-        }
-    }
-    let program = b.build().unwrap();
+    let program = Program::chain(phases, vec![EnablementMapping::Identity; 3]).unwrap();
     let cfg = locality_machine(8, 4, 40, DataLayout::Block);
 
     let fifo = run_on(
@@ -793,7 +705,7 @@ fn proximity_assignment_beats_queue_order_under_drift() {
 
 #[test]
 fn proximity_without_locality_model_is_queue_order() {
-    let p = linear_program(64, 2, 10, |_| EnablementMapping::Identity);
+    let p = linear_program(64, 10, vec![EnablementMapping::Identity]);
     let base = run(
         p.clone(),
         4,
@@ -815,7 +727,7 @@ fn cyclic_layout_defeats_proximity_with_contiguous_tasks() {
     // Interleaved data: any contiguous multi-granule task straddles all
     // clusters, so proximity matching on the front granule cannot
     // reduce the remote fraction below (C-1)/C.
-    let p = linear_program(256, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(256, 10, vec![]);
     let cfg = locality_machine(8, 4, 5, DataLayout::Cyclic);
     let r = run_on(
         p,
@@ -832,7 +744,7 @@ fn cyclic_layout_defeats_proximity_with_contiguous_tasks() {
 
 #[test]
 fn zero_scan_window_degenerates_to_queue_order() {
-    let p = linear_program(128, 2, 10, |_| EnablementMapping::Identity);
+    let p = linear_program(128, 10, vec![EnablementMapping::Identity]);
     let cfg = locality_machine(4, 2, 5, DataLayout::Block);
     let a = run_on(
         p.clone(),
@@ -852,7 +764,7 @@ fn zero_scan_window_degenerates_to_queue_order() {
 #[test]
 fn locality_runs_deterministically() {
     let mk = || {
-        let p = linear_program(200, 3, 15, |_| EnablementMapping::Identity);
+        let p = linear_program(200, 15, vec![EnablementMapping::Identity; 2]);
         let cfg = locality_machine(8, 4, 10, DataLayout::Block);
         run_on(
             p,
@@ -873,7 +785,7 @@ fn uniform_class_matches_homogeneous_run() {
     // A single 100%-speed class covering every processor is the
     // homogeneous machine: same makespan, same compute, zero extra
     // RNG draws — only the report grows a class section.
-    let p = linear_program(32, 2, 7, |_| EnablementMapping::Identity);
+    let p = linear_program(32, 7, vec![EnablementMapping::Identity]);
     let base = run(p.clone(), 4, OverlapPolicy::strict());
     let cfg = MachineConfig::ideal(4).with_classes(vec![ProcessorClass::new("base", 4, 100)]);
     let r = run_on(p, cfg, OverlapPolicy::strict());
@@ -890,7 +802,7 @@ fn uniform_class_matches_homogeneous_run() {
 fn slow_class_stretches_every_task() {
     // 8 granules × 10 ticks on one 50%-speed processor: each task
     // takes ceil(10·100/50) = 20 ticks → makespan 160, not 80.
-    let p = linear_program(8, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(8, 10, vec![]);
     let cfg = MachineConfig::ideal(1).with_classes(vec![ProcessorClass::new("slow", 1, 50)]);
     let r = run_on(
         p,
@@ -907,7 +819,7 @@ fn fast_class_takes_more_work() {
     // One 200% processor and one 100% processor splitting 16
     // single-granule tasks of 10 ticks: the fast worker finishes
     // each task in 5 ticks and should clear about twice the tasks.
-    let p = linear_program(16, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(16, 10, vec![]);
     let cfg = MachineConfig::ideal(2).with_classes(vec![
         ProcessorClass::new("fast", 1, 200),
         ProcessorClass::new("base", 1, 100),
@@ -935,7 +847,7 @@ fn affinity_keeps_elevated_only_class_off_normal_work() {
     // A strict run produces only Normal-queue descriptors, so an
     // ElevatedOnly class must sit idle while the NormalOnly class
     // does everything.
-    let p = linear_program(12, 1, 10, |_| EnablementMapping::Null);
+    let p = linear_program(12, 10, vec![]);
     let cfg = MachineConfig::ideal(2).with_classes(vec![
         ProcessorClass::new("helper", 1, 100).with_affinity(ClassAffinity::ElevatedOnly),
         ProcessorClass::new("main", 1, 100).with_affinity(ClassAffinity::NormalOnly),
@@ -954,12 +866,9 @@ fn affinity_keeps_elevated_only_class_off_normal_work() {
 fn single_token_pool_serializes_phase() {
     // 4 processors but one "operator" token: tasks of the gated
     // phase run one at a time. 4 granules × 10 ticks → 40 ticks.
-    let mut b = ProgramBuilder::new();
-    let id = b.phase(
-        PhaseDef::new("gated", 4, CostModel::constant(10)).with_requires(vec!["operator".into()]),
-    );
-    b.dispatch(id);
-    let p = b.build().unwrap();
+    let gated =
+        PhaseDef::new("gated", 4, CostModel::constant(10)).with_requires(vec!["operator".into()]);
+    let p = Program::chain(vec![gated], vec![]).unwrap();
     let cfg = MachineConfig::ideal(4).with_resources(vec![ResourcePool::new("operator", 1)]);
     let r = run_on(
         p,
@@ -975,13 +884,9 @@ fn single_token_pool_serializes_phase() {
 
 #[test]
 fn unknown_pool_name_is_a_structured_error() {
-    let mut b = ProgramBuilder::new();
-    let id = b.phase(
-        PhaseDef::new("gated", 4, CostModel::constant(10))
-            .with_requires(vec!["nonexistent".into()]),
-    );
-    b.dispatch(id);
-    let p = b.build().unwrap();
+    let gated = PhaseDef::new("gated", 4, CostModel::constant(10))
+        .with_requires(vec!["nonexistent".into()]);
+    let p = Program::chain(vec![gated], vec![]).unwrap();
     let mut sim = Simulation::new(MachineConfig::ideal(2), OverlapPolicy::strict());
     sim.add_job(p);
     match sim.run() {
@@ -1000,12 +905,11 @@ fn crash_returns_held_tokens() {
     // remaining processor could never dispatch the rest of the phase
     // and the run would deadlock instead of completing.
     use pax_sim::faults::{FaultPlan, ScriptedFault};
-    let mut b = ProgramBuilder::new();
-    let id = b.phase(
-        PhaseDef::new("gated", 6, CostModel::constant(10)).with_requires(vec!["operator".into()]),
-    );
-    b.dispatch(id);
-    let p = b.build().unwrap();
+    let gated = || {
+        let def = PhaseDef::new("gated", 6, CostModel::constant(10));
+        Program::chain(vec![def.with_requires(vec!["operator".into()])], vec![]).unwrap()
+    };
+    let p = gated();
     let cfg = MachineConfig::ideal(2)
         .with_resources(vec![ResourcePool::new("operator", 1)])
         .with_faults(FaultPlan::scripted(vec![ScriptedFault {
@@ -1027,15 +931,7 @@ fn crash_returns_held_tokens() {
         cfg,
         OverlapPolicy::strict().with_sizing(crate::policy::TaskSizing::Fixed(1)),
     );
-    again.add_job({
-        let mut b = ProgramBuilder::new();
-        let id = b.phase(
-            PhaseDef::new("gated", 6, CostModel::constant(10))
-                .with_requires(vec!["operator".into()]),
-        );
-        b.dispatch(id);
-        b.build().unwrap()
-    });
+    again.add_job(gated());
     let r2 = again.run().unwrap();
     assert_eq!(r.makespan, r2.makespan);
     assert_eq!(r.lost_work, r2.lost_work);
@@ -1051,12 +947,9 @@ fn parked_worker_crash_releases_park_slot() {
     // parked (permanent). The run must still complete on worker 0
     // and pool wait accounting must close the park interval.
     use pax_sim::faults::{FaultPlan, ScriptedFault};
-    let mut b = ProgramBuilder::new();
-    let id = b.phase(
-        PhaseDef::new("gated", 5, CostModel::constant(10)).with_requires(vec!["operator".into()]),
-    );
-    b.dispatch(id);
-    let p = b.build().unwrap();
+    let gated =
+        PhaseDef::new("gated", 5, CostModel::constant(10)).with_requires(vec!["operator".into()]);
+    let p = Program::chain(vec![gated], vec![]).unwrap();
     let cfg = MachineConfig::ideal(2)
         .with_resources(vec![ResourcePool::new("operator", 1)])
         .with_faults(FaultPlan::scripted(vec![ScriptedFault {

@@ -36,16 +36,11 @@
 //!
 //! ```
 //! use pax_core::prelude::*;
-//! use pax_sim::dist::CostModel;
-//! use pax_sim::machine::MachineConfig;
 //!
 //! // Two 64-granule phases, identity-mapped (B(I)=A(I); C(I)=B(I)).
-//! let mut b = ProgramBuilder::new();
-//! let a = b.phase(PhaseDef::new("copy-a-to-b", 64, CostModel::constant(10)));
-//! let c = b.phase(PhaseDef::new("copy-b-to-c", 64, CostModel::constant(10)));
-//! b.dispatch_enable(a, vec![EnableSpec { successor: c, mapping: EnablementMapping::Identity }]);
-//! b.dispatch(c);
-//! let program = b.build().unwrap();
+//! let phases = ["copy-a-to-b", "copy-b-to-c"]
+//!     .map(|name| PhaseDef::new(name, 64, CostModel::constant(10)));
+//! let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap();
 //!
 //! let strict = {
 //!     let mut s = Simulation::new(MachineConfig::ideal(8), OverlapPolicy::strict());

@@ -172,6 +172,40 @@ pub enum Stop<'p> {
 }
 
 impl Program {
+    /// A straight chain: each phase dispatched once, in order, where
+    /// `edges[i]` maps phase `i` into phase `i + 1`. An edge is the
+    /// `ENABLE` clause naming the phase that follows, or no clause at all
+    /// when it is [`EnablementMapping::Null`]. A chain of N phases has
+    /// N − 1 edges; any other count is an error, and so is an empty chain.
+    /// It is checked as [`ProgramBuilder::build`] checks it, with the same
+    /// messages.
+    pub fn chain(phases: Vec<PhaseDef>, edges: Vec<EnablementMapping>) -> Result<Program, String> {
+        let n = phases.len();
+        if n == 0 {
+            return Err("a chain needs at least one phase".into());
+        }
+        if edges.len() != n - 1 {
+            let m = edges.len();
+            return Err(format!(
+                "a chain of {n} phases has {} edges, got {m}",
+                n - 1
+            ));
+        }
+        let mut b = ProgramBuilder {
+            phases,
+            ..ProgramBuilder::default()
+        };
+        for (i, mapping) in edges.into_iter().enumerate() {
+            let (phase, successor) = (PhaseId(i as u32), PhaseId(i as u32 + 1));
+            match mapping {
+                EnablementMapping::Null => b.dispatch(phase),
+                mapping => b.dispatch_enable(phase, vec![EnableSpec { successor, mapping }]),
+            };
+        }
+        b.dispatch(PhaseId(n as u32 - 1));
+        b.build()
+    }
+
     /// Validate step targets, phase ids and moduli; returns a description
     /// of the first problem found.
     pub fn validate(&self) -> Result<(), String> {
@@ -428,7 +462,10 @@ impl Program {
     }
 }
 
-/// Convenience builder for linear and looping programs.
+/// Step-by-step builder for programs that loop or branch, have serial or
+/// counter steps, dispatch a phase more than once, or carry an `ENABLE`
+/// clause that is not one spec naming the next phase. A straight chain
+/// is [`Program::chain`].
 #[derive(Debug, Default)]
 pub struct ProgramBuilder {
     phases: Vec<PhaseDef>,
@@ -536,18 +573,8 @@ mod tests {
     use pax_sim::dist::CostModel;
 
     fn two_phase_program() -> Program {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new("a", 8, CostModel::constant(10)));
-        let c = b.phase(PhaseDef::new("b", 8, CostModel::constant(10)));
-        b.dispatch_enable(
-            a,
-            vec![EnableSpec {
-                successor: c,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(c);
-        b.build().unwrap()
+        let phases = ["a", "b"].map(|name| PhaseDef::new(name, 8, CostModel::constant(10)));
+        Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap()
     }
 
     #[test]
@@ -556,6 +583,63 @@ mod tests {
         assert_eq!(p.phases.len(), 2);
         assert!(matches!(p.steps.last(), Some(Step::End)));
         assert!(p.validate().is_ok());
+    }
+
+    #[test]
+    fn chain_has_the_steps_of_the_hand_built_program() {
+        let phase = |name| PhaseDef::new(name, 4, CostModel::constant(1));
+        let chained = Program::chain(
+            vec![phase("a"), phase("b"), phase("c")],
+            vec![EnablementMapping::Identity, EnablementMapping::Null],
+        )
+        .unwrap();
+        let mut b = ProgramBuilder::new();
+        let [a, z, c] = ["a", "b", "c"].map(|name| b.phase(phase(name)));
+        let identity = EnableSpec {
+            successor: z,
+            mapping: EnablementMapping::Identity,
+        };
+        b.dispatch_enable(a, vec![identity]).dispatch(z).dispatch(c);
+        let built = b.build().unwrap();
+        assert_eq!(format!("{:?}", chained.steps), format!("{:?}", built.steps));
+        assert!(matches!(&chained.steps[1], Step::Dispatch { enables, .. } if enables.is_empty()));
+        assert_eq!(chained.counters, 0);
+    }
+
+    #[test]
+    fn chain_needs_one_edge_fewer_than_phases() {
+        let phase = |name| PhaseDef::new(name, 4, CostModel::constant(1));
+        let two = || vec![phase("a"), phase("b")];
+        let identity = || EnablementMapping::Identity;
+        let err = Program::chain(two(), vec![]).unwrap_err();
+        assert_eq!(err, "a chain of 2 phases has 1 edges, got 0");
+        let err = Program::chain(two(), vec![identity(), identity()]).unwrap_err();
+        assert_eq!(err, "a chain of 2 phases has 1 edges, got 2");
+        let err = Program::chain(vec![], vec![]).unwrap_err();
+        assert_eq!(err, "a chain needs at least one phase");
+        let one = Program::chain(vec![phase("a")], vec![]).unwrap();
+        assert_eq!(one.steps.len(), 2);
+    }
+
+    #[test]
+    fn chain_reports_a_misfit_edge_as_the_builder_does() {
+        let phases = || {
+            [
+                PhaseDef::new("a", 8, CostModel::constant(1)),
+                PhaseDef::new("b", 9, CostModel::constant(1)),
+            ]
+        };
+        let chained = Program::chain(phases().into(), vec![EnablementMapping::Identity]);
+        let mut b = ProgramBuilder::new();
+        let [a, z] = phases().map(|def| b.phase(def));
+        let identity = EnableSpec {
+            successor: z,
+            mapping: EnablementMapping::Identity,
+        };
+        b.dispatch_enable(a, vec![identity]).dispatch(z);
+        let err = chained.unwrap_err();
+        assert!(err.starts_with("step 0: "), "{err}");
+        assert_eq!(err, b.build().unwrap_err());
     }
 
     #[test]

@@ -760,20 +760,12 @@ pub fn stuck_error(coordinator: &Coordinator, unadmitted: &[usize]) -> EngineErr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mapping::EnablementMapping;
     use crate::phase::PhaseDef;
     use crate::policy::OverlapPolicy;
-    use crate::program::{Program, ProgramBuilder};
+    use crate::program::Program;
     use pax_sim::dist::CostModel;
     use pax_sim::machine::MachineConfig;
-
-    fn two_phase_program(granules: u32, cost: u64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new("a", granules, CostModel::constant(cost)));
-        let z = b.phase(PhaseDef::new("z", granules, CostModel::constant(cost)));
-        b.dispatch(a);
-        b.dispatch(z);
-        b.build().unwrap()
-    }
 
     #[test]
     fn group_seed_splits_deterministically() {
@@ -787,8 +779,10 @@ mod tests {
     /// first group without jobs.
     fn assert_sparse_groups_rejected(groups: &[usize], missing: usize) {
         let mut sim = Simulation::new(MachineConfig::ideal(2), OverlapPolicy::strict());
+        let phases = ["a", "z"].map(|name| PhaseDef::new(name, 8, CostModel::constant(2)));
+        let program = Program::chain(phases.into(), vec![EnablementMapping::Null]).unwrap();
         for &g in groups {
-            sim.add_job_in_group(two_phase_program(8, 2), g);
+            sim.add_job_in_group(program.clone(), g);
         }
         match sim.run() {
             Err(EngineError::InvalidProgram(msg)) => {

@@ -71,6 +71,13 @@ fn assert_no_per_event_allocations(what: &str, small: (&RunReport, u64), large: 
     );
 }
 
+/// Phases `a` then `b` of `granules` 100-tick granules, `b` enabled by
+/// identity from `a`.
+fn identity_pair(granules: u32) -> Program {
+    let phases = ["a", "b"].map(|name| PhaseDef::new(name, granules, CostModel::constant(100)));
+    Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap()
+}
+
 /// Run a two-phase identity-overlap program (single-granule tasks — the
 /// configuration with the most completion events per granule) on
 /// `processors` processors under the given split strategy and executive
@@ -83,18 +90,7 @@ fn identity_run(
     strategy: SplitStrategy,
     lanes: usize,
 ) -> (RunReport, u64, u64) {
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", granules, CostModel::constant(100)));
-    let pb = b.phase(PhaseDef::new("b", granules, CostModel::constant(100)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
-    let program = b.build().unwrap();
+    let program = identity_pair(granules);
     let policy = OverlapPolicy::overlap()
         .with_sizing(TaskSizing::Fixed(1))
         .with_split_strategy(strategy);
@@ -116,10 +112,8 @@ fn identity_run(
 /// warm-up window must not touch the allocator on its account.
 fn feed_run(jobs: usize) -> (RunReport, u64) {
     use pax_sim::dist::ArrivalProcess;
-    let mut b = ProgramBuilder::new();
-    let p = b.phase(PhaseDef::new("only", 4, CostModel::constant(100)));
-    b.dispatch(p);
-    let program = b.build().unwrap();
+    let only = PhaseDef::new("only", 4, CostModel::constant(100));
+    let program = Program::chain(vec![only], vec![]).unwrap();
     let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
     let mut sim = Simulation::new(MachineConfig::new(8), policy)
         .with_seed(1)
@@ -162,18 +156,7 @@ fn assert_feed_path_alloc_free() {
 /// turning faults on adds zero allocations per completion event.
 fn faults_enabled_run(granules: u32) -> (RunReport, u64) {
     use pax_sim::{FaultPlan, ScriptedFault};
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", granules, CostModel::constant(100)));
-    let pb = b.phase(PhaseDef::new("b", granules, CostModel::constant(100)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
-    let program = b.build().unwrap();
+    let program = identity_pair(granules);
     let policy = OverlapPolicy::overlap()
         .with_sizing(TaskSizing::Fixed(1))
         .with_split_strategy(SplitStrategy::DemandSplit);
@@ -233,26 +216,7 @@ fn assert_steady_state_alloc_free(processors: usize, strategy: SplitStrategy, la
 fn sharded_fleet_run(granules_per_group: u32) -> (RunReport, u64) {
     use pax_sim::machine::ShardPolicy;
     use pax_sim::time::SimDuration;
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new(
-        "a",
-        granules_per_group,
-        CostModel::constant(100),
-    ));
-    let pb = b.phase(PhaseDef::new(
-        "b",
-        granules_per_group,
-        CostModel::constant(100),
-    ));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
-    let program = b.build().unwrap();
+    let program = identity_pair(granules_per_group);
     let policy = OverlapPolicy::overlap()
         .with_sizing(TaskSizing::Fixed(1))
         .with_split_strategy(SplitStrategy::DemandSplit);
@@ -278,18 +242,7 @@ fn sharded_fleet_run(granules_per_group: u32) -> (RunReport, u64) {
 /// completing one returns them.
 fn service_stream_run(jobs: usize) -> (RunReport, u64) {
     use pax_sim::dist::ArrivalProcess;
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 64, CostModel::constant(100)));
-    let pb = b.phase(PhaseDef::new("b", 64, CostModel::constant(100)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
-    let program = b.build().unwrap();
+    let program = identity_pair(64);
     let policy = OverlapPolicy::overlap()
         .with_sizing(TaskSizing::Fixed(1))
         .with_split_strategy(SplitStrategy::DemandSplit);
@@ -435,10 +388,7 @@ fn stream_setup_bytes(jobs: usize, pooled: bool) -> u64 {
         def = def.with_requires(vec!["operator".into()]);
         machine = machine.with_resources(vec![ResourcePool::new("operator", 3)]);
     }
-    let mut b = ProgramBuilder::new();
-    let p = b.phase(def);
-    b.dispatch(p);
-    let program = b.build().unwrap();
+    let program = Program::chain(vec![def], vec![]).unwrap();
     let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(4));
     let bytes = BYTES.load(Ordering::Relaxed);
     let mut sim = Simulation::new(machine, policy)

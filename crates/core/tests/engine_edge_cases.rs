@@ -6,30 +6,10 @@ use pax_sim::machine::{ExecutivePlacement, MachineConfig, ManagementCosts};
 use std::sync::Arc;
 
 fn simple_program(granules: u32, phases: usize, mapping: EnablementMapping) -> Program {
-    let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = (0..phases)
-        .map(|i| {
-            b.phase(PhaseDef::new(
-                format!("p{i}"),
-                granules,
-                CostModel::constant(10),
-            ))
-        })
+    let defs = (0..phases)
+        .map(|i| PhaseDef::new(format!("p{i}"), granules, CostModel::constant(10)))
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        if i + 1 < phases {
-            b.dispatch_enable(
-                id,
-                vec![EnableSpec {
-                    successor: ids[i + 1],
-                    mapping: mapping.clone(),
-                }],
-            );
-        } else {
-            b.dispatch(id);
-        }
-    }
-    b.build().unwrap()
+    Program::chain(defs, vec![mapping; phases - 1]).unwrap()
 }
 
 #[test]
@@ -94,12 +74,8 @@ fn invalid_program_rejected_before_running() {
 
 #[test]
 fn zero_cost_granules_complete() {
-    let p = simple_program(50, 2, EnablementMapping::Identity);
-    let mut b = ProgramBuilder::new();
-    let a = b.phase(PhaseDef::new("zero", 50, CostModel::constant(0)));
-    b.dispatch(a);
-    let zero = b.build().unwrap();
-    let _ = p;
+    let zero = PhaseDef::new("zero", 50, CostModel::constant(0));
+    let zero = Program::chain(vec![zero], vec![]).unwrap();
     let mut sim = Simulation::new(MachineConfig::ideal(4), OverlapPolicy::strict());
     sim.add_job(zero);
     let r = sim.run().unwrap();
@@ -109,12 +85,10 @@ fn zero_cost_granules_complete() {
 
 #[test]
 fn huge_skip_probability_still_completes() {
-    let mut b = ProgramBuilder::new();
     let model = CostModel::new(DurationDist::constant(100)).with_skip(0.95, 1);
-    let a = b.phase(PhaseDef::new("mostly-skipped", 200, model));
-    b.dispatch(a);
+    let skipped = PhaseDef::new("mostly-skipped", 200, model);
     let mut sim = Simulation::new(MachineConfig::ideal(8), OverlapPolicy::strict());
-    sim.add_job(b.build().unwrap());
+    sim.add_job(Program::chain(vec![skipped], vec![]).unwrap());
     let r = sim.run().unwrap();
     assert_eq!(r.phases[0].stats.executed_granules, 200);
     // expected compute ≈ 200 × (0.05×100 + 0.95×1) ≈ 1190; allow wide noise
@@ -168,23 +142,16 @@ fn forward_map_partial_coverage_releases_rest_immediately() {
     // granules 1.. are null-set enabled and may run from initiation
     let fwd = ForwardMap::new(vec![0], 16);
     let mapping = EnablementMapping::ForwardIndirect(Arc::new(fwd));
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 1, CostModel::constant(100)));
-    let pb = b.phase(PhaseDef::new("b", 16, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping,
-        }],
-    );
-    b.dispatch(pb);
+    let phases = vec![
+        PhaseDef::new("a", 1, CostModel::constant(100)),
+        PhaseDef::new("b", 16, CostModel::constant(10)),
+    ];
     let mut sim = Simulation::new(
         MachineConfig::ideal(4),
         OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1)),
     )
     .with_gantt();
-    sim.add_job(b.build().unwrap());
+    sim.add_job(Program::chain(phases, vec![mapping]).unwrap());
     let r = sim.run().unwrap();
     let g = r.gantt.as_ref().unwrap();
     // successor granule 1 (null-set) may start before the predecessor ends
@@ -217,7 +184,6 @@ fn stealing_executive_with_huge_costs_still_terminates() {
 
 #[test]
 fn multi_lane_executive_equivalent_work() {
-    let p = simple_program(60, 3, EnablementMapping::Universal);
     let run_with_lanes = |lanes: usize| {
         let machine = MachineConfig::new(6)
             .with_costs(ManagementCosts::pax_default().scaled(20))
@@ -226,7 +192,6 @@ fn multi_lane_executive_equivalent_work() {
         sim.add_job(simple_program(60, 3, EnablementMapping::Universal));
         sim.run().unwrap()
     };
-    let _ = p;
     let one = run_with_lanes(1);
     let four = run_with_lanes(4);
     assert_eq!(one.compute_time, four.compute_time);
@@ -272,32 +237,14 @@ fn seam_mapping_runs_through_engine() {
 #[test]
 fn deterministic_across_policies_not_required_but_within_policy_yes() {
     let run_once = |seed: u64| {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new(
-            "a",
-            40,
-            CostModel::new(DurationDist::Exponential {
-                mean: pax_sim::SimDuration(30),
-            }),
-        ));
-        let c = b.phase(PhaseDef::new(
-            "b",
-            40,
-            CostModel::new(DurationDist::Exponential {
-                mean: pax_sim::SimDuration(30),
-            }),
-        ));
-        b.dispatch_enable(
-            a,
-            vec![EnableSpec {
-                successor: c,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(c);
+        let phases = ["a", "b"].map(|name| {
+            let mean = pax_sim::SimDuration(30);
+            PhaseDef::new(name, 40, CostModel::new(DurationDist::Exponential { mean }))
+        });
+        let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]);
         let mut sim =
             Simulation::new(MachineConfig::ideal(4), OverlapPolicy::overlap()).with_seed(seed);
-        sim.add_job(b.build().unwrap());
+        sim.add_job(program.unwrap());
         sim.run().unwrap()
     };
     let a1 = run_once(11);

@@ -1,29 +1,21 @@
 //! Failure injection: malformed programs, inconsistent mappings, and
-//! boundary abuse must be rejected loudly — at build time by the
-//! [`ProgramBuilder`], again by the engine for hand-assembled programs,
+//! boundary abuse must be rejected loudly — at build time by
+//! [`Program::chain`], again by the engine for hand-assembled programs,
 //! or by construction-time assertions — never by silent mis-scheduling.
 
 use pax_core::mapping::{ForwardMap, ReverseMap, SeamMap};
 use pax_core::prelude::*;
-use pax_core::program::ProgramBuilder;
 use pax_sim::dist::CostModel;
 use pax_sim::machine::MachineConfig;
 use std::sync::Arc;
 
-/// Builder for a two-phase program; returns `build()`'s verdict.
+/// A two-phase chain; returns the build's verdict.
 fn try_two_phases(g_a: u32, g_b: u32, mapping: EnablementMapping) -> Result<Program, String> {
-    let mut b = ProgramBuilder::new();
-    let a = b.phase(PhaseDef::new("a", g_a, CostModel::constant(5)));
-    let c = b.phase(PhaseDef::new("b", g_b, CostModel::constant(5)));
-    b.dispatch_enable(
-        a,
-        vec![EnableSpec {
-            successor: c,
-            mapping,
-        }],
-    );
-    b.dispatch(c);
-    b.build()
+    let phases = vec![
+        PhaseDef::new("a", g_a, CostModel::constant(5)),
+        PhaseDef::new("b", g_b, CostModel::constant(5)),
+    ];
+    Program::chain(phases, vec![mapping])
 }
 
 fn two_phases(g_a: u32, g_b: u32, mapping: EnablementMapping) -> Program {

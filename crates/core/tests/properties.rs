@@ -6,34 +6,12 @@ use pax_sim::machine::MachineConfig;
 use proptest::prelude::*;
 use std::sync::Arc;
 
-/// Build a linear program of `n` phases with the given mapping generator.
+/// A chain of one `granules`-granule phase per cost, linked by `mappings`.
 fn linear(granules: u32, costs: Vec<DurationDist>, mappings: Vec<EnablementMapping>) -> Program {
-    let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = costs
-        .iter()
-        .enumerate()
-        .map(|(i, c)| {
-            b.phase(PhaseDef::new(
-                format!("p{i}"),
-                granules,
-                CostModel::new(c.clone()),
-            ))
-        })
+    let phases = (costs.into_iter().enumerate())
+        .map(|(i, c)| PhaseDef::new(format!("p{i}"), granules, CostModel::new(c)))
         .collect();
-    for (i, &id) in ids.iter().enumerate() {
-        if i + 1 < ids.len() {
-            b.dispatch_enable(
-                id,
-                vec![EnableSpec {
-                    successor: ids[i + 1],
-                    mapping: mappings[i].clone(),
-                }],
-            );
-        } else {
-            b.dispatch(id);
-        }
-    }
-    b.build().unwrap()
+    Program::chain(phases, mappings).unwrap()
 }
 
 proptest! {
@@ -465,15 +443,9 @@ mod assignment_props {
             seed in 0u64..500,
         ) {
             let layout = if cyclic { DataLayout::Cyclic } else { DataLayout::Block };
-            let mut b = ProgramBuilder::new();
-            let p0 = b.phase(PhaseDef::new("a", granules, CostModel::constant(9)));
-            let p1 = b.phase(PhaseDef::new("b", granules, CostModel::constant(9)));
-            b.dispatch_enable(p0, vec![EnableSpec {
-                successor: p1,
-                mapping: EnablementMapping::Identity,
-            }]);
-            b.dispatch(p1);
-            let program = b.build().unwrap();
+            let phases = ["a", "b"]
+                .map(|name| PhaseDef::new(name, granules, CostModel::constant(9)));
+            let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap();
 
             let cfg = MachineConfig::ideal(procs)
                 .with_locality(LocalityModel::new(clusters, SimDuration(extra)).with_layout(layout));
@@ -536,12 +508,9 @@ mod enablement_safety {
                 req.clone(),
                 granules,
             )));
-            let mut b = ProgramBuilder::new();
-            let a = b.phase(PhaseDef::new("cur", granules, CostModel::constant(7)));
-            let c = b.phase(PhaseDef::new("succ", granules, CostModel::constant(7)));
-            b.dispatch_enable(a, vec![EnableSpec { successor: c, mapping }]);
-            b.dispatch(c);
-            let program = b.build().unwrap();
+            let phases = ["cur", "succ"]
+                .map(|name| PhaseDef::new(name, granules, CostModel::constant(7)));
+            let program = Program::chain(phases.into(), vec![mapping]).unwrap();
 
             let split = match strategy {
                 0 => SplitStrategy::DemandSplit,

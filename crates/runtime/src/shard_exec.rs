@@ -306,25 +306,10 @@ mod tests {
     use pax_core::mapping::EnablementMapping;
     use pax_core::phase::PhaseDef;
     use pax_core::policy::OverlapPolicy;
-    use pax_core::program::{EnableSpec, Program, ProgramBuilder};
+    use pax_core::program::Program;
     use pax_sim::dist::CostModel;
     use pax_sim::machine::MachineConfig;
     use pax_sim::ShardPolicy;
-
-    fn overlap_program(granules: u32, cost: u64) -> Program {
-        let mut b = ProgramBuilder::new();
-        let a = b.phase(PhaseDef::new("a", granules, CostModel::constant(cost)));
-        let z = b.phase(PhaseDef::new("z", granules, CostModel::constant(cost)));
-        b.dispatch_enable(
-            a,
-            vec![EnableSpec {
-                successor: z,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(z);
-        b.build().unwrap()
-    }
 
     fn fleet(shards: usize, groups: usize) -> Simulation {
         let mut sim = Simulation::new(
@@ -332,8 +317,10 @@ mod tests {
             OverlapPolicy::overlap(),
         )
         .with_seed(7);
+        let phases = ["a", "z"].map(|name| PhaseDef::new(name, 48, CostModel::constant(5)));
+        let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap();
         for g in 0..groups {
-            sim.add_job_in_group(overlap_program(48, 5), g);
+            sim.add_job_in_group(program.clone(), g);
         }
         sim
     }

@@ -16,7 +16,7 @@
 use pax_core::mapping::EnablementMapping;
 use pax_core::phase::PhaseDef;
 use pax_core::policy::{OverlapPolicy, SplitStrategy, TaskSizing};
-use pax_core::program::{EnableSpec, Program, ProgramBuilder};
+use pax_core::program::Program;
 use pax_core::Simulation;
 use pax_sim::dist::CostModel;
 use pax_sim::machine::MachineConfig;
@@ -99,18 +99,8 @@ impl FleetConfig {
 /// `granules` constant-`cost` granules, the second enabled by identity
 /// from the first.
 pub(crate) fn identity_pair(names: [&str; 2], granules: u32, cost: u64) -> Program {
-    let mut b = ProgramBuilder::new();
-    let [a, z] =
-        names.map(|name| b.phase(PhaseDef::new(name, granules, CostModel::constant(cost))));
-    b.dispatch_enable(
-        a,
-        vec![EnableSpec {
-            successor: z,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(z);
-    b.build()
+    let phases = names.map(|name| PhaseDef::new(name, granules, CostModel::constant(cost)));
+    Program::chain(phases.into(), vec![EnablementMapping::Identity])
         .expect("a two-phase identity job is statically valid")
 }
 

@@ -8,7 +8,7 @@
 use pax_analyze::ir::{Access, ArrayProgram, IndexExpr, LoopPhase};
 use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap};
 use pax_core::phase::PhaseDef;
-use pax_core::program::{EnableSpec, Program, ProgramBuilder};
+use pax_core::program::Program;
 use pax_sim::dist::CostModel;
 use rand::Rng;
 
@@ -169,27 +169,14 @@ pub fn fragment_simulation(program: &ArrayProgram, cost: CostModel, with_enable:
     assert_eq!(phases.len(), 2, "fragments have exactly two phases");
     let serial = false; // fragments have no serial gaps
     let cl = pax_analyze::classify(program, phases[0], phases[1], serial);
-    let mut b = ProgramBuilder::new();
-    let p1 = b.phase(
-        PhaseDef::new(&phases[0].name, phases[0].granules, cost.clone())
-            .with_lines(phases[0].lines),
-    );
-    let p2 = b.phase(
-        PhaseDef::new(&phases[1].name, phases[1].granules, cost).with_lines(phases[1].lines),
-    );
-    if with_enable && !matches!(cl.mapping, EnablementMapping::Null) {
-        b.dispatch_enable(
-            p1,
-            vec![EnableSpec {
-                successor: p2,
-                mapping: cl.mapping,
-            }],
-        );
+    let defs = (phases.iter())
+        .map(|p| PhaseDef::new(&p.name, p.granules, cost.clone()).with_lines(p.lines));
+    let edge = if with_enable {
+        cl.mapping
     } else {
-        b.dispatch(p1);
-    }
-    b.dispatch(p2);
-    b.build().expect("fragment program is valid")
+        EnablementMapping::Null
+    };
+    Program::chain(defs.collect(), vec![edge]).expect("fragment program is valid")
 }
 
 #[cfg(test)]

@@ -3,7 +3,7 @@
 
 use pax_core::mapping::{EnablementMapping, ForwardMap, MappingKind, ReverseMap};
 use pax_core::phase::PhaseDef;
-use pax_core::program::{EnableSpec, Program, ProgramBuilder};
+use pax_core::program::Program;
 use pax_sim::dist::{CostModel, DurationDist};
 use rand::Rng;
 use std::sync::Arc;
@@ -74,22 +74,17 @@ impl GeneratorConfig {
     pub fn build(&self, with_enables: bool) -> Program {
         assert!(self.phases >= 1);
         let mut rng = pax_sim::seeded_rng(self.seed);
-        let mut b = ProgramBuilder::new();
-        let ids: Vec<_> = (0..self.phases)
+        let phases = (0..self.phases)
             .map(|i| {
-                b.phase(PhaseDef::new(
-                    format!("gen-{i}"),
-                    self.granules,
-                    self.shape.model(self.mean_cost),
-                ))
+                let cost = self.shape.model(self.mean_cost);
+                PhaseDef::new(format!("gen-{i}"), self.granules, cost)
             })
             .collect();
-        for (i, &id) in ids.iter().enumerate() {
-            if i + 1 == self.phases || !with_enables {
-                b.dispatch(id);
-                continue;
+        let edges = (1..self.phases).map(|_| {
+            if !with_enables {
+                return EnablementMapping::Null;
             }
-            let mapping = match self.mapping {
+            match self.mapping {
                 MappingKind::Universal => EnablementMapping::Universal,
                 MappingKind::Identity => EnablementMapping::Identity,
                 MappingKind::Null => EnablementMapping::Null,
@@ -119,20 +114,9 @@ impl GeneratorConfig {
                         .collect();
                     EnablementMapping::Seam(Arc::new(pax_core::mapping::SeamMap::new(req)))
                 }
-            };
-            if matches!(mapping, EnablementMapping::Null) {
-                b.dispatch(id);
-            } else {
-                b.dispatch_enable(
-                    id,
-                    vec![EnableSpec {
-                        successor: ids[i + 1],
-                        mapping,
-                    }],
-                );
             }
-        }
-        b.build().expect("generated program is valid")
+        });
+        Program::chain(phases, edges.collect()).expect("generated program is valid")
     }
 }
 

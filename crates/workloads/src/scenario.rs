@@ -1160,22 +1160,19 @@ impl MachineDoc {
 }
 
 fn build_program(doc: &ProgramDoc) -> Result<Program, String> {
-    let mut b = ProgramBuilder::new();
-    let ids: Vec<PhaseId> = (doc.phases.iter())
+    let phases = (doc.phases.iter())
         .map(|ph| {
             let cost = CostModel::new(ph.cost.clone());
             let def = PhaseDef::new(ph.name.clone(), ph.granules, cost).with_lines(ph.lines);
-            b.phase(def.with_requires(ph.requires.clone()))
+            def.with_requires(ph.requires.clone())
         })
         .collect();
-    for (ph, pair) in doc.phases.iter().zip(ids.windows(2)) {
-        let (successor, mapping) = (pair[1], ph.mapping.mapping());
-        b.dispatch_enable(pair[0], vec![EnableSpec { successor, mapping }]);
-    }
-    if let Some(&last) = ids.last() {
-        b.dispatch(last);
-    }
-    b.build()
+    // The last phase's mapping leads nowhere and is not read.
+    let into_next = &doc.phases[..doc.phases.len().saturating_sub(1)];
+    Program::chain(
+        phases,
+        into_next.iter().map(|ph| ph.mapping.mapping()).collect(),
+    )
 }
 
 impl Scenario {

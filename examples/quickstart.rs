@@ -26,30 +26,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // so each phase ends with a 4-granule final wave that idles half the
     // machine under strict barriers.
     let build = |with_enable: bool| -> Result<Program, String> {
-        let mut b = ProgramBuilder::new();
-        let copy_ab = b.phase(PhaseDef::new(
-            "B(I)=A(I)",
-            100,
-            CostModel::new(pax_sim::dist::DurationDist::uniform(50, 150)),
-        ));
-        let copy_bc = b.phase(PhaseDef::new(
-            "C(I)=B(I)",
-            100,
-            CostModel::new(pax_sim::dist::DurationDist::uniform(50, 150)),
-        ));
-        if with_enable {
-            b.dispatch_enable(
-                copy_ab,
-                vec![EnableSpec {
-                    successor: copy_bc,
-                    mapping: EnablementMapping::Identity,
-                }],
-            );
+        let cost = CostModel::new(DurationDist::uniform(50, 150));
+        let phases = ["B(I)=A(I)", "C(I)=B(I)"].map(|name| PhaseDef::new(name, 100, cost.clone()));
+        let edge = if with_enable {
+            EnablementMapping::Identity
         } else {
-            b.dispatch(copy_ab);
-        }
-        b.dispatch(copy_bc);
-        b.build()
+            EnablementMapping::Null
+        };
+        Program::chain(phases.into(), vec![edge])
     };
 
     let exec = |label: &str, program: Program, policy: OverlapPolicy| {

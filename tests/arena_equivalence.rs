@@ -39,18 +39,8 @@ struct Shape {
 }
 
 fn two_phase(granules: u32, cost: CostModel, mapping: EnablementMapping) -> Program {
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", granules, cost.clone()));
-    let pb = b.phase(PhaseDef::new("b", granules, cost));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping,
-        }],
-    );
-    b.dispatch(pb);
-    b.build().unwrap()
+    let phases = ["a", "b"].map(|name| PhaseDef::new(name, granules, cost.clone()));
+    Program::chain(phases.into(), vec![mapping]).unwrap()
 }
 
 fn reverse_fan2(n: u32) -> EnablementMapping {
@@ -373,16 +363,10 @@ fn groups_sharing_indirect_payloads_agree_on_every_driver() {
             .map(|r| vec![r % black, (3 * r + 1) % black])
             .collect();
         let reverse = EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(gather, black)));
-        let mut b = ProgramBuilder::new();
         let cost = CostModel::new(DurationDist::uniform(5, 50));
-        let first = b.phase(PhaseDef::new("red", red, cost.clone()));
-        let second = b.phase(PhaseDef::new("black", black, cost.clone()));
-        let third = b.phase(PhaseDef::new("gather", red, cost));
-        for (phase, successor, mapping) in [(first, second, seam), (second, third, reverse)] {
-            b.dispatch_enable(phase, vec![EnableSpec { successor, mapping }]);
-        }
-        b.dispatch(third);
-        let program = b.build().unwrap();
+        let phases = [("red", red), ("black", black), ("gather", red)]
+            .map(|(name, granules)| PhaseDef::new(name, granules, cost.clone()));
+        let program = Program::chain(phases.into(), vec![seam, reverse]).unwrap();
         let policy = OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(2));
         let mut sim = Simulation::new(cfg, policy).with_seed(7);
         for group in [0, 1, 2, 0, 1, 2] {

@@ -295,6 +295,31 @@ fn reverse_maps_carry_their_dataflow() {
 }
 
 #[test]
+fn the_last_phases_mapping_is_not_read() {
+    // `mapping_to_next` on the last phase leads nowhere: a reverse map
+    // sized for no phase of this chain is neither checked nor built, and
+    // the chain runs as if the last phase said `Null`.
+    let n = 64u32;
+    let spin = Duration::from_micros(5);
+    chain_oracle("mapping past the end", 3, 2, || {
+        let [a, b] = [(); 2].map(|_| Arc::new(SharedF64::zeros(n as usize)));
+        let (a1, a2, b2) = (a.clone(), a, b.clone());
+        let stray = ReverseMap::new(vec![vec![n + 5]; 3], n + 6);
+        let chain = vec![
+            phase("a", n, spin, move |i| a1.set(i, i as f64 + 1.0))
+                .with_mapping(EnablementMapping::Identity),
+            phase("b", n, spin, move |i| b2.set(i, a2.get(i) * 2.0))
+                .with_mapping(EnablementMapping::ReverseIndirect(Arc::new(stray))),
+        ];
+        (chain, move || {
+            for i in 0..n as usize {
+                assert_eq!(b.get(i), 2.0 * (i as f64 + 1.0), "b[{i}]");
+            }
+        })
+    });
+}
+
+#[test]
 fn universal_chains_overlap_their_rundown() {
     // The last granule of the first phase is a 10 ms straggler: while it
     // runs down, the idle workers take its universal successor's granules.

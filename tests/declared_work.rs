@@ -16,10 +16,8 @@ fn an_unholdable_declared_size_falls_back_to_growth() {
     let policy = OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(1));
     let mut sim = Simulation::new(MachineConfig::new(4), policy);
     for _ in 0..2 {
-        let mut b = ProgramBuilder::new();
-        let huge = b.phase(PhaseDef::new("huge", u32::MAX, CostModel::constant(100)));
-        b.dispatch(huge);
-        sim.add_job(b.build().expect("one dispatch is a valid program"));
+        let huge = PhaseDef::new("huge", u32::MAX, CostModel::constant(100));
+        sim.add_job(Program::chain(vec![huge], vec![]).expect("one dispatch is a valid program"));
     }
     let mut session = sim.into_session().expect("the simulation builds");
     assert_eq!(session.step_until(SimTime(10_000)), Ok(false));

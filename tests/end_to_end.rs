@@ -72,22 +72,12 @@ fn language_and_builder_agree() {
     )
     .expect("script runs");
 
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new("a", 30, CostModel::constant(10)));
-    let pb = b.phase(PhaseDef::new("b", 30, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(pb);
+    let phases = ["a", "b"].map(|name| PhaseDef::new(name, 30, CostModel::constant(10)));
     let mut sim = Simulation::new(
         MachineConfig::ideal(4),
         OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1)),
     );
-    sim.add_job(b.build().unwrap());
+    sim.add_job(Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap());
     let by_hand = sim.run().unwrap();
 
     assert_eq!(from_script.makespan, by_hand.makespan);

@@ -17,7 +17,7 @@ use common::oracle;
 use pax_core::engine::EngineError;
 use pax_core::phase::PhaseDef;
 use pax_core::policy::{OverlapPolicy, TaskSizing};
-use pax_core::program::{Program, ProgramBuilder};
+use pax_core::program::Program;
 use pax_core::Simulation;
 use pax_sim::dist::{CostModel, DurationDist};
 use pax_sim::machine::MachineConfig;
@@ -179,10 +179,8 @@ fn fault_free_runs_report_nominal_availability() {
 }
 
 fn one_task_program(cost: u64) -> Program {
-    let mut b = ProgramBuilder::new();
-    let a = b.phase(PhaseDef::new("solo", 1, CostModel::constant(cost)));
-    b.dispatch(a);
-    b.build().unwrap()
+    let solo = PhaseDef::new("solo", 1, CostModel::constant(cost));
+    Program::chain(vec![solo], vec![]).unwrap()
 }
 
 /// A reissue budget of 0: the first preemption aborts the job with a

@@ -35,41 +35,22 @@ fn hetero_machine() -> MachineConfig {
 /// (when `gated`; ungated drops the `requires` lists for machines with
 /// no resource pools).
 fn program(granules: u32, gated: bool) -> Program {
-    let mut b = ProgramBuilder::new();
-    let mut mount_def = PhaseDef::new("mount", granules / 4, CostModel::constant(15));
+    let mut mount = PhaseDef::new("mount", granules / 4, CostModel::constant(15));
+    let mut flush = PhaseDef::new("flush", granules, CostModel::constant(4));
     if gated {
-        mount_def = mount_def.with_requires(vec!["operator".into(), "channel".into()]);
+        mount = mount.with_requires(vec!["operator".into(), "channel".into()]);
+        flush = flush.with_requires(vec!["channel".into()]);
     }
-    let mount = b.phase(mount_def);
-    let compute = b.phase(PhaseDef::new(
+    let compute = PhaseDef::new(
         "compute",
         granules,
         CostModel::new(DurationDist::Uniform {
             lo: SimDuration(8),
             hi: SimDuration(24),
         }),
-    ));
-    let mut flush_def = PhaseDef::new("flush", granules, CostModel::constant(4));
-    if gated {
-        flush_def = flush_def.with_requires(vec!["channel".into()]);
-    }
-    let flush = b.phase(flush_def);
-    b.dispatch_enable(
-        mount,
-        vec![EnableSpec {
-            successor: compute,
-            mapping: EnablementMapping::Universal,
-        }],
     );
-    b.dispatch_enable(
-        compute,
-        vec![EnableSpec {
-            successor: flush,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(flush);
-    b.build().unwrap()
+    let edges = vec![EnablementMapping::Universal, EnablementMapping::Identity];
+    Program::chain(vec![mount, compute, flush], edges).unwrap()
 }
 
 /// An 8-group fleet of gated programs on the heterogeneous machine,

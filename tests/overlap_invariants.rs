@@ -58,26 +58,9 @@ fn identity_invariant_with_costs_and_stealing_executive() {
         SplitStrategy::PreSplit,
         SplitStrategy::SuccessorSplitTask,
     ] {
-        let mut b = ProgramBuilder::new();
-        let pa = b.phase(PhaseDef::new(
-            "a",
-            50,
-            CostModel::new(pax_sim::dist::DurationDist::uniform(5, 60)),
-        ));
-        let pb = b.phase(PhaseDef::new(
-            "b",
-            50,
-            CostModel::new(pax_sim::dist::DurationDist::uniform(5, 60)),
-        ));
-        b.dispatch_enable(
-            pa,
-            vec![EnableSpec {
-                successor: pb,
-                mapping: EnablementMapping::Identity,
-            }],
-        );
-        b.dispatch(pb);
-        let program = b.build().unwrap();
+        let cost = CostModel::new(pax_sim::dist::DurationDist::uniform(5, 60));
+        let phases = ["a", "b"].map(|name| PhaseDef::new(name, 50, cost.clone()));
+        let program = Program::chain(phases.into(), vec![EnablementMapping::Identity]).unwrap();
         let machine = MachineConfig::new(6)
             .with_executive(ExecutivePlacement::StealsWorker)
             .with_costs(ManagementCosts::pax_default().scaled(3));
@@ -102,28 +85,22 @@ fn forward_collision_invariant() {
     // granules 0..20 write successor granule i/4 (4 writers each)
     let targets: Vec<u32> = (0..20).map(|i| i / 4).collect();
     let fwd = ForwardMap::new(targets.clone(), 20);
-    let mut b = ProgramBuilder::new();
-    let pa = b.phase(PhaseDef::new(
-        "writers",
-        20,
-        CostModel::new(pax_sim::dist::DurationDist::uniform(5, 40)),
-    ));
-    let pb = b.phase(PhaseDef::new("readers", 20, CostModel::constant(10)));
-    b.dispatch_enable(
-        pa,
-        vec![EnableSpec {
-            successor: pb,
-            mapping: EnablementMapping::ForwardIndirect(Arc::new(fwd)),
-        }],
-    );
-    b.dispatch(pb);
+    let phases = vec![
+        PhaseDef::new(
+            "writers",
+            20,
+            CostModel::new(pax_sim::dist::DurationDist::uniform(5, 40)),
+        ),
+        PhaseDef::new("readers", 20, CostModel::constant(10)),
+    ];
+    let mapping = EnablementMapping::ForwardIndirect(Arc::new(fwd));
     let mut sim = Simulation::new(
         MachineConfig::ideal(4),
         OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1)),
     )
     .with_seed(77)
     .with_gantt();
-    sim.add_job(b.build().unwrap());
+    sim.add_job(Program::chain(phases, vec![mapping]).unwrap());
     let r = sim.run().unwrap();
     let g = r.gantt.as_ref().unwrap();
     for succ in 0..5u32 {

@@ -411,6 +411,36 @@ fn a_pool_required_twice_is_rejected_at_the_repeat() {
         .unwrap();
 }
 
+/// The last phase's `mapping` leads nowhere and is ignored: a document
+/// that names one loads, builds and runs to the report of one that says
+/// `"null"`.
+#[test]
+fn the_last_phase_mapping_is_ignored() {
+    let run = |last: &str| {
+        let text = format!(
+            r#"{{
+  "machine": {{ "processors": 3, "ideal": true }},
+  "workload": [ {{
+    "name": "w",
+    "phases": [
+      {{ "name": "a", "granules": 8, "mapping": "identity",
+         "cost": {{ "dist": "uniform", "lo": 5, "hi": 20 }} }},
+      {{ "name": "b", "granules": 8, "mapping": "{last}",
+         "cost": {{ "dist": "uniform", "lo": 5, "hi": 20 }} }}
+    ]
+  }} ],
+  "policy": {{ "overlap": true, "sizing": {{ "fixed": 1 }} }}
+}}"#
+        );
+        let scenario = Scenario::parse(&text).unwrap_or_else(|e| panic!("{e}\n{text}"));
+        scenario.build().unwrap().run().unwrap()
+    };
+    let null = run("null");
+    assert!(null.phases[1].stats.overlap_granules > 0, "{null}");
+    assert_eq!(run("identity"), null);
+    assert_eq!(run("universal"), null);
+}
+
 /// A document whose every `count` is 0 and whose stream is absent or
 /// admits no job used to load and build, then fail the run with
 /// `invalid program: no jobs`.

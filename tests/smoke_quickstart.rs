@@ -12,18 +12,10 @@ use pax_sim::machine::MachineConfig;
 
 /// The doctest's program: two 64-granule phases, identity-mapped.
 fn two_phase_identity() -> Program {
-    let mut b = ProgramBuilder::new();
-    let a = b.phase(PhaseDef::new("copy-a-to-b", 64, CostModel::constant(10)));
-    let c = b.phase(PhaseDef::new("copy-b-to-c", 64, CostModel::constant(10)));
-    b.dispatch_enable(
-        a,
-        vec![EnableSpec {
-            successor: c,
-            mapping: EnablementMapping::Identity,
-        }],
-    );
-    b.dispatch(c);
-    b.build().expect("two-phase identity program builds")
+    let phases =
+        ["copy-a-to-b", "copy-b-to-c"].map(|name| PhaseDef::new(name, 64, CostModel::constant(10)));
+    Program::chain(phases.into(), vec![EnablementMapping::Identity])
+        .expect("two-phase identity program builds")
 }
 
 fn run(policy: OverlapPolicy, procs: usize) -> pax_core::report::RunReport {
