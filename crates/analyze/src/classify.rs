@@ -13,7 +13,7 @@
 
 use crate::access::phase_footprints;
 use crate::ir::{ArrayProgram, LoopPhase};
-use pax_core::mapping::{EnablementMapping, ForwardMap, MappingKind, ReverseMap, SeamMap};
+use pax_core::mapping::{EnablementMapping, ForwardMap, MappingKind, ReverseMap};
 use std::sync::Arc;
 
 /// The result of classifying one phase pair.
@@ -157,23 +157,22 @@ pub fn classify(
         .map(|e| e.len())
         .max()
         .unwrap_or(0);
-    if !uses_dynamic_map(current) && !uses_dynamic_map(next) && max_fan_in <= 8 && max_fan_out <= 8
-    {
-        return Classification {
-            kind: MappingKind::Seam,
-            mapping: EnablementMapping::Seam(Arc::new(SeamMap::new(requires.clone()))),
-            requires,
-        };
-    }
-
-    // Everything else: reverse indirect ("a reverse mapping from desired
-    // second phase granule to required first phase granules is possible").
+    let seam = !uses_dynamic_map(current)
+        && !uses_dynamic_map(next)
+        && max_fan_in <= 8
+        && max_fan_out <= 8;
+    // Everything else is reverse indirect ("a reverse mapping from desired
+    // second phase granule to required first phase granules is possible"):
+    // the same lists as a seam, under the other kind.
+    let map = Arc::new(ReverseMap::new(requires.clone(), current.granules));
+    let mapping = if seam {
+        EnablementMapping::Seam(map)
+    } else {
+        EnablementMapping::ReverseIndirect(map)
+    };
     Classification {
-        kind: MappingKind::ReverseIndirect,
-        mapping: EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(
-            requires.clone(),
-            current.granules,
-        ))),
+        kind: mapping.kind(),
+        mapping,
         requires,
     }
 }

@@ -23,9 +23,9 @@
 //!
 //! Run them all with `cargo run --release -p pax-bench --bin experiments`.
 //! Host-time measurement lives elsewhere: the `benchmark/` workspace at
-//! the root of the repo for end-to-end and per-layer numbers, and the
-//! criterion file under `benches/` for the CASPER-pipeline and
-//! executive-lane rows it cannot give yet.
+//! the root of the repo gives the end-to-end and per-layer numbers. What
+//! a wider executive costs the host is not measured anywhere yet; E5 and
+//! E13 report only what lanes buy the simulated machine.
 
 #![warn(missing_docs)]
 

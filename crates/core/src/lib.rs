@@ -77,7 +77,7 @@ pub mod prelude {
     pub use crate::engine::{EngineError, Session, Simulation};
     pub use crate::ids::{GranuleRange, InstanceId, JobId, PhaseId, WorkerId};
     pub use crate::mapping::{
-        CompositeMap, EnablementMapping, ForwardMap, MappingKind, ReverseMap, SeamMap,
+        CompositeMap, EnablementMapping, ForwardMap, MappingKind, ReverseMap,
     };
     pub use crate::phase::{PhaseDef, PhaseStats};
     pub use crate::policy::{

@@ -111,7 +111,9 @@ impl ForwardMap {
 
 /// A reverse information-selection map: successor granule `r` reads the
 /// locations written by current granules `requires[r]` (the paper's
-/// `B(I) = Σ_J A(IMAP(J,I))` fragment).
+/// `B(I) = Σ_J A(IMAP(J,I))` fragment). A seam map is the same lists
+/// under another kind: [`EnablementMapping::Seam`] carries the bordering
+/// current granules of each successor granule.
 #[derive(Debug, Clone)]
 pub struct ReverseMap {
     /// `requires[r]` = current-phase granules that must complete before
@@ -131,27 +133,6 @@ impl ReverseMap {
             "reverse map dependency out of current-phase range"
         );
         ReverseMap {
-            requires,
-            composite: Built::default(),
-        }
-    }
-}
-
-/// Structural seam topology: which current-phase granules border each
-/// successor granule. The checkerboard instance lives in `pax-workloads`;
-/// the executive only needs the generated lists.
-#[derive(Debug, Clone)]
-pub struct SeamMap {
-    /// `requires[r]` = bordering current-phase granules of successor `r`.
-    pub requires: Vec<Vec<u32>>,
-    composite: Built,
-}
-
-impl SeamMap {
-    /// Wrap the bordering lists; [`EnablementMapping::check_edge`] decides
-    /// which phases they fit.
-    pub fn new(requires: Vec<Vec<u32>>) -> SeamMap {
-        SeamMap {
             requires,
             composite: Built::default(),
         }
@@ -189,8 +170,10 @@ pub enum EnablementMapping {
     ForwardIndirect(Arc<ForwardMap>),
     /// Reverse information-selection map.
     ReverseIndirect(Arc<ReverseMap>),
-    /// Structural neighbor map (extension).
-    Seam(Arc<SeamMap>),
+    /// Structural neighbor map (extension): `requires[r]` lists the
+    /// current granules that border successor granule `r`. The
+    /// checkerboard instance lives in `pax-workloads`.
+    Seam(Arc<ReverseMap>),
     /// No overlap: serial actions/decisions intervene between the phases.
     Null,
 }
@@ -212,7 +195,7 @@ impl EnablementMapping {
     /// granules into one of `successor` granules: the granule-count half
     /// of the interlock the paper asks for "so that the executive system
     /// (or language processor) can verify" it. The one place these rules
-    /// live; program validation, both real-thread executors, the
+    /// live; program validation, the real-thread executor, the
     /// language's `ENABLE` resolution and the scenario reader all ask
     /// here. Returns a description of the first misfit.
     pub fn check_edge(&self, current: u32, successor: u32) -> Result<(), String> {
@@ -258,7 +241,7 @@ impl EnablementMapping {
                 }
             }
             EnablementMapping::ReverseIndirect(r) => lists("reverse", &r.requires),
-            EnablementMapping::Seam(s) => lists("seam", &s.requires),
+            EnablementMapping::Seam(r) => lists("seam", &r.requires),
         }
     }
 
@@ -274,12 +257,9 @@ impl EnablementMapping {
             EnablementMapping::ForwardIndirect(f) => {
                 f.composite.get(|| CompositeMap::from_forward(f))
             }
-            EnablementMapping::ReverseIndirect(r) => r
+            EnablementMapping::ReverseIndirect(r) | EnablementMapping::Seam(r) => r
                 .composite
                 .get(|| CompositeMap::from_requirement_lists(&r.requires)),
-            EnablementMapping::Seam(s) => s
-                .composite
-                .get(|| CompositeMap::from_requirement_lists(&s.requires)),
             _ => return None,
         })
     }
@@ -461,8 +441,9 @@ mod tests {
     #[test]
     fn seam_composite() {
         // Two successor granules each requiring two bordering current ones.
-        let s = SeamMap::new(vec![vec![0, 1], vec![1, 2]]);
-        let c = CompositeMap::from_requirement_lists(&s.requires);
+        let s = EnablementMapping::Seam(Arc::new(ReverseMap::new(vec![vec![0, 1], vec![1, 2]], 3)));
+        let c = s.composite().expect("an indirect mapping");
+        assert_eq!(s.kind(), MappingKind::Seam);
         assert_eq!(c.requires, vec![2, 2]);
         assert_eq!(c.dependents_of(1), &[0, 1]);
     }

@@ -209,12 +209,11 @@ fn gantt_disabled_by_default() {
 
 #[test]
 fn seam_mapping_runs_through_engine() {
-    use pax_core::mapping::SeamMap;
     let n = 20u32;
     let req: Vec<Vec<u32>> = (0..n)
         .map(|r| vec![r.saturating_sub(1), r, (r + 1).min(n - 1)])
         .collect();
-    let mapping = EnablementMapping::Seam(Arc::new(SeamMap::new(req.clone())));
+    let mapping = EnablementMapping::Seam(Arc::new(ReverseMap::new(req.clone(), n)));
     let p = simple_program(n, 2, mapping);
     let mut sim = Simulation::new(
         MachineConfig::ideal(3),

@@ -3,7 +3,7 @@
 //! [`Program::chain`], again by the engine for hand-assembled programs,
 //! or by construction-time assertions — never by silent mis-scheduling.
 
-use pax_core::mapping::{ForwardMap, ReverseMap, SeamMap};
+use pax_core::mapping::{ForwardMap, ReverseMap};
 use pax_core::prelude::*;
 use pax_sim::dist::CostModel;
 use pax_sim::machine::MachineConfig;
@@ -59,10 +59,13 @@ fn reverse_map_with_wrong_successor_coverage_is_rejected() {
 
 #[test]
 fn seam_map_requiring_out_of_range_granule_is_rejected() {
-    // seam constructed by hand with a dangling requirement
-    let seam = Arc::new(SeamMap::new(vec![vec![0], vec![99]]));
+    // lists built against a 100-granule phase, attached to a 4-granule one
+    let seam = Arc::new(ReverseMap::new(vec![vec![0], vec![99]], 100));
     let msg = try_two_phases(4, 2, EnablementMapping::Seam(seam)).unwrap_err();
-    assert!(msg.contains("seam map"), "{msg}");
+    assert!(
+        msg.contains("seam map requires current granule 99"),
+        "{msg}"
+    );
 }
 
 // ---------------------------------------------------------------------

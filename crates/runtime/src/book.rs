@@ -291,7 +291,7 @@ fn chunk(step: u32, phase: usize, lo: u32, hi: u32, release: &mut impl FnMut(Tas
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap, SeamMap};
+    use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap};
     use proptest::prelude::*;
     use std::sync::Arc;
 
@@ -344,8 +344,9 @@ mod tests {
                         EnablementMapping::Null => complete(p - 1),
                         EnablementMapping::Universal => true,
                         EnablementMapping::Identity => done[g],
-                        EnablementMapping::ReverseIndirect(r) => all(&r.requires[g]),
-                        EnablementMapping::Seam(s) => all(&s.requires[g]),
+                        EnablementMapping::ReverseIndirect(r) | EnablementMapping::Seam(r) => {
+                            all(&r.requires[g])
+                        }
                         // every writer of `g`, duplicates included
                         EnablementMapping::ForwardIndirect(f) => f
                             .targets
@@ -391,7 +392,10 @@ mod tests {
                         let map = ReverseMap::new(lists(&mut rng, granules), granules);
                         EnablementMapping::ReverseIndirect(Arc::new(map))
                     }
-                    4 => EnablementMapping::Seam(Arc::new(SeamMap::new(lists(&mut rng, granules)))),
+                    4 => {
+                        let map = ReverseMap::new(lists(&mut rng, granules), granules);
+                        EnablementMapping::Seam(Arc::new(map))
+                    }
                     _ => {
                         // `granules` writers into `granules - 1` targets: some
                         // successor has two writers, and the last has none

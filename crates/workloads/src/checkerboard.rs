@@ -20,7 +20,7 @@
 //! * [`RedBlackGrid`] — a real `f64` red–black SOR kernel (used by the
 //!   threaded runtime example and verified against the analytic solution).
 
-use pax_core::mapping::{EnablementMapping, SeamMap};
+use pax_core::mapping::{EnablementMapping, ReverseMap};
 use pax_core::phase::PhaseDef;
 use pax_core::program::{EnableSpec, Program, ProgramBuilder};
 use pax_sim::dist::CostModel;
@@ -127,7 +127,7 @@ impl Checkerboard {
     /// The seam map from a `from`-colored phase into the following
     /// `from.other()`-colored phase: successor granule `g` (a cell of the
     /// other color) requires all its `from`-colored neighbors.
-    pub fn seam_map(&self, from: Color) -> SeamMap {
+    pub fn seam_map(&self, from: Color) -> ReverseMap {
         let to = from.other();
         let mut requires: Vec<Vec<u32>> = vec![Vec::new(); self.granules(to) as usize];
         for r in 0..self.n {
@@ -142,7 +142,7 @@ impl Checkerboard {
                 }
             }
         }
-        SeamMap::new(requires)
+        ReverseMap::new(requires, self.granules(from))
     }
 }
 

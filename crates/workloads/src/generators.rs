@@ -112,7 +112,7 @@ impl GeneratorConfig {
                     let req: Vec<Vec<u32>> = (0..self.granules)
                         .map(|r| vec![r, (r + 1) % self.granules])
                         .collect();
-                    EnablementMapping::Seam(Arc::new(pax_core::mapping::SeamMap::new(req)))
+                    EnablementMapping::Seam(Arc::new(ReverseMap::new(req, self.granules)))
                 }
             }
         });

@@ -386,6 +386,47 @@ fn groups_sharing_indirect_payloads_agree_on_every_driver() {
     assert!(r.total_overlap_granules() > 0);
 }
 
+/// A seam map is a reverse map under another kind. A two-phase chain run
+/// over one set of lists, once through a seam edge and once through a
+/// reverse edge, gives the same report on every driver, strict and
+/// overlapped: only the kind an overlapped phase reports it was enabled
+/// by differs.
+#[test]
+fn seam_and_reverse_edges_over_one_list_run_identically() {
+    let n = 48u32;
+    let lists: Vec<Vec<u32>> = (0..n)
+        .map(|r| vec![r, (r + 1) % n, (5 * r + 3) % n])
+        .collect();
+    let edges = [
+        EnablementMapping::Seam(Arc::new(ReverseMap::new(lists.clone(), n))),
+        EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(lists, n))),
+    ];
+    let machine = MachineConfig::new(6).with_costs(ManagementCosts::pax_default());
+    for policy in [OverlapPolicy::strict(), OverlapPolicy::overlap()] {
+        let [mut seam, reverse] = edges.each_ref().map(|edge| {
+            let build = |cfg| {
+                let cost = CostModel::new(DurationDist::uniform(5, 50));
+                let policy = policy.clone().with_sizing(TaskSizing::Fixed(2));
+                let mut sim = Simulation::new(cfg, policy).with_seed(7);
+                sim.add_job(two_phase(n, cost, edge.clone()));
+                sim
+            };
+            oracle(edge.kind().label(), build, machine.clone(), &[40, 200])
+                .reference
+                .unwrap()
+        });
+        let relabelled = seam
+            .phases
+            .iter_mut()
+            .filter(|p| p.enabled_by == Some(MappingKind::Seam))
+            .map(|p| p.enabled_by = Some(MappingKind::ReverseIndirect))
+            .count();
+        let overlapped = policy.enabled;
+        assert_eq!(relabelled > 0, overlapped);
+        assert_eq!(seam, reverse, "overlap {overlapped}");
+    }
+}
+
 /// Five replicas of the 4-processor machine merge into one report of 20
 /// processors and five jobs.
 #[test]

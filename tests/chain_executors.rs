@@ -9,7 +9,7 @@
 //! and anything more it pins on the reports.
 
 use pax_bench::experiments::e9::mini_casper_chain;
-use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap, SeamMap};
+use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap};
 use pax_runtime::{run_chain, spin_for, RtPhase, RtReport, RuntimeConfig, SharedF64};
 use pax_workloads::MiniCasper;
 use proptest::prelude::*;
@@ -88,8 +88,9 @@ fn awaited(edge: &EnablementMapping, overlap: bool, ends: &[u64], successor: usi
         EnablementMapping::Null => vec![ends.iter().copied().max().unwrap_or(0); successor],
         EnablementMapping::Universal => vec![0; successor],
         EnablementMapping::Identity => ends.to_vec(),
-        EnablementMapping::ReverseIndirect(m) => m.requires.iter().map(|d| latest(d)).collect(),
-        EnablementMapping::Seam(m) => m.requires.iter().map(|d| latest(d)).collect(),
+        EnablementMapping::ReverseIndirect(m) | EnablementMapping::Seam(m) => {
+            m.requires.iter().map(|d| latest(d)).collect()
+        }
         EnablementMapping::ForwardIndirect(m) => {
             let mut need = vec![0; successor];
             for (&r, &end) in m.targets.iter().zip(ends) {
@@ -381,7 +382,7 @@ fn random_edge(kind: u8, n: u32, rng: &mut impl Rng) -> EnablementMapping {
         1 => EnablementMapping::Universal,
         2 => EnablementMapping::Identity,
         3 => EnablementMapping::ReverseIndirect(Arc::new(ReverseMap::new(lists(), n))),
-        4 => EnablementMapping::Seam(Arc::new(SeamMap::new(lists()))),
+        4 => EnablementMapping::Seam(Arc::new(ReverseMap::new(lists(), n))),
         _ => {
             let targets = (0..n).map(|_| rng.gen_range(0..n - 1)).collect();
             EnablementMapping::ForwardIndirect(Arc::new(ForwardMap::new(targets, n)))
