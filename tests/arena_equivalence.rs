@@ -427,6 +427,103 @@ fn seam_and_reverse_edges_over_one_list_run_identically() {
     }
 }
 
+/// `program` with every `ENABLE` clause cleared.
+fn without_enables(program: &Program) -> Program {
+    let mut cleared = program.clone();
+    for step in &mut cleared.steps {
+        if let Step::Dispatch { enables, .. } = step {
+            enables.clear();
+        }
+    }
+    cleared
+}
+
+/// `program` and its copy with no `ENABLE` clause give one verdict under
+/// strict barriers, demand-split and presplit.
+fn strict_ignores_enables(name: &str, program: &Program, machine: MachineConfig) {
+    let presplit = OverlapPolicy::strict().with_split_strategy(SplitStrategy::PreSplit);
+    for policy in [OverlapPolicy::strict(), presplit] {
+        let [declared, cleared] = [program.clone(), without_enables(program)].map(|p| {
+            let build = |cfg| {
+                let mut sim = Simulation::new(cfg, policy.clone()).with_seed(7);
+                sim.add_job(p.clone());
+                sim
+            };
+            oracle(name, build, machine.clone(), &[1, 120, 900])
+        });
+        let at = format!("{name} under {:?}", policy.split_strategy);
+        assert_eq!(declared.reference, cleared.reference, "{at}");
+        assert_eq!(declared.cuts, cleared.cuts, "{at}: cuts");
+    }
+}
+
+/// The contract `OverlapPolicy::enabled` states: a strict run reads no
+/// `ENABLE` clause, so one program is both the overlapped run and its
+/// barrier baseline. Checked on generated programs of every mapping and
+/// cost shape, and on the paper's programs: CASPER, the checkerboard and
+/// the four fragments.
+#[test]
+fn strict_policy_reads_no_enable_clause() {
+    use pax_workloads::fragments::*;
+    use pax_workloads::{checkerboard_program, CasperConfig, CostShape, GeneratorConfig};
+    use proptest::prelude::*;
+
+    let casper = CasperConfig {
+        granules: 48,
+        iterations: 2,
+        ..CasperConfig::default()
+    };
+    strict_ignores_enables("casper", &casper.build(true), MachineConfig::new(8));
+    let board = checkerboard_program(8, 4, CostModel::constant(5), true);
+    strict_ignores_enables("checkerboard", &board, MachineConfig::ideal(6));
+    for (name, fragment) in [
+        ("universal", fragment_universal(30)),
+        ("identity", fragment_identity(30)),
+        ("reverse", fragment_reverse(30, 5, 3).0),
+        ("forward", fragment_forward(30, 30, 3).0),
+    ] {
+        let program = fragment_simulation(&fragment, CostModel::constant(10), true);
+        strict_ignores_enables(name, &program, MachineConfig::new(4));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+        fn generated(
+            phases in 1usize..5,
+            granules in 1u32..201,
+            shape in 0usize..4,
+            mapping in 0usize..6,
+            processors in 1usize..17,
+            seed in 0u64..1000,
+        ) {
+            let cfg = GeneratorConfig {
+                phases,
+                granules,
+                mean_cost: 20,
+                shape: [
+                    CostShape::Constant,
+                    CostShape::Jittered,
+                    CostShape::Exponential,
+                    CostShape::Straggler,
+                ][shape],
+                mapping: [
+                    MappingKind::Universal,
+                    MappingKind::Identity,
+                    MappingKind::ForwardIndirect,
+                    MappingKind::ReverseIndirect,
+                    MappingKind::Seam,
+                    MappingKind::Null,
+                ][mapping],
+                reverse_fan: 3,
+                seed,
+            };
+            let name = format!("{cfg:?} on {processors}");
+            strict_ignores_enables(&name, &cfg.build(true), MachineConfig::new(processors));
+        }
+    }
+    generated();
+}
+
 /// Five replicas of the 4-processor machine merge into one report of 20
 /// processors and five jobs.
 #[test]
