@@ -129,7 +129,6 @@ proptest! {
         let sim_prog = pax_workloads::fragments::fragment_simulation(
             &program,
             pax_sim::dist::CostModel::constant(7),
-            true,
         );
         let mut sim = Simulation::new(
             MachineConfig::ideal(procs),

@@ -55,19 +55,15 @@ pub fn run(quick: bool) -> E1Result {
     let leftover = granules % procs as u32;
 
     let cost = 100u64;
-    let run_once = |overlap: bool| {
-        let program = checkerboard_program(n, 2, CostModel::constant(cost), overlap);
-        let policy = if overlap {
-            OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1))
-        } else {
-            OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(1))
-        };
+    let program = checkerboard_program(n, 2, CostModel::constant(cost));
+    let run_once = |policy: OverlapPolicy| {
+        let policy = policy.with_sizing(TaskSizing::Fixed(1));
         let mut sim = Simulation::new(MachineConfig::ideal(procs), policy);
-        sim.add_job(program);
+        sim.add_job(program.clone());
         sim.run().expect("E1 run failed")
     };
-    let strict = run_once(false);
-    let overlapped = run_once(true);
+    let strict = run_once(OverlapPolicy::strict());
+    let overlapped = run_once(OverlapPolicy::overlap());
 
     // Final-wave occupancy: sample the busy trace just before phase 0's
     // completion.
@@ -86,19 +82,15 @@ pub fn run(quick: bool) -> E1Result {
         let g = b.granules(Color::Red);
         let waves = g.div_ceil(sweep_procs as u32);
         let tail = g % sweep_procs as u32;
-        let mk = |overlap: bool| {
-            let program = checkerboard_program(sweep_n, 4, CostModel::constant(cost), overlap);
-            let policy = if overlap {
-                OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1))
-            } else {
-                OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(1))
-            };
+        let program = checkerboard_program(sweep_n, 4, CostModel::constant(cost));
+        let mk = |policy: OverlapPolicy| {
+            let policy = policy.with_sizing(TaskSizing::Fixed(1));
             let mut sim = Simulation::new(MachineConfig::ideal(sweep_procs), policy);
-            sim.add_job(program);
+            sim.add_job(program.clone());
             sim.run().expect("sweep run failed")
         };
-        let s = mk(false);
-        let o = mk(true);
+        let s = mk(OverlapPolicy::strict());
+        let o = mk(OverlapPolicy::overlap());
         sweep.push((sweep_n, g, waves, tail, s.utilization(), o.utilization()));
     }
 

@@ -70,7 +70,7 @@ pub struct E12Result {
 
 const MEAN_COST: u64 = 100;
 
-fn workload(quick: bool, overlap: bool) -> pax_core::program::Program {
+fn workload(quick: bool) -> pax_core::program::Program {
     GeneratorConfig {
         phases: 4,
         granules: if quick { 256 } else { 1024 },
@@ -80,7 +80,7 @@ fn workload(quick: bool, overlap: bool) -> pax_core::program::Program {
         reverse_fan: 4,
         seed: 0xE12,
     }
-    .build(overlap)
+    .build()
 }
 
 #[allow(clippy::too_many_arguments)] // experiment sweep axes, not an API
@@ -90,7 +90,7 @@ fn measure(
     remote_extra: u64,
     window: Option<usize>,
     layout: DataLayout,
-    overlap: bool,
+    policy: OverlapPolicy,
     processors: usize,
     clusters: usize,
 ) -> E12Row {
@@ -101,18 +101,15 @@ fn measure(
     // rather than one demand-split master. Presplitting is the paper's own
     // "work ahead in otherwise idle time" mechanism, and both policies get
     // it so the comparison stays apples-to-apples.
-    let policy = if overlap {
-        OverlapPolicy::overlap()
-    } else {
-        OverlapPolicy::strict()
-    }
-    .with_split_strategy(SplitStrategy::PreSplit)
-    .with_assignment(match window {
-        Some(scan_window) => AssignmentPolicy::DataProximity { scan_window },
-        None => AssignmentPolicy::QueueOrder,
-    });
+    let overlap = policy.enabled;
+    let policy = policy
+        .with_split_strategy(SplitStrategy::PreSplit)
+        .with_assignment(match window {
+            Some(scan_window) => AssignmentPolicy::DataProximity { scan_window },
+            None => AssignmentPolicy::QueueOrder,
+        });
     let mut sim = Simulation::new(machine, policy).with_seed(0xE12);
-    sim.add_job(workload(quick, overlap));
+    sim.add_job(workload(quick));
     let r = sim.run().expect("E12 run");
     E12Row {
         sweep,
@@ -142,7 +139,7 @@ pub fn run(quick: bool) -> E12Result {
                 extra,
                 window,
                 DataLayout::Block,
-                true,
+                OverlapPolicy::overlap(),
                 processors,
                 clusters,
             ));
@@ -157,7 +154,7 @@ pub fn run(quick: bool) -> E12Result {
             MEAN_COST,
             Some(w),
             DataLayout::Block,
-            true,
+            OverlapPolicy::overlap(),
             processors,
             clusters,
         ));
@@ -171,14 +168,14 @@ pub fn run(quick: bool) -> E12Result {
             MEAN_COST / 2,
             window,
             DataLayout::Cyclic,
-            true,
+            OverlapPolicy::overlap(),
             processors,
             clusters,
         ));
     }
 
     // 4. composition with overlap
-    for overlap in [false, true] {
+    for policy in [OverlapPolicy::strict(), OverlapPolicy::overlap()] {
         for window in [None, Some(32)] {
             rows.push(measure(
                 quick,
@@ -186,7 +183,7 @@ pub fn run(quick: bool) -> E12Result {
                 MEAN_COST,
                 window,
                 DataLayout::Block,
-                overlap,
+                policy.clone(),
                 processors,
                 clusters,
             ));

@@ -110,7 +110,7 @@ pub fn run(quick: bool) -> E13Result {
                 reverse_fan: 4,
                 seed: 0xE13,
             }
-            .build(true);
+            .build();
             let costs = if free {
                 ManagementCosts::free()
             } else {

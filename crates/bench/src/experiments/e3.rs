@@ -68,18 +68,14 @@ pub fn run(quick: bool) -> E3Result {
             reverse_fan: 4,
             seed: 0xE3,
         };
-        let run_once = |overlap: bool| {
-            let policy = if overlap {
-                OverlapPolicy::overlap()
-            } else {
-                OverlapPolicy::strict()
-            };
+        let program = cfg.build();
+        let run_once = |policy| {
             let mut sim = Simulation::new(MachineConfig::ideal(processors), policy).with_seed(0xE3);
-            sim.add_job(cfg.build(overlap));
+            sim.add_job(program.clone());
             sim.run().expect("E3 run")
         };
-        let strict = run_once(false);
-        let over = run_once(true);
+        let strict = run_once(OverlapPolicy::strict());
+        let over = run_once(OverlapPolicy::overlap());
         let span = strict.makespan.ticks().max(over.makespan.ticks());
         let samples = 24usize;
         let series: Vec<(u64, u32, u32)> = (0..samples)

@@ -68,21 +68,18 @@ pub fn run(quick: bool) -> E4Result {
     let costs = ManagementCosts::pax_default().scaled(8);
     let machine = MachineConfig::new(processors).with_costs(costs);
 
-    let run_with = |ratio: f64, overlap: bool| {
-        let policy = if overlap {
-            OverlapPolicy::overlap().with_sizing(TaskSizing::TasksPerProcessor(ratio))
-        } else {
-            OverlapPolicy::strict().with_sizing(TaskSizing::TasksPerProcessor(ratio))
-        };
+    let program = cfg.build();
+    let run_with = |ratio: f64, policy: OverlapPolicy| {
+        let policy = policy.with_sizing(TaskSizing::TasksPerProcessor(ratio));
         let mut sim = Simulation::new(machine.clone(), policy).with_seed(0xE4);
-        sim.add_job(cfg.build(overlap));
+        sim.add_job(program.clone());
         sim.run().expect("E4 run")
     };
 
-    let strict = run_with(2.0, false);
+    let strict = run_with(2.0, OverlapPolicy::strict());
     let mut rows = Vec::new();
     for &ratio in &[0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 8.0] {
-        let r = run_with(ratio, true);
+        let r = run_with(ratio, OverlapPolicy::overlap());
         let rundown_idle: u64 = (0..r.phases.len())
             .filter_map(|i| r.rundown_of(i))
             .map(|w| w.idle_processor_time)

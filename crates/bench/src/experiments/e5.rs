@@ -199,19 +199,6 @@ mod tests {
     }
 
     #[test]
-    fn ratio_200_reachable() {
-        let r = run(true);
-        let (lo, hi) = (
-            r.size_sweep.first().unwrap().comp_to_mgmt,
-            r.size_sweep.last().unwrap().comp_to_mgmt,
-        );
-        assert!(
-            lo < 200.0 && hi > 200.0,
-            "sweep must bracket the paper's ≈200 ratio ({lo}..{hi})"
-        );
-    }
-
-    #[test]
     fn dedicated_executive_not_slower_than_stealing() {
         let r = run(true);
         let steal = &r.placements[0];

@@ -55,16 +55,12 @@ pub fn run(quick: bool) -> E6Result {
         reverse_fan: 4,
         seed: 0xE6,
     };
+    let program = cfg.build();
     let mut rows = Vec::new();
-    let mut run_jobs = |jobs: usize, overlap: bool, label: &str| {
-        let policy = if overlap {
-            OverlapPolicy::overlap()
-        } else {
-            OverlapPolicy::strict()
-        };
+    let mut run_jobs = |jobs: usize, policy, label: &str| {
         let mut sim = Simulation::new(MachineConfig::ideal(processors), policy).with_seed(0xE6);
         for _ in 0..jobs {
-            sim.add_job(cfg.build(overlap));
+            sim.add_job(program.clone());
         }
         let r = sim.run().expect("E6 run");
         let spans: Vec<u64> = r
@@ -80,10 +76,14 @@ pub fn run(quick: bool) -> E6Result {
             max_job_span: spans.iter().copied().max().unwrap_or(0),
         });
     };
-    run_jobs(1, false, "1 job, strict barriers");
-    run_jobs(2, false, "2 job streams (batch fill)");
-    run_jobs(4, false, "4 job streams (batch fill)");
-    run_jobs(1, true, "1 job, phase overlap (the paper's remedy)");
+    run_jobs(1, OverlapPolicy::strict(), "1 job, strict barriers");
+    run_jobs(2, OverlapPolicy::strict(), "2 job streams (batch fill)");
+    run_jobs(4, OverlapPolicy::strict(), "4 job streams (batch fill)");
+    run_jobs(
+        1,
+        OverlapPolicy::overlap(),
+        "1 job, phase overlap (the paper's remedy)",
+    );
     E6Result { rows }
 }
 

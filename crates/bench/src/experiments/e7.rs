@@ -65,7 +65,7 @@ pub fn run(quick: bool) -> E7Result {
             .with_split_strategy(strategy)
             .with_elevate_released(elevate);
         let mut sim = Simulation::new(machine, policy).with_seed(0xE7);
-        sim.add_job(cfg.build(true));
+        sim.add_job(cfg.build());
         sim.run().expect("E7 run")
     };
 

@@ -54,51 +54,31 @@ pub fn run(quick: bool) -> E8Result {
     let fan = 10; // the paper's J=1,10
     let mean = 300u64;
     let (_prog, rmap) = fragment_reverse(n, fan, 0xE8);
-    let mapping = EnablementMapping::ReverseIndirect(Arc::new(rmap));
+    let cost = CostModel::new(DurationDist::uniform(mean / 2, mean * 3 / 2));
+    let phases = vec![
+        PhaseDef::new("A(I)=FUNC(I)", n, cost.clone()),
+        PhaseDef::new("B(I)=SUM A(IMAP(J,I))", n, cost),
+    ];
+    let edge = EnablementMapping::ReverseIndirect(Arc::new(rmap));
+    let program = Program::chain(phases, vec![edge]).unwrap();
 
-    let build = |with_enable: bool| {
-        let cost = || CostModel::new(DurationDist::uniform(mean / 2, mean * 3 / 2));
-        let phases = vec![
-            PhaseDef::new("A(I)=FUNC(I)", n, cost()),
-            PhaseDef::new("B(I)=SUM A(IMAP(J,I))", n, cost()),
-        ];
-        let edge = if with_enable {
-            mapping.clone()
-        } else {
-            EnablementMapping::Null
-        };
-        Program::chain(phases, vec![edge]).unwrap()
-    };
-
-    let run_with = |with_enable: bool,
-                    placement: ExecutivePlacement,
-                    map_cost: u64,
-                    subset: u32,
-                    build_timing: CompositeBuild| {
+    let run_with = |policy: OverlapPolicy, placement: ExecutivePlacement, map_cost: u64| {
         let mut costs = ManagementCosts::pax_default();
         costs.composite_map_per_entry = pax_sim::SimDuration(map_cost);
         let machine = MachineConfig::new(processors)
             .with_executive(placement)
             .with_costs(costs);
-        let policy = if with_enable {
-            OverlapPolicy::overlap()
-                .with_indirect_subset(subset)
-                .with_composite_build(build_timing)
-        } else {
-            OverlapPolicy::strict()
-        };
         let mut sim = Simulation::new(machine, policy).with_seed(0xE8);
-        sim.add_job(build(with_enable));
+        sim.add_job(program.clone());
         sim.run().expect("E8 run")
     };
+    let overlap = |subset: u32, build_timing: CompositeBuild| {
+        OverlapPolicy::overlap()
+            .with_indirect_subset(subset)
+            .with_composite_build(build_timing)
+    };
 
-    let strict = run_with(
-        false,
-        ExecutivePlacement::StealsWorker,
-        1,
-        u32::MAX,
-        CompositeBuild::Background,
-    );
+    let strict = run_with(OverlapPolicy::strict(), ExecutivePlacement::StealsWorker, 1);
 
     let subset = (processors as u32) * 2;
     let mut rows = Vec::new();
@@ -112,30 +92,31 @@ pub fn run(quick: bool) -> E8Result {
         });
     };
 
+    use CompositeBuild::{Background, Immediate};
     use ExecutivePlacement::{Dedicated, StealsWorker};
     push(
         "subset 2P, cheap map (x1), background",
-        run_with(true, StealsWorker, 1, subset, CompositeBuild::Background),
+        run_with(overlap(subset, Background), StealsWorker, 1),
     );
     push(
         "full subset, cheap map (x1), background",
-        run_with(true, StealsWorker, 1, u32::MAX, CompositeBuild::Background),
+        run_with(overlap(u32::MAX, Background), StealsWorker, 1),
     );
     push(
         "subset 2P, costly map (x50), background",
-        run_with(true, StealsWorker, 50, subset, CompositeBuild::Background),
+        run_with(overlap(subset, Background), StealsWorker, 50),
     );
     push(
         "subset 2P, costly map (x50), IMMEDIATE (paper warns)",
-        run_with(true, StealsWorker, 50, subset, CompositeBuild::Immediate),
+        run_with(overlap(subset, Immediate), StealsWorker, 50),
     );
     push(
         "subset 2P, map x10, background, steals worker",
-        run_with(true, StealsWorker, 10, subset, CompositeBuild::Background),
+        run_with(overlap(subset, Background), StealsWorker, 10),
     );
     push(
         "subset 2P, map x10, background, dedicated exec",
-        run_with(true, Dedicated, 10, subset, CompositeBuild::Background),
+        run_with(overlap(subset, Background), Dedicated, 10),
     );
 
     E8Result {

@@ -87,7 +87,8 @@ pub enum CompositeBuild {
 #[derive(Debug, Clone, PartialEq)]
 pub struct OverlapPolicy {
     /// Master switch: `false` reproduces the strict phase-barrier
-    /// baseline.
+    /// baseline. With `false` no `ENABLE` clause is read, so one program
+    /// runs as both the barrier baseline and the overlapped run.
     pub enabled: bool,
     /// Task sizing rule.
     pub sizing: TaskSizing,

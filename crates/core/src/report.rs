@@ -298,7 +298,7 @@ impl RunReport {
     /// busy trace is global, so the window read is the wrong one (see
     /// `pax_core::shard`, "Merged report conventions").
     pub fn rundown_of(&self, idx: usize) -> Option<RundownWindow> {
-        let p = &self.phases[idx];
+        let p = self.phases.get(idx)?;
         let end = p.stats.completed_at?;
         let start_search = p.stats.current_at;
         let onset = self
@@ -578,6 +578,12 @@ mod tests {
         // [80,100): capacity 80, busy 2*20=40 -> idle 40
         assert_eq!(w.idle_processor_time, 40);
         assert_eq!(w.span(), SimDuration(20));
+    }
+
+    #[test]
+    fn rundown_past_the_last_phase_is_none() {
+        let r = mk_report();
+        assert_eq!(r.rundown_of(r.phases.len()), None);
     }
 
     #[test]

@@ -551,18 +551,7 @@ impl MachineConfig {
     /// An idealized frictionless machine (free management, dedicated
     /// executive) — used where the paper reasons with pure arithmetic.
     pub fn ideal(processors: usize) -> MachineConfig {
-        MachineConfig {
-            processors,
-            executive: ExecutivePlacement::Dedicated,
-            costs: ManagementCosts::free(),
-            executive_lanes: 1,
-            locality: None,
-            shards: ShardPolicy::default(),
-            admission: AdmissionPolicy::default(),
-            faults: None,
-            classes: Vec::new(),
-            resources: Vec::new(),
-        }
+        MachineConfig::new(processors).with_costs(ManagementCosts::free())
     }
 
     /// Check the assembled config for structural validity. Called once
@@ -704,6 +693,14 @@ mod tests {
         assert_eq!(m.costs, ManagementCosts::free());
         assert_eq!(m.executive, ExecutivePlacement::Dedicated);
         assert_eq!(m.processors, 8);
+    }
+
+    #[test]
+    fn ideal_is_new_with_free_costs() {
+        for n in [1, 8, 1000] {
+            let free = MachineConfig::new(n).with_costs(ManagementCosts::free());
+            assert_eq!(MachineConfig::ideal(n), free);
+        }
     }
 
     #[test]

@@ -147,19 +147,13 @@ impl Checkerboard {
 }
 
 /// Build a simulation program of `sweeps` alternating red/black phases
-/// over an `n × n` board, seam-mapped when `overlap_mapping` is true
-/// (otherwise the enables are omitted and the phases barrier).
+/// over an `n × n` board, each sweep seam-mapped into the next.
 ///
 /// With `n = 1024` each phase has 524,288 granules — the paper's example
 /// ("Each computational phase will provide 524,288 individual
 /// computations, or 524 computations for each of the 1000 processors;
 /// however, 288 computations will be left over").
-pub fn checkerboard_program(
-    n: usize,
-    sweeps: usize,
-    cost: CostModel,
-    with_seam_enables: bool,
-) -> Program {
+pub fn checkerboard_program(n: usize, sweeps: usize, cost: CostModel) -> Program {
     assert!(sweeps >= 1);
     let board = Checkerboard::new(n);
     let mut b = ProgramBuilder::new();
@@ -181,8 +175,7 @@ pub fn checkerboard_program(
         } else {
             (black, red, &black_to_red)
         };
-        let last = s + 1 == sweeps;
-        if with_seam_enables && !last {
+        if s + 1 < sweeps {
             b.dispatch_enable(
                 phase,
                 vec![EnableSpec {
@@ -380,7 +373,7 @@ mod tests {
 
     #[test]
     fn program_shape() {
-        let p = checkerboard_program(8, 4, CostModel::constant(5), true);
+        let p = checkerboard_program(8, 4, CostModel::constant(5));
         assert_eq!(p.phases.len(), 2);
         // 4 dispatches + end
         assert_eq!(p.steps.len(), 5);

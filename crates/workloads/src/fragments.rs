@@ -6,7 +6,7 @@
 //! mapping the paper assigns.
 
 use pax_analyze::ir::{Access, ArrayProgram, IndexExpr, LoopPhase};
-use pax_core::mapping::{EnablementMapping, ForwardMap, ReverseMap};
+use pax_core::mapping::{ForwardMap, ReverseMap};
 use pax_core::phase::PhaseDef;
 use pax_core::program::Program;
 use pax_sim::dist::CostModel;
@@ -164,19 +164,14 @@ pub fn fragment_forward(m_granules: u32, n: u32, seed: u64) -> (ArrayProgram, Fo
 
 /// Build a runnable two-phase simulation program for any fragment:
 /// classification output feeds straight into the executive.
-pub fn fragment_simulation(program: &ArrayProgram, cost: CostModel, with_enable: bool) -> Program {
+pub fn fragment_simulation(program: &ArrayProgram, cost: CostModel) -> Program {
     let phases: Vec<&LoopPhase> = program.parallel_phases().map(|(_, p)| p).collect();
     assert_eq!(phases.len(), 2, "fragments have exactly two phases");
     let serial = false; // fragments have no serial gaps
     let cl = pax_analyze::classify(program, phases[0], phases[1], serial);
     let defs = (phases.iter())
         .map(|p| PhaseDef::new(&p.name, p.granules, cost.clone()).with_lines(p.lines));
-    let edge = if with_enable {
-        cl.mapping
-    } else {
-        EnablementMapping::Null
-    };
-    Program::chain(defs.collect(), vec![edge]).expect("fragment program is valid")
+    Program::chain(defs.collect(), vec![cl.mapping]).expect("fragment program is valid")
 }
 
 #[cfg(test)]
@@ -232,20 +227,15 @@ mod tests {
             ("reverse", fragment_reverse(30, 5, 3).0),
             ("forward", fragment_forward(30, 30, 3).0),
         ] {
-            let sim_prog = fragment_simulation(&prog, CostModel::constant(10), true);
-            let strict_prog = fragment_simulation(&prog, CostModel::constant(10), false);
-            let run = |p: Program, overlap: bool| {
-                let policy = if overlap {
-                    OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1))
-                } else {
-                    OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(1))
-                };
+            let sim_prog = fragment_simulation(&prog, CostModel::constant(10));
+            let run = |policy: OverlapPolicy| {
+                let policy = policy.with_sizing(TaskSizing::Fixed(1));
                 let mut s = Simulation::new(MachineConfig::ideal(4), policy);
-                s.add_job(p);
+                s.add_job(sim_prog.clone());
                 s.run().unwrap()
             };
-            let over = run(sim_prog, true);
-            let strict = run(strict_prog, false);
+            let over = run(OverlapPolicy::overlap());
+            let strict = run(OverlapPolicy::strict());
             assert_eq!(
                 over.compute_time, strict.compute_time,
                 "{name}: work not conserved"

@@ -69,9 +69,9 @@ impl Default for GeneratorConfig {
 }
 
 impl GeneratorConfig {
-    /// Build the program; `with_enables = false` yields the barrier
-    /// baseline over the identical workload.
-    pub fn build(&self, with_enables: bool) -> Program {
+    /// Build the program: `mapping` on every transition. Run it under
+    /// `OverlapPolicy::strict()` for the barrier baseline.
+    pub fn build(&self) -> Program {
         assert!(self.phases >= 1);
         let mut rng = pax_sim::seeded_rng(self.seed);
         let phases = (0..self.phases)
@@ -81,9 +81,6 @@ impl GeneratorConfig {
             })
             .collect();
         let edges = (1..self.phases).map(|_| {
-            if !with_enables {
-                return EnablementMapping::Null;
-            }
             match self.mapping {
                 MappingKind::Universal => EnablementMapping::Universal,
                 MappingKind::Identity => EnablementMapping::Identity,
@@ -151,7 +148,7 @@ mod tests {
                     ..GeneratorConfig::default()
                 };
                 let mut sim = Simulation::new(MachineConfig::ideal(4), OverlapPolicy::overlap());
-                sim.add_job(cfg.build(true));
+                sim.add_job(cfg.build());
                 let r = sim
                     .run()
                     .unwrap_or_else(|e| panic!("{shape:?}/{mapping:?}: {e}"));
@@ -180,7 +177,7 @@ mod tests {
         let run = || {
             let mut sim =
                 Simulation::new(MachineConfig::ideal(4), OverlapPolicy::overlap()).with_seed(99);
-            sim.add_job(cfg.build(true));
+            sim.add_job(cfg.build());
             sim.run().unwrap().makespan
         };
         assert_eq!(run(), run());

@@ -56,18 +56,14 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     let machine = MachineConfig::new(16)
         .with_executive(ExecutivePlacement::StealsWorker)
         .with_costs(ManagementCosts::pax_default());
-    let exec = |overlap: bool| {
-        let policy = if overlap {
-            OverlapPolicy::overlap()
-        } else {
-            OverlapPolicy::strict()
-        };
+    let program = cfg.build(true);
+    let exec = |policy| {
         let mut sim = Simulation::new(machine.clone(), policy).with_seed(0xCA5);
-        sim.add_job(cfg.build(overlap));
+        sim.add_job(program.clone());
         sim.run()
     };
-    let strict = exec(false)?;
-    let over = exec(true)?;
+    let strict = exec(OverlapPolicy::strict())?;
+    let over = exec(OverlapPolicy::overlap())?;
     println!(
         "strict:  makespan {:>9}  utilization {:>5.1}%  C/M {:>6.1}",
         strict.makespan.ticks(),

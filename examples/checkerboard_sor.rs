@@ -49,7 +49,7 @@ fn part1_paper_arithmetic() -> Result<(), Box<dyn std::error::Error>> {
         1000 - granules % 1000
     );
 
-    let program = checkerboard_program(1024, 2, CostModel::constant(100), false);
+    let program = checkerboard_program(1024, 2, CostModel::constant(100));
     let mut sim = Simulation::new(
         MachineConfig::ideal(1000),
         OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(1)),
@@ -71,19 +71,15 @@ fn part1_paper_arithmetic() -> Result<(), Box<dyn std::error::Error>> {
 
 fn part2_simulated_overlap() -> Result<(), Box<dyn std::error::Error>> {
     println!("== part 2: strict vs seam overlap (128² grid, 100 processors, 6 sweeps) ==");
-    let exec = |overlap: bool| {
-        let program = checkerboard_program(128, 6, CostModel::constant(100), overlap);
-        let policy = if overlap {
-            OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(8))
-        } else {
-            OverlapPolicy::strict().with_sizing(TaskSizing::Fixed(8))
-        };
+    let program = checkerboard_program(128, 6, CostModel::constant(100));
+    let exec = |policy: OverlapPolicy| {
+        let policy = policy.with_sizing(TaskSizing::Fixed(8));
         let mut sim = Simulation::new(MachineConfig::ideal(100), policy);
-        sim.add_job(program);
+        sim.add_job(program.clone());
         sim.run()
     };
-    let strict = exec(false)?;
-    let over = exec(true)?;
+    let strict = exec(OverlapPolicy::strict())?;
+    let over = exec(OverlapPolicy::overlap())?;
     println!(
         "strict:  makespan {:>8}  utilization {:.2}%",
         strict.makespan.ticks(),

@@ -57,7 +57,7 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
         reverse_fan: 4,
         seed: 42,
     }
-    .build(true);
+    .build();
 
     println!(
         "machine: {processors} workers, {clusters} memory clusters, \

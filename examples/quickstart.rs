@@ -25,28 +25,21 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     // 100 granules of ~100 ticks each on 8 processors: 100 = 12×8 + 4,
     // so each phase ends with a 4-granule final wave that idles half the
     // machine under strict barriers.
-    let build = |with_enable: bool| -> Result<Program, String> {
-        let cost = CostModel::new(DurationDist::uniform(50, 150));
-        let phases = ["B(I)=A(I)", "C(I)=B(I)"].map(|name| PhaseDef::new(name, 100, cost.clone()));
-        let edge = if with_enable {
-            EnablementMapping::Identity
-        } else {
-            EnablementMapping::Null
-        };
-        Program::chain(phases.into(), vec![edge])
-    };
+    let cost = CostModel::new(DurationDist::uniform(50, 150));
+    let phases = ["B(I)=A(I)", "C(I)=B(I)"].map(|name| PhaseDef::new(name, 100, cost.clone()));
+    let program = Program::chain(phases.into(), vec![EnablementMapping::Identity])?;
 
-    let exec = |label: &str, program: Program, policy: OverlapPolicy| {
+    let exec = |label: &str, policy: OverlapPolicy| {
         let mut sim = Simulation::new(MachineConfig::ideal(8), policy).with_seed(7);
-        sim.add_job(program);
+        sim.add_job(program.clone());
         let report = sim.run()?;
         println!("== {label} ==");
         println!("{report}");
         Ok::<_, pax_core::engine::EngineError>(report)
     };
 
-    let strict = exec("strict barriers", build(false)?, OverlapPolicy::strict())?;
-    let overlap = exec("phase overlap", build(true)?, OverlapPolicy::overlap())?;
+    let strict = exec("strict barriers", OverlapPolicy::strict())?;
+    let overlap = exec("phase overlap", OverlapPolicy::overlap())?;
 
     let speedup = strict.makespan.ticks() as f64 / overlap.makespan.ticks() as f64;
     println!(

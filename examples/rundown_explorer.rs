@@ -131,12 +131,9 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
     } else {
         MachineConfig::ideal(a.procs)
     };
-    let exec = |overlap: bool| {
-        let mut policy = if overlap {
-            OverlapPolicy::overlap().with_sizing(TaskSizing::TasksPerProcessor(a.ratio))
-        } else {
-            OverlapPolicy::strict().with_sizing(TaskSizing::TasksPerProcessor(a.ratio))
-        };
+    let program = cfg.build();
+    let exec = |policy: OverlapPolicy| {
+        let mut policy = policy.with_sizing(TaskSizing::TasksPerProcessor(a.ratio));
         if a.clusters > 0 {
             // clustered memory: presplit so the proximity scan has
             // visible pieces to choose among
@@ -147,11 +144,11 @@ fn run() -> Result<(), Box<dyn std::error::Error>> {
                 });
         }
         let mut sim = Simulation::new(machine.clone(), policy).with_seed(a.seed);
-        sim.add_job(cfg.build(overlap));
+        sim.add_job(program.clone());
         sim.run()
     };
-    let strict = exec(false)?;
-    let over = exec(true)?;
+    let strict = exec(OverlapPolicy::strict())?;
+    let over = exec(OverlapPolicy::overlap())?;
 
     println!(
         "{} phases × {} granules ({:?} costs, {} mapping) on {} processors, {} tasks/proc\n",

@@ -427,23 +427,18 @@ fn seam_and_reverse_edges_over_one_list_run_identically() {
     }
 }
 
-/// `program` with every `ENABLE` clause cleared.
-fn without_enables(program: &Program) -> Program {
+/// `program` and its copy with every `ENABLE` clause cleared give one
+/// verdict under strict barriers, demand-split and presplit.
+fn strict_ignores_enables(name: &str, program: &Program, machine: MachineConfig) {
     let mut cleared = program.clone();
     for step in &mut cleared.steps {
         if let Step::Dispatch { enables, .. } = step {
             enables.clear();
         }
     }
-    cleared
-}
-
-/// `program` and its copy with no `ENABLE` clause give one verdict under
-/// strict barriers, demand-split and presplit.
-fn strict_ignores_enables(name: &str, program: &Program, machine: MachineConfig) {
     let presplit = OverlapPolicy::strict().with_split_strategy(SplitStrategy::PreSplit);
     for policy in [OverlapPolicy::strict(), presplit] {
-        let [declared, cleared] = [program.clone(), without_enables(program)].map(|p| {
+        let [declared, cleared] = [program, &cleared].map(|p| {
             let build = |cfg| {
                 let mut sim = Simulation::new(cfg, policy.clone()).with_seed(7);
                 sim.add_job(p.clone());
@@ -465,7 +460,7 @@ fn strict_ignores_enables(name: &str, program: &Program, machine: MachineConfig)
 #[test]
 fn strict_policy_reads_no_enable_clause() {
     use pax_workloads::fragments::*;
-    use pax_workloads::{checkerboard_program, CasperConfig, CostShape, GeneratorConfig};
+    use pax_workloads::{checkerboard_program, CasperConfig, GeneratorConfig};
     use proptest::prelude::*;
 
     let casper = CasperConfig {
@@ -474,7 +469,7 @@ fn strict_policy_reads_no_enable_clause() {
         ..CasperConfig::default()
     };
     strict_ignores_enables("casper", &casper.build(true), MachineConfig::new(8));
-    let board = checkerboard_program(8, 4, CostModel::constant(5), true);
+    let board = checkerboard_program(8, 4, CostModel::constant(5));
     strict_ignores_enables("checkerboard", &board, MachineConfig::ideal(6));
     for (name, fragment) in [
         ("universal", fragment_universal(30)),
@@ -482,7 +477,7 @@ fn strict_policy_reads_no_enable_clause() {
         ("reverse", fragment_reverse(30, 5, 3).0),
         ("forward", fragment_forward(30, 30, 3).0),
     ] {
-        let program = fragment_simulation(&fragment, CostModel::constant(10), true);
+        let program = fragment_simulation(&fragment, CostModel::constant(10));
         strict_ignores_enables(name, &program, MachineConfig::new(4));
     }
 
@@ -496,29 +491,20 @@ fn strict_policy_reads_no_enable_clause() {
             processors in 1usize..17,
             seed in 0u64..1000,
         ) {
+            use pax_workloads::CostShape::*;
+            use MappingKind::*;
+            let kinds = [Universal, Identity, ForwardIndirect, ReverseIndirect, Seam, Null];
             let cfg = GeneratorConfig {
                 phases,
                 granules,
                 mean_cost: 20,
-                shape: [
-                    CostShape::Constant,
-                    CostShape::Jittered,
-                    CostShape::Exponential,
-                    CostShape::Straggler,
-                ][shape],
-                mapping: [
-                    MappingKind::Universal,
-                    MappingKind::Identity,
-                    MappingKind::ForwardIndirect,
-                    MappingKind::ReverseIndirect,
-                    MappingKind::Seam,
-                    MappingKind::Null,
-                ][mapping],
+                shape: [Constant, Jittered, Exponential, Straggler][shape],
+                mapping: kinds[mapping],
                 reverse_fan: 3,
                 seed,
             };
             let name = format!("{cfg:?} on {processors}");
-            strict_ignores_enables(&name, &cfg.build(true), MachineConfig::new(processors));
+            strict_ignores_enables(&name, &cfg.build(), MachineConfig::new(processors));
         }
     }
     generated();

@@ -22,7 +22,7 @@ fn classifier_output_drives_the_executive() {
         let cl = classify(&prog, phases[0], phases[1], false);
         assert!(cl.kind.overlappable(), "{name} must be overlappable");
 
-        let sim_prog = fragments::fragment_simulation(&prog, CostModel::constant(10), true);
+        let sim_prog = fragments::fragment_simulation(&prog, CostModel::constant(10));
         let mut sim = Simulation::new(
             MachineConfig::ideal(6),
             OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(1)),
@@ -141,8 +141,8 @@ fn multi_job_with_overlap() {
         seed: 99,
     };
     let mut sim = Simulation::new(MachineConfig::ideal(8), OverlapPolicy::overlap());
-    sim.add_job(cfg.build(true));
-    sim.add_job(cfg.build(true));
+    sim.add_job(cfg.build());
+    sim.add_job(cfg.build());
     let r = sim.run().unwrap();
     assert_eq!(r.jobs.len(), 2);
     assert!(r.jobs.iter().all(|j| j.finished_at.is_some()));
@@ -168,18 +168,14 @@ fn overlap_wins_under_management_costs() {
     let machine = MachineConfig::new(12)
         .with_executive(ExecutivePlacement::StealsWorker)
         .with_costs(ManagementCosts::pax_default());
-    let run = |overlap: bool| {
-        let policy = if overlap {
-            OverlapPolicy::overlap()
-        } else {
-            OverlapPolicy::strict()
-        };
+    let program = cfg.build(true);
+    let run = |policy| {
         let mut sim = Simulation::new(machine.clone(), policy).with_seed(5);
-        sim.add_job(cfg.build(overlap));
+        sim.add_job(program.clone());
         sim.run().unwrap()
     };
-    let strict = run(false);
-    let over = run(true);
+    let strict = run(OverlapPolicy::strict());
+    let over = run(OverlapPolicy::overlap());
     assert!(
         over.makespan < strict.makespan,
         "overlap {} !< strict {}",

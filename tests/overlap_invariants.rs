@@ -21,7 +21,7 @@ fn overlap_policy(strategy: SplitStrategy) -> OverlapPolicy {
 fn seam_enablement_invariant_on_checkerboard() {
     let n = 12;
     let board = Checkerboard::new(n);
-    let program = checkerboard_program(n, 2, CostModel::constant(10), true);
+    let program = checkerboard_program(n, 2, CostModel::constant(10));
     let mut sim = Simulation::new(
         MachineConfig::ideal(5),
         OverlapPolicy::overlap().with_sizing(TaskSizing::Fixed(2)),
@@ -129,7 +129,7 @@ fn work_conservation_across_policies() {
             reverse_fan: 4,
             seed: 3,
         };
-        cfg.build(true)
+        cfg.build()
     };
     let mut spans = Vec::new();
     for (procs, policy) in [

@@ -42,7 +42,7 @@ fn gantt_spans_agree_with_remote_accounting() {
         reverse_fan: 4,
         seed: 7,
     }
-    .build(true);
+    .build();
     let mut sim = Simulation::new(cfg, proximity(16)).with_gantt();
     sim.add_job(program);
     let r = sim.run().unwrap();
@@ -67,7 +67,7 @@ fn gantt_spans_agree_with_remote_accounting() {
 #[test]
 fn proximity_preserves_seam_enablement_on_checkerboard() {
     let n = 12;
-    let program = checkerboard_program(n, 2, CostModel::constant(10), true);
+    let program = checkerboard_program(n, 2, CostModel::constant(10));
     let mut sim = Simulation::new(
         clustered(5, 2, 4),
         proximity(8).with_sizing(TaskSizing::Fixed(2)),
@@ -144,7 +144,7 @@ fn proximity_with_multiple_job_streams() {
             reverse_fan: 4,
             seed,
         }
-        .build(true)
+        .build()
     };
     let mut sim = Simulation::new(clustered(8, 4, 10), proximity(16));
     sim.add_job(mk(1));
@@ -183,7 +183,7 @@ fn proximity_wins_with_real_management_costs() {
         reverse_fan: 4,
         seed: 99,
     }
-    .build(true);
+    .build();
     let machine = MachineConfig::new(16).with_locality(LocalityModel::new(4, SimDuration(100)));
     let fifo = {
         let mut s = Simulation::new(
@@ -221,7 +221,7 @@ fn cyclic_layout_remote_fraction_is_invariant() {
         reverse_fan: 4,
         seed: 3,
     }
-    .build(true);
+    .build();
     let mut fracs = Vec::new();
     for window in [0usize, 8, 64] {
         let machine = MachineConfig::ideal(8)
